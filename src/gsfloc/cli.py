@@ -224,7 +224,15 @@ def cmd_selftest(args) -> int:
     """Quick oracle-equivalence checks of the numerical core."""
     from scipy.linalg import inv
 
-    from .gsf import GpHyperParams, fit_gsf, gsf_predict, matern32_matrix
+    from .gsf import (
+        GpHyperParams,
+        fit_gsf,
+        gsf_predict,
+        grid_probe,
+        matern32_matrix,
+        permute_population,
+        yaw_reuse_plan,
+    )
     from .matching import ConsistencyGraph, Correspondence, brute_force_max_clique, max_clique
     from .pose_solver import WeightedCorrespondenceSet, weighted_kabsch
     from .core import RigidTransform, rotation_angle_deg, rot_z
@@ -285,6 +293,23 @@ def cmd_selftest(args) -> int:
         worst_t, worst_r = max(worst_t, te), max(worst_r, re_)
     report(f"kabsch recovery (worst {worst_t:.1e} m / {worst_r:.1e} deg)",
            worst_t < 1e-9 and worst_r < 1e-7)
+
+    # yaw-permuted probe vs fresh probe, on the default 5x5 grid at 8 yaws
+    taxonomy = default_taxonomy()
+    d = taxonomy.num_classes
+    fld = fit_gsf(rng.uniform(-6, 6, (80, 3)), rng.normal(size=(80, d)),
+                  rng.integers(0, d, 80), GpHyperParams(), budget=80, seed=0)
+    yaws = [2.0 * np.pi * k / 8 for k in range(8)]
+    fresh = [grid_probe(fld, taxonomy, yaw=y) for y in yaws]
+    reused = [(permute_population(fresh[r[0]], r[1]), fresh[k])
+              for k, r in enumerate(yaw_reuse_plan(yaws)) if r is not None]
+    worst = max(
+        max(np.abs(got.mu - want.mu).max(), np.abs(got.Sigma - want.Sigma).max(),
+            np.abs(got.stability_weights - want.stability_weights).max())
+        for got, want in reused
+    ) if reused else np.inf
+    report(f"yaw-permuted probe vs fresh probe ({len(reused)} of 8 yaws, max abs dev {worst:.2e})",
+           worst < 1e-12)
 
     return EXIT_OK if ok else EXIT_BUILD
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from .core import FormatError, ValidationError
 from .gsf import GpPopulation
-from .wasserstein import SimilarityConfig, similarity_weight, w2_squared
+from .wasserstein import SimilarityConfig, population_sqrt, similarity_weight, w2_squared
 
 INDEX_MAGIC = b"GSFI"
 INDEX_VERSION = 1
@@ -231,11 +231,16 @@ def pair_w2(
     use_stability: bool,
     cache: dict | None = None,
 ) -> float:
-    """Min-over-yaw squared W2 between a query and a map instance population."""
+    """Min-over-yaw squared W2 between a query and a map instance population.
+
+    The map population's covariance root is taken once and shared by every yaw.
+    """
     if cache is not None and (qid, mid) in cache:
         return cache[(qid, mid)]
+    pop_m = pops_map[mid]
+    sqrt_m = population_sqrt(pop_m, use_stability)
     val = min(
-        w2_squared(qp, pops_map[mid], use_stability=use_stability)
+        w2_squared(qp, pop_m, use_stability=use_stability, sqrt_b=sqrt_m)
         for qp in pops_query[qid]
     )
     if cache is not None:

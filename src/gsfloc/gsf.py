@@ -191,9 +191,11 @@ def _clamp_psd(Sigma: np.ndarray) -> np.ndarray:
     return 0.5 * (out + out.T)
 
 
-def grid_probe(
-    field: GaussianSemanticField,
-    taxonomy: LabelTaxonomy,
+# grid points closer than this (meters) are taken to be the same point
+PERMUTATION_TOL = 1e-9
+
+
+def probe_grid(
     centroid_local=(0.0, 0.0, 0.0),
     delta_x: float = 2.5,
     delta_y: float = 2.5,
@@ -201,8 +203,8 @@ def grid_probe(
     n_y: int = 5,
     z_mode="local-zero",
     yaw: float = 0.0,
-) -> GpPopulation:
-    """Probe the field on a uniform n_x * n_y grid centered at `centroid_local`.
+) -> np.ndarray:
+    """(n_x * n_y, 3) probe locations of a uniform grid centered at `centroid_local`.
 
     The grid's bounding box is symmetric about the centroid; flattening is
     row-major over (i, j) with g = i*n_y + j. `z_mode` is "local-zero"
@@ -222,14 +224,63 @@ def grid_probe(
     local = np.column_stack([gx.ravel(), gy.ravel(), np.zeros(gx.size)])
     if yaw != 0.0:
         local = local @ rot_z(yaw).T
-    grid = local + np.array([cx, cy, cz + z_off])
+    return local + np.array([cx, cy, cz + z_off])
 
+
+def grid_probe(
+    field: GaussianSemanticField,
+    taxonomy: LabelTaxonomy,
+    centroid_local=(0.0, 0.0, 0.0),
+    delta_x: float = 2.5,
+    delta_y: float = 2.5,
+    n_x: int = 5,
+    n_y: int = 5,
+    z_mode="local-zero",
+    yaw: float = 0.0,
+) -> GpPopulation:
+    """Probe the field on the `probe_grid` of the same arguments."""
+    grid = probe_grid(centroid_local, delta_x, delta_y, n_x, n_y, z_mode, yaw)
     mu, Sigma = gsf_predict(field, grid)
     Sigma = _clamp_psd(Sigma)
     pred = np.argmax(mu, axis=1)
     stability = taxonomy.stability_vector()
     weights = stability[pred]
     return GpPopulation(grid, mu, Sigma, weights)
+
+
+def yaw_reuse_plan(yaws, **grid) -> list[tuple[int, np.ndarray] | None]:
+    """Which yaws need a probe and which reorder an earlier yaw's probe.
+
+    `grid` takes the `probe_grid` arguments other than `yaw`. Entry k is
+    None when yaw k must be probed, or (j, perm) when yaw k's grid points
+    are yaw j's points reordered: point g of yaw k is point perm[g] of yaw
+    j (within PERMUTATION_TOL), and yaw j is itself probed.
+    """
+    grids = [probe_grid(yaw=y, **grid) for y in yaws]
+    plan: list[tuple[int, np.ndarray] | None] = []
+    for k, points in enumerate(grids):
+        reuse = None
+        for j in range(k):
+            if plan[j] is not None:
+                continue
+            dist = cdist(points, grids[j])
+            perm = np.argmin(dist, axis=1)
+            close = dist[np.arange(perm.size), perm].max() <= PERMUTATION_TOL
+            if close and np.unique(perm).size == perm.size:
+                reuse = (j, perm)
+                break
+        plan.append(reuse)
+    return plan
+
+
+def permute_population(pop: GpPopulation, perm: np.ndarray) -> GpPopulation:
+    """The population with its grid points reordered: point g becomes perm[g]."""
+    return GpPopulation(
+        pop.grid[perm],
+        pop.mu[perm],
+        pop.Sigma[np.ix_(perm, perm)],
+        pop.stability_weights[perm],
+    )
 
 
 def apply_stability_mask(Sigma: np.ndarray, weights: np.ndarray) -> np.ndarray:

@@ -40,7 +40,7 @@ from .descriptors import (
     save_index,
     triangulate,
 )
-from .gsf import GpPopulation, grid_probe
+from .gsf import GpPopulation, grid_probe, permute_population, yaw_reuse_plan
 from .matching import (
     build_consistency_graph,
     collect_correspondences,
@@ -130,17 +130,47 @@ def _prepare_cloud(cloud: SemanticPointCloud, config: RunConfig) -> SemanticPoin
     return cloud
 
 
-def _probe_instance(graph, taxonomy, config, inst_id, yaw):
+def _grid_args(config: RunConfig) -> dict:
+    """`probe_grid` arguments other than yaw; instance fields live in local frames."""
     g = config.gsf.grid
+    return dict(centroid_local=(0.0, 0.0, 0.0), delta_x=g.dx, delta_y=g.dy,
+                n_x=g.nx, n_y=g.ny, z_mode=g.z_mode)
+
+
+def _probe_instance(graph, taxonomy, config, inst_id, yaw):
     field = graph.fields.get(inst_id)
     if field is None:
         return None
-    return grid_probe(
-        field, taxonomy,
-        centroid_local=(0.0, 0.0, 0.0),
-        delta_x=g.dx, delta_y=g.dy, n_x=g.nx, n_y=g.ny,
-        z_mode=g.z_mode, yaw=yaw,
-    )
+    return grid_probe(field, taxonomy, **_grid_args(config), yaw=yaw)
+
+
+def _probe_yaws(field, taxonomy, config, yaws, plan) -> list[GpPopulation]:
+    """One population per yaw: probe where `plan` (from `yaw_reuse_plan`) says
+    so, reorder the earlier probe everywhere else."""
+    pops: list[GpPopulation] = []
+    for yaw, reuse in zip(yaws, plan):
+        if reuse is None:
+            pops.append(grid_probe(field, taxonomy, **_grid_args(config), yaw=yaw))
+        else:
+            j, perm = reuse
+            pops.append(permute_population(pops[j], perm))
+    return pops
+
+
+def _flatten(d: dict, prefix: str = ""):
+    for k, v in d.items():
+        if isinstance(v, dict):
+            yield from _flatten(v, f"{prefix}{k}.")
+        else:
+            yield f"{prefix}{k}", v
+
+
+def _population_settings(config: RunConfig) -> dict:
+    """Settings that decide whether query and map populations are comparable."""
+    return dict(_flatten({
+        "gsf": config.to_dict()["gsf"],
+        "cluster": {"neighborhood_radius": config.cluster.neighborhood_radius},
+    }))
 
 
 def build_map(
@@ -174,11 +204,12 @@ def localize(
 ) -> LocalizationResult:
     """One-shot localization of a query scan against a prebuilt map."""
     config = config or ref_map.config
-    mg = ref_map.config.gsf.grid
-    qg = config.gsf.grid
-    if (qg.nx, qg.ny, qg.dx, qg.dy) != (mg.nx, mg.ny, mg.dx, mg.dy):
+    want, got = _population_settings(ref_map.config), _population_settings(config)
+    differ = [k for k in want if got[k] != want[k]]
+    if differ:
         raise ValidationError(
-            "query grid geometry differs from the map bundle; populations are not comparable"
+            f"query config differs from the map bundle in {', '.join(differ)}; "
+            "populations are not comparable"
         )
     taxonomy = ref_map.taxonomy
     timings: dict[str, float] = {}
@@ -197,14 +228,13 @@ def localize(
 
     t0 = time.perf_counter()
     yaws = [2.0 * np.pi * k / config.sim.yaw_samples for k in range(config.sim.yaw_samples)]
+    plan = yaw_reuse_plan(yaws, **_grid_args(config))
     pops_query: dict[int, list | None] = {}
     for inst in qgraph.instances:
-        if qgraph.fields.get(inst.id) is None:
-            pops_query[inst.id] = None
-        else:
-            pops_query[inst.id] = [
-                _probe_instance(qgraph, taxonomy, config, inst.id, yaw=y) for y in yaws
-            ]
+        field = qgraph.fields.get(inst.id)
+        pops_query[inst.id] = (
+            None if field is None else _probe_yaws(field, taxonomy, config, yaws, plan)
+        )
     timings["probe"] = (time.perf_counter() - t0) * 1e3
 
     t0 = time.perf_counter()

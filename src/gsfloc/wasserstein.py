@@ -43,29 +43,46 @@ def psd_sqrt(S: np.ndarray, sym_tol: float = 1e-8) -> np.ndarray:
     return 0.5 * (out + out.T)
 
 
-def _trace_sqrt_product(S1: np.ndarray, S2: np.ndarray) -> float:
-    """Tr((S1^1/2 S2 S1^1/2)^1/2), eigenvalues clamped at 0."""
-    r1 = psd_sqrt(S1)
-    inner = r1 @ S2 @ r1
-    vals = np.linalg.eigvalsh(0.5 * (inner + inner.T))
-    return float(np.sum(np.sqrt(np.maximum(vals, 0.0))))
+def _covariance(pop: GpPopulation, use_stability: bool) -> np.ndarray:
+    if use_stability:
+        return apply_stability_mask(pop.Sigma, pop.stability_weights)
+    return pop.Sigma
 
 
-def w2_squared(pop_a: GpPopulation, pop_b: GpPopulation, use_stability: bool = False) -> float:
-    """Squared 2-Wasserstein distance between two populations on matching grids."""
+def population_sqrt(pop: GpPopulation, use_stability: bool = False) -> np.ndarray:
+    """Square root of the covariance `w2_squared` compares, stability-masked when asked."""
+    return psd_sqrt(_covariance(pop, use_stability))
+
+
+def w2_squared(
+    pop_a: GpPopulation,
+    pop_b: GpPopulation,
+    use_stability: bool = False,
+    sqrt_b: np.ndarray | None = None,
+) -> float:
+    """Squared 2-Wasserstein distance between two populations on matching grids.
+
+    `sqrt_b` is `population_sqrt(pop_b, use_stability)`, computed here when
+    not given; pass it to compare many populations against one pop_b. The
+    trace term is symmetric in A and B, so only B's covariance is rooted:
+    Tr((S_B^1/2 S_A S_B^1/2)^1/2), eigenvalues clamped at 0.
+    """
     if pop_a.mu.shape != pop_b.mu.shape or pop_a.Sigma.shape != pop_b.Sigma.shape:
         raise ValidationError(
             f"population shapes differ: mu {pop_a.mu.shape} vs {pop_b.mu.shape}, "
             f"Sigma {pop_a.Sigma.shape} vs {pop_b.Sigma.shape}"
         )
-    s_a, s_b = pop_a.Sigma, pop_b.Sigma
+    s_a, s_b = _covariance(pop_a, use_stability), _covariance(pop_b, use_stability)
     diff_sq = np.sum((pop_a.mu - pop_b.mu) ** 2, axis=1)  # per grid point
     if use_stability:
-        s_a = apply_stability_mask(s_a, pop_a.stability_weights)
-        s_b = apply_stability_mask(s_b, pop_b.stability_weights)
         diff_sq = diff_sq * np.sqrt(pop_a.stability_weights * pop_b.stability_weights)
+    if sqrt_b is None:
+        sqrt_b = psd_sqrt(s_b)
+    inner = sqrt_b @ s_a @ sqrt_b
+    vals = np.linalg.eigvalsh(0.5 * (inner + inner.T))
+    cross = float(np.sum(np.sqrt(np.maximum(vals, 0.0))))
     mean_term = float(np.sum(diff_sq))
-    trace_term = float(np.trace(s_a) + np.trace(s_b)) - 2.0 * _trace_sqrt_product(s_a, s_b)
+    trace_term = float(np.trace(s_a) + np.trace(s_b)) - 2.0 * cross
     return max(mean_term + trace_term, 0.0)
 
 

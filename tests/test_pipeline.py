@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -8,8 +10,12 @@ from gsfloc.core import (
     one_hot_logits,
     pose_error,
 )
+from gsfloc.descriptors import pair_w2
+from gsfloc.gsf import apply_stability_mask, grid_probe, yaw_reuse_plan
 from gsfloc.pipeline import (
     BuildError,
+    _grid_args,
+    _probe_yaws,
     build_map,
     load_map,
     localize,
@@ -17,6 +23,7 @@ from gsfloc.pipeline import (
     voxel_downsample,
 )
 from gsfloc.synth import generate_scene, sample_query_poses, simulate_scan
+from gsfloc.wasserstein import psd_sqrt
 
 from conftest import small_scene_spec
 
@@ -153,8 +160,75 @@ class TestLocalize:
         cloud, _ = scene
         cfg = RunConfig()
         cfg.gsf.grid.nx = 3
-        with pytest.raises(ValidationError, match="grid geometry"):
+        with pytest.raises(ValidationError, match="gsf.grid.nx"):
             localize(cloud, ref_map, cfg)
+
+    @pytest.mark.parametrize("key, value", [
+        ("gsf.kappa", 3.0),
+        ("gsf.sigma_y", 0.2),
+        ("gsf.budget", 128),
+        ("gsf.softmax_targets", True),
+        ("gsf.grid.ny", 3),
+        ("gsf.grid.dx", 2.0),
+        ("gsf.grid.dy", 2.0),
+        ("gsf.grid.z_mode", 0.5),
+        ("cluster.neighborhood_radius", 8.0),
+    ])
+    def test_population_settings_mismatch_rejected(self, scene, ref_map, key, value):
+        cloud, _ = scene
+        cfg = RunConfig()
+        cfg.apply_overrides([f"{key}={json.dumps(value)}"])
+        with pytest.raises(ValidationError, match=f"differs from the map bundle in {key};"):
+            localize(cloud, ref_map, cfg)
+
+
+def _w2_reference(pop_a, pop_b):
+    """Stability-masked W2^2 with the trace term rooted on A, written out."""
+    s_a = apply_stability_mask(pop_a.Sigma, pop_a.stability_weights)
+    s_b = apply_stability_mask(pop_b.Sigma, pop_b.stability_weights)
+    diff_sq = np.sum((pop_a.mu - pop_b.mu) ** 2, axis=1)
+    mean_term = np.sum(diff_sq * np.sqrt(pop_a.stability_weights * pop_b.stability_weights))
+    r = psd_sqrt(s_a)
+    vals = np.linalg.eigvalsh(r @ s_b @ r)
+    cross = np.sum(np.sqrt(np.maximum(vals, 0.0)))
+    return max(mean_term + np.trace(s_a) + np.trace(s_b) - 2.0 * cross, 0.0)
+
+
+class TestYawReuse:
+    """Populations built from the yaw plan against a fresh probe at every yaw."""
+
+    @pytest.mark.parametrize("nx, ny, yaw_samples, probed", [
+        (5, 5, 4, 1),
+        (5, 5, 6, 3),
+        (5, 5, 8, 2),
+        (5, 3, 8, 4),
+        (5, 5, 3, 3),
+    ])
+    def test_plan_matches_fresh_probes(self, ref_map, taxonomy_module, nx, ny, yaw_samples,
+                                       probed):
+        cfg = RunConfig()
+        cfg.gsf.grid.nx, cfg.gsf.grid.ny = nx, ny
+        yaws = [2.0 * np.pi * k / yaw_samples for k in range(yaw_samples)]
+        plan = yaw_reuse_plan(yaws, **_grid_args(cfg))
+        assert sum(reuse is None for reuse in plan) == probed
+        ids = sorted(ref_map.graph.fields)[:6]
+        pops_query, pops_fresh, pops_map = {}, {}, {}
+        for i in ids:
+            field = ref_map.graph.fields[i]
+            pops_query[i] = _probe_yaws(field, taxonomy_module, cfg, yaws, plan)
+            pops_fresh[i] = [grid_probe(field, taxonomy_module, **_grid_args(cfg), yaw=y)
+                             for y in yaws]
+            pops_map[i] = pops_fresh[i][0]
+            for got, want in zip(pops_query[i], pops_fresh[i]):
+                assert np.abs(got.grid - want.grid).max() < 1e-12
+                assert np.abs(got.mu - want.mu).max() < 1e-12
+                assert np.abs(got.Sigma - want.Sigma).max() < 1e-12
+                assert np.abs(got.stability_weights - want.stability_weights).max() < 1e-12
+        for q in ids:
+            for m in ids:
+                want = min(_w2_reference(p, pops_map[m]) for p in pops_fresh[q])
+                got = pair_w2(q, m, pops_query, pops_map, use_stability=True)
+                assert abs(got - want) < 1e-9
 
 
 class TestVoxelDownsample:

@@ -3,7 +3,13 @@ import pytest
 
 from gsfloc.core import ValidationError
 from gsfloc.gsf import GpPopulation
-from gsfloc.wasserstein import SimilarityConfig, psd_sqrt, similarity_weight, w2_squared
+from gsfloc.wasserstein import (
+    SimilarityConfig,
+    population_sqrt,
+    psd_sqrt,
+    similarity_weight,
+    w2_squared,
+)
 
 
 def random_psd(rng, g):
@@ -109,6 +115,16 @@ class TestW2:
         s = 2.5
         scaled = w2_squared(make_pop(mu, s**2 * S1), make_pop(mu, s**2 * S2))
         assert abs(scaled - s**2 * base) < 1e-8 * max(1.0, abs(base))
+
+    def test_given_root_matches_computed(self):
+        rng = np.random.default_rng(8)
+        for use_stability in (False, True):
+            for _ in range(10):
+                g = int(rng.integers(2, 10))
+                a, b = random_pop(rng, g, 3), random_pop(rng, g, 3)
+                root = population_sqrt(b, use_stability)
+                given = w2_squared(a, b, use_stability, sqrt_b=root)
+                assert abs(given - w2_squared(a, b, use_stability)) < 1e-10
 
     def test_shape_mismatch(self):
         rng = np.random.default_rng(7)
