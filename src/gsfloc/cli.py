@@ -67,8 +67,6 @@ def _add_common(p) -> None:
     p.add_argument("--config", help="JSON config file")
     p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                    help="override a config key, e.g. sim.yaw_samples=4")
-    p.add_argument("--threads", type=int, default=1,
-                   help="cap on parallel GP fits during graph construction")
 
 
 def _load_input_cloud(args, taxonomy):
@@ -81,7 +79,7 @@ def cmd_build_map(args) -> int:
     cfg = _effective_config(args)
     taxonomy = default_taxonomy()
     cloud = _load_input_cloud(args, taxonomy)
-    ref = build_map(cloud, taxonomy, cfg, threads=args.threads)
+    ref = build_map(cloud, taxonomy, cfg)
     out = Path(args.out)
     save_map(ref, out)
     manifest = _manifest(
@@ -112,7 +110,7 @@ def cmd_localize(args) -> int:
     merged.matching = cfg.matching
     merged.pipeline = cfg.pipeline
     cloud = _load_input_cloud(args, ref.taxonomy)
-    result = localize(cloud, ref, merged, threads=args.threads)
+    result = localize(cloud, ref, merged)
     status = result.to_dict(include_timings=not args.no_timings)
     status["manifest"] = _manifest(
         "localize", merged,
@@ -191,9 +189,7 @@ def cmd_evaluate(args) -> int:
 
     cfg = _effective_config(args)
     if "config" in doc:
-        from .config import _apply_dict
-
-        _apply_dict(cfg, doc["config"], prefix="")
+        cfg.update(doc["config"])
 
     count = int(q.get("count", 20))
     half = float(q.get("region_half", map_spec.extent / 4.0))
@@ -207,7 +203,6 @@ def cmd_evaluate(args) -> int:
         range_max=float(q.get("range_max", 60.0)),
         dropout_rate=float(q.get("dropout", 0.3)),
         noise_sigma=float(q.get("noise_sigma", 0.03)),
-        threads=args.threads,
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -236,6 +231,7 @@ def cmd_selftest(args) -> int:
     from .matching import ConsistencyGraph, Correspondence, brute_force_max_clique, max_clique
     from .pose_solver import WeightedCorrespondenceSet, weighted_kabsch
     from .core import RigidTransform, rotation_angle_deg, rot_z
+    from .descriptors import TriangleDescriptor, build_index, query_index
     from .gsf import GpPopulation
     from .wasserstein import w2_squared
 
@@ -310,6 +306,27 @@ def cmd_selftest(args) -> int:
     ) if reused else np.inf
     report(f"yaw-permuted probe vs fresh probe ({len(reused)} of 8 yaws, max abs dev {worst:.2e})",
            worst < 1e-12)
+
+    # descriptor index vs linear scan; quarter-meter sides put many probes
+    # exactly delta_d away, where the match is inclusive
+    delta = 0.5
+    sides = np.sort(np.round(rng.uniform(1, 10, (200, 3)) * 4) / 4, axis=1).tolist()
+    labs = rng.choice([6, 7], (200, 3)).tolist()
+    descs = [TriangleDescriptor(i, (0, 1, 2), tuple(s), tuple(lab))
+             for i, (s, lab) in enumerate(zip(sides, labs))]
+    index = build_index(descs, delta)
+    agree, found = True, 0
+    for _ in range(300):
+        base = descs[int(rng.integers(len(descs)))]
+        offsets = rng.choice([-delta, -delta / 2, 0.0, delta / 2, delta], 3)
+        q = TriangleDescriptor(0, (0, 1, 2), tuple(s + o for s, o in zip(base.sides, offsets)),
+                               base.labels)
+        want = [d.id for d in descs
+                if max(abs(a - b) for a, b in zip(q.sides, d.sides)) <= delta
+                and sorted(d.labels) == sorted(q.labels)]
+        agree = agree and query_index(index, q) == want
+        found += len(want)
+    report(f"descriptor index vs linear scan (300 probes, {found} matches)", agree)
 
     return EXIT_OK if ok else EXIT_BUILD
 

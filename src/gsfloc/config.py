@@ -95,8 +95,14 @@ class RunConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
         cfg = cls()
-        _apply_dict(cfg, d, prefix="")
+        cfg.update(d)
         return cfg
+
+    def update(self, d: dict) -> None:
+        """Set the keys of a (nested, partial) config dict; unknown keys are refused."""
+        if not isinstance(d, dict):
+            raise ValidationError("config must be an object")
+        _apply_dict(self, d, prefix="")
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":

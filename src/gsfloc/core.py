@@ -160,6 +160,9 @@ class SemanticPointCloud:
                 f"labels count {self.labels.shape[0]} does not match point count "
                 f"{self.points.shape[0]}"
             )
+        finite = np.isfinite(self.points).all(axis=1)
+        if not finite.all():
+            raise ValidationError(f"point {int(np.argmin(finite))} has a non-finite coordinate")
         if self.logits is not None:
             self.logits = np.asarray(self.logits, dtype=np.float64)
             if self.logits.ndim != 2 or self.logits.shape[0] != self.points.shape[0]:

@@ -1,9 +1,9 @@
-"""Triangle descriptors over scene-graph instances and their hash index.
+"""Triangle descriptors over scene-graph instances and their KD-tree index.
 
 Descriptors carry sorted side lengths (d12 <= d23 <= d31), vertex labels, and
-vertex ids permuted to match the sorted sides. The index hashes quantized
-side triples; queries probe the 26 adjacent bins so that any stored triangle
-within delta_d per side is guaranteed to be returned.
+vertex ids permuted to match the sorted sides. The index is a KD-tree over the
+side triples; a query returns every stored triangle within delta_d per side
+(a Chebyshev ball, boundary included) whose label multiset matches.
 
 Index binary layout (little-endian), magic "GSFI":
     4s  magic        b"GSFI"
@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .core import FormatError, ValidationError
 from .gsf import GpPopulation
@@ -34,9 +35,6 @@ INDEX_VERSION = 1
 DEGENERACY_SLACK = 1e-6
 EQUAL_SIDE_TOL = 1e-9
 
-# classic spatial-hash mixing primes
-_MIX = (73856093, 19349663, 83492791)
-
 
 @dataclass
 class TriangleDescriptor:
@@ -46,110 +44,77 @@ class TriangleDescriptor:
     labels: tuple[int, int, int]  # per vertex, same order
 
 
-def _canonical_order(ids, centroids, labels):
-    """Permute three vertices to the sorted-side convention.
-
-    Returns (vertex_ids, sides, labels) or None for degenerate (collinear or
-    coincident) triangles. Among valid orderings the lexicographically
-    smallest id triple is chosen.
-    """
-    pts = {i: centroids[i] for i in ids}
-    best = None
-    for perm in itertools.permutations(ids):
-        a, b, c = perm
-        d12 = float(np.linalg.norm(pts[a] - pts[b]))
-        d23 = float(np.linalg.norm(pts[b] - pts[c]))
-        d31 = float(np.linalg.norm(pts[c] - pts[a]))
-        if d12 <= d23 + EQUAL_SIDE_TOL and d23 <= d31 + EQUAL_SIDE_TOL:
-            if best is None or perm < best[0]:
-                best = (perm, (d12, d23, d31))
-    if best is None:
-        return None
-    perm, sides = best
-    # reject collinear: the longest side within slack of the other two's sum
-    if sides[0] + sides[1] - sides[2] <= DEGENERACY_SLACK:
-        return None
-    return perm, sides, tuple(labels[i] for i in perm)
+# the six vertex orders of a triangle, lexicographic
+_ORDERS = np.array(list(itertools.permutations(range(3))))
 
 
 def triangulate(graph, k_neighbors: int) -> list[TriangleDescriptor]:
-    """All C(K,2) triangles per anchor with its K nearest instances, deduplicated."""
+    """All C(K,2) triangles per anchor with its K nearest instances, deduplicated.
+
+    Neighbours tie by instance id; descriptor ids follow first sight over the
+    anchors in id order. Each triangle takes the lexicographically smallest
+    id order with sorted sides; collinear or coincident triangles are dropped.
+    """
     if k_neighbors < 2:
         raise ValidationError(f"neighbor count must be >= 2, got {k_neighbors}")
     insts = graph.instances
-    if len(insts) < 3:
-        warnings.warn(f"triangulation needs >= 3 instances, got {len(insts)}")
+    n = len(insts)
+    if n < 3:
+        warnings.warn(f"triangulation needs >= 3 instances, got {n}")
         return []
-    cents = {inst.id: np.asarray(inst.centroid) for inst in insts}
-    labels = {inst.id: inst.label for inst in insts}
-    ids = [inst.id for inst in insts]
+    if any(inst.id != i for i, inst in enumerate(insts)):
+        raise ValidationError("instance ids must be 0..K-1 in list order")
+    cents = np.stack([np.asarray(inst.centroid, dtype=np.float64) for inst in insts])
+    labels = np.array([inst.label for inst in insts])
+    dist = np.linalg.norm(cents[:, None, :] - cents[None, :, :], axis=-1)
 
-    seen: set[frozenset] = set()
-    out: list[TriangleDescriptor] = []
-    for anchor in ids:
-        others = sorted(
-            (float(np.linalg.norm(cents[anchor] - cents[j])), j)
-            for j in ids
-            if j != anchor
-        )
-        nearest = [j for _, j in others[:k_neighbors]]
-        for b, c in itertools.combinations(nearest, 2):
-            key = frozenset((anchor, b, c))
-            if key in seen:
-                continue
-            seen.add(key)
-            canon = _canonical_order((anchor, b, c), cents, labels)
-            if canon is None:
-                continue
-            vids, sides, labs = canon
-            out.append(TriangleDescriptor(len(out), vids, sides, labs))
-    return out
+    away = dist.copy()
+    np.fill_diagonal(away, np.inf)  # the anchor sorts last among its own row
+    k = min(k_neighbors, n - 1)
+    nearest = np.argsort(away, axis=1, kind="stable")[:, :k]
+    b, c = np.triu_indices(k, 1)  # itertools.combinations order
+    tris = np.column_stack([np.repeat(np.arange(n), b.size), nearest[:, b].ravel(),
+                            nearest[:, c].ravel()])
+    tris = np.sort(tris, axis=1)
+    _, first = np.unique(tris, axis=0, return_index=True)
+    tris = tris[np.sort(first)]
 
-
-def _key_from_bins(b1: int, b2: int, b3: int) -> int:
-    return (b1 * _MIX[0]) ^ (b2 * _MIX[1]) ^ (b3 * _MIX[2])
-
-
-def hash_key(d: TriangleDescriptor, delta_d: float) -> int:
-    """Mix the floor-quantized side triple into one integer key."""
-    if delta_d <= 0:
-        raise ValidationError(f"delta_d must be > 0, got {delta_d}")
-    b = [int(np.floor(s / delta_d)) for s in d.sides]
-    return _key_from_bins(*b)
+    verts = tris[:, _ORDERS]  # (m, 6, 3): every vertex order of every triangle
+    sides = dist[verts, np.roll(verts, -1, axis=-1)]  # (d12, d23, d31) per order
+    fits = (sides[..., 0] <= sides[..., 1] + EQUAL_SIDE_TOL) & (
+        sides[..., 1] <= sides[..., 2] + EQUAL_SIDE_TOL)
+    pick = np.argmax(fits, axis=1)
+    rows = np.arange(len(tris))
+    verts, sides = verts[rows, pick], sides[rows, pick]
+    # reject collinear: the longest side within slack of the other two's sum
+    keep = fits[rows, pick] & (sides[:, 0] + sides[:, 1] - sides[:, 2] > DEGENERACY_SLACK)
+    return [
+        TriangleDescriptor(i, tuple(v), tuple(s), tuple(lab))
+        for i, (v, s, lab) in enumerate(zip(
+            verts[keep].tolist(), sides[keep].tolist(), labels[verts[keep]].tolist()))
+    ]
 
 
 @dataclass
 class DescriptorIndex:
     descriptors: list[TriangleDescriptor]
     delta_d: float
-    buckets: dict[int, list[int]]
+    tree: cKDTree  # over the (n, 3) side triples, row i = descriptor i
 
 
 def build_index(descriptors: list[TriangleDescriptor], delta_d: float) -> DescriptorIndex:
-    buckets: dict[int, list[int]] = {}
-    for d in descriptors:
-        buckets.setdefault(hash_key(d, delta_d), []).append(d.id)
-    return DescriptorIndex(list(descriptors), delta_d, buckets)
+    if not (np.isfinite(delta_d) and delta_d > 0):
+        raise ValidationError(f"delta_d must be a positive finite number, got {delta_d}")
+    sides = np.array([d.sides for d in descriptors], dtype=np.float64).reshape(-1, 3)
+    return DescriptorIndex(list(descriptors), delta_d, cKDTree(sides))
 
 
 def query_index(index: DescriptorIndex, d: TriangleDescriptor) -> list[int]:
-    """Candidate ids whose sides match within delta_d per side and whose label
-    multiset equals the query's; probes the query bin and all 26 neighbors."""
-    dd = index.delta_d
-    bins = [int(np.floor(s / dd)) for s in d.sides]
-    cand: set[int] = set()
-    for o1, o2, o3 in itertools.product((-1, 0, 1), repeat=3):
-        key = _key_from_bins(bins[0] + o1, bins[1] + o2, bins[2] + o3)
-        cand.update(index.buckets.get(key, ()))
+    """Candidate ids, ascending, whose sides match within delta_d per side
+    (inclusive) and whose label multiset equals the query's."""
+    near = index.tree.query_ball_point(d.sides, index.delta_d, p=np.inf, return_sorted=True)
     want_labels = sorted(d.labels)
-    out = []
-    for cid in sorted(cand):
-        cd = index.descriptors[cid]
-        if all(abs(a - b) <= dd for a, b in zip(d.sides, cd.sides)) and sorted(
-            cd.labels
-        ) == want_labels:
-            out.append(cid)
-    return out
+    return [cid for cid in near if sorted(index.descriptors[cid].labels) == want_labels]
 
 
 def save_index(index: DescriptorIndex, path) -> None:

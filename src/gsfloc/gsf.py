@@ -141,7 +141,7 @@ def fit_gsf(
     budget: int,
     seed,
 ) -> GaussianSemanticField:
-    """Sparsify, assemble K = k(X',X') + sigma_y^2 I, cache its factorization."""
+    """Sparsify to `budget` points, then `fit_exact` on what is kept."""
     X_local = np.asarray(X_local, dtype=np.float64).reshape(-1, 3)
     Y_logits = np.asarray(Y_logits, dtype=np.float64)
     if Y_logits.ndim != 2 or Y_logits.shape[0] != X_local.shape[0]:
@@ -156,13 +156,16 @@ def fit_gsf(
     Xs, _, idx = semantic_sparsify(X_local, labels, budget, seed)
     if idx.size == 0:
         raise FitError("sparsification produced 0 points (budget too small for class mix)")
-    Ys = Y_logits[idx]
+    return fit_exact(Xs, Y_logits[idx], hyper, idx)
 
-    K = matern32_matrix(Xs, Xs, hyper.kappa)
+
+def fit_exact(X, Y, hyper: GpHyperParams, source_indices=None) -> GaussianSemanticField:
+    """Exact GP on (X, Y): factorize K = k(X,X) + sigma_y^2 I, cache K^-1 Y."""
+    K = matern32_matrix(X, X, hyper.kappa)
     K[np.diag_indices_from(K)] += hyper.sigma_y**2
     factor, jitter = _factorize(K)
-    alpha = cho_solve(factor, Ys)
-    return GaussianSemanticField(Xs, Ys, hyper, factor, alpha, jitter, idx)
+    alpha = cho_solve(factor, Y)
+    return GaussianSemanticField(X, Y, hyper, factor, alpha, jitter, source_indices)
 
 
 def gsf_predict(field: GaussianSemanticField, Q) -> tuple[np.ndarray, np.ndarray]:

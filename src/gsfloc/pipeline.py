@@ -177,12 +177,11 @@ def build_map(
     map_cloud: SemanticPointCloud,
     taxonomy: LabelTaxonomy,
     config: RunConfig | None = None,
-    threads: int = 1,
 ) -> ReferenceMap:
     """Scene graph + canonical populations + descriptor index over the map cloud."""
     config = config or RunConfig()
     cloud = _prepare_cloud(map_cloud, config)
-    graph = build_scene_graph(cloud, taxonomy, config.graph_config(taxonomy), threads=threads)
+    graph = build_scene_graph(cloud, taxonomy, config.graph_config(taxonomy))
     if graph.num_instances < 3:
         raise BuildError(
             f"map has {graph.num_instances} instances; at least 3 are required"
@@ -200,7 +199,6 @@ def localize(
     query_cloud: SemanticPointCloud,
     ref_map: ReferenceMap,
     config: RunConfig | None = None,
-    threads: int = 1,
 ) -> LocalizationResult:
     """One-shot localization of a query scan against a prebuilt map."""
     config = config or ref_map.config
@@ -223,7 +221,7 @@ def localize(
     t0 = time.perf_counter()
     cloud = _prepare_cloud(query_cloud, config)
     cloud = voxel_downsample(cloud, config.pipeline.query_voxel)
-    qgraph = build_scene_graph(cloud, taxonomy, config.graph_config(taxonomy), threads=threads)
+    qgraph = build_scene_graph(cloud, taxonomy, config.graph_config(taxonomy))
     timings["graph"] = (time.perf_counter() - t0) * 1e3
 
     t0 = time.perf_counter()
@@ -388,6 +386,8 @@ def load_map(bundle_dir) -> ReferenceMap:
     manifest = json.loads(mpath.read_text())
     if manifest.get("format") != MAP_BUNDLE_FORMAT:
         raise FormatError(f"map bundle {d}: unrecognized manifest format")
+    if manifest.get("version") != MAP_BUNDLE_VERSION:
+        raise FormatError(f"map bundle {d}: unsupported version {manifest.get('version')}")
     for name, digest in manifest["files"].items():
         actual = _sha256(d / name)
         if actual != digest:

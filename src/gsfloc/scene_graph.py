@@ -1,7 +1,7 @@
 """Tri-layer scene graph construction.
 
 Object layer: per-class single-linkage Euclidean clustering of instantiable
-points. Field layer: one Gaussian semantic field per instance, fit on the
+points (connected components of the distance-threshold graph). Field layer: one Gaussian semantic field per instance, fit on the
 radius-r neighborhood (all classes) in local coordinates centered at the
 instance centroid. Point layer: the source cloud itself.
 
@@ -18,18 +18,12 @@ from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import cho_solve
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 from .core import FormatError, LabelTaxonomy, SemanticPointCloud, ValidationError
-from .gsf import (
-    FitError,
-    GaussianSemanticField,
-    GpHyperParams,
-    _factorize,
-    fit_gsf,
-    matern32_matrix,
-)
+from .gsf import FitError, GaussianSemanticField, GpHyperParams, fit_exact, fit_gsf
 
 GRAPH_FORMAT = "gsfloc-scene-graph"
 GRAPH_VERSION = 1
@@ -107,22 +101,6 @@ class SceneGraph:
         return np.stack([inst.centroid for inst in self.instances])
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, a: int) -> int:
-        while self.parent[a] != a:
-            self.parent[a] = self.parent[self.parent[a]]
-            a = self.parent[a]
-        return a
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
-
-
 def cluster_instances(
     cloud: SemanticPointCloud, taxonomy: LabelTaxonomy, params: ClusterParams
 ) -> list[Instance]:
@@ -137,17 +115,19 @@ def cluster_instances(
         mask = np.nonzero(cloud.labels == cid)[0]
         if mask.size == 0:
             continue
-        pts = cloud.points[mask]
-        uf = _UnionFind(mask.size)
-        tree = cKDTree(pts)
-        for a, b in tree.query_pairs(params.threshold_for(cid)):
-            uf.union(a, b)
-        roots: dict[int, list[int]] = {}
-        for i in range(mask.size):
-            roots.setdefault(uf.find(i), []).append(i)
-        for members in roots.values():
-            if len(members) >= params.min_cluster_size:
-                raw.append((cid, mask[np.array(members)]))
+        pairs = cKDTree(cloud.points[mask]).query_pairs(
+            params.threshold_for(cid), output_type="ndarray"
+        )
+        links = coo_matrix(
+            (np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(mask.size, mask.size)
+        )
+        # components are numbered in order of their lowest member
+        _, comp = connected_components(links, directed=False)
+        sizes = np.bincount(comp)
+        members = np.split(np.argsort(comp, kind="stable"), np.cumsum(sizes)[:-1])
+        for size, idx in zip(sizes, members):
+            if size >= params.min_cluster_size:
+                raw.append((cid, mask[idx]))
 
     keyed = []
     for label, idx in raw:
@@ -160,37 +140,23 @@ def cluster_instances(
     ]
 
 
-def radius_query(cloud: SemanticPointCloud, center, r: float) -> np.ndarray:
-    """Indices i with |x_i - center| <= r, ascending."""
-    if r <= 0:
-        raise ValidationError(f"radius must be > 0, got {r}")
-    if cloud.n == 0:
-        return np.zeros(0, dtype=np.int64)
-    tree = cKDTree(cloud.points)
-    idx = tree.query_ball_point(np.asarray(center, dtype=np.float64), r)
-    return np.sort(np.asarray(idx, dtype=np.int64))
-
-
 def build_scene_graph(
     cloud: SemanticPointCloud,
     taxonomy: LabelTaxonomy,
     config: GraphBuildConfig,
-    threads: int = 1,
 ) -> SceneGraph:
     """Cluster instances and fit one field per instance on its neighborhood.
 
     Fit failures are reported as warnings; the instance is kept without a
-    field and is skipped by GSF-based filtering downstream. Per-instance fits
-    are independent; `threads` > 1 runs them in a thread pool without
-    changing the (per-instance seeded) results.
+    field and is skipped by GSF-based filtering downstream. Each fit is
+    seeded by its instance id.
     """
     if cloud.logits is None:
         raise ValidationError("scene graph construction requires logits")
     instances = cluster_instances(cloud, taxonomy, config.cluster)
     fields: dict[int, GaussianSemanticField | None] = {}
     tree = cKDTree(cloud.points) if cloud.n else None
-
-    def fit_one(inst: Instance):
+    for inst in instances:
         idx = np.sort(
             np.asarray(
                 tree.query_ball_point(inst.centroid, config.neighborhood_radius),
@@ -199,7 +165,7 @@ def build_scene_graph(
         )
         local = cloud.points[idx] - inst.centroid
         try:
-            return fit_gsf(
+            fields[inst.id] = fit_gsf(
                 local,
                 cloud.logits[idx],
                 cloud.labels[idx],
@@ -209,17 +175,7 @@ def build_scene_graph(
             )
         except FitError as e:
             warnings.warn(f"field fit failed for instance {inst.id}: {e}")
-            return None
-
-    if threads > 1 and len(instances) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for inst, fld in zip(instances, pool.map(fit_one, instances)):
-                fields[inst.id] = fld
-    else:
-        for inst in instances:
-            fields[inst.id] = fit_one(inst)
+            fields[inst.id] = None
     return SceneGraph(cloud, instances, fields, config)
 
 
@@ -294,16 +250,8 @@ def load_scene_graph(json_path, buffers_path) -> SceneGraph:
                 X = buf[f"fld{iid}_X"]
                 Y = buf[f"fld{iid}_Y"]
                 src = buf[f"fld{iid}_src"] if f"fld{iid}_src" in buf else None
-                fld = _refit_from_buffers(X, Y, config.hyper, src)
-                fields[iid] = fld
+                fields[iid] = fit_exact(X, Y, config.hyper, src)
             else:
                 fields[iid] = None
     return SceneGraph(cloud, instances, fields, config)
 
-
-def _refit_from_buffers(X, Y, hyper, src) -> GaussianSemanticField:
-    K = matern32_matrix(X, X, hyper.kappa)
-    K[np.diag_indices_from(K)] += hyper.sigma_y**2
-    factor, jitter = _factorize(K)
-    alpha = cho_solve(factor, Y)
-    return GaussianSemanticField(X, Y, hyper, factor, alpha, jitter, src)

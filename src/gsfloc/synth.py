@@ -521,7 +521,6 @@ def run_benchmark(
     range_max: float = 60.0,
     dropout_rate: float = 0.3,
     noise_sigma: float = 0.03,
-    threads: int = 1,
 ) -> EvalReport:
     """Build the map once, localize one simulated scan per pose."""
     from .core import pose_error
@@ -529,14 +528,14 @@ def run_benchmark(
 
     taxonomy = taxonomy or default_taxonomy()
     scene, _ = generate_scene(map_spec, taxonomy)
-    ref = build_map(scene, taxonomy, config, threads=threads)
+    ref = build_map(scene, taxonomy, config)
 
     rows = []
     for i, pose in enumerate(query_poses):
         scan_seed = map_spec.seed * 100003 + i
         scan = simulate_scan(scene, pose, range_max, dropout_rate, noise_sigma, scan_seed)
         t0 = time.perf_counter()
-        result = localize(scan, ref, config, threads=threads)
+        result = localize(scan, ref, config)
         total_ms = (time.perf_counter() - t0) * 1e3
         timings = dict(result.timings_ms)
         timings["total"] = total_ms

@@ -125,6 +125,19 @@ class TestLocalize:
         assert status["status"] in ("no-match", "degenerate")
         assert status["pose"] is None
 
+    def test_non_finite_point_exit_2(self, scene_files, bundle, tmp_path, capsys):
+        pts = np.frombuffer((scene_files / "q.points").read_bytes(), dtype="<f4").copy()
+        pts[4] = np.nan
+        (tmp_path / "nan.points").write_bytes(pts.tobytes())
+        rc = main([
+            "localize", "--map", str(bundle),
+            "--points", str(tmp_path / "nan.points"),
+            "--labels", str(scene_files / "q.labels"),
+            "--logits", str(scene_files / "q.logits"),
+        ])
+        assert rc == 2
+        assert "non-finite" in capsys.readouterr().err
+
     def test_no_gsf_flag_recorded(self, scene_files, bundle, capsys):
         rc = main([
             "localize", "--map", str(bundle),
@@ -190,9 +203,16 @@ class TestEvaluate:
         assert summary["aggregates"]["queries"] == 2
         assert (tmp_path / "r1" / "manifest.json").exists()
 
+    def test_unknown_config_key_in_spec_exit_2(self, tmp_path, capsys):
+        spec = {"map": small_scene_spec(seed=43).to_dict(), "config": {"sim": {"bogus": 1}}}
+        f = tmp_path / "bench.json"
+        f.write_text(json.dumps(spec))
+        assert main(["evaluate", "--spec", str(f), "--out", str(tmp_path / "r")]) == 2
+        assert "sim.bogus" in capsys.readouterr().err
+
 
 class TestSelftest:
     def test_selftest_passes(self, capsys):
         assert main(["selftest"]) == 0
         out = capsys.readouterr().out
-        assert out.count("PASS") == 5
+        assert out.count("PASS") == 6

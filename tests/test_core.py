@@ -72,6 +72,13 @@ class TestCloudIO:
                 np.zeros((2, 3)), [0, 0], np.array([[0.9, 0.1], [0.1, 0.9]])
             )
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_point_rejected(self, bad):
+        pts = np.zeros((3, 3))
+        pts[2, 1] = bad
+        with pytest.raises(ValidationError, match="point 2"):
+            SemanticPointCloud(pts, [0, 0, 0])
+
     def test_round_trip_bit_identical(self, tmp_path):
         rng = np.random.default_rng(0)
         pts = rng.normal(size=(50, 3)).astype(np.float32).astype(np.float64)

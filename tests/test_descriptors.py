@@ -6,10 +6,8 @@ import pytest
 from gsfloc.core import ValidationError, one_hot_logits
 from gsfloc.descriptors import (
     TriangleDescriptor,
-    _canonical_order,
     build_index,
     gsf_filter,
-    hash_key,
     load_index,
     plain_matches,
     query_index,
@@ -56,6 +54,31 @@ def brute_force_triangulate(centroids, labels, k):
     return set(out)
 
 
+def loop_triangulate(centroids, labels, k):
+    """Per-anchor loop reference: descriptors in first-seen order, each in the
+    smallest id order whose sides are sorted."""
+    n = len(centroids)
+
+    def dist(a, b):
+        return float(np.linalg.norm(centroids[a] - centroids[b]))
+
+    seen, out = set(), []
+    for anchor in range(n):
+        others = sorted((j for j in range(n) if j != anchor), key=lambda j: (dist(anchor, j), j))
+        for b, c in itertools.combinations(others[:k], 2):
+            key = frozenset((anchor, b, c))
+            if key in seen:
+                continue
+            seen.add(key)
+            for v in itertools.permutations(sorted(key)):
+                s = (dist(v[0], v[1]), dist(v[1], v[2]), dist(v[2], v[0]))
+                if s[0] <= s[1] + 1e-9 and s[1] <= s[2] + 1e-9:
+                    break
+            if s[0] + s[1] - s[2] > 1e-6:
+                out.append((v, s, tuple(labels[i] for i in v)))
+    return out
+
+
 class TestTriangulate:
     def test_three_instances_one_descriptor(self):
         g = graph_from_centroids([[0, 0, 0], [3, 0, 0], [0, 4, 0]])
@@ -94,6 +117,22 @@ class TestTriangulate:
             got = {(frozenset(d.vertex_ids), tuple(np.round(d.sides, 9))) for d in descs}
             assert got == brute_force_triangulate(cents, labels, k)
 
+    def test_matches_loop_reference(self):
+        rng = np.random.default_rng(8)
+        for trial in range(20):
+            n = int(rng.integers(3, 16))
+            # integer lattice points give exact distance ties and collinear triples
+            cents = (rng.integers(-3, 4, (n, 3)).astype(float) if trial % 2
+                     else rng.uniform(-20, 20, (n, 3)))
+            labels = rng.integers(6, 11, n).tolist()
+            k = int(rng.integers(2, 12))
+            descs = triangulate(graph_from_centroids(cents, labels), k)
+            want = loop_triangulate(cents, labels, k)
+            assert [d.id for d in descs] == list(range(len(want)))
+            assert [(d.vertex_ids, d.labels) for d in descs] == [(v, lab) for v, _, lab in want]
+            np.testing.assert_allclose([d.sides for d in descs], [s for _, s, _ in want],
+                                       rtol=0, atol=1e-12)
+
     def test_rigid_invariance(self):
         rng = np.random.default_rng(1)
         cents = rng.uniform(-10, 10, (8, 3))
@@ -104,32 +143,22 @@ class TestTriangulate:
         sb = sorted((frozenset(d.vertex_ids), tuple(np.round(d.sides, 6))) for d in b)
         assert sa == sb
 
-
-class TestHashKey:
     def test_permutation_invariance(self):
-        cents = {0: np.array([0.0, 0, 0]), 1: np.array([3.0, 0, 0]), 2: np.array([0.0, 4, 0])}
-        labels = {0: 7, 1: 8, 2: 9}
-        keys = set()
-        for perm in itertools.permutations((0, 1, 2)):
-            out = _canonical_order(perm, cents, labels)
-            vids, sides, labs = out
-            keys.add(hash_key(TriangleDescriptor(0, vids, sides, labs), 0.5))
-        assert len(keys) == 1
+        cents = np.array([[0.0, 0, 0], [3.0, 0, 0], [0.0, 4, 0]])
+        labels = [7, 8, 9]
+        got = set()
+        for perm in itertools.permutations(range(3)):
+            perm = list(perm)
+            (d,) = triangulate(graph_from_centroids(cents[perm], [labels[i] for i in perm]), 2)
+            got.add((d.sides, d.labels))
+        # the 3-4-5 sides fix the vertex order: (3,0,0), (0,0,0), (0,4,0)
+        assert got == {((3.0, 4.0, 5.0), (8, 7, 9))}
 
-    def test_bin_quantization(self):
-        d = TriangleDescriptor(0, (0, 1, 2), (3.0, 4.0, 5.0), (7, 7, 7))
-        b = [int(np.floor(s / 0.5)) for s in d.sides]
-        assert b == [6, 8, 10]
-
-    def test_same_bins_same_key(self):
-        a = TriangleDescriptor(0, (0, 1, 2), (3.01, 4.02, 5.03), (7, 7, 7))
-        b = TriangleDescriptor(1, (3, 4, 5), (3.24, 4.24, 5.24), (7, 7, 7))
-        assert hash_key(a, 0.5) == hash_key(b, 0.5)
-
-    def test_invalid_delta(self):
-        d = TriangleDescriptor(0, (0, 1, 2), (3.0, 4.0, 5.0), (7, 7, 7))
-        with pytest.raises(ValidationError):
-            hash_key(d, 0.0)
+    def test_ids_must_be_dense_in_list_order(self):
+        g = graph_from_centroids([[0, 0, 0], [3, 0, 0], [0, 4, 0]])
+        g.instances.reverse()
+        with pytest.raises(ValidationError, match="0..K-1"):
+            triangulate(g, 2)
 
 
 def random_descriptor(rng, desc_id, label_pool=(6, 7, 8, 9)):
@@ -176,6 +205,29 @@ class TestIndex:
                 and sorted(d.labels) == sorted(q.labels)
             }
             assert got == want
+
+    @pytest.mark.parametrize(
+        "delta,count",
+        [(0.0, 1), (0.0, 0), (-0.5, 1), (float("nan"), 1), (float("nan"), 0), (float("inf"), 1)],
+        ids=["zero", "zero-empty", "negative", "nan", "nan-empty", "inf"],
+    )
+    def test_invalid_delta(self, delta, count):
+        descs = [TriangleDescriptor(0, (0, 1, 2), (3.0, 4.0, 5.0), (7, 7, 7))][:count]
+        with pytest.raises(ValidationError, match="delta_d"):
+            build_index(descs, delta)
+
+    def test_nan_delta_in_file_rejected(self, tmp_path):
+        path = tmp_path / "nan.gsfi"
+        save_index(build_index([], 0.5), path)
+        raw = bytearray(path.read_bytes())
+        raw[8:16] = np.float64(np.nan).tobytes()
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValidationError, match="delta_d"):
+            load_index(path)
+
+    def test_empty_index_returns_nothing(self):
+        q = TriangleDescriptor(0, (0, 1, 2), (3.0, 4.0, 5.0), (7, 7, 7))
+        assert query_index(build_index([], 0.5), q) == []
 
     def test_round_trip_bytes(self, tmp_path):
         rng = np.random.default_rng(4)

@@ -88,6 +88,18 @@ class TestBuildMap:
             load_map(d)
 
 
+    def test_bundle_version_mismatch_detected(self, ref_map, tmp_path):
+        from gsfloc.core import FormatError
+
+        d = tmp_path / "future"
+        save_map(ref_map, d)
+        manifest = json.loads((d / "manifest.json").read_text())
+        manifest["version"] = 2
+        (d / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(FormatError, match="version 2"):
+            load_map(d)
+
+
 class TestLocalize:
     def test_transformed_window_success(self, scene, ref_map):
         cloud, _ = scene
@@ -250,6 +262,14 @@ class TestConfig:
             RunConfig.from_dict({"gsf": {"kapa": 2.0}})
         with pytest.raises(ValidationError, match="unknown config key"):
             RunConfig.from_dict({"nope": {}})
+
+    def test_update_sets_only_given_keys(self):
+        cfg = RunConfig()
+        cfg.update({"index": {"delta_d": 0.25}, "sim": {"yaw_samples": 4}})
+        assert cfg.index.delta_d == 0.25 and cfg.sim.yaw_samples == 4
+        assert cfg.index.k_neighbors == RunConfig().index.k_neighbors
+        with pytest.raises(ValidationError, match="index.bogus"):
+            cfg.update({"index": {"bogus": 1}})
 
     def test_round_trip(self):
         cfg = RunConfig()

@@ -1,14 +1,12 @@
 import numpy as np
-import pytest
 
-from gsfloc.core import SemanticPointCloud, ValidationError, one_hot_logits, transform_cloud
+from gsfloc.core import SemanticPointCloud, one_hot_logits, transform_cloud
 from gsfloc.scene_graph import (
     ClusterParams,
     GraphBuildConfig,
     build_scene_graph,
     cluster_instances,
     load_scene_graph,
-    radius_query,
     save_scene_graph,
 )
 
@@ -145,33 +143,6 @@ class TestClustering:
         assert keys == sorted(keys)
 
 
-class TestRadiusQuery:
-    def test_singleton(self, taxonomy):
-        cloud = make_cloud(np.array([[0, 0, 0], [5, 0, 0], [0, 5, 0.0]]), [0, 0, 0])
-        assert list(radius_query(cloud, [0, 0, 0], 0.001)) == [0]
-
-    def test_whole_cloud(self, taxonomy):
-        rng = np.random.default_rng(6)
-        cloud = make_cloud(rng.normal(size=(40, 3)), np.zeros(40, int))
-        assert list(radius_query(cloud, [0, 0, 0], 1e3)) == list(range(40))
-
-    def test_linear_scan_oracle(self):
-        rng = np.random.default_rng(7)
-        for _ in range(20):
-            pts = rng.uniform(-10, 10, (rng.integers(1, 200), 3))
-            cloud = make_cloud(pts, np.zeros(len(pts), int))
-            center = rng.uniform(-10, 10, 3)
-            r = rng.uniform(0.5, 12)
-            got = radius_query(cloud, center, r)
-            want = np.nonzero(np.linalg.norm(pts - center, axis=1) <= r)[0]
-            assert np.array_equal(got, want)
-
-    def test_invalid_radius(self):
-        cloud = make_cloud(np.zeros((1, 3)), [0])
-        with pytest.raises(ValidationError):
-            radius_query(cloud, [0, 0, 0], 0.0)
-
-
 class TestBuildGraph:
     def test_no_instantiable_points(self, taxonomy):
         rng = np.random.default_rng(8)
@@ -202,20 +173,12 @@ class TestBuildGraph:
         graph = build_scene_graph(cloud, taxonomy, cfg)
         inst = graph.instances[0]
         fld = graph.fields[inst.id]
-        want = radius_query(cloud, inst.centroid, cfg.neighborhood_radius)
+        dist = np.linalg.norm(cloud.points - inst.centroid, axis=1)
+        want = np.nonzero(dist <= cfg.neighborhood_radius)[0]
         # training points are a subset of the neighborhood, in local coordinates
         assert set(int(i) for i in fld.source_indices).issubset(set(range(len(want))))
         neighborhood_classes = set(int(c) for c in cloud.labels[want])
         assert len(neighborhood_classes) > 1  # all classes included, not only instantiable
-
-    def test_threads_match_serial(self, taxonomy):
-        from gsfloc.synth import generate_scene
-
-        cloud, _ = generate_scene(small_scene_spec(seed=12), taxonomy)
-        g1 = build_scene_graph(cloud, taxonomy, GraphBuildConfig(), threads=1)
-        g4 = build_scene_graph(cloud, taxonomy, GraphBuildConfig(), threads=4)
-        for a, b in zip(g1.instances, g4.instances):
-            assert np.array_equal(g1.fields[a.id].X, g4.fields[b.id].X)
 
 
 class TestSerialization:
