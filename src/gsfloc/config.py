@@ -7,9 +7,13 @@ configuration is echoed into every run manifest.
 
 from __future__ import annotations
 
+import functools
 import json
+import types
+import typing
 from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
+from typing import Literal
 
 from .core import FormatError, LabelTaxonomy, ValidationError
 from .gsf import GpHyperParams
@@ -22,7 +26,7 @@ class GridSection:
     ny: int = 5
     dx: float = 2.5  # defaults to neighborhood radius / 4
     dy: float = 2.5
-    z_mode: str | float = "local-zero"
+    z_mode: Literal["local-zero"] | float = "local-zero"
 
 
 @dataclass
@@ -124,7 +128,9 @@ class RunConfig:
                 value = json.loads(raw)
             except json.JSONDecodeError:
                 value = raw
-            _set_dotted(self, key.strip(), value)
+            for part in reversed(key.strip().split(".")):
+                value = {part: value}
+            _apply_dict(self, value, prefix="")
 
     def graph_config(self, taxonomy: LabelTaxonomy) -> GraphBuildConfig:
         """Resolve class-name thresholds to ids and bundle the graph-build knobs."""
@@ -167,41 +173,51 @@ def _apply_dict(obj, d: dict, prefix: str) -> None:
                 raise ValidationError(f"config key {path!r} expects an object")
             _apply_dict(current, value, prefix=f"{path}.")
         else:
-            setattr(obj, key, _coerce(current, value, path))
+            setattr(obj, key, _coerce(obj, key, value, path))
 
 
-def _coerce(current, value, path):
-    if isinstance(current, bool):
-        if not isinstance(value, bool):
-            raise ValidationError(f"config key {path!r} expects a boolean")
-        return value
-    if isinstance(current, int) and not isinstance(current, bool):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValidationError(f"config key {path!r} expects a number")
-        return int(value)
-    if isinstance(current, float):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValidationError(f"config key {path!r} expects a number")
-        return float(value)
-    if isinstance(current, dict):
-        if not isinstance(value, dict):
-            raise ValidationError(f"config key {path!r} expects an object")
-        return dict(value)
-    return value  # str | None fields take the value as-is
+# keys whose value, unless null, must be > 0
+_POSITIVE_KEYS = {"sim.sigma_w", "sim.accept_threshold", "sim.yaw_samples"}
+_KIND_NAMES = {bool: "a boolean", int: "an integer", float: "a number",
+               dict: "an object", type(None): "null"}
 
 
-def _set_dotted(cfg, dotted: str, value) -> None:
-    parts = dotted.split(".")
-    obj = cfg
-    for i, part in enumerate(parts[:-1]):
-        names = {f.name for f in fields(obj)}
-        if part not in names:
-            raise ValidationError(f"unknown config key {'.'.join(parts[: i + 1])!r}")
-        obj = getattr(obj, part)
-        if not is_dataclass(obj):
-            raise ValidationError(f"config key {dotted!r} indexes into a non-section")
-    leaf = parts[-1]
-    names = {f.name for f in fields(obj)}
-    if leaf not in names:
-        raise ValidationError(f"unknown config key {dotted!r}")
-    setattr(obj, leaf, _coerce(getattr(obj, leaf), value, dotted))
+def _accepts(kind, value) -> bool:
+    if kind is bool or kind is type(None):
+        return type(value) is kind
+    if isinstance(value, bool):
+        return False
+    if kind is int:
+        return isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    if kind is float:
+        return isinstance(value, (int, float))
+    if typing.get_origin(kind) is Literal:
+        return value in typing.get_args(kind)
+    return isinstance(value, kind)
+
+
+def _describe(kind) -> str:
+    if typing.get_origin(kind) is Literal:
+        return " or ".join(json.dumps(v) for v in typing.get_args(kind))
+    return _KIND_NAMES[kind]
+
+
+@functools.cache
+def _field_types(section_cls) -> dict:
+    return typing.get_type_hints(section_cls)
+
+
+def _coerce(section, key: str, value, path: str):
+    """`value` checked against the declared type of `section.key`, as stored."""
+    hint = _field_types(type(section))[key]
+    union = typing.get_origin(hint) in (typing.Union, types.UnionType)
+    kinds = typing.get_args(hint) if union else (hint,)
+    kind = next((k for k in kinds if _accepts(k, value)), None)
+    if kind is None:
+        raise ValidationError(f"config key {path!r} expects "
+                              f"{' or '.join(map(_describe, kinds))}, got {value!r}")
+    if kind in (int, float, dict):
+        value = kind(value)
+    if path in _POSITIVE_KEYS and value is not None and not value > 0:
+        raise ValidationError(f"config key {path!r} must be > 0, got {value}")
+    return value

@@ -44,8 +44,15 @@ class TriangleDescriptor:
     labels: tuple[int, int, int]  # per vertex, same order
 
 
-# the six vertex orders of a triangle, lexicographic
+# the six vertex orders of a triangle, lexicographic, and each vertex's successor
 _ORDERS = np.array(list(itertools.permutations(range(3))))
+_NEXT = np.roll(_ORDERS, -1, axis=1)
+
+
+def _ascending(sides: np.ndarray) -> np.ndarray:
+    """Whether (d12, d23, d31) on the last axis ascends within EQUAL_SIDE_TOL."""
+    return (sides[..., 0] <= sides[..., 1] + EQUAL_SIDE_TOL) & (
+        sides[..., 1] <= sides[..., 2] + EQUAL_SIDE_TOL)
 
 
 def triangulate(graph, k_neighbors: int) -> list[TriangleDescriptor]:
@@ -80,9 +87,8 @@ def triangulate(graph, k_neighbors: int) -> list[TriangleDescriptor]:
     tris = tris[np.sort(first)]
 
     verts = tris[:, _ORDERS]  # (m, 6, 3): every vertex order of every triangle
-    sides = dist[verts, np.roll(verts, -1, axis=-1)]  # (d12, d23, d31) per order
-    fits = (sides[..., 0] <= sides[..., 1] + EQUAL_SIDE_TOL) & (
-        sides[..., 1] <= sides[..., 2] + EQUAL_SIDE_TOL)
+    sides = dist[verts, tris[:, _NEXT]]  # (d12, d23, d31) per order
+    fits = _ascending(sides)
     pick = np.argmax(fits, axis=1)
     rows = np.arange(len(tris))
     verts, sides = verts[rows, pick], sides[rows, pick]
@@ -165,27 +171,11 @@ class TriangleMatch:
     w2_total: float
 
 
-def _map_orderings(d: TriangleDescriptor):
-    """Vertex orderings of `d` consistent with its sorted sides within tolerance.
-
-    Side lookup under a permutation reuses the stored sides: d(v1,v2)=s1,
-    d(v2,v3)=s2, d(v3,v1)=s3.
-    """
-    s1, s2, s3 = d.sides
-    dist = {
-        frozenset((0, 1)): s1,
-        frozenset((1, 2)): s2,
-        frozenset((2, 0)): s3,
-    }
-    orderings = []
-    for perm in itertools.permutations(range(3)):
-        a, b, c = perm
-        e1 = dist[frozenset((a, b))]
-        e2 = dist[frozenset((b, c))]
-        e3 = dist[frozenset((c, a))]
-        if e1 <= e2 + EQUAL_SIDE_TOL and e2 <= e3 + EQUAL_SIDE_TOL:
-            orderings.append(perm)
-    return orderings
+def _map_orderings(d: TriangleDescriptor) -> list[list[int]]:
+    """Vertex orders of `d` whose sides still ascend, lexicographic."""
+    s12, s23, s31 = d.sides
+    D = np.array([[0.0, s12, s31], [s12, 0.0, s23], [s31, s23, 0.0]])
+    return _ORDERS[_ascending(D[_ORDERS, _NEXT])].tolist()
 
 
 def pair_w2(

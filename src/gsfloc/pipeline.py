@@ -1,5 +1,10 @@
 """End-to-end orchestration: offline map building, one-shot localization.
 
+`localize` runs one private function per entry of STAGES, each timed under
+its name: `_query_graph` (prepare, voxel, scene graph), `_query_probes` (yaw
+probes), `_match` (triangles, index lookup, self-tuned GSF filter), `_clique`
+(correspondences, consistency graph, max clique) and `_solve` (robust IRLS).
+
 Map bundle directory layout (manifest.json carries sha256 content hashes):
     graph.json / graph_buffers.npz   scene graph + GP training buffers
     index.gsfi                       triangle descriptor index
@@ -31,6 +36,7 @@ from .core import (
 )
 from .descriptors import (
     DescriptorIndex,
+    TriangleMatch,
     build_index,
     gsf_filter,
     load_index,
@@ -42,6 +48,7 @@ from .descriptors import (
 )
 from .gsf import GpPopulation, grid_probe, permute_population, yaw_reuse_plan
 from .matching import (
+    Correspondence,
     build_consistency_graph,
     collect_correspondences,
     max_clique,
@@ -57,6 +64,10 @@ from .wasserstein import SimilarityConfig
 
 MAP_BUNDLE_FORMAT = "gsfloc-map-bundle"
 MAP_BUNDLE_VERSION = 1
+BUNDLE_FILES = ("graph.json", "graph_buffers.npz", "index.gsfi", "populations.npz", "config.json")
+
+# localize's stages, in run order; each is one key of `timings_ms`
+STAGES = ("graph", "probe", "match", "clique", "solve")
 
 
 class BuildError(GsflocError):
@@ -137,13 +148,6 @@ def _grid_args(config: RunConfig) -> dict:
                 n_x=g.nx, n_y=g.ny, z_mode=g.z_mode)
 
 
-def _probe_instance(graph, taxonomy, config, inst_id, yaw):
-    field = graph.fields.get(inst_id)
-    if field is None:
-        return None
-    return grid_probe(field, taxonomy, **_grid_args(config), yaw=yaw)
-
-
 def _probe_yaws(field, taxonomy, config, yaws, plan) -> list[GpPopulation]:
     """One population per yaw: probe where `plan` (from `yaw_reuse_plan`) says
     so, reorder the earlier probe everywhere else."""
@@ -187,7 +191,8 @@ def build_map(
             f"map has {graph.num_instances} instances; at least 3 are required"
         )
     populations = {
-        inst.id: _probe_instance(graph, taxonomy, config, inst.id, yaw=0.0)
+        inst.id: None if (field := graph.fields.get(inst.id)) is None
+        else grid_probe(field, taxonomy, **_grid_args(config))
         for inst in graph.instances
     }
     descs = triangulate(graph, config.index.k_neighbors)
@@ -195,12 +200,109 @@ def build_map(
     return ReferenceMap(graph, index, populations, taxonomy, config)
 
 
+def _timed(timings: dict, stage: str, fn, *args):
+    """`fn(*args)`, with its wall time in ms recorded under `stage`."""
+    t0 = time.perf_counter()
+    out = fn(*args)
+    timings[stage] = (time.perf_counter() - t0) * 1e3
+    return out
+
+
+def _query_graph(query_cloud, taxonomy, config) -> SceneGraph:
+    """Stage "graph": prepare and voxel-downsample the scan, cluster and fit."""
+    cloud = voxel_downsample(_prepare_cloud(query_cloud, config), config.pipeline.query_voxel)
+    return build_scene_graph(cloud, taxonomy, config.graph_config(taxonomy))
+
+
+def _query_probes(qgraph, taxonomy, config) -> dict[int, list[GpPopulation] | None]:
+    """Stage "probe": every fitted instance's populations at each yaw sample."""
+    n = config.sim.yaw_samples
+    yaws = [2.0 * np.pi * k / n for k in range(n)]
+    plan = yaw_reuse_plan(yaws, **_grid_args(config))
+    return {
+        inst.id: None if (field := qgraph.fields.get(inst.id)) is None
+        else _probe_yaws(field, taxonomy, config, yaws, plan)
+        for inst in qgraph.instances
+    }
+
+
+def _self_tune(cand_lists, pops_query, ref_map, config, cache) -> SimilarityConfig | None:
+    """Score the canonical pairs of every candidate whose six instances have
+    populations and scale the similarity to their median W2^2 (None if no pair)."""
+    for d, cands in cand_lists:
+        if any(pops_query.get(q) is None for q in d.vertex_ids):
+            continue
+        for cid in cands:
+            cd = ref_map.index.descriptors[cid]
+            if any(ref_map.populations.get(m) is None for m in cd.vertex_ids):
+                continue
+            for q, m in zip(d.vertex_ids, cd.vertex_ids):
+                pair_w2(q, m, pops_query, ref_map.populations, config.sim.use_stability, cache)
+    if not cache:
+        return None
+    median = float(np.median(list(cache.values())))
+    sim = config.sim
+    return SimilarityConfig(
+        max(np.sqrt(median), 1e-9) if sim.sigma_w is None else sim.sigma_w,
+        max(3.0 * median, 1e-12) if sim.accept_threshold is None else sim.accept_threshold,
+    )
+
+
+def _match(qgraph, pops_query, ref_map, config) -> tuple[int, list[TriangleMatch]]:
+    """Stage "match": triangles, coarse lookup, then the GSF fine filter (canonical
+    pairing with it off). Returns the triangle count and the matches."""
+    descs = triangulate(qgraph, config.index.k_neighbors)
+    cand_lists = [(d, query_index(ref_map.index, d)) for d in descs]
+    if not config.pipeline.use_gsf_filter:
+        return len(descs), [m for d, cands in cand_lists
+                            for m in plain_matches(d, cands, ref_map.index)]
+    cache: dict = {}
+    simcfg = _self_tune(cand_lists, pops_query, ref_map, config, cache)
+    if simcfg is None:
+        return len(descs), []
+    return len(descs), [
+        m for d, cands in cand_lists
+        for m in gsf_filter(d, cands, ref_map.index, pops_query, ref_map.populations,
+                            simcfg, config.sim.use_stability, cache)
+    ]
+
+
+def _clique(matches, qcents, mcents, config) -> list[Correspondence]:
+    """Stage "clique": the correspondences of the maximum consistent clique."""
+    corrs = collect_correspondences(matches)
+    if not corrs:
+        return []
+    cgraph = build_consistency_graph(corrs, qcents, mcents, config.matching.epsilon)
+    return [corrs[i] for i in max_clique(cgraph)]
+
+
+def _solve(picked, qcents, mcents, config) -> tuple[RigidTransform, list] | None:
+    """Stage "solve": truncated IRLS over the clique. Returns the sensor pose in the
+    map frame and the surviving pairs; None if degenerate or fewer than 3 survive."""
+    cset = WeightedCorrespondenceSet(
+        p=np.stack([qcents[c.query_id] for c in picked]),
+        q=np.stack([mcents[c.map_id] for c in picked]),
+        omega=np.array([c.omega for c in picked]),
+        tau0=config.solver.tau0,
+    )
+    try:
+        T_qm, mask, _trace = robust_irls(cset, config.solver.max_iters, config.solver.rel_tol)
+    except (DegenerateGeometryError, IrlsFailure, ValidationError):
+        return None
+    inliers = [c for c, keep in zip(picked, mask) if keep]
+    return (T_qm.inverse(), inliers) if len(inliers) >= 3 else None
+
+
 def localize(
     query_cloud: SemanticPointCloud,
     ref_map: ReferenceMap,
     config: RunConfig | None = None,
 ) -> LocalizationResult:
-    """One-shot localization of a query scan against a prebuilt map."""
+    """One-shot localization of a query scan against a prebuilt map.
+
+    Runs the STAGES in order. Fewer than 3 clique members end the query as
+    "no-match", a failed pose solve as "degenerate"; stages not run time 0 ms.
+    """
     config = config or ref_map.config
     want, got = _population_settings(ref_map.config), _population_settings(config)
     differ = [k for k in want if got[k] != want[k]]
@@ -210,126 +312,29 @@ def localize(
             "populations are not comparable"
         )
     taxonomy = ref_map.taxonomy
-    timings: dict[str, float] = {}
-    use_gsf = config.pipeline.use_gsf_filter
+    timings = dict.fromkeys(STAGES, 0.0)
+    res = LocalizationResult("no-match", None, 0, 0, 0, 0, [], timings,
+                             config.pipeline.use_gsf_filter)
 
-    def fail(status: str, triangles=0, candidates=0) -> LocalizationResult:
-        return LocalizationResult(
-            status, None, 0, 0, triangles, candidates, [], timings, use_gsf
-        )
-
-    t0 = time.perf_counter()
-    cloud = _prepare_cloud(query_cloud, config)
-    cloud = voxel_downsample(cloud, config.pipeline.query_voxel)
-    qgraph = build_scene_graph(cloud, taxonomy, config.graph_config(taxonomy))
-    timings["graph"] = (time.perf_counter() - t0) * 1e3
-
-    t0 = time.perf_counter()
-    yaws = [2.0 * np.pi * k / config.sim.yaw_samples for k in range(config.sim.yaw_samples)]
-    plan = yaw_reuse_plan(yaws, **_grid_args(config))
-    pops_query: dict[int, list | None] = {}
-    for inst in qgraph.instances:
-        field = qgraph.fields.get(inst.id)
-        pops_query[inst.id] = (
-            None if field is None else _probe_yaws(field, taxonomy, config, yaws, plan)
-        )
-    timings["probe"] = (time.perf_counter() - t0) * 1e3
-
-    t0 = time.perf_counter()
-    query_descs = triangulate(qgraph, config.index.k_neighbors)
-    cand_lists = [(d, query_index(ref_map.index, d)) for d in query_descs]
-
-    matches = []
-    n_candidates = 0
-    if use_gsf:
-        cache: dict = {}
-        # first pass: score the canonical pairs so the similarity scale can
-        # self-tune on this query's candidate distribution
-        for d, cands in cand_lists:
-            if any(pops_query.get(q) is None for q in d.vertex_ids):
-                continue
-            for cid in cands:
-                cd = ref_map.index.descriptors[cid]
-                if any(ref_map.populations.get(m) is None for m in cd.vertex_ids):
-                    continue
-                for q, m in zip(d.vertex_ids, cd.vertex_ids):
-                    pair_w2(q, m, pops_query, ref_map.populations,
-                            config.sim.use_stability, cache)
-        if not cache:
-            timings["match"] = (time.perf_counter() - t0) * 1e3
-            timings.setdefault("clique", 0.0)
-            timings.setdefault("solve", 0.0)
-            return fail("no-match", triangles=len(query_descs))
-        median = float(np.median(list(cache.values())))
-        sigma_w = config.sim.sigma_w or max(np.sqrt(median), 1e-9)
-        accept = config.sim.accept_threshold or max(3.0 * median, 1e-12)
-        simcfg = SimilarityConfig(sigma_w, accept)
-        for d, cands in cand_lists:
-            matches.extend(
-                gsf_filter(
-                    d, cands, ref_map.index, pops_query, ref_map.populations,
-                    simcfg, config.sim.use_stability, cache,
-                )
-            )
-    else:
-        for d, cands in cand_lists:
-            matches.extend(plain_matches(d, cands, ref_map.index))
-    n_candidates = len(matches)
-    timings["match"] = (time.perf_counter() - t0) * 1e3
-
-    t0 = time.perf_counter()
-    corrs = collect_correspondences(matches)
-    if not corrs:
-        timings["clique"] = (time.perf_counter() - t0) * 1e3
-        timings.setdefault("solve", 0.0)
-        return fail("no-match", triangles=len(query_descs), candidates=n_candidates)
+    qgraph = _timed(timings, "graph", _query_graph, query_cloud, taxonomy, config)
+    pops_query = _timed(timings, "probe", _query_probes, qgraph, taxonomy, config)
+    res.triangles_queried, matches = _timed(
+        timings, "match", _match, qgraph, pops_query, ref_map, config)
+    res.candidates_after_filter = len(matches)
     qcents = {inst.id: inst.centroid for inst in qgraph.instances}
     mcents = {inst.id: inst.centroid for inst in ref_map.graph.instances}
-    cgraph = build_consistency_graph(corrs, qcents, mcents, config.matching.epsilon)
-    clique = max_clique(cgraph)
-    timings["clique"] = (time.perf_counter() - t0) * 1e3
-
-    if len(clique) < 3:
-        timings.setdefault("solve", 0.0)
-        res = fail("no-match", triangles=len(query_descs), candidates=n_candidates)
-        res.clique_size = len(clique)
+    picked = _timed(timings, "clique", _clique, matches, qcents, mcents, config)
+    res.clique_size = len(picked)
+    if len(picked) < 3:
         return res
-
-    t0 = time.perf_counter()
-    picked = [corrs[i] for i in clique]
-    cset = WeightedCorrespondenceSet(
-        p=np.stack([qcents[c.query_id] for c in picked]),
-        q=np.stack([mcents[c.map_id] for c in picked]),
-        omega=np.array([c.omega for c in picked]),
-        tau0=config.solver.tau0,
-    )
-    try:
-        T_qm, mask, _trace = robust_irls(
-            cset, config.solver.max_iters, config.solver.rel_tol
-        )
-    except (DegenerateGeometryError, IrlsFailure, ValidationError):
-        timings["solve"] = (time.perf_counter() - t0) * 1e3
-        res = fail("degenerate", triangles=len(query_descs), candidates=n_candidates)
-        res.clique_size = len(clique)
+    solved = _timed(timings, "solve", _solve, picked, qcents, mcents, config)
+    if solved is None:
+        res.status = "degenerate"
         return res
-    timings["solve"] = (time.perf_counter() - t0) * 1e3
-
-    inliers = [c for c, keep in zip(picked, mask) if keep]
-    if len(inliers) < 3:
-        res = fail("degenerate", triangles=len(query_descs), candidates=n_candidates)
-        res.clique_size = len(clique)
-        return res
-    return LocalizationResult(
-        "success",
-        T_qm.inverse(),  # sensor pose in the map frame
-        len(inliers),
-        len(clique),
-        len(query_descs),
-        n_candidates,
-        inliers,
-        timings,
-        use_gsf,
-    )
+    res.status = "success"
+    res.pose, res.inliers = solved
+    res.inlier_count = len(res.inliers)
+    return res
 
 
 # ---------------------------------------------------------------------------
@@ -368,11 +373,10 @@ def save_map(ref_map: ReferenceMap, bundle_dir) -> None:
         )
         + "\n"
     )
-    files = ["graph.json", "graph_buffers.npz", "index.gsfi", "populations.npz", "config.json"]
     manifest = {
         "format": MAP_BUNDLE_FORMAT,
         "version": MAP_BUNDLE_VERSION,
-        "files": {f: _sha256(d / f) for f in files},
+        "files": {f: _sha256(d / f) for f in BUNDLE_FILES},
         "config": ref_map.config.to_dict(),
     }
     (d / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
@@ -383,17 +387,30 @@ def load_map(bundle_dir) -> ReferenceMap:
     mpath = d / "manifest.json"
     if not mpath.exists():
         raise FormatError(f"map bundle {d}: manifest.json not found")
-    manifest = json.loads(mpath.read_text())
-    if manifest.get("format") != MAP_BUNDLE_FORMAT:
+    try:
+        manifest = json.loads(mpath.read_text())
+    except json.JSONDecodeError as e:
+        raise FormatError(f"map bundle {d}: manifest.json line {e.lineno}: {e.msg}") from e
+    if not isinstance(manifest, dict) or manifest.get("format") != MAP_BUNDLE_FORMAT:
         raise FormatError(f"map bundle {d}: unrecognized manifest format")
     if manifest.get("version") != MAP_BUNDLE_VERSION:
         raise FormatError(f"map bundle {d}: unsupported version {manifest.get('version')}")
-    for name, digest in manifest["files"].items():
+    files = manifest.get("files")
+    if not isinstance(files, dict):
+        raise FormatError(f"map bundle {d}: manifest.json has no files map")
+    if sorted(files) != sorted(BUNDLE_FILES):
+        raise FormatError(
+            f"map bundle {d}: manifest.json must list exactly {', '.join(BUNDLE_FILES)}; "
+            f"it lists {', '.join(sorted(files)) or 'none'}"
+        )
+    for name in BUNDLE_FILES:
+        if not (d / name).is_file():
+            raise FormatError(f"map bundle {d}: {name} not found")
         actual = _sha256(d / name)
-        if actual != digest:
+        if actual != files[name]:
             raise FormatError(
                 f"map bundle {d}: content hash mismatch for {name} "
-                f"(manifest {digest[:12]}.., file {actual[:12]}..)"
+                f"(manifest {str(files[name])[:12]}.., file {actual[:12]}..)"
             )
 
     meta = json.loads((d / "config.json").read_text())

@@ -29,8 +29,9 @@ from .core import (
     one_hot_logits,
     rot_z,
 )
+from .pipeline import STAGES
 
-TIMING_KEYS = ("graph", "probe", "match", "clique", "solve", "total")
+TIMING_KEYS = (*STAGES, "total")
 
 
 class GenerationError(GsflocError):

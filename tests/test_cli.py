@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -84,6 +85,17 @@ class TestBuildMap:
         ])
         assert rc == 3
 
+    def test_bad_config_value_exit_2(self, scene_files, tmp_path, capsys):
+        rc = main([
+            "build-map",
+            "--points", str(scene_files / "map.points"),
+            "--labels", str(scene_files / "map.labels"),
+            "--out", str(tmp_path / "x"),
+            "--set", 'gsf.grid.z_mode="up"',
+        ])
+        assert rc == 2
+        assert "gsf.grid.z_mode" in capsys.readouterr().err
+
     def test_unknown_config_key_exit_2(self, scene_files, tmp_path, capsys):
         rc = main([
             "build-map",
@@ -137,6 +149,22 @@ class TestLocalize:
         ])
         assert rc == 2
         assert "non-finite" in capsys.readouterr().err
+
+    def test_emptied_manifest_exit_1(self, scene_files, bundle, tmp_path, capsys):
+        tampered = tmp_path / "tampered"
+        shutil.copytree(bundle, tampered)
+        manifest = json.loads((tampered / "manifest.json").read_text())
+        manifest["files"] = {}
+        (tampered / "manifest.json").write_text(json.dumps(manifest))
+        rc = main([
+            "localize", "--map", str(tampered),
+            "--points", str(scene_files / "q.points"),
+            "--labels", str(scene_files / "q.labels"),
+            "--logits", str(scene_files / "q.logits"),
+        ])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "must list exactly" in err and "Traceback" not in err
 
     def test_no_gsf_flag_recorded(self, scene_files, bundle, capsys):
         rc = main([

@@ -1,10 +1,12 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from gsfloc.config import RunConfig
 from gsfloc.core import (
+    FormatError,
     SemanticPointCloud,
     ValidationError,
     one_hot_logits,
@@ -12,7 +14,9 @@ from gsfloc.core import (
 )
 from gsfloc.descriptors import pair_w2
 from gsfloc.gsf import apply_stability_mask, grid_probe, yaw_reuse_plan
+from gsfloc import pipeline
 from gsfloc.pipeline import (
+    STAGES,
     BuildError,
     _grid_args,
     _probe_yaws,
@@ -77,8 +81,6 @@ class TestBuildMap:
             np.testing.assert_array_equal(pop.stability_weights, other.stability_weights)
 
     def test_bundle_hash_mismatch_detected(self, ref_map, tmp_path):
-        from gsfloc.core import FormatError
-
         d = tmp_path / "tampered"
         save_map(ref_map, d)
         raw = bytearray((d / "index.gsfi").read_bytes())
@@ -87,10 +89,7 @@ class TestBuildMap:
         with pytest.raises(FormatError, match="hash mismatch"):
             load_map(d)
 
-
     def test_bundle_version_mismatch_detected(self, ref_map, tmp_path):
-        from gsfloc.core import FormatError
-
         d = tmp_path / "future"
         save_map(ref_map, d)
         manifest = json.loads((d / "manifest.json").read_text())
@@ -98,6 +97,46 @@ class TestBuildMap:
         (d / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(FormatError, match="version 2"):
             load_map(d)
+
+    @pytest.mark.parametrize("defect, message", [
+        ("emptied-files", "must list exactly graph.json, graph_buffers.npz, index.gsfi"),
+        ("no-files", "manifest.json has no files map"),
+        ("not-json", "manifest.json line 1"),
+        ("missing-file", "populations.npz not found"),
+    ])
+    def test_bundle_manifest_defects_detected(self, ref_map, tmp_path, defect, message):
+        d = tmp_path / defect
+        save_map(ref_map, d)
+        manifest = json.loads((d / "manifest.json").read_text())
+        if defect == "emptied-files":
+            # with the index unchecked, a tampered index would otherwise load
+            manifest["files"] = {}
+            raw = bytearray((d / "index.gsfi").read_bytes())
+            raw[-1] ^= 0xFF
+            (d / "index.gsfi").write_bytes(bytes(raw))
+        elif defect == "no-files":
+            del manifest["files"]
+        elif defect == "missing-file":
+            (d / "populations.npz").unlink()
+        text = json.dumps(manifest) if defect != "not-json" else "{not json"
+        (d / "manifest.json").write_text(text)
+        with pytest.raises(FormatError, match=message):
+            load_map(d)
+
+
+def _disjoint_scan(taxonomy):
+    """A scan of a sparse scene that shares no layout with the map."""
+    from gsfloc.synth import InstanceTemplate, SceneSpec
+
+    sparse = SceneSpec(
+        extent=70,
+        templates=[InstanceTemplate("pole", 3, 140), InstanceTemplate("car", 2, 260),
+                   InstanceTemplate("trunk", 2, 160)],
+        seed=777,
+    )
+    other, _ = generate_scene(sparse, taxonomy)
+    pose = sample_query_poses(1, seed=8, half=10.0)[0]
+    return simulate_scan(other, pose, range_max=40.0, seed=1)
 
 
 class TestLocalize:
@@ -113,18 +152,7 @@ class TestLocalize:
         assert res.inlier_count >= 3
 
     def test_disjoint_scene_no_match(self, ref_map, taxonomy_module):
-        from gsfloc.synth import InstanceTemplate, SceneSpec
-
-        sparse = SceneSpec(
-            extent=70,
-            templates=[InstanceTemplate("pole", 3, 140), InstanceTemplate("car", 2, 260),
-                       InstanceTemplate("trunk", 2, 160)],
-            seed=777,
-        )
-        other, _ = generate_scene(sparse, taxonomy_module)
-        pose = sample_query_poses(1, seed=8, half=10.0)[0]
-        scan = simulate_scan(other, pose, range_max=40.0, seed=1)
-        res = localize(scan, ref_map)
+        res = localize(_disjoint_scan(taxonomy_module), ref_map)
         assert res.status in ("no-match", "degenerate")
         assert res.pose is None
 
@@ -167,6 +195,43 @@ class TestLocalize:
         for i, a in enumerate(res.inliers):
             for b in res.inliers[i + 1:]:
                 assert consistency_check(a, b, qc, mc, cfg.matching.epsilon)
+
+    @pytest.mark.parametrize("case", ["success", "empty-scan", "disjoint", "degenerate"])
+    def test_every_exit(self, scene, ref_map, taxonomy_module, monkeypatch, case):
+        from gsfloc.pose_solver import DegenerateGeometryError
+
+        cloud, _ = scene
+        scan = simulate_scan(cloud, sample_query_poses(1, seed=7, half=15.0)[0],
+                             range_max=60.0, dropout_rate=0.3, noise_sigma=0.03, seed=42)
+        if case == "empty-scan":
+            scan = SemanticPointCloud(np.zeros((0, 3)), np.zeros(0, dtype=int),
+                                      np.zeros((0, taxonomy_module.num_classes)))
+        elif case == "disjoint":
+            scan = _disjoint_scan(taxonomy_module)
+        elif case == "degenerate":
+            def refuse(*args, **kwargs):
+                raise DegenerateGeometryError("collinear")
+
+            monkeypatch.setattr(pipeline, "robust_irls", refuse)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # triangulation warns on an empty graph
+            res = localize(scan, ref_map)
+        assert list(res.timings_ms) == list(STAGES)
+        assert res.status == {"success": "success", "degenerate": "degenerate"}.get(
+            case, "no-match")
+        if case == "success":
+            assert res.pose is not None
+            assert 3 <= res.inlier_count == len(res.inliers) <= res.clique_size
+        else:
+            assert res.pose is None and res.inlier_count == 0 and res.inliers == []
+        if case == "empty-scan":
+            assert res.triangles_queried == 0 and res.candidates_after_filter == 0
+        else:
+            assert res.triangles_queried > 0
+        if case in ("empty-scan", "disjoint"):
+            assert res.clique_size < 3 and res.timings_ms["solve"] == 0.0
+        else:
+            assert res.clique_size >= 3 and res.candidates_after_filter > 0
 
     def test_grid_geometry_mismatch_rejected(self, scene, ref_map):
         cloud, _ = scene
@@ -284,6 +349,11 @@ class TestConfig:
         assert cfg.sim.sigma_w == 1.5
         assert cfg.pipeline.use_gsf_filter is False
         assert cfg.gsf.grid.nx == 7
+        cfg.apply_overrides(["sim.sigma_w=null", "gsf.grid.z_mode=1", "index.k_neighbors=4.0",
+                             "sim.accept_threshold=2"])
+        assert cfg.sim.sigma_w is None and cfg.sim.accept_threshold == 2.0
+        assert cfg.gsf.grid.z_mode == 1.0 and isinstance(cfg.gsf.grid.z_mode, float)
+        assert cfg.index.k_neighbors == 4 and isinstance(cfg.index.k_neighbors, int)
         with pytest.raises(ValidationError):
             cfg.apply_overrides(["sim.bogus=1"])
         with pytest.raises(ValidationError):
@@ -294,3 +364,15 @@ class TestConfig:
             RunConfig.from_dict({"pipeline": {"use_gsf_filter": "yes"}})
         with pytest.raises(ValidationError, match="number"):
             RunConfig.from_dict({"gsf": {"kappa": "big"}})
+        # each field is checked against its declared type, also where the default is null
+        for override, message in [
+            ('sim.sigma_w="abc"', "'sim.sigma_w' expects a number or null"),
+            ("sim.sigma_w=0", "'sim.sigma_w' must be > 0"),
+            ("sim.accept_threshold=true", "'sim.accept_threshold' expects a number or null"),
+            ('gsf.grid.z_mode="up"', "'gsf.grid.z_mode' expects \"local-zero\" or a number"),
+            ("sim.yaw_samples=0", "'sim.yaw_samples' must be > 0"),
+            ("index.k_neighbors=2.7", "'index.k_neighbors' expects an integer"),
+            ("pipeline.seed=true", "'pipeline.seed' expects an integer"),
+        ]:
+            with pytest.raises(ValidationError, match=message):
+                RunConfig().apply_overrides([override])
