@@ -43,10 +43,12 @@ def _sha256_file(path) -> str:
     return h.hexdigest()
 
 
-def _effective_config(args) -> RunConfig:
-    cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
-    if args.set:
-        cfg.apply_overrides(args.set)
+def _effective_config(args, base: RunConfig | None = None) -> RunConfig:
+    """A copy of `base` (the defaults if None), then the --config file, then --set."""
+    cfg = RunConfig.from_dict(base.to_dict()) if base is not None else RunConfig()
+    if args.config:
+        cfg.update_from_file(args.config)
+    cfg.apply_overrides(args.set)
     return cfg
 
 
@@ -98,22 +100,17 @@ def cmd_build_map(args) -> int:
 
 
 def cmd_localize(args) -> int:
-    cfg = _effective_config(args)
+    ref = load_map(args.map)
+    # query settings ride on the bundle's config; localize refuses the ones that
+    # make query and map populations incomparable
+    cfg = _effective_config(args, base=ref.config)
     if args.no_gsf:
         cfg.pipeline.use_gsf_filter = False
-    ref = load_map(args.map)
-    cfg_map = ref.config
-    # query-side overrides ride on top of the bundle's build-time config
-    merged = RunConfig.from_dict(cfg_map.to_dict())
-    merged.sim = cfg.sim
-    merged.solver = cfg.solver
-    merged.matching = cfg.matching
-    merged.pipeline = cfg.pipeline
     cloud = _load_input_cloud(args, ref.taxonomy)
-    result = localize(cloud, ref, merged)
+    result = localize(cloud, ref, cfg)
     status = result.to_dict(include_timings=not args.no_timings)
     status["manifest"] = _manifest(
-        "localize", merged,
+        "localize", cfg,
         {"points": args.points, "labels": args.labels, "logits": args.logits},
     )
     if result.pose is not None:

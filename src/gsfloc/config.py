@@ -1,7 +1,10 @@
 """Run configuration: every tunable of the pipeline with its default.
 
-Configs load from JSON files and accept dotted-key overrides
-(e.g. "sim.sigma_w=1.5"). Unknown keys are rejected; the full effective
+`RunConfig` is the one configuration type: the scene graph, map building and
+localization all read their settings from it, and a map bundle stores it once,
+in config.json. Configs load from JSON files and accept dotted-key overrides
+(e.g. "sim.sigma_w=1.5"). Unknown keys, values of the wrong type and values
+out of range are rejected when they are set; the full effective
 configuration is echoed into every run manifest.
 """
 
@@ -15,9 +18,7 @@ from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import Literal
 
-from .core import FormatError, LabelTaxonomy, ValidationError
-from .gsf import GpHyperParams
-from .scene_graph import ClusterParams, GraphBuildConfig
+from .core import FormatError, ValidationError
 
 
 @dataclass
@@ -68,7 +69,7 @@ class MatchingSection:
 class ClusterSection:
     min_cluster_size: int = 10
     default_threshold: float = 1.0
-    thresholds: dict = field(
+    thresholds: dict = field(  # class name -> meters; each value a number > 0
         default_factory=lambda: {"pole": 0.5, "trunk": 0.5, "traffic-sign": 0.5, "car": 1.0}
     )
     neighborhood_radius: float = 10.0
@@ -108,15 +109,15 @@ class RunConfig:
             raise ValidationError("config must be an object")
         _apply_dict(self, d, prefix="")
 
-    @classmethod
-    def from_file(cls, path) -> "RunConfig":
+    def update_from_file(self, path) -> None:
+        """Set the keys of a JSON config file, as `update` does."""
         try:
             d = json.loads(Path(path).read_text())
         except json.JSONDecodeError as e:
             raise FormatError(f"config file {path}: line {e.lineno}: {e.msg}") from e
         if not isinstance(d, dict):
             raise ValidationError(f"config file {path}: top level must be an object")
-        return cls.from_dict(d)
+        self.update(d)
 
     def apply_overrides(self, overrides: list[str]) -> None:
         """Apply "section.key=value" strings; values parse as JSON when possible."""
@@ -131,26 +132,6 @@ class RunConfig:
             for part in reversed(key.strip().split(".")):
                 value = {part: value}
             _apply_dict(self, value, prefix="")
-
-    def graph_config(self, taxonomy: LabelTaxonomy) -> GraphBuildConfig:
-        """Resolve class-name thresholds to ids and bundle the graph-build knobs."""
-        thresholds = {}
-        for name, v in self.cluster.thresholds.items():
-            try:
-                thresholds[taxonomy.id_of(name)] = float(v)
-            except KeyError:
-                raise ValidationError(f"cluster threshold for unknown class {name!r}")
-        return GraphBuildConfig(
-            cluster=ClusterParams(
-                thresholds=thresholds,
-                default_threshold=self.cluster.default_threshold,
-                min_cluster_size=self.cluster.min_cluster_size,
-            ),
-            neighborhood_radius=self.cluster.neighborhood_radius,
-            hyper=GpHyperParams(self.gsf.kappa, self.gsf.sigma_y),
-            budget=self.gsf.budget,
-            seed=self.pipeline.seed,
-        )
 
 
 def _as_dict(obj):
@@ -177,7 +158,8 @@ def _apply_dict(obj, d: dict, prefix: str) -> None:
 
 
 # keys whose value, unless null, must be > 0
-_POSITIVE_KEYS = {"sim.sigma_w", "sim.accept_threshold", "sim.yaw_samples"}
+_POSITIVE_KEYS = {"sim.sigma_w", "sim.accept_threshold", "sim.yaw_samples",
+                  "solver.tau0", "solver.max_iters"}
 _KIND_NAMES = {bool: "a boolean", int: "an integer", float: "a number",
                dict: "an object", type(None): "null"}
 
@@ -220,4 +202,9 @@ def _coerce(section, key: str, value, path: str):
         value = kind(value)
     if path in _POSITIVE_KEYS and value is not None and not value > 0:
         raise ValidationError(f"config key {path!r} must be > 0, got {value}")
+    if path == "cluster.thresholds":
+        for name, v in value.items():
+            if not (_accepts(float, v) and v > 0):
+                raise ValidationError(f"config key {path!r} wants a number > 0 per class, "
+                                      f"got {v!r} for {name!r}")
     return value

@@ -5,12 +5,17 @@ its name: `_query_graph` (prepare, voxel, scene graph), `_query_probes` (yaw
 probes), `_match` (triangles, index lookup, self-tuned GSF filter), `_clique`
 (correspondences, consistency graph, max clique) and `_solve` (robust IRLS).
 
-Map bundle directory layout (manifest.json carries sha256 content hashes):
+Map bundle directory layout, version 2:
     graph.json / graph_buffers.npz   scene graph + GP training buffers
     index.gsfi                       triangle descriptor index
     populations.npz                  per-instance probe populations
     config.json                      RunConfig + taxonomy snapshot
-    manifest.json                    file hashes + effective config
+    manifest.json                    format, version, sha256 of each file above
+
+config.json is the bundle's only copy of the config; `load_map` refits the
+graph's fields with its GP settings. A query config is held to the map's by
+`localize` alone: it refuses one whose population settings (the `gsf`
+section, `cluster.neighborhood_radius` and `index.delta_d`) differ.
 
 The returned pose maps query-frame (sensor) coordinates into the map frame.
 """
@@ -46,7 +51,7 @@ from .descriptors import (
     save_index,
     triangulate,
 )
-from .gsf import GpPopulation, grid_probe, permute_population, yaw_reuse_plan
+from .gsf import GpHyperParams, GpPopulation, grid_probe, permute_population, yaw_reuse_plan
 from .matching import (
     Correspondence,
     build_consistency_graph,
@@ -63,7 +68,7 @@ from .scene_graph import SceneGraph, build_scene_graph, load_scene_graph, save_s
 from .wasserstein import SimilarityConfig
 
 MAP_BUNDLE_FORMAT = "gsfloc-map-bundle"
-MAP_BUNDLE_VERSION = 1
+MAP_BUNDLE_VERSION = 2
 BUNDLE_FILES = ("graph.json", "graph_buffers.npz", "index.gsfi", "populations.npz", "config.json")
 
 # localize's stages, in run order; each is one key of `timings_ms`
@@ -170,10 +175,12 @@ def _flatten(d: dict, prefix: str = ""):
 
 
 def _population_settings(config: RunConfig) -> dict:
-    """Settings that decide whether query and map populations are comparable."""
+    """Settings that decide whether query and map populations are comparable,
+    and the index tolerance the map was built with."""
     return dict(_flatten({
         "gsf": config.to_dict()["gsf"],
         "cluster": {"neighborhood_radius": config.cluster.neighborhood_radius},
+        "index": {"delta_d": config.index.delta_d},
     }))
 
 
@@ -185,7 +192,7 @@ def build_map(
     """Scene graph + canonical populations + descriptor index over the map cloud."""
     config = config or RunConfig()
     cloud = _prepare_cloud(map_cloud, config)
-    graph = build_scene_graph(cloud, taxonomy, config.graph_config(taxonomy))
+    graph = build_scene_graph(cloud, taxonomy, config)
     if graph.num_instances < 3:
         raise BuildError(
             f"map has {graph.num_instances} instances; at least 3 are required"
@@ -211,7 +218,7 @@ def _timed(timings: dict, stage: str, fn, *args):
 def _query_graph(query_cloud, taxonomy, config) -> SceneGraph:
     """Stage "graph": prepare and voxel-downsample the scan, cluster and fit."""
     cloud = voxel_downsample(_prepare_cloud(query_cloud, config), config.pipeline.query_voxel)
-    return build_scene_graph(cloud, taxonomy, config.graph_config(taxonomy))
+    return build_scene_graph(cloud, taxonomy, config)
 
 
 def _query_probes(qgraph, taxonomy, config) -> dict[int, list[GpPopulation] | None]:
@@ -377,7 +384,6 @@ def save_map(ref_map: ReferenceMap, bundle_dir) -> None:
         "format": MAP_BUNDLE_FORMAT,
         "version": MAP_BUNDLE_VERSION,
         "files": {f: _sha256(d / f) for f in BUNDLE_FILES},
-        "config": ref_map.config.to_dict(),
     }
     (d / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
@@ -416,7 +422,8 @@ def load_map(bundle_dir) -> ReferenceMap:
     meta = json.loads((d / "config.json").read_text())
     config = RunConfig.from_dict(meta["config"])
     taxonomy = LabelTaxonomy.from_dict(meta["taxonomy"])
-    graph = load_scene_graph(d / "graph.json", d / "graph_buffers.npz")
+    graph = load_scene_graph(d / "graph.json", d / "graph_buffers.npz",
+                             GpHyperParams(config.gsf.kappa, config.gsf.sigma_y))
     index = load_index(d / "index.gsfi")
     populations: dict[int, GpPopulation | None] = {
         inst.id: None for inst in graph.instances

@@ -3,18 +3,22 @@
 Object layer: per-class single-linkage Euclidean clustering of instantiable
 points (connected components of the distance-threshold graph). Field layer: one Gaussian semantic field per instance, fit on the
 radius-r neighborhood (all classes) in local coordinates centered at the
-instance centroid. Point layer: the source cloud itself.
+instance centroid. Point layer: the source cloud itself. Every setting comes
+from the run's `RunConfig`: the `cluster` section, the GP settings of `gsf`
+and `pipeline.seed`.
 
-Serialization: a versioned JSON document (ids, labels, centroids, config)
-plus an .npz sidecar holding the cloud buffers, member indices, and per-field
-GP training buffers; factorizations are rebuilt on load.
+Serialization: a versioned JSON document (ids, labels, centroids, field
+jitter) plus an .npz sidecar holding the cloud buffers, member indices, and
+per-field GP training buffers. The document holds no config; factorizations
+are rebuilt on load with the GP hyperparameters the caller passes in (a map
+bundle takes them from its config.json).
 """
 
 from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -22,58 +26,12 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
+from .config import ClusterSection, RunConfig
 from .core import FormatError, LabelTaxonomy, SemanticPointCloud, ValidationError
 from .gsf import FitError, GaussianSemanticField, GpHyperParams, fit_exact, fit_gsf
 
 GRAPH_FORMAT = "gsfloc-scene-graph"
-GRAPH_VERSION = 1
-
-
-@dataclass
-class ClusterParams:
-    thresholds: dict[int, float] = dc_field(default_factory=dict)  # class id -> meters
-    default_threshold: float = 1.0
-    min_cluster_size: int = 10
-
-    def threshold_for(self, class_id: int) -> float:
-        return self.thresholds.get(class_id, self.default_threshold)
-
-
-@dataclass
-class GraphBuildConfig:
-    cluster: ClusterParams = dc_field(default_factory=ClusterParams)
-    neighborhood_radius: float = 10.0
-    hyper: GpHyperParams = dc_field(default_factory=GpHyperParams)
-    budget: int = 256
-    seed: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "cluster": {
-                "thresholds": {str(k): v for k, v in self.cluster.thresholds.items()},
-                "default_threshold": self.cluster.default_threshold,
-                "min_cluster_size": self.cluster.min_cluster_size,
-            },
-            "neighborhood_radius": self.neighborhood_radius,
-            "hyper": {"kappa": self.hyper.kappa, "sigma_y": self.hyper.sigma_y},
-            "budget": self.budget,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GraphBuildConfig":
-        c = d["cluster"]
-        return cls(
-            cluster=ClusterParams(
-                thresholds={int(k): float(v) for k, v in c["thresholds"].items()},
-                default_threshold=float(c["default_threshold"]),
-                min_cluster_size=int(c["min_cluster_size"]),
-            ),
-            neighborhood_radius=float(d["neighborhood_radius"]),
-            hyper=GpHyperParams(float(d["hyper"]["kappa"]), float(d["hyper"]["sigma_y"])),
-            budget=int(d["budget"]),
-            seed=int(d["seed"]),
-        )
+GRAPH_VERSION = 2
 
 
 @dataclass
@@ -89,7 +47,6 @@ class SceneGraph:
     cloud: SemanticPointCloud
     instances: list[Instance]
     fields: dict[int, GaussianSemanticField | None]  # instance id -> field
-    config: GraphBuildConfig
 
     @property
     def num_instances(self) -> int:
@@ -102,21 +59,26 @@ class SceneGraph:
 
 
 def cluster_instances(
-    cloud: SemanticPointCloud, taxonomy: LabelTaxonomy, params: ClusterParams
+    cloud: SemanticPointCloud, taxonomy: LabelTaxonomy, cluster: ClusterSection
 ) -> list[Instance]:
     """Connected components of instantiable points under the per-class
-    distance-threshold relation; components below min_cluster_size dropped.
+    distance-threshold relation (`cluster.thresholds` by class name, else
+    `cluster.default_threshold`); components below min_cluster_size dropped.
 
     Output is deterministic: instances sorted by label id, then centroid
     lexicographically, with dense ids 0..K-1.
     """
+    unknown = sorted(set(cluster.thresholds) - {taxonomy.name(c) for c in taxonomy.ids()})
+    if unknown:
+        raise ValidationError(f"cluster threshold for unknown class {unknown[0]!r}")
     raw: list[tuple[int, np.ndarray]] = []  # (label, member indices)
     for cid in taxonomy.instantiable_ids():
         mask = np.nonzero(cloud.labels == cid)[0]
         if mask.size == 0:
             continue
         pairs = cKDTree(cloud.points[mask]).query_pairs(
-            params.threshold_for(cid), output_type="ndarray"
+            cluster.thresholds.get(taxonomy.name(cid), cluster.default_threshold),
+            output_type="ndarray",
         )
         links = coo_matrix(
             (np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(mask.size, mask.size)
@@ -126,7 +88,7 @@ def cluster_instances(
         sizes = np.bincount(comp)
         members = np.split(np.argsort(comp, kind="stable"), np.cumsum(sizes)[:-1])
         for size, idx in zip(sizes, members):
-            if size >= params.min_cluster_size:
+            if size >= cluster.min_cluster_size:
                 raw.append((cid, mask[idx]))
 
     keyed = []
@@ -143,23 +105,30 @@ def cluster_instances(
 def build_scene_graph(
     cloud: SemanticPointCloud,
     taxonomy: LabelTaxonomy,
-    config: GraphBuildConfig,
+    config: RunConfig,
 ) -> SceneGraph:
     """Cluster instances and fit one field per instance on its neighborhood.
 
-    Fit failures are reported as warnings; the instance is kept without a
-    field and is skipped by GSF-based filtering downstream. Each fit is
-    seeded by its instance id.
+    Reads `config.cluster`, the GP settings of `config.gsf` and
+    `config.pipeline.seed`. Fit failures are reported as warnings; the
+    instance is kept without a field and is skipped by GSF-based filtering
+    downstream. Each fit is seeded by the run seed and its instance id.
     """
     if cloud.logits is None:
         raise ValidationError("scene graph construction requires logits")
+    if cloud.num_classes != taxonomy.num_classes:
+        raise ValidationError(
+            f"cloud has {cloud.num_classes} logit columns; "
+            f"the taxonomy has {taxonomy.num_classes} classes"
+        )
     instances = cluster_instances(cloud, taxonomy, config.cluster)
+    hyper = GpHyperParams(config.gsf.kappa, config.gsf.sigma_y)
     fields: dict[int, GaussianSemanticField | None] = {}
     tree = cKDTree(cloud.points) if cloud.n else None
     for inst in instances:
         idx = np.sort(
             np.asarray(
-                tree.query_ball_point(inst.centroid, config.neighborhood_radius),
+                tree.query_ball_point(inst.centroid, config.cluster.neighborhood_radius),
                 dtype=np.int64,
             )
         )
@@ -169,21 +138,20 @@ def build_scene_graph(
                 local,
                 cloud.logits[idx],
                 cloud.labels[idx],
-                config.hyper,
-                config.budget,
-                seed=[config.seed, inst.id],
+                hyper,
+                config.gsf.budget,
+                seed=[config.pipeline.seed, inst.id],
             )
         except FitError as e:
             warnings.warn(f"field fit failed for instance {inst.id}: {e}")
             fields[inst.id] = None
-    return SceneGraph(cloud, instances, fields, config)
+    return SceneGraph(cloud, instances, fields)
 
 
 def save_scene_graph(graph: SceneGraph, json_path, buffers_path) -> None:
     doc = {
         "format": GRAPH_FORMAT,
         "version": GRAPH_VERSION,
-        "config": graph.config.to_dict(),
         "buffers": Path(buffers_path).name,
         "instances": [
             {
@@ -219,7 +187,8 @@ def save_scene_graph(graph: SceneGraph, json_path, buffers_path) -> None:
     np.savez_compressed(buffers_path, **arrays)
 
 
-def load_scene_graph(json_path, buffers_path) -> SceneGraph:
+def load_scene_graph(json_path, buffers_path, hyper: GpHyperParams) -> SceneGraph:
+    """The graph saved by `save_scene_graph`, its fields refit with `hyper`."""
     try:
         doc = json.loads(Path(json_path).read_text())
     except json.JSONDecodeError as e:
@@ -230,7 +199,6 @@ def load_scene_graph(json_path, buffers_path) -> SceneGraph:
         raise FormatError(
             f"scene graph file {json_path}: unsupported version {doc.get('version')}"
         )
-    config = GraphBuildConfig.from_dict(doc["config"])
     with np.load(buffers_path) as buf:
         cloud = SemanticPointCloud(
             buf["points"], buf["labels"], buf["logits"] if "logits" in buf else None
@@ -250,8 +218,8 @@ def load_scene_graph(json_path, buffers_path) -> SceneGraph:
                 X = buf[f"fld{iid}_X"]
                 Y = buf[f"fld{iid}_Y"]
                 src = buf[f"fld{iid}_src"] if f"fld{iid}_src" in buf else None
-                fields[iid] = fit_exact(X, Y, config.hyper, src)
+                fields[iid] = fit_exact(X, Y, hyper, src)
             else:
                 fields[iid] = None
-    return SceneGraph(cloud, instances, fields, config)
+    return SceneGraph(cloud, instances, fields)
 

@@ -49,6 +49,16 @@ def bundle(scene_files, tmp_path_factory):
     return out
 
 
+def _localize_query(bundle, scene_files, *extra):
+    return main([
+        "localize", "--map", str(bundle),
+        "--points", str(scene_files / "q.points"),
+        "--labels", str(scene_files / "q.labels"),
+        "--logits", str(scene_files / "q.logits"),
+        *extra,
+    ])
+
+
 class TestBuildMap:
     def test_bundle_written(self, bundle, capsys):
         assert (bundle / "manifest.json").exists()
@@ -95,6 +105,18 @@ class TestBuildMap:
         ])
         assert rc == 2
         assert "gsf.grid.z_mode" in capsys.readouterr().err
+
+    def test_bad_threshold_exit_2(self, scene_files, tmp_path, capsys):
+        rc = main([
+            "build-map",
+            "--points", str(scene_files / "map.points"),
+            "--labels", str(scene_files / "map.labels"),
+            "--out", str(tmp_path / "x"),
+            "--set", 'cluster.thresholds={"pole": "x"}',
+        ])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "cluster.thresholds" in err and "Traceback" not in err
 
     def test_unknown_config_key_exit_2(self, scene_files, tmp_path, capsys):
         rc = main([
@@ -165,6 +187,55 @@ class TestLocalize:
         err = capsys.readouterr().err
         assert rc == 1
         assert "must list exactly" in err and "Traceback" not in err
+
+    def test_version_1_bundle_exit_1(self, scene_files, bundle, tmp_path, capsys):
+        old = tmp_path / "old"
+        shutil.copytree(bundle, old)
+        manifest = json.loads((old / "manifest.json").read_text())
+        manifest["version"] = 1
+        (old / "manifest.json").write_text(json.dumps(manifest))
+        rc = _localize_query(old, scene_files)
+        assert rc == 1
+        assert "unsupported version 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("override", ["gsf.kappa=6.0", "index.delta_d=5.0",
+                                          "solver.max_iters=0"])
+    def test_refused_query_setting_exit_2(self, scene_files, bundle, capsys, override):
+        rc = _localize_query(bundle, scene_files, "--set", override)
+        assert rc == 2
+        assert override.split("=")[0] in capsys.readouterr().err
+
+    def test_query_settings_on_bundle_config(self, scene_files, tmp_path, capsys):
+        bundle = tmp_path / "map"
+        assert main([
+            "build-map",
+            "--points", str(scene_files / "map.points"),
+            "--labels", str(scene_files / "map.labels"),
+            "--logits", str(scene_files / "map.logits"),
+            "--out", str(bundle),
+            "--set", "matching.epsilon=0.5",
+        ]) == 0
+        capsys.readouterr()
+
+        def run(*extra):
+            rc = _localize_query(bundle, scene_files, *extra)
+            return rc, json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+
+        # the query starts from the bundle's config, non-default keys included
+        rc, base = run()
+        stored = json.loads((bundle / "config.json").read_text())["config"]
+        assert rc == 0 and base["manifest"]["effective_config"] == stored
+        rc, fewer = run("--set", "index.k_neighbors=3")
+        assert rc != 2 and fewer["triangles_queried"] != base["triangles_queried"]
+        rc, four = run("--set", "sim.yaw_samples=4")
+        assert rc == 0 and four["status"] == "success"
+        want = base["manifest"]["effective_config"]
+        want["sim"]["yaw_samples"] = 4
+        assert four["manifest"]["effective_config"] == want
+        # a config file's keys land on the bundle's config, not on the defaults
+        (tmp_path / "q.json").write_text(json.dumps({"sim": {"yaw_samples": 4}}))
+        rc, from_file = run("--config", str(tmp_path / "q.json"))
+        assert rc == 0 and from_file["manifest"]["effective_config"] == want
 
     def test_no_gsf_flag_recorded(self, scene_files, bundle, capsys):
         rc = main([

@@ -15,7 +15,7 @@ from gsfloc.descriptors import (
     triangulate,
 )
 from gsfloc.gsf import GpHyperParams, fit_gsf, grid_probe
-from gsfloc.scene_graph import GraphBuildConfig, Instance, SceneGraph
+from gsfloc.scene_graph import Instance, SceneGraph
 from gsfloc.wasserstein import SimilarityConfig
 
 from conftest import random_transform
@@ -25,7 +25,7 @@ def graph_from_centroids(centroids, labels=None):
     centroids = np.asarray(centroids, dtype=float)
     labels = [7] * len(centroids) if labels is None else labels
     insts = [Instance(i, centroids[i], labels[i], np.zeros(0, int)) for i in range(len(centroids))]
-    return SceneGraph(None, insts, {i.id: None for i in insts}, GraphBuildConfig())
+    return SceneGraph(None, insts, {i.id: None for i in insts})
 
 
 def brute_force_triangulate(centroids, labels, k):

@@ -90,13 +90,31 @@ class TestBuildMap:
             load_map(d)
 
     def test_bundle_version_mismatch_detected(self, ref_map, tmp_path):
-        d = tmp_path / "future"
+        # version 1 bundles kept config copies in graph.json and manifest.json
+        d = tmp_path / "old"
         save_map(ref_map, d)
         manifest = json.loads((d / "manifest.json").read_text())
-        manifest["version"] = 2
+        manifest["version"] = 1
         (d / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(FormatError, match="version 2"):
+        with pytest.raises(FormatError, match="unsupported version 1"):
             load_map(d)
+
+    def test_config_stored_once(self, ref_map, tmp_path):
+        save_map(ref_map, tmp_path)
+        assert "config" not in json.loads((tmp_path / "graph.json").read_text())
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert sorted(manifest) == ["files", "format", "version"]
+        meta = json.loads((tmp_path / "config.json").read_text())
+        assert meta["config"] == ref_map.config.to_dict()
+
+    @pytest.mark.parametrize("width", [11, 13])
+    def test_logit_width_mismatch_rejected(self, scene, taxonomy_module, width):
+        cloud, _ = scene
+        logits = np.hstack([cloud.logits, np.zeros((cloud.n, 1))])[:, :width]
+        with pytest.raises(ValidationError,
+                           match=f"{width} logit columns; the taxonomy has 12 classes"):
+            build_map(SemanticPointCloud(cloud.points, cloud.labels, logits),
+                      taxonomy_module, RunConfig())
 
     @pytest.mark.parametrize("defect, message", [
         ("emptied-files", "must list exactly graph.json, graph_buffers.npz, index.gsfi"),
@@ -189,7 +207,7 @@ class TestLocalize:
         qcloud = voxel_downsample(scan, cfg.pipeline.query_voxel)
         from gsfloc.scene_graph import build_scene_graph
 
-        qgraph = build_scene_graph(qcloud, ref_map.taxonomy, cfg.graph_config(ref_map.taxonomy))
+        qgraph = build_scene_graph(qcloud, ref_map.taxonomy, cfg)
         qc = {i.id: i.centroid for i in qgraph.instances}
         mc = {i.id: i.centroid for i in ref_map.graph.instances}
         for i, a in enumerate(res.inliers):
@@ -250,6 +268,7 @@ class TestLocalize:
         ("gsf.grid.dy", 2.0),
         ("gsf.grid.z_mode", 0.5),
         ("cluster.neighborhood_radius", 8.0),
+        ("index.delta_d", 5.0),
     ])
     def test_population_settings_mismatch_rejected(self, scene, ref_map, key, value):
         cloud, _ = scene
@@ -257,6 +276,13 @@ class TestLocalize:
         cfg.apply_overrides([f"{key}={json.dumps(value)}"])
         with pytest.raises(ValidationError, match=f"differs from the map bundle in {key};"):
             localize(cloud, ref_map, cfg)
+
+    def test_query_logit_width_mismatch_rejected(self, scene, ref_map):
+        cloud, _ = scene
+        scan = SemanticPointCloud(cloud.points, cloud.labels,
+                                  np.hstack([cloud.logits, np.zeros((cloud.n, 1))]))
+        with pytest.raises(ValidationError, match="13 logit columns; the taxonomy has 12"):
+            localize(scan, ref_map)
 
 
 def _w2_reference(pop_a, pop_b):
@@ -373,6 +399,11 @@ class TestConfig:
             ("sim.yaw_samples=0", "'sim.yaw_samples' must be > 0"),
             ("index.k_neighbors=2.7", "'index.k_neighbors' expects an integer"),
             ("pipeline.seed=true", "'pipeline.seed' expects an integer"),
+            ("solver.max_iters=0", "'solver.max_iters' must be > 0"),
+            ("solver.tau0=-1", "'solver.tau0' must be > 0"),
+            ('cluster.thresholds={"pole": "x"}', "'cluster.thresholds' wants a number > 0"),
+            ('cluster.thresholds={"car": true}', "'cluster.thresholds' wants a number > 0"),
+            ('cluster.thresholds={"pole": 0}', "'cluster.thresholds' wants a number > 0"),
         ]:
             with pytest.raises(ValidationError, match=message):
                 RunConfig().apply_overrides([override])

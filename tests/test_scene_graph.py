@@ -1,9 +1,10 @@
 import numpy as np
+import pytest
 
-from gsfloc.core import SemanticPointCloud, one_hot_logits, transform_cloud
+from gsfloc.config import ClusterSection, RunConfig
+from gsfloc.core import SemanticPointCloud, ValidationError, one_hot_logits, transform_cloud
+from gsfloc.gsf import GpHyperParams
 from gsfloc.scene_graph import (
-    ClusterParams,
-    GraphBuildConfig,
     build_scene_graph,
     cluster_instances,
     load_scene_graph,
@@ -16,6 +17,11 @@ from conftest import random_transform, small_scene_spec
 def make_cloud(points, labels, num_classes=12):
     labels = np.asarray(labels)
     return SemanticPointCloud(points, labels, one_hot_logits(labels, num_classes))
+
+
+def cluster_params(thresholds=None, min_cluster_size=10):
+    """A cluster section with no per-class thresholds unless given (1.0 m for all)."""
+    return ClusterSection(thresholds=thresholds or {}, min_cluster_size=min_cluster_size)
 
 
 def blob(rng, center, n=15, scale=0.1):
@@ -37,7 +43,7 @@ def brute_force_clusters(points, labels, taxonomy, params):
                 a = parent[a]
             return a
 
-        thr = params.threshold_for(cid)
+        thr = params.thresholds.get(taxonomy.name(cid), params.default_threshold)
         for i in range(idx.size):
             for j in range(i + 1, idx.size):
                 if np.linalg.norm(pts[i] - pts[j]) <= thr:
@@ -59,20 +65,25 @@ class TestClustering:
         pole = taxonomy.id_of("pole")
         pts = np.vstack([blob(rng, [0, 0, 0]), blob(rng, [10, 0, 0])])
         cloud = make_cloud(pts, np.full(30, pole))
-        insts = cluster_instances(cloud, taxonomy, ClusterParams(min_cluster_size=5))
+        insts = cluster_instances(cloud, taxonomy, cluster_params(min_cluster_size=5))
         assert len(insts) == 2
 
     def test_non_instantiable_filtered(self, taxonomy):
         rng = np.random.default_rng(1)
         road = taxonomy.id_of("road")
         cloud = make_cloud(blob(rng, [0, 0, 0], n=40), np.full(40, road))
-        assert cluster_instances(cloud, taxonomy, ClusterParams()) == []
+        assert cluster_instances(cloud, taxonomy, cluster_params()) == []
 
     def test_min_cluster_size(self, taxonomy):
         rng = np.random.default_rng(2)
         pole = taxonomy.id_of("pole")
         cloud = make_cloud(blob(rng, [0, 0, 0], n=9), np.full(9, pole))
-        assert cluster_instances(cloud, taxonomy, ClusterParams(min_cluster_size=10)) == []
+        assert cluster_instances(cloud, taxonomy, cluster_params(min_cluster_size=10)) == []
+
+    def test_unknown_threshold_class_rejected(self, taxonomy):
+        cloud = make_cloud(np.zeros((1, 3)), [taxonomy.id_of("pole")])
+        with pytest.raises(ValidationError, match="unknown class 'lamp'"):
+            cluster_instances(cloud, taxonomy, cluster_params(thresholds={"lamp": 0.5}))
 
     def test_matches_brute_force_union_find(self, taxonomy):
         rng = np.random.default_rng(3)
@@ -87,7 +98,7 @@ class TestClustering:
             pts = np.vstack(chunks)
             labels = np.concatenate(labels)
             cloud = make_cloud(pts, labels)
-            params = ClusterParams(min_cluster_size=3)
+            params = cluster_params(min_cluster_size=3)
             got = {
                 (inst.label, frozenset(int(i) for i in inst.point_indices))
                 for inst in cluster_instances(cloud, taxonomy, params)
@@ -101,9 +112,9 @@ class TestClustering:
         pts = np.vstack([blob(rng, [0, 0, 0]), blob(rng, [8, 0, 0]), blob(rng, [0, 9, 0])])
         labels = np.full(45, pole)
         perm = rng.permutation(45)
-        a = cluster_instances(make_cloud(pts, labels), taxonomy, ClusterParams(min_cluster_size=5))
+        a = cluster_instances(make_cloud(pts, labels), taxonomy, cluster_params(min_cluster_size=5))
         b = cluster_instances(make_cloud(pts[perm], labels[perm]), taxonomy,
-                              ClusterParams(min_cluster_size=5))
+                              cluster_params(min_cluster_size=5))
         assert len(a) == len(b)
         for ia, ib in zip(a, b):
             np.testing.assert_allclose(ia.centroid, ib.centroid, atol=1e-12)
@@ -114,9 +125,9 @@ class TestClustering:
         pts = np.vstack([blob(rng, [0, 0, 0]), blob(rng, [12, 0, 0])])
         cloud = make_cloud(pts, np.full(30, pole))
         T = random_transform(rng)
-        a = cluster_instances(cloud, taxonomy, ClusterParams(min_cluster_size=5))
+        a = cluster_instances(cloud, taxonomy, cluster_params(min_cluster_size=5))
         b = cluster_instances(transform_cloud(cloud, T), taxonomy,
-                              ClusterParams(min_cluster_size=5))
+                              cluster_params(min_cluster_size=5))
         got = sorted(tuple(np.round(T.apply(i.centroid), 6)) for i in a)
         want = sorted(tuple(np.round(i.centroid, 6)) for i in b)
         np.testing.assert_allclose(got, want, atol=1e-9)
@@ -125,9 +136,8 @@ class TestClustering:
         from gsfloc.synth import generate_scene
 
         cloud, _ = generate_scene(small_scene_spec(seed=21), taxonomy)
-        insts = cluster_instances(cloud, taxonomy, ClusterParams(
-            thresholds={taxonomy.id_of("pole"): 0.5, taxonomy.id_of("trunk"): 0.5,
-                        taxonomy.id_of("traffic-sign"): 0.5}))
+        insts = cluster_instances(cloud, taxonomy, cluster_params(
+            thresholds={"pole": 0.5, "trunk": 0.5, "traffic-sign": 0.5}))
         seen = set()
         for inst in insts:
             np.testing.assert_allclose(
@@ -148,7 +158,7 @@ class TestBuildGraph:
         rng = np.random.default_rng(8)
         road = taxonomy.id_of("road")
         cloud = make_cloud(blob(rng, [0, 0, 0], n=50), np.full(50, road))
-        graph = build_scene_graph(cloud, taxonomy, GraphBuildConfig())
+        graph = build_scene_graph(cloud, taxonomy, RunConfig(cluster=cluster_params()))
         assert graph.num_instances == 0
 
     def test_planted_poles_get_fields(self, taxonomy):
@@ -156,8 +166,7 @@ class TestBuildGraph:
 
         spec = SceneSpec(extent=60, templates=[InstanceTemplate("pole", 5, 120)], seed=9)
         cloud, gt = generate_scene(spec, taxonomy)
-        cfg = GraphBuildConfig()
-        cfg.cluster.thresholds = {taxonomy.id_of("pole"): 0.5}
+        cfg = RunConfig(cluster=cluster_params(thresholds={"pole": 0.5}))
         graph = build_scene_graph(cloud, taxonomy, cfg)
         assert graph.num_instances == 5
         assert all(graph.fields[i.id] is not None for i in graph.instances)
@@ -169,12 +178,12 @@ class TestBuildGraph:
         from gsfloc.synth import generate_scene
 
         cloud, _ = generate_scene(small_scene_spec(seed=10), taxonomy)
-        cfg = GraphBuildConfig()
+        cfg = RunConfig(cluster=cluster_params())
         graph = build_scene_graph(cloud, taxonomy, cfg)
         inst = graph.instances[0]
         fld = graph.fields[inst.id]
         dist = np.linalg.norm(cloud.points - inst.centroid, axis=1)
-        want = np.nonzero(dist <= cfg.neighborhood_radius)[0]
+        want = np.nonzero(dist <= cfg.cluster.neighborhood_radius)[0]
         # training points are a subset of the neighborhood, in local coordinates
         assert set(int(i) for i in fld.source_indices).issubset(set(range(len(want))))
         neighborhood_classes = set(int(c) for c in cloud.labels[want])
@@ -186,9 +195,11 @@ class TestSerialization:
         from gsfloc.synth import generate_scene
 
         cloud, _ = generate_scene(small_scene_spec(seed=13), taxonomy)
-        graph = build_scene_graph(cloud, taxonomy, GraphBuildConfig())
+        cfg = RunConfig(cluster=cluster_params())
+        graph = build_scene_graph(cloud, taxonomy, cfg)
         save_scene_graph(graph, tmp_path / "g.json", tmp_path / "g.npz")
-        again = load_scene_graph(tmp_path / "g.json", tmp_path / "g.npz")
+        again = load_scene_graph(tmp_path / "g.json", tmp_path / "g.npz",
+                                 GpHyperParams(cfg.gsf.kappa, cfg.gsf.sigma_y))
         assert again.num_instances == graph.num_instances
         np.testing.assert_array_equal(again.cloud.points, graph.cloud.points)
         for a, b in zip(graph.instances, again.instances):

@@ -3,7 +3,8 @@ import pytest
 
 from gsfloc.core import RigidTransform, ValidationError, rot_z, transform_cloud
 from gsfloc.pose_solver import WeightedCorrespondenceSet, weighted_kabsch
-from gsfloc.scene_graph import ClusterParams, cluster_instances
+from gsfloc.config import ClusterSection
+from gsfloc.scene_graph import cluster_instances
 from gsfloc.synth import (
     EvalReport,
     GenerationError,
@@ -31,7 +32,7 @@ class TestGenerateScene:
         spec = SceneSpec(extent=60, templates=[InstanceTemplate("pole", 5, 120)], seed=1)
         cloud, gt = generate_scene(spec, taxonomy)
         assert len(gt) == 5
-        params = ClusterParams(thresholds={taxonomy.id_of("pole"): 0.5})
+        params = ClusterSection(thresholds={"pole": 0.5})
         insts = cluster_instances(cloud, taxonomy, params)
         assert len(insts) == 5
         got = sorted(tuple(np.round(i.centroid, 4)) for i in insts)

@@ -3,9 +3,10 @@
 The benchmark tracer wraps each public function at the module attribute its
 caller resolves, and its per-layer metrics expect every span to fire. This
 test runs one map build and one successful query under that tracer,
-called through the module attributes as the benchmark calls them, so a
-change that moves a traced call fails here and not only in a traced
-benchmark run. The tracer and the metric table are loaded from their files
+called through the module attributes as the benchmark calls them, once
+against the built map and once against the map saved to a bundle and
+loaded back, so a change that moves a traced call fails here and not only
+in a traced benchmark run. The tracer and the metric table are loaded from their files
 and used as they are.
 """
 
@@ -29,13 +30,18 @@ def _load(name: str):
     return module
 
 
-def test_every_expected_span_fires():
-    tracer_mod, metrics = _load("tracer"), _load("metrics")
+def _scene_and_scan():
     taxonomy = default_taxonomy()
     cloud, _ = generate_scene(small_scene_spec(seed=31), taxonomy)
     pose = sample_query_poses(1, seed=7, half=15.0)[0]
     scan = simulate_scan(cloud, pose, range_max=60.0, dropout_rate=0.3,
                          noise_sigma=0.03, seed=42)
+    return taxonomy, cloud, scan
+
+
+def test_every_expected_span_fires():
+    tracer_mod, metrics = _load("tracer"), _load("metrics")
+    taxonomy, cloud, scan = _scene_and_scan()
     with tracer_mod.Tracer() as tracer:
         tracer.context = -1
         ref = pipeline.build_map(cloud, taxonomy, RunConfig())
@@ -43,3 +49,16 @@ def test_every_expected_span_fires():
         res = pipeline.localize(scan, ref)
     assert res.status == "success"
     assert sorted(metrics.expected_spans(bundle_io=False) - set(tracer.aggregate())) == []
+
+
+def test_every_bundle_span_fires(tmp_path):
+    tracer_mod, metrics = _load("tracer"), _load("metrics")
+    taxonomy, cloud, scan = _scene_and_scan()
+    with tracer_mod.Tracer() as tracer:
+        tracer.context = -1
+        pipeline.save_map(pipeline.build_map(cloud, taxonomy, RunConfig()), tmp_path)
+        ref = pipeline.load_map(tmp_path)
+        tracer.context = 0
+        res = pipeline.localize(scan, ref)
+    assert res.status == "success"
+    assert sorted(metrics.expected_spans(bundle_io=True) - set(tracer.aggregate())) == []
