@@ -159,7 +159,11 @@ def _apply_dict(obj, d: dict, prefix: str) -> None:
 
 # keys whose value, unless null, must be > 0
 _POSITIVE_KEYS = {"sim.sigma_w", "sim.accept_threshold", "sim.yaw_samples",
-                  "solver.tau0", "solver.max_iters"}
+                  "solver.tau0", "solver.max_iters", "gsf.grid.dx", "gsf.grid.dy"}
+# keys whose value must be >= 0: radii, tolerances, sizes
+_NON_NEGATIVE_KEYS = {"cluster.neighborhood_radius", "cluster.default_threshold",
+                      "cluster.min_cluster_size", "matching.epsilon", "solver.rel_tol",
+                      "pipeline.query_voxel"}
 _KIND_NAMES = {bool: "a boolean", int: "an integer", float: "a number",
                dict: "an object", type(None): "null"}
 
@@ -202,6 +206,8 @@ def _coerce(section, key: str, value, path: str):
         value = kind(value)
     if path in _POSITIVE_KEYS and value is not None and not value > 0:
         raise ValidationError(f"config key {path!r} must be > 0, got {value}")
+    if path in _NON_NEGATIVE_KEYS and not value >= 0:
+        raise ValidationError(f"config key {path!r} must be >= 0, got {value}")
     if path == "cluster.thresholds":
         for name, v in value.items():
             if not (_accepts(float, v) and v > 0):

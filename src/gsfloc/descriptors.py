@@ -27,7 +27,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .core import FormatError, ValidationError
-from .gsf import GpPopulation
+from .gsf import GpPopulation, stack_populations
 from .wasserstein import SimilarityConfig, population_sqrt, similarity_weight, w2_squared
 
 INDEX_MAGIC = b"GSFI"
@@ -106,21 +106,36 @@ class DescriptorIndex:
     descriptors: list[TriangleDescriptor]
     delta_d: float
     tree: cKDTree  # over the (n, 3) side triples, row i = descriptor i
+    orders: list[tuple]  # per descriptor, its vertex orders whose sides ascend
+    label_keys: list[tuple]  # per descriptor, its labels sorted
+
+
+# _SIDE[i, j]: the position in (d12, d23, d31) of the side between vertices i and j
+_SIDE = np.array([[0, 0, 2], [0, 0, 1], [2, 1, 0]])
 
 
 def build_index(descriptors: list[TriangleDescriptor], delta_d: float) -> DescriptorIndex:
+    """KD-tree over the side triples, plus what `gsf_filter` and `query_index`
+    read per descriptor: every vertex order whose sides still ascend
+    (lexicographic, so a tie keeps the first) and the sorted label key."""
     if not (np.isfinite(delta_d) and delta_d > 0):
         raise ValidationError(f"delta_d must be a positive finite number, got {delta_d}")
     sides = np.array([d.sides for d in descriptors], dtype=np.float64).reshape(-1, 3)
-    return DescriptorIndex(list(descriptors), delta_d, cKDTree(sides))
+    fits = _ascending(sides[:, _SIDE[_ORDERS, _NEXT]])  # (n, 6)
+    codes = fits @ (1 << np.arange(6))  # one code per set of fitting orders
+    _, first, which = np.unique(codes, return_index=True, return_inverse=True)
+    choices = [tuple(map(tuple, _ORDERS[fits[i]].tolist())) for i in first]
+    orders = [choices[i] for i in which.tolist()]
+    label_keys = [tuple(sorted(d.labels)) for d in descriptors]
+    return DescriptorIndex(list(descriptors), delta_d, cKDTree(sides), orders, label_keys)
 
 
 def query_index(index: DescriptorIndex, d: TriangleDescriptor) -> list[int]:
     """Candidate ids, ascending, whose sides match within delta_d per side
     (inclusive) and whose label multiset equals the query's."""
     near = index.tree.query_ball_point(d.sides, index.delta_d, p=np.inf, return_sorted=True)
-    want_labels = sorted(d.labels)
-    return [cid for cid in near if sorted(index.descriptors[cid].labels) == want_labels]
+    want = tuple(sorted(d.labels))
+    return [cid for cid in near if index.label_keys[cid] == want]
 
 
 def save_index(index: DescriptorIndex, path) -> None:
@@ -171,13 +186,6 @@ class TriangleMatch:
     w2_total: float
 
 
-def _map_orderings(d: TriangleDescriptor) -> list[list[int]]:
-    """Vertex orders of `d` whose sides still ascend, lexicographic."""
-    s12, s23, s31 = d.sides
-    D = np.array([[0.0, s12, s31], [s12, 0.0, s23], [s31, s23, 0.0]])
-    return _ORDERS[_ascending(D[_ORDERS, _NEXT])].tolist()
-
-
 def pair_w2(
     qid: int,
     mid: int,
@@ -188,16 +196,16 @@ def pair_w2(
 ) -> float:
     """Min-over-yaw squared W2 between a query and a map instance population.
 
-    The map population's covariance root is taken once and shared by every yaw.
+    The query instance's yaw populations go to `w2_squared` as one stack, so
+    the map population's covariance root is taken once and every yaw is
+    scored in one batched call.
     """
     if cache is not None and (qid, mid) in cache:
         return cache[(qid, mid)]
     pop_m = pops_map[mid]
     sqrt_m = population_sqrt(pop_m, use_stability)
-    val = min(
-        w2_squared(qp, pop_m, use_stability=use_stability, sqrt_b=sqrt_m)
-        for qp in pops_query[qid]
-    )
+    val = float(w2_squared(stack_populations(pops_query[qid]), pop_m,
+                           use_stability=use_stability, sqrt_b=sqrt_m).min())
     if cache is not None:
         cache[(qid, mid)] = val
     return val
@@ -231,7 +239,7 @@ def gsf_filter(
             warnings.warn(f"map instances {missing} lack fields; candidate {cid} skipped")
             continue
         best = None
-        for perm in _map_orderings(cand):
+        for perm in index.orders[cid]:
             pairs = tuple(
                 (query_d.vertex_ids[k], cand.vertex_ids[perm[k]]) for k in range(3)
             )

@@ -286,17 +286,30 @@ def permute_population(pop: GpPopulation, perm: np.ndarray) -> GpPopulation:
     )
 
 
+def stack_populations(pops: list[GpPopulation]) -> GpPopulation:
+    """The populations as one stack: every array gains a leading member axis."""
+    return GpPopulation(
+        np.stack([p.grid for p in pops]),
+        np.stack([p.mu for p in pops]),
+        np.stack([p.Sigma for p in pops]),
+        np.stack([p.stability_weights for p in pops]),
+    )
+
+
 def apply_stability_mask(Sigma: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """diag(w)^(1/2) . Sigma . diag(w)^(1/2); preserves symmetry and PSD."""
-    weights = np.asarray(weights, dtype=np.float64).reshape(-1)
+    """diag(w)^(1/2) . Sigma . diag(w)^(1/2); preserves symmetry and PSD.
+
+    Broadcasts over leading axes: Sigma (..., G, G) with weights (..., G).
+    """
+    weights = np.atleast_1d(np.asarray(weights, dtype=np.float64))
     if np.any(weights <= 0.0):
         raise ValidationError("stability weights must be positive")
-    if weights.shape[0] != Sigma.shape[0]:
+    if weights.shape[-1] != Sigma.shape[-1]:
         raise ValidationError(
-            f"weights length {weights.shape[0]} does not match Sigma size {Sigma.shape[0]}"
+            f"weights length {weights.shape[-1]} does not match Sigma size {Sigma.shape[-1]}"
         )
     sw = np.sqrt(weights)
-    return Sigma * sw[:, None] * sw[None, :]
+    return Sigma * sw[..., :, None] * sw[..., None, :]
 
 
 def reconstruction_miou(field: GaussianSemanticField, heldout_points, heldout_labels) -> float:

@@ -128,8 +128,11 @@ def voxel_downsample(cloud: SemanticPointCloud, voxel: float) -> SemanticPointCl
     if voxel <= 0 or cloud.n == 0:
         return cloud
     keys = np.floor(cloud.points / voxel).astype(np.int64)
-    _, first = np.unique(keys, axis=0, return_index=True)
-    keep = np.sort(first)
+    order = np.lexsort(keys.T[::-1])  # stable: each voxel's run starts at its lowest index
+    runs = keys[order]
+    run_start = np.ones(cloud.n, dtype=bool)
+    run_start[1:] = np.any(runs[1:] != runs[:-1], axis=1)
+    keep = np.sort(order[run_start])
     logits = None if cloud.logits is None else cloud.logits[keep]
     return SemanticPointCloud(cloud.points[keep], cloud.labels[keep], logits)
 
@@ -234,8 +237,10 @@ def _query_probes(qgraph, taxonomy, config) -> dict[int, list[GpPopulation] | No
 
 
 def _self_tune(cand_lists, pops_query, ref_map, config, cache) -> SimilarityConfig | None:
-    """Score the canonical pairs of every candidate whose six instances have
-    populations and scale the similarity to their median W2^2 (None if no pair)."""
+    """Score each distinct canonical pair of the candidates whose six instances
+    have populations, once, and scale the similarity to the median W2^2 of
+    those pairs (None if there is none)."""
+    pairs = set()
     for d, cands in cand_lists:
         if any(pops_query.get(q) is None for q in d.vertex_ids):
             continue
@@ -243,11 +248,13 @@ def _self_tune(cand_lists, pops_query, ref_map, config, cache) -> SimilarityConf
             cd = ref_map.index.descriptors[cid]
             if any(ref_map.populations.get(m) is None for m in cd.vertex_ids):
                 continue
-            for q, m in zip(d.vertex_ids, cd.vertex_ids):
-                pair_w2(q, m, pops_query, ref_map.populations, config.sim.use_stability, cache)
-    if not cache:
+            pairs.update(zip(d.vertex_ids, cd.vertex_ids))
+    if not pairs:
         return None
-    median = float(np.median(list(cache.values())))
+    median = float(np.median([
+        pair_w2(q, m, pops_query, ref_map.populations, config.sim.use_stability, cache)
+        for q, m in sorted(pairs)
+    ]))
     sim = config.sim
     return SimilarityConfig(
         max(np.sqrt(median), 1e-9) if sim.sigma_w is None else sim.sigma_w,

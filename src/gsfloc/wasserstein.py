@@ -5,6 +5,10 @@ W2^2(A, B) = |mu_A - mu_B|_F^2 + Tr(S_A + S_B) - 2 Tr((S_A^1/2 S_B S_A^1/2)^1/2)
 With the stability mask enabled, each covariance is replaced by its
 stability-weighted version and the mean term is weighted per grid point by
 the geometric mean of the two populations' weights.
+
+`w2_squared` also takes a stack of populations as A (one query instance at
+every yaw sample, say): one batched product and one batched `eigvalsh`
+give every member's distance to B, each equal to its single-population call.
 """
 
 from __future__ import annotations
@@ -59,31 +63,34 @@ def w2_squared(
     pop_b: GpPopulation,
     use_stability: bool = False,
     sqrt_b: np.ndarray | None = None,
-) -> float:
+) -> float | np.ndarray:
     """Squared 2-Wasserstein distance between two populations on matching grids.
 
-    `sqrt_b` is `population_sqrt(pop_b, use_stability)`, computed here when
-    not given; pass it to compare many populations against one pop_b. The
-    trace term is symmetric in A and B, so only B's covariance is rooted:
-    Tr((S_B^1/2 S_A S_B^1/2)^1/2), eigenvalues clamped at 0.
+    `pop_a` may be a stack: mu (Y, G, D), Sigma (Y, G, G) and weights (Y, G)
+    give a (Y,) array, member y's distance to `pop_b`; a single population
+    gives a float. `sqrt_b` is `population_sqrt(pop_b, use_stability)`,
+    computed here when not given; pass it to compare many populations against
+    one pop_b. The trace term is symmetric in A and B, so only B's covariance
+    is rooted: Tr((S_B^1/2 S_A S_B^1/2)^1/2), eigenvalues clamped at 0.
     """
-    if pop_a.mu.shape != pop_b.mu.shape or pop_a.Sigma.shape != pop_b.Sigma.shape:
+    if pop_a.mu.shape[-2:] != pop_b.mu.shape or pop_a.Sigma.shape[-2:] != pop_b.Sigma.shape:
         raise ValidationError(
             f"population shapes differ: mu {pop_a.mu.shape} vs {pop_b.mu.shape}, "
             f"Sigma {pop_a.Sigma.shape} vs {pop_b.Sigma.shape}"
         )
     s_a, s_b = _covariance(pop_a, use_stability), _covariance(pop_b, use_stability)
-    diff_sq = np.sum((pop_a.mu - pop_b.mu) ** 2, axis=1)  # per grid point
+    diff_sq = np.sum((pop_a.mu - pop_b.mu) ** 2, axis=-1)  # per grid point
     if use_stability:
         diff_sq = diff_sq * np.sqrt(pop_a.stability_weights * pop_b.stability_weights)
     if sqrt_b is None:
         sqrt_b = psd_sqrt(s_b)
     inner = sqrt_b @ s_a @ sqrt_b
-    vals = np.linalg.eigvalsh(0.5 * (inner + inner.T))
-    cross = float(np.sum(np.sqrt(np.maximum(vals, 0.0))))
-    mean_term = float(np.sum(diff_sq))
-    trace_term = float(np.trace(s_a) + np.trace(s_b)) - 2.0 * cross
-    return max(mean_term + trace_term, 0.0)
+    vals = np.linalg.eigvalsh(0.5 * (inner + np.swapaxes(inner, -1, -2)))
+    cross = np.sum(np.sqrt(np.maximum(vals, 0.0)), axis=-1)
+    mean_term = np.sum(diff_sq, axis=-1)
+    trace_term = np.trace(s_a, axis1=-2, axis2=-1) + np.trace(s_b) - 2.0 * cross
+    w2sq = np.maximum(mean_term + trace_term, 0.0)
+    return float(w2sq) if w2sq.ndim == 0 else w2sq
 
 
 def similarity_weight(w2sq: float, cfg: SimilarityConfig) -> float:

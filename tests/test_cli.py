@@ -118,6 +118,19 @@ class TestBuildMap:
         assert rc == 2
         assert "cluster.thresholds" in err and "Traceback" not in err
 
+    def test_negative_radius_exit_2(self, scene_files, tmp_path, capsys):
+        rc = main([
+            "build-map",
+            "--points", str(scene_files / "map.points"),
+            "--labels", str(scene_files / "map.labels"),
+            "--out", str(tmp_path / "x"),
+            "--set", "cluster.neighborhood_radius=-1",
+        ])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "'cluster.neighborhood_radius' must be >= 0" in err and "Traceback" not in err
+        assert not (tmp_path / "x").exists()
+
     def test_unknown_config_key_exit_2(self, scene_files, tmp_path, capsys):
         rc = main([
             "build-map",

@@ -5,6 +5,7 @@ import pytest
 
 from gsfloc.core import ValidationError, one_hot_logits
 from gsfloc.descriptors import (
+    EQUAL_SIDE_TOL,
     TriangleDescriptor,
     build_index,
     gsf_filter,
@@ -172,7 +173,32 @@ def random_descriptor(rng, desc_id, label_pool=(6, 7, 8, 9)):
                               tuple(d), labels)
 
 
+def ascending_orders(sides):
+    """Vertex orders of a triangle whose sides still ascend, one order at a time."""
+    side = {frozenset((0, 1)): sides[0], frozenset((1, 2)): sides[1],
+            frozenset((0, 2)): sides[2]}
+    out = []
+    for perm in itertools.permutations(range(3)):
+        a, b, c = (side[frozenset((perm[k], perm[(k + 1) % 3]))] for k in range(3))
+        if a <= b + EQUAL_SIDE_TOL and b <= c + EQUAL_SIDE_TOL:
+            out.append(perm)
+    return out
+
+
 class TestIndex:
+    def test_stored_orders_match_written_out_rule(self):
+        rng = np.random.default_rng(5)
+        descs = [random_descriptor(rng, i) for i in range(20)]
+        special = [((3.0, 3.0, 5.0), 2), ((3.0, 5.0, 5.0), 2), ((4.0, 4.0, 4.0), 6),
+                   ((4.0, 4.0 + 4e-10, 4.0 + 8e-10), 6)]
+        for sides, _ in special:
+            descs.append(TriangleDescriptor(len(descs), (0, 1, 2), sides, (7, 7, 7)))
+        index = build_index(descs, 0.5)
+        for d, orders in zip(descs, index.orders):
+            assert list(orders) == ascending_orders(d.sides)
+        assert [len(o) for o in index.orders[-len(special):]] == [n for _, n in special]
+        assert index.label_keys == [tuple(sorted(d.labels)) for d in descs]
+
     def test_self_retrieval(self):
         rng = np.random.default_rng(2)
         descs = [random_descriptor(rng, i) for i in range(50)]
@@ -304,6 +330,26 @@ class TestGsfFilter:
         out = gsf_filter(q, [0, 1], index, pq, pm,
                          SimilarityConfig(sigma_w=1.0, accept_threshold=10.0))
         assert [m.map.id for m in out] == [0, 1]  # equal scores: id order
+
+    def test_equilateral_keeps_first_order_among_equal_totals(self, taxonomy):
+        a = field_with_offset(taxonomy, 0.0, seed=1)
+        b = field_with_offset(taxonomy, 0.3, seed=2)
+        c = field_with_offset(taxonomy, 1.0, seed=4)
+        q = TriangleDescriptor(0, (0, 1, 2), (4.0, 4.0, 4.0), (4, 4, 4))
+        cand = TriangleDescriptor(0, (10, 11, 12), (4.0, 4.0, 4.0), (4, 4, 4))
+        index = build_index([cand], 0.5)
+        assert len(index.orders[0]) == 6
+        cfg = SimilarityConfig(sigma_w=1.0, accept_threshold=100.0)
+        # orders (0, 1, 2) and (1, 0, 2) score the same total: the first is kept
+        pm = {10: a, 11: a, 12: c}
+        pq = {0: [a], 1: [a], 2: [c]}
+        (m,) = gsf_filter(q, [0], index, pq, pm, cfg)
+        assert m.pairs == ((0, 10), (1, 11), (2, 12))
+        # a lower total under a later order wins
+        pm = {10: a, 11: b, 12: c}
+        pq = {0: [b], 1: [a], 2: [c]}
+        (m,) = gsf_filter(q, [0], index, pq, pm, cfg)
+        assert m.pairs == ((0, 11), (1, 10), (2, 12))
 
     def test_plain_matches_unit_omega(self, taxonomy):
         q, index, _, _ = self._setup(taxonomy)

@@ -246,6 +246,18 @@ class TestStabilityMask:
         with pytest.raises(ValidationError):
             apply_stability_mask(np.eye(2), [0.5, 0.0])
 
+    def test_stack_equals_slices(self):
+        rng = np.random.default_rng(16)
+        A = rng.normal(size=(8, 6, 6))
+        S = A @ np.swapaxes(A, -1, -2)
+        w = rng.uniform(0.05, 1.0, (8, 6))
+        out = apply_stability_mask(S, w)
+        assert out.shape == S.shape
+        for k in range(8):
+            np.testing.assert_array_equal(out[k], apply_stability_mask(S[k], w[k]))
+        with pytest.raises(ValidationError, match="does not match"):
+            apply_stability_mask(S, w[:, :5])
+
 
 class TestMiou:
     def _field_predicting(self, targets):

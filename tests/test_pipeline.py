@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import json
 import warnings
 
@@ -214,6 +216,46 @@ class TestLocalize:
             for b in res.inliers[i + 1:]:
                 assert consistency_check(a, b, qc, mc, cfg.matching.epsilon)
 
+    def test_map_instance_without_field(self, scene, ref_map, taxonomy_module):
+        """A map instance without a population, as `load_map` gives for `has_field:
+        false`: its candidates are skipped with a warning, the self-tuned median
+        leaves its pairs out, and the query still localizes."""
+        from gsfloc.descriptors import query_index, triangulate
+
+        cloud, _ = scene
+        pose = sample_query_poses(1, seed=7, half=15.0)[0]
+        scan = simulate_scan(cloud, pose, range_max=60.0, dropout_rate=0.3,
+                             noise_sigma=0.03, seed=42)
+        cfg = ref_map.config
+        qgraph = pipeline._query_graph(scan, taxonomy_module, cfg)
+        pops_query = pipeline._query_probes(qgraph, taxonomy_module, cfg)
+        cand_lists = [(d, query_index(ref_map.index, d))
+                      for d in triangulate(qgraph, cfg.index.k_neighbors)]
+        touched = [m for _, cands in cand_lists for cid in cands
+                   for m in ref_map.index.descriptors[cid].vertex_ids]
+        gone = max(set(touched), key=touched.count)
+        pops = {**ref_map.populations, gone: None}
+        holed = dataclasses.replace(ref_map, populations=pops)
+
+        cache: dict = {}
+        sim = pipeline._self_tune(cand_lists, pops_query, holed, cfg, cache)
+        canonical = {
+            (q, m) for d, cands in cand_lists for cid in cands
+            if gone not in ref_map.index.descriptors[cid].vertex_ids
+            for q, m in zip(d.vertex_ids, ref_map.index.descriptors[cid].vertex_ids)
+        }
+        assert set(cache) == canonical
+        median = float(np.median([
+            pair_w2(q, m, pops_query, pops, cfg.sim.use_stability) for q, m in canonical]))
+        assert sim.accept_threshold == 3.0 * median
+
+        with pytest.warns(UserWarning, match=rf"map instances \[{gone}\] lack fields"):
+            res = localize(scan, holed)
+        assert res.status == "success"
+        assert all(c.map_id != gone for c in res.inliers)
+        te, re = pose_error(res.pose, pose)
+        assert te <= 0.5 and re <= 2.0
+
     @pytest.mark.parametrize("case", ["success", "empty-scan", "disjoint", "degenerate"])
     def test_every_exit(self, scene, ref_map, taxonomy_module, monkeypatch, case):
         from gsfloc.pose_solver import DegenerateGeometryError
@@ -346,8 +388,49 @@ class TestVoxelDownsample:
         cloud = SemanticPointCloud(np.zeros((3, 3)), [0, 0, 0])
         assert voxel_downsample(cloud, 0.0) is cloud
 
+    def test_matches_unique_reference(self):
+        """The lowest index of every occupied voxel, as np.unique over the rows finds it."""
+        rng = np.random.default_rng(17)
+        for n, half, voxel in [(1, 1.0, 0.2), (500, 0.5, 0.2), (3000, 4.0, 0.5),
+                               (2000, 60.0, 0.2)]:
+            pts = rng.uniform(-half, half, (n, 3))
+            pts[n // 2:] = pts[rng.integers(0, max(n // 2, 1), n - n // 2)]  # exact repeats
+            labels = rng.integers(0, 12, n)
+            _, first = np.unique(np.floor(pts / voxel).astype(np.int64), axis=0,
+                                 return_index=True)
+            keep = np.sort(first)
+            out = voxel_downsample(SemanticPointCloud(pts, labels, one_hot_logits(labels, 12)),
+                                   voxel)
+            np.testing.assert_array_equal(out.points, pts[keep])
+            np.testing.assert_array_equal(out.labels, labels[keep])
+            np.testing.assert_array_equal(out.logits, one_hot_logits(labels, 12)[keep])
+
 
 class TestConfig:
+    @pytest.mark.parametrize("key, bad, edge", [
+        ("cluster.neighborhood_radius", -1.0, 0.0),
+        ("cluster.default_threshold", -0.5, 0.0),
+        ("cluster.min_cluster_size", -1, 0),
+        ("matching.epsilon", -0.1, 0.0),
+        ("solver.rel_tol", -1e-6, 0.0),
+        ("pipeline.query_voxel", -0.2, 0.0),
+        ("gsf.grid.dx", 0.0, 1e-3),
+        ("gsf.grid.dy", -2.5, 1e-3),
+    ])
+    def test_range_checks(self, key, bad, edge):
+        """`bad` is refused naming the key, by override and by dict; `edge`, a value
+        at or just inside the bound, is set."""
+        with pytest.raises(ValidationError, match=f"'{key}' must be"):
+            RunConfig().apply_overrides([f"{key}={bad}"])
+        nested = bad
+        for part in reversed(key.split(".")):
+            nested = {part: nested}
+        with pytest.raises(ValidationError, match=f"'{key}' must be"):
+            RunConfig.from_dict(nested)
+        cfg = RunConfig()
+        cfg.apply_overrides([f"{key}={edge}"])
+        assert functools.reduce(getattr, key.split("."), cfg) == edge
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ValidationError, match="unknown config key"):
             RunConfig.from_dict({"gsf": {"kapa": 2.0}})

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gsfloc.core import ValidationError
-from gsfloc.gsf import GpPopulation
+from gsfloc.gsf import GpPopulation, stack_populations
 from gsfloc.wasserstein import (
     SimilarityConfig,
     population_sqrt,
@@ -126,10 +126,30 @@ class TestW2:
                 given = w2_squared(a, b, use_stability, sqrt_b=root)
                 assert abs(given - w2_squared(a, b, use_stability)) < 1e-10
 
+    def test_stack_equals_member_calls(self):
+        """A stack of populations as A scores each member exactly as its own call."""
+        rng = np.random.default_rng(9)
+        for use_stability in (False, True):
+            for g, d, y in [(25, 12, 8), (4, 2, 1), (9, 3, 5)]:
+                members = [random_pop(rng, g, d) for _ in range(y)]
+                b = random_pop(rng, g, d)
+                stack = stack_populations(members)
+                want = [w2_squared(m, b, use_stability) for m in members]
+                got = w2_squared(stack, b, use_stability)
+                assert isinstance(got, np.ndarray) and got.shape == (y,)
+                assert got.tolist() == want
+                root = population_sqrt(b, use_stability)
+                assert w2_squared(stack, b, use_stability, sqrt_b=root).tolist() == [
+                    w2_squared(m, b, use_stability, sqrt_b=root) for m in members]
+                assert all(type(v) is float for v in want)
+
     def test_shape_mismatch(self):
         rng = np.random.default_rng(7)
         with pytest.raises(ValidationError, match="shapes"):
             w2_squared(random_pop(rng, 3, 2), random_pop(rng, 4, 2))
+        stack = stack_populations([random_pop(rng, 3, 2), random_pop(rng, 3, 2)])
+        with pytest.raises(ValidationError, match="shapes"):
+            w2_squared(stack, random_pop(rng, 4, 2))
 
 
 class TestSimilarityWeight:
