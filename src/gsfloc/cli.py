@@ -216,15 +216,8 @@ def cmd_selftest(args) -> int:
     """Quick oracle-equivalence checks of the numerical core."""
     from scipy.linalg import inv
 
-    from .gsf import (
-        GpHyperParams,
-        fit_gsf,
-        gsf_predict,
-        grid_probe,
-        matern32_matrix,
-        permute_population,
-        yaw_reuse_plan,
-    )
+    from .gsf import GpHyperParams, fit_gsf, gsf_predict, grid_probe, matern32_matrix
+    from .pipeline import _probe_yaws, _yaw_gather
     from .matching import ConsistencyGraph, Correspondence, brute_force_max_clique, max_clique
     from .pose_solver import WeightedCorrespondenceSet, weighted_kabsch
     from .core import RigidTransform, rotation_angle_deg, rot_z
@@ -240,7 +233,7 @@ def cmd_selftest(args) -> int:
         ok = ok and passed
         print(f"{'PASS' if passed else 'FAIL'} {name}")
 
-    # GP prediction vs explicit-inverse oracle
+    # GP prediction vs explicit-inverse oracle, on one query set and on a stack
     worst = 0.0
     for _ in range(20):
         m, g, d = rng.integers(3, 12), rng.integers(1, 6), rng.integers(1, 4)
@@ -249,13 +242,15 @@ def cmd_selftest(args) -> int:
         labels = rng.integers(0, 3, m)
         hyper = GpHyperParams(kappa=1.5, sigma_y=0.2)
         fld = fit_gsf(X, Y, labels, hyper, budget=m, seed=0)
-        Q = rng.uniform(-3, 3, (g, 3))
-        mu, Sigma = gsf_predict(fld, Q)
-        K = matern32_matrix(fld.X, fld.X, 1.5) + 0.04 * np.eye(fld.m)
-        kqx = matern32_matrix(Q, fld.X, 1.5)
-        mu_o = kqx @ inv(K) @ fld.Y
-        S_o = matern32_matrix(Q, Q, 1.5) - kqx @ inv(K) @ kqx.T
-        worst = max(worst, np.abs(mu - mu_o).max(), np.abs(Sigma - 0.5 * (S_o + S_o.T)).max())
+        K_inv = inv(matern32_matrix(fld.X, fld.X, 1.5) + 0.04 * np.eye(fld.m))
+        Qs = rng.uniform(-3, 3, (int(rng.integers(1, 4)), g, 3))
+        for Q, (mu, Sigma) in [(Qs[0], gsf_predict(fld, Qs[0])),
+                               *zip(Qs, zip(*gsf_predict(fld, Qs)))]:
+            kqx = matern32_matrix(Q, fld.X, 1.5)
+            mu_o = kqx @ K_inv @ fld.Y
+            S_o = matern32_matrix(Q, Q, 1.5) - kqx @ K_inv @ kqx.T
+            worst = max(worst, np.abs(mu - mu_o).max(),
+                        np.abs(Sigma - 0.5 * (S_o + S_o.T)).max())
     report(f"gp-oracle (max abs dev {worst:.2e})", worst < 1e-9)
 
     # clique exactness on random graphs
@@ -293,16 +288,17 @@ def cmd_selftest(args) -> int:
     fld = fit_gsf(rng.uniform(-6, 6, (80, 3)), rng.normal(size=(80, d)),
                   rng.integers(0, d, 80), GpHyperParams(), budget=80, seed=0)
     yaws = [2.0 * np.pi * k / 8 for k in range(8)]
-    fresh = [grid_probe(fld, taxonomy, yaw=y) for y in yaws]
-    reused = [(permute_population(fresh[r[0]], r[1]), fresh[k])
-              for k, r in enumerate(yaw_reuse_plan(yaws)) if r is not None]
+    cfg = RunConfig()
+    probed, src, perm = _yaw_gather(yaws, cfg)
+    stack = _probe_yaws(fld, taxonomy, cfg, probed, src, perm)
     worst = max(
-        max(np.abs(got.mu - want.mu).max(), np.abs(got.Sigma - want.Sigma).max(),
-            np.abs(got.stability_weights - want.stability_weights).max())
-        for got, want in reused
-    ) if reused else np.inf
-    report(f"yaw-permuted probe vs fresh probe ({len(reused)} of 8 yaws, max abs dev {worst:.2e})",
-           worst < 1e-12)
+        max(np.abs(stack.grid[k] - want.grid).max(), np.abs(stack.mu[k] - want.mu).max(),
+            np.abs(stack.Sigma[k] - want.Sigma).max(),
+            np.abs(stack.stability_weights[k] - want.stability_weights).max())
+        for k, want in enumerate(grid_probe(fld, taxonomy, yaw=y) for y in yaws)
+    )
+    report(f"yaw-permuted probe vs fresh probe ({8 - len(probed)} of 8 yaws, "
+           f"max abs dev {worst:.2e})", worst < 1e-12)
 
     # descriptor index vs linear scan; quarter-meter sides put many probes
     # exactly delta_d away, where the match is inclusive

@@ -12,6 +12,8 @@ poses   : text, 12 whitespace-separated numbers per line, row-major 3x4 [R|t]
 from __future__ import annotations
 
 import struct
+import zipfile
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -221,6 +223,34 @@ def _read_exact(path, dtype, item_bytes, what):
             f"{what} file {p}: expected a multiple of {item_bytes} bytes, got {len(raw)}"
         )
     return np.frombuffer(raw, dtype=dtype)
+
+
+class NpzArrays(dict):
+    """The arrays of one .npz file by name; asking for a missing one is a FormatError."""
+
+    def __init__(self, path, arrays: dict):
+        super().__init__(arrays)
+        self.path = path
+
+    def __missing__(self, key):
+        raise FormatError(f"npz file {self.path}: array {key!r} missing")
+
+
+def load_npz(path) -> NpzArrays:
+    """Every array of an .npz file, read at once.
+
+    A file that does not read as an npz archive, or a float array holding a
+    NaN or an infinity, is a FormatError naming the file.
+    """
+    try:
+        with np.load(path) as buf:
+            arrays = {k: buf[k] for k in buf.files}
+    except (OSError, ValueError, EOFError, zipfile.BadZipFile, zlib.error) as e:
+        raise FormatError(f"npz file {path}: unreadable ({e})") from e
+    for k, a in arrays.items():
+        if a.dtype.kind == "f" and not np.all(np.isfinite(a)):
+            raise FormatError(f"npz file {path}: array {k!r} holds non-finite values")
+    return NpzArrays(path, arrays)
 
 
 def load_cloud(

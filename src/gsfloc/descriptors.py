@@ -27,7 +27,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .core import FormatError, ValidationError
-from .gsf import GpPopulation, stack_populations
+from .gsf import GpPopulation
 from .wasserstein import SimilarityConfig, population_sqrt, similarity_weight, w2_squared
 
 INDEX_MAGIC = b"GSFI"
@@ -189,22 +189,22 @@ class TriangleMatch:
 def pair_w2(
     qid: int,
     mid: int,
-    pops_query: dict[int, list[GpPopulation]],
+    pops_query: dict[int, GpPopulation],
     pops_map: dict[int, GpPopulation],
     use_stability: bool,
     cache: dict | None = None,
 ) -> float:
     """Min-over-yaw squared W2 between a query and a map instance population.
 
-    The query instance's yaw populations go to `w2_squared` as one stack, so
-    the map population's covariance root is taken once and every yaw is
-    scored in one batched call.
+    `pops_query` holds each query instance's stacked population over the yaw
+    samples; it goes to `w2_squared` as is, so the map population's
+    covariance root is taken once and every yaw is scored in one batched call.
     """
     if cache is not None and (qid, mid) in cache:
         return cache[(qid, mid)]
     pop_m = pops_map[mid]
     sqrt_m = population_sqrt(pop_m, use_stability)
-    val = float(w2_squared(stack_populations(pops_query[qid]), pop_m,
+    val = float(w2_squared(pops_query[qid], pop_m,
                            use_stability=use_stability, sqrt_b=sqrt_m).min())
     if cache is not None:
         cache[(qid, mid)] = val
@@ -215,7 +215,7 @@ def gsf_filter(
     query_d: TriangleDescriptor,
     candidate_ids: list[int],
     index: DescriptorIndex,
-    pops_query: dict[int, list[GpPopulation]],
+    pops_query: dict[int, GpPopulation],
     pops_map: dict[int, GpPopulation],
     cfg: SimilarityConfig,
     use_stability: bool = True,

@@ -5,6 +5,11 @@ neighborhood, mapping local 3D position to semantic logits (zero-mean prior,
 Matern 3/2 kernel, independent output channels sharing one kernel matrix).
 Grid probing evaluates the field on a uniform 2D grid to produce a finite
 multivariate Gaussian population for downstream comparison.
+
+Probing takes one yaw or several. Several yaws give a stacked population, every
+array with a leading yaw axis, from one kernel matrix, one triangular solve
+against the cached Cholesky factor (W = L^-1 k(X,Q), Sigma = k(Q,Q) - W^T W)
+and one batched PSD check; each member equals its own single-yaw probe.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, solve_triangular
 from scipy.spatial.distance import cdist
 
 from .core import GsflocError, LabelTaxonomy, ValidationError, rot_z
@@ -67,7 +72,11 @@ class GaussianSemanticField:
 
 @dataclass
 class GpPopulation:
-    """Multivariate Gaussian obtained by probing a field on a fixed grid."""
+    """Multivariate Gaussian obtained by probing a field on a fixed grid.
+
+    A stacked population (one field probed at Y yaws) has a leading (Y,) axis
+    on every array.
+    """
 
     grid: np.ndarray  # (G,3) probe locations, local frame
     mu: np.ndarray  # (G,D) predicted means
@@ -169,29 +178,49 @@ def fit_exact(X, Y, hyper: GpHyperParams, source_indices=None) -> GaussianSemant
 
 
 def gsf_predict(field: GaussianSemanticField, Q) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior mean (G,D) and covariance (G,G) at query locations Q."""
-    Q = np.asarray(Q, dtype=np.float64).reshape(-1, 3)
-    kqx = matern32_matrix(Q, field.X, field.hyper.kappa)
-    mu = kqx @ field.alpha
-    v = cho_solve(field.factor, kqx.T)
-    Sigma = matern32_matrix(Q, Q, field.hyper.kappa) - kqx @ v
-    Sigma = 0.5 * (Sigma + Sigma.T)
+    """Posterior mean and covariance at query locations Q.
+
+    Q (G,3) gives mu (G,D) and Sigma (G,G); a stack Q (Y,G,3) gives mu (Y,G,D)
+    and Sigma (Y,G,G), member y predicted at Q[y]. All points share one kernel
+    matrix against X and one triangular solve W = L^-1 k(X,Q).
+    """
+    Q = np.atleast_2d(np.asarray(Q, dtype=np.float64))
+    Qs = Q.reshape(-1, Q.shape[-2], 3)  # (Y,G,3); a single set is a stack of one
+    n_y, g = Qs.shape[:2]
+    kqx = matern32_matrix(Qs.reshape(-1, 3), field.X, field.hyper.kappa)
+    mu = (kqx @ field.alpha).reshape(n_y, g, -1)
+    L, lower = field.factor
+    W = solve_triangular(L, kqx.T, lower=lower, check_finite=False).reshape(field.m, n_y, g)
+    W = W.transpose(1, 0, 2)  # (Y,M,G)
+    kqq = np.stack([matern32_matrix(q, q, field.hyper.kappa) for q in Qs])
+    Sigma = kqq - np.swapaxes(W, 1, 2) @ W
+    Sigma = 0.5 * (Sigma + np.swapaxes(Sigma, 1, 2))
+    if Q.ndim == 2:
+        return mu[0], Sigma[0]
     return mu, Sigma
 
 
-def gsf_predict_mean(field: GaussianSemanticField, Q) -> np.ndarray:
-    """Posterior mean only; skips the covariance solve."""
-    Q = np.asarray(Q, dtype=np.float64).reshape(-1, 3)
-    return matern32_matrix(Q, field.X, field.hyper.kappa) @ field.alpha
-
-
 def _clamp_psd(Sigma: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(Sigma)
-    if vals[0] >= 0.0:
+    """Sigma (..., G, G) with each member's negative eigenvalues clamped to 0.
+
+    One batched Cholesky that succeeds shows every member positive definite,
+    and the stack comes back as is; otherwise each member whose smallest
+    eigenvalue is negative is rebuilt from its clamped eigendecomposition.
+    """
+    try:
+        np.linalg.cholesky(Sigma)
         return Sigma
-    vals = np.maximum(vals, 0.0)
-    out = (vecs * vals) @ vecs.T
-    return 0.5 * (out + out.T)
+    except np.linalg.LinAlgError:
+        pass
+    vals, vecs = np.linalg.eigh(Sigma)
+    neg = vals[..., 0] < 0.0
+    if not neg.any():
+        return Sigma
+    vecs = vecs[neg]
+    out = (vecs * np.maximum(vals[neg], 0.0)[..., None, :]) @ np.swapaxes(vecs, -1, -2)
+    Sigma = Sigma.copy()
+    Sigma[neg] = 0.5 * (out + np.swapaxes(out, -1, -2))
+    return Sigma
 
 
 # grid points closer than this (meters) are taken to be the same point
@@ -205,14 +234,15 @@ def probe_grid(
     n_x: int = 5,
     n_y: int = 5,
     z_mode="local-zero",
-    yaw: float = 0.0,
+    yaw: float | np.ndarray = 0.0,
 ) -> np.ndarray:
     """(n_x * n_y, 3) probe locations of a uniform grid centered at `centroid_local`.
 
     The grid's bounding box is symmetric about the centroid; flattening is
     row-major over (i, j) with g = i*n_y + j. `z_mode` is "local-zero"
     (probe at the centroid height, local z = 0) or a numeric z offset.
-    `yaw` rotates the grid about the local z axis.
+    `yaw` rotates the grid about the local z axis; a 1-D array of Y yaws
+    gives the (Y, n_x * n_y, 3) stack of those grids.
     """
     if n_x < 1 or n_y < 1:
         raise ValidationError("grid dimensions must be >= 1")
@@ -225,9 +255,10 @@ def probe_grid(
     ys = (np.arange(n_y) - (n_y - 1) / 2.0) * delta_y
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     local = np.column_stack([gx.ravel(), gy.ravel(), np.zeros(gx.size)])
-    if yaw != 0.0:
-        local = local @ rot_z(yaw).T
-    return local + np.array([cx, cy, cz + z_off])
+    yaws = np.asarray(yaw, dtype=np.float64)
+    rot = np.stack([rot_z(y) for y in yaws.reshape(-1)])  # (Y,3,3)
+    grids = local @ np.swapaxes(rot, 1, 2) + np.array([cx, cy, cz + z_off])
+    return grids if yaws.ndim else grids[0]
 
 
 def grid_probe(
@@ -239,15 +270,18 @@ def grid_probe(
     n_x: int = 5,
     n_y: int = 5,
     z_mode="local-zero",
-    yaw: float = 0.0,
+    yaw: float | np.ndarray = 0.0,
 ) -> GpPopulation:
-    """Probe the field on the `probe_grid` of the same arguments."""
+    """Probe the field on the `probe_grid` of the same arguments.
+
+    A float yaw gives one population; a sequence of yaws gives a stacked one
+    (grid (Y,G,3), mu (Y,G,D), Sigma (Y,G,G), weights (Y,G)) from one
+    `gsf_predict`, member y equal to the probe at yaw[y] alone.
+    """
     grid = probe_grid(centroid_local, delta_x, delta_y, n_x, n_y, z_mode, yaw)
     mu, Sigma = gsf_predict(field, grid)
     Sigma = _clamp_psd(Sigma)
-    pred = np.argmax(mu, axis=1)
-    stability = taxonomy.stability_vector()
-    weights = stability[pred]
+    weights = taxonomy.stability_vector()[np.argmax(mu, axis=-1)]
     return GpPopulation(grid, mu, Sigma, weights)
 
 
@@ -276,26 +310,6 @@ def yaw_reuse_plan(yaws, **grid) -> list[tuple[int, np.ndarray] | None]:
     return plan
 
 
-def permute_population(pop: GpPopulation, perm: np.ndarray) -> GpPopulation:
-    """The population with its grid points reordered: point g becomes perm[g]."""
-    return GpPopulation(
-        pop.grid[perm],
-        pop.mu[perm],
-        pop.Sigma[np.ix_(perm, perm)],
-        pop.stability_weights[perm],
-    )
-
-
-def stack_populations(pops: list[GpPopulation]) -> GpPopulation:
-    """The populations as one stack: every array gains a leading member axis."""
-    return GpPopulation(
-        np.stack([p.grid for p in pops]),
-        np.stack([p.mu for p in pops]),
-        np.stack([p.Sigma for p in pops]),
-        np.stack([p.stability_weights for p in pops]),
-    )
-
-
 def apply_stability_mask(Sigma: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """diag(w)^(1/2) . Sigma . diag(w)^(1/2); preserves symmetry and PSD.
 
@@ -318,7 +332,8 @@ def reconstruction_miou(field: GaussianSemanticField, heldout_points, heldout_la
     truth = np.asarray(heldout_labels).reshape(-1)
     if pts.shape[0] == 0:
         raise ValidationError("heldout set is empty")
-    pred = np.argmax(gsf_predict_mean(field, pts), axis=1)
+    mean = matern32_matrix(pts, field.X, field.hyper.kappa) @ field.alpha  # no covariance
+    pred = np.argmax(mean, axis=1)
     classes = np.union1d(np.unique(pred), np.unique(truth))
     ious = []
     for c in classes:

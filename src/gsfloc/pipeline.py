@@ -1,9 +1,11 @@
 """End-to-end orchestration: offline map building, one-shot localization.
 
 `localize` runs one private function per entry of STAGES, each timed under
-its name: `_query_graph` (prepare, voxel, scene graph), `_query_probes` (yaw
-probes), `_match` (triangles, index lookup, self-tuned GSF filter), `_clique`
-(correspondences, consistency graph, max clique) and `_solve` (robust IRLS).
+its name: `_query_graph` (prepare, voxel, scene graph), `_query_probes` (one
+stacked yaw population per fitted instance: one `grid_probe` at the yaws
+whose grid is not a reordering of an earlier one, then one gather), `_match`
+(triangles, index lookup, self-tuned GSF filter), `_clique` (correspondences,
+consistency graph, max clique) and `_solve` (robust IRLS).
 
 Map bundle directory layout, version 2:
     graph.json / graph_buffers.npz   scene graph + GP training buffers
@@ -15,7 +17,9 @@ Map bundle directory layout, version 2:
 config.json is the bundle's only copy of the config; `load_map` refits the
 graph's fields with its GP settings. A query config is held to the map's by
 `localize` alone: it refuses one whose population settings (the `gsf`
-section, `cluster.neighborhood_radius` and `index.delta_d`) differ.
+section, `cluster.neighborhood_radius` and `index.delta_d`) differ. `load_map`
+refuses an npz file that does not read, lacks an array or holds a non-finite
+value, naming the file.
 
 The returned pose maps query-frame (sensor) coordinates into the map frame.
 """
@@ -38,6 +42,7 @@ from .core import (
     RigidTransform,
     SemanticPointCloud,
     ValidationError,
+    load_npz,
 )
 from .descriptors import (
     DescriptorIndex,
@@ -51,7 +56,7 @@ from .descriptors import (
     save_index,
     triangulate,
 )
-from .gsf import GpHyperParams, GpPopulation, grid_probe, permute_population, yaw_reuse_plan
+from .gsf import GpHyperParams, GpPopulation, grid_probe, yaw_reuse_plan
 from .matching import (
     Correspondence,
     build_consistency_graph,
@@ -156,17 +161,30 @@ def _grid_args(config: RunConfig) -> dict:
                 n_x=g.nx, n_y=g.ny, z_mode=g.z_mode)
 
 
-def _probe_yaws(field, taxonomy, config, yaws, plan) -> list[GpPopulation]:
-    """One population per yaw: probe where `plan` (from `yaw_reuse_plan`) says
-    so, reorder the earlier probe everywhere else."""
-    pops: list[GpPopulation] = []
-    for yaw, reuse in zip(yaws, plan):
-        if reuse is None:
-            pops.append(grid_probe(field, taxonomy, **_grid_args(config), yaw=yaw))
-        else:
-            j, perm = reuse
-            pops.append(permute_population(pops[j], perm))
-    return pops
+def _yaw_gather(yaws, config) -> tuple[list[float], np.ndarray, np.ndarray]:
+    """The yaws to probe, and for every yaw sample k the probed member src[k]
+    and point order perm[k] (G,) its population is gathered from, as
+    `yaw_reuse_plan` gives them."""
+    plan = yaw_reuse_plan(yaws, **_grid_args(config))
+    probed = [k for k, reuse in enumerate(plan) if reuse is None]
+    g = config.gsf.grid.nx * config.gsf.grid.ny
+    src = np.array([probed.index(k if reuse is None else reuse[0])
+                    for k, reuse in enumerate(plan)])
+    perm = np.stack([np.arange(g) if reuse is None else reuse[1] for reuse in plan])
+    return [yaws[k] for k in probed], src, perm
+
+
+def _probe_yaws(field, taxonomy, config, probed, src, perm) -> GpPopulation:
+    """The stacked population over every yaw sample: one `grid_probe` at the
+    `probed` yaws, then one gather by the `_yaw_gather` indices."""
+    pop = grid_probe(field, taxonomy, **_grid_args(config), yaw=probed)
+    rows = src[:, None]
+    return GpPopulation(
+        pop.grid[rows, perm],
+        pop.mu[rows, perm],
+        pop.Sigma[rows[:, :, None], perm[:, :, None], perm[:, None, :]],
+        pop.stability_weights[rows, perm],
+    )
 
 
 def _flatten(d: dict, prefix: str = ""):
@@ -224,14 +242,13 @@ def _query_graph(query_cloud, taxonomy, config) -> SceneGraph:
     return build_scene_graph(cloud, taxonomy, config)
 
 
-def _query_probes(qgraph, taxonomy, config) -> dict[int, list[GpPopulation] | None]:
-    """Stage "probe": every fitted instance's populations at each yaw sample."""
+def _query_probes(qgraph, taxonomy, config) -> dict[int, GpPopulation | None]:
+    """Stage "probe": every fitted instance's stacked population over the yaw samples."""
     n = config.sim.yaw_samples
-    yaws = [2.0 * np.pi * k / n for k in range(n)]
-    plan = yaw_reuse_plan(yaws, **_grid_args(config))
+    gather = _yaw_gather([2.0 * np.pi * k / n for k in range(n)], config)
     return {
         inst.id: None if (field := qgraph.fields.get(inst.id)) is None
-        else _probe_yaws(field, taxonomy, config, yaws, plan)
+        else _probe_yaws(field, taxonomy, config, *gather)
         for inst in qgraph.instances
     }
 
@@ -435,11 +452,9 @@ def load_map(bundle_dir) -> ReferenceMap:
     populations: dict[int, GpPopulation | None] = {
         inst.id: None for inst in graph.instances
     }
-    with np.load(d / "populations.npz") as buf:
-        for i in buf["ids"]:
-            i = int(i)
-            populations[i] = GpPopulation(
-                buf[f"pop{i}_grid"], buf[f"pop{i}_mu"],
-                buf[f"pop{i}_Sigma"], buf[f"pop{i}_w"],
-            )
+    buf = load_npz(d / "populations.npz")
+    for i in buf["ids"].tolist():
+        populations[i] = GpPopulation(
+            buf[f"pop{i}_grid"], buf[f"pop{i}_mu"], buf[f"pop{i}_Sigma"], buf[f"pop{i}_w"],
+        )
     return ReferenceMap(graph, index, populations, taxonomy, config)

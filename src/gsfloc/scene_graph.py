@@ -27,7 +27,7 @@ from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 from .config import ClusterSection, RunConfig
-from .core import FormatError, LabelTaxonomy, SemanticPointCloud, ValidationError
+from .core import FormatError, LabelTaxonomy, SemanticPointCloud, ValidationError, load_npz
 from .gsf import FitError, GaussianSemanticField, GpHyperParams, fit_exact, fit_gsf
 
 GRAPH_FORMAT = "gsfloc-scene-graph"
@@ -199,27 +199,27 @@ def load_scene_graph(json_path, buffers_path, hyper: GpHyperParams) -> SceneGrap
         raise FormatError(
             f"scene graph file {json_path}: unsupported version {doc.get('version')}"
         )
-    with np.load(buffers_path) as buf:
-        cloud = SemanticPointCloud(
-            buf["points"], buf["labels"], buf["logits"] if "logits" in buf else None
+    buf = load_npz(buffers_path)
+    cloud = SemanticPointCloud(
+        buf["points"], buf["labels"], buf["logits"] if "logits" in buf else None
+    )
+    instances = []
+    fields: dict[int, GaussianSemanticField | None] = {}
+    for rec in doc["instances"]:
+        iid = int(rec["id"])
+        inst = Instance(
+            iid,
+            np.asarray(rec["centroid"], dtype=np.float64),
+            int(rec["label"]),
+            buf[f"inst{iid}_indices"],
         )
-        instances = []
-        fields: dict[int, GaussianSemanticField | None] = {}
-        for rec in doc["instances"]:
-            iid = int(rec["id"])
-            inst = Instance(
-                iid,
-                np.asarray(rec["centroid"], dtype=np.float64),
-                int(rec["label"]),
-                buf[f"inst{iid}_indices"],
-            )
-            instances.append(inst)
-            if rec["has_field"]:
-                X = buf[f"fld{iid}_X"]
-                Y = buf[f"fld{iid}_Y"]
-                src = buf[f"fld{iid}_src"] if f"fld{iid}_src" in buf else None
-                fields[iid] = fit_exact(X, Y, hyper, src)
-            else:
-                fields[iid] = None
+        instances.append(inst)
+        if rec["has_field"]:
+            X = buf[f"fld{iid}_X"]
+            Y = buf[f"fld{iid}_Y"]
+            src = buf[f"fld{iid}_src"] if f"fld{iid}_src" in buf else None
+            fields[iid] = fit_exact(X, Y, hyper, src)
+        else:
+            fields[iid] = None
     return SceneGraph(cloud, instances, fields)
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gsfloc.core import RigidTransform, default_taxonomy
+from gsfloc.gsf import GpPopulation
 from gsfloc.synth import InstanceTemplate, SceneSpec
 
 
@@ -17,6 +18,12 @@ def random_rotation(rng) -> np.ndarray:
 
 def random_transform(rng, t_scale=10.0) -> RigidTransform:
     return RigidTransform(random_rotation(rng), rng.uniform(-t_scale, t_scale, 3))
+
+
+def stack_pops(pops) -> GpPopulation:
+    """The populations as one stack: every array gains a leading member axis."""
+    return GpPopulation(*(np.stack(arrays) for arrays in zip(
+        *((p.grid, p.mu, p.Sigma, p.stability_weights) for p in pops))))
 
 
 def small_scene_spec(seed=11, extent=80.0) -> SceneSpec:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import shutil
 
@@ -200,6 +201,19 @@ class TestLocalize:
         err = capsys.readouterr().err
         assert rc == 1
         assert "must list exactly" in err and "Traceback" not in err
+
+    def test_truncated_populations_exit_1(self, scene_files, bundle, tmp_path, capsys):
+        tampered = tmp_path / "tampered"
+        shutil.copytree(bundle, tampered)
+        raw = (tampered / "populations.npz").read_bytes()[:1000]
+        (tampered / "populations.npz").write_bytes(raw)
+        manifest = json.loads((tampered / "manifest.json").read_text())
+        manifest["files"]["populations.npz"] = hashlib.sha256(raw).hexdigest()
+        (tampered / "manifest.json").write_text(json.dumps(manifest))
+        rc = _localize_query(tampered, scene_files)
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "populations.npz: unreadable" in err and "Traceback" not in err
 
     def test_version_1_bundle_exit_1(self, scene_files, bundle, tmp_path, capsys):
         old = tmp_path / "old"

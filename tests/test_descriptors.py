@@ -19,7 +19,7 @@ from gsfloc.gsf import GpHyperParams, fit_gsf, grid_probe
 from gsfloc.scene_graph import Instance, SceneGraph
 from gsfloc.wasserstein import SimilarityConfig
 
-from conftest import random_transform
+from conftest import random_transform, stack_pops
 
 
 def graph_from_centroids(centroids, labels=None):
@@ -290,7 +290,7 @@ class TestGsfFilter:
             2: field_with_offset(taxonomy, 0.2, seed=3),
             3: field_with_offset(taxonomy, 3.0, seed=4),  # wildly different
         }
-        pops_query = {i: [pops_map[i]] for i in range(3)}
+        pops_query = {i: stack_pops([pops_map[i]]) for i in range(3)}
         q = TriangleDescriptor(0, (0, 1, 2), (3.0, 4.0, 5.0), (4, 4, 4))
         same = TriangleDescriptor(0, (0, 1, 2), (3.0, 4.0, 5.0), (4, 4, 4))
         far = TriangleDescriptor(1, (0, 1, 3), (3.0, 4.0, 5.0), (4, 4, 4))
@@ -322,7 +322,7 @@ class TestGsfFilter:
     def test_tie_breaks_by_candidate_id(self, taxonomy):
         pop = field_with_offset(taxonomy, 0.0, seed=5)
         pm = {i: pop for i in range(6)}
-        pq = {i: [pop] for i in range(3)}
+        pq = {i: stack_pops([pop]) for i in range(3)}
         q = TriangleDescriptor(0, (0, 1, 2), (3.0, 4.0, 5.0), (4, 4, 4))
         c1 = TriangleDescriptor(0, (0, 1, 2), (3.0, 4.0, 5.0), (4, 4, 4))
         c2 = TriangleDescriptor(1, (3, 4, 5), (3.0, 4.0, 5.0), (4, 4, 4))
@@ -342,12 +342,12 @@ class TestGsfFilter:
         cfg = SimilarityConfig(sigma_w=1.0, accept_threshold=100.0)
         # orders (0, 1, 2) and (1, 0, 2) score the same total: the first is kept
         pm = {10: a, 11: a, 12: c}
-        pq = {0: [a], 1: [a], 2: [c]}
+        pq = {0: stack_pops([a]), 1: stack_pops([a]), 2: stack_pops([c])}
         (m,) = gsf_filter(q, [0], index, pq, pm, cfg)
         assert m.pairs == ((0, 10), (1, 11), (2, 12))
         # a lower total under a later order wins
         pm = {10: a, 11: b, 12: c}
-        pq = {0: [b], 1: [a], 2: [c]}
+        pq = {0: stack_pops([b]), 1: stack_pops([a]), 2: stack_pops([c])}
         (m,) = gsf_filter(q, [0], index, pq, pm, cfg)
         assert m.pairs == ((0, 11), (1, 10), (2, 12))
 

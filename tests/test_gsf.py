@@ -6,12 +6,14 @@ from gsfloc.core import ValidationError, one_hot_logits
 from gsfloc.gsf import (
     FitError,
     GpHyperParams,
+    _clamp_psd,
     apply_stability_mask,
     fit_gsf,
     grid_probe,
     gsf_predict,
     matern32,
     matern32_matrix,
+    probe_grid,
     reconstruction_miou,
     semantic_sparsify,
 )
@@ -179,6 +181,23 @@ class TestPredict:
         assert np.abs(mu - mu_o).max() < 1e-9
         assert np.abs(Sigma - 0.5 * (S_o + S_o.T)).max() < 1e-9
 
+    def test_stacked_dense_inverse_oracle(self):
+        """A (Y,G,3) stack predicts every member as the explicit inverse does."""
+        rng = np.random.default_rng(16)
+        hyper = GpHyperParams(kappa=1.2, sigma_y=0.15)
+        for m, y, g, d in [(6, 3, 4, 2), (20, 1, 25, 12), (9, 5, 1, 3)]:
+            X = rng.uniform(-2, 2, (m, 3))
+            fld = fit_gsf(X, rng.normal(size=(m, d)), rng.integers(0, 2, m), hyper, m, 0)
+            Qs = rng.uniform(-2, 2, (y, g, 3))
+            mu, Sigma = gsf_predict(fld, Qs)
+            assert mu.shape == (y, g, d) and Sigma.shape == (y, g, g)
+            K_inv = inv(matern32_matrix(fld.X, fld.X, 1.2) + 0.15**2 * np.eye(m))
+            for k, Q in enumerate(Qs):
+                kqx = matern32_matrix(Q, fld.X, 1.2)
+                S_o = matern32_matrix(Q, Q, 1.2) - kqx @ K_inv @ kqx.T
+                assert np.abs(mu[k] - kqx @ K_inv @ fld.Y).max() < 1e-9
+                assert np.abs(Sigma[k] - 0.5 * (S_o + S_o.T)).max() < 1e-9
+
     def test_variance_nonnegative(self):
         rng = np.random.default_rng(13)
         X = rng.uniform(-2, 2, (30, 3))
@@ -221,6 +240,71 @@ class TestGridProbe:
                       GpHyperParams(sigma_y=0.1), 40, 0)
         pop = grid_probe(fld, taxonomy)
         assert np.linalg.eigvalsh(pop.Sigma).min() >= -1e-10
+
+
+    def test_yaw_array_grid_equals_per_yaw_grids(self):
+        yaws = [0.0, 0.3, np.pi / 2, 2.0 * np.pi * 5 / 8, -1.1]
+        for args in [{}, dict(centroid_local=(1.0, -2.0, 0.5), delta_x=1.5, delta_y=0.7,
+                              n_x=4, n_y=3, z_mode=0.25)]:
+            stack = probe_grid(**args, yaw=np.array(yaws))
+            assert stack.shape == (len(yaws), probe_grid(**args).shape[0], 3)
+            for k, yaw in enumerate(yaws):
+                np.testing.assert_array_equal(stack[k], probe_grid(**args, yaw=yaw))
+
+    def test_yaw_stack_members_equal_single_probes(self, taxonomy):
+        rng = np.random.default_rng(17)
+        fld = fit_gsf(rng.uniform(-6, 6, (60, 3)), rng.normal(size=(60, 12)),
+                      rng.integers(0, 12, 60), GpHyperParams(), 60, 0)
+        yaws = [0.0, 0.4, 2.0 * np.pi / 3]
+        stack = grid_probe(fld, taxonomy, delta_x=2.0, n_y=3, yaw=yaws)
+        assert stack.Sigma.shape == (3, 15, 15)
+        for k, yaw in enumerate(yaws):
+            one = grid_probe(fld, taxonomy, delta_x=2.0, n_y=3, yaw=yaw)
+            assert np.abs(stack.grid[k] - one.grid).max() < 1e-12
+            assert np.abs(stack.mu[k] - one.mu).max() < 1e-12
+            assert np.abs(stack.Sigma[k] - one.Sigma).max() < 1e-12
+            np.testing.assert_array_equal(stack.stability_weights[k], one.stability_weights)
+
+
+def _clamp_reference(S):
+    """One matrix's negative eigenvalues clamped to 0, written out."""
+    vals, vecs = np.linalg.eigh(S)
+    if vals[0] >= 0.0:
+        return S
+    out = vecs @ np.diag(np.maximum(vals, 0.0)) @ vecs.T
+    return 0.5 * (out + out.T)
+
+
+class TestClampPsd:
+    def _members(self, rng, g=6):
+        A = rng.normal(size=(g, g))
+        B = rng.normal(size=(g, 3))
+        Q, _ = np.linalg.qr(rng.normal(size=(g, g)))
+        return {
+            "definite": A @ A.T + np.eye(g),
+            "singular": B @ B.T,  # rank 3: PSD, not definite
+            "indefinite": (Q * [-0.5, -1e-3, 0.2, 1.0, 2.0, 3.0]) @ Q.T,
+            "barely-indefinite": (Q * [-1e-9, 0.1, 0.2, 1.0, 2.0, 3.0]) @ Q.T,
+        }
+
+    def test_stack_equals_per_member_reference(self):
+        rng = np.random.default_rng(18)
+        m = self._members(rng)
+        for names in [("definite", "definite"), ("definite", "singular", "indefinite"),
+                      ("indefinite", "definite"), ("singular",),
+                      ("barely-indefinite", "definite", "indefinite")]:
+            stack = np.stack([m[n] for n in names])
+            got = _clamp_psd(stack)
+            for k, n in enumerate(names):
+                assert np.abs(got[k] - _clamp_reference(m[n])).max() < 1e-12
+                assert np.linalg.eigvalsh(got[k]).min() >= -1e-12
+            assert np.array_equal(stack, np.stack([m[n] for n in names]))  # input untouched
+
+    def test_single_matrix(self):
+        m = self._members(np.random.default_rng(19))
+        for S in m.values():
+            assert np.abs(_clamp_psd(S) - _clamp_reference(S)).max() < 1e-12
+        assert _clamp_psd(m["definite"]) is m["definite"]
 
 
 class TestStabilityMask:

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import hashlib
 import json
 import warnings
 
@@ -22,6 +23,7 @@ from gsfloc.pipeline import (
     BuildError,
     _grid_args,
     _probe_yaws,
+    _yaw_gather,
     build_map,
     load_map,
     localize,
@@ -142,6 +144,64 @@ class TestBuildMap:
         (d / "manifest.json").write_text(text)
         with pytest.raises(FormatError, match=message):
             load_map(d)
+
+
+def _rewrite_bundle_file(d, name, data: bytes):
+    """Replace one bundle file and record its hash in the manifest, so that
+    only the content check of the file itself can catch the defect."""
+    (d / name).write_bytes(data)
+    manifest = json.loads((d / "manifest.json").read_text())
+    manifest["files"][name] = hashlib.sha256(data).hexdigest()
+    (d / "manifest.json").write_text(json.dumps(manifest))
+
+
+def _edit_npz_array(d, name, suffix, edit) -> str:
+    """Apply `edit(arrays, key)` to the first array of `name` whose key ends
+    with `suffix`, rewrite the file and its hash; returns the key."""
+    with np.load(d / name) as buf:
+        arrays = {k: buf[k] for k in buf.files}
+    key = next(k for k in sorted(arrays) if k.endswith(suffix))
+    edit(arrays, key)
+    np.savez_compressed(d / name, **arrays)
+    _rewrite_bundle_file(d, name, (d / name).read_bytes())
+    return key
+
+
+def _drop(arrays, key):
+    del arrays[key]
+
+
+def _poison(arrays, key):
+    arrays[key] = arrays[key].copy()
+    arrays[key].flat[0] = np.nan
+
+
+class TestBundleArrays:
+    """A bundle whose npz files break with the manifest still consistent."""
+
+    @pytest.mark.parametrize("name", ["populations.npz", "graph_buffers.npz"])
+    def test_truncated_npz_detected(self, ref_map, tmp_path, name):
+        save_map(ref_map, tmp_path)
+        raw = (tmp_path / name).read_bytes()
+        _rewrite_bundle_file(tmp_path, name, raw[: len(raw) // 2])
+        with pytest.raises(FormatError, match=f"{name}: unreadable"):
+            load_map(tmp_path)
+
+    @pytest.mark.parametrize("name, suffix", [("populations.npz", "_mu"),
+                                              ("graph_buffers.npz", "_X")])
+    def test_missing_array_detected(self, ref_map, tmp_path, name, suffix):
+        save_map(ref_map, tmp_path)
+        key = _edit_npz_array(tmp_path, name, suffix, _drop)
+        with pytest.raises(FormatError, match=f"{name}: array '{key}' missing"):
+            load_map(tmp_path)
+
+    @pytest.mark.parametrize("name, suffix", [("populations.npz", "_mu"),
+                                              ("graph_buffers.npz", "_X")])
+    def test_non_finite_array_detected(self, ref_map, tmp_path, name, suffix):
+        save_map(ref_map, tmp_path)
+        key = _edit_npz_array(tmp_path, name, suffix, _poison)
+        with pytest.raises(FormatError, match=f"{name}: array '{key}' holds non-finite"):
+            load_map(tmp_path)
 
 
 def _disjoint_scan(taxonomy):
@@ -356,19 +416,21 @@ class TestYawReuse:
         yaws = [2.0 * np.pi * k / yaw_samples for k in range(yaw_samples)]
         plan = yaw_reuse_plan(yaws, **_grid_args(cfg))
         assert sum(reuse is None for reuse in plan) == probed
+        gather = _yaw_gather(yaws, cfg)
         ids = sorted(ref_map.graph.fields)[:6]
         pops_query, pops_fresh, pops_map = {}, {}, {}
         for i in ids:
             field = ref_map.graph.fields[i]
-            pops_query[i] = _probe_yaws(field, taxonomy_module, cfg, yaws, plan)
+            pops_query[i] = stack = _probe_yaws(field, taxonomy_module, cfg, *gather)
             pops_fresh[i] = [grid_probe(field, taxonomy_module, **_grid_args(cfg), yaw=y)
                              for y in yaws]
             pops_map[i] = pops_fresh[i][0]
-            for got, want in zip(pops_query[i], pops_fresh[i]):
-                assert np.abs(got.grid - want.grid).max() < 1e-12
-                assert np.abs(got.mu - want.mu).max() < 1e-12
-                assert np.abs(got.Sigma - want.Sigma).max() < 1e-12
-                assert np.abs(got.stability_weights - want.stability_weights).max() < 1e-12
+            assert stack.mu.shape[0] == yaw_samples
+            for k, want in enumerate(pops_fresh[i]):
+                assert np.abs(stack.grid[k] - want.grid).max() < 1e-12
+                assert np.abs(stack.mu[k] - want.mu).max() < 1e-12
+                assert np.abs(stack.Sigma[k] - want.Sigma).max() < 1e-12
+                assert np.abs(stack.stability_weights[k] - want.stability_weights).max() < 1e-12
         for q in ids:
             for m in ids:
                 want = min(_w2_reference(p, pops_map[m]) for p in pops_fresh[q])

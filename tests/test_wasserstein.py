@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gsfloc.core import ValidationError
-from gsfloc.gsf import GpPopulation, stack_populations
+from gsfloc.gsf import GpPopulation
 from gsfloc.wasserstein import (
     SimilarityConfig,
     population_sqrt,
@@ -10,6 +10,8 @@ from gsfloc.wasserstein import (
     similarity_weight,
     w2_squared,
 )
+
+from conftest import stack_pops
 
 
 def random_psd(rng, g):
@@ -133,7 +135,7 @@ class TestW2:
             for g, d, y in [(25, 12, 8), (4, 2, 1), (9, 3, 5)]:
                 members = [random_pop(rng, g, d) for _ in range(y)]
                 b = random_pop(rng, g, d)
-                stack = stack_populations(members)
+                stack = stack_pops(members)
                 want = [w2_squared(m, b, use_stability) for m in members]
                 got = w2_squared(stack, b, use_stability)
                 assert isinstance(got, np.ndarray) and got.shape == (y,)
@@ -147,7 +149,7 @@ class TestW2:
         rng = np.random.default_rng(7)
         with pytest.raises(ValidationError, match="shapes"):
             w2_squared(random_pop(rng, 3, 2), random_pop(rng, 4, 2))
-        stack = stack_populations([random_pop(rng, 3, 2), random_pop(rng, 3, 2)])
+        stack = stack_pops([random_pop(rng, 3, 2), random_pop(rng, 3, 2)])
         with pytest.raises(ValidationError, match="shapes"):
             w2_squared(stack, random_pop(rng, 4, 2))
 
