@@ -92,7 +92,7 @@ def cmd_build_map(args) -> int:
     _emit(
         {
             "bundle": str(out),
-            "instances": ref.graph.num_instances,
+            "instances": len(ref.centroids),
             "descriptors": len(ref.index.descriptors),
         }
     )

@@ -59,7 +59,6 @@ class GaussianSemanticField:
     factor: tuple  # cached cho_factor of K = k(X,X) + sigma_y^2 I (+ jitter)
     alpha: np.ndarray  # (M,D) cached K^-1 Y
     jitter: float = 0.0  # extra diagonal needed to factorize; 0 when clean
-    source_indices: np.ndarray | None = None  # indices into the pre-sparsification input
 
     @property
     def m(self) -> int:
@@ -150,7 +149,8 @@ def fit_gsf(
     budget: int,
     seed,
 ) -> GaussianSemanticField:
-    """Sparsify to `budget` points, then `fit_exact` on what is kept."""
+    """Sparsify to `budget` points, then fit an exact GP on what is kept:
+    factorize K = k(X,X) + sigma_y^2 I and cache K^-1 Y."""
     X_local = np.asarray(X_local, dtype=np.float64).reshape(-1, 3)
     Y_logits = np.asarray(Y_logits, dtype=np.float64)
     if Y_logits.ndim != 2 or Y_logits.shape[0] != X_local.shape[0]:
@@ -162,19 +162,15 @@ def fit_gsf(
     if not np.all(np.isfinite(Y_logits)):
         raise ValidationError("logits contain non-finite values")
 
-    Xs, _, idx = semantic_sparsify(X_local, labels, budget, seed)
+    X, _, idx = semantic_sparsify(X_local, labels, budget, seed)
     if idx.size == 0:
         raise FitError("sparsification produced 0 points (budget too small for class mix)")
-    return fit_exact(Xs, Y_logits[idx], hyper, idx)
-
-
-def fit_exact(X, Y, hyper: GpHyperParams, source_indices=None) -> GaussianSemanticField:
-    """Exact GP on (X, Y): factorize K = k(X,X) + sigma_y^2 I, cache K^-1 Y."""
+    Y = Y_logits[idx]
     K = matern32_matrix(X, X, hyper.kappa)
     K[np.diag_indices_from(K)] += hyper.sigma_y**2
     factor, jitter = _factorize(K)
     alpha = cho_solve(factor, Y)
-    return GaussianSemanticField(X, Y, hyper, factor, alpha, jitter, source_indices)
+    return GaussianSemanticField(X, Y, hyper, factor, alpha, jitter)
 
 
 def gsf_predict(field: GaussianSemanticField, Q) -> tuple[np.ndarray, np.ndarray]:

@@ -7,19 +7,24 @@ whose grid is not a reordering of an earlier one, then one gather), `_match`
 (triangles, index lookup, self-tuned GSF filter), `_clique` (correspondences,
 consistency graph, max clique) and `_solve` (robust IRLS).
 
-Map bundle directory layout, version 2:
-    graph.json / graph_buffers.npz   scene graph + GP training buffers
-    index.gsfi                       triangle descriptor index
-    populations.npz                  per-instance probe populations
-    config.json                      RunConfig + taxonomy snapshot
-    manifest.json                    format, version, sha256 of each file above
+A map holds only what `localize` reads: each instance's centroid, the probed
+populations, the triangle index, the taxonomy and the config. `build_map`
+drops the map cloud and its fields once they are probed and triangulated.
 
-config.json is the bundle's only copy of the config; `load_map` refits the
-graph's fields with its GP settings. A query config is held to the map's by
-`localize` alone: it refuses one whose population settings (the `gsf`
-section, `cluster.neighborhood_radius` and `index.delta_d`) differ. `load_map`
-refuses an npz file that does not read, lacks an array or holds a non-finite
-value, naming the file.
+Map bundle directory layout, version 3:
+    graph.json        instance ids and centroids
+    index.gsfi        triangle descriptor index
+    populations.npz   per-instance probe populations
+    config.json       RunConfig + taxonomy snapshot
+    manifest.json     format, version, sha256 of each file above
+
+config.json is the bundle's only copy of the config. A query config is held
+to the map's by `localize` alone: it refuses one whose population settings
+(the `gsf` section, `cluster.neighborhood_radius` and `index.delta_d`)
+differ. `load_map` refuses, with a FormatError naming the file, a JSON file
+that does not parse or lacks a part, an npz file that does not read, lacks an
+array or holds a non-finite value, and an index or population of an instance
+that graph.json does not hold.
 
 The returned pose maps query-frame (sensor) coordinates into the map frame.
 """
@@ -56,7 +61,7 @@ from .descriptors import (
     save_index,
     triangulate,
 )
-from .gsf import GpHyperParams, GpPopulation, grid_probe, yaw_reuse_plan
+from .gsf import GpPopulation, grid_probe, yaw_reuse_plan
 from .matching import (
     Correspondence,
     build_consistency_graph,
@@ -73,8 +78,8 @@ from .scene_graph import SceneGraph, build_scene_graph, load_scene_graph, save_s
 from .wasserstein import SimilarityConfig
 
 MAP_BUNDLE_FORMAT = "gsfloc-map-bundle"
-MAP_BUNDLE_VERSION = 2
-BUNDLE_FILES = ("graph.json", "graph_buffers.npz", "index.gsfi", "populations.npz", "config.json")
+MAP_BUNDLE_VERSION = 3
+BUNDLE_FILES = ("graph.json", "index.gsfi", "populations.npz", "config.json")
 
 # localize's stages, in run order; each is one key of `timings_ms`
 STAGES = ("graph", "probe", "match", "clique", "solve")
@@ -86,7 +91,7 @@ class BuildError(GsflocError):
 
 @dataclass
 class ReferenceMap:
-    graph: SceneGraph
+    centroids: dict[int, np.ndarray]  # instance id -> map-frame centroid
     index: DescriptorIndex
     populations: dict[int, GpPopulation | None]  # instance id -> canonical population
     taxonomy: LabelTaxonomy
@@ -210,7 +215,8 @@ def build_map(
     taxonomy: LabelTaxonomy,
     config: RunConfig | None = None,
 ) -> ReferenceMap:
-    """Scene graph + canonical populations + descriptor index over the map cloud."""
+    """Instance centroids + canonical populations + descriptor index over the
+    map cloud; the scene graph itself is not kept."""
     config = config or RunConfig()
     cloud = _prepare_cloud(map_cloud, config)
     graph = build_scene_graph(cloud, taxonomy, config)
@@ -223,9 +229,9 @@ def build_map(
         else grid_probe(field, taxonomy, **_grid_args(config))
         for inst in graph.instances
     }
-    descs = triangulate(graph, config.index.k_neighbors)
-    index = build_index(descs, config.index.delta_d)
-    return ReferenceMap(graph, index, populations, taxonomy, config)
+    index = build_index(triangulate(graph, config.index.k_neighbors), config.index.delta_d)
+    centroids = {inst.id: inst.centroid for inst in graph.instances}
+    return ReferenceMap(centroids, index, populations, taxonomy, config)
 
 
 def _timed(timings: dict, stage: str, fn, *args):
@@ -353,7 +359,7 @@ def localize(
         timings, "match", _match, qgraph, pops_query, ref_map, config)
     res.candidates_after_filter = len(matches)
     qcents = {inst.id: inst.centroid for inst in qgraph.instances}
-    mcents = {inst.id: inst.centroid for inst in ref_map.graph.instances}
+    mcents = ref_map.centroids
     picked = _timed(timings, "clique", _clique, matches, qcents, mcents, config)
     res.clique_size = len(picked)
     if len(picked) < 3:
@@ -382,7 +388,7 @@ def _sha256(path: Path) -> str:
 def save_map(ref_map: ReferenceMap, bundle_dir) -> None:
     d = Path(bundle_dir)
     d.mkdir(parents=True, exist_ok=True)
-    save_scene_graph(ref_map.graph, d / "graph.json", d / "graph_buffers.npz")
+    save_scene_graph(ref_map.centroids, d / "graph.json")
     save_index(ref_map.index, d / "index.gsfi")
 
     arrays: dict[str, np.ndarray] = {}
@@ -443,18 +449,29 @@ def load_map(bundle_dir) -> ReferenceMap:
                 f"(manifest {str(files[name])[:12]}.., file {actual[:12]}..)"
             )
 
-    meta = json.loads((d / "config.json").read_text())
+    try:
+        meta = json.loads((d / "config.json").read_text())
+    except json.JSONDecodeError as e:
+        raise FormatError(f"map bundle {d}: config.json line {e.lineno}: {e.msg}") from e
+    if not isinstance(meta, dict) or not {"config", "taxonomy"} <= meta.keys():
+        raise FormatError(f"map bundle {d}: config.json needs a config and a taxonomy section")
     config = RunConfig.from_dict(meta["config"])
     taxonomy = LabelTaxonomy.from_dict(meta["taxonomy"])
-    graph = load_scene_graph(d / "graph.json", d / "graph_buffers.npz",
-                             GpHyperParams(config.gsf.kappa, config.gsf.sigma_y))
+    centroids = load_scene_graph(d / "graph.json")
     index = load_index(d / "index.gsfi")
-    populations: dict[int, GpPopulation | None] = {
-        inst.id: None for inst in graph.instances
-    }
     buf = load_npz(d / "populations.npz")
-    for i in buf["ids"].tolist():
+    pop_ids = buf["ids"].tolist()
+    for name, ids in (("index.gsfi", {v for dsc in index.descriptors for v in dsc.vertex_ids}),
+                      ("populations.npz", pop_ids)):
+        stray = sorted(set(ids) - set(centroids))
+        if stray:
+            raise FormatError(
+                f"map bundle {d}: {name} names instance {stray[0]}, "
+                f"which graph.json does not hold ({len(centroids)} instances)"
+            )
+    populations: dict[int, GpPopulation | None] = dict.fromkeys(centroids)
+    for i in pop_ids:
         populations[i] = GpPopulation(
             buf[f"pop{i}_grid"], buf[f"pop{i}_mu"], buf[f"pop{i}_Sigma"], buf[f"pop{i}_w"],
         )
-    return ReferenceMap(graph, index, populations, taxonomy, config)
+    return ReferenceMap(centroids, index, populations, taxonomy, config)

@@ -1,17 +1,16 @@
-"""Tri-layer scene graph construction.
+"""Scene graph construction: an object layer and a field layer.
 
 Object layer: per-class single-linkage Euclidean clustering of instantiable
-points (connected components of the distance-threshold graph). Field layer: one Gaussian semantic field per instance, fit on the
-radius-r neighborhood (all classes) in local coordinates centered at the
-instance centroid. Point layer: the source cloud itself. Every setting comes
-from the run's `RunConfig`: the `cluster` section, the GP settings of `gsf`
-and `pipeline.seed`.
+points (connected components of the distance-threshold graph). Field layer:
+one Gaussian semantic field per instance, fit on the radius-r neighborhood
+(all classes) in local coordinates centered at the instance centroid. The
+graph keeps no copy of the cloud it was built from. Every setting comes from
+the run's `RunConfig`: the `cluster` section, the GP settings of `gsf` and
+`pipeline.seed`.
 
-Serialization: a versioned JSON document (ids, labels, centroids, field
-jitter) plus an .npz sidecar holding the cloud buffers, member indices, and
-per-field GP training buffers. The document holds no config; factorizations
-are rebuilt on load with the GP hyperparameters the caller passes in (a map
-bundle takes them from its config.json).
+Serialization: a versioned JSON document of each instance's id and centroid,
+the part of the object layer a map bundle needs at query time. Fields are not
+stored; a map bundle keeps their probed populations instead.
 """
 
 from __future__ import annotations
@@ -27,11 +26,11 @@ from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 from .config import ClusterSection, RunConfig
-from .core import FormatError, LabelTaxonomy, SemanticPointCloud, ValidationError, load_npz
-from .gsf import FitError, GaussianSemanticField, GpHyperParams, fit_exact, fit_gsf
+from .core import FormatError, LabelTaxonomy, SemanticPointCloud, ValidationError
+from .gsf import FitError, GaussianSemanticField, GpHyperParams, fit_gsf
 
 GRAPH_FORMAT = "gsfloc-scene-graph"
-GRAPH_VERSION = 2
+GRAPH_VERSION = 3
 
 
 @dataclass
@@ -44,18 +43,12 @@ class Instance:
 
 @dataclass
 class SceneGraph:
-    cloud: SemanticPointCloud
     instances: list[Instance]
     fields: dict[int, GaussianSemanticField | None]  # instance id -> field
 
     @property
     def num_instances(self) -> int:
         return len(self.instances)
-
-    def centroids(self) -> np.ndarray:
-        if not self.instances:
-            return np.zeros((0, 3))
-        return np.stack([inst.centroid for inst in self.instances])
 
 
 def cluster_instances(
@@ -145,81 +138,55 @@ def build_scene_graph(
         except FitError as e:
             warnings.warn(f"field fit failed for instance {inst.id}: {e}")
             fields[inst.id] = None
-    return SceneGraph(cloud, instances, fields)
+    return SceneGraph(instances, fields)
 
 
-def save_scene_graph(graph: SceneGraph, json_path, buffers_path) -> None:
+def save_scene_graph(centroids: dict[int, np.ndarray], json_path) -> None:
+    """Write each instance's id and centroid, in id order."""
     doc = {
         "format": GRAPH_FORMAT,
         "version": GRAPH_VERSION,
-        "buffers": Path(buffers_path).name,
         "instances": [
-            {
-                "id": inst.id,
-                "label": int(inst.label),
-                "centroid": [float(v) for v in inst.centroid],
-                "has_field": graph.fields.get(inst.id) is not None,
-                "jitter": (
-                    graph.fields[inst.id].jitter
-                    if graph.fields.get(inst.id) is not None
-                    else None
-                ),
-            }
-            for inst in graph.instances
+            {"id": iid, "centroid": [float(v) for v in c]}
+            for iid, c in sorted(centroids.items())
         ],
     }
     Path(json_path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
-    arrays: dict[str, np.ndarray] = {
-        "points": graph.cloud.points,
-        "labels": graph.cloud.labels,
-    }
-    if graph.cloud.logits is not None:
-        arrays["logits"] = graph.cloud.logits
-    for inst in graph.instances:
-        arrays[f"inst{inst.id}_indices"] = inst.point_indices
-        fld = graph.fields.get(inst.id)
-        if fld is not None:
-            arrays[f"fld{inst.id}_X"] = fld.X
-            arrays[f"fld{inst.id}_Y"] = fld.Y
-            if fld.source_indices is not None:
-                arrays[f"fld{inst.id}_src"] = fld.source_indices
-    np.savez_compressed(buffers_path, **arrays)
 
+def load_scene_graph(json_path) -> dict[int, np.ndarray]:
+    """The centroids saved by `save_scene_graph`, by instance id.
 
-def load_scene_graph(json_path, buffers_path, hyper: GpHyperParams) -> SceneGraph:
-    """The graph saved by `save_scene_graph`, its fields refit with `hyper`."""
+    A document that does not parse, or whose instances are not ids 0..K-1 in
+    list order each with three finite centroid coordinates, is a FormatError
+    naming the file.
+    """
+    where = f"scene graph file {json_path}"
     try:
         doc = json.loads(Path(json_path).read_text())
     except json.JSONDecodeError as e:
-        raise FormatError(f"scene graph file {json_path}: {e}") from e
-    if doc.get("format") != GRAPH_FORMAT:
-        raise FormatError(f"scene graph file {json_path}: unrecognized format field")
+        raise FormatError(f"{where}: {e}") from e
+    if not isinstance(doc, dict) or doc.get("format") != GRAPH_FORMAT:
+        raise FormatError(f"{where}: unrecognized format field")
     if doc.get("version") != GRAPH_VERSION:
-        raise FormatError(
-            f"scene graph file {json_path}: unsupported version {doc.get('version')}"
-        )
-    buf = load_npz(buffers_path)
-    cloud = SemanticPointCloud(
-        buf["points"], buf["labels"], buf["logits"] if "logits" in buf else None
-    )
-    instances = []
-    fields: dict[int, GaussianSemanticField | None] = {}
-    for rec in doc["instances"]:
-        iid = int(rec["id"])
-        inst = Instance(
-            iid,
-            np.asarray(rec["centroid"], dtype=np.float64),
-            int(rec["label"]),
-            buf[f"inst{iid}_indices"],
-        )
-        instances.append(inst)
-        if rec["has_field"]:
-            X = buf[f"fld{iid}_X"]
-            Y = buf[f"fld{iid}_Y"]
-            src = buf[f"fld{iid}_src"] if f"fld{iid}_src" in buf else None
-            fields[iid] = fit_exact(X, Y, hyper, src)
-        else:
-            fields[iid] = None
-    return SceneGraph(cloud, instances, fields)
-
+        raise FormatError(f"{where}: unsupported version {doc.get('version')}")
+    records = doc.get("instances")
+    if not isinstance(records, list):
+        raise FormatError(f"{where}: no instances list")
+    centroids: dict[int, np.ndarray] = {}
+    for k, rec in enumerate(records):
+        if not isinstance(rec, dict) or "id" not in rec or "centroid" not in rec:
+            raise FormatError(f"{where}: instance record {k} lacks id or centroid")
+        if rec["id"] != k:
+            raise FormatError(
+                f"{where}: instance ids must be 0..K-1 in list order; "
+                f"record {k} has id {rec['id']!r}"
+            )
+        try:
+            c = np.asarray(rec["centroid"], dtype=np.float64)
+        except (TypeError, ValueError):
+            c = np.full(0, np.nan)
+        if c.shape != (3,) or not np.all(np.isfinite(c)):
+            raise FormatError(f"{where}: instance {k} centroid is not three finite numbers")
+        centroids[k] = c
+    return centroids

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gsfloc.core import RigidTransform, default_taxonomy
+from gsfloc.core import RigidTransform, SemanticPointCloud, default_taxonomy, one_hot_logits, rot_z
 from gsfloc.gsf import GpPopulation
 from gsfloc.synth import InstanceTemplate, SceneSpec
 
@@ -53,6 +53,30 @@ def twin_scene_spec(seed, perturbation) -> SceneSpec:
         twin_perturbation=perturbation,
         seed=seed,
     )
+
+
+def pole_line_scene(taxonomy):
+    """Six poles on the x axis (150 points each, 0.15 m radius, 4 m tall) over
+    3,000 road points, with one-hot logits; and the same cloud moved by yaw
+    0.7 rad and (3, -2, 0) m. The pole centroids are collinear up to a spread
+    ratio under 0.01, so the rotation about their line is not determined: a
+    solve on this draw lands metres off."""
+    rng = np.random.default_rng(3)
+    chunks, labels = [], []
+    for x in (0.0, 7.0, 15.0, 26.0, 34.0, 45.0):
+        ang = rng.uniform(0, 2 * np.pi, 150)
+        rad = 0.15 * np.sqrt(rng.uniform(0, 1, 150))
+        chunks.append(np.column_stack([x + rad * np.cos(ang), rad * np.sin(ang),
+                                       rng.uniform(0, 4.0, 150)]))
+        labels += [taxonomy.id_of("pole")] * 150
+    chunks.append(np.column_stack([rng.uniform(-10, 55, 3000), rng.uniform(-10, 10, 3000),
+                                   np.zeros(3000)]))
+    labels += [taxonomy.id_of("road")] * 3000
+    points, labels = np.vstack(chunks), np.array(labels)
+    logits = one_hot_logits(labels, taxonomy.num_classes)
+    moved = RigidTransform(rot_z(0.7), np.array([3.0, -2.0, 0.0]))
+    return (SemanticPointCloud(points, labels, logits),
+            SemanticPointCloud(moved.apply(points), labels, logits))
 
 
 @pytest.fixture(scope="session")

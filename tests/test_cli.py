@@ -9,7 +9,7 @@ from gsfloc.cli import main
 from gsfloc.core import default_taxonomy, save_cloud
 from gsfloc.synth import generate_scene, sample_query_poses, simulate_scan
 
-from conftest import small_scene_spec
+from conftest import pole_line_scene, small_scene_spec
 
 
 @pytest.fixture(scope="module")
@@ -224,6 +224,48 @@ class TestLocalize:
         rc = _localize_query(old, scene_files)
         assert rc == 1
         assert "unsupported version 1" in capsys.readouterr().err
+
+    def test_version_2_bundle_exit_1(self, scene_files, bundle, tmp_path, capsys):
+        old = tmp_path / "old"
+        shutil.copytree(bundle, old)
+        manifest = json.loads((old / "manifest.json").read_text())
+        manifest["version"] = 2
+        (old / "manifest.json").write_text(json.dumps(manifest))
+        rc = _localize_query(old, scene_files)
+        assert rc == 1
+        assert "unsupported version 2" in capsys.readouterr().err
+
+    def test_graph_without_instances_exit_1(self, scene_files, bundle, tmp_path, capsys):
+        tampered = tmp_path / "tampered"
+        shutil.copytree(bundle, tampered)
+        doc = json.loads((tampered / "graph.json").read_text())
+        del doc["instances"]
+        raw = json.dumps(doc).encode()
+        (tampered / "graph.json").write_bytes(raw)
+        manifest = json.loads((tampered / "manifest.json").read_text())
+        manifest["files"]["graph.json"] = hashlib.sha256(raw).hexdigest()
+        (tampered / "manifest.json").write_text(json.dumps(manifest))
+        rc = _localize_query(tampered, scene_files)
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "graph.json: no instances list" in err and "Traceback" not in err
+
+    def test_near_collinear_scene_exit_3(self, tmp_path, capsys):
+        cloud, scan = pole_line_scene(default_taxonomy())
+        save_cloud(cloud, tmp_path / "m.points", tmp_path / "m.labels", tmp_path / "m.logits")
+        save_cloud(scan, tmp_path / "q.points", tmp_path / "q.labels", tmp_path / "q.logits")
+        assert main(["build-map", "--points", str(tmp_path / "m.points"),
+                     "--labels", str(tmp_path / "m.labels"),
+                     "--logits", str(tmp_path / "m.logits"),
+                     "--out", str(tmp_path / "map")]) == 0
+        capsys.readouterr()
+        rc = main(["localize", "--map", str(tmp_path / "map"),
+                   "--points", str(tmp_path / "q.points"),
+                   "--labels", str(tmp_path / "q.labels"),
+                   "--logits", str(tmp_path / "q.logits")])
+        status = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert rc == 3
+        assert status["status"] == "degenerate" and status["pose"] is None
 
     @pytest.mark.parametrize("override", ["gsf.kappa=6.0", "index.delta_d=5.0",
                                           "solver.max_iters=0"])

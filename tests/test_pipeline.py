@@ -19,6 +19,7 @@ from gsfloc.descriptors import pair_w2
 from gsfloc.gsf import apply_stability_mask, grid_probe, yaw_reuse_plan
 from gsfloc import pipeline
 from gsfloc.pipeline import (
+    BUNDLE_FILES,
     STAGES,
     BuildError,
     _grid_args,
@@ -30,10 +31,11 @@ from gsfloc.pipeline import (
     save_map,
     voxel_downsample,
 )
+from gsfloc.scene_graph import build_scene_graph
 from gsfloc.synth import generate_scene, sample_query_poses, simulate_scan
 from gsfloc.wasserstein import psd_sqrt
 
-from conftest import small_scene_spec
+from conftest import pole_line_scene, small_scene_spec
 
 
 @pytest.fixture(scope="module")
@@ -54,12 +56,19 @@ def ref_map(scene, taxonomy_module):
     return build_map(cloud, taxonomy_module, RunConfig())
 
 
+@pytest.fixture(scope="module")
+def map_graph(scene, taxonomy_module):
+    """The scene graph that `build_map` builds over the scene and does not keep."""
+    cloud, _ = scene
+    return build_scene_graph(cloud, taxonomy_module, RunConfig())
+
+
 class TestBuildMap:
     def test_counts(self, ref_map):
-        assert ref_map.graph.num_instances == 20
+        assert len(ref_map.centroids) == 20
         assert sum(p is not None for p in ref_map.populations.values()) == 20
         k = ref_map.config.index.k_neighbors
-        bound = ref_map.graph.num_instances * k * (k - 1) // 2
+        bound = len(ref_map.centroids) * k * (k - 1) // 2
         assert 0 < len(ref_map.index.descriptors) <= bound
 
     def test_too_few_instances(self, taxonomy_module):
@@ -121,7 +130,7 @@ class TestBuildMap:
                       taxonomy_module, RunConfig())
 
     @pytest.mark.parametrize("defect, message", [
-        ("emptied-files", "must list exactly graph.json, graph_buffers.npz, index.gsfi"),
+        ("emptied-files", "must list exactly graph.json, index.gsfi, populations.npz"),
         ("no-files", "manifest.json has no files map"),
         ("not-json", "manifest.json line 1"),
         ("missing-file", "populations.npz not found"),
@@ -179,7 +188,7 @@ def _poison(arrays, key):
 class TestBundleArrays:
     """A bundle whose npz files break with the manifest still consistent."""
 
-    @pytest.mark.parametrize("name", ["populations.npz", "graph_buffers.npz"])
+    @pytest.mark.parametrize("name", ["populations.npz"])
     def test_truncated_npz_detected(self, ref_map, tmp_path, name):
         save_map(ref_map, tmp_path)
         raw = (tmp_path / name).read_bytes()
@@ -187,21 +196,93 @@ class TestBundleArrays:
         with pytest.raises(FormatError, match=f"{name}: unreadable"):
             load_map(tmp_path)
 
-    @pytest.mark.parametrize("name, suffix", [("populations.npz", "_mu"),
-                                              ("graph_buffers.npz", "_X")])
+    @pytest.mark.parametrize("name, suffix", [("populations.npz", "_mu")])
     def test_missing_array_detected(self, ref_map, tmp_path, name, suffix):
         save_map(ref_map, tmp_path)
         key = _edit_npz_array(tmp_path, name, suffix, _drop)
         with pytest.raises(FormatError, match=f"{name}: array '{key}' missing"):
             load_map(tmp_path)
 
-    @pytest.mark.parametrize("name, suffix", [("populations.npz", "_mu"),
-                                              ("graph_buffers.npz", "_X")])
+    @pytest.mark.parametrize("name, suffix", [("populations.npz", "_mu")])
     def test_non_finite_array_detected(self, ref_map, tmp_path, name, suffix):
         save_map(ref_map, tmp_path)
         key = _edit_npz_array(tmp_path, name, suffix, _poison)
         with pytest.raises(FormatError, match=f"{name}: array '{key}' holds non-finite"):
             load_map(tmp_path)
+
+
+def _edit_json(d, name, edit):
+    """Apply `edit(doc)` to the parsed JSON file `name`; a returned string
+    replaces the file's text. Rewrites the file and its hash."""
+    doc = json.loads((d / name).read_text())
+    text = edit(doc)
+    _rewrite_bundle_file(d, name, (text if isinstance(text, str) else json.dumps(doc)).encode())
+
+
+def _drop_last_three(doc):
+    del doc["instances"][-3:]
+
+
+def _swap_first_two(doc):
+    doc["instances"][:2] = doc["instances"][1::-1]
+
+
+def _nan_centroid(doc):
+    doc["instances"][4]["centroid"][1] = float("nan")
+
+
+class TestBundleJson:
+    """A bundle whose JSON files break, or disagree with the other files, with
+    the manifest still consistent."""
+
+    @pytest.mark.parametrize("name, edit, message", [
+        ("config.json", lambda doc: "{not json", "config.json line 1: Expecting"),
+        ("config.json", lambda doc: doc.pop("taxonomy"),
+         "config.json needs a config and a taxonomy section"),
+        ("graph.json", lambda doc: doc.pop("instances"), "graph.json: no instances list"),
+        ("graph.json", lambda doc: doc["instances"][2].pop("id"),
+         "graph.json: instance record 2 lacks id or centroid"),
+        ("graph.json", lambda doc: doc["instances"][2].pop("centroid"),
+         "graph.json: instance record 2 lacks id or centroid"),
+    ], ids=["config-not-json", "config-no-taxonomy", "graph-no-instances", "record-no-id",
+            "record-no-centroid"])
+    def test_malformed_json_detected(self, ref_map, tmp_path, name, edit, message):
+        save_map(ref_map, tmp_path)
+        _edit_json(tmp_path, name, edit)
+        with pytest.raises(FormatError, match=message):
+            load_map(tmp_path)
+
+    @pytest.mark.parametrize("edit, message", [
+        (_swap_first_two, "graph.json: instance ids must be 0..K-1 in list order; "
+                          "record 0 has id 1"),
+        (_drop_last_three, "index.gsfi names instance 17, which graph.json does not hold"),
+        (_nan_centroid, "graph.json: instance 4 centroid is not three finite numbers"),
+    ], ids=["ids-out-of-order", "instances-dropped", "nan-centroid"])
+    def test_graph_disagreeing_with_bundle_detected(self, ref_map, tmp_path, edit, message):
+        save_map(ref_map, tmp_path)
+        _edit_json(tmp_path, "graph.json", edit)
+        with pytest.raises(FormatError, match=message):
+            load_map(tmp_path)
+
+    def test_population_of_unknown_instance_detected(self, ref_map, tmp_path):
+        def add_population(arrays, key):
+            arrays[key] = np.append(arrays[key], 20)
+            for part in ("grid", "mu", "Sigma", "w"):
+                arrays[f"pop20_{part}"] = arrays[f"pop0_{part}"]
+
+        save_map(ref_map, tmp_path)
+        _edit_npz_array(tmp_path, "populations.npz", "ids", add_population)
+        with pytest.raises(FormatError,
+                           match="populations.npz names instance 20, which graph.json does not"):
+            load_map(tmp_path)
+
+    def test_bundle_files(self, ref_map, tmp_path):
+        save_map(ref_map, tmp_path)
+        assert sorted(f.name for f in tmp_path.iterdir()) == sorted(
+            [*BUNDLE_FILES, "manifest.json"])
+        doc = json.loads((tmp_path / "graph.json").read_text())
+        assert doc["version"] == 3
+        assert all(sorted(rec) == ["centroid", "id"] for rec in doc["instances"])
 
 
 def _disjoint_scan(taxonomy):
@@ -267,19 +348,17 @@ class TestLocalize:
         res = localize(scan, ref_map)
         assert res.status == "success"
         qcloud = voxel_downsample(scan, cfg.pipeline.query_voxel)
-        from gsfloc.scene_graph import build_scene_graph
-
         qgraph = build_scene_graph(qcloud, ref_map.taxonomy, cfg)
         qc = {i.id: i.centroid for i in qgraph.instances}
-        mc = {i.id: i.centroid for i in ref_map.graph.instances}
         for i, a in enumerate(res.inliers):
             for b in res.inliers[i + 1:]:
-                assert consistency_check(a, b, qc, mc, cfg.matching.epsilon)
+                assert consistency_check(a, b, qc, ref_map.centroids, cfg.matching.epsilon)
 
     def test_map_instance_without_field(self, scene, ref_map, taxonomy_module):
-        """A map instance without a population, as `load_map` gives for `has_field:
-        false`: its candidates are skipped with a warning, the self-tuned median
-        leaves its pairs out, and the query still localizes."""
+        """A map instance without a population, as `load_map` gives for an id
+        that `populations.npz` does not list: its candidates are skipped with a
+        warning, the self-tuned median leaves its pairs out, and the query
+        still localizes."""
         from gsfloc.descriptors import query_index, triangulate
 
         cloud, _ = scene
@@ -353,6 +432,14 @@ class TestLocalize:
         else:
             assert res.clique_size >= 3 and res.candidates_after_filter > 0
 
+    def test_near_collinear_scene_degenerate(self, taxonomy_module):
+        """Six poles on one line leave the rotation about it open: the clique
+        holds all six, and the query ends "degenerate" without a pose."""
+        cloud, scan = pole_line_scene(taxonomy_module)
+        res = localize(scan, build_map(cloud, taxonomy_module, RunConfig()))
+        assert res.clique_size == 6
+        assert res.status == "degenerate" and res.pose is None
+
     def test_grid_geometry_mismatch_rejected(self, scene, ref_map):
         cloud, _ = scene
         cfg = RunConfig()
@@ -409,7 +496,7 @@ class TestYawReuse:
         (5, 3, 8, 4),
         (5, 5, 3, 3),
     ])
-    def test_plan_matches_fresh_probes(self, ref_map, taxonomy_module, nx, ny, yaw_samples,
+    def test_plan_matches_fresh_probes(self, map_graph, taxonomy_module, nx, ny, yaw_samples,
                                        probed):
         cfg = RunConfig()
         cfg.gsf.grid.nx, cfg.gsf.grid.ny = nx, ny
@@ -417,10 +504,10 @@ class TestYawReuse:
         plan = yaw_reuse_plan(yaws, **_grid_args(cfg))
         assert sum(reuse is None for reuse in plan) == probed
         gather = _yaw_gather(yaws, cfg)
-        ids = sorted(ref_map.graph.fields)[:6]
+        ids = sorted(map_graph.fields)[:6]
         pops_query, pops_fresh, pops_map = {}, {}, {}
         for i in ids:
-            field = ref_map.graph.fields[i]
+            field = map_graph.fields[i]
             pops_query[i] = stack = _probe_yaws(field, taxonomy_module, cfg, *gather)
             pops_fresh[i] = [grid_probe(field, taxonomy_module, **_grid_args(cfg), yaw=y)
                              for y in yaws]

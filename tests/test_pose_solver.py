@@ -100,11 +100,27 @@ class TestWeightedKabsch:
         with pytest.raises(DegenerateGeometryError, match="collinear"):
             weighted_kabsch(cset(q, q, np.ones(4)))
 
+    def test_near_collinear_degenerate(self):
+        # a 45 m line with offsets of centimetres: the spread ratio is about 0.0025
+        q = np.array([[0, 0.02, 0], [7, -0.01, 0], [15, 0.03, 0.1], [26, 0, 0],
+                      [34, -0.02, 0], [45.0, 0.01, 0]])
+        with pytest.raises(DegenerateGeometryError, match="collinear"):
+            weighted_kabsch(cset(q, q, np.ones(6)))
+
     def test_three_point_planar_solve_works(self):
         # three points are always coplanar; that must not count as degenerate
         rng = np.random.default_rng(6)
         T = random_transform(rng)
         q = np.array([[0, 0, 0], [4.0, 0, 0], [0, 3.0, 0]])
+        est = weighted_kabsch(cset(T.apply(q), q, np.ones(3)))
+        assert np.linalg.norm(est.t - T.t) < 1e-9
+
+    def test_thin_triangle_solve_works(self):
+        # a 21 m triangle 0.75 m wide, spread ratio about 0.04: thin cliques this
+        # shape solve correctly in mirrored-twin scans and must not count as collinear
+        rng = np.random.default_rng(6)
+        T = random_transform(rng)
+        q = np.array([[0, 0, 0], [21.0, 0, 0], [9.0, 0.75, 0]])
         est = weighted_kabsch(cset(T.apply(q), q, np.ones(3)))
         assert np.linalg.norm(est.t - T.t) < 1e-9
 

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from gsfloc.config import ClusterSection, RunConfig
 from gsfloc.core import SemanticPointCloud, ValidationError, one_hot_logits, transform_cloud
-from gsfloc.gsf import GpHyperParams
 from gsfloc.scene_graph import (
     build_scene_graph,
     cluster_instances,
@@ -184,8 +184,10 @@ class TestBuildGraph:
         fld = graph.fields[inst.id]
         dist = np.linalg.norm(cloud.points - inst.centroid, axis=1)
         want = np.nonzero(dist <= cfg.cluster.neighborhood_radius)[0]
-        # training points are a subset of the neighborhood, in local coordinates
-        assert set(int(i) for i in fld.source_indices).issubset(set(range(len(want))))
+        # every training row, back in the map frame, is a cloud point of the neighborhood
+        gap, nearest = cKDTree(cloud.points).query(fld.X + inst.centroid)
+        assert gap.max() < 1e-9
+        assert np.all(dist[nearest] <= cfg.cluster.neighborhood_radius)
         neighborhood_classes = set(int(c) for c in cloud.labels[want])
         assert len(neighborhood_classes) > 1  # all classes included, not only instantiable
 
@@ -197,16 +199,9 @@ class TestSerialization:
         cloud, _ = generate_scene(small_scene_spec(seed=13), taxonomy)
         cfg = RunConfig(cluster=cluster_params())
         graph = build_scene_graph(cloud, taxonomy, cfg)
-        save_scene_graph(graph, tmp_path / "g.json", tmp_path / "g.npz")
-        again = load_scene_graph(tmp_path / "g.json", tmp_path / "g.npz",
-                                 GpHyperParams(cfg.gsf.kappa, cfg.gsf.sigma_y))
-        assert again.num_instances == graph.num_instances
-        np.testing.assert_array_equal(again.cloud.points, graph.cloud.points)
-        for a, b in zip(graph.instances, again.instances):
-            assert a.id == b.id and a.label == b.label
-            np.testing.assert_allclose(a.centroid, b.centroid, rtol=1e-7)
-            np.testing.assert_array_equal(a.point_indices, b.point_indices)
-            fa, fb = graph.fields[a.id], again.fields[b.id]
-            np.testing.assert_allclose(fa.X, fb.X, rtol=1e-7)
-            np.testing.assert_allclose(fa.Y, fb.Y, rtol=1e-7)
-            np.testing.assert_allclose(fa.alpha, fb.alpha, rtol=1e-6, atol=1e-9)
+        centroids = {inst.id: inst.centroid for inst in graph.instances}
+        save_scene_graph(centroids, tmp_path / "g.json")
+        again = load_scene_graph(tmp_path / "g.json")
+        assert list(again) == list(range(graph.num_instances))
+        for iid, c in centroids.items():
+            np.testing.assert_array_equal(again[iid], c)

@@ -95,21 +95,23 @@ class TestMirroredTwin:
         from gsfloc.config import RunConfig
         from gsfloc.gsf import grid_probe
         from gsfloc.pipeline import build_map
+        from gsfloc.scene_graph import build_scene_graph
         from gsfloc.wasserstein import w2_squared
 
         gaps = []
         for mag in (0.0, 1.0):
             cloud, gt, info = generate_mirrored_twin(twin_scene_spec(7, mag), taxonomy)
             ref = build_map(cloud, taxonomy, RunConfig())
-            left = [i for i in ref.graph.instances if i.centroid[0] < 0]
+            graph = build_scene_graph(cloud, taxonomy, ref.config)
+            left = [i for i in graph.instances if i.centroid[0] < 0]
             pair_gap = []
             for inst in left:
                 target = info.isometry.apply(inst.centroid.reshape(1, 3))[0]
                 other = min(
-                    ref.graph.instances,
+                    graph.instances,
                     key=lambda o: float(np.linalg.norm(o.centroid - target)),
                 )
-                fld, pb = ref.graph.fields[inst.id], ref.populations[other.id]
+                fld, pb = graph.fields[inst.id], ref.populations[other.id]
                 if fld is None or pb is None:
                     continue
                 # min-over-yaw comparison, as the matching stage performs it:
