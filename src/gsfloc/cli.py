@@ -10,7 +10,6 @@ configuration and sha256 hashes of its inputs.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 from pathlib import Path
@@ -18,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import RunConfig
+from .config import RunConfig, checked
 from .core import (
     FormatError,
     GsflocError,
@@ -26,8 +25,9 @@ from .core import (
     default_taxonomy,
     load_cloud,
     save_cloud,
+    sha256_file,
 )
-from .pipeline import BuildError, build_map, load_map, localize, save_map
+from .pipeline import build_map, load_map, localize, save_map
 from .synth import SceneSpec, generate_scene, run_benchmark, sample_query_poses
 
 EXIT_OK = 0
@@ -35,12 +35,6 @@ EXIT_IO = 1
 EXIT_VALIDATION = 2
 EXIT_BUILD = 3
 EXIT_NOMATCH = 4
-
-
-def _sha256_file(path) -> str:
-    h = hashlib.sha256()
-    h.update(Path(path).read_bytes())
-    return h.hexdigest()
 
 
 def _effective_config(args, base: RunConfig | None = None) -> RunConfig:
@@ -57,7 +51,7 @@ def _manifest(command: str, cfg: RunConfig, inputs: dict) -> dict:
         "command": command,
         "version": __version__,
         "effective_config": cfg.to_dict(),
-        "inputs": {str(k): _sha256_file(k) for k in inputs.values() if k is not None},
+        "inputs": {str(k): sha256_file(k) for k in inputs.values() if k is not None},
     }
 
 
@@ -124,8 +118,6 @@ def cmd_localize(args) -> int:
 def _load_spec_file(path) -> dict:
     try:
         return json.loads(Path(path).read_text())
-    except FileNotFoundError:
-        raise
     except json.JSONDecodeError as e:
         raise ValidationError(f"spec file {path}: line {e.lineno}, column {e.colno}: {e.msg}")
 
@@ -162,7 +154,7 @@ def cmd_synth(args) -> int:
         "command": "synth",
         "version": __version__,
         "spec": spec.to_dict(),
-        "inputs": {"spec": _sha256_file(args.spec)},
+        "inputs": {"spec": sha256_file(args.spec)},
     }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     _emit({"out": str(out), "points": cloud.n, "instances": len(gt)})
@@ -179,7 +171,7 @@ def cmd_evaluate(args) -> int:
     map_spec = SceneSpec.from_dict(doc["map"])
     if args.seed is not None:
         map_spec.seed = args.seed
-    q = doc.get("queries", {})
+    q = checked(dict, doc.get("queries", {}), "benchmark spec: queries")
     for key in q:
         if key not in ("count", "range_max", "dropout", "noise_sigma", "region_half", "z"):
             raise ValidationError(f"benchmark spec: queries: unknown field {key!r}")
@@ -188,18 +180,21 @@ def cmd_evaluate(args) -> int:
     if "config" in doc:
         cfg.update(doc["config"])
 
-    count = int(q.get("count", 20))
-    half = float(q.get("region_half", map_spec.extent / 4.0))
+    def query_field(key, kind, default):
+        return checked(kind, q.get(key, default), f"benchmark spec: queries.{key}")
+
     poses = sample_query_poses(
-        count, seed=[map_spec.seed, 1], half=half, z=float(q.get("z", 1.8))
+        query_field("count", int, 20), seed=[map_spec.seed, 1],
+        half=query_field("region_half", float, map_spec.extent / 4.0),
+        z=query_field("z", float, 1.8),
     )
     report = run_benchmark(
         map_spec,
         poses,
         cfg,
-        range_max=float(q.get("range_max", 60.0)),
-        dropout_rate=float(q.get("dropout", 0.3)),
-        noise_sigma=float(q.get("noise_sigma", 0.03)),
+        range_max=query_field("range_max", float, 60.0),
+        dropout_rate=query_field("dropout", float, 0.3),
+        noise_sigma=query_field("noise_sigma", float, 0.03),
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -375,19 +370,13 @@ def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (FileNotFoundError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_IO
-    except FormatError as e:
+    except (OSError, FormatError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_IO
     except ValidationError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
-    except BuildError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_BUILD
-    except GsflocError as e:
+    except GsflocError as e:  # BuildError, GenerationError and the rest
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BUILD
 

@@ -164,7 +164,7 @@ _POSITIVE_KEYS = {"sim.sigma_w", "sim.accept_threshold", "sim.yaw_samples",
 _NON_NEGATIVE_KEYS = {"cluster.neighborhood_radius", "cluster.default_threshold",
                       "cluster.min_cluster_size", "matching.epsilon", "solver.rel_tol",
                       "pipeline.query_voxel"}
-_KIND_NAMES = {bool: "a boolean", int: "an integer", float: "a number",
+_KIND_NAMES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string",
                dict: "an object", type(None): "null"}
 
 
@@ -186,6 +186,14 @@ def _describe(kind) -> str:
     if typing.get_origin(kind) is Literal:
         return " or ".join(json.dumps(v) for v in typing.get_args(kind))
     return _KIND_NAMES[kind]
+
+
+def checked(kind, value, name: str):
+    """`value` as `kind` (bool, int, float or str, as JSON gives them); a value
+    of another type is refused with a ValidationError naming `name`."""
+    if not _accepts(kind, value):
+        raise ValidationError(f"{name} expects {_describe(kind)}, got {value!r}")
+    return kind(value)
 
 
 @functools.cache

@@ -11,6 +11,7 @@ poses   : text, 12 whitespace-separated numbers per line, row-major 3x4 [R|t]
 
 from __future__ import annotations
 
+import hashlib
 import struct
 import zipfile
 import zlib
@@ -107,12 +108,21 @@ class LabelTaxonomy:
 
     @classmethod
     def from_dict(cls, d: dict) -> "LabelTaxonomy":
-        return cls(
-            {
-                int(cid): ClassInfo(v["name"], bool(v["instantiable"]), float(v["stability"]))
-                for cid, v in d.items()
-            }
-        )
+        """The inverse of `to_dict`; anything else is refused with ValidationError."""
+        if not isinstance(d, dict) or not d:
+            raise ValidationError("taxonomy must be a non-empty object of class records")
+        classes = {}
+        for cid, v in d.items():
+            rec = v if isinstance(v, dict) else {}
+            if not (str(cid).isdecimal() and isinstance(rec.get("name"), str)
+                    and isinstance(rec.get("instantiable"), bool)
+                    and type(rec.get("stability")) in (int, float)):
+                raise ValidationError(
+                    f"taxonomy class {cid!r} needs an integer id, a name, "
+                    "an instantiable flag and a numeric stability"
+                )
+            classes[int(cid)] = ClassInfo(rec["name"], rec["instantiable"], float(rec["stability"]))
+        return cls(classes)
 
 
 def default_taxonomy() -> LabelTaxonomy:
@@ -223,6 +233,11 @@ def _read_exact(path, dtype, item_bytes, what):
             f"{what} file {p}: expected a multiple of {item_bytes} bytes, got {len(raw)}"
         )
     return np.frombuffer(raw, dtype=dtype)
+
+
+def sha256_file(path) -> str:
+    """Hex sha256 of a file's bytes."""
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 class NpzArrays(dict):

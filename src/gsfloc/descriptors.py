@@ -28,7 +28,7 @@ from scipy.spatial import cKDTree
 
 from .core import FormatError, ValidationError
 from .gsf import GpPopulation
-from .wasserstein import SimilarityConfig, population_sqrt, similarity_weight, w2_squared
+from .wasserstein import SimilarityConfig, similarity_weight, w2_squared
 
 INDEX_MAGIC = b"GSFI"
 INDEX_VERSION = 1
@@ -192,65 +192,40 @@ def pair_w2(
     pops_query: dict[int, GpPopulation],
     pops_map: dict[int, GpPopulation],
     use_stability: bool,
-    cache: dict | None = None,
 ) -> float:
     """Min-over-yaw squared W2 between a query and a map instance population.
 
     `pops_query` holds each query instance's stacked population over the yaw
-    samples; it goes to `w2_squared` as is, so the map population's
-    covariance root is taken once and every yaw is scored in one batched call.
+    samples; it goes to `w2_squared` as is, so every yaw is scored in one
+    batched call.
     """
-    if cache is not None and (qid, mid) in cache:
-        return cache[(qid, mid)]
-    pop_m = pops_map[mid]
-    sqrt_m = population_sqrt(pop_m, use_stability)
-    val = float(w2_squared(pops_query[qid], pop_m,
-                           use_stability=use_stability, sqrt_b=sqrt_m).min())
-    if cache is not None:
-        cache[(qid, mid)] = val
-    return val
+    return float(w2_squared(pops_query[qid], pops_map[mid], use_stability).min())
 
 
 def gsf_filter(
     query_d: TriangleDescriptor,
     candidate_ids: list[int],
     index: DescriptorIndex,
-    pops_query: dict[int, GpPopulation],
-    pops_map: dict[int, GpPopulation],
+    w2: dict[tuple[int, int], float],
     cfg: SimilarityConfig,
-    use_stability: bool = True,
-    cache: dict | None = None,
 ) -> list[TriangleMatch]:
     """Score coarse candidates by summed per-vertex W2^2 and keep the survivors.
 
-    Candidates whose three-vertex sum exceeds 3x the acceptance threshold are
-    dropped; survivors come back ascending by score (ties by candidate id).
-    Candidates touching instances without populations are skipped.
+    `w2` maps (query instance id, map instance id) to `pair_w2` and holds every
+    pair a candidate makes under its stored vertex orders. Each candidate takes
+    its lowest-sum order (the first on a tie); those above 3x the acceptance
+    threshold are dropped; survivors come back ascending by score (ties by
+    candidate id).
     """
-    if any(pops_query.get(q) is None for q in query_d.vertex_ids):
-        missing = [q for q in query_d.vertex_ids if pops_query.get(q) is None]
-        warnings.warn(f"query instances {missing} lack fields; candidates skipped")
-        return []
     out = []
     for cid in candidate_ids:
         cand = index.descriptors[cid]
-        if any(pops_map.get(m) is None for m in cand.vertex_ids):
-            missing = [m for m in cand.vertex_ids if pops_map.get(m) is None]
-            warnings.warn(f"map instances {missing} lack fields; candidate {cid} skipped")
-            continue
-        best = None
+        scored = []
         for perm in index.orders[cid]:
-            pairs = tuple(
-                (query_d.vertex_ids[k], cand.vertex_ids[perm[k]]) for k in range(3)
-            )
-            scores = tuple(
-                pair_w2(q, m, pops_query, pops_map, use_stability, cache)
-                for q, m in pairs
-            )
-            total = sum(scores)
-            if best is None or total < best[0]:
-                best = (total, pairs, scores)
-        total, pairs, scores = best
+            pairs = tuple(zip(query_d.vertex_ids, [cand.vertex_ids[k] for k in perm]))
+            scores = tuple(map(w2.__getitem__, pairs))
+            scored.append((sum(scores), pairs, scores))
+        total, pairs, scores = min(scored, key=lambda s: s[0])
         if total > 3.0 * cfg.accept_threshold:
             continue
         omegas = tuple(similarity_weight(s, cfg) for s in scores)

@@ -29,24 +29,17 @@ JITTER_MAX = 1e-2
 class FitError(GsflocError):
     """Kernel matrix factorization failed even after jitter escalation."""
 
-    def __init__(self, msg: str, final_jitter: float = 0.0):
-        super().__init__(msg)
-        self.final_jitter = final_jitter
-
 
 @dataclass(frozen=True)
 class GpHyperParams:
     kappa: float = 2.0  # length scale, meters
     sigma_y: float = 0.1  # observation noise std
-    nu: float = 1.5  # smoothness; only 3/2 is implemented
 
     def __post_init__(self):
         if self.kappa <= 0:
             raise ValidationError(f"kappa must be > 0, got {self.kappa}")
         if self.sigma_y < 0:
             raise ValidationError(f"sigma_y must be >= 0, got {self.sigma_y}")
-        if self.nu != 1.5:
-            raise ValidationError("only the nu=3/2 kernel is supported")
 
 
 @dataclass
@@ -135,10 +128,7 @@ def _factorize(K: np.ndarray) -> tuple[tuple, float]:
             return cho_factor(K + jitter * eye, lower=True), jitter
         except np.linalg.LinAlgError:
             jitter *= 2.0
-    raise FitError(
-        f"kernel factorization failed up to jitter {jitter / 2.0:.3e}",
-        final_jitter=jitter / 2.0,
-    )
+    raise FitError(f"kernel factorization failed up to jitter {jitter / 2.0:.3e}")
 
 
 def fit_gsf(

@@ -74,14 +74,20 @@ def build_consistency_graph(
     map_centroids: dict[int, np.ndarray],
     epsilon: float,
 ) -> ConsistencyGraph:
-    n = len(corrs)
-    if n == 0:
+    """Every pair `consistency_check` passes, from the query and map centroid
+    distance matrices: |D_q - D_m| <= epsilon, query ids distinct, map ids distinct."""
+    if not corrs:
         raise ValidationError("cannot build a consistency graph with no correspondences")
-    adj = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if consistency_check(corrs[i], corrs[j], query_centroids, map_centroids, epsilon):
-                adj[i, j] = adj[j, i] = True
+    qids = np.array([c.query_id for c in corrs])
+    mids = np.array([c.map_id for c in corrs])
+
+    def distances(cents, ids):
+        x = np.stack([cents[i] for i in ids])
+        diff = x[:, None, :] - x
+        return np.sqrt(np.sum(diff * diff, axis=-1))
+
+    adj = ((np.abs(distances(query_centroids, qids) - distances(map_centroids, mids)) <= epsilon)
+           & (qids[:, None] != qids) & (mids[:, None] != mids))
     return ConsistencyGraph(list(corrs), adj, epsilon)
 
 

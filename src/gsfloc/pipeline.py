@@ -4,8 +4,10 @@
 its name: `_query_graph` (prepare, voxel, scene graph), `_query_probes` (one
 stacked yaw population per fitted instance: one `grid_probe` at the yaws
 whose grid is not a reordering of an earlier one, then one gather), `_match`
-(triangles, index lookup, self-tuned GSF filter), `_clique` (correspondences,
-consistency graph, max clique) and `_solve` (robust IRLS).
+(triangles, index lookup, one W2 table of every instance pair the GSF filter
+reads, scored once each, the similarity self-tuned from it, then the
+filter), `_clique` (correspondences, consistency graph, max clique) and
+`_solve` (robust IRLS).
 
 A map holds only what `localize` reads: each instance's centroid, the probed
 populations, the triangle index, the taxonomy and the config. `build_map`
@@ -22,18 +24,19 @@ config.json is the bundle's only copy of the config. A query config is held
 to the map's by `localize` alone: it refuses one whose population settings
 (the `gsf` section, `cluster.neighborhood_radius` and `index.delta_d`)
 differ. `load_map` refuses, with a FormatError naming the file, a JSON file
-that does not parse or lacks a part, an npz file that does not read, lacks an
-array or holds a non-finite value, and an index or population of an instance
-that graph.json does not hold.
+that does not parse or lacks a part, a config.json whose config or taxonomy
+does not check, an npz file that does not read, lacks an array or holds a
+non-finite value, and an index or population of an instance that graph.json
+does not hold.
 
 The returned pose maps query-frame (sensor) coordinates into the map frame.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import time
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -48,6 +51,7 @@ from .core import (
     SemanticPointCloud,
     ValidationError,
     load_npz,
+    sha256_file,
 )
 from .descriptors import (
     DescriptorIndex,
@@ -259,49 +263,62 @@ def _query_probes(qgraph, taxonomy, config) -> dict[int, GpPopulation | None]:
     }
 
 
-def _self_tune(cand_lists, pops_query, ref_map, config, cache) -> SimilarityConfig | None:
-    """Score each distinct canonical pair of the candidates whose six instances
-    have populations, once, and scale the similarity to the median W2^2 of
-    those pairs (None if there is none)."""
-    pairs = set()
+def _w2_table(
+    cand_lists, pops_query, ref_map, config
+) -> tuple[list, dict, SimilarityConfig | None]:
+    """Score each distinct (query, map) instance pair the fine filter reads, once.
+
+    Skips, with a warning, a query triangle or a candidate that touches an
+    instance without a population. A kept candidate pairs its triangle's
+    vertices under every stored vertex order and canonically. Returns the kept
+    candidate lists, the {(qid, mid): W2^2} table, and the similarity scaled
+    to the median W2^2 over the canonical pairs (None if there is none).
+    """
+    index, pops_map = ref_map.index, ref_map.populations
+    kept, canonical, pairs = [], set(), set()
     for d, cands in cand_lists:
-        if any(pops_query.get(q) is None for q in d.vertex_ids):
-            continue
+        missing = [q for q in d.vertex_ids if pops_query.get(q) is None]
+        if missing:
+            warnings.warn(f"query instances {missing} lack fields; candidates skipped")
+            cands = []
+        ok = []
         for cid in cands:
-            cd = ref_map.index.descriptors[cid]
-            if any(ref_map.populations.get(m) is None for m in cd.vertex_ids):
+            mids = index.descriptors[cid].vertex_ids
+            missing = [m for m in mids if pops_map.get(m) is None]
+            if missing:
+                warnings.warn(f"map instances {missing} lack fields; candidate {cid} skipped")
                 continue
-            pairs.update(zip(d.vertex_ids, cd.vertex_ids))
-    if not pairs:
-        return None
-    median = float(np.median([
-        pair_w2(q, m, pops_query, ref_map.populations, config.sim.use_stability, cache)
-        for q, m in sorted(pairs)
-    ]))
+            ok.append(cid)
+            canonical.update(zip(d.vertex_ids, mids))
+            for perm in index.orders[cid]:
+                pairs.update(zip(d.vertex_ids, [mids[k] for k in perm]))
+        kept.append((d, ok))
+    w2 = {p: pair_w2(*p, pops_query, pops_map, config.sim.use_stability)
+          for p in sorted(pairs | canonical)}
+    if not canonical:
+        return kept, w2, None
+    median = float(np.median([w2[p] for p in sorted(canonical)]))
     sim = config.sim
-    return SimilarityConfig(
+    return kept, w2, SimilarityConfig(
         max(np.sqrt(median), 1e-9) if sim.sigma_w is None else sim.sigma_w,
         max(3.0 * median, 1e-12) if sim.accept_threshold is None else sim.accept_threshold,
     )
 
 
 def _match(qgraph, pops_query, ref_map, config) -> tuple[int, list[TriangleMatch]]:
-    """Stage "match": triangles, coarse lookup, then the GSF fine filter (canonical
-    pairing with it off). Returns the triangle count and the matches."""
+    """Stage "match": triangles, coarse lookup, then the GSF fine filter over one
+    W2 table (canonical pairing with it off). Returns the triangle count and
+    the matches."""
     descs = triangulate(qgraph, config.index.k_neighbors)
     cand_lists = [(d, query_index(ref_map.index, d)) for d in descs]
     if not config.pipeline.use_gsf_filter:
         return len(descs), [m for d, cands in cand_lists
                             for m in plain_matches(d, cands, ref_map.index)]
-    cache: dict = {}
-    simcfg = _self_tune(cand_lists, pops_query, ref_map, config, cache)
+    kept, w2, simcfg = _w2_table(cand_lists, pops_query, ref_map, config)
     if simcfg is None:
         return len(descs), []
-    return len(descs), [
-        m for d, cands in cand_lists
-        for m in gsf_filter(d, cands, ref_map.index, pops_query, ref_map.populations,
-                            simcfg, config.sim.use_stability, cache)
-    ]
+    return len(descs), [m for d, cands in kept
+                        for m in gsf_filter(d, cands, ref_map.index, w2, simcfg)]
 
 
 def _clique(matches, qcents, mcents, config) -> list[Correspondence]:
@@ -379,12 +396,6 @@ def localize(
 # ---------------------------------------------------------------------------
 
 
-def _sha256(path: Path) -> str:
-    h = hashlib.sha256()
-    h.update(path.read_bytes())
-    return h.hexdigest()
-
-
 def save_map(ref_map: ReferenceMap, bundle_dir) -> None:
     d = Path(bundle_dir)
     d.mkdir(parents=True, exist_ok=True)
@@ -413,7 +424,7 @@ def save_map(ref_map: ReferenceMap, bundle_dir) -> None:
     manifest = {
         "format": MAP_BUNDLE_FORMAT,
         "version": MAP_BUNDLE_VERSION,
-        "files": {f: _sha256(d / f) for f in BUNDLE_FILES},
+        "files": {f: sha256_file(d / f) for f in BUNDLE_FILES},
     }
     (d / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
@@ -442,7 +453,7 @@ def load_map(bundle_dir) -> ReferenceMap:
     for name in BUNDLE_FILES:
         if not (d / name).is_file():
             raise FormatError(f"map bundle {d}: {name} not found")
-        actual = _sha256(d / name)
+        actual = sha256_file(d / name)
         if actual != files[name]:
             raise FormatError(
                 f"map bundle {d}: content hash mismatch for {name} "
@@ -455,8 +466,11 @@ def load_map(bundle_dir) -> ReferenceMap:
         raise FormatError(f"map bundle {d}: config.json line {e.lineno}: {e.msg}") from e
     if not isinstance(meta, dict) or not {"config", "taxonomy"} <= meta.keys():
         raise FormatError(f"map bundle {d}: config.json needs a config and a taxonomy section")
-    config = RunConfig.from_dict(meta["config"])
-    taxonomy = LabelTaxonomy.from_dict(meta["taxonomy"])
+    try:
+        config = RunConfig.from_dict(meta["config"])
+        taxonomy = LabelTaxonomy.from_dict(meta["taxonomy"])
+    except ValidationError as e:
+        raise FormatError(f"map bundle {d}: config.json: {e}") from e
     centroids = load_scene_graph(d / "graph.json")
     index = load_index(d / "index.gsfi")
     buf = load_npz(d / "populations.npz")

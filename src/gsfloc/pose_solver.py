@@ -34,7 +34,6 @@ class IrlsFailure(GsflocError):
     def __init__(self, msg: str, pose: RigidTransform, trace: list[float]):
         super().__init__(msg)
         self.pose = pose
-        self.mask = None  # empty survivor set
         self.trace = trace
 
 

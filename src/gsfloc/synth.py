@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import checked
 from .core import (
     GsflocError,
     LabelTaxonomy,
@@ -73,6 +74,9 @@ class SceneSpec:
         if self.twin_perturbation < 0:
             raise ValidationError("twin_perturbation must be >= 0")
         for t in self.templates:
+            if t.class_name not in _FOOTPRINT_RADIUS:
+                raise ValidationError(f"instances: unknown class {t.class_name!r}; "
+                                      f"one of {', '.join(_FOOTPRINT_RADIUS)}")
             if t.count < 0 or t.points_per_instance <= 0:
                 raise ValidationError(
                     f"template {t.class_name}: counts must be >= 0 and points > 0"
@@ -111,34 +115,39 @@ class SceneSpec:
             "instances",
             "background",
         }
+        checked(dict, d, "scene spec")
         for k in d:
             if k not in known:
                 raise ValidationError(f"unknown scene spec field {k!r}")
         templates = []
         for i, rec in enumerate(d.get("instances", [])):
-            for k in rec:
+            for k in checked(dict, rec, f"instances[{i}]"):
                 if k not in ("class", "count", "points"):
                     raise ValidationError(f"instances[{i}]: unknown field {k!r}")
             if "class" not in rec or "count" not in rec:
                 raise ValidationError(f"instances[{i}]: 'class' and 'count' are required")
-            templates.append(
-                InstanceTemplate(rec["class"], int(rec["count"]), int(rec.get("points", 150)))
-            )
+            templates.append(InstanceTemplate(
+                checked(str, rec["class"], f"instances[{i}].class"),
+                checked(int, rec["count"], f"instances[{i}].count"),
+                checked(int, rec.get("points", 150), f"instances[{i}].points"),
+            ))
         bg = BackgroundSpec()
-        for k, v in d.get("background", {}).items():
+        for k, v in checked(dict, d.get("background", {}), "background").items():
             if not hasattr(bg, k):
                 raise ValidationError(f"background: unknown field {k!r}")
-            setattr(bg, k, type(getattr(bg, k))(v))
+            setattr(bg, k, checked(type(getattr(bg, k)), v, f"background.{k}"))
         return cls(
-            extent=float(d.get("extent", 80.0)),
+            extent=checked(float, d.get("extent", 80.0), "extent"),
             templates=templates,
             background=bg,
-            symmetry=d.get("symmetry", "none"),
-            twin_perturbation=float(d.get("twin_perturbation", 0.0)),
-            seed=int(d.get("seed", 0)),
-            confidence=float(d.get("confidence", 0.9)),
+            symmetry=checked(str, d.get("symmetry", "none"), "symmetry"),
+            twin_perturbation=checked(float, d.get("twin_perturbation", 0.0),
+                                      "twin_perturbation"),
+            seed=checked(int, d.get("seed", 0), "seed"),
+            confidence=checked(float, d.get("confidence", 0.9), "confidence"),
             min_separation=(
-                None if d.get("min_separation") is None else float(d["min_separation"])
+                None if d.get("min_separation") is None
+                else checked(float, d["min_separation"], "min_separation")
             ),
         )
 
@@ -235,7 +244,7 @@ def _place_instances(rng, spec: SceneSpec, taxonomy, center, half):
     out = []  # (class id, xy position)
     for tpl in spec.templates:
         cid = taxonomy.id_of(tpl.class_name)
-        fr = _FOOTPRINT_RADIUS.get(tpl.class_name, 1.0)
+        fr = _FOOTPRINT_RADIUS[tpl.class_name]
         for _ in range(tpl.count):
             ok = False
             for _attempt in range(500):

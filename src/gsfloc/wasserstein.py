@@ -7,8 +7,9 @@ stability-weighted version and the mean term is weighted per grid point by
 the geometric mean of the two populations' weights.
 
 `w2_squared` also takes a stack of populations as A (one query instance at
-every yaw sample, say): one batched product and one batched `eigvalsh`
-give every member's distance to B, each equal to its single-population call.
+every yaw sample, say): B's covariance is rooted once, and one batched
+product and one batched `eigvalsh` give every member's distance to B, each
+equal to its single-population call.
 """
 
 from __future__ import annotations
@@ -53,25 +54,16 @@ def _covariance(pop: GpPopulation, use_stability: bool) -> np.ndarray:
     return pop.Sigma
 
 
-def population_sqrt(pop: GpPopulation, use_stability: bool = False) -> np.ndarray:
-    """Square root of the covariance `w2_squared` compares, stability-masked when asked."""
-    return psd_sqrt(_covariance(pop, use_stability))
-
-
 def w2_squared(
-    pop_a: GpPopulation,
-    pop_b: GpPopulation,
-    use_stability: bool = False,
-    sqrt_b: np.ndarray | None = None,
+    pop_a: GpPopulation, pop_b: GpPopulation, use_stability: bool = False
 ) -> float | np.ndarray:
     """Squared 2-Wasserstein distance between two populations on matching grids.
 
     `pop_a` may be a stack: mu (Y, G, D), Sigma (Y, G, G) and weights (Y, G)
     give a (Y,) array, member y's distance to `pop_b`; a single population
-    gives a float. `sqrt_b` is `population_sqrt(pop_b, use_stability)`,
-    computed here when not given; pass it to compare many populations against
-    one pop_b. The trace term is symmetric in A and B, so only B's covariance
-    is rooted: Tr((S_B^1/2 S_A S_B^1/2)^1/2), eigenvalues clamped at 0.
+    gives a float. The trace term is symmetric in A and B, so only B's
+    covariance is rooted, once for the whole stack:
+    Tr((S_B^1/2 S_A S_B^1/2)^1/2), eigenvalues clamped at 0.
     """
     if pop_a.mu.shape[-2:] != pop_b.mu.shape or pop_a.Sigma.shape[-2:] != pop_b.Sigma.shape:
         raise ValidationError(
@@ -82,8 +74,7 @@ def w2_squared(
     diff_sq = np.sum((pop_a.mu - pop_b.mu) ** 2, axis=-1)  # per grid point
     if use_stability:
         diff_sq = diff_sq * np.sqrt(pop_a.stability_weights * pop_b.stability_weights)
-    if sqrt_b is None:
-        sqrt_b = psd_sqrt(s_b)
+    sqrt_b = psd_sqrt(s_b)
     inner = sqrt_b @ s_a @ sqrt_b
     vals = np.linalg.eigvalsh(0.5 * (inner + np.swapaxes(inner, -1, -2)))
     cross = np.sum(np.sqrt(np.maximum(vals, 0.0)), axis=-1)

@@ -250,6 +250,21 @@ class TestLocalize:
         assert rc == 1
         assert "graph.json: no instances list" in err and "Traceback" not in err
 
+    def test_mistyped_bundle_config_exit_1(self, scene_files, bundle, tmp_path, capsys):
+        tampered = tmp_path / "tampered"
+        shutil.copytree(bundle, tampered)
+        doc = json.loads((tampered / "config.json").read_text())
+        doc["config"]["gsf"]["kappa"] = "big"
+        raw = json.dumps(doc).encode()
+        (tampered / "config.json").write_bytes(raw)
+        manifest = json.loads((tampered / "manifest.json").read_text())
+        manifest["files"]["config.json"] = hashlib.sha256(raw).hexdigest()
+        (tampered / "manifest.json").write_text(json.dumps(manifest))
+        rc = _localize_query(tampered, scene_files)
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "config.json: config key 'gsf.kappa'" in err and "Traceback" not in err
+
     def test_near_collinear_scene_exit_3(self, tmp_path, capsys):
         cloud, scan = pole_line_scene(default_taxonomy())
         save_cloud(cloud, tmp_path / "m.points", tmp_path / "m.labels", tmp_path / "m.logits")
@@ -349,6 +364,26 @@ class TestSynth:
         assert "wibble" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("edit, field", [
+        (lambda spec: spec.update(extent="big"), "extent expects a number"),
+        (lambda spec: spec["instances"][0].update(count="many"),
+         "instances[0].count expects an integer"),
+        (lambda spec: spec["background"].update(road_points="x"),
+         "background.road_points expects an integer"),
+        (lambda spec: spec["instances"][1].update({"class": "lamp"}),
+         "unknown class 'lamp'"),
+    ], ids=["extent", "count", "road-points", "class"])
+    def test_mistyped_field_exit_2(self, tmp_path, capsys, edit, field):
+        spec = small_scene_spec(seed=42).to_dict()
+        edit(spec)
+        f = tmp_path / "bad3.json"
+        f.write_text(json.dumps(spec))
+        rc = main(["synth", "--spec", str(f), "--out", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert field in err and "Traceback" not in err
+
+
 class TestEvaluate:
     def test_csv_deterministic_without_timings(self, tmp_path, capsys):
         spec = {
@@ -377,6 +412,15 @@ class TestEvaluate:
         f.write_text(json.dumps(spec))
         assert main(["evaluate", "--spec", str(f), "--out", str(tmp_path / "r")]) == 2
         assert "sim.bogus" in capsys.readouterr().err
+
+
+    def test_mistyped_query_field_exit_2(self, tmp_path, capsys):
+        spec = {"map": small_scene_spec(seed=43).to_dict(), "queries": {"count": "ten"}}
+        f = tmp_path / "bench.json"
+        f.write_text(json.dumps(spec))
+        assert main(["evaluate", "--spec", str(f), "--out", str(tmp_path / "r")]) == 2
+        err = capsys.readouterr().err
+        assert "queries.count expects an integer" in err and "Traceback" not in err
 
 
 class TestSelftest:

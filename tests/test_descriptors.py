@@ -10,6 +10,7 @@ from gsfloc.descriptors import (
     build_index,
     gsf_filter,
     load_index,
+    pair_w2,
     plain_matches,
     query_index,
     save_index,
@@ -282,6 +283,12 @@ def field_with_offset(taxonomy, offset, seed=0):
     return grid_probe(fld, taxonomy)
 
 
+def w2_table(pops_query, pops_map):
+    """Every (query, map) pair's W2^2, stability on: the table the match stage builds."""
+    return {(q, m): pair_w2(q, m, pops_query, pops_map, True)
+            for q in pops_query for m in pops_map}
+
+
 class TestGsfFilter:
     def _setup(self, taxonomy):
         pops_map = {
@@ -300,7 +307,7 @@ class TestGsfFilter:
     def test_identical_candidate_scores_zero_and_ranks_first(self, taxonomy):
         q, index, pq, pm = self._setup(taxonomy)
         cfg = SimilarityConfig(sigma_w=1.0, accept_threshold=10.0)
-        out = gsf_filter(q, [0, 1], index, pq, pm, cfg)
+        out = gsf_filter(q, [0, 1], index, w2_table(pq, pm), cfg)
         assert out[0].map.id == 0
         assert out[0].w2_total < 1e-8
         assert all(abs(w - 1.0) < 1e-6 for w in out[0].omegas)
@@ -308,15 +315,7 @@ class TestGsfFilter:
     def test_planted_outlier_filtered(self, taxonomy):
         q, index, pq, pm = self._setup(taxonomy)
         cfg = SimilarityConfig(sigma_w=1.0, accept_threshold=0.05)
-        out = gsf_filter(q, [0, 1], index, pq, pm, cfg)
-        assert [m.map.id for m in out] == [0]
-
-    def test_missing_population_skipped_with_warning(self, taxonomy):
-        q, index, pq, pm = self._setup(taxonomy)
-        pm[3] = None
-        cfg = SimilarityConfig(sigma_w=1.0, accept_threshold=100.0)
-        with pytest.warns(UserWarning, match="lack fields"):
-            out = gsf_filter(q, [0, 1], index, pq, pm, cfg)
+        out = gsf_filter(q, [0, 1], index, w2_table(pq, pm), cfg)
         assert [m.map.id for m in out] == [0]
 
     def test_tie_breaks_by_candidate_id(self, taxonomy):
@@ -327,7 +326,7 @@ class TestGsfFilter:
         c1 = TriangleDescriptor(0, (0, 1, 2), (3.0, 4.0, 5.0), (4, 4, 4))
         c2 = TriangleDescriptor(1, (3, 4, 5), (3.0, 4.0, 5.0), (4, 4, 4))
         index = build_index([c1, c2], 0.5)
-        out = gsf_filter(q, [0, 1], index, pq, pm,
+        out = gsf_filter(q, [0, 1], index, w2_table(pq, pm),
                          SimilarityConfig(sigma_w=1.0, accept_threshold=10.0))
         assert [m.map.id for m in out] == [0, 1]  # equal scores: id order
 
@@ -343,12 +342,12 @@ class TestGsfFilter:
         # orders (0, 1, 2) and (1, 0, 2) score the same total: the first is kept
         pm = {10: a, 11: a, 12: c}
         pq = {0: stack_pops([a]), 1: stack_pops([a]), 2: stack_pops([c])}
-        (m,) = gsf_filter(q, [0], index, pq, pm, cfg)
+        (m,) = gsf_filter(q, [0], index, w2_table(pq, pm), cfg)
         assert m.pairs == ((0, 10), (1, 11), (2, 12))
         # a lower total under a later order wins
         pm = {10: a, 11: b, 12: c}
         pq = {0: stack_pops([b]), 1: stack_pops([a]), 2: stack_pops([c])}
-        (m,) = gsf_filter(q, [0], index, pq, pm, cfg)
+        (m,) = gsf_filter(q, [0], index, w2_table(pq, pm), cfg)
         assert m.pairs == ((0, 11), (1, 10), (2, 12))
 
     def test_plain_matches_unit_omega(self, taxonomy):

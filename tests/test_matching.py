@@ -103,8 +103,8 @@ class TestConsistency:
 
     def test_graph_matches_double_loop(self):
         rng = np.random.default_rng(2)
-        for _ in range(10):
-            n = int(rng.integers(2, 10))
+        for _ in range(20):
+            n = int(rng.integers(2, 61))
             q = {i: rng.uniform(-10, 10, 3) for i in range(n)}
             m = {i: rng.uniform(-10, 10, 3) for i in range(10, 10 + n)}
             corrs = [

@@ -15,7 +15,13 @@ from gsfloc.core import (
     one_hot_logits,
     pose_error,
 )
-from gsfloc.descriptors import pair_w2
+from gsfloc.descriptors import (
+    TriangleDescriptor,
+    build_index,
+    pair_w2,
+    query_index,
+    triangulate,
+)
 from gsfloc.gsf import apply_stability_mask, grid_probe, yaw_reuse_plan
 from gsfloc import pipeline
 from gsfloc.pipeline import (
@@ -33,9 +39,9 @@ from gsfloc.pipeline import (
 )
 from gsfloc.scene_graph import build_scene_graph
 from gsfloc.synth import generate_scene, sample_query_poses, simulate_scan
-from gsfloc.wasserstein import psd_sqrt
+from gsfloc.wasserstein import psd_sqrt, w2_squared
 
-from conftest import pole_line_scene, small_scene_spec
+from conftest import pole_line_scene, small_scene_spec, stack_pops
 
 
 @pytest.fixture(scope="module")
@@ -244,8 +250,17 @@ class TestBundleJson:
          "graph.json: instance record 2 lacks id or centroid"),
         ("graph.json", lambda doc: doc["instances"][2].pop("centroid"),
          "graph.json: instance record 2 lacks id or centroid"),
+        ("config.json", lambda doc: doc["config"]["gsf"].update(kappa="big"),
+         "config.json: config key 'gsf.kappa' expects a number"),
+        ("config.json", lambda doc: doc.update(taxonomy=list(doc["taxonomy"].values())),
+         "config.json: taxonomy must be a non-empty object"),
+        ("config.json", lambda doc: doc.update(taxonomy={}),
+         "config.json: taxonomy must be a non-empty object"),
+        ("config.json", lambda doc: doc["taxonomy"]["7"].pop("stability"),
+         "config.json: taxonomy class '7' needs an integer id, a name"),
     ], ids=["config-not-json", "config-no-taxonomy", "graph-no-instances", "record-no-id",
-            "record-no-centroid"])
+            "record-no-centroid", "config-value-mistyped", "taxonomy-list", "taxonomy-empty",
+            "class-no-stability"])
     def test_malformed_json_detected(self, ref_map, tmp_path, name, edit, message):
         save_map(ref_map, tmp_path)
         _edit_json(tmp_path, name, edit)
@@ -356,34 +371,29 @@ class TestLocalize:
 
     def test_map_instance_without_field(self, scene, ref_map, taxonomy_module):
         """A map instance without a population, as `load_map` gives for an id
-        that `populations.npz` does not list: its candidates are skipped with a
-        warning, the self-tuned median leaves its pairs out, and the query
-        still localizes."""
-        from gsfloc.descriptors import query_index, triangulate
-
-        cloud, _ = scene
-        pose = sample_query_poses(1, seed=7, half=15.0)[0]
-        scan = simulate_scan(cloud, pose, range_max=60.0, dropout_rate=0.3,
-                             noise_sigma=0.03, seed=42)
-        cfg = ref_map.config
-        qgraph = pipeline._query_graph(scan, taxonomy_module, cfg)
-        pops_query = pipeline._query_probes(qgraph, taxonomy_module, cfg)
-        cand_lists = [(d, query_index(ref_map.index, d))
-                      for d in triangulate(qgraph, cfg.index.k_neighbors)]
+        that `populations.npz` does not list: the match stage skips its
+        candidates with a warning, its pairs stay out of the W2 table and the
+        self-tuned median, and the query still localizes."""
+        pose, scan, qgraph, pops_query, cand_lists = _street_query(scene, ref_map,
+                                                                   taxonomy_module)
+        index, cfg = ref_map.index, ref_map.config
         touched = [m for _, cands in cand_lists for cid in cands
-                   for m in ref_map.index.descriptors[cid].vertex_ids]
+                   for m in index.descriptors[cid].vertex_ids]
         gone = max(set(touched), key=touched.count)
         pops = {**ref_map.populations, gone: None}
         holed = dataclasses.replace(ref_map, populations=pops)
 
-        cache: dict = {}
-        sim = pipeline._self_tune(cand_lists, pops_query, holed, cfg, cache)
-        canonical = {
-            (q, m) for d, cands in cand_lists for cid in cands
-            if gone not in ref_map.index.descriptors[cid].vertex_ids
-            for q, m in zip(d.vertex_ids, ref_map.index.descriptors[cid].vertex_ids)
-        }
-        assert set(cache) == canonical
+        with pytest.warns(UserWarning, match=rf"map instances \[{gone}\] lack fields; candidate"):
+            kept, w2, sim = pipeline._w2_table(cand_lists, pops_query, holed, cfg)
+        assert [cands for _, cands in kept] == [
+            [cid for cid in cands if gone not in index.descriptors[cid].vertex_ids]
+            for _, cands in cand_lists]
+        canonical = {(q, m) for d, cands in kept for cid in cands
+                     for q, m in zip(d.vertex_ids, index.descriptors[cid].vertex_ids)}
+        ordered = {(d.vertex_ids[k], index.descriptors[cid].vertex_ids[perm[k]])
+                   for d, cands in kept for cid in cands
+                   for perm in index.orders[cid] for k in range(3)}
+        assert set(w2) == canonical | ordered
         median = float(np.median([
             pair_w2(q, m, pops_query, pops, cfg.sim.use_stability) for q, m in canonical]))
         assert sim.accept_threshold == 3.0 * median
@@ -394,6 +404,26 @@ class TestLocalize:
         assert all(c.map_id != gone for c in res.inliers)
         te, re = pose_error(res.pose, pose)
         assert te <= 0.5 and re <= 2.0
+
+    def test_query_instance_without_field(self, scene, ref_map, taxonomy_module):
+        """A query instance without a population, as a failed fit leaves it:
+        the match stage skips every triangle on it with a warning and scores
+        the rest."""
+        _, _, qgraph, pops_query, cand_lists = _street_query(scene, ref_map,
+                                                             taxonomy_module)
+        touched = [q for d, cands in cand_lists if cands for q in d.vertex_ids]
+        gone = max(set(touched), key=touched.count)
+        holed = {**pops_query, gone: None}
+
+        with pytest.warns(UserWarning, match=rf"query instances \[{gone}\] lack fields; "
+                                             "candidates skipped"):
+            kept, w2, _ = pipeline._w2_table(cand_lists, holed, ref_map, ref_map.config)
+        assert [cands for _, cands in kept] == [
+            [] if gone in d.vertex_ids else cands for d, cands in cand_lists]
+        assert all(q != gone for q, _ in w2)
+        with pytest.warns(UserWarning, match=rf"query instances \[{gone}\] lack fields"):
+            _, matches = pipeline._match(qgraph, holed, ref_map, ref_map.config)
+        assert matches and all(gone not in m.query.vertex_ids for m in matches)
 
     @pytest.mark.parametrize("case", ["success", "empty-scan", "disjoint", "degenerate"])
     def test_every_exit(self, scene, ref_map, taxonomy_module, monkeypatch, case):
@@ -472,6 +502,79 @@ class TestLocalize:
                                   np.hstack([cloud.logits, np.zeros((cloud.n, 1))]))
         with pytest.raises(ValidationError, match="13 logit columns; the taxonomy has 12"):
             localize(scan, ref_map)
+
+
+def _street_query(scene, ref_map, taxonomy):
+    """A scan of the scene and its inputs to the match stage: the pose, the
+    scan, the query graph, its stacked populations and its coarse candidates."""
+    cloud, _ = scene
+    pose = sample_query_poses(1, seed=7, half=15.0)[0]
+    scan = simulate_scan(cloud, pose, range_max=60.0, dropout_rate=0.3,
+                         noise_sigma=0.03, seed=42)
+    cfg = ref_map.config
+    qgraph = pipeline._query_graph(scan, taxonomy, cfg)
+    pops_query = pipeline._query_probes(qgraph, taxonomy, cfg)
+    cand_lists = [(d, query_index(ref_map.index, d))
+                  for d in triangulate(qgraph, cfg.index.k_neighbors)]
+    return pose, scan, qgraph, pops_query, cand_lists
+
+
+class TestMatch:
+    def test_table_equals_written_out_loop(self, scene, ref_map, taxonomy_module):
+        """The match stage's W2 table path against a loop that calls
+        `w2_squared` for every (candidate, vertex order, vertex) and takes the
+        min over yaws: the same survivors in the same order, ties included,
+        with scores and weights within 1e-9."""
+        _, _, qgraph, pops_query, cand_lists = _street_query(scene, ref_map,
+                                                             taxonomy_module)
+        index, pops_map = ref_map.index, ref_map.populations
+        assert all(p is not None for p in [*pops_query.values(), *pops_map.values()])
+        _, got = pipeline._match(qgraph, pops_query, ref_map, ref_map.config)
+
+        def w2(q, m):
+            return float(np.min(w2_squared(pops_query[q], pops_map[m], use_stability=True)))
+
+        median = float(np.median([
+            w2(q, m) for q, m in {(q, m) for d, cands in cand_lists for cid in cands
+                                  for q, m in zip(d.vertex_ids,
+                                                  index.descriptors[cid].vertex_ids)}]))
+        sigma_w, accept = np.sqrt(median), 3.0 * median
+        want = []
+        for d, cands in cand_lists:
+            kept = []
+            for cid in cands:
+                best = None
+                for perm in index.orders[cid]:
+                    pairs = [(d.vertex_ids[k], index.descriptors[cid].vertex_ids[perm[k]])
+                             for k in range(3)]
+                    scores = [w2(q, m) for q, m in pairs]
+                    total = scores[0] + scores[1] + scores[2]
+                    if best is None or total < best[0]:
+                        best = (total, cid, pairs, scores)
+                if best[0] <= 3.0 * accept:
+                    kept.append(best)
+            want += sorted(kept, key=lambda b: (b[0], b[1]))
+        assert len(got) == len(want) > 0
+        for m, (total, cid, pairs, scores) in zip(got, want):
+            assert m.map.id == cid and list(m.pairs) == pairs
+            assert abs(m.w2_total - total) < 1e-9
+            for omega, s in zip(m.omegas, scores):
+                assert abs(omega - np.exp(-s / (2.0 * sigma_w**2))) < 1e-9
+
+
+    def test_table_covers_every_stored_order(self, ref_map):
+        """An equilateral candidate pairs its vertices under all six orders:
+        the table holds all nine pairs, and the similarity self-tunes to the
+        median over the three canonical ones."""
+        pops_query = {q: stack_pops([ref_map.populations[q]]) for q in (0, 1, 2)}
+        q = TriangleDescriptor(0, (0, 1, 2), (4.0, 4.0, 4.0), (7, 7, 7))
+        cand = TriangleDescriptor(0, (3, 4, 5), (4.0, 4.0, 4.0), (7, 7, 7))
+        one = dataclasses.replace(ref_map, index=build_index([cand], 0.5))
+        kept, w2, sim = pipeline._w2_table([(q, [0])], pops_query, one, ref_map.config)
+        assert kept == [(q, [0])]
+        assert sorted(w2) == [(a, b) for a in (0, 1, 2) for b in (3, 4, 5)]
+        median = float(np.median([w2[(0, 3)], w2[(1, 4)], w2[(2, 5)]]))
+        assert sim.accept_threshold == 3.0 * median and sim.sigma_w == np.sqrt(median)
 
 
 def _w2_reference(pop_a, pop_b):

@@ -5,7 +5,6 @@ from gsfloc.core import ValidationError
 from gsfloc.gsf import GpPopulation
 from gsfloc.wasserstein import (
     SimilarityConfig,
-    population_sqrt,
     psd_sqrt,
     similarity_weight,
     w2_squared,
@@ -118,16 +117,6 @@ class TestW2:
         scaled = w2_squared(make_pop(mu, s**2 * S1), make_pop(mu, s**2 * S2))
         assert abs(scaled - s**2 * base) < 1e-8 * max(1.0, abs(base))
 
-    def test_given_root_matches_computed(self):
-        rng = np.random.default_rng(8)
-        for use_stability in (False, True):
-            for _ in range(10):
-                g = int(rng.integers(2, 10))
-                a, b = random_pop(rng, g, 3), random_pop(rng, g, 3)
-                root = population_sqrt(b, use_stability)
-                given = w2_squared(a, b, use_stability, sqrt_b=root)
-                assert abs(given - w2_squared(a, b, use_stability)) < 1e-10
-
     def test_stack_equals_member_calls(self):
         """A stack of populations as A scores each member exactly as its own call."""
         rng = np.random.default_rng(9)
@@ -140,9 +129,6 @@ class TestW2:
                 got = w2_squared(stack, b, use_stability)
                 assert isinstance(got, np.ndarray) and got.shape == (y,)
                 assert got.tolist() == want
-                root = population_sqrt(b, use_stability)
-                assert w2_squared(stack, b, use_stability, sqrt_b=root).tolist() == [
-                    w2_squared(m, b, use_stability, sqrt_b=root) for m in members]
                 assert all(type(v) is float for v in want)
 
     def test_shape_mismatch(self):
