@@ -8,6 +8,7 @@ quality against plain random downsampling at the same budgets.
 
 import numpy as np
 
+from gsfloc.config import GridSection
 from gsfloc.core import default_taxonomy, one_hot_logits
 from gsfloc.gsf import (
     GpHyperParams,
@@ -53,7 +54,7 @@ for budget in (64, 256):
 # --- fit and probe ------------------------------------------------------------
 hyper = GpHyperParams(kappa=2.0, sigma_y=0.1)
 field = fit_gsf(X, Y, labels, hyper, budget=256, seed=0)
-pop = grid_probe(field, tax, delta_x=2.5, delta_y=2.5, n_x=5, n_y=5)
+pop = grid_probe(field, tax, GridSection(nx=5, ny=5, dx=2.5, dy=2.5))
 pred_names = [tax.name(c) for c in np.argmax(pop.mu, axis=1)]
 print(f"\n5x5 probe grid argmax classes (row-major): {pred_names}")
 print(f"stability weights on the grid: {sorted(set(pop.stability_weights))}")

@@ -8,6 +8,7 @@ movable (cars) so that parked-car churn does not dominate the comparison.
 
 import numpy as np
 
+from gsfloc.config import GridSection
 from gsfloc.core import default_taxonomy, one_hot_logits
 from gsfloc.gsf import GpHyperParams, fit_gsf, grid_probe
 from gsfloc.wasserstein import SimilarityConfig, similarity_weight, w2_squared
@@ -35,7 +36,7 @@ def neighborhood(seed, car=False):
 
 def probe(X, Y, L, fit_seed=0):
     fld = fit_gsf(X, Y, L, hyper, budget=256, seed=fit_seed)
-    return grid_probe(fld, tax, delta_x=2.5, delta_y=2.5, n_x=5, n_y=5)
+    return grid_probe(fld, tax, GridSection(nx=5, ny=5, dx=2.5, dy=2.5))
 
 
 print("W2^2 between probe populations:")

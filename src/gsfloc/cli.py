@@ -183,8 +183,14 @@ def cmd_evaluate(args) -> int:
     def query_field(key, kind, default):
         return checked(kind, q.get(key, default), f"benchmark spec: queries.{key}")
 
+    count = query_field("count", int, 20)
+    if count < 1:
+        raise ValidationError(f"benchmark spec: queries.count must be >= 1, got {count}")
+    range_max = query_field("range_max", float, 60.0)
+    if not range_max > 0:
+        raise ValidationError(f"benchmark spec: queries.range_max must be > 0, got {range_max}")
     poses = sample_query_poses(
-        query_field("count", int, 20), seed=[map_spec.seed, 1],
+        count, seed=[map_spec.seed, 1],
         half=query_field("region_half", float, map_spec.extent / 4.0),
         z=query_field("z", float, 1.8),
     )
@@ -192,7 +198,7 @@ def cmd_evaluate(args) -> int:
         map_spec,
         poses,
         cfg,
-        range_max=query_field("range_max", float, 60.0),
+        range_max=range_max,
         dropout_rate=query_field("dropout", float, 0.3),
         noise_sigma=query_field("noise_sigma", float, 0.03),
     )
@@ -212,7 +218,6 @@ def cmd_selftest(args) -> int:
     from scipy.linalg import inv
 
     from .gsf import GpHyperParams, fit_gsf, gsf_predict, grid_probe, matern32_matrix
-    from .pipeline import _probe_yaws, _yaw_gather
     from .matching import ConsistencyGraph, Correspondence, brute_force_max_clique, max_clique
     from .pose_solver import WeightedCorrespondenceSet, weighted_kabsch
     from .core import RigidTransform, rotation_angle_deg, rot_z
@@ -283,17 +288,16 @@ def cmd_selftest(args) -> int:
     fld = fit_gsf(rng.uniform(-6, 6, (80, 3)), rng.normal(size=(80, d)),
                   rng.integers(0, d, 80), GpHyperParams(), budget=80, seed=0)
     yaws = [2.0 * np.pi * k / 8 for k in range(8)]
-    cfg = RunConfig()
-    probed, src, perm = _yaw_gather(yaws, cfg)
-    stack = _probe_yaws(fld, taxonomy, cfg, probed, src, perm)
+    grid = RunConfig().gsf.grid
+    stack = grid_probe(fld, taxonomy, grid, yaws)
     worst = max(
         max(np.abs(stack.grid[k] - want.grid).max(), np.abs(stack.mu[k] - want.mu).max(),
             np.abs(stack.Sigma[k] - want.Sigma).max(),
             np.abs(stack.stability_weights[k] - want.stability_weights).max())
-        for k, want in enumerate(grid_probe(fld, taxonomy, yaw=y) for y in yaws)
+        for k, want in enumerate(grid_probe(fld, taxonomy, grid, y) for y in yaws)
     )
-    report(f"yaw-permuted probe vs fresh probe ({8 - len(probed)} of 8 yaws, "
-           f"max abs dev {worst:.2e})", worst < 1e-12)
+    report(f"yaw-stacked probe vs fresh probe (8 yaws, max abs dev {worst:.2e})",
+           worst < 1e-12)
 
     # descriptor index vs linear scan; quarter-meter sides put many probes
     # exactly delta_d away, where the match is inclusive

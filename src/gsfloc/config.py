@@ -25,7 +25,9 @@ from .core import FormatError, ValidationError
 class GridSection:
     nx: int = 5
     ny: int = 5
-    dx: float = 2.5  # defaults to neighborhood radius / 4
+    # a fixed 2.5 m, a quarter of the default cluster.neighborhood_radius; it
+    # does not follow that radius when the radius is set
+    dx: float = 2.5
     dy: float = 2.5
     z_mode: Literal["local-zero"] | float = "local-zero"
 

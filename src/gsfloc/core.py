@@ -68,12 +68,6 @@ class LabelTaxonomy:
     def ids(self) -> list[int]:
         return list(self._classes.keys())
 
-    def __contains__(self, class_id: int) -> bool:
-        return class_id in self._classes
-
-    def info(self, class_id: int) -> ClassInfo:
-        return self._classes[class_id]
-
     def name(self, class_id: int) -> str:
         return self._classes[class_id].name
 

@@ -3,23 +3,30 @@
 A field is an exact GP over a class-proportional sparsification of a local
 neighborhood, mapping local 3D position to semantic logits (zero-mean prior,
 Matern 3/2 kernel, independent output channels sharing one kernel matrix).
-Grid probing evaluates the field on a uniform 2D grid to produce a finite
-multivariate Gaussian population for downstream comparison.
+Grid probing evaluates the field on the uniform 2D grid of the config's
+`GridSection` to produce a finite multivariate Gaussian population for
+downstream comparison; this module is the only reader of that grid.
 
 Probing takes one yaw or several. Several yaws give a stacked population, every
-array with a leading yaw axis, from one kernel matrix, one triangular solve
+array with a leading yaw axis, each member equal to its own single-yaw probe.
+`grid_probe` owns the yaw reuse: it probes only the yaws whose grid is not a
+reordering of an earlier yaw's, in one kernel matrix, one triangular solve
 against the cached Cholesky factor (W = L^-1 k(X,Q), Sigma = k(Q,Q) - W^T W)
-and one batched PSD check; each member equals its own single-yaw probe.
+and one batched PSD check, then gathers every yaw's member. The reuse plan
+is built once per grid and yaw stack and memoised on their values.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from collections.abc import Sequence
+from dataclasses import astuple, dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
 from scipy.spatial.distance import cdist
 
+from .config import GridSection
 from .core import GsflocError, LabelTaxonomy, ValidationError, rot_z
 
 JITTER_START = 1e-8
@@ -213,87 +220,86 @@ def _clamp_psd(Sigma: np.ndarray) -> np.ndarray:
 PERMUTATION_TOL = 1e-9
 
 
-def probe_grid(
-    centroid_local=(0.0, 0.0, 0.0),
-    delta_x: float = 2.5,
-    delta_y: float = 2.5,
-    n_x: int = 5,
-    n_y: int = 5,
-    z_mode="local-zero",
-    yaw: float | np.ndarray = 0.0,
-) -> np.ndarray:
-    """(n_x * n_y, 3) probe locations of a uniform grid centered at `centroid_local`.
+def probe_grid(grid: GridSection, yaw: float | np.ndarray = 0.0) -> np.ndarray:
+    """(nx * ny, 3) probe locations of `grid`, centered at the local origin.
 
-    The grid's bounding box is symmetric about the centroid; flattening is
-    row-major over (i, j) with g = i*n_y + j. `z_mode` is "local-zero"
-    (probe at the centroid height, local z = 0) or a numeric z offset.
-    `yaw` rotates the grid about the local z axis; a 1-D array of Y yaws
-    gives the (Y, n_x * n_y, 3) stack of those grids.
+    The grid's bounding box is symmetric about the origin; flattening is
+    row-major over (i, j) with g = i*ny + j. `z_mode` is "local-zero" (probe
+    at the centroid height, local z = 0) or a numeric z offset, added after
+    the rotation. `yaw` rotates the grid about the local z axis; a 1-D array
+    of Y yaws gives the (Y, nx * ny, 3) stack of those grids.
     """
-    if n_x < 1 or n_y < 1:
+    if grid.nx < 1 or grid.ny < 1:
         raise ValidationError("grid dimensions must be >= 1")
-    cx, cy, cz = np.asarray(centroid_local, dtype=np.float64).reshape(3)
-    if z_mode == "local-zero":
-        z_off = 0.0
-    else:
-        z_off = float(z_mode)
-    xs = (np.arange(n_x) - (n_x - 1) / 2.0) * delta_x
-    ys = (np.arange(n_y) - (n_y - 1) / 2.0) * delta_y
+    z_off = 0.0 if grid.z_mode == "local-zero" else float(grid.z_mode)
+    xs = (np.arange(grid.nx) - (grid.nx - 1) / 2.0) * grid.dx
+    ys = (np.arange(grid.ny) - (grid.ny - 1) / 2.0) * grid.dy
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     local = np.column_stack([gx.ravel(), gy.ravel(), np.zeros(gx.size)])
     yaws = np.asarray(yaw, dtype=np.float64)
     rot = np.stack([rot_z(y) for y in yaws.reshape(-1)])  # (Y,3,3)
-    grids = local @ np.swapaxes(rot, 1, 2) + np.array([cx, cy, cz + z_off])
+    grids = local @ np.swapaxes(rot, 1, 2) + np.array([0.0, 0.0, z_off])
     return grids if yaws.ndim else grids[0]
+
+
+@functools.lru_cache(maxsize=16)
+def _yaw_plan(grid: tuple, yaws: tuple[float, ...]) -> tuple[np.ndarray, ...]:
+    """How `grid_probe` probes a yaw stack, for the GridSection field values
+    `grid`: the points (P,G,3) of the P yaws it probes, and for every yaw k
+    the probed member src[k] and point order perm[k] (G,) it gathers from.
+
+    A yaw is probed unless its grid points are an earlier probed yaw's
+    reordered (within PERMUTATION_TOL). The arrays are shared by every call
+    with the same key, so they are read-only.
+    """
+    grids = probe_grid(GridSection(*grid), np.array(yaws))
+    probed, src, perm = [], [], []
+    for k, points in enumerate(grids):
+        for j, done in enumerate(probed):
+            dist = cdist(points, grids[done])
+            order = np.argmin(dist, axis=1)
+            close = dist[np.arange(order.size), order].max() <= PERMUTATION_TOL
+            if close and np.unique(order).size == order.size:
+                src.append(j)
+                perm.append(order)
+                break
+        else:
+            src.append(len(probed))
+            perm.append(np.arange(len(points)))
+            probed.append(k)
+    plan = (grids[probed], np.array(src), np.stack(perm))
+    for a in plan:
+        a.flags.writeable = False
+    return plan
 
 
 def grid_probe(
     field: GaussianSemanticField,
     taxonomy: LabelTaxonomy,
-    centroid_local=(0.0, 0.0, 0.0),
-    delta_x: float = 2.5,
-    delta_y: float = 2.5,
-    n_x: int = 5,
-    n_y: int = 5,
-    z_mode="local-zero",
-    yaw: float | np.ndarray = 0.0,
+    grid: GridSection,
+    yaw: float | Sequence[float] = 0.0,
 ) -> GpPopulation:
-    """Probe the field on the `probe_grid` of the same arguments.
+    """Probe the field on `probe_grid(grid, yaw)`.
 
-    A float yaw gives one population; a sequence of yaws gives a stacked one
-    (grid (Y,G,3), mu (Y,G,D), Sigma (Y,G,G), weights (Y,G)) from one
-    `gsf_predict`, member y equal to the probe at yaw[y] alone.
+    A float yaw gives one population. A sequence of yaws gives a stacked one
+    (grid (Y,G,3), mu (Y,G,D), Sigma (Y,G,G), weights (Y,G)), member y equal
+    to the probe at yaw[y] alone: one `gsf_predict` at the yaws whose grid is
+    not a reordering of an earlier one, then one gather for every yaw.
     """
-    grid = probe_grid(centroid_local, delta_x, delta_y, n_x, n_y, z_mode, yaw)
-    mu, Sigma = gsf_predict(field, grid)
+    if np.ndim(yaw) == 0:
+        points = probe_grid(grid, yaw)
+    else:
+        points, src, perm = _yaw_plan(astuple(grid),
+                                      tuple(np.asarray(yaw, dtype=np.float64).tolist()))
+    mu, Sigma = gsf_predict(field, points)
     Sigma = _clamp_psd(Sigma)
     weights = taxonomy.stability_vector()[np.argmax(mu, axis=-1)]
-    return GpPopulation(grid, mu, Sigma, weights)
-
-
-def yaw_reuse_plan(yaws, **grid) -> list[tuple[int, np.ndarray] | None]:
-    """Which yaws need a probe and which reorder an earlier yaw's probe.
-
-    `grid` takes the `probe_grid` arguments other than `yaw`. Entry k is
-    None when yaw k must be probed, or (j, perm) when yaw k's grid points
-    are yaw j's points reordered: point g of yaw k is point perm[g] of yaw
-    j (within PERMUTATION_TOL), and yaw j is itself probed.
-    """
-    grids = [probe_grid(yaw=y, **grid) for y in yaws]
-    plan: list[tuple[int, np.ndarray] | None] = []
-    for k, points in enumerate(grids):
-        reuse = None
-        for j in range(k):
-            if plan[j] is not None:
-                continue
-            dist = cdist(points, grids[j])
-            perm = np.argmin(dist, axis=1)
-            close = dist[np.arange(perm.size), perm].max() <= PERMUTATION_TOL
-            if close and np.unique(perm).size == perm.size:
-                reuse = (j, perm)
-                break
-        plan.append(reuse)
-    return plan
+    if np.ndim(yaw) == 0:
+        return GpPopulation(points, mu, Sigma, weights)
+    rows = src[:, None]
+    return GpPopulation(points[rows, perm], mu[rows, perm],
+                        Sigma[rows[:, :, None], perm[:, :, None], perm[:, None, :]],
+                        weights[rows, perm])
 
 
 def apply_stability_mask(Sigma: np.ndarray, weights: np.ndarray) -> np.ndarray:

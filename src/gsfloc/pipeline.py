@@ -2,8 +2,9 @@
 
 `localize` runs one private function per entry of STAGES, each timed under
 its name: `_query_graph` (prepare, voxel, scene graph), `_query_probes` (one
-stacked yaw population per fitted instance: one `grid_probe` at the yaws
-whose grid is not a reordering of an earlier one, then one gather), `_match`
+`grid_probe` per fitted instance at every yaw sample, run only with the GSF
+filter on; `grid_probe` itself probes only the yaws whose grid is not a
+reordering of an earlier one and gathers the rest), `_match`
 (triangles, index lookup, one W2 table of every instance pair the GSF filter
 reads, scored once each, the similarity self-tuned from it, then the
 filter), `_clique` (correspondences, consistency graph, max clique) and
@@ -65,7 +66,7 @@ from .descriptors import (
     save_index,
     triangulate,
 )
-from .gsf import GpPopulation, grid_probe, yaw_reuse_plan
+from .gsf import GpPopulation, grid_probe
 from .matching import (
     Correspondence,
     build_consistency_graph,
@@ -163,39 +164,6 @@ def _prepare_cloud(cloud: SemanticPointCloud, config: RunConfig) -> SemanticPoin
     return cloud
 
 
-def _grid_args(config: RunConfig) -> dict:
-    """`probe_grid` arguments other than yaw; instance fields live in local frames."""
-    g = config.gsf.grid
-    return dict(centroid_local=(0.0, 0.0, 0.0), delta_x=g.dx, delta_y=g.dy,
-                n_x=g.nx, n_y=g.ny, z_mode=g.z_mode)
-
-
-def _yaw_gather(yaws, config) -> tuple[list[float], np.ndarray, np.ndarray]:
-    """The yaws to probe, and for every yaw sample k the probed member src[k]
-    and point order perm[k] (G,) its population is gathered from, as
-    `yaw_reuse_plan` gives them."""
-    plan = yaw_reuse_plan(yaws, **_grid_args(config))
-    probed = [k for k, reuse in enumerate(plan) if reuse is None]
-    g = config.gsf.grid.nx * config.gsf.grid.ny
-    src = np.array([probed.index(k if reuse is None else reuse[0])
-                    for k, reuse in enumerate(plan)])
-    perm = np.stack([np.arange(g) if reuse is None else reuse[1] for reuse in plan])
-    return [yaws[k] for k in probed], src, perm
-
-
-def _probe_yaws(field, taxonomy, config, probed, src, perm) -> GpPopulation:
-    """The stacked population over every yaw sample: one `grid_probe` at the
-    `probed` yaws, then one gather by the `_yaw_gather` indices."""
-    pop = grid_probe(field, taxonomy, **_grid_args(config), yaw=probed)
-    rows = src[:, None]
-    return GpPopulation(
-        pop.grid[rows, perm],
-        pop.mu[rows, perm],
-        pop.Sigma[rows[:, :, None], perm[:, :, None], perm[:, None, :]],
-        pop.stability_weights[rows, perm],
-    )
-
-
 def _flatten(d: dict, prefix: str = ""):
     for k, v in d.items():
         if isinstance(v, dict):
@@ -230,7 +198,7 @@ def build_map(
         )
     populations = {
         inst.id: None if (field := graph.fields.get(inst.id)) is None
-        else grid_probe(field, taxonomy, **_grid_args(config))
+        else grid_probe(field, taxonomy, config.gsf.grid)
         for inst in graph.instances
     }
     index = build_index(triangulate(graph, config.index.k_neighbors), config.index.delta_d)
@@ -255,10 +223,10 @@ def _query_graph(query_cloud, taxonomy, config) -> SceneGraph:
 def _query_probes(qgraph, taxonomy, config) -> dict[int, GpPopulation | None]:
     """Stage "probe": every fitted instance's stacked population over the yaw samples."""
     n = config.sim.yaw_samples
-    gather = _yaw_gather([2.0 * np.pi * k / n for k in range(n)], config)
+    yaws = [2.0 * np.pi * k / n for k in range(n)]
     return {
         inst.id: None if (field := qgraph.fields.get(inst.id)) is None
-        else _probe_yaws(field, taxonomy, config, *gather)
+        else grid_probe(field, taxonomy, config.gsf.grid, yaws)
         for inst in qgraph.instances
     }
 
@@ -354,8 +322,9 @@ def localize(
 ) -> LocalizationResult:
     """One-shot localization of a query scan against a prebuilt map.
 
-    Runs the STAGES in order. Fewer than 3 clique members end the query as
-    "no-match", a failed pose solve as "degenerate"; stages not run time 0 ms.
+    Runs the STAGES in order; with the GSF filter off, "probe" is skipped, as
+    nothing reads its populations. Fewer than 3 clique members end the query
+    as "no-match", a failed pose solve as "degenerate"; stages not run time 0 ms.
     """
     config = config or ref_map.config
     want, got = _population_settings(ref_map.config), _population_settings(config)
@@ -371,7 +340,8 @@ def localize(
                              config.pipeline.use_gsf_filter)
 
     qgraph = _timed(timings, "graph", _query_graph, query_cloud, taxonomy, config)
-    pops_query = _timed(timings, "probe", _query_probes, qgraph, taxonomy, config)
+    pops_query = (_timed(timings, "probe", _query_probes, qgraph, taxonomy, config)
+                  if config.pipeline.use_gsf_filter else {})
     res.triangles_queried, matches = _timed(
         timings, "match", _match, qgraph, pops_query, ref_map, config)
     res.candidates_after_filter = len(matches)

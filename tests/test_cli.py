@@ -423,6 +423,22 @@ class TestEvaluate:
         assert "queries.count expects an integer" in err and "Traceback" not in err
 
 
+    @pytest.mark.parametrize("queries, field", [
+        ({"count": 0}, "queries.count must be >= 1"),
+        ({"count": -3}, "queries.count must be >= 1"),
+        ({"range_max": -1.0}, "queries.range_max must be > 0"),
+        ({"range_max": 0}, "queries.range_max must be > 0"),
+    ], ids=["count-zero", "count-negative", "range-negative", "range-zero"])
+    def test_unanswerable_queries_exit_2(self, tmp_path, capsys, queries, field):
+        spec = {"map": small_scene_spec(seed=43).to_dict(), "queries": queries}
+        f = tmp_path / "bench.json"
+        f.write_text(json.dumps(spec))
+        assert main(["evaluate", "--spec", str(f), "--out", str(tmp_path / "r")]) == 2
+        err = capsys.readouterr().err
+        assert field in err and "Traceback" not in err
+        assert not (tmp_path / "r").exists()
+
+
 class TestSelftest:
     def test_selftest_passes(self, capsys):
         assert main(["selftest"]) == 0

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from gsfloc.config import GridSection
 from gsfloc.core import ValidationError, one_hot_logits
 from gsfloc.descriptors import (
     EQUAL_SIDE_TOL,
@@ -280,7 +281,7 @@ def field_with_offset(taxonomy, offset, seed=0):
     Y = one_hot_logits(labels, 12)
     Y[:, taxonomy.id_of("vegetation")] += offset * np.sin(X[:, 0])
     fld = fit_gsf(X, Y, labels, GpHyperParams(), 40, 0)
-    return grid_probe(fld, taxonomy)
+    return grid_probe(fld, taxonomy, GridSection())
 
 
 def w2_table(pops_query, pops_map):

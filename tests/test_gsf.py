@@ -1,7 +1,11 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 from scipy.linalg import inv
 
+from gsfloc import gsf
+from gsfloc.config import GridSection
 from gsfloc.core import ValidationError, one_hot_logits
 from gsfloc.gsf import (
     FitError,
@@ -211,14 +215,14 @@ class TestGridProbe:
     def test_single_point_grid(self, taxonomy):
         fld = fit_gsf(np.zeros((1, 3)), one_hot_logits([7], 12), [7],
                       GpHyperParams(), 1, 0)
-        pop = grid_probe(fld, taxonomy, n_x=1, n_y=1)
+        pop = grid_probe(fld, taxonomy, GridSection(nx=1, ny=1))
         assert pop.Sigma.shape == (1, 1)
         assert pop.grid.shape == (1, 3)
 
     def test_grid_centering(self, taxonomy):
         fld = fit_gsf(np.zeros((1, 3)), one_hot_logits([7], 12), [7],
                       GpHyperParams(), 1, 0)
-        pop = grid_probe(fld, taxonomy, delta_x=1.0, delta_y=1.0, n_x=3, n_y=3)
+        pop = grid_probe(fld, taxonomy, GridSection(nx=3, ny=3, dx=1.0, dy=1.0))
         xs = sorted(set(np.round(pop.grid[:, 0], 9)))
         ys = sorted(set(np.round(pop.grid[:, 1], 9)))
         assert xs == [-1.0, 0.0, 1.0] and ys == [-1.0, 0.0, 1.0]
@@ -229,7 +233,7 @@ class TestGridProbe:
         X = np.array([[-5.0, 0.0, 0.0], [5.0, 0.0, 0.0]])
         Y = one_hot_logits([car, pole], 12)
         fld = fit_gsf(X, Y, [car, pole], GpHyperParams(), 2, 0)
-        pop = grid_probe(fld, taxonomy, delta_x=10.0, delta_y=1.0, n_x=2, n_y=1)
+        pop = grid_probe(fld, taxonomy, GridSection(nx=2, ny=1, dx=10.0, dy=1.0))
         assert pop.stability_weights[0] == 0.5  # argmax car
         assert pop.stability_weights[1] == 1.0  # argmax pole
 
@@ -238,32 +242,120 @@ class TestGridProbe:
         X = rng.uniform(-4, 4, (40, 3))
         fld = fit_gsf(X, rng.normal(size=(40, 12)), rng.integers(0, 12, 40),
                       GpHyperParams(sigma_y=0.1), 40, 0)
-        pop = grid_probe(fld, taxonomy)
+        pop = grid_probe(fld, taxonomy, GridSection())
         assert np.linalg.eigvalsh(pop.Sigma).min() >= -1e-10
 
 
     def test_yaw_array_grid_equals_per_yaw_grids(self):
         yaws = [0.0, 0.3, np.pi / 2, 2.0 * np.pi * 5 / 8, -1.1]
-        for args in [{}, dict(centroid_local=(1.0, -2.0, 0.5), delta_x=1.5, delta_y=0.7,
-                              n_x=4, n_y=3, z_mode=0.25)]:
-            stack = probe_grid(**args, yaw=np.array(yaws))
-            assert stack.shape == (len(yaws), probe_grid(**args).shape[0], 3)
+        for grid in [GridSection(), GridSection(nx=4, ny=3, dx=1.5, dy=0.7, z_mode=0.25)]:
+            stack = probe_grid(grid, np.array(yaws))
+            assert stack.shape == (len(yaws), probe_grid(grid).shape[0], 3)
             for k, yaw in enumerate(yaws):
-                np.testing.assert_array_equal(stack[k], probe_grid(**args, yaw=yaw))
+                np.testing.assert_array_equal(stack[k], probe_grid(grid, yaw))
 
     def test_yaw_stack_members_equal_single_probes(self, taxonomy):
         rng = np.random.default_rng(17)
         fld = fit_gsf(rng.uniform(-6, 6, (60, 3)), rng.normal(size=(60, 12)),
                       rng.integers(0, 12, 60), GpHyperParams(), 60, 0)
         yaws = [0.0, 0.4, 2.0 * np.pi / 3]
-        stack = grid_probe(fld, taxonomy, delta_x=2.0, n_y=3, yaw=yaws)
+        grid = GridSection(ny=3, dx=2.0)
+        stack = grid_probe(fld, taxonomy, grid, yaws)
         assert stack.Sigma.shape == (3, 15, 15)
         for k, yaw in enumerate(yaws):
-            one = grid_probe(fld, taxonomy, delta_x=2.0, n_y=3, yaw=yaw)
+            one = grid_probe(fld, taxonomy, grid, yaw)
             assert np.abs(stack.grid[k] - one.grid).max() < 1e-12
             assert np.abs(stack.mu[k] - one.mu).max() < 1e-12
             assert np.abs(stack.Sigma[k] - one.Sigma).max() < 1e-12
             np.testing.assert_array_equal(stack.stability_weights[k], one.stability_weights)
+
+
+def _random_fields(n=3, seed=19):
+    rng = np.random.default_rng(seed)
+    return [fit_gsf(rng.uniform(-6, 6, (60, 3)), rng.normal(size=(60, 12)),
+                    rng.integers(0, 12, 60), GpHyperParams(), 60, 0) for _ in range(n)]
+
+
+def _probed_counts(monkeypatch) -> list:
+    """The number of yaws each later `gsf_predict` call predicts at."""
+    counts = []
+
+    def counting(field, Q):
+        counts.append(1 if np.ndim(Q) == 2 else len(Q))
+        return gsf_predict(field, Q)
+
+    monkeypatch.setattr(gsf, "gsf_predict", counting)
+    return counts
+
+
+def _assert_members_equal_fresh(stack, fresh):
+    for k, want in enumerate(fresh):
+        assert np.abs(stack.grid[k] - want.grid).max() < 1e-12
+        assert np.abs(stack.mu[k] - want.mu).max() < 1e-12
+        assert np.abs(stack.Sigma[k] - want.Sigma).max() < 1e-12
+        assert np.abs(stack.stability_weights[k] - want.stability_weights).max() < 1e-12
+
+
+class TestYawReuse:
+    """A yaw stack, probed at the yaws whose grid is not a reordering of an
+    earlier one and gathered, against a fresh probe at every yaw."""
+
+    @pytest.mark.parametrize("nx, ny, yaw_samples, probed", [
+        (5, 5, 4, 1),
+        (5, 5, 6, 3),
+        (5, 5, 8, 2),
+        (5, 3, 8, 4),
+        (5, 5, 3, 3),
+        (2, 1, 8, 4),  # each 45-degree grid's nearest points are a reordering, but far
+    ])
+    def test_plan_matches_fresh_probes(self, taxonomy, monkeypatch, nx, ny, yaw_samples,
+                                       probed):
+        grid = GridSection(nx=nx, ny=ny)
+        yaws = [2.0 * np.pi * k / yaw_samples for k in range(yaw_samples)]
+        counts = _probed_counts(monkeypatch)
+        for field in _random_fields():
+            counts.clear()
+            stack = grid_probe(field, taxonomy, grid, yaws)
+            assert counts == [probed]
+            assert stack.mu.shape[0] == yaw_samples
+            _assert_members_equal_fresh(stack, [grid_probe(field, taxonomy, grid, y)
+                                                for y in yaws])
+
+    def test_reuse_of_a_later_probed_yaw(self, taxonomy, monkeypatch):
+        """Yaw 3 reorders yaw 2, the second probed member."""
+        field = _random_fields(n=1)[0]
+        grid = GridSection()
+        yaws = [0.0, np.pi, 0.4, np.pi + 0.4]
+        counts = _probed_counts(monkeypatch)
+        stack = grid_probe(field, taxonomy, grid, yaws)
+        assert counts == [2]
+        _assert_members_equal_fresh(stack, [grid_probe(field, taxonomy, grid, y)
+                                            for y in yaws])
+
+    def test_plan_follows_mutated_grid(self, taxonomy, monkeypatch):
+        """The plan is memoised on the grid's values: a GridSection changed
+        between two calls gets the plan of its new values."""
+        field = _random_fields(n=1)[0]
+        grid = GridSection()
+        yaws = [2.0 * np.pi * k / 8 for k in range(8)]
+        counts = _probed_counts(monkeypatch)
+        assert grid_probe(field, taxonomy, grid, yaws).mu.shape[1] == 25
+        grid.nx = 3
+        stack = grid_probe(field, taxonomy, grid, yaws)
+        assert counts == [2, 4]  # 5x5 at 8 yaws probes 2; 3x5 probes 4
+        assert stack.mu.shape[1] == 15
+        _assert_members_equal_fresh(stack, [grid_probe(field, taxonomy, grid, y)
+                                            for y in yaws])
+
+    def test_shared_plan_is_read_only(self, taxonomy):
+        field = _random_fields(n=1)[0]
+        yaws = [2.0 * np.pi * k / 8 for k in range(8)]
+        a = grid_probe(field, taxonomy, GridSection(), yaws)
+        plan = gsf._yaw_plan(astuple(GridSection()), tuple(yaws))
+        assert not any(arr.flags.writeable for arr in plan)
+        a.grid[0, 0, 0] = 99.0  # a population owns its arrays
+        b = grid_probe(field, taxonomy, GridSection(), yaws)
+        assert b.grid[0, 0, 0] != 99.0
 
 
 def _clamp_reference(S):

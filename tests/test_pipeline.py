@@ -22,15 +22,11 @@ from gsfloc.descriptors import (
     query_index,
     triangulate,
 )
-from gsfloc.gsf import apply_stability_mask, grid_probe, yaw_reuse_plan
 from gsfloc import pipeline
 from gsfloc.pipeline import (
     BUNDLE_FILES,
     STAGES,
     BuildError,
-    _grid_args,
-    _probe_yaws,
-    _yaw_gather,
     build_map,
     load_map,
     localize,
@@ -39,7 +35,7 @@ from gsfloc.pipeline import (
 )
 from gsfloc.scene_graph import build_scene_graph
 from gsfloc.synth import generate_scene, sample_query_poses, simulate_scan
-from gsfloc.wasserstein import psd_sqrt, w2_squared
+from gsfloc.wasserstein import w2_squared
 
 from conftest import pole_line_scene, small_scene_spec, stack_pops
 
@@ -60,13 +56,6 @@ def taxonomy_module():
 def ref_map(scene, taxonomy_module):
     cloud, _ = scene
     return build_map(cloud, taxonomy_module, RunConfig())
-
-
-@pytest.fixture(scope="module")
-def map_graph(scene, taxonomy_module):
-    """The scene graph that `build_map` builds over the scene and does not keep."""
-    cloud, _ = scene
-    return build_scene_graph(cloud, taxonomy_module, RunConfig())
 
 
 class TestBuildMap:
@@ -340,14 +329,19 @@ class TestLocalize:
         b = localize(scan, ref_map).to_dict(include_timings=False)
         assert a == b
 
-    def test_gsf_toggle_recorded_and_still_localizes(self, scene, ref_map):
+    def test_gsf_toggle_recorded_and_still_localizes(self, scene, ref_map, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("grid_probe called with the GSF filter off")
+
+        # nothing reads the query populations with the filter off: no probe stage
+        monkeypatch.setattr(pipeline, "grid_probe", refuse)
         cloud, _ = scene
         pose = sample_query_poses(1, seed=10, half=15.0)[0]
         scan = simulate_scan(cloud, pose, 60.0, 0.3, 0.03, seed=6)
         cfg = RunConfig()
         cfg.pipeline.use_gsf_filter = False
         res = localize(scan, ref_map, cfg)
-        assert res.gsf_filter_used is False
+        assert res.gsf_filter_used is False and res.timings_ms["probe"] == 0.0
         # unique scene: centroid-only pipeline still finds the pose
         assert res.status == "success"
         te, _ = pose_error(res.pose, pose)
@@ -575,57 +569,6 @@ class TestMatch:
         assert sorted(w2) == [(a, b) for a in (0, 1, 2) for b in (3, 4, 5)]
         median = float(np.median([w2[(0, 3)], w2[(1, 4)], w2[(2, 5)]]))
         assert sim.accept_threshold == 3.0 * median and sim.sigma_w == np.sqrt(median)
-
-
-def _w2_reference(pop_a, pop_b):
-    """Stability-masked W2^2 with the trace term rooted on A, written out."""
-    s_a = apply_stability_mask(pop_a.Sigma, pop_a.stability_weights)
-    s_b = apply_stability_mask(pop_b.Sigma, pop_b.stability_weights)
-    diff_sq = np.sum((pop_a.mu - pop_b.mu) ** 2, axis=1)
-    mean_term = np.sum(diff_sq * np.sqrt(pop_a.stability_weights * pop_b.stability_weights))
-    r = psd_sqrt(s_a)
-    vals = np.linalg.eigvalsh(r @ s_b @ r)
-    cross = np.sum(np.sqrt(np.maximum(vals, 0.0)))
-    return max(mean_term + np.trace(s_a) + np.trace(s_b) - 2.0 * cross, 0.0)
-
-
-class TestYawReuse:
-    """Populations built from the yaw plan against a fresh probe at every yaw."""
-
-    @pytest.mark.parametrize("nx, ny, yaw_samples, probed", [
-        (5, 5, 4, 1),
-        (5, 5, 6, 3),
-        (5, 5, 8, 2),
-        (5, 3, 8, 4),
-        (5, 5, 3, 3),
-    ])
-    def test_plan_matches_fresh_probes(self, map_graph, taxonomy_module, nx, ny, yaw_samples,
-                                       probed):
-        cfg = RunConfig()
-        cfg.gsf.grid.nx, cfg.gsf.grid.ny = nx, ny
-        yaws = [2.0 * np.pi * k / yaw_samples for k in range(yaw_samples)]
-        plan = yaw_reuse_plan(yaws, **_grid_args(cfg))
-        assert sum(reuse is None for reuse in plan) == probed
-        gather = _yaw_gather(yaws, cfg)
-        ids = sorted(map_graph.fields)[:6]
-        pops_query, pops_fresh, pops_map = {}, {}, {}
-        for i in ids:
-            field = map_graph.fields[i]
-            pops_query[i] = stack = _probe_yaws(field, taxonomy_module, cfg, *gather)
-            pops_fresh[i] = [grid_probe(field, taxonomy_module, **_grid_args(cfg), yaw=y)
-                             for y in yaws]
-            pops_map[i] = pops_fresh[i][0]
-            assert stack.mu.shape[0] == yaw_samples
-            for k, want in enumerate(pops_fresh[i]):
-                assert np.abs(stack.grid[k] - want.grid).max() < 1e-12
-                assert np.abs(stack.mu[k] - want.mu).max() < 1e-12
-                assert np.abs(stack.Sigma[k] - want.Sigma).max() < 1e-12
-                assert np.abs(stack.stability_weights[k] - want.stability_weights).max() < 1e-12
-        for q in ids:
-            for m in ids:
-                want = min(_w2_reference(p, pops_map[m]) for p in pops_fresh[q])
-                got = pair_w2(q, m, pops_query, pops_map, use_stability=True)
-                assert abs(got - want) < 1e-9
 
 
 class TestVoxelDownsample:

@@ -116,12 +116,10 @@ class TestMirroredTwin:
                     continue
                 # min-over-yaw comparison, as the matching stage performs it:
                 # the twins' local frames differ by a 180-degree yaw
-                g = ref.config.gsf.grid
                 pair_gap.append(
                     min(
                         w2_squared(
-                            grid_probe(fld, taxonomy, delta_x=g.dx, delta_y=g.dy,
-                                       n_x=g.nx, n_y=g.ny, yaw=2 * np.pi * k / 8),
+                            grid_probe(fld, taxonomy, ref.config.gsf.grid, 2 * np.pi * k / 8),
                             pb,
                         )
                         for k in range(8)
