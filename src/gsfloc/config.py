@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import types
 import typing
 from dataclasses import dataclass, field, fields, is_dataclass
@@ -161,11 +162,17 @@ def _apply_dict(obj, d: dict, prefix: str) -> None:
 
 # keys whose value, unless null, must be > 0
 _POSITIVE_KEYS = {"sim.sigma_w", "sim.accept_threshold", "sim.yaw_samples",
-                  "solver.tau0", "solver.max_iters", "gsf.grid.dx", "gsf.grid.dy"}
+                  "solver.tau0", "solver.max_iters", "gsf.grid.dx", "gsf.grid.dy",
+                  "gsf.kappa", "index.delta_d"}
 # keys whose value must be >= 0: radii, tolerances, sizes
 _NON_NEGATIVE_KEYS = {"cluster.neighborhood_radius", "cluster.default_threshold",
                       "cluster.min_cluster_size", "matching.epsilon", "solver.rel_tol",
-                      "pipeline.query_voxel"}
+                      "pipeline.query_voxel", "gsf.sigma_y"}
+# integer keys with their least value: grid sides, the GP budget, and the two
+# neighbours an anchor's triangles need
+_LEAST = {"gsf.grid.nx": 1, "gsf.grid.ny": 1, "gsf.budget": 1, "index.k_neighbors": 2}
+# keys whose numeric value must be finite
+_FINITE_KEYS = {"gsf.grid.z_mode", "index.delta_d"}
 _KIND_NAMES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string",
                dict: "an object", type(None): "null"}
 
@@ -218,6 +225,10 @@ def _coerce(section, key: str, value, path: str):
         raise ValidationError(f"config key {path!r} must be > 0, got {value}")
     if path in _NON_NEGATIVE_KEYS and not value >= 0:
         raise ValidationError(f"config key {path!r} must be >= 0, got {value}")
+    if path in _LEAST and value < _LEAST[path]:
+        raise ValidationError(f"config key {path!r} must be >= {_LEAST[path]}, got {value}")
+    if path in _FINITE_KEYS and isinstance(value, float) and not math.isfinite(value):
+        raise ValidationError(f"config key {path!r} must be finite, got {value}")
     if path == "cluster.thresholds":
         for name, v in value.items():
             if not (_accepts(float, v) and v > 0):

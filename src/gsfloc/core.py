@@ -6,7 +6,6 @@ points  : raw little-endian float32, x,y,z interleaved (12 bytes per point)
 labels  : raw little-endian uint32, low 16 bits = class id
 logits  : 16-byte header (magic b"GSFL", u32 N, u32 D, u32 reserved) followed
           by N*D little-endian float32, row-major
-poses   : text, 12 whitespace-separated numbers per line, row-major 3x4 [R|t]
 """
 
 from __future__ import annotations
@@ -373,11 +372,6 @@ class RigidTransform:
     def matrix_3x4(self) -> np.ndarray:
         return np.hstack([self.R, self.t.reshape(3, 1)])
 
-    @classmethod
-    def from_matrix_3x4(cls, m: np.ndarray) -> "RigidTransform":
-        m = np.asarray(m, dtype=np.float64).reshape(3, 4)
-        return cls(m[:, :3], m[:, 3])
-
 
 def rot_z(angle_rad: float) -> np.ndarray:
     c, s = np.cos(angle_rad), np.sin(angle_rad)
@@ -408,21 +402,3 @@ def rotation_angle_deg(R_rel: np.ndarray) -> float:
     s = np.linalg.norm(np.asarray(R_rel) - np.eye(3)) / (2.0 * np.sqrt(2.0))
     return float(np.degrees(2.0 * np.arcsin(np.clip(s, 0.0, 1.0))))
 
-
-def save_poses(path, poses: list[RigidTransform]) -> None:
-    lines = []
-    for T in poses:
-        lines.append(" ".join(repr(float(v)) for v in T.matrix_3x4().ravel()))
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
-
-
-def load_poses(path) -> list[RigidTransform]:
-    poses = []
-    for ln, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        if not line.strip():
-            continue
-        vals = line.split()
-        if len(vals) != 12:
-            raise FormatError(f"pose file {path}: line {ln} has {len(vals)} values, expected 12")
-        poses.append(RigidTransform.from_matrix_3x4(np.array([float(v) for v in vals])))
-    return poses

@@ -7,11 +7,16 @@ Grid probing evaluates the field on the uniform 2D grid of the config's
 `GridSection` to produce a finite multivariate Gaussian population for
 downstream comparison; this module is the only reader of that grid.
 
+A fit factors K = L L^T once and caches the whitened targets L^-1 Y. A
+prediction then makes one triangular solve, W = L^-1 k(X,Q), and reads both
+moments from it: mu = W^T (L^-1 Y) and Sigma = k(Q,Q) - W^T W. The prior
+k(Q,Q) is memoised on the probe points' values and kappa, since every field
+is probed on the same grids.
+
 Probing takes one yaw or several. Several yaws give a stacked population, every
 array with a leading yaw axis, each member equal to its own single-yaw probe.
 `grid_probe` owns the yaw reuse: it probes only the yaws whose grid is not a
 reordering of an earlier yaw's, in one kernel matrix, one triangular solve
-against the cached Cholesky factor (W = L^-1 k(X,Q), Sigma = k(Q,Q) - W^T W)
 and one batched PSD check, then gathers every yaw's member. The reuse plan
 is built once per grid and yaw stack and memoised on their values.
 """
@@ -20,11 +25,11 @@ from __future__ import annotations
 
 import functools
 from collections.abc import Sequence
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
-from scipy.spatial.distance import cdist
+from scipy.linalg import cho_factor, solve_triangular
+from scipy.spatial.distance import cdist, pdist, squareform
 
 from .config import GridSection
 from .core import GsflocError, LabelTaxonomy, ValidationError, rot_z
@@ -56,8 +61,8 @@ class GaussianSemanticField:
     X: np.ndarray  # (M,3) local coordinates
     Y: np.ndarray  # (M,D) logits
     hyper: GpHyperParams
-    factor: tuple  # cached cho_factor of K = k(X,X) + sigma_y^2 I (+ jitter)
-    alpha: np.ndarray  # (M,D) cached K^-1 Y
+    factor: tuple  # cached cho_factor (L, lower) of K = k(X,X) + sigma_y^2 I (+ jitter)
+    white_y: np.ndarray  # (M,D) cached whitened targets L^-1 Y
     jitter: float = 0.0  # extra diagonal needed to factorize; 0 when clean
 
     @property
@@ -117,22 +122,44 @@ def matern32(a, b, kappa: float) -> float:
     return float((1.0 + s) * np.exp(-s))
 
 
+def _matern32_in_place(s: np.ndarray, kappa: float) -> np.ndarray:
+    """The distances `s` overwritten by their Matern 3/2 values, and returned."""
+    s *= np.sqrt(3.0) / kappa
+    e = np.negative(s)
+    np.exp(e, out=e)
+    s += 1.0
+    s *= e
+    return s
+
+
 def matern32_matrix(A: np.ndarray, B: np.ndarray, kappa: float) -> np.ndarray:
-    s = np.sqrt(3.0) / kappa * cdist(A, B)
-    return (1.0 + s) * np.exp(-s)
+    return _matern32_in_place(cdist(A, B), kappa)
+
+
+def _gram(X: np.ndarray, kappa: float) -> np.ndarray:
+    """`matern32_matrix(X, X, kappa)`, bit for bit, from each distance and
+    kernel value of a pair computed once."""
+    K = squareform(_matern32_in_place(pdist(X), kappa))
+    np.fill_diagonal(K, 1.0)
+    return K
 
 
 def _factorize(K: np.ndarray) -> tuple[tuple, float]:
-    """Cholesky with jitter escalation; returns (factor, jitter used)."""
+    """Cholesky with jitter escalation; returns (factor, jitter used).
+
+    K is symmetric, so its transpose is factored: a Fortran-ordered view,
+    which LAPACK copies without transposing. K itself stays intact for the
+    jittered retries.
+    """
     try:
-        return cho_factor(K, lower=True), 0.0
+        return cho_factor(K.T, lower=True), 0.0
     except np.linalg.LinAlgError:
         pass
     jitter = JITTER_START
     eye = np.eye(K.shape[0])
     while jitter <= JITTER_MAX:
         try:
-            return cho_factor(K + jitter * eye, lower=True), jitter
+            return cho_factor((K + jitter * eye).T, lower=True), jitter
         except np.linalg.LinAlgError:
             jitter *= 2.0
     raise FitError(f"kernel factorization failed up to jitter {jitter / 2.0:.3e}")
@@ -147,7 +174,8 @@ def fit_gsf(
     seed,
 ) -> GaussianSemanticField:
     """Sparsify to `budget` points, then fit an exact GP on what is kept:
-    factorize K = k(X,X) + sigma_y^2 I and cache K^-1 Y."""
+    factorize K = k(X,X) + sigma_y^2 I = L L^T and cache the whitened targets
+    L^-1 Y, one triangular solve, from which `gsf_predict` reads the mean."""
     X_local = np.asarray(X_local, dtype=np.float64).reshape(-1, 3)
     Y_logits = np.asarray(Y_logits, dtype=np.float64)
     if Y_logits.ndim != 2 or Y_logits.shape[0] != X_local.shape[0]:
@@ -163,11 +191,32 @@ def fit_gsf(
     if idx.size == 0:
         raise FitError("sparsification produced 0 points (budget too small for class mix)")
     Y = Y_logits[idx]
-    K = matern32_matrix(X, X, hyper.kappa)
+    K = _gram(X, hyper.kappa)
     K[np.diag_indices_from(K)] += hyper.sigma_y**2
     factor, jitter = _factorize(K)
-    alpha = cho_solve(factor, Y)
-    return GaussianSemanticField(X, Y, hyper, factor, alpha, jitter)
+    L, lower = factor
+    white_y = solve_triangular(L, Y, lower=lower, check_finite=False)
+    return GaussianSemanticField(X, Y, hyper, factor, white_y, jitter)
+
+
+def _whiten(field: GaussianSemanticField, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """W = L^-1 k(X, points) (M,N) and the posterior mean W^T L^-1 Y (N,D)
+    at `points` (N,3)."""
+    kqx = matern32_matrix(points, field.X, field.hyper.kappa)
+    L, lower = field.factor
+    W = solve_triangular(L, kqx.T, lower=lower, check_finite=False)
+    return W, W.T @ field.white_y
+
+
+@functools.lru_cache(maxsize=16)
+def _prior(points: bytes, shape: tuple, kappa: float) -> np.ndarray:
+    """k(Q,Q) (Y,G,G) of each member of the float64 point stack Q (Y,G,3)
+    whose bytes are `points`; memoised on those values and kappa, as every
+    field is probed on the same grids, and so read-only."""
+    Qs = np.frombuffer(points).reshape(shape)
+    kqq = np.stack([_gram(q, kappa) for q in Qs])
+    kqq.flags.writeable = False
+    return kqq
 
 
 def gsf_predict(field: GaussianSemanticField, Q) -> tuple[np.ndarray, np.ndarray]:
@@ -175,18 +224,16 @@ def gsf_predict(field: GaussianSemanticField, Q) -> tuple[np.ndarray, np.ndarray
 
     Q (G,3) gives mu (G,D) and Sigma (G,G); a stack Q (Y,G,3) gives mu (Y,G,D)
     and Sigma (Y,G,G), member y predicted at Q[y]. All points share one kernel
-    matrix against X and one triangular solve W = L^-1 k(X,Q).
+    matrix against X and one triangular solve W = L^-1 k(X,Q), which gives
+    mu = W^T L^-1 Y and Sigma = k(Q,Q) - W^T W.
     """
     Q = np.atleast_2d(np.asarray(Q, dtype=np.float64))
     Qs = Q.reshape(-1, Q.shape[-2], 3)  # (Y,G,3); a single set is a stack of one
     n_y, g = Qs.shape[:2]
-    kqx = matern32_matrix(Qs.reshape(-1, 3), field.X, field.hyper.kappa)
-    mu = (kqx @ field.alpha).reshape(n_y, g, -1)
-    L, lower = field.factor
-    W = solve_triangular(L, kqx.T, lower=lower, check_finite=False).reshape(field.m, n_y, g)
-    W = W.transpose(1, 0, 2)  # (Y,M,G)
-    kqq = np.stack([matern32_matrix(q, q, field.hyper.kappa) for q in Qs])
-    Sigma = kqq - np.swapaxes(W, 1, 2) @ W
+    W, mu = _whiten(field, Qs.reshape(-1, 3))
+    mu = mu.reshape(n_y, g, -1)
+    W = W.reshape(field.m, n_y, g).transpose(1, 0, 2)  # (Y,M,G)
+    Sigma = _prior(Qs.tobytes(), Qs.shape, field.hyper.kappa) - np.swapaxes(W, 1, 2) @ W
     Sigma = 0.5 * (Sigma + np.swapaxes(Sigma, 1, 2))
     if Q.ndim == 2:
         return mu[0], Sigma[0]
@@ -289,7 +336,8 @@ def grid_probe(
     if np.ndim(yaw) == 0:
         points = probe_grid(grid, yaw)
     else:
-        points, src, perm = _yaw_plan(astuple(grid),
+        # the plain field values: astuple would deep-copy them on every call
+        points, src, perm = _yaw_plan(tuple(vars(grid).values()),
                                       tuple(np.asarray(yaw, dtype=np.float64).tolist()))
     mu, Sigma = gsf_predict(field, points)
     Sigma = _clamp_psd(Sigma)
@@ -324,7 +372,7 @@ def reconstruction_miou(field: GaussianSemanticField, heldout_points, heldout_la
     truth = np.asarray(heldout_labels).reshape(-1)
     if pts.shape[0] == 0:
         raise ValidationError("heldout set is empty")
-    mean = matern32_matrix(pts, field.X, field.hyper.kappa) @ field.alpha  # no covariance
+    _, mean = _whiten(field, pts)  # gsf_predict's mean, without the covariance
     pred = np.argmax(mean, axis=1)
     classes = np.union1d(np.unique(pred), np.unique(truth))
     ious = []

@@ -139,15 +139,32 @@ class LocalizationResult:
 
 
 def voxel_downsample(cloud: SemanticPointCloud, voxel: float) -> SemanticPointCloud:
-    """Keep the lowest-index point per voxel; deterministic."""
+    """Keep the lowest-index point per voxel; deterministic.
+
+    Each voxel gets one int64 key, its row-major index in the cloud's voxel
+    bounding box. A cloud whose voxel indices, or that box's voxel count, do
+    not fit in int64 is refused with a ValidationError.
+    """
     if voxel <= 0 or cloud.n == 0:
         return cloud
-    keys = np.floor(cloud.points / voxel).astype(np.int64)
-    order = np.lexsort(keys.T[::-1])  # stable: each voxel's run starts at its lowest index
-    runs = keys[order]
-    run_start = np.ones(cloud.n, dtype=bool)
-    run_start[1:] = np.any(runs[1:] != runs[:-1], axis=1)
-    keep = np.sort(order[run_start])
+    cells = np.floor(cloud.points / voxel)
+    if not np.all((cells >= -(2.0**63)) & (cells < 2.0**63)):
+        raise ValidationError(
+            f"voxel indices at voxel size {voxel} do not fit in int64; the cloud reaches "
+            f"{np.abs(cloud.points).max():.3g} m from the origin"
+        )
+    cells = cells.astype(np.int64)
+    low = cells.min(axis=0)
+    spans = [int(hi) - int(lo) + 1 for lo, hi in zip(low, cells.max(axis=0))]
+    if spans[0] * spans[1] * spans[2] > 2**63:
+        raise ValidationError(
+            f"the cloud spans {spans[0]} x {spans[1]} x {spans[2]} voxels of size {voxel}; "
+            "that many do not fit in int64"
+        )
+    cells -= low
+    key = (cells[:, 0] * spans[1] + cells[:, 1]) * spans[2] + cells[:, 2]
+    _, first = np.unique(key, return_index=True)  # each voxel's lowest index
+    keep = np.sort(first)
     logits = None if cloud.logits is None else cloud.logits[keep]
     return SemanticPointCloud(cloud.points[keep], cloud.labels[keep], logits)
 

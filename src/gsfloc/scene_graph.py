@@ -29,6 +29,10 @@ from .config import ClusterSection, RunConfig
 from .core import FormatError, LabelTaxonomy, SemanticPointCloud, ValidationError
 from .gsf import FitError, GaussianSemanticField, GpHyperParams, fit_gsf
 
+# k-d trees built once and queried once: the median splits of a balanced tree
+# and the shrunk node boxes of a compact one cost more to build than they save
+_TREE = {"balanced_tree": False, "compact_nodes": False}
+
 GRAPH_FORMAT = "gsfloc-scene-graph"
 GRAPH_VERSION = 3
 
@@ -69,7 +73,7 @@ def cluster_instances(
         mask = np.nonzero(cloud.labels == cid)[0]
         if mask.size == 0:
             continue
-        pairs = cKDTree(cloud.points[mask]).query_pairs(
+        pairs = cKDTree(cloud.points[mask], **_TREE).query_pairs(
             cluster.thresholds.get(taxonomy.name(cid), cluster.default_threshold),
             output_type="ndarray",
         )
@@ -95,6 +99,15 @@ def cluster_instances(
     ]
 
 
+def _neighborhoods(points: np.ndarray, centroids: list, radius: float) -> list:
+    """Ascending indices of the points within `radius` of each centroid, from
+    one batched ball query."""
+    if not centroids:
+        return []
+    return cKDTree(points, **_TREE).query_ball_point(np.stack(centroids), radius,
+                                                     return_sorted=True)
+
+
 def build_scene_graph(
     cloud: SemanticPointCloud,
     taxonomy: LabelTaxonomy,
@@ -117,14 +130,10 @@ def build_scene_graph(
     instances = cluster_instances(cloud, taxonomy, config.cluster)
     hyper = GpHyperParams(config.gsf.kappa, config.gsf.sigma_y)
     fields: dict[int, GaussianSemanticField | None] = {}
-    tree = cKDTree(cloud.points) if cloud.n else None
-    for inst in instances:
-        idx = np.sort(
-            np.asarray(
-                tree.query_ball_point(inst.centroid, config.cluster.neighborhood_radius),
-                dtype=np.int64,
-            )
-        )
+    hoods = _neighborhoods(cloud.points, [inst.centroid for inst in instances],
+                           config.cluster.neighborhood_radius)
+    for inst, hood in zip(instances, hoods):
+        idx = np.asarray(hood, dtype=np.int64)
         local = cloud.points[idx] - inst.centroid
         try:
             fields[inst.id] = fit_gsf(

@@ -132,6 +132,19 @@ class TestBuildMap:
         assert "'cluster.neighborhood_radius' must be >= 0" in err and "Traceback" not in err
         assert not (tmp_path / "x").exists()
 
+    def test_nan_probe_height_exit_2(self, scene_files, tmp_path, capsys):
+        rc = main([
+            "build-map",
+            "--points", str(scene_files / "map.points"),
+            "--labels", str(scene_files / "map.labels"),
+            "--out", str(tmp_path / "x"),
+            "--set", "gsf.grid.z_mode=NaN",
+        ])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "'gsf.grid.z_mode' must be finite" in err and "Traceback" not in err
+        assert not (tmp_path / "x").exists()
+
     def test_unknown_config_key_exit_2(self, scene_files, tmp_path, capsys):
         rc = main([
             "build-map",

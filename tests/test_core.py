@@ -9,13 +9,11 @@ from gsfloc.core import (
     ValidationError,
     default_taxonomy,
     load_cloud,
-    load_poses,
     one_hot_logits,
     pose_error,
     rot_z,
     rotation_angle_deg,
     save_cloud,
-    save_poses,
     transform_cloud,
 )
 
@@ -168,23 +166,6 @@ class TestPoseError:
             ang = rng.uniform(0.01, np.pi - 0.01)
             R = rot_z(ang)
             assert abs(rotation_angle_deg(R) - np.degrees(ang)) < 1e-8
-
-
-class TestPosesFile:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(8)
-        poses = [random_transform(rng) for _ in range(5)]
-        f = tmp_path / "poses.txt"
-        save_poses(f, poses)
-        loaded = load_poses(f)
-        for a, b in zip(poses, loaded):
-            np.testing.assert_array_equal(a.matrix_3x4(), b.matrix_3x4())
-
-    def test_bad_line(self, tmp_path):
-        f = tmp_path / "poses.txt"
-        f.write_text("1 2 3\n")
-        with pytest.raises(FormatError, match="line 1"):
-            load_poses(f)
 
 
 class TestTaxonomy:

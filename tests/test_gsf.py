@@ -2,7 +2,8 @@ from dataclasses import astuple
 
 import numpy as np
 import pytest
-from scipy.linalg import inv
+from scipy.linalg import cho_factor, inv, solve_triangular
+from scipy.spatial.distance import cdist
 
 from gsfloc import gsf
 from gsfloc.config import GridSection
@@ -100,6 +101,39 @@ class TestKernel:
             for j in range(5):
                 assert abs(K[i, j] - matern32(A[i], B[j], 1.3)) < 1e-12
 
+    @pytest.mark.parametrize("m", [1, 2, 7, 60, 256])
+    def test_gram_equals_cross_kernel(self, m):
+        """The fit's Gram matrix, half its pairs evaluated and mirrored, is
+        bit-equal to the cross kernel of X with itself."""
+        rng = np.random.default_rng(m)
+        X = rng.normal(size=(m, 3)) * rng.uniform(0.1, 5.0)
+        kappa = rng.uniform(0.5, 4.0)
+        K = gsf._gram(X, kappa)
+        assert np.array_equal(K, matern32_matrix(X, X, kappa))
+        assert np.array_equal(K, K.T) and np.all(np.diag(K) == 1.0)
+
+    def test_cross_kernel_equals_its_formula(self):
+        """Evaluated in place, the cross kernel is bit-equal to (1 + s) exp(-s)
+        with s = sqrt(3) / kappa * |a - b| written out."""
+        rng = np.random.default_rng(21)
+        for m, n in [(1, 1), (7, 5), (50, 200)]:
+            A, B = rng.normal(size=(m, 3)) * 3.0, rng.normal(size=(n, 3)) * 3.0
+            s = np.sqrt(3.0) / 1.3 * cdist(A, B)
+            assert np.array_equal(matern32_matrix(A, B, 1.3), (1.0 + s) * np.exp(-s))
+
+    def test_gram_equals_scalar_kernel(self):
+        """Against the scalar `matern32` per pair: bit-equal on the diagonal, and
+        within 4 machine epsilons off it, since the scalar form scales |a - b|
+        in another order and exponentiates one number at a time."""
+        rng = np.random.default_rng(22)
+        for m in (1, 3, 9):
+            X = rng.normal(size=(m, 3)) * rng.uniform(0.1, 5.0)
+            kappa = rng.uniform(0.5, 4.0)
+            loop = np.array([[matern32(a, b, kappa) for b in X] for a in X])
+            K = gsf._gram(X, kappa)
+            assert np.array_equal(np.diag(K), np.diag(loop))
+            assert np.abs(K - loop).max() <= 4 * np.finfo(np.float64).eps
+
     def test_kernel_matrix_psd(self):
         rng = np.random.default_rng(7)
         for _ in range(10):
@@ -133,6 +167,19 @@ class TestFit:
             for j in range(12):
                 expect = matern32(fld.X[i], fld.X[j], 1.7) + (0.04 if i == j else 0.0)
                 assert abs(K[i, j] - expect) < 1e-12
+
+    def test_factor_of_the_cross_kernel(self):
+        """The cached factor is bit-equal to that of matern32_matrix(X, X) +
+        sigma_y^2 I, and the cached targets to one triangular solve against it."""
+        rng = np.random.default_rng(23)
+        X = rng.normal(size=(40, 3)) * 2.0
+        Y = rng.normal(size=(40, 3))
+        fld = fit_gsf(X, Y, rng.integers(0, 3, 40), GpHyperParams(1.7, 0.2), 40, 0)
+        K = matern32_matrix(fld.X, fld.X, 1.7)
+        K[np.diag_indices_from(K)] += 0.2**2
+        L = np.tril(cho_factor(K, lower=True)[0])
+        assert np.array_equal(np.tril(fld.factor[0]), L)
+        assert np.array_equal(fld.white_y, solve_triangular(L, fld.Y, lower=True))
 
     def test_noise_shifts_eigenvalues(self):
         rng = np.random.default_rng(9)
@@ -201,6 +248,22 @@ class TestPredict:
                 S_o = matern32_matrix(Q, Q, 1.2) - kqx @ K_inv @ kqx.T
                 assert np.abs(mu[k] - kqx @ K_inv @ fld.Y).max() < 1e-9
                 assert np.abs(Sigma[k] - 0.5 * (S_o + S_o.T)).max() < 1e-9
+
+    def test_memoised_prior_follows_points_and_kappa(self):
+        """The prior k(Q,Q) is memoised on the points' values and kappa: points
+        edited in place, and a field of another kappa, get their own."""
+        rng = np.random.default_rng(17)
+        X, Y = rng.uniform(-2, 2, (8, 3)), rng.normal(size=(8, 2))
+        Q = rng.uniform(-2, 2, (5, 3))
+        for kappa in (1.2, 0.7):
+            fld = fit_gsf(X, Y, rng.integers(0, 2, 8), GpHyperParams(kappa, 0.15), 8, 0)
+            K_inv = inv(matern32_matrix(fld.X, fld.X, kappa) + 0.15**2 * np.eye(8))
+            for _ in range(2):
+                _, Sigma = gsf_predict(fld, Q)
+                kqx = matern32_matrix(Q, fld.X, kappa)
+                S_o = matern32_matrix(Q, Q, kappa) - kqx @ K_inv @ kqx.T
+                assert np.abs(Sigma - 0.5 * (S_o + S_o.T)).max() < 1e-9
+                Q[0] += 1.0
 
     def test_variance_nonnegative(self):
         rng = np.random.default_rng(13)

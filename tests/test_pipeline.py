@@ -571,6 +571,35 @@ class TestMatch:
         assert sim.accept_threshold == 3.0 * median and sim.sigma_w == np.sqrt(median)
 
 
+def _result_hash(status: str, pose) -> str:
+    """sha256 of the status and the 3x4 pose rounded to 1e-6, as the benchmark
+    hashes a query's result."""
+    text = status
+    if pose is not None:
+        vals = np.round(pose.matrix_3x4().ravel(), 6) + 0.0  # + 0.0 folds -0.0 into 0.0
+        text += " " + " ".join(f"{v:.6f}" for v in vals)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestQueryPin:
+    # the first 16 hex digits of each result hash, recorded before the GP pass
+    # dropped its copied and repeated work; that rewrite must not move a pose
+    PINNED = ["0e5e1f5184469c1a", "804db92d11da083c", "6201ced1412f5d6e",
+              "b60f2b56e8c75c7e", "19b785f251489ecf", "5ef6051b3ce4494c"]
+
+    def test_street_results_unchanged(self, scene, ref_map):
+        """Six scans of criterion 8's scene, drawn as `synth.run_benchmark`
+        draws them, localize to the recorded status and pose."""
+        cloud, _ = scene
+        got = []
+        for i, pose in enumerate(sample_query_poses(6, seed=[31, 1], half=20.0)):
+            scan = simulate_scan(cloud, pose, range_max=60.0, dropout_rate=0.3,
+                                 noise_sigma=0.03, seed=31 * 100003 + i)
+            res = localize(scan, ref_map)
+            got.append(_result_hash(res.status, res.pose)[:16])
+        assert got == self.PINNED
+
+
 class TestVoxelDownsample:
     def test_deterministic_first_point(self):
         pts = np.array([[0.01, 0.0, 0.0], [0.05, 0.0, 0.0], [1.0, 0.0, 0.0]])
@@ -600,6 +629,41 @@ class TestVoxelDownsample:
             np.testing.assert_array_equal(out.labels, labels[keep])
             np.testing.assert_array_equal(out.logits, one_hot_logits(labels, 12)[keep])
 
+    @staticmethod
+    def _lexsort_keep(pts, voxel):
+        """Each voxel's lowest point index, ascending, by sorting the integer
+        voxel rows and taking the start of every run."""
+        keys = np.floor(pts / voxel).astype(np.int64)
+        order = np.lexsort(keys.T[::-1])
+        runs = keys[order]
+        start = np.ones(len(pts), dtype=bool)
+        start[1:] = np.any(runs[1:] != runs[:-1], axis=1)
+        return np.sort(order[start])
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_lexsort_reference(self, seed):
+        rng = np.random.default_rng([seed, 5])
+        n = int(rng.integers(1, 4000))
+        voxel = rng.choice([0.05, 0.2, 1.0, 3.0])
+        sides = rng.integers(1, 25, 3) * voxel  # uneven sides, densely occupied
+        pts = rng.uniform(0.0, 1.0, (n, 3)) * sides - rng.uniform(0.0, 1000.0, 3)
+        pts[n // 2:] = pts[rng.integers(0, max(n // 2, 1), n - n // 2)]  # shared voxels
+        pts[::7] += rng.uniform(-0.5, 0.5, (len(pts[::7]), 3)) * voxel
+        labels = rng.integers(0, 12, n)
+        out = voxel_downsample(SemanticPointCloud(pts, labels), voxel)
+        keep = self._lexsort_keep(pts, voxel)
+        assert np.array_equal(out.points, pts[keep])
+        assert np.array_equal(out.labels, labels[keep])
+
+    @pytest.mark.parametrize("xs, voxel", [
+        ((1e20, 3e20, -5e20), 0.2),  # voxel indices beyond int64
+        ((-1e18, 0.0, 1e18), 0.2),  # indices fit, the bounding box's voxel count does not
+    ])
+    def test_keys_beyond_int64_refused(self, xs, voxel):
+        pts = np.column_stack([xs, np.zeros(3), np.zeros(3)])
+        with pytest.raises(ValidationError, match="int64"):
+            voxel_downsample(SemanticPointCloud(pts, [0, 1, 2]), voxel)
+
 
 class TestConfig:
     @pytest.mark.parametrize("key, bad, edge", [
@@ -611,6 +675,15 @@ class TestConfig:
         ("pipeline.query_voxel", -0.2, 0.0),
         ("gsf.grid.dx", 0.0, 1e-3),
         ("gsf.grid.dy", -2.5, 1e-3),
+        ("gsf.grid.nx", 0, 1),
+        ("gsf.grid.ny", -2, 1),
+        ("gsf.budget", 0, 1),
+        ("gsf.kappa", 0.0, 1e-3),
+        ("gsf.kappa", -2.0, 1e-3),
+        ("gsf.sigma_y", -0.1, 0.0),
+        ("index.k_neighbors", 1, 2),
+        ("index.delta_d", 0.0, 1e-3),
+        ("index.delta_d", -0.5, 1e-3),
     ])
     def test_range_checks(self, key, bad, edge):
         """`bad` is refused naming the key, by override and by dict; `edge`, a value
@@ -625,6 +698,17 @@ class TestConfig:
         cfg = RunConfig()
         cfg.apply_overrides([f"{key}={edge}"])
         assert functools.reduce(getattr, key.split("."), cfg) == edge
+
+    @pytest.mark.parametrize("key, bad", [
+        ("gsf.grid.z_mode", "NaN"),
+        ("gsf.grid.z_mode", "Infinity"),
+        ("gsf.grid.z_mode", "-Infinity"),
+        ("index.delta_d", "NaN"),
+        ("index.delta_d", "Infinity"),
+    ])
+    def test_non_finite_refused(self, key, bad):
+        with pytest.raises(ValidationError, match=f"'{key}' must be"):
+            RunConfig().apply_overrides([f"{key}={bad}"])
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValidationError, match="unknown config key"):

@@ -5,6 +5,7 @@ from scipy.spatial import cKDTree
 from gsfloc.config import ClusterSection, RunConfig
 from gsfloc.core import SemanticPointCloud, ValidationError, one_hot_logits, transform_cloud
 from gsfloc.scene_graph import (
+    _neighborhoods,
     build_scene_graph,
     cluster_instances,
     load_scene_graph,
@@ -190,6 +191,26 @@ class TestBuildGraph:
         assert np.all(dist[nearest] <= cfg.cluster.neighborhood_radius)
         neighborhood_classes = set(int(c) for c in cloud.labels[want])
         assert len(neighborhood_classes) > 1  # all classes included, not only instantiable
+
+
+    def test_batched_neighborhoods_equal_single_queries(self, taxonomy):
+        """One batched query on the unbalanced tree returns, per centroid, what a
+        sorted single-centroid query on a default tree returns."""
+        from gsfloc.synth import generate_scene
+
+        cloud, _ = generate_scene(small_scene_spec(seed=10), taxonomy)
+        cfg = RunConfig()
+        centroids = [inst.centroid for inst in
+                     cluster_instances(cloud, taxonomy, cfg.cluster)]
+        centroids.append(np.array([500.0, 500.0, 0.0]))  # an empty neighbourhood
+        tree = cKDTree(cloud.points)
+        for radius in (0.5, 3.0, cfg.cluster.neighborhood_radius):
+            got = _neighborhoods(cloud.points, centroids, radius)
+            assert len(got) == len(centroids)
+            for hood, c in zip(got, centroids):
+                want = np.sort(np.asarray(tree.query_ball_point(c, radius), dtype=np.int64))
+                assert np.array_equal(np.asarray(hood, dtype=np.int64), want)
+        assert _neighborhoods(cloud.points, [], 1.0) == []
 
 
 class TestSerialization:
