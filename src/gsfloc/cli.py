@@ -307,8 +307,8 @@ def cmd_selftest(args) -> int:
     descs = [TriangleDescriptor(i, (0, 1, 2), tuple(s), tuple(lab))
              for i, (s, lab) in enumerate(zip(sides, labs))]
     index = build_index(descs, delta)
-    agree, found = True, 0
-    for _ in range(300):
+    agree, probes, wants = True, [], []
+    for row in range(300):
         base = descs[int(rng.integers(len(descs)))]
         offsets = rng.choice([-delta, -delta / 2, 0.0, delta / 2, delta], 3)
         q = TriangleDescriptor(0, (0, 1, 2), tuple(s + o for s, o in zip(base.sides, offsets)),
@@ -317,8 +317,11 @@ def cmd_selftest(args) -> int:
                 if max(abs(a - b) for a, b in zip(q.sides, d.sides)) <= delta
                 and sorted(d.labels) == sorted(q.labels)]
         agree = agree and query_index(index, q) == want
-        found += len(want)
-    report(f"descriptor index vs linear scan (300 probes, {found} matches)", agree)
+        probes.append(q)
+        wants += [[row, cid] for cid in want]
+    agree = agree and query_index(index, probes).tolist() == wants
+    report(f"descriptor index vs linear scan (300 probes one by one and batched, "
+           f"{len(wants)} matches)", agree)
 
     return EXIT_OK if ok else EXIT_BUILD
 

@@ -3,8 +3,9 @@
 `RunConfig` is the one configuration type: the scene graph, map building and
 localization all read their settings from it, and a map bundle stores it once,
 in config.json. Configs load from JSON files and accept dotted-key overrides
-(e.g. "sim.sigma_w=1.5"). Unknown keys, values of the wrong type and values
-out of range are rejected when they are set; the full effective
+(e.g. "sim.sigma_w=1.5"). Unknown keys, values of the wrong type, values
+out of range and non-finite numbers are rejected when they are set; only the
+keys in `_NO_LIMIT_KEYS` take Infinity, as "no limit". The full effective
 configuration is echoed into every run manifest.
 """
 
@@ -171,8 +172,9 @@ _NON_NEGATIVE_KEYS = {"cluster.neighborhood_radius", "cluster.default_threshold"
 # integer keys with their least value: grid sides, the GP budget, and the two
 # neighbours an anchor's triangles need
 _LEAST = {"gsf.grid.nx": 1, "gsf.grid.ny": 1, "gsf.budget": 1, "index.k_neighbors": 2}
-# keys whose numeric value must be finite
-_FINITE_KEYS = {"gsf.grid.z_mode", "index.delta_d"}
+# float keys where Infinity means "no limit"; every other float value must be finite
+_NO_LIMIT_KEYS = {"sim.accept_threshold", "pipeline.success_trans_m",
+                  "pipeline.success_rot_deg"}
 _KIND_NAMES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string",
                dict: "an object", type(None): "null"}
 
@@ -227,11 +229,12 @@ def _coerce(section, key: str, value, path: str):
         raise ValidationError(f"config key {path!r} must be >= 0, got {value}")
     if path in _LEAST and value < _LEAST[path]:
         raise ValidationError(f"config key {path!r} must be >= {_LEAST[path]}, got {value}")
-    if path in _FINITE_KEYS and isinstance(value, float) and not math.isfinite(value):
-        raise ValidationError(f"config key {path!r} must be finite, got {value}")
+    if kind is float and not (math.isfinite(value) or path in _NO_LIMIT_KEYS and value > 0):
+        bound = "finite or Infinity" if path in _NO_LIMIT_KEYS else "finite"
+        raise ValidationError(f"config key {path!r} must be {bound}, got {value}")
     if path == "cluster.thresholds":
         for name, v in value.items():
-            if not (_accepts(float, v) and v > 0):
+            if not (_accepts(float, v) and 0 < v < math.inf):
                 raise ValidationError(f"config key {path!r} wants a number > 0 per class, "
-                                      f"got {v!r} for {name!r}")
+                                      f"each finite, got {v!r} for {name!r}")
     return value

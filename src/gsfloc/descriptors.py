@@ -2,8 +2,15 @@
 
 Descriptors carry sorted side lengths (d12 <= d23 <= d31), vertex labels, and
 vertex ids permuted to match the sorted sides. The index is a KD-tree over the
-side triples; a query returns every stored triangle within delta_d per side
-(a Chebyshev ball, boundary included) whose label multiset matches.
+side triples plus three arrays, one row per descriptor: its label code (its
+sorted labels packed into one int64), its vertex ids (n, 3) and a mask (n, 6)
+of the vertex orders in `ORDERS` whose sides still ascend. A query returns
+every stored triangle within delta_d per side (a Chebyshev ball, boundary
+included) whose label multiset matches. `query_index` takes one descriptor
+(its candidate ids) or a sequence of them: one tree query then answers all,
+as an (n_cand, 2) array of (query row, candidate id). The match stage calls
+it once per query, and `gsf_filter` once per query on that array. An index
+refuses a label outside [0, 2**LABEL_BITS), the range a label code holds.
 
 Index binary layout (little-endian), magic "GSFI":
     4s  magic        b"GSFI"
@@ -45,8 +52,8 @@ class TriangleDescriptor:
 
 
 # the six vertex orders of a triangle, lexicographic, and each vertex's successor
-_ORDERS = np.array(list(itertools.permutations(range(3))))
-_NEXT = np.roll(_ORDERS, -1, axis=1)
+ORDERS = np.array(list(itertools.permutations(range(3))))
+_NEXT = np.roll(ORDERS, -1, axis=1)
 
 
 def _ascending(sides: np.ndarray) -> np.ndarray:
@@ -86,7 +93,7 @@ def triangulate(graph, k_neighbors: int) -> list[TriangleDescriptor]:
     _, first = np.unique(tris, axis=0, return_index=True)
     tris = tris[np.sort(first)]
 
-    verts = tris[:, _ORDERS]  # (m, 6, 3): every vertex order of every triangle
+    verts = tris[:, ORDERS]  # (m, 6, 3): every vertex order of every triangle
     sides = dist[verts, tris[:, _NEXT]]  # (d12, d23, d31) per order
     fits = _ascending(sides)
     pick = np.argmax(fits, axis=1)
@@ -106,36 +113,66 @@ class DescriptorIndex:
     descriptors: list[TriangleDescriptor]
     delta_d: float
     tree: cKDTree  # over the (n, 3) side triples, row i = descriptor i
-    orders: list[tuple]  # per descriptor, its vertex orders whose sides ascend
-    label_keys: list[tuple]  # per descriptor, its labels sorted
+    label_codes: np.ndarray  # (n,) int64, per descriptor `label_codes` of its labels
+    vertex_ids: np.ndarray  # (n, 3) int64, per descriptor its vertex ids
+    order_mask: np.ndarray  # (n, 6) bool, the rows of ORDERS whose sides ascend
 
 
 # _SIDE[i, j]: the position in (d12, d23, d31) of the side between vertices i and j
 _SIDE = np.array([[0, 0, 2], [0, 0, 1], [2, 1, 0]])
+# bits per label in a label code
+LABEL_BITS = 21
+
+
+def label_codes(labels) -> np.ndarray:
+    """One int64 per row of an (n, 3) label array: its labels sorted and packed
+    LABEL_BITS apart, so two rows share a code exactly when their label
+    multisets are equal. A row with a label outside [0, 2**LABEL_BITS) gets -1."""
+    lab = np.sort(np.asarray(labels, dtype=np.int64).reshape(-1, 3), axis=1)
+    codes = (lab[:, 0] << 2 * LABEL_BITS) | (lab[:, 1] << LABEL_BITS) | lab[:, 2]
+    return np.where(((lab >= 0) & (lab < 1 << LABEL_BITS)).all(axis=1), codes, -1)
+
+
+def vertex_array(descs: list[TriangleDescriptor]) -> np.ndarray:
+    """The (n, 3) int64 vertex ids of a descriptor list."""
+    return np.array([d.vertex_ids for d in descs], dtype=np.int64).reshape(-1, 3)
 
 
 def build_index(descriptors: list[TriangleDescriptor], delta_d: float) -> DescriptorIndex:
-    """KD-tree over the side triples, plus what `gsf_filter` and `query_index`
-    read per descriptor: every vertex order whose sides still ascend
-    (lexicographic, so a tie keeps the first) and the sorted label key."""
+    """KD-tree over the side triples, plus what `query_index` and `gsf_filter`
+    read per descriptor: its label code, its vertex ids and every vertex order
+    whose sides still ascend (lexicographic, so a tie keeps the first)."""
     if not (np.isfinite(delta_d) and delta_d > 0):
         raise ValidationError(f"delta_d must be a positive finite number, got {delta_d}")
+    codes = label_codes([d.labels for d in descriptors])
+    if (codes < 0).any():
+        bad = descriptors[int(np.argmax(codes < 0))]
+        raise ValidationError(f"descriptor {bad.id}: labels {bad.labels} must lie in "
+                              f"[0, {1 << LABEL_BITS})")
     sides = np.array([d.sides for d in descriptors], dtype=np.float64).reshape(-1, 3)
-    fits = _ascending(sides[:, _SIDE[_ORDERS, _NEXT]])  # (n, 6)
-    codes = fits @ (1 << np.arange(6))  # one code per set of fitting orders
-    _, first, which = np.unique(codes, return_index=True, return_inverse=True)
-    choices = [tuple(map(tuple, _ORDERS[fits[i]].tolist())) for i in first]
-    orders = [choices[i] for i in which.tolist()]
-    label_keys = [tuple(sorted(d.labels)) for d in descriptors]
-    return DescriptorIndex(list(descriptors), delta_d, cKDTree(sides), orders, label_keys)
+    return DescriptorIndex(list(descriptors), delta_d, cKDTree(sides), codes,
+                           vertex_array(descriptors),
+                           _ascending(sides[:, _SIDE[ORDERS, _NEXT]]))
 
 
-def query_index(index: DescriptorIndex, d: TriangleDescriptor) -> list[int]:
-    """Candidate ids, ascending, whose sides match within delta_d per side
-    (inclusive) and whose label multiset equals the query's."""
-    near = index.tree.query_ball_point(d.sides, index.delta_d, p=np.inf, return_sorted=True)
-    want = tuple(sorted(d.labels))
-    return [cid for cid in near if index.label_keys[cid] == want]
+def query_index(index: DescriptorIndex, descs):
+    """Coarse candidates: the stored descriptors whose sides match within
+    delta_d per side (inclusive) and whose label multiset equals the query's.
+
+    One descriptor gives its candidate ids, ascending. A sequence gives, from
+    one tree query, an (n_cand, 2) int64 array of (position in the sequence,
+    candidate id), sorted by position, then id.
+    """
+    one = isinstance(descs, TriangleDescriptor)
+    stack = [descs] if one else descs
+    sides = np.array([d.sides for d in stack], dtype=np.float64).reshape(-1, 3)
+    near = index.tree.query_ball_point(sides, index.delta_d, p=np.inf, return_sorted=True)
+    sizes = np.fromiter(map(len, near), np.int64, len(stack))
+    ids = np.fromiter(itertools.chain.from_iterable(near), np.int64, int(sizes.sum()))
+    rows = np.repeat(np.arange(len(stack), dtype=np.int64), sizes)
+    keep = index.label_codes[ids] == label_codes([d.labels for d in stack])[rows]
+    cand = np.column_stack([rows[keep], ids[keep]])
+    return cand[:, 1].tolist() if one else cand
 
 
 def save_index(index: DescriptorIndex, path) -> None:
@@ -203,44 +240,49 @@ def pair_w2(
 
 
 def gsf_filter(
-    query_d: TriangleDescriptor,
-    candidate_ids: list[int],
+    descs: list[TriangleDescriptor],
+    candidate_ids: np.ndarray,
     index: DescriptorIndex,
-    w2: dict[tuple[int, int], float],
+    w2: np.ndarray,
     cfg: SimilarityConfig,
 ) -> list[TriangleMatch]:
     """Score coarse candidates by summed per-vertex W2^2 and keep the survivors.
 
-    `w2` maps (query instance id, map instance id) to `pair_w2` and holds every
-    pair a candidate makes under its stored vertex orders. Each candidate takes
-    its lowest-sum order (the first on a tie); those above 3x the acceptance
-    threshold are dropped; survivors come back ascending by score (ties by
-    candidate id).
+    `candidate_ids` holds `query_index`'s (query row, candidate id) rows over
+    `descs`. `w2[qid, mid]` is `pair_w2` of query instance qid and map instance
+    mid, for every pair a candidate makes under its stored vertex orders. Each
+    candidate takes its lowest-sum order (the first on a tie); those above 3x
+    the acceptance threshold are dropped; survivors come back by query row,
+    then ascending by score, then by candidate id.
     """
-    out = []
-    for cid in candidate_ids:
-        cand = index.descriptors[cid]
-        scored = []
-        for perm in index.orders[cid]:
-            pairs = tuple(zip(query_d.vertex_ids, [cand.vertex_ids[k] for k in perm]))
-            scores = tuple(map(w2.__getitem__, pairs))
-            scored.append((sum(scores), pairs, scores))
-        total, pairs, scores = min(scored, key=lambda s: s[0])
-        if total > 3.0 * cfg.accept_threshold:
-            continue
-        omegas = tuple(similarity_weight(s, cfg) for s in scores)
-        out.append(TriangleMatch(query_d, cand, pairs, omegas, total))
-    out.sort(key=lambda m: (m.w2_total, m.map.id))
-    return out
+    rows, cids = candidate_ids[:, 0], candidate_ids[:, 1]
+    qv = vertex_array(descs)[rows]  # (k, 3)
+    mv = index.vertex_ids[cids][:, ORDERS]  # (k, 6, 3): every order's map vertices
+    scores = w2[qv[:, None, :], mv]  # (k, 6, 3)
+    totals = scores[..., 0] + scores[..., 1] + scores[..., 2]
+    totals[~index.order_mask[cids]] = np.inf
+    pick = np.argmin(totals, axis=1)
+    best = totals[np.arange(len(cids)), pick]
+    keep = np.flatnonzero(best <= 3.0 * cfg.accept_threshold)
+    keep = keep[np.lexsort((cids[keep], best[keep], rows[keep]))]
+    pick = pick[keep]
+    omegas = similarity_weight(scores[keep, pick], cfg).tolist()
+    return [
+        TriangleMatch(descs[r], index.descriptors[c], tuple(zip(descs[r].vertex_ids, m)),
+                      tuple(o), t)
+        for r, c, m, o, t in zip(rows[keep].tolist(), cids[keep].tolist(),
+                                 mv[keep, pick].tolist(), omegas, best[keep].tolist())
+    ]
 
 
 def plain_matches(
-    query_d: TriangleDescriptor, candidate_ids: list[int], index: DescriptorIndex
+    descs: list[TriangleDescriptor], candidate_ids: np.ndarray, index: DescriptorIndex
 ) -> list[TriangleMatch]:
-    """GSF-disabled counterpart: canonical pairing, unit confidence."""
+    """GSF-disabled counterpart: canonical pairing, unit confidence, in
+    `candidate_ids` order."""
     out = []
-    for cid in candidate_ids:
-        cand = index.descriptors[cid]
-        pairs = tuple(zip(query_d.vertex_ids, cand.vertex_ids))
-        out.append(TriangleMatch(query_d, cand, pairs, (1.0, 1.0, 1.0), 0.0))
+    for r, cid in candidate_ids.tolist():
+        d, cand = descs[r], index.descriptors[cid]
+        pairs = tuple(zip(d.vertex_ids, cand.vertex_ids))
+        out.append(TriangleMatch(d, cand, pairs, (1.0, 1.0, 1.0), 0.0))
     return out

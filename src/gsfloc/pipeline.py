@@ -5,10 +5,12 @@ its name: `_query_graph` (prepare, voxel, scene graph), `_query_probes` (one
 `grid_probe` per fitted instance at every yaw sample, run only with the GSF
 filter on; `grid_probe` itself probes only the yaws whose grid is not a
 reordering of an earlier one and gathers the rest), `_match`
-(triangles, index lookup, one W2 table of every instance pair the GSF filter
-reads, scored once each, the similarity self-tuned from it, then the
-filter), `_clique` (correspondences, consistency graph, max clique) and
-`_solve` (robust IRLS).
+(triangles; one `query_index` call for all of them, which gives the coarse
+candidates as one (triangle row, candidate id) array; one W2 table of every
+instance pair the GSF filter reads, scored once each into a dense
+(query instance x map instance) array, with the similarity self-tuned from
+it; then one `gsf_filter` call over all candidates), `_clique`
+(correspondences, consistency graph, max clique) and `_solve` (robust IRLS).
 
 A map holds only what `localize` reads: each instance's centroid, the probed
 populations, the triangle index, the taxonomy and the config. `build_map`
@@ -55,6 +57,7 @@ from .core import (
     sha256_file,
 )
 from .descriptors import (
+    ORDERS,
     DescriptorIndex,
     TriangleMatch,
     build_index,
@@ -65,6 +68,7 @@ from .descriptors import (
     query_index,
     save_index,
     triangulate,
+    vertex_array,
 )
 from .gsf import GpPopulation, grid_probe
 from .matching import (
@@ -249,40 +253,46 @@ def _query_probes(qgraph, taxonomy, config) -> dict[int, GpPopulation | None]:
 
 
 def _w2_table(
-    cand_lists, pops_query, ref_map, config
-) -> tuple[list, dict, SimilarityConfig | None]:
+    descs, cand, pops_query, ref_map, config
+) -> tuple[np.ndarray, np.ndarray, SimilarityConfig | None]:
     """Score each distinct (query, map) instance pair the fine filter reads, once.
 
     Skips, with a warning, a query triangle or a candidate that touches an
     instance without a population. A kept candidate pairs its triangle's
     vertices under every stored vertex order and canonically. Returns the kept
-    candidate lists, the {(qid, mid): W2^2} table, and the similarity scaled
-    to the median W2^2 over the canonical pairs (None if there is none).
+    rows of `cand`, the W2^2 table as a dense (query instance x map instance)
+    array, NaN where no pair was scored, and the similarity scaled to the
+    median W2^2 over the canonical pairs (None if there is none).
     """
     index, pops_map = ref_map.index, ref_map.populations
-    kept, canonical, pairs = [], set(), set()
-    for d, cands in cand_lists:
-        missing = [q for q in d.vertex_ids if pops_query.get(q) is None]
-        if missing:
+    qv = vertex_array(descs)
+    n_query = int(qv.max()) + 1 if qv.size else 0
+    n_map = int(index.vertex_ids.max()) + 1 if index.vertex_ids.size else 0
+    q_ok = np.array([pops_query.get(q) is not None for q in range(n_query)], dtype=bool)
+    m_ok = np.array([pops_map.get(m) is not None for m in range(n_map)], dtype=bool)
+    row_ok = q_ok[qv].all(axis=1)
+    cand_ok = m_ok[index.vertex_ids[cand[:, 1]]].all(axis=1)
+    lost = row_ok[cand[:, 0]] & ~cand_ok
+    for r, cid in sorted([(r, -1) for r in np.flatnonzero(~row_ok).tolist()]
+                         + cand[lost].tolist()):
+        if cid < 0:
+            missing = [q for q in descs[r].vertex_ids if pops_query.get(q) is None]
             warnings.warn(f"query instances {missing} lack fields; candidates skipped")
-            cands = []
-        ok = []
-        for cid in cands:
-            mids = index.descriptors[cid].vertex_ids
-            missing = [m for m in mids if pops_map.get(m) is None]
-            if missing:
-                warnings.warn(f"map instances {missing} lack fields; candidate {cid} skipped")
-                continue
-            ok.append(cid)
-            canonical.update(zip(d.vertex_ids, mids))
-            for perm in index.orders[cid]:
-                pairs.update(zip(d.vertex_ids, [mids[k] for k in perm]))
-        kept.append((d, ok))
-    w2 = {p: pair_w2(*p, pops_query, pops_map, config.sim.use_stability)
-          for p in sorted(pairs | canonical)}
-    if not canonical:
+        else:
+            missing = [m for m in index.descriptors[cid].vertex_ids if pops_map.get(m) is None]
+            warnings.warn(f"map instances {missing} lack fields; candidate {cid} skipped")
+    kept = cand[row_ok[cand[:, 0]] & cand_ok]
+    kq, cids = qv[kept[:, 0]], kept[:, 1]
+    canonical = np.unique(kq * n_map + index.vertex_ids[cids])
+    ordered = kq[:, None, :] * n_map + index.vertex_ids[cids][:, ORDERS]
+    codes = np.union1d(canonical, ordered[index.order_mask[cids]])
+    w2 = np.full((n_query, n_map), np.nan)
+    qids, mids = np.divmod(codes, n_map)
+    w2.flat[codes] = [pair_w2(q, m, pops_query, pops_map, config.sim.use_stability)
+                      for q, m in zip(qids.tolist(), mids.tolist())]
+    if not canonical.size:
         return kept, w2, None
-    median = float(np.median([w2[p] for p in sorted(canonical)]))
+    median = float(np.median(w2.flat[canonical]))
     sim = config.sim
     return kept, w2, SimilarityConfig(
         max(np.sqrt(median), 1e-9) if sim.sigma_w is None else sim.sigma_w,
@@ -291,19 +301,17 @@ def _w2_table(
 
 
 def _match(qgraph, pops_query, ref_map, config) -> tuple[int, list[TriangleMatch]]:
-    """Stage "match": triangles, coarse lookup, then the GSF fine filter over one
-    W2 table (canonical pairing with it off). Returns the triangle count and
-    the matches."""
+    """Stage "match": triangles, one coarse lookup for all of them, then one GSF
+    fine filter over one W2 table (canonical pairing with it off). Returns the
+    triangle count and the matches."""
     descs = triangulate(qgraph, config.index.k_neighbors)
-    cand_lists = [(d, query_index(ref_map.index, d)) for d in descs]
+    cand = query_index(ref_map.index, descs)
     if not config.pipeline.use_gsf_filter:
-        return len(descs), [m for d, cands in cand_lists
-                            for m in plain_matches(d, cands, ref_map.index)]
-    kept, w2, simcfg = _w2_table(cand_lists, pops_query, ref_map, config)
+        return len(descs), plain_matches(descs, cand, ref_map.index)
+    kept, w2, simcfg = _w2_table(descs, cand, pops_query, ref_map, config)
     if simcfg is None:
         return len(descs), []
-    return len(descs), [m for d, cands in kept
-                        for m in gsf_filter(d, cands, ref_map.index, w2, simcfg)]
+    return len(descs), gsf_filter(descs, kept, ref_map.index, w2, simcfg)
 
 
 def _clique(matches, qcents, mcents, config) -> list[Correspondence]:

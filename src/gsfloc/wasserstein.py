@@ -84,8 +84,11 @@ def w2_squared(
     return float(w2sq) if w2sq.ndim == 0 else w2sq
 
 
-def similarity_weight(w2sq: float, cfg: SimilarityConfig) -> float:
-    """omega = exp(-w2^2 / (2 sigma_w^2)); 1 at zero distance, decreasing."""
-    if w2sq < 0:
-        raise ValidationError(f"w2sq must be >= 0, got {w2sq}")
-    return float(np.exp(-w2sq / (2.0 * cfg.sigma_w**2)))
+def similarity_weight(w2sq: float | np.ndarray, cfg: SimilarityConfig) -> float | np.ndarray:
+    """omega = exp(-w2^2 / (2 sigma_w^2)), elementwise; 1 at zero distance,
+    decreasing. A float gives a float, an array an array of its shape."""
+    w2sq = np.asarray(w2sq, dtype=np.float64)
+    if (w2sq < 0).any():
+        raise ValidationError(f"w2sq must be >= 0, got {w2sq.min()}")
+    omega = np.exp(-w2sq / (2.0 * cfg.sigma_w**2))
+    return float(omega) if omega.ndim == 0 else omega

@@ -145,6 +145,19 @@ class TestBuildMap:
         assert "'gsf.grid.z_mode' must be finite" in err and "Traceback" not in err
         assert not (tmp_path / "x").exists()
 
+    def test_infinite_voxel_exit_2(self, scene_files, tmp_path, capsys):
+        rc = main([
+            "build-map",
+            "--points", str(scene_files / "map.points"),
+            "--labels", str(scene_files / "map.labels"),
+            "--out", str(tmp_path / "x"),
+            "--set", "pipeline.query_voxel=Infinity",
+        ])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "'pipeline.query_voxel' must be finite" in err and "Traceback" not in err
+        assert not (tmp_path / "x").exists()
+
     def test_unknown_config_key_exit_2(self, scene_files, tmp_path, capsys):
         rc = main([
             "build-map",

@@ -7,9 +7,12 @@ from gsfloc.config import GridSection
 from gsfloc.core import ValidationError, one_hot_logits
 from gsfloc.descriptors import (
     EQUAL_SIDE_TOL,
+    LABEL_BITS,
+    ORDERS,
     TriangleDescriptor,
     build_index,
     gsf_filter,
+    label_codes,
     load_index,
     pair_w2,
     plain_matches,
@@ -187,6 +190,18 @@ def ascending_orders(sides):
     return out
 
 
+def stored_orders(index):
+    """Per descriptor, the vertex orders its mask keeps, as tuples in ORDERS order."""
+    return [[tuple(p) for p in ORDERS[mask].tolist()] for mask in index.order_mask]
+
+
+def label_keys(index):
+    """Per descriptor, its sorted labels, unpacked from its label code."""
+    low = (1 << LABEL_BITS) - 1
+    return [tuple((c >> s) & low for s in (2 * LABEL_BITS, LABEL_BITS, 0))
+            for c in index.label_codes.tolist()]
+
+
 class TestIndex:
     def test_stored_orders_match_written_out_rule(self):
         rng = np.random.default_rng(5)
@@ -196,10 +211,11 @@ class TestIndex:
         for sides, _ in special:
             descs.append(TriangleDescriptor(len(descs), (0, 1, 2), sides, (7, 7, 7)))
         index = build_index(descs, 0.5)
-        for d, orders in zip(descs, index.orders):
-            assert list(orders) == ascending_orders(d.sides)
-        assert [len(o) for o in index.orders[-len(special):]] == [n for _, n in special]
-        assert index.label_keys == [tuple(sorted(d.labels)) for d in descs]
+        orders, keys = stored_orders(index), label_keys(index)
+        for d, d_orders in zip(descs, orders):
+            assert list(d_orders) == ascending_orders(d.sides)
+        assert [len(o) for o in orders[-len(special):]] == [n for _, n in special]
+        assert keys == [tuple(sorted(d.labels)) for d in descs]
 
     def test_self_retrieval(self):
         rng = np.random.default_rng(2)
@@ -233,6 +249,61 @@ class TestIndex:
                 and sorted(d.labels) == sorted(q.labels)
             }
             assert got == want
+
+    def test_batched_equals_per_descriptor_lists(self):
+        """One batched lookup equals the per-descriptor lists, concatenated with
+        their rows: quarter-metre sides put many probes exactly delta_d away,
+        and half the probes take labels drawn afresh, which mostly differ."""
+        rng = np.random.default_rng(11)
+        delta = 0.5
+        sides = np.sort(np.round(rng.uniform(1, 10, (300, 3)) * 4) / 4, axis=1).tolist()
+        labels = rng.choice([3, 6, 7], (300, 3)).tolist()
+        descs = [TriangleDescriptor(i, (0, 1, 2), tuple(s), tuple(lab))
+                 for i, (s, lab) in enumerate(zip(sides, labels))]
+        index = build_index(descs, delta)
+        probes = []
+        for i in range(200):
+            base = descs[int(rng.integers(len(descs)))]
+            off = rng.choice([-delta, 0.0, delta], 3)
+            labs = rng.permutation(base.labels) if i % 2 else rng.choice([3, 6, 7], 3)
+            probes.append(TriangleDescriptor(i, (0, 1, 2),
+                                             tuple(s + o for s, o in zip(base.sides, off)),
+                                             tuple(labs.tolist())))
+        want = [[row, cid] for row, q in enumerate(probes) for cid in query_index(index, q)]
+        got = query_index(index, probes)
+        assert got.dtype == np.int64 and got.shape == (len(want), 2)
+        assert got.tolist() == want
+        on_edge = [max(abs(a - b) for a, b in zip(probes[r].sides, descs[c].sides)) == delta
+                   for r, c in want]
+        assert sum(on_edge) > 20 and len({r for r, _ in want}) > 50
+
+    @pytest.mark.parametrize("stored,probes", [(0, 2), (0, 0), (3, 0)],
+                             ids=["empty-index", "empty-both", "no-probes"])
+    def test_batched_empty(self, stored, probes):
+        d = TriangleDescriptor(0, (0, 1, 2), (3.0, 4.0, 5.0), (7, 7, 7))
+        got = query_index(build_index([d] * stored, 0.5), [d] * probes)
+        assert got.dtype == np.int64 and got.shape == (0, 2)
+
+    def test_label_codes_equal_exactly_for_equal_multisets(self):
+        rng = np.random.default_rng(8)
+        labels = rng.integers(0, 4, (60, 3))
+        labels[:3] = [[0, 0, 1 << (LABEL_BITS - 1)], [0, 1 << (LABEL_BITS - 1), 0],
+                      [(1 << LABEL_BITS) - 1] * 3]
+        codes = label_codes(labels)
+        keys = [tuple(sorted(row)) for row in labels.tolist()]
+        for i in range(len(keys)):
+            for j in range(len(keys)):
+                assert (codes[i] == codes[j]) == (keys[i] == keys[j])
+        assert (codes >= 0).all()
+        assert label_codes([[0, 1, 1 << LABEL_BITS], [-1, 0, 0]]).tolist() == [-1, -1]
+
+    def test_label_outside_code_range_refused(self):
+        d = TriangleDescriptor(4, (0, 1, 2), (3.0, 4.0, 5.0), (7, 7, 1 << LABEL_BITS))
+        with pytest.raises(ValidationError, match="descriptor 4: labels"):
+            build_index([d], 0.5)
+        stored = build_index([TriangleDescriptor(0, (0, 1, 2), (3.0, 4.0, 5.0), (7, 7, 7))],
+                             0.5)
+        assert query_index(stored, d) == []
 
     @pytest.mark.parametrize(
         "delta,count",
@@ -285,9 +356,18 @@ def field_with_offset(taxonomy, offset, seed=0):
 
 
 def w2_table(pops_query, pops_map):
-    """Every (query, map) pair's W2^2, stability on: the table the match stage builds."""
-    return {(q, m): pair_w2(q, m, pops_query, pops_map, True)
-            for q in pops_query for m in pops_map}
+    """Every (query, map) pair's W2^2, stability on, as the dense (query
+    instance x map instance) table the match stage builds."""
+    table = np.full((max(pops_query) + 1, max(pops_map) + 1), np.nan)
+    for q in pops_query:
+        for m in pops_map:
+            table[q, m] = pair_w2(q, m, pops_query, pops_map, True)
+    return table
+
+
+def cands(*ids):
+    """Coarse candidates of query row 0, as `query_index` stacks them."""
+    return np.array([[0, cid] for cid in ids], dtype=np.int64).reshape(-1, 2)
 
 
 class TestGsfFilter:
@@ -308,7 +388,7 @@ class TestGsfFilter:
     def test_identical_candidate_scores_zero_and_ranks_first(self, taxonomy):
         q, index, pq, pm = self._setup(taxonomy)
         cfg = SimilarityConfig(sigma_w=1.0, accept_threshold=10.0)
-        out = gsf_filter(q, [0, 1], index, w2_table(pq, pm), cfg)
+        out = gsf_filter([q], cands(0, 1), index, w2_table(pq, pm), cfg)
         assert out[0].map.id == 0
         assert out[0].w2_total < 1e-8
         assert all(abs(w - 1.0) < 1e-6 for w in out[0].omegas)
@@ -316,7 +396,7 @@ class TestGsfFilter:
     def test_planted_outlier_filtered(self, taxonomy):
         q, index, pq, pm = self._setup(taxonomy)
         cfg = SimilarityConfig(sigma_w=1.0, accept_threshold=0.05)
-        out = gsf_filter(q, [0, 1], index, w2_table(pq, pm), cfg)
+        out = gsf_filter([q], cands(0, 1), index, w2_table(pq, pm), cfg)
         assert [m.map.id for m in out] == [0]
 
     def test_tie_breaks_by_candidate_id(self, taxonomy):
@@ -327,7 +407,7 @@ class TestGsfFilter:
         c1 = TriangleDescriptor(0, (0, 1, 2), (3.0, 4.0, 5.0), (4, 4, 4))
         c2 = TriangleDescriptor(1, (3, 4, 5), (3.0, 4.0, 5.0), (4, 4, 4))
         index = build_index([c1, c2], 0.5)
-        out = gsf_filter(q, [0, 1], index, w2_table(pq, pm),
+        out = gsf_filter([q], cands(0, 1), index, w2_table(pq, pm),
                          SimilarityConfig(sigma_w=1.0, accept_threshold=10.0))
         assert [m.map.id for m in out] == [0, 1]  # equal scores: id order
 
@@ -338,21 +418,40 @@ class TestGsfFilter:
         q = TriangleDescriptor(0, (0, 1, 2), (4.0, 4.0, 4.0), (4, 4, 4))
         cand = TriangleDescriptor(0, (10, 11, 12), (4.0, 4.0, 4.0), (4, 4, 4))
         index = build_index([cand], 0.5)
-        assert len(index.orders[0]) == 6
+        assert len(stored_orders(index)[0]) == 6
         cfg = SimilarityConfig(sigma_w=1.0, accept_threshold=100.0)
         # orders (0, 1, 2) and (1, 0, 2) score the same total: the first is kept
         pm = {10: a, 11: a, 12: c}
         pq = {0: stack_pops([a]), 1: stack_pops([a]), 2: stack_pops([c])}
-        (m,) = gsf_filter(q, [0], index, w2_table(pq, pm), cfg)
+        (m,) = gsf_filter([q], cands(0), index, w2_table(pq, pm), cfg)
         assert m.pairs == ((0, 10), (1, 11), (2, 12))
         # a lower total under a later order wins
         pm = {10: a, 11: b, 12: c}
         pq = {0: stack_pops([b]), 1: stack_pops([a]), 2: stack_pops([c])}
-        (m,) = gsf_filter(q, [0], index, w2_table(pq, pm), cfg)
+        (m,) = gsf_filter([q], cands(0), index, w2_table(pq, pm), cfg)
         assert m.pairs == ((0, 11), (1, 10), (2, 12))
+
+    def test_six_order_tie_keeps_first_order(self):
+        """An equilateral candidate under a table W2[q, m] = f(q) + g(m) of
+        dyadic values: all six order totals are the same float, so the first
+        stored order, the identity, is kept; the per-vertex weights show which
+        pairs were taken."""
+        f, g = np.array([0.25, 0.5, 1.0]), np.array([0.125, 2.0, 4.0])
+        table = np.full((3, 13), np.nan)
+        table[:, 10:] = f[:, None] + g[None, :]
+        q = TriangleDescriptor(0, (0, 1, 2), (4.0, 4.0, 4.0), (4, 4, 4))
+        cand = TriangleDescriptor(0, (10, 11, 12), (4.0, 4.0, 4.0), (4, 4, 4))
+        index = build_index([cand], 0.5)
+        totals = {sum(table[k, 10 + p[k]] for k in range(3)) for p in ORDERS.tolist()}
+        assert totals == {f.sum() + g.sum()}
+        cfg = SimilarityConfig(sigma_w=1.0, accept_threshold=100.0)
+        (m,) = gsf_filter([q], cands(0), index, table, cfg)
+        assert m.pairs == ((0, 10), (1, 11), (2, 12))
+        assert m.w2_total == f.sum() + g.sum()
+        assert m.omegas == tuple(np.exp(-(f + g) / 2.0).tolist())
 
     def test_plain_matches_unit_omega(self, taxonomy):
         q, index, _, _ = self._setup(taxonomy)
-        out = plain_matches(q, [0, 1], index)
+        out = plain_matches([q], cands(0, 1), index)
         assert len(out) == 2
         assert all(m.omegas == (1.0, 1.0, 1.0) for m in out)

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import typing
 import warnings
 
 import numpy as np
@@ -10,12 +11,15 @@ import pytest
 from gsfloc.config import RunConfig
 from gsfloc.core import (
     FormatError,
+    RigidTransform,
     SemanticPointCloud,
     ValidationError,
     one_hot_logits,
     pose_error,
+    rot_z,
 )
 from gsfloc.descriptors import (
+    ORDERS,
     TriangleDescriptor,
     build_index,
     pair_w2,
@@ -34,10 +38,16 @@ from gsfloc.pipeline import (
     voxel_downsample,
 )
 from gsfloc.scene_graph import build_scene_graph
-from gsfloc.synth import generate_scene, sample_query_poses, simulate_scan
+from gsfloc.synth import (
+    generate_mirrored_twin,
+    generate_scene,
+    run_benchmark,
+    sample_query_poses,
+    simulate_scan,
+)
 from gsfloc.wasserstein import w2_squared
 
-from conftest import pole_line_scene, small_scene_spec, stack_pops
+from conftest import pole_line_scene, small_scene_spec, stack_pops, twin_scene_spec
 
 
 @pytest.fixture(scope="module")
@@ -304,6 +314,64 @@ def _disjoint_scan(taxonomy):
     return simulate_scan(other, pose, range_max=40.0, seed=1)
 
 
+class TestEmptyMatch:
+    """The batched match stage on its empty edges: each query ends without an
+    exception and with no match, with the GSF filter on and off."""
+
+    @staticmethod
+    def _scan(scene):
+        cloud, _ = scene
+        return simulate_scan(cloud, sample_query_poses(1, seed=7, half=15.0)[0],
+                             range_max=60.0, dropout_rate=0.3, noise_sigma=0.03, seed=42)
+
+    @staticmethod
+    def _localize(scan, ref, use_gsf):
+        cfg = RunConfig.from_dict(ref.config.to_dict())
+        cfg.pipeline.use_gsf_filter = use_gsf
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # triangulation warns on a graph under 3
+            return localize(scan, ref, cfg)
+
+    @staticmethod
+    def _assert_no_match(res):
+        assert res.status == "no-match" and res.pose is None
+        assert res.candidates_after_filter == res.clique_size == res.inlier_count == 0
+        assert res.inliers == [] and res.timings_ms["solve"] == 0.0
+
+    @pytest.mark.parametrize("use_gsf", [True, False], ids=["gsf", "plain"])
+    def test_zero_query_triangles(self, scene, ref_map, taxonomy_module, use_gsf):
+        scan = self._scan(scene)
+        road = scan.labels == taxonomy_module.id_of("road")
+        scan = SemanticPointCloud(scan.points[road], scan.labels[road], scan.logits[road])
+        res = self._localize(scan, ref_map, use_gsf)
+        assert res.triangles_queried == 0
+        self._assert_no_match(res)
+
+    @pytest.mark.parametrize("use_gsf", [True, False], ids=["gsf", "plain"])
+    @pytest.mark.parametrize("stored", [[], [TriangleDescriptor(0, (0, 1, 2),
+                                                                (90.0, 91.0, 92.0), (4, 4, 4))]],
+                             ids=["empty-index", "far-index"])
+    def test_zero_coarse_candidates(self, scene, ref_map, use_gsf, stored):
+        scan = self._scan(scene)
+        ref = dataclasses.replace(ref_map, index=build_index(stored, ref_map.index.delta_d))
+        res = self._localize(scan, ref, use_gsf)
+        assert res.triangles_queried > 0
+        self._assert_no_match(res)
+
+    @pytest.mark.parametrize("use_gsf", [True, False], ids=["gsf", "plain"])
+    def test_every_candidate_skipped(self, scene, ref_map, use_gsf):
+        """No map instance has a population: the filter skips every candidate.
+        With it off no population is read, so the same query still localizes."""
+        scan = self._scan(scene)
+        ref = dataclasses.replace(ref_map, populations=dict.fromkeys(ref_map.populations))
+        res = self._localize(scan, ref, use_gsf)
+        assert res.triangles_queried > 0
+        if use_gsf:
+            self._assert_no_match(res)
+        else:
+            assert res.status == "success"
+
+
 class TestLocalize:
     def test_transformed_window_success(self, scene, ref_map):
         cloud, _ = scene
@@ -378,7 +446,7 @@ class TestLocalize:
         holed = dataclasses.replace(ref_map, populations=pops)
 
         with pytest.warns(UserWarning, match=rf"map instances \[{gone}\] lack fields; candidate"):
-            kept, w2, sim = pipeline._w2_table(cand_lists, pops_query, holed, cfg)
+            kept, w2, sim = _w2_table_lists(cand_lists, pops_query, holed, cfg)
         assert [cands for _, cands in kept] == [
             [cid for cid in cands if gone not in index.descriptors[cid].vertex_ids]
             for _, cands in cand_lists]
@@ -386,7 +454,7 @@ class TestLocalize:
                      for q, m in zip(d.vertex_ids, index.descriptors[cid].vertex_ids)}
         ordered = {(d.vertex_ids[k], index.descriptors[cid].vertex_ids[perm[k]])
                    for d, cands in kept for cid in cands
-                   for perm in index.orders[cid] for k in range(3)}
+                   for perm in _stored_orders(index, cid) for k in range(3)}
         assert set(w2) == canonical | ordered
         median = float(np.median([
             pair_w2(q, m, pops_query, pops, cfg.sim.use_stability) for q, m in canonical]))
@@ -411,7 +479,7 @@ class TestLocalize:
 
         with pytest.warns(UserWarning, match=rf"query instances \[{gone}\] lack fields; "
                                              "candidates skipped"):
-            kept, w2, _ = pipeline._w2_table(cand_lists, holed, ref_map, ref_map.config)
+            kept, w2, _ = _w2_table_lists(cand_lists, holed, ref_map, ref_map.config)
         assert [cands for _, cands in kept] == [
             [] if gone in d.vertex_ids else cands for d, cands in cand_lists]
         assert all(q != gone for q, _ in w2)
@@ -513,6 +581,50 @@ def _street_query(scene, ref_map, taxonomy):
     return pose, scan, qgraph, pops_query, cand_lists
 
 
+def _twin_map_and_scan(taxonomy, s, bundle):
+    """Criterion 9's twin scene of seed 200 + s through build, save and load,
+    and its scan, placed as criterion 9 places it."""
+    cloud, _, info = generate_mirrored_twin(twin_scene_spec(seed=200 + s, perturbation=0.5),
+                                            taxonomy)
+    save_map(build_map(cloud, taxonomy, RunConfig()), bundle)
+    rng = np.random.default_rng(900 + s)
+    center = info.center_1 if s % 2 == 0 else info.center_2
+    xy = center[:2] + rng.uniform(-8, 8, 2)
+    pose = RigidTransform(rot_z(rng.uniform(0, 2 * np.pi)), np.array([xy[0], xy[1], 1.8]))
+    scan = simulate_scan(cloud, pose, range_max=22.0, dropout_rate=0.2, noise_sigma=0.02,
+                         seed=1900 + s)
+    return load_map(bundle), scan
+
+
+def _twin_query(taxonomy, tmp_path):
+    """The first twin scan's inputs to the match stage: its query graph, its
+    stacked populations, the map and its coarse candidates."""
+    ref, scan = _twin_map_and_scan(taxonomy, 0, tmp_path)
+    cfg = ref.config
+    qgraph = pipeline._query_graph(scan, taxonomy, cfg)
+    pops_query = pipeline._query_probes(qgraph, taxonomy, cfg)
+    cand_lists = [(d, query_index(ref.index, d))
+                  for d in triangulate(qgraph, cfg.index.k_neighbors)]
+    return qgraph, pops_query, ref, cand_lists
+
+
+def _stored_orders(index, cid):
+    """The vertex orders stored for candidate `cid`, as tuples in ORDERS order."""
+    return [tuple(p) for p in ORDERS[index.order_mask[cid]].tolist()]
+
+
+def _w2_table_lists(cand_lists, pops_query, ref_map, config):
+    """`pipeline._w2_table` over per-triangle candidate lists, its kept
+    candidates regrouped per triangle and its table as {(qid, mid): W2^2}."""
+    descs = [d for d, _ in cand_lists]
+    cand = np.array([(r, cid) for r, (_, cids) in enumerate(cand_lists) for cid in cids],
+                    dtype=np.int64).reshape(-1, 2)
+    kept, w2, sim = pipeline._w2_table(descs, cand, pops_query, ref_map, config)
+    per_triangle = [(d, kept[kept[:, 0] == r, 1].tolist()) for r, d in enumerate(descs)]
+    scored = np.argwhere(~np.isnan(w2)).tolist()
+    return per_triangle, {(q, m): float(w2[q, m]) for q, m in scored}, sim
+
+
 class TestMatch:
     def test_table_equals_written_out_loop(self, scene, ref_map, taxonomy_module):
         """The match stage's W2 table path against a loop that calls
@@ -521,6 +633,14 @@ class TestMatch:
         with scores and weights within 1e-9."""
         _, _, qgraph, pops_query, cand_lists = _street_query(scene, ref_map,
                                                              taxonomy_module)
+        self._check_against_loop(qgraph, pops_query, ref_map, cand_lists)
+
+    def test_table_equals_written_out_loop_on_twins(self, taxonomy_module, tmp_path):
+        """The same check on a twins query, where W2 decides between the twins."""
+        self._check_against_loop(*_twin_query(taxonomy_module, tmp_path))
+
+    @staticmethod
+    def _check_against_loop(qgraph, pops_query, ref_map, cand_lists):
         index, pops_map = ref_map.index, ref_map.populations
         assert all(p is not None for p in [*pops_query.values(), *pops_map.values()])
         _, got = pipeline._match(qgraph, pops_query, ref_map, ref_map.config)
@@ -538,7 +658,7 @@ class TestMatch:
             kept = []
             for cid in cands:
                 best = None
-                for perm in index.orders[cid]:
+                for perm in _stored_orders(index, cid):
                     pairs = [(d.vertex_ids[k], index.descriptors[cid].vertex_ids[perm[k]])
                              for k in range(3)]
                     scores = [w2(q, m) for q, m in pairs]
@@ -564,7 +684,7 @@ class TestMatch:
         q = TriangleDescriptor(0, (0, 1, 2), (4.0, 4.0, 4.0), (7, 7, 7))
         cand = TriangleDescriptor(0, (3, 4, 5), (4.0, 4.0, 4.0), (7, 7, 7))
         one = dataclasses.replace(ref_map, index=build_index([cand], 0.5))
-        kept, w2, sim = pipeline._w2_table([(q, [0])], pops_query, one, ref_map.config)
+        kept, w2, sim = _w2_table_lists([(q, [0])], pops_query, one, ref_map.config)
         assert kept == [(q, [0])]
         assert sorted(w2) == [(a, b) for a in (0, 1, 2) for b in (3, 4, 5)]
         median = float(np.median([w2[(0, 3)], w2[(1, 4)], w2[(2, 5)]]))
@@ -598,6 +718,22 @@ class TestQueryPin:
             res = localize(scan, ref_map)
             got.append(_result_hash(res.status, res.pose)[:16])
         assert got == self.PINNED
+
+    # recorded before the match stage became array work; twins is where the
+    # W2 ordering of the candidates decides which twin a scan lands on
+    TWINS_PINNED = ["d1c1e266d3fa20b0", "4033b89b57886d02", "1b9c7db0704aed97",
+                    "b5504acb7a4724cc", "6da483ad314e119c", "289126aa223bc4a9"]
+
+    def test_twin_results_unchanged(self, taxonomy_module, tmp_path):
+        """Six of criterion 9's twin scans, placed as it places them, each
+        localized against its scene's map through build, save and load, end
+        in the recorded status and pose."""
+        got = []
+        for s in range(6):
+            ref, scan = _twin_map_and_scan(taxonomy_module, s, tmp_path / str(s))
+            res = localize(scan, ref)
+            got.append(_result_hash(res.status, res.pose)[:16])
+        assert got == self.TWINS_PINNED
 
 
 class TestVoxelDownsample:
@@ -709,6 +845,71 @@ class TestConfig:
     def test_non_finite_refused(self, key, bad):
         with pytest.raises(ValidationError, match=f"'{key}' must be"):
             RunConfig().apply_overrides([f"{key}={bad}"])
+
+    @staticmethod
+    def _float_keys(section, prefix=""):
+        """Every dotted key whose declared type admits a float."""
+        for name, hint in typing.get_type_hints(type(section)).items():
+            value = getattr(section, name)
+            if dataclasses.is_dataclass(value):
+                yield from TestConfig._float_keys(value, f"{prefix}{name}.")
+            elif hint is float or float in typing.get_args(hint):
+                yield f"{prefix}{name}"
+
+    @pytest.mark.parametrize("bad", ["Infinity", "-Infinity", "NaN"])
+    @pytest.mark.parametrize("key", [
+        "gsf.kappa", "gsf.sigma_y", "gsf.grid.dx", "gsf.grid.dy", "sim.sigma_w",
+        "solver.tau0", "solver.rel_tol", "matching.epsilon", "cluster.default_threshold",
+        "cluster.neighborhood_radius", "pipeline.query_voxel",
+    ])
+    def test_every_float_key_must_be_finite(self, key, bad):
+        with pytest.raises(ValidationError, match=f"'{key}' must be"):
+            RunConfig().apply_overrides([f"{key}={bad}"])
+
+    def test_finite_list_covers_every_float_key(self):
+        """The keys above, `gsf.grid.z_mode`, `index.delta_d` and the three that
+        take Infinity as no limit are every float key of the config."""
+        listed = {"gsf.kappa", "gsf.sigma_y", "gsf.grid.dx", "gsf.grid.dy", "sim.sigma_w",
+                  "solver.tau0", "solver.rel_tol", "matching.epsilon",
+                  "cluster.default_threshold", "cluster.neighborhood_radius",
+                  "pipeline.query_voxel", "gsf.grid.z_mode", "index.delta_d",
+                  "sim.accept_threshold", "pipeline.success_trans_m",
+                  "pipeline.success_rot_deg"}
+        assert set(self._float_keys(RunConfig())) == listed
+
+    @pytest.mark.parametrize("key", ["sim.accept_threshold", "pipeline.success_trans_m",
+                                     "pipeline.success_rot_deg"])
+    def test_no_limit_keys_take_infinity_only(self, key):
+        cfg = RunConfig()
+        cfg.apply_overrides([f"{key}=Infinity"])
+        assert functools.reduce(getattr, key.split("."), cfg) == np.inf
+        for bad in ("-Infinity", "NaN"):
+            with pytest.raises(ValidationError, match=f"'{key}' must be"):
+                RunConfig().apply_overrides([f"{key}={bad}"])
+
+    @pytest.mark.parametrize("bad", ["Infinity", "NaN"])
+    def test_cluster_threshold_must_be_finite(self, bad):
+        with pytest.raises(ValidationError, match="wants a number > 0 per class, each finite"):
+            RunConfig().apply_overrides([f'cluster.thresholds={{"pole": {bad}}}'])
+
+    def test_no_limit_keys_still_localize_and_evaluate(self, scene, ref_map):
+        """An infinite acceptance threshold keeps every candidate and still
+        localizes; infinite success thresholds count every pose found."""
+        cloud, _ = scene
+        pose = sample_query_poses(1, seed=7, half=15.0)[0]
+        scan = simulate_scan(cloud, pose, range_max=60.0, dropout_rate=0.3,
+                             noise_sigma=0.03, seed=42)
+        cfg = RunConfig()
+        cfg.apply_overrides(["sim.accept_threshold=Infinity"])
+        res = localize(scan, ref_map, cfg)
+        te, re = pose_error(res.pose, pose)
+        assert res.status == "success" and te <= 0.5 and re <= 2.0
+        cfg = RunConfig()
+        cfg.apply_overrides(["pipeline.success_trans_m=Infinity",
+                             "pipeline.success_rot_deg=Infinity"])
+        rep = run_benchmark(small_scene_spec(seed=31),
+                            sample_query_poses(2, seed=[31, 1], half=20.0), cfg)
+        assert rep.aggregates["success_rate"] == 1.0
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValidationError, match="unknown config key"):
