@@ -221,7 +221,7 @@ def cmd_selftest(args) -> int:
     from .matching import ConsistencyGraph, Correspondence, brute_force_max_clique, max_clique
     from .pose_solver import WeightedCorrespondenceSet, weighted_kabsch
     from .core import RigidTransform, rotation_angle_deg, rot_z
-    from .descriptors import TriangleDescriptor, build_index, query_index
+    from .descriptors import TriangleDescriptor, build_index, pair_w2, query_index
     from .gsf import GpPopulation
     from .wasserstein import w2_squared
 
@@ -322,6 +322,23 @@ def cmd_selftest(args) -> int:
     agree = agree and query_index(index, probes).tolist() == wants
     report(f"descriptor index vs linear scan (300 probes one by one and batched, "
            f"{len(wants)} matches)", agree)
+
+    # batched W2 table vs one w2_squared call per pair, on random populations:
+    # 4 query instances at 8 yaws against 5 map instances, stability on
+    def population(*lead):
+        g = 25
+        a = rng.normal(size=(*lead, g, g))
+        return GpPopulation(np.zeros((*lead, g, 3)), rng.normal(size=(*lead, g, 12)),
+                            a @ np.swapaxes(a, -1, -2) / g, rng.uniform(0.1, 1.0, (*lead, g)))
+
+    pops_q = {q: population(8) for q in range(4)}
+    pops_m = {m: population() for m in range(5)}
+    qids, mids = (np.ravel(v) for v in np.meshgrid(range(4), range(5), indexing="ij"))
+    table = pair_w2(qids, mids, pops_q, pops_m, True)
+    loop = [float(np.min(w2_squared(pops_q[q], pops_m[m], True)))
+            for q, m in zip(qids.tolist(), mids.tolist())]
+    report(f"batched W2 table vs per-pair loop ({len(loop)} pairs x 8 yaws, bit-equal)",
+           table.tolist() == loop)
 
     return EXIT_OK if ok else EXIT_BUILD
 

@@ -5,8 +5,10 @@ localization all read their settings from it, and a map bundle stores it once,
 in config.json. Configs load from JSON files and accept dotted-key overrides
 (e.g. "sim.sigma_w=1.5"). Unknown keys, values of the wrong type, values
 out of range and non-finite numbers are rejected when they are set; only the
-keys in `_NO_LIMIT_KEYS` take Infinity, as "no limit". The full effective
-configuration is echoed into every run manifest.
+keys in `_NO_LIMIT_KEYS` take Infinity, as "no limit". The keys that size a
+query's work have upper limits (`_MOST`, and `GRID_POINTS_MOST` for the probe
+grid's nx x ny, checked against the other side's value when either is set).
+The full effective configuration is echoed into every run manifest.
 """
 
 from __future__ import annotations
@@ -172,6 +174,12 @@ _NON_NEGATIVE_KEYS = {"cluster.neighborhood_radius", "cluster.default_threshold"
 # integer keys with their least value: grid sides, the GP budget, and the two
 # neighbours an anchor's triangles need
 _LEAST = {"gsf.grid.nx": 1, "gsf.grid.ny": 1, "gsf.budget": 1, "index.k_neighbors": 2}
+# integer keys with their greatest value, to bound a query's work: each GP fit
+# factors a budget x budget kernel matrix, and each query instance's probe
+# stack holds yaw_samples x (nx ny)^2 doubles (36 x 256^2 x 8 B = 19 MB at the
+# caps); the grid's point count nx x ny is held to GRID_POINTS_MOST
+_MOST = {"gsf.budget": 2048, "sim.yaw_samples": 36}
+GRID_POINTS_MOST = 256
 # float keys where Infinity means "no limit"; every other float value must be finite
 _NO_LIMIT_KEYS = {"sim.accept_threshold", "pipeline.success_trans_m",
                   "pipeline.success_rot_deg"}
@@ -229,6 +237,14 @@ def _coerce(section, key: str, value, path: str):
         raise ValidationError(f"config key {path!r} must be >= 0, got {value}")
     if path in _LEAST and value < _LEAST[path]:
         raise ValidationError(f"config key {path!r} must be >= {_LEAST[path]}, got {value}")
+    if path in _MOST and value > _MOST[path]:
+        raise ValidationError(f"config key {path!r} must be <= {_MOST[path]}, got {value}")
+    if path in ("gsf.grid.nx", "gsf.grid.ny"):
+        other = section.ny if key == "nx" else section.nx
+        if value * other > GRID_POINTS_MOST:
+            raise ValidationError(
+                f"config key {path!r} must keep gsf.grid.nx x ny <= {GRID_POINTS_MOST}, "
+                f"got {value} against {'ny' if key == 'nx' else 'nx'} = {other}")
     if kind is float and not (math.isfinite(value) or path in _NO_LIMIT_KEYS and value > 0):
         bound = "finite or Infinity" if path in _NO_LIMIT_KEYS else "finite"
         raise ValidationError(f"config key {path!r} must be {bound}, got {value}")

@@ -9,8 +9,11 @@ every stored triangle within delta_d per side (a Chebyshev ball, boundary
 included) whose label multiset matches. `query_index` takes one descriptor
 (its candidate ids) or a sequence of them: one tree query then answers all,
 as an (n_cand, 2) array of (query row, candidate id). The match stage calls
-it once per query, and `gsf_filter` once per query on that array. An index
-refuses a label outside [0, 2**LABEL_BITS), the range a label code holds.
+it once per query, `pair_w2` once per query for every instance pair the
+filter reads, and `gsf_filter` once per query on the candidate array;
+`gsf_filter` hands its survivors on as one `TriangleMatches` array record.
+An index refuses a label outside [0, 2**LABEL_BITS), the range a label code
+holds; `load_index` refuses such a file with a FormatError naming it.
 
 Index binary layout (little-endian), magic "GSFI":
     4s  magic        b"GSFI"
@@ -34,7 +37,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .core import FormatError, ValidationError
-from .gsf import GpPopulation
+from .gsf import GpPopulation, stack_populations
 from .wasserstein import SimilarityConfig, similarity_weight, w2_squared
 
 INDEX_MAGIC = b"GSFI"
@@ -187,6 +190,10 @@ def save_index(index: DescriptorIndex, path) -> None:
 
 
 def load_index(path) -> DescriptorIndex:
+    """The index `save_index` wrote. A file that is short, of another magic or
+    version, or whose content `build_index` refuses (a delta_d that is not a
+    positive finite number, a label outside the code range) is a FormatError
+    naming the file."""
     raw = Path(path).read_bytes()
     head = struct.calcsize("<4sIdI")
     if len(raw) < head:
@@ -206,7 +213,10 @@ def load_index(path) -> DescriptorIndex:
     for i in range(count):
         vals = struct.unpack_from("<3I3I3d", raw, head + i * rec)
         descs.append(TriangleDescriptor(i, tuple(vals[0:3]), tuple(vals[6:9]), tuple(vals[3:6])))
-    return build_index(descs, delta_d)
+    try:
+        return build_index(descs, delta_d)
+    except ValidationError as e:
+        raise FormatError(f"index file {path}: {e}") from e
 
 
 # ---------------------------------------------------------------------------
@@ -214,29 +224,65 @@ def load_index(path) -> DescriptorIndex:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class TriangleMatch:
-    query: TriangleDescriptor
-    map: TriangleDescriptor
-    pairs: tuple  # three (query instance id, map instance id) pairs
-    omegas: tuple  # per-pair confidence weights
-    w2_total: float
+@dataclass(frozen=True)
+class TriangleMatches:
+    """Triangle matches as arrays, one row per match: its query triangle's row
+    (position in the query's descriptor list), its candidate (map descriptor)
+    id, the three (query instance, map instance) vertex pairs, their
+    confidence weights and the summed W2^2 of its vertex order."""
+
+    rows: np.ndarray  # (n,) int64
+    candidate_ids: np.ndarray  # (n,) int64
+    pairs: np.ndarray  # (n, 3, 2) int64
+    omegas: np.ndarray  # (n, 3) float64
+    totals: np.ndarray  # (n,) float64
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    @classmethod
+    def empty(cls) -> "TriangleMatches":
+        ids = np.zeros(0, dtype=np.int64)
+        return cls(ids, ids, np.zeros((0, 3, 2), dtype=np.int64), np.zeros((0, 3)),
+                   np.zeros(0))
+
+
+# bytes of one chunk's (pairs x yaws x G x G) covariance stack in `pair_w2`;
+# the batched product and its temporaries take a few times this at peak
+W2_CHUNK_BYTES = 2 << 20
 
 
 def pair_w2(
-    qid: int,
-    mid: int,
+    qid,
+    mid,
     pops_query: dict[int, GpPopulation],
     pops_map: dict[int, GpPopulation],
     use_stability: bool,
-) -> float:
-    """Min-over-yaw squared W2 between a query and a map instance population.
+) -> float | np.ndarray:
+    """Min-over-yaw squared W2 between query and map instance populations.
 
     `pops_query` holds each query instance's stacked population over the yaw
-    samples; it goes to `w2_squared` as is, so every yaw is scored in one
-    batched call.
+    samples. One query id and one map id give a float; two equal-length id
+    arrays give one value per pair, as an array. The pairs are scored in
+    chunks whose (pairs x yaws x G x G) covariance stack stays under
+    W2_CHUNK_BYTES, one `w2_squared` call each: every query and map
+    population of a chunk is stacked once, and every (pair, yaw) member is
+    scored together.
     """
-    return float(w2_squared(pops_query[qid], pops_map[mid], use_stability).min())
+    one = np.ndim(qid) == 0
+    qids, mids = np.atleast_1d(qid).astype(np.int64), np.atleast_1d(mid).astype(np.int64)
+    out = np.empty(qids.size)
+    if qids.size:
+        sigma = pops_query[int(qids[0])].Sigma
+        step = max(1, W2_CHUNK_BYTES // sigma.nbytes)
+        for lo in range(0, qids.size, step):
+            uq, ia = np.unique(qids[lo:lo + step], return_inverse=True)
+            um, ib = np.unique(mids[lo:lo + step], return_inverse=True)
+            w2sq = w2_squared(stack_populations([pops_query[q] for q in uq.tolist()]),
+                              stack_populations([pops_map[m] for m in um.tolist()]),
+                              use_stability, (ia, ib))
+            out[lo:lo + step] = w2sq.reshape(len(w2sq), -1).min(axis=1)
+    return float(out[0]) if one else out
 
 
 def gsf_filter(
@@ -245,7 +291,7 @@ def gsf_filter(
     index: DescriptorIndex,
     w2: np.ndarray,
     cfg: SimilarityConfig,
-) -> list[TriangleMatch]:
+) -> TriangleMatches:
     """Score coarse candidates by summed per-vertex W2^2 and keep the survivors.
 
     `candidate_ids` holds `query_index`'s (query row, candidate id) rows over
@@ -266,23 +312,15 @@ def gsf_filter(
     keep = np.flatnonzero(best <= 3.0 * cfg.accept_threshold)
     keep = keep[np.lexsort((cids[keep], best[keep], rows[keep]))]
     pick = pick[keep]
-    omegas = similarity_weight(scores[keep, pick], cfg).tolist()
-    return [
-        TriangleMatch(descs[r], index.descriptors[c], tuple(zip(descs[r].vertex_ids, m)),
-                      tuple(o), t)
-        for r, c, m, o, t in zip(rows[keep].tolist(), cids[keep].tolist(),
-                                 mv[keep, pick].tolist(), omegas, best[keep].tolist())
-    ]
+    return TriangleMatches(rows[keep], cids[keep], np.stack([qv[keep], mv[keep, pick]], axis=-1),
+                           similarity_weight(scores[keep, pick], cfg), best[keep])
 
 
 def plain_matches(
     descs: list[TriangleDescriptor], candidate_ids: np.ndarray, index: DescriptorIndex
-) -> list[TriangleMatch]:
+) -> TriangleMatches:
     """GSF-disabled counterpart: canonical pairing, unit confidence, in
     `candidate_ids` order."""
-    out = []
-    for r, cid in candidate_ids.tolist():
-        d, cand = descs[r], index.descriptors[cid]
-        pairs = tuple(zip(d.vertex_ids, cand.vertex_ids))
-        out.append(TriangleMatch(d, cand, pairs, (1.0, 1.0, 1.0), 0.0))
-    return out
+    rows, cids = candidate_ids[:, 0], candidate_ids[:, 1]
+    pairs = np.stack([vertex_array(descs)[rows], index.vertex_ids[cids]], axis=-1)
+    return TriangleMatches(rows, cids, pairs, np.ones((len(rows), 3)), np.zeros(len(rows)))

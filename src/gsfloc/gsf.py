@@ -88,6 +88,13 @@ class GpPopulation:
     stability_weights: np.ndarray  # (G,) in (0,1]
 
 
+def stack_populations(pops) -> GpPopulation:
+    """A sequence of populations as one stack: every array gains a leading
+    member axis."""
+    return GpPopulation(*(np.stack([getattr(p, f) for p in pops])
+                          for f in ("grid", "mu", "Sigma", "stability_weights")))
+
+
 def semantic_sparsify(X, labels, budget: int, seed) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Class-proportional downsampling to roughly `budget` points.
 

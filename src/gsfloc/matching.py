@@ -1,5 +1,10 @@
 """Instance correspondences, pairwise consistency, and exact maximum clique.
 
+The correspondences come from the fine filter's `TriangleMatches` record in
+one pass of array operations: each (query, map) vertex pair is one
+correspondence, its support the number of matches that name it and its
+confidence the largest weight among them.
+
 Two correspondences are consistent when the centroid distance on the query
 side agrees with the map side within epsilon, and they share neither a query
 nor a map instance (one-to-one enforcement). The inlier set is the maximum
@@ -14,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ValidationError
-from .descriptors import TriangleMatch
+from .descriptors import TriangleMatches
 
 BRUTE_FORCE_MAX_NODES = 25
 
@@ -34,23 +39,25 @@ class ConsistencyGraph:
     epsilon: float
 
 
-def collect_correspondences(matches: list[TriangleMatch]) -> list[Correspondence]:
+def collect_correspondences(matches: TriangleMatches) -> list[Correspondence]:
     """Aggregate vertex pairs across triangle matches.
 
-    Duplicate (query, map) pairs merge: support accumulates, omega keeps the
-    maximum observed. Output sorted by (query_id, map_id).
+    Duplicate (query, map) pairs merge: support counts them, omega keeps the
+    maximum observed. Output sorted by (query_id, map_id). One `np.unique`
+    over the pairs' codes groups them, `bincount` gives the support and
+    `maximum.at` the omega.
     """
-    merged: dict[tuple[int, int], Correspondence] = {}
-    for m in matches:
-        for (q, mm), omega in zip(m.pairs, m.omegas):
-            key = (q, mm)
-            if key in merged:
-                c = merged[key]
-                c.support += 1
-                c.omega = max(c.omega, omega)
-            else:
-                merged[key] = Correspondence(q, mm, omega, 1)
-    return [merged[k] for k in sorted(merged)]
+    pairs = matches.pairs.reshape(-1, 2)
+    if not len(pairs):
+        return []
+    n_map = int(pairs[:, 1].max()) + 1
+    codes, inverse = np.unique(pairs[:, 0] * n_map + pairs[:, 1], return_inverse=True)
+    support = np.bincount(inverse, minlength=len(codes))
+    omega = np.full(len(codes), -np.inf)
+    np.maximum.at(omega, inverse, matches.omegas.ravel())
+    qids, mids = np.divmod(codes, n_map)
+    return [Correspondence(*c) for c in zip(qids.tolist(), mids.tolist(), omega.tolist(),
+                                            support.tolist())]
 
 
 def consistency_check(

@@ -7,10 +7,12 @@ filter on; `grid_probe` itself probes only the yaws whose grid is not a
 reordering of an earlier one and gathers the rest), `_match`
 (triangles; one `query_index` call for all of them, which gives the coarse
 candidates as one (triangle row, candidate id) array; one W2 table of every
-instance pair the GSF filter reads, scored once each into a dense
-(query instance x map instance) array, with the similarity self-tuned from
-it; then one `gsf_filter` call over all candidates), `_clique`
-(correspondences, consistency graph, max clique) and `_solve` (robust IRLS).
+instance pair the GSF filter reads, from one batched `pair_w2` call into a
+dense (query instance x map instance) array, with the similarity self-tuned
+from it; then one `gsf_filter` call over all candidates, whose survivors come
+back as one `TriangleMatches` array record), `_clique` (correspondences merged
+from that record by array operations, consistency graph, max clique) and
+`_solve` (robust IRLS).
 
 A map holds only what `localize` reads: each instance's centroid, the probed
 populations, the triangle index, the taxonomy and the config. `build_map`
@@ -59,7 +61,7 @@ from .core import (
 from .descriptors import (
     ORDERS,
     DescriptorIndex,
-    TriangleMatch,
+    TriangleMatches,
     build_index,
     gsf_filter,
     load_index,
@@ -255,7 +257,8 @@ def _query_probes(qgraph, taxonomy, config) -> dict[int, GpPopulation | None]:
 def _w2_table(
     descs, cand, pops_query, ref_map, config
 ) -> tuple[np.ndarray, np.ndarray, SimilarityConfig | None]:
-    """Score each distinct (query, map) instance pair the fine filter reads, once.
+    """Score each distinct (query, map) instance pair the fine filter reads, once,
+    all in one `pair_w2` call.
 
     Skips, with a warning, a query triangle or a candidate that touches an
     instance without a population. A kept candidate pairs its triangle's
@@ -288,8 +291,7 @@ def _w2_table(
     codes = np.union1d(canonical, ordered[index.order_mask[cids]])
     w2 = np.full((n_query, n_map), np.nan)
     qids, mids = np.divmod(codes, n_map)
-    w2.flat[codes] = [pair_w2(q, m, pops_query, pops_map, config.sim.use_stability)
-                      for q, m in zip(qids.tolist(), mids.tolist())]
+    w2.flat[codes] = pair_w2(qids, mids, pops_query, pops_map, config.sim.use_stability)
     if not canonical.size:
         return kept, w2, None
     median = float(np.median(w2.flat[canonical]))
@@ -300,7 +302,7 @@ def _w2_table(
     )
 
 
-def _match(qgraph, pops_query, ref_map, config) -> tuple[int, list[TriangleMatch]]:
+def _match(qgraph, pops_query, ref_map, config) -> tuple[int, TriangleMatches]:
     """Stage "match": triangles, one coarse lookup for all of them, then one GSF
     fine filter over one W2 table (canonical pairing with it off). Returns the
     triangle count and the matches."""
@@ -310,7 +312,7 @@ def _match(qgraph, pops_query, ref_map, config) -> tuple[int, list[TriangleMatch
         return len(descs), plain_matches(descs, cand, ref_map.index)
     kept, w2, simcfg = _w2_table(descs, cand, pops_query, ref_map, config)
     if simcfg is None:
-        return len(descs), []
+        return len(descs), TriangleMatches.empty()
     return len(descs), gsf_filter(descs, kept, ref_map.index, w2, simcfg)
 
 

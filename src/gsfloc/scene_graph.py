@@ -68,30 +68,36 @@ def cluster_instances(
     unknown = sorted(set(cluster.thresholds) - {taxonomy.name(c) for c in taxonomy.ids()})
     if unknown:
         raise ValidationError(f"cluster threshold for unknown class {unknown[0]!r}")
-    raw: list[tuple[int, np.ndarray]] = []  # (label, member indices)
+    # every instantiable point, class by class, each class's indices ascending
+    members, links = [], []
+    start = 0
     for cid in taxonomy.instantiable_ids():
-        mask = np.nonzero(cloud.labels == cid)[0]
-        if mask.size == 0:
+        idx = np.flatnonzero(cloud.labels == cid)
+        if idx.size == 0:
             continue
-        pairs = cKDTree(cloud.points[mask], **_TREE).query_pairs(
+        pairs = cKDTree(cloud.points[idx], **_TREE).query_pairs(
             cluster.thresholds.get(taxonomy.name(cid), cluster.default_threshold),
             output_type="ndarray",
         )
-        links = coo_matrix(
-            (np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(mask.size, mask.size)
-        )
-        # components are numbered in order of their lowest member
-        _, comp = connected_components(links, directed=False)
-        sizes = np.bincount(comp)
-        members = np.split(np.argsort(comp, kind="stable"), np.cumsum(sizes)[:-1])
-        for size, idx in zip(sizes, members):
-            if size >= cluster.min_cluster_size:
-                raw.append((cid, mask[idx]))
+        members.append(idx)
+        links.append(pairs + start)
+        start += idx.size
+    if not start:
+        return []
+    members, pairs = np.concatenate(members), np.concatenate(links)
+    graph = coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(start, start))
+    # components are numbered in order of their lowest member, so class by class
+    _, comp = connected_components(graph, directed=False)
+    sizes = np.bincount(comp)
+    ends = np.cumsum(sizes)
+    big = sizes >= cluster.min_cluster_size
+    by_comp = members[np.argsort(comp, kind="stable")]  # each component's members ascending
 
     keyed = []
-    for label, idx in raw:
+    for lo, hi in zip((ends - sizes)[big].tolist(), ends[big].tolist()):
+        idx = by_comp[lo:hi]
         centroid = cloud.points[idx].mean(axis=0)
-        keyed.append((label, tuple(centroid), centroid, idx))
+        keyed.append((int(cloud.labels[idx[0]]), tuple(centroid), centroid, idx))
     keyed.sort(key=lambda k: (k[0], k[1]))
     return [
         Instance(i, centroid, label, np.sort(idx))

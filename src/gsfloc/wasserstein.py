@@ -6,10 +6,14 @@ With the stability mask enabled, each covariance is replaced by its
 stability-weighted version and the mean term is weighted per grid point by
 the geometric mean of the two populations' weights.
 
-`w2_squared` also takes a stack of populations as A (one query instance at
-every yaw sample, say): B's covariance is rooted once, and one batched
-product and one batched `eigvalsh` give every member's distance to B, each
-equal to its single-population call.
+`w2_squared` takes one pair of populations, a stack as A against one B (one
+query instance at every yaw sample, say), or a whole table of pairs: a stack
+of A members, a stack of B members and two index arrays naming each pair.
+Each member's covariance is masked once and each B member rooted once, in one
+batched `eigh` (`psd_sqrt` takes a stack); one batched product and one
+batched `eigvalsh` then cover every (pair, yaw) member. Every value equals
+its own single-pair call bit for bit: the batched LAPACK and BLAS calls
+work matrix by matrix, and every sum runs over the same axis as there.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ValidationError
-from .gsf import GpPopulation, apply_stability_mask
+from .gsf import GpPopulation, apply_stability_mask, stack_populations
 
 
 @dataclass(frozen=True)
@@ -37,15 +41,21 @@ class SimilarityConfig:
 
 
 def psd_sqrt(S: np.ndarray, sym_tol: float = 1e-8) -> np.ndarray:
-    """Symmetric PSD square root via eigendecomposition, negatives clamped to 0."""
+    """Symmetric PSD square root via eigendecomposition, negatives clamped to 0.
+
+    `S` may be a stack (..., G, G): one batched `eigh` roots every member,
+    each equal to its own call. A member more than `sym_tol` from symmetric
+    is refused.
+    """
     S = np.asarray(S, dtype=np.float64)
-    asym = np.abs(S - S.T).max() if S.size else 0.0
+    St = np.swapaxes(S, -1, -2)
+    asym = np.abs(S - St).max() if S.size else 0.0
     if asym > sym_tol:
         raise ValidationError(f"matrix is not symmetric: max |S - S^T| = {asym:.3e}")
-    vals, vecs = np.linalg.eigh(0.5 * (S + S.T))
+    vals, vecs = np.linalg.eigh(0.5 * (S + St))
     vals = np.maximum(vals, 0.0)
-    out = (vecs * np.sqrt(vals)) @ vecs.T
-    return 0.5 * (out + out.T)
+    out = (vecs * np.sqrt(vals)[..., None, :]) @ np.swapaxes(vecs, -1, -2)
+    return 0.5 * (out + np.swapaxes(out, -1, -2))
 
 
 def _covariance(pop: GpPopulation, use_stability: bool) -> np.ndarray:
@@ -55,33 +65,59 @@ def _covariance(pop: GpPopulation, use_stability: bool) -> np.ndarray:
 
 
 def w2_squared(
-    pop_a: GpPopulation, pop_b: GpPopulation, use_stability: bool = False
+    pop_a: GpPopulation,
+    pop_b: GpPopulation,
+    use_stability: bool = False,
+    pairs: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> float | np.ndarray:
-    """Squared 2-Wasserstein distance between two populations on matching grids.
+    """Squared 2-Wasserstein distance between populations on matching grids.
 
-    `pop_a` may be a stack: mu (Y, G, D), Sigma (Y, G, G) and weights (Y, G)
-    give a (Y,) array, member y's distance to `pop_b`; a single population
-    gives a float. The trace term is symmetric in A and B, so only B's
-    covariance is rooted, once for the whole stack:
-    Tr((S_B^1/2 S_A S_B^1/2)^1/2), eigenvalues clamped at 0.
+    Without `pairs`, `pop_b` is one population and `pop_a` one population
+    (a float back) or a stack: mu (Y, G, D), Sigma (Y, G, G) and weights
+    (Y, G) give a (Y,) array, member y's distance to `pop_b`.
+
+    With `pairs` = (ia, ib), two index arrays of length P, `pop_a` stacks A
+    members (mu (A, G, D), or (A, Y, G, D) for yaw stacks) and `pop_b` B
+    single ones (mu (B, G, D)); the (P,) or (P, Y) result holds member ia[p]
+    of A against member ib[p] of B.
+
+    The trace term is symmetric in A and B, so only B's covariances are
+    rooted, each once: Tr((S_B^1/2 S_A S_B^1/2)^1/2), eigenvalues clamped at 0.
     """
-    if pop_a.mu.shape[-2:] != pop_b.mu.shape or pop_a.Sigma.shape[-2:] != pop_b.Sigma.shape:
+    one = pairs is None
+    if (pop_b.mu.ndim != (2 if one else 3) or pop_a.mu.shape[-2:] != pop_b.mu.shape[-2:]
+            or pop_a.Sigma.shape[-2:] != pop_b.Sigma.shape[-2:]):
         raise ValidationError(
             f"population shapes differ: mu {pop_a.mu.shape} vs {pop_b.mu.shape}, "
             f"Sigma {pop_a.Sigma.shape} vs {pop_b.Sigma.shape}"
         )
+    if one:
+        pop_a, pop_b = stack_populations([pop_a]), stack_populations([pop_b])
+        pairs = (np.zeros(1, dtype=np.intp), np.zeros(1, dtype=np.intp))
+    ia, ib = (np.asarray(p, dtype=np.intp) for p in pairs)
+    # B's per-pair arrays get one axis per yaw axis of A, to broadcast against it
+    lift = (slice(None),) + (None,) * (pop_a.mu.ndim - 3)
     s_a, s_b = _covariance(pop_a, use_stability), _covariance(pop_b, use_stability)
-    diff_sq = np.sum((pop_a.mu - pop_b.mu) ** 2, axis=-1)  # per grid point
+    trace_a, trace_b = (np.trace(s, axis1=-2, axis2=-1) for s in (s_a, s_b))
+    # per pair, as floats: the product below is written into this buffer, and
+    # dropping the per-member stack first lowers the peak memory
+    s_a = np.asarray(s_a, dtype=np.float64)[ia]
+    sqrt_b = psd_sqrt(s_b)[ib][lift]
+    diff_sq = np.sum((pop_a.mu[ia] - pop_b.mu[ib][lift]) ** 2, axis=-1)  # per grid point
     if use_stability:
-        diff_sq = diff_sq * np.sqrt(pop_a.stability_weights * pop_b.stability_weights)
-    sqrt_b = psd_sqrt(s_b)
-    inner = sqrt_b @ s_a @ sqrt_b
-    vals = np.linalg.eigvalsh(0.5 * (inner + np.swapaxes(inner, -1, -2)))
+        diff_sq = diff_sq * np.sqrt(pop_a.stability_weights[ia]
+                                    * pop_b.stability_weights[ib][lift])
+    inner = np.matmul(sqrt_b @ s_a, sqrt_b, out=s_a)
+    inner += np.swapaxes(inner, -1, -2)  # in place: numpy buffers the overlapping operand
+    inner *= 0.5
+    vals = np.linalg.eigvalsh(inner)
     cross = np.sum(np.sqrt(np.maximum(vals, 0.0)), axis=-1)
     mean_term = np.sum(diff_sq, axis=-1)
-    trace_term = np.trace(s_a, axis1=-2, axis2=-1) + np.trace(s_b) - 2.0 * cross
+    trace_term = trace_a[ia] + trace_b[ib][lift] - 2.0 * cross
     w2sq = np.maximum(mean_term + trace_term, 0.0)
-    return float(w2sq) if w2sq.ndim == 0 else w2sq
+    if not one:
+        return w2sq
+    return float(w2sq[0]) if w2sq.ndim == 1 else w2sq[0]
 
 
 def similarity_weight(w2sq: float | np.ndarray, cfg: SimilarityConfig) -> float | np.ndarray:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gsfloc.core import RigidTransform, SemanticPointCloud, default_taxonomy, one_hot_logits, rot_z
-from gsfloc.gsf import GpPopulation
+from gsfloc.gsf import stack_populations
 from gsfloc.synth import InstanceTemplate, SceneSpec
 
 
@@ -20,10 +20,7 @@ def random_transform(rng, t_scale=10.0) -> RigidTransform:
     return RigidTransform(random_rotation(rng), rng.uniform(-t_scale, t_scale, 3))
 
 
-def stack_pops(pops) -> GpPopulation:
-    """The populations as one stack: every array gains a leading member axis."""
-    return GpPopulation(*(np.stack(arrays) for arrays in zip(
-        *((p.grid, p.mu, p.Sigma, p.stability_weights) for p in pops))))
+stack_pops = stack_populations  # the populations as one stack along a new leading axis
 
 
 def small_scene_spec(seed=11, extent=80.0) -> SceneSpec:

@@ -158,6 +158,19 @@ class TestBuildMap:
         assert "'pipeline.query_voxel' must be finite" in err and "Traceback" not in err
         assert not (tmp_path / "x").exists()
 
+    def test_yaw_samples_above_cap_exit_2(self, scene_files, tmp_path, capsys):
+        rc = main([
+            "build-map",
+            "--points", str(scene_files / "map.points"),
+            "--labels", str(scene_files / "map.labels"),
+            "--out", str(tmp_path / "x"),
+            "--set", "sim.yaw_samples=100000",
+        ])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "'sim.yaw_samples' must be <= 36" in err and "Traceback" not in err
+        assert not (tmp_path / "x").exists()
+
     def test_unknown_config_key_exit_2(self, scene_files, tmp_path, capsys):
         rc = main([
             "build-map",
@@ -275,6 +288,25 @@ class TestLocalize:
         err = capsys.readouterr().err
         assert rc == 1
         assert "graph.json: no instances list" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("offset, value, says", [
+        (8, np.float64(np.nan), "delta_d"),
+        (32, np.uint32(1 << 21), "descriptor 0: labels"),  # the first stored label
+    ], ids=["nan-delta", "label-2**21"])
+    def test_index_content_build_index_refuses_exit_1(self, scene_files, bundle, tmp_path,
+                                                       capsys, offset, value, says):
+        tampered = tmp_path / "tampered"
+        shutil.copytree(bundle, tampered)
+        raw = bytearray((tampered / "index.gsfi").read_bytes())
+        raw[offset:offset + value.nbytes] = value.tobytes()
+        (tampered / "index.gsfi").write_bytes(bytes(raw))
+        manifest = json.loads((tampered / "manifest.json").read_text())
+        manifest["files"]["index.gsfi"] = hashlib.sha256(raw).hexdigest()
+        (tampered / "manifest.json").write_text(json.dumps(manifest))
+        rc = _localize_query(tampered, scene_files)
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert f"index file {tampered / 'index.gsfi'}: {says}" in err and "Traceback" not in err
 
     def test_mistyped_bundle_config_exit_1(self, scene_files, bundle, tmp_path, capsys):
         tampered = tmp_path / "tampered"
@@ -469,4 +501,5 @@ class TestSelftest:
     def test_selftest_passes(self, capsys):
         assert main(["selftest"]) == 0
         out = capsys.readouterr().out
-        assert out.count("PASS") == 6
+        assert out.count("PASS") == 7 and "FAIL" not in out
+        assert "PASS batched W2 table vs per-pair loop (20 pairs x 8 yaws, bit-equal)" in out

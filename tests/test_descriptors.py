@@ -3,8 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
+from gsfloc import descriptors
 from gsfloc.config import GridSection
-from gsfloc.core import ValidationError, one_hot_logits
+from gsfloc.core import FormatError, ValidationError, one_hot_logits
 from gsfloc.descriptors import (
     EQUAL_SIDE_TOL,
     LABEL_BITS,
@@ -321,7 +322,29 @@ class TestIndex:
         raw = bytearray(path.read_bytes())
         raw[8:16] = np.float64(np.nan).tobytes()
         path.write_bytes(bytes(raw))
-        with pytest.raises(ValidationError, match="delta_d"):
+        with pytest.raises(FormatError, match=rf"index file {path}: delta_d"):
+            load_index(path)
+
+    @pytest.mark.parametrize("delta", [float("inf"), 0.0, -0.5], ids=["inf", "zero", "negative"])
+    def test_bad_delta_in_file_rejected(self, tmp_path, delta):
+        path = tmp_path / "bad.gsfi"
+        save_index(build_index([random_descriptor(np.random.default_rng(1), 0)], 0.5), path)
+        raw = bytearray(path.read_bytes())
+        raw[8:16] = np.float64(delta).tobytes()
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match=rf"index file {path}: delta_d"):
+            load_index(path)
+
+    def test_label_outside_code_range_in_file_rejected(self, tmp_path):
+        """A stored label of 2**LABEL_BITS fits the file's u32 but not a label
+        code: loading it is a FormatError naming the file."""
+        path = tmp_path / "label.gsfi"
+        d = TriangleDescriptor(0, (0, 1, 2), (3.0, 4.0, 5.0), (7, 7, 7))
+        save_index(build_index([d], 0.5), path)
+        raw = bytearray(path.read_bytes())
+        raw[32:36] = np.uint32(1 << LABEL_BITS).tobytes()  # the first label
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match=rf"index file {path}: descriptor 0: labels"):
             load_index(path)
 
     def test_empty_index_returns_nothing(self):
@@ -389,15 +412,15 @@ class TestGsfFilter:
         q, index, pq, pm = self._setup(taxonomy)
         cfg = SimilarityConfig(sigma_w=1.0, accept_threshold=10.0)
         out = gsf_filter([q], cands(0, 1), index, w2_table(pq, pm), cfg)
-        assert out[0].map.id == 0
-        assert out[0].w2_total < 1e-8
-        assert all(abs(w - 1.0) < 1e-6 for w in out[0].omegas)
+        assert out.candidate_ids[0] == 0
+        assert out.totals[0] < 1e-8
+        assert all(abs(w - 1.0) < 1e-6 for w in out.omegas[0])
 
     def test_planted_outlier_filtered(self, taxonomy):
         q, index, pq, pm = self._setup(taxonomy)
         cfg = SimilarityConfig(sigma_w=1.0, accept_threshold=0.05)
         out = gsf_filter([q], cands(0, 1), index, w2_table(pq, pm), cfg)
-        assert [m.map.id for m in out] == [0]
+        assert out.candidate_ids.tolist() == [0]
 
     def test_tie_breaks_by_candidate_id(self, taxonomy):
         pop = field_with_offset(taxonomy, 0.0, seed=5)
@@ -409,7 +432,7 @@ class TestGsfFilter:
         index = build_index([c1, c2], 0.5)
         out = gsf_filter([q], cands(0, 1), index, w2_table(pq, pm),
                          SimilarityConfig(sigma_w=1.0, accept_threshold=10.0))
-        assert [m.map.id for m in out] == [0, 1]  # equal scores: id order
+        assert out.candidate_ids.tolist() == [0, 1]  # equal scores: id order
 
     def test_equilateral_keeps_first_order_among_equal_totals(self, taxonomy):
         a = field_with_offset(taxonomy, 0.0, seed=1)
@@ -423,13 +446,16 @@ class TestGsfFilter:
         # orders (0, 1, 2) and (1, 0, 2) score the same total: the first is kept
         pm = {10: a, 11: a, 12: c}
         pq = {0: stack_pops([a]), 1: stack_pops([a]), 2: stack_pops([c])}
-        (m,) = gsf_filter([q], cands(0), index, w2_table(pq, pm), cfg)
-        assert m.pairs == ((0, 10), (1, 11), (2, 12))
+        m = gsf_filter([q], cands(0), index, w2_table(pq, pm), cfg)
+        assert len(m) == 1 and m.pairs[0].tolist() == [[0, 10], [1, 11], [2, 12]]
         # a lower total under a later order wins
         pm = {10: a, 11: b, 12: c}
         pq = {0: stack_pops([b]), 1: stack_pops([a]), 2: stack_pops([c])}
-        (m,) = gsf_filter([q], cands(0), index, w2_table(pq, pm), cfg)
-        assert m.pairs == ((0, 11), (1, 10), (2, 12))
+        table = w2_table(pq, pm)
+        m = gsf_filter([q], cands(0), index, table, cfg)
+        assert len(m) == 1 and m.pairs[0].tolist() == [[0, 11], [1, 10], [2, 12]]
+        # the weights are those of the pairs taken, not of the first order
+        assert m.omegas[0].tolist() == np.exp(-table[[0, 1, 2], [11, 10, 12]] / 2.0).tolist()
 
     def test_six_order_tie_keeps_first_order(self):
         """An equilateral candidate under a table W2[q, m] = f(q) + g(m) of
@@ -445,13 +471,47 @@ class TestGsfFilter:
         totals = {sum(table[k, 10 + p[k]] for k in range(3)) for p in ORDERS.tolist()}
         assert totals == {f.sum() + g.sum()}
         cfg = SimilarityConfig(sigma_w=1.0, accept_threshold=100.0)
-        (m,) = gsf_filter([q], cands(0), index, table, cfg)
-        assert m.pairs == ((0, 10), (1, 11), (2, 12))
-        assert m.w2_total == f.sum() + g.sum()
-        assert m.omegas == tuple(np.exp(-(f + g) / 2.0).tolist())
+        m = gsf_filter([q], cands(0), index, table, cfg)
+        assert len(m) == 1 and m.pairs[0].tolist() == [[0, 10], [1, 11], [2, 12]]
+        assert m.totals[0] == f.sum() + g.sum()
+        assert m.omegas[0].tolist() == np.exp(-(f + g) / 2.0).tolist()
+
+    def test_plain_matches_equal_written_out_loop(self):
+        """GSF off: every coarse candidate in `query_index` order, paired
+        canonically, unit weights and zero totals; `np.array_equal` to a loop."""
+        rng = np.random.default_rng(8)
+        stored = [random_descriptor(rng, i, label_pool=(6, 7)) for i in range(60)]
+        index = build_index(stored, 2.0)
+        descs = [TriangleDescriptor(k, tuple(int(v) for v in rng.integers(0, 9, 3)), d.sides,
+                                    d.labels) for k, d in enumerate(stored[:20])]
+        cand = query_index(index, descs)
+        got = plain_matches(descs, cand, index)
+        loop = [(r, c, list(zip(descs[r].vertex_ids, index.descriptors[c].vertex_ids)))
+                for r, c in cand.tolist()]
+        assert len(got) == len(loop) > 20
+        assert np.array_equal(got.rows, [r for r, _, _ in loop])
+        assert np.array_equal(got.candidate_ids, [c for _, c, _ in loop])
+        assert np.array_equal(got.pairs, np.array([p for _, _, p in loop], dtype=np.int64))
+        assert np.array_equal(got.omegas, np.ones((len(loop), 3)))
+        assert np.array_equal(got.totals, np.zeros(len(loop)))
+        none = plain_matches(descs, cand[:0], index)
+        assert len(none) == 0 and none.pairs.shape == (0, 3, 2)
+
+    def test_pair_w2_zero_pairs(self, monkeypatch):
+        """No pairs: an empty array back, and no `w2_squared` call."""
+        monkeypatch.setattr(descriptors, "w2_squared", None)
+        empty = np.zeros(0, dtype=np.int64)
+        out = pair_w2(empty, empty, {}, {}, True)
+        assert isinstance(out, np.ndarray) and out.shape == (0,)
+
+    def test_pair_w2_one_pair_gives_a_float(self, taxonomy):
+        _, _, pq, pm = self._setup(taxonomy)
+        got = pair_w2(1, 3, pq, pm, True)
+        assert type(got) is float
+        assert got == pair_w2(np.array([1]), np.array([3]), pq, pm, True)[0]
 
     def test_plain_matches_unit_omega(self, taxonomy):
         q, index, _, _ = self._setup(taxonomy)
         out = plain_matches([q], cands(0, 1), index)
         assert len(out) == 2
-        assert all(m.omegas == (1.0, 1.0, 1.0) for m in out)
+        assert out.omegas.tolist() == [[1.0, 1.0, 1.0]] * 2

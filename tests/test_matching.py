@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gsfloc.core import ValidationError
-from gsfloc.descriptors import TriangleDescriptor, TriangleMatch
+from gsfloc.descriptors import TriangleMatches
 from gsfloc.matching import (
     ConsistencyGraph,
     Correspondence,
@@ -17,8 +17,18 @@ from conftest import random_transform
 
 
 def match(pairs, omegas=(1.0, 1.0, 1.0)):
-    d = TriangleDescriptor(0, (0, 1, 2), (3.0, 4.0, 5.0), (7, 7, 7))
-    return TriangleMatch(d, d, tuple(pairs), tuple(omegas), 0.0)
+    """One triangle match: its three (query, map) pairs and their weights."""
+    return tuple(pairs), tuple(omegas)
+
+
+def matches_of(matches):
+    """The `TriangleMatches` record of a list of `match` results, as the fine
+    filter hands it over."""
+    n = len(matches)
+    pairs = np.array([p for p, _ in matches], dtype=np.int64).reshape(n, 3, 2)
+    omegas = np.array([o for _, o in matches], dtype=np.float64).reshape(n, 3)
+    return TriangleMatches(np.zeros(n, dtype=np.int64), np.arange(n), pairs, omegas,
+                           np.zeros(n))
 
 
 def graph_from_adjacency(adj, omegas=None):
@@ -35,16 +45,16 @@ def random_graph(rng, n, density):
 
 class TestCollect:
     def test_single_triangle(self):
-        out = collect_correspondences([match([(0, 10), (1, 11), (2, 12)])])
+        out = collect_correspondences(matches_of([match([(0, 10), (1, 11), (2, 12)])]))
         assert [(c.query_id, c.map_id, c.support) for c in out] == [
             (0, 10, 1), (1, 11, 1), (2, 12, 1)
         ]
 
     def test_shared_pair_support(self):
-        out = collect_correspondences([
+        out = collect_correspondences(matches_of([
             match([(0, 10), (1, 11), (2, 12)], (0.5, 0.6, 0.7)),
             match([(0, 10), (3, 13), (4, 14)], (0.9, 0.6, 0.7)),
-        ])
+        ]))
         c = {(c.query_id, c.map_id): c for c in out}
         assert c[(0, 10)].support == 2
         assert c[(0, 10)].omega == 0.9  # max observed
@@ -57,9 +67,9 @@ class TestCollect:
                 pairs = [(int(rng.integers(0, 6)), int(rng.integers(10, 16))) for _ in range(3)]
                 omegas = tuple(float(v) for v in rng.uniform(0.1, 1.0, 3))
                 matches.append(match(pairs, omegas))
-            got = collect_correspondences(matches)
+            got = collect_correspondences(matches_of(matches))
             # hashmap-free aggregation
-            flat = [(q, m, o) for mt in matches for (q, m), o in zip(mt.pairs, mt.omegas)]
+            flat = [(q, m, o) for pairs, omegas in matches for (q, m), o in zip(pairs, omegas)]
             keys = sorted(set((q, m) for q, m, _ in flat))
             want = [
                 (k[0], k[1],
@@ -69,8 +79,34 @@ class TestCollect:
             ]
             assert [(c.query_id, c.map_id, c.omega, c.support) for c in got] == want
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_equals_dict_merge(self, seed):
+        """The array merge against a written-out dict merge of every vertex
+        pair, over records with many duplicate pairs under different weights:
+        the same pairs, order, supports and omegas, as Python ints and floats."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(50, 400))
+        pairs = np.stack([rng.integers(0, 8, (n, 3)), rng.integers(0, 30, (n, 3))], axis=-1)
+        omegas = rng.uniform(0.0, 1.0, (n, 3))
+        got = collect_correspondences(TriangleMatches(np.arange(n), np.arange(n), pairs, omegas,
+                                                      np.zeros(n)))
+        merged = {}
+        for (q, m), omega in zip(pairs.reshape(-1, 2).tolist(), omegas.ravel().tolist()):
+            if (q, m) in merged:
+                merged[q, m] = (max(merged[q, m][0], omega), merged[q, m][1] + 1)
+            else:
+                merged[q, m] = (omega, 1)
+        want = [(q, m, *merged[q, m]) for q, m in sorted(merged)]
+        assert max(s for _, _, _, s in want) > 1
+        assert [(c.query_id, c.map_id, c.omega, c.support) for c in got] == want
+        assert all(type(c.query_id) is type(c.map_id) is type(c.support) is int
+                   and type(c.omega) is float for c in got)
+
+    def test_no_matches(self):
+        assert collect_correspondences(TriangleMatches.empty()) == []
+
     def test_ordering_deterministic(self):
-        out = collect_correspondences([match([(2, 12), (0, 10), (1, 11)])])
+        out = collect_correspondences(matches_of([match([(2, 12), (0, 10), (1, 11)])]))
         assert [(c.query_id, c.map_id) for c in out] == [(0, 10), (1, 11), (2, 12)]
 
 

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from gsfloc.config import RunConfig
+from gsfloc.config import GRID_POINTS_MOST, RunConfig
 from gsfloc.core import (
     FormatError,
     RigidTransform,
@@ -26,7 +26,7 @@ from gsfloc.descriptors import (
     query_index,
     triangulate,
 )
-from gsfloc import pipeline
+from gsfloc import descriptors, pipeline
 from gsfloc.pipeline import (
     BUNDLE_FILES,
     STAGES,
@@ -485,7 +485,7 @@ class TestLocalize:
         assert all(q != gone for q, _ in w2)
         with pytest.warns(UserWarning, match=rf"query instances \[{gone}\] lack fields"):
             _, matches = pipeline._match(qgraph, holed, ref_map, ref_map.config)
-        assert matches and all(gone not in m.query.vertex_ids for m in matches)
+        assert len(matches) and gone not in matches.pairs[..., 0]
 
     @pytest.mark.parametrize("case", ["success", "empty-scan", "disjoint", "degenerate"])
     def test_every_exit(self, scene, ref_map, taxonomy_module, monkeypatch, case):
@@ -639,6 +639,44 @@ class TestMatch:
         """The same check on a twins query, where W2 decides between the twins."""
         self._check_against_loop(*_twin_query(taxonomy_module, tmp_path))
 
+    @pytest.mark.parametrize("chunk_pairs", [None, 3, 1], ids=["one-chunk", "chunks-of-3",
+                                                                "chunks-of-1"])
+    def test_batched_table_equals_per_pair_loop(self, scene, ref_map, taxonomy_module,
+                                                monkeypatch, chunk_pairs):
+        """The W2 table from one batched `pair_w2` call against a written-out
+        loop of one `w2_squared` call per pair, min over yaws: `np.array_equal`.
+        On the defaults one chunk covers the query; a chunk size forced down to
+        3 pairs or 1 pair splits it, with the same values."""
+        _, _, _, pops_query, cand_lists = _street_query(scene, ref_map, taxonomy_module)
+        self._check_table(pops_query, ref_map, cand_lists, monkeypatch, chunk_pairs)
+
+    @pytest.mark.parametrize("chunk_pairs", [None, 2], ids=["one-chunk", "chunks-of-2"])
+    def test_batched_table_equals_per_pair_loop_on_twins(self, taxonomy_module, tmp_path,
+                                                         monkeypatch, chunk_pairs):
+        _, pops_query, ref, cand_lists = _twin_query(taxonomy_module, tmp_path)
+        self._check_table(pops_query, ref, cand_lists, monkeypatch, chunk_pairs)
+
+    @staticmethod
+    def _check_table(pops_query, ref_map, cand_lists, monkeypatch, chunk_pairs):
+        if chunk_pairs is not None:
+            one_pair = next(iter(pops_query.values())).Sigma.nbytes
+            monkeypatch.setattr(descriptors, "W2_CHUNK_BYTES", chunk_pairs * one_pair)
+        chunks = []
+
+        def counted(pop_a, pop_b, use_stability, pairs):
+            chunks.append(len(pairs[0]))
+            return w2_squared(pop_a, pop_b, use_stability, pairs)
+
+        monkeypatch.setattr(descriptors, "w2_squared", counted)
+        _, w2, _ = _w2_table_lists(cand_lists, pops_query, ref_map, ref_map.config)
+        scored = sorted(w2)
+        want = [float(np.min(w2_squared(pops_query[q], ref_map.populations[m],
+                                        use_stability=True))) for q, m in scored]
+        assert np.array_equal([w2[k] for k in scored], want)
+        step = chunk_pairs or len(scored)
+        assert chunks == [min(step, len(scored) - lo) for lo in range(0, len(scored), step)]
+        assert len(chunks) > (chunk_pairs is not None)
+
     @staticmethod
     def _check_against_loop(qgraph, pops_query, ref_map, cand_lists):
         index, pops_map = ref_map.index, ref_map.populations
@@ -669,10 +707,10 @@ class TestMatch:
                     kept.append(best)
             want += sorted(kept, key=lambda b: (b[0], b[1]))
         assert len(got) == len(want) > 0
-        for m, (total, cid, pairs, scores) in zip(got, want):
-            assert m.map.id == cid and list(m.pairs) == pairs
-            assert abs(m.w2_total - total) < 1e-9
-            for omega, s in zip(m.omegas, scores):
+        for k, (total, cid, pairs, scores) in enumerate(want):
+            assert got.candidate_ids[k] == cid and got.pairs[k].tolist() == list(map(list, pairs))
+            assert abs(got.totals[k] - total) < 1e-9
+            for omega, s in zip(got.omegas[k], scores):
                 assert abs(omega - np.exp(-s / (2.0 * sigma_w**2))) < 1e-9
 
 
@@ -834,6 +872,40 @@ class TestConfig:
         cfg = RunConfig()
         cfg.apply_overrides([f"{key}={edge}"])
         assert functools.reduce(getattr, key.split("."), cfg) == edge
+
+    @pytest.mark.parametrize("key, bad, edge", [
+        ("gsf.budget", 2049, 2048),
+        ("sim.yaw_samples", 37, 36),
+        ("gsf.grid.nx", 52, 51),
+        ("gsf.grid.ny", 52, 51),
+    ])
+    def test_upper_limits(self, key, bad, edge):
+        """Above its cap a key is refused when set, by override and by dict;
+        at the cap it is set. Nothing is built, so no test allocates the
+        large case."""
+        with pytest.raises(ValidationError, match=f"'{key}' must"):
+            RunConfig().apply_overrides([f"{key}={bad}"])
+        nested = bad
+        for part in reversed(key.split(".")):
+            nested = {part: nested}
+        with pytest.raises(ValidationError, match=f"'{key}' must"):
+            RunConfig.from_dict(nested)
+        cfg = RunConfig()
+        cfg.apply_overrides([f"{key}={edge}"])
+        assert functools.reduce(getattr, key.split("."), cfg) == edge
+
+    def test_grid_cap_is_on_the_point_count(self):
+        """nx x ny is held to GRID_POINTS_MOST against the other side's value at
+        the time; the defaults pass."""
+        assert RunConfig.from_dict(RunConfig().to_dict()) == RunConfig()
+        cfg = RunConfig()
+        cfg.apply_overrides(["gsf.grid.nx=16", "gsf.grid.ny=16"])
+        assert cfg.gsf.grid.nx * cfg.gsf.grid.ny == GRID_POINTS_MOST
+        with pytest.raises(ValidationError, match=r"gsf.grid.nx x ny <= 256, got 17 against "
+                                                  r"nx = 16"):
+            cfg.apply_overrides(["gsf.grid.ny=17"])
+        cfg = RunConfig.from_dict({"gsf": {"grid": {"ny": 1, "nx": 256}}})
+        assert (cfg.gsf.grid.nx, cfg.gsf.grid.ny) == (256, 1)
 
     @pytest.mark.parametrize("key, bad", [
         ("gsf.grid.z_mode", "NaN"),

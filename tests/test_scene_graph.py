@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 from gsfloc.config import ClusterSection, RunConfig
@@ -60,7 +62,71 @@ def brute_force_clusters(points, labels, taxonomy, params):
     return set(out)
 
 
+def per_class_clusters(cloud, taxonomy, params):
+    """Written-out reference: one tree, one sparse graph and one component pass
+    per class, then the documented sort."""
+    raw = []
+    for cid in taxonomy.instantiable_ids():
+        mask = np.nonzero(cloud.labels == cid)[0]
+        if mask.size == 0:
+            continue
+        pairs = cKDTree(cloud.points[mask]).query_pairs(
+            params.thresholds.get(taxonomy.name(cid), params.default_threshold),
+            output_type="ndarray")
+        links = coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])),
+                           shape=(mask.size, mask.size))
+        _, comp = connected_components(links, directed=False)
+        sizes = np.bincount(comp)
+        members = np.split(np.argsort(comp, kind="stable"), np.cumsum(sizes)[:-1])
+        raw += [(cid, mask[idx]) for size, idx in zip(sizes, members)
+                if size >= params.min_cluster_size]
+    keyed = sorted(((label, tuple(cloud.points[idx].mean(axis=0)), idx) for label, idx in raw),
+                   key=lambda k: (k[0], k[1]))
+    return [(label, cloud.points[idx].mean(axis=0), np.sort(idx)) for label, _, idx in keyed]
+
+
 class TestClustering:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_one_pass_equals_per_class_reference(self, taxonomy, seed):
+        """One sparse graph over every class equals one per class, bit for bit:
+        labels, centroids and members. The cloud mixes classes, holds a class
+        with no points, a cluster of exactly min_cluster_size points (kept),
+        one of one fewer (dropped) and scattered singletons."""
+        rng = np.random.default_rng(seed)
+        classes = taxonomy.instantiable_ids()
+        chunks, labels = [], []
+        for k, size in enumerate([5, 4, 12, 30, 5, 1, 1, 1]):
+            cid = classes[k % (len(classes) - 1)]  # the last class stays empty
+            chunks.append(blob(rng, rng.uniform(-20, 20, 3), n=size, scale=0.15))
+            labels.append(np.full(size, cid))
+        chunks.append(rng.uniform(-30, 30, (40, 3)))
+        labels.append(rng.choice([taxonomy.id_of("road"), *classes[:-1]], 40))
+        perm = rng.permutation(sum(map(len, chunks)))
+        cloud = make_cloud(np.vstack(chunks)[perm], np.concatenate(labels)[perm])
+        assert not (cloud.labels == classes[-1]).any()
+        params = cluster_params(thresholds={taxonomy.name(classes[0]): 0.5}, min_cluster_size=5)
+        got = cluster_instances(cloud, taxonomy, params)
+        want = per_class_clusters(cloud, taxonomy, params)
+        assert [i.id for i in got] == list(range(len(want)))
+        assert 5 in {len(idx) for _, _, idx in want} and len(want) >= 3
+        for inst, (label, centroid, idx) in zip(got, want, strict=True):
+            assert inst.label == label
+            assert np.array_equal(inst.centroid, centroid)
+            assert np.array_equal(inst.point_indices, idx)
+
+    def test_one_pass_equals_per_class_reference_on_a_scene(self, taxonomy):
+        from gsfloc.synth import generate_scene
+
+        cloud, _ = generate_scene(small_scene_spec(seed=31), taxonomy)
+        params = RunConfig().cluster
+        got = cluster_instances(cloud, taxonomy, params)
+        want = per_class_clusters(cloud, taxonomy, params)
+        assert len(got) == len(want) >= 20
+        for inst, (label, centroid, idx) in zip(got, want):
+            assert inst.label == label
+            assert np.array_equal(inst.centroid, centroid)
+            assert np.array_equal(inst.point_indices, idx)
+
     def test_two_separated_blobs(self, taxonomy):
         rng = np.random.default_rng(0)
         pole = taxonomy.id_of("pole")

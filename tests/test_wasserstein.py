@@ -53,6 +53,22 @@ class TestPsdSqrt:
         with pytest.raises(ValidationError, match="symmetric"):
             psd_sqrt(S)
 
+    @pytest.mark.parametrize("g, b", [(25, 17), (3, 1), (1, 4)])
+    def test_stack_equals_member_calls(self, g, b):
+        """One batched call roots every member of a stack exactly as its own call."""
+        rng = np.random.default_rng(g + b)
+        stack = np.stack([random_psd(rng, g) for _ in range(b)])
+        got = psd_sqrt(stack)
+        assert got.shape == (b, g, g)
+        assert np.array_equal(got, np.stack([psd_sqrt(S) for S in stack]))
+
+    def test_stack_with_one_asymmetric_member_rejected(self):
+        rng = np.random.default_rng(2)
+        stack = np.stack([random_psd(rng, 4) for _ in range(5)])
+        stack[3, 2, 1] += 1e-6  # off the first row and the first member
+        with pytest.raises(ValidationError, match="symmetric"):
+            psd_sqrt(stack)
+
     def test_negative_eigenvalues_clamped(self):
         S = np.diag([1.0, -1e-9])
         r = psd_sqrt(S)
@@ -130,6 +146,33 @@ class TestW2:
                 assert isinstance(got, np.ndarray) and got.shape == (y,)
                 assert got.tolist() == want
                 assert all(type(v) is float for v in want)
+
+    @pytest.mark.parametrize("use_stability", [False, True])
+    def test_pair_table_equals_single_calls(self, use_stability):
+        """A table of pairs over stacks of A yaw stacks and B populations, map
+        members repeated and unused, equals one call per pair, bit for bit."""
+        rng = np.random.default_rng(11)
+        g, d, y = 25, 12, 8
+        a_members = [stack_pops([random_pop(rng, g, d) for _ in range(y)]) for _ in range(3)]
+        b_members = [random_pop(rng, g, d) for _ in range(5)]
+        ia = np.array([0, 0, 1, 2, 2, 2, 1])
+        ib = np.array([4, 1, 1, 0, 4, 3, 4])
+        got = w2_squared(stack_pops(a_members), stack_pops(b_members), use_stability, (ia, ib))
+        want = np.stack([w2_squared(a_members[i], b_members[j], use_stability)
+                         for i, j in zip(ia, ib)])
+        assert got.shape == (7, y) and np.array_equal(got, want)
+        singles = [random_pop(rng, g, d) for _ in range(2)]  # A members without a yaw axis
+        got = w2_squared(stack_pops(singles), stack_pops(b_members), use_stability,
+                         (ia % 2, ib))
+        assert got.shape == (7,) and np.array_equal(
+            got, [w2_squared(singles[i % 2], b_members[j], use_stability) for i, j in zip(ia, ib)])
+
+    def test_zero_pairs(self):
+        rng = np.random.default_rng(12)
+        a = stack_pops([stack_pops([random_pop(rng, 4, 2) for _ in range(3)])])
+        b = stack_pops([random_pop(rng, 4, 2)])
+        empty = np.zeros(0, dtype=np.intp)
+        assert w2_squared(a, b, True, (empty, empty)).shape == (0, 3)
 
     def test_shape_mismatch(self):
         rng = np.random.default_rng(7)
