@@ -7,7 +7,8 @@ in config.json. Configs load from JSON files and accept dotted-key overrides
 out of range and non-finite numbers are rejected when they are set; only the
 keys in `_NO_LIMIT_KEYS` take Infinity, as "no limit". The keys that size a
 query's work have upper limits (`_MOST`, and `GRID_POINTS_MOST` for the probe
-grid's nx x ny, checked against the other side's value when either is set).
+grid's nx x ny, checked once a whole dict, file or override list is set, so the
+order of the two keys does not matter).
 The full effective configuration is echoed into every run manifest.
 """
 
@@ -114,6 +115,7 @@ class RunConfig:
         if not isinstance(d, dict):
             raise ValidationError("config must be an object")
         _apply_dict(self, d, prefix="")
+        _check_grid(self.gsf.grid)
 
     def update_from_file(self, path) -> None:
         """Set the keys of a JSON config file, as `update` does."""
@@ -138,6 +140,7 @@ class RunConfig:
             for part in reversed(key.strip().split(".")):
                 value = {part: value}
             _apply_dict(self, value, prefix="")
+        _check_grid(self.gsf.grid)
 
 
 def _as_dict(obj):
@@ -163,6 +166,12 @@ def _apply_dict(obj, d: dict, prefix: str) -> None:
             setattr(obj, key, _coerce(obj, key, value, path))
 
 
+def _check_grid(grid: GridSection) -> None:
+    if grid.nx * grid.ny > GRID_POINTS_MOST:
+        raise ValidationError(f"config keys 'gsf.grid.nx' x 'gsf.grid.ny' must be <= "
+                              f"{GRID_POINTS_MOST}, got {grid.nx} x {grid.ny}")
+
+
 # keys whose value, unless null, must be > 0
 _POSITIVE_KEYS = {"sim.sigma_w", "sim.accept_threshold", "sim.yaw_samples",
                   "solver.tau0", "solver.max_iters", "gsf.grid.dx", "gsf.grid.dy",
@@ -177,7 +186,8 @@ _LEAST = {"gsf.grid.nx": 1, "gsf.grid.ny": 1, "gsf.budget": 1, "index.k_neighbor
 # integer keys with their greatest value, to bound a query's work: each GP fit
 # factors a budget x budget kernel matrix, and each query instance's probe
 # stack holds yaw_samples x (nx ny)^2 doubles (36 x 256^2 x 8 B = 19 MB at the
-# caps); the grid's point count nx x ny is held to GRID_POINTS_MOST
+# caps); the grid's point count nx x ny is held to GRID_POINTS_MOST by
+# `_check_grid`, after every key of an update is set
 _MOST = {"gsf.budget": 2048, "sim.yaw_samples": 36}
 GRID_POINTS_MOST = 256
 # float keys where Infinity means "no limit"; every other float value must be finite
@@ -239,12 +249,6 @@ def _coerce(section, key: str, value, path: str):
         raise ValidationError(f"config key {path!r} must be >= {_LEAST[path]}, got {value}")
     if path in _MOST and value > _MOST[path]:
         raise ValidationError(f"config key {path!r} must be <= {_MOST[path]}, got {value}")
-    if path in ("gsf.grid.nx", "gsf.grid.ny"):
-        other = section.ny if key == "nx" else section.nx
-        if value * other > GRID_POINTS_MOST:
-            raise ValidationError(
-                f"config key {path!r} must keep gsf.grid.nx x ny <= {GRID_POINTS_MOST}, "
-                f"got {value} against {'ny' if key == 'nx' else 'nx'} = {other}")
     if kind is float and not (math.isfinite(value) or path in _NO_LIMIT_KEYS and value > 0):
         bound = "finite or Infinity" if path in _NO_LIMIT_KEYS else "finite"
         raise ValidationError(f"config key {path!r} must be {bound}, got {value}")

@@ -253,24 +253,22 @@ W2_CHUNK_BYTES = 2 << 20
 
 
 def pair_w2(
-    qid,
-    mid,
+    qids: np.ndarray,
+    mids: np.ndarray,
     pops_query: dict[int, GpPopulation],
     pops_map: dict[int, GpPopulation],
     use_stability: bool,
-) -> float | np.ndarray:
+) -> np.ndarray:
     """Min-over-yaw squared W2 between query and map instance populations.
 
     `pops_query` holds each query instance's stacked population over the yaw
-    samples. One query id and one map id give a float; two equal-length id
-    arrays give one value per pair, as an array. The pairs are scored in
-    chunks whose (pairs x yaws x G x G) covariance stack stays under
-    W2_CHUNK_BYTES, one `w2_squared` call each: every query and map
-    population of a chunk is stacked once, and every (pair, yaw) member is
-    scored together.
+    samples; two equal-length id arrays give one value per (qids[p], mids[p])
+    pair. The pairs are scored in chunks whose (pairs x yaws x G x G)
+    covariance stack stays under W2_CHUNK_BYTES, one `w2_squared` call each:
+    every query and map population of a chunk is stacked once, and every
+    (pair, yaw) member is scored together.
     """
-    one = np.ndim(qid) == 0
-    qids, mids = np.atleast_1d(qid).astype(np.int64), np.atleast_1d(mid).astype(np.int64)
+    qids, mids = np.asarray(qids, dtype=np.int64), np.asarray(mids, dtype=np.int64)
     out = np.empty(qids.size)
     if qids.size:
         sigma = pops_query[int(qids[0])].Sigma
@@ -282,7 +280,7 @@ def pair_w2(
                               stack_populations([pops_map[m] for m in um.tolist()]),
                               use_stability, (ia, ib))
             out[lo:lo + step] = w2sq.reshape(len(w2sq), -1).min(axis=1)
-    return float(out[0]) if one else out
+    return out
 
 
 def gsf_filter(

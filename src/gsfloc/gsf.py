@@ -89,10 +89,11 @@ class GpPopulation:
 
 
 def stack_populations(pops) -> GpPopulation:
-    """A sequence of populations as one stack: every array gains a leading
-    member axis."""
-    return GpPopulation(*(np.stack([getattr(p, f) for p in pops])
-                          for f in ("grid", "mu", "Sigma", "stability_weights")))
+    """A sequence of populations as one stack for W2 scoring: mu, Sigma and
+    the weights gain a leading member axis. W2 does not read the grid, so it
+    is not copied: the stack keeps the first member's."""
+    return GpPopulation(pops[0].grid, *(np.stack([getattr(p, f) for p in pops])
+                                        for f in ("mu", "Sigma", "stability_weights")))
 
 
 def semantic_sparsify(X, labels, budget: int, seed) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

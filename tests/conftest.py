@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from gsfloc.core import RigidTransform, SemanticPointCloud, default_taxonomy, one_hot_logits, rot_z
-from gsfloc.gsf import stack_populations
 from gsfloc.synth import InstanceTemplate, SceneSpec
 
 
@@ -18,9 +17,6 @@ def random_rotation(rng) -> np.ndarray:
 
 def random_transform(rng, t_scale=10.0) -> RigidTransform:
     return RigidTransform(random_rotation(rng), rng.uniform(-t_scale, t_scale, 3))
-
-
-stack_pops = stack_populations  # the populations as one stack along a new leading axis
 
 
 def small_scene_spec(seed=11, extent=80.0) -> SceneSpec:

@@ -171,6 +171,30 @@ class TestBuildMap:
         assert "'sim.yaw_samples' must be <= 36" in err and "Traceback" not in err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("how", ["set-ny-first", "config-file-nx-first"])
+    def test_grid_at_cap_builds_and_localizes(self, scene_files, tmp_path, capsys, how):
+        """A 64 x 4 grid (GRID_POINTS_MOST points) builds, whichever key comes
+        first, and `localize` reads the bundle's config back."""
+        (tmp_path / "grid.json").write_text(json.dumps({"gsf": {"grid": {"nx": 64, "ny": 4}}}))
+        extra = {"set-ny-first": ["--set", "gsf.grid.ny=4", "--set", "gsf.grid.nx=64"],
+                 "config-file-nx-first": ["--config", str(tmp_path / "grid.json")]}[how]
+        bundle = tmp_path / "map"
+        assert main([
+            "build-map",
+            "--points", str(scene_files / "map.points"),
+            "--labels", str(scene_files / "map.labels"),
+            "--logits", str(scene_files / "map.logits"),
+            "--out", str(bundle),
+            *extra,
+        ]) == 0
+        capsys.readouterr()
+        rc = _localize_query(bundle, scene_files)
+        captured = capsys.readouterr()
+        assert rc in (0, 4) and "Traceback" not in captured.err
+        grid = json.loads(captured.out.strip().splitlines()[-1])["manifest"][
+            "effective_config"]["gsf"]["grid"]
+        assert (grid["nx"], grid["ny"]) == (64, 4)
+
     def test_unknown_config_key_exit_2(self, scene_files, tmp_path, capsys):
         rc = main([
             "build-map",

@@ -21,11 +21,11 @@ from gsfloc.descriptors import (
     save_index,
     triangulate,
 )
-from gsfloc.gsf import GpHyperParams, fit_gsf, grid_probe
+from gsfloc.gsf import GpHyperParams, fit_gsf, grid_probe, stack_populations
 from gsfloc.scene_graph import Instance, SceneGraph
-from gsfloc.wasserstein import SimilarityConfig
+from gsfloc.wasserstein import SimilarityConfig, w2_squared
 
-from conftest import random_transform, stack_pops
+from conftest import random_transform
 
 
 def graph_from_centroids(centroids, labels=None):
@@ -384,7 +384,7 @@ def w2_table(pops_query, pops_map):
     table = np.full((max(pops_query) + 1, max(pops_map) + 1), np.nan)
     for q in pops_query:
         for m in pops_map:
-            table[q, m] = pair_w2(q, m, pops_query, pops_map, True)
+            table[q, m] = np.min(w2_squared(pops_query[q], pops_map[m], True))
     return table
 
 
@@ -401,7 +401,7 @@ class TestGsfFilter:
             2: field_with_offset(taxonomy, 0.2, seed=3),
             3: field_with_offset(taxonomy, 3.0, seed=4),  # wildly different
         }
-        pops_query = {i: stack_pops([pops_map[i]]) for i in range(3)}
+        pops_query = {i: stack_populations([pops_map[i]]) for i in range(3)}
         q = TriangleDescriptor(0, (0, 1, 2), (3.0, 4.0, 5.0), (4, 4, 4))
         same = TriangleDescriptor(0, (0, 1, 2), (3.0, 4.0, 5.0), (4, 4, 4))
         far = TriangleDescriptor(1, (0, 1, 3), (3.0, 4.0, 5.0), (4, 4, 4))
@@ -425,7 +425,7 @@ class TestGsfFilter:
     def test_tie_breaks_by_candidate_id(self, taxonomy):
         pop = field_with_offset(taxonomy, 0.0, seed=5)
         pm = {i: pop for i in range(6)}
-        pq = {i: stack_pops([pop]) for i in range(3)}
+        pq = {i: stack_populations([pop]) for i in range(3)}
         q = TriangleDescriptor(0, (0, 1, 2), (3.0, 4.0, 5.0), (4, 4, 4))
         c1 = TriangleDescriptor(0, (0, 1, 2), (3.0, 4.0, 5.0), (4, 4, 4))
         c2 = TriangleDescriptor(1, (3, 4, 5), (3.0, 4.0, 5.0), (4, 4, 4))
@@ -445,12 +445,12 @@ class TestGsfFilter:
         cfg = SimilarityConfig(sigma_w=1.0, accept_threshold=100.0)
         # orders (0, 1, 2) and (1, 0, 2) score the same total: the first is kept
         pm = {10: a, 11: a, 12: c}
-        pq = {0: stack_pops([a]), 1: stack_pops([a]), 2: stack_pops([c])}
+        pq = {0: stack_populations([a]), 1: stack_populations([a]), 2: stack_populations([c])}
         m = gsf_filter([q], cands(0), index, w2_table(pq, pm), cfg)
         assert len(m) == 1 and m.pairs[0].tolist() == [[0, 10], [1, 11], [2, 12]]
         # a lower total under a later order wins
         pm = {10: a, 11: b, 12: c}
-        pq = {0: stack_pops([b]), 1: stack_pops([a]), 2: stack_pops([c])}
+        pq = {0: stack_populations([b]), 1: stack_populations([a]), 2: stack_populations([c])}
         table = w2_table(pq, pm)
         m = gsf_filter([q], cands(0), index, table, cfg)
         assert len(m) == 1 and m.pairs[0].tolist() == [[0, 11], [1, 10], [2, 12]]
@@ -503,12 +503,6 @@ class TestGsfFilter:
         empty = np.zeros(0, dtype=np.int64)
         out = pair_w2(empty, empty, {}, {}, True)
         assert isinstance(out, np.ndarray) and out.shape == (0,)
-
-    def test_pair_w2_one_pair_gives_a_float(self, taxonomy):
-        _, _, pq, pm = self._setup(taxonomy)
-        got = pair_w2(1, 3, pq, pm, True)
-        assert type(got) is float
-        assert got == pair_w2(np.array([1]), np.array([3]), pq, pm, True)[0]
 
     def test_plain_matches_unit_omega(self, taxonomy):
         q, index, _, _ = self._setup(taxonomy)

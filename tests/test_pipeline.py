@@ -22,7 +22,6 @@ from gsfloc.descriptors import (
     ORDERS,
     TriangleDescriptor,
     build_index,
-    pair_w2,
     query_index,
     triangulate,
 )
@@ -37,6 +36,7 @@ from gsfloc.pipeline import (
     save_map,
     voxel_downsample,
 )
+from gsfloc.gsf import stack_populations
 from gsfloc.scene_graph import build_scene_graph
 from gsfloc.synth import (
     generate_mirrored_twin,
@@ -47,7 +47,7 @@ from gsfloc.synth import (
 )
 from gsfloc.wasserstein import w2_squared
 
-from conftest import pole_line_scene, small_scene_spec, stack_pops, twin_scene_spec
+from conftest import pole_line_scene, small_scene_spec, twin_scene_spec
 
 
 @pytest.fixture(scope="module")
@@ -97,6 +97,19 @@ class TestBuildMap:
             np.testing.assert_allclose(pop.mu, other.mu, rtol=1e-7, atol=1e-12)
             np.testing.assert_allclose(pop.Sigma, other.Sigma, rtol=1e-7, atol=1e-12)
             np.testing.assert_array_equal(pop.stability_weights, other.stability_weights)
+
+    @pytest.mark.parametrize("nx, ny", [(64, 4), (256, 1)])
+    def test_bundle_with_grid_at_cap_round_trip(self, scene, taxonomy_module, tmp_path,
+                                                nx, ny):
+        """A map built on a grid of GRID_POINTS_MOST points, ny set before nx,
+        saves and loads back with its config."""
+        cfg = RunConfig()
+        cfg.apply_overrides([f"gsf.grid.ny={ny}", f"gsf.grid.nx={nx}"])
+        built = build_map(scene[0], taxonomy_module, cfg)
+        save_map(built, tmp_path)
+        again = load_map(tmp_path)
+        assert again.config == cfg
+        assert all(p.grid.shape == (GRID_POINTS_MOST, 3) for p in again.populations.values())
 
     def test_bundle_hash_mismatch_detected(self, ref_map, tmp_path):
         d = tmp_path / "tampered"
@@ -457,7 +470,8 @@ class TestLocalize:
                    for perm in _stored_orders(index, cid) for k in range(3)}
         assert set(w2) == canonical | ordered
         median = float(np.median([
-            pair_w2(q, m, pops_query, pops, cfg.sim.use_stability) for q, m in canonical]))
+            np.min(w2_squared(pops_query[q], pops[m], cfg.sim.use_stability))
+            for q, m in canonical]))
         assert sim.accept_threshold == 3.0 * median
 
         with pytest.warns(UserWarning, match=rf"map instances \[{gone}\] lack fields"):
@@ -718,7 +732,7 @@ class TestMatch:
         """An equilateral candidate pairs its vertices under all six orders:
         the table holds all nine pairs, and the similarity self-tunes to the
         median over the three canonical ones."""
-        pops_query = {q: stack_pops([ref_map.populations[q]]) for q in (0, 1, 2)}
+        pops_query = {q: stack_populations([ref_map.populations[q]]) for q in (0, 1, 2)}
         q = TriangleDescriptor(0, (0, 1, 2), (4.0, 4.0, 4.0), (7, 7, 7))
         cand = TriangleDescriptor(0, (3, 4, 5), (4.0, 4.0, 4.0), (7, 7, 7))
         one = dataclasses.replace(ref_map, index=build_index([cand], 0.5))
@@ -876,8 +890,6 @@ class TestConfig:
     @pytest.mark.parametrize("key, bad, edge", [
         ("gsf.budget", 2049, 2048),
         ("sim.yaw_samples", 37, 36),
-        ("gsf.grid.nx", 52, 51),
-        ("gsf.grid.ny", 52, 51),
     ])
     def test_upper_limits(self, key, bad, edge):
         """Above its cap a key is refused when set, by override and by dict;
@@ -894,18 +906,36 @@ class TestConfig:
         cfg.apply_overrides([f"{key}={edge}"])
         assert functools.reduce(getattr, key.split("."), cfg) == edge
 
-    def test_grid_cap_is_on_the_point_count(self):
-        """nx x ny is held to GRID_POINTS_MOST against the other side's value at
-        the time; the defaults pass."""
+    @pytest.mark.parametrize("nx, ny", [(16, 16), (64, 4), (256, 1), (1, 256), (51, 5)])
+    def test_grid_cap_is_on_the_point_count(self, nx, ny, tmp_path):
+        """nx x ny is held to GRID_POINTS_MOST once every key of an update is
+        set, whichever of the two comes first; a grid at the cap survives
+        to_dict/from_dict and loads from a file that lists nx first."""
+        for overrides in ([f"gsf.grid.nx={nx}", f"gsf.grid.ny={ny}"],
+                          [f"gsf.grid.ny={ny}", f"gsf.grid.nx={nx}"]):
+            cfg = RunConfig()
+            cfg.apply_overrides(overrides)
+            assert (cfg.gsf.grid.nx, cfg.gsf.grid.ny) == (nx, ny)
+        assert nx * ny <= GRID_POINTS_MOST
+        assert list(cfg.to_dict()["gsf"]["grid"])[:2] == ["nx", "ny"]
+        assert RunConfig.from_dict(cfg.to_dict()) == cfg
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps({"gsf": {"grid": {"nx": nx, "ny": ny}}}))
+        from_file = RunConfig()
+        from_file.update_from_file(path)
+        assert from_file == cfg
+
+    @pytest.mark.parametrize("apply", [
+        lambda: RunConfig().apply_overrides(["gsf.grid.ny=17", "gsf.grid.nx=16"]),
+        lambda: RunConfig.from_dict({"gsf": {"grid": {"nx": 16, "ny": 17}}}),
+        lambda: RunConfig().apply_overrides(["gsf.grid.nx=52"]),  # against the default ny = 5
+        lambda: RunConfig.from_dict({"gsf": {"grid": {"ny": 52}}}),
+    ], ids=["overrides", "dict", "nx-alone", "ny-alone"])
+    def test_grid_above_cap_refused(self, apply):
         assert RunConfig.from_dict(RunConfig().to_dict()) == RunConfig()
-        cfg = RunConfig()
-        cfg.apply_overrides(["gsf.grid.nx=16", "gsf.grid.ny=16"])
-        assert cfg.gsf.grid.nx * cfg.gsf.grid.ny == GRID_POINTS_MOST
-        with pytest.raises(ValidationError, match=r"gsf.grid.nx x ny <= 256, got 17 against "
-                                                  r"nx = 16"):
-            cfg.apply_overrides(["gsf.grid.ny=17"])
-        cfg = RunConfig.from_dict({"gsf": {"grid": {"ny": 1, "nx": 256}}})
-        assert (cfg.gsf.grid.nx, cfg.gsf.grid.ny) == (256, 1)
+        with pytest.raises(ValidationError, match=r"'gsf.grid.nx' x 'gsf.grid.ny' must be "
+                                                  r"<= 256, got (16 x 17|52 x 5|5 x 52)"):
+            apply()
 
     @pytest.mark.parametrize("key, bad", [
         ("gsf.grid.z_mode", "NaN"),

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gsfloc.core import ValidationError
-from gsfloc.gsf import GpPopulation
+from gsfloc.gsf import GpPopulation, stack_populations
 from gsfloc.wasserstein import (
     SimilarityConfig,
     psd_sqrt,
@@ -10,7 +10,6 @@ from gsfloc.wasserstein import (
     w2_squared,
 )
 
-from conftest import stack_pops
 
 
 def random_psd(rng, g):
@@ -140,7 +139,7 @@ class TestW2:
             for g, d, y in [(25, 12, 8), (4, 2, 1), (9, 3, 5)]:
                 members = [random_pop(rng, g, d) for _ in range(y)]
                 b = random_pop(rng, g, d)
-                stack = stack_pops(members)
+                stack = stack_populations(members)
                 want = [w2_squared(m, b, use_stability) for m in members]
                 got = w2_squared(stack, b, use_stability)
                 assert isinstance(got, np.ndarray) and got.shape == (y,)
@@ -153,24 +152,26 @@ class TestW2:
         members repeated and unused, equals one call per pair, bit for bit."""
         rng = np.random.default_rng(11)
         g, d, y = 25, 12, 8
-        a_members = [stack_pops([random_pop(rng, g, d) for _ in range(y)]) for _ in range(3)]
+        a_members = [stack_populations([random_pop(rng, g, d) for _ in range(y)])
+                     for _ in range(3)]
         b_members = [random_pop(rng, g, d) for _ in range(5)]
         ia = np.array([0, 0, 1, 2, 2, 2, 1])
         ib = np.array([4, 1, 1, 0, 4, 3, 4])
-        got = w2_squared(stack_pops(a_members), stack_pops(b_members), use_stability, (ia, ib))
+        got = w2_squared(stack_populations(a_members), stack_populations(b_members),
+                         use_stability, (ia, ib))
         want = np.stack([w2_squared(a_members[i], b_members[j], use_stability)
                          for i, j in zip(ia, ib)])
         assert got.shape == (7, y) and np.array_equal(got, want)
         singles = [random_pop(rng, g, d) for _ in range(2)]  # A members without a yaw axis
-        got = w2_squared(stack_pops(singles), stack_pops(b_members), use_stability,
+        got = w2_squared(stack_populations(singles), stack_populations(b_members), use_stability,
                          (ia % 2, ib))
         assert got.shape == (7,) and np.array_equal(
             got, [w2_squared(singles[i % 2], b_members[j], use_stability) for i, j in zip(ia, ib)])
 
     def test_zero_pairs(self):
         rng = np.random.default_rng(12)
-        a = stack_pops([stack_pops([random_pop(rng, 4, 2) for _ in range(3)])])
-        b = stack_pops([random_pop(rng, 4, 2)])
+        a = stack_populations([stack_populations([random_pop(rng, 4, 2) for _ in range(3)])])
+        b = stack_populations([random_pop(rng, 4, 2)])
         empty = np.zeros(0, dtype=np.intp)
         assert w2_squared(a, b, True, (empty, empty)).shape == (0, 3)
 
@@ -178,7 +179,7 @@ class TestW2:
         rng = np.random.default_rng(7)
         with pytest.raises(ValidationError, match="shapes"):
             w2_squared(random_pop(rng, 3, 2), random_pop(rng, 4, 2))
-        stack = stack_pops([random_pop(rng, 3, 2), random_pop(rng, 3, 2)])
+        stack = stack_populations([random_pop(rng, 3, 2), random_pop(rng, 3, 2)])
         with pytest.raises(ValidationError, match="shapes"):
             w2_squared(stack, random_pop(rng, 4, 2))
 
