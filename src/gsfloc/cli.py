@@ -324,7 +324,10 @@ def cmd_selftest(args) -> int:
            f"{len(wants)} matches)", agree)
 
     # batched W2 table vs one w2_squared call per pair, on random populations:
-    # 4 query instances at 8 yaws against 5 map instances, stability on
+    # 4 query instances at 8 yaws against 5 map instances, stability on. Some
+    # yaw members sit where the lower bound that lets `pair_w2` skip members
+    # is tight: two equal to their map population (one pair's tie), and one
+    # with a proportional covariance and the same means.
     def population(*lead):
         g = 25
         a = rng.normal(size=(*lead, g, g))
@@ -333,6 +336,9 @@ def cmd_selftest(args) -> int:
 
     pops_q = {q: population(8) for q in range(4)}
     pops_m = {m: population() for m in range(5)}
+    for q, y, m, scale in [(0, 3, 2, 1.0), (0, 6, 2, 1.0), (1, 5, 4, 2.25)]:
+        pops_q[q].mu[y], pops_q[q].stability_weights[y] = pops_m[m].mu, pops_m[m].stability_weights
+        pops_q[q].Sigma[y] = scale * pops_m[m].Sigma
     qids, mids = (np.ravel(v) for v in np.meshgrid(range(4), range(5), indexing="ij"))
     table = pair_w2(qids, mids, pops_q, pops_m, True)
     loop = [float(np.min(w2_squared(pops_q[q], pops_m[m], True)))

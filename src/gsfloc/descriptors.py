@@ -38,7 +38,7 @@ from scipy.spatial import cKDTree
 
 from .core import FormatError, ValidationError
 from .gsf import GpPopulation, stack_populations
-from .wasserstein import SimilarityConfig, similarity_weight, w2_squared
+from .wasserstein import SimilarityConfig, similarity_weight, w2_lower_bound, w2_squared
 
 INDEX_MAGIC = b"GSFI"
 INDEX_VERSION = 1
@@ -264,9 +264,20 @@ def pair_w2(
     `pops_query` holds each query instance's stacked population over the yaw
     samples; two equal-length id arrays give one value per (qids[p], mids[p])
     pair. The pairs are scored in chunks whose (pairs x yaws x G x G)
-    covariance stack stays under W2_CHUNK_BYTES, one `w2_squared` call each:
-    every query and map population of a chunk is stacked once, and every
-    (pair, yaw) member is scored together.
+    covariance stack stays under W2_CHUNK_BYTES. Per chunk, every query and
+    map population is stacked once and `w2_lower_bound` bounds every
+    (pair, yaw) member; then two `w2_squared` calls score only the members
+    that can be a pair's minimum:
+
+    1. each pair's lowest-bound yaw, gathered first so that only those
+       members are masked;
+    2. every other member whose bound does not exceed its pair's value from
+       pass 1, against only the map populations these members touch.
+
+    Each pair takes the smaller of the two. The bound already has a rounding
+    slack taken off, so a skipped member's computed W2^2 exceeds a scored
+    one's: every value is the one a full min over yaws gives, bit for bit.
+    When nothing is skipped, pass 2 scores all but one yaw per pair.
     """
     qids, mids = np.asarray(qids, dtype=np.int64), np.asarray(mids, dtype=np.int64)
     out = np.empty(qids.size)
@@ -276,11 +287,28 @@ def pair_w2(
         for lo in range(0, qids.size, step):
             uq, ia = np.unique(qids[lo:lo + step], return_inverse=True)
             um, ib = np.unique(mids[lo:lo + step], return_inverse=True)
-            w2sq = w2_squared(stack_populations([pops_query[q] for q in uq.tolist()]),
-                              stack_populations([pops_map[m] for m in um.tolist()]),
-                              use_stability, (ia, ib))
-            out[lo:lo + step] = w2sq.reshape(len(w2sq), -1).min(axis=1)
+            pop_q = stack_populations([pops_query[q] for q in uq.tolist()])
+            pop_m = stack_populations([pops_map[m] for m in um.tolist()])
+            bound = w2_lower_bound(pop_q, pop_m, use_stability, (ia, ib))
+            rows = np.arange(ia.size)
+            yaw = np.argmin(bound, axis=1)
+            best = w2_squared(_members(pop_q, ia, yaw), pop_m, use_stability, (rows, ib))
+            todo = ~(bound > best[:, None])  # a NaN bound or value is scored
+            todo[rows, yaw] = False
+            p, y = np.nonzero(todo)
+            if p.size:
+                touched, jb = np.unique(ib[p], return_inverse=True)
+                more = w2_squared(_members(pop_q, ia[p], y), _members(pop_m, touched),
+                                  use_stability, (np.arange(p.size), jb))
+                np.minimum.at(best, p, more)
+            out[lo:lo + step] = best
     return out
+
+
+def _members(pop: GpPopulation, *index) -> GpPopulation:
+    """The members of a stacked population at `index`, as one stack."""
+    return GpPopulation(pop.grid, pop.mu[index], pop.Sigma[index],
+                        pop.stability_weights[index])
 
 
 def gsf_filter(

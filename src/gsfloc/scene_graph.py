@@ -79,13 +79,16 @@ def cluster_instances(
             cluster.thresholds.get(taxonomy.name(cid), cluster.default_threshold),
             output_type="ndarray",
         )
+        pairs += start
         members.append(idx)
-        links.append(pairs + start)
+        links.append(pairs)
         start += idx.size
     if not start:
         return []
     members, pairs = np.concatenate(members), np.concatenate(links)
+    links.clear()  # the per-class pairs go before the sparse graph is built
     graph = coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(start, start))
+    del pairs  # the graph holds its own (int32) copy of the pairs
     # components are numbered in order of their lowest member, so class by class
     _, comp = connected_components(graph, directed=False)
     sizes = np.bincount(comp)

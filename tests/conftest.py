@@ -1,8 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from gsfloc.core import RigidTransform, SemanticPointCloud, default_taxonomy, one_hot_logits, rot_z
+from gsfloc.gsf import GpPopulation
 from gsfloc.synth import InstanceTemplate, SceneSpec
+
+# property tests: a fixed example sequence and a bounded count keep tier-1
+# deterministic and short, and nothing is written to an example database; no
+# deadline, since a first call pays numpy's warm-up
+settings.register_profile("gsfloc", derandomize=True, max_examples=40, deadline=None,
+                          database=None)
+settings.load_profile("gsfloc")
 
 
 def random_rotation(rng) -> np.ndarray:
@@ -70,6 +79,28 @@ def pole_line_scene(taxonomy):
     moved = RigidTransform(rot_z(0.7), np.array([3.0, -2.0, 0.0]))
     return (SemanticPointCloud(points, labels, logits),
             SemanticPointCloud(moved.apply(points), labels, logits))
+
+
+def planted_table(rng, g=25, d=12, yaws=8, rank=None):
+    """Three query yaw stacks and four map populations (covariances of rank
+    `rank`, full if None), with yaw members planted where the lower bound is
+    tight: equal to a map population, and proportional to one with the same
+    means. Returns (A stack, B stack, pairs over every (query, map) pair)."""
+    def cov(n):
+        f = rng.normal(size=(n, g, g if rank is None else rank))
+        S = f @ np.swapaxes(f, -1, -2) / g
+        return 0.5 * (S + np.swapaxes(S, -1, -2))
+
+    b = GpPopulation(np.zeros((g, 3)), rng.normal(size=(4, g, d)), cov(4),
+                     rng.uniform(0.1, 1.0, (4, g)))
+    a = GpPopulation(np.zeros((g, 3)), rng.normal(size=(3, yaws, g, d)),
+                     cov(3 * yaws).reshape(3, yaws, g, g), rng.uniform(0.1, 1.0, (3, yaws, g)))
+    for q, y, m, c in [(0, 1, 2, 1.0), (1, yaws - 1, 0, 0.25), (2, 0, 3, 4.0), (2, 2, 3, 0.0)]:
+        y %= yaws
+        a.mu[q, y], a.stability_weights[q, y] = b.mu[m], b.stability_weights[m]
+        a.Sigma[q, y] = c * b.Sigma[m]
+    ia, ib = (np.ravel(v) for v in np.meshgrid(range(3), range(4), indexing="ij"))
+    return a, b, (ia, ib)
 
 
 @pytest.fixture(scope="session")

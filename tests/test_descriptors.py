@@ -21,11 +21,11 @@ from gsfloc.descriptors import (
     save_index,
     triangulate,
 )
-from gsfloc.gsf import GpHyperParams, fit_gsf, grid_probe, stack_populations
+from gsfloc.gsf import GpHyperParams, GpPopulation, fit_gsf, grid_probe, stack_populations
 from gsfloc.scene_graph import Instance, SceneGraph
 from gsfloc.wasserstein import SimilarityConfig, w2_squared
 
-from conftest import random_transform
+from conftest import planted_table, random_transform
 
 
 def graph_from_centroids(centroids, labels=None):
@@ -509,3 +509,52 @@ class TestGsfFilter:
         out = plain_matches([q], cands(0, 1), index)
         assert len(out) == 2
         assert out.omegas.tolist() == [[1.0, 1.0, 1.0]] * 2
+
+
+def split_stack(pop):
+    """A stacked population as a dict of its members, by position."""
+    return {i: GpPopulation(pop.grid, pop.mu[i], pop.Sigma[i], pop.stability_weights[i])
+            for i in range(len(pop.mu))}
+
+
+class TestPairW2Cut:
+    """`pair_w2` scores only the (pair, yaw) members whose lower bound does not
+    exceed a value already scored for the pair; every table value must still
+    equal the unpruned minimum over yaws, bit for bit."""
+
+    @pytest.mark.parametrize("chunk_pairs", [None, 5], ids=["one-chunk", "chunks-of-5"])
+    @pytest.mark.parametrize("rank", [None, 3, 0], ids=["full-rank", "rank-3", "zero"])
+    @pytest.mark.parametrize("use_stability", [False, True])
+    def test_tight_members_equal_unpruned(self, monkeypatch, rank, use_stability, chunk_pairs):
+        """Yaw members equal to their map population, or proportional to it
+        with the same means (two of them tie), over full-rank, rank-3 and
+        zero covariances."""
+        a, b, (ia, ib) = planted_table(np.random.default_rng(31), rank=rank)
+        pops_query, pops_map = split_stack(a), split_stack(b)
+        if chunk_pairs is not None:
+            monkeypatch.setattr(descriptors, "W2_CHUNK_BYTES", chunk_pairs * a.Sigma[0].nbytes)
+        got = pair_w2(ia, ib, pops_query, pops_map, use_stability)
+        want = [np.min(w2_squared(pops_query[q], pops_map[m], use_stability))
+                for q, m in zip(ia.tolist(), ib.tolist())]
+        assert np.array_equal(got, want)
+
+    def test_nothing_to_skip(self, monkeypatch):
+        """Every yaw member the same: no bound can exceed the pass-1 value, so
+        pass 2 scores every other yaw of every pair, against every map
+        population, and the values still match."""
+        a, b, (ia, ib) = planted_table(np.random.default_rng(33), g=9)
+        a = GpPopulation(a.grid, *(np.repeat(v[:, :1], 8, axis=1) for v in
+                                   (a.mu, a.Sigma, a.stability_weights)))
+        pops_query, pops_map = split_stack(a), split_stack(b)
+        calls = []
+
+        def counted(pop_a, pop_b, use_stability, pairs):
+            calls.append((len(pairs[0]), len(pop_b.mu)))
+            return w2_squared(pop_a, pop_b, use_stability, pairs)
+
+        monkeypatch.setattr(descriptors, "w2_squared", counted)
+        got = pair_w2(ia, ib, pops_query, pops_map, True)
+        assert calls == [(12, 4), (12 * 7, 4)]
+        want = [np.min(w2_squared(pops_query[q], pops_map[m], True))
+                for q, m in zip(ia.tolist(), ib.tolist())]
+        assert np.array_equal(got, want)

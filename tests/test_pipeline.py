@@ -45,7 +45,7 @@ from gsfloc.synth import (
     sample_query_poses,
     simulate_scan,
 )
-from gsfloc.wasserstein import w2_squared
+from gsfloc.wasserstein import w2_lower_bound, w2_squared
 
 from conftest import pole_line_scene, small_scene_spec, twin_scene_spec
 
@@ -639,6 +639,97 @@ def _w2_table_lists(cand_lists, pops_query, ref_map, config):
     return per_triangle, {(q, m): float(w2[q, m]) for q, m in scored}, sim
 
 
+def _unpruned(qids, mids, pops_query, pops_map, use_stability):
+    """Min over yaws of every (pair, yaw) member's W2^2: one `w2_squared` call
+    per query instance against every map population it is paired with."""
+    out = np.empty(len(qids))
+    for q in np.unique(qids).tolist():
+        rows = np.flatnonzero(qids == q)
+        um, ib = np.unique(mids[rows], return_inverse=True)
+        full = w2_squared(stack_populations([pops_query[q]]),
+                          stack_populations([pops_map[m] for m in um.tolist()]),
+                          use_stability, (np.zeros(len(rows), dtype=np.intp), ib))
+        out[rows] = full.min(axis=1)
+    return out
+
+
+def _all_pairs(pops_query, pops_map):
+    """Every (query instance, map instance) pair with two populations."""
+    qs = [q for q, p in sorted(pops_query.items()) if p is not None]
+    ms = [m for m, p in sorted(pops_map.items()) if p is not None]
+    qids, mids = np.meshgrid(qs, ms, indexing="ij")
+    return qids.ravel(), mids.ravel()
+
+
+@pytest.fixture(scope="module")
+def street_scans(scene, ref_map, taxonomy_module):
+    """Two 60 m street scans' stacked query populations, and the map."""
+    cloud, _ = scene
+    cfg = ref_map.config
+    pops = []
+    for i, pose in enumerate(sample_query_poses(2, seed=17, half=20.0)):
+        scan = simulate_scan(cloud, pose, range_max=60.0, dropout_rate=0.3, noise_sigma=0.03,
+                             seed=[17, i])
+        qgraph = pipeline._query_graph(scan, taxonomy_module, cfg)
+        pops.append(pipeline._query_probes(qgraph, taxonomy_module, cfg))
+    return pops, ref_map
+
+
+@pytest.fixture(scope="module")
+def twin_scans(taxonomy_module, tmp_path_factory):
+    """Two twin scans (scenes 200 and 201, one per twin), each with its map."""
+    out = []
+    for s in (0, 1):
+        ref, scan = _twin_map_and_scan(taxonomy_module, s, tmp_path_factory.mktemp("twin"))
+        qgraph = pipeline._query_graph(scan, taxonomy_module, ref.config)
+        out.append((pipeline._query_probes(qgraph, taxonomy_module, ref.config), ref))
+    return out
+
+
+class TestW2Cut:
+    """The lower-bound cut in `pair_w2` on scans of the street and twins
+    scenes, over every (query, map) instance pair, the fine filter's and the
+    rest: each value equals the unpruned minimum over yaws, bit for bit."""
+
+    @pytest.mark.parametrize("use_stability, chunk_pairs",
+                             [(True, None), (False, None), (True, 7)],
+                             ids=["stability", "no-stability", "stability-chunks-of-7"])
+    @pytest.mark.parametrize("workload", ["street", "twins"])
+    def test_scan_tables_equal_unpruned(self, request, monkeypatch, workload, use_stability,
+                                        chunk_pairs):
+        if workload == "street":
+            pops, ref = request.getfixturevalue("street_scans")
+            scans = [(p, ref) for p in pops]
+        else:
+            scans = request.getfixturevalue("twin_scans")
+        if chunk_pairs is not None:
+            one_pair = next(iter(scans[0][0].values())).Sigma.nbytes
+            monkeypatch.setattr(descriptors, "W2_CHUNK_BYTES", chunk_pairs * one_pair)
+        for pops_query, ref in scans:
+            qids, mids = _all_pairs(pops_query, ref.populations)
+            got = pipeline.pair_w2(qids, mids, pops_query, ref.populations, use_stability)
+            assert len(got) > 50
+            assert np.array_equal(got, _unpruned(qids, mids, pops_query, ref.populations,
+                                                 use_stability))
+
+    @pytest.mark.parametrize("yaws", [1, 36])
+    def test_yaw_samples(self, scene, ref_map, taxonomy_module, yaws):
+        """`sim.yaw_samples` 1 (nothing to skip) and 36 on a street scan."""
+        cfg = RunConfig()
+        cfg.apply_overrides([f"sim.yaw_samples={yaws}"])
+        cloud, ref = scene[0], ref_map
+        pose = sample_query_poses(1, seed=18, half=20.0)[0]
+        scan = simulate_scan(cloud, pose, range_max=60.0, dropout_rate=0.3, noise_sigma=0.03,
+                             seed=18)
+        qgraph = pipeline._query_graph(scan, taxonomy_module, cfg)
+        pops_query = pipeline._query_probes(qgraph, taxonomy_module, cfg)
+        assert len(next(iter(pops_query.values())).mu) == yaws
+        qids, mids = _all_pairs({q: pops_query[q] for q in sorted(pops_query)[:6]},
+                                ref.populations)
+        got = pipeline.pair_w2(qids, mids, pops_query, ref.populations, True)
+        assert np.array_equal(got, _unpruned(qids, mids, pops_query, ref.populations, True))
+
+
 class TestMatch:
     def test_table_equals_written_out_loop(self, scene, ref_map, taxonomy_module):
         """The match stage's W2 table path against a loop that calls
@@ -675,21 +766,37 @@ class TestMatch:
         if chunk_pairs is not None:
             one_pair = next(iter(pops_query.values())).Sigma.nbytes
             monkeypatch.setattr(descriptors, "W2_CHUNK_BYTES", chunk_pairs * one_pair)
-        chunks = []
+        calls = []
 
         def counted(pop_a, pop_b, use_stability, pairs):
-            chunks.append(len(pairs[0]))
+            calls.append((len(pairs[0]), len(pop_b.mu)))
             return w2_squared(pop_a, pop_b, use_stability, pairs)
 
         monkeypatch.setattr(descriptors, "w2_squared", counted)
         _, w2, _ = _w2_table_lists(cand_lists, pops_query, ref_map, ref_map.config)
         scored = sorted(w2)
-        want = [float(np.min(w2_squared(pops_query[q], ref_map.populations[m],
-                                        use_stability=True))) for q, m in scored]
-        assert np.array_equal([w2[k] for k in scored], want)
-        step = chunk_pairs or len(scored)
-        assert chunks == [min(step, len(scored) - lo) for lo in range(0, len(scored), step)]
-        assert len(chunks) > (chunk_pairs is not None)
+        full = [w2_squared(pops_query[q], ref_map.populations[m], use_stability=True)
+                for q, m in scored]
+        assert np.array_equal([w2[k] for k in scored], [float(np.min(v)) for v in full])
+        # per chunk: pass 1 scores one yaw per pair against the chunk's map
+        # populations; pass 2, only if any member survives the lower-bound
+        # cut, scores the survivors against the map populations they touch
+        want, step = [], chunk_pairs or len(scored)
+        for lo in range(0, len(scored), step):
+            chunk, survivors, touched = scored[lo:lo + step], 0, set()
+            for (q, m), values in zip(chunk, full[lo:lo + step]):
+                one = np.zeros(1, dtype=np.intp)
+                bound = w2_lower_bound(stack_populations([pops_query[q]]),
+                                       stack_populations([ref_map.populations[m]]),
+                                       True, (one, one))[0]
+                more = int(np.sum(bound <= values[np.argmin(bound)])) - 1
+                survivors += more
+                touched |= {m} if more else set()
+            want.append((len(chunk), len({m for _, m in chunk})))
+            want += [(survivors, len(touched))] if survivors else []
+        assert calls == want
+        assert len(calls) > (chunk_pairs is not None)
+        assert sum(n for n, _ in calls) <= len(scored) * len(full[0]) / 4  # 3/4 skipped
 
     @staticmethod
     def _check_against_loop(qgraph, pops_query, ref_map, cand_lists):

@@ -1,0 +1,127 @@
+"""Oracles as properties: W2 and the lower-bound cut of the W2 table.
+
+Populations are drawn small (up to 5 grid points, 3 classes, 4 yaws) with
+covariances of every rank from 0 to full, means that may coincide, and yaw
+members planted where the lower bound is tight: equal to a map population,
+or with a proportional covariance and the same means. The example sequence
+is fixed by the `gsfloc` settings profile in conftest.
+"""
+
+import numpy as np
+from hypothesis import given
+from hypothesis import strategies as st
+
+from gsfloc import descriptors
+from gsfloc.descriptors import pair_w2
+from gsfloc.gsf import GpPopulation, stack_populations
+from gsfloc.wasserstein import BOUND_SLACK, w2_lower_bound, w2_squared
+
+GRID = st.integers(1, 5)
+CLASSES = st.integers(1, 3)
+VALUE = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def covariance(draw, g, definite=False):
+    """F F^T for a drawn (g, rank) factor, of any rank (0 included), at a drawn
+    scale; plus a ridge when `definite`."""
+    rank = draw(st.integers(0, g))
+    f = np.array(draw(st.lists(VALUE, min_size=g * rank, max_size=g * rank))).reshape(g, rank)
+    scale = draw(st.sampled_from([1e-2, 1.0, 1e2]))
+    S = scale * (f @ f.T)
+    S = 0.5 * (S + S.T)
+    if definite:
+        S += draw(st.floats(0.1, 2.0)) * np.eye(g)
+    return S
+
+
+@st.composite
+def population(draw, g, d, definite=False):
+    mu = np.array(draw(st.lists(VALUE, min_size=g * d, max_size=g * d))).reshape(g, d)
+    mu *= draw(st.sampled_from([0.0, 1e-3, 1.0]))
+    w = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=g, max_size=g)))
+    return GpPopulation(np.zeros((g, 3)), mu, draw(covariance(g, definite)), w)
+
+
+@st.composite
+def table(draw):
+    """Query yaw stacks and map populations on one grid, with tight members
+    planted: (pops_query, pops_map)."""
+    g, d = draw(GRID), draw(CLASSES)
+    yaws = draw(st.integers(1, 4))
+    pops_map = {m: draw(population(g, d)) for m in range(draw(st.integers(1, 3)))}
+    pops_query = {}
+    for q in range(draw(st.integers(1, 3))):
+        stack = stack_populations([draw(population(g, d)) for _ in range(yaws)])
+        for _ in range(draw(st.integers(0, 2))):
+            y, m = draw(st.integers(0, yaws - 1)), draw(st.sampled_from(sorted(pops_map)))
+            scale = draw(st.sampled_from([1.0, 0.0, 0.25, 4.0]))
+            b = pops_map[m]
+            stack.mu[y], stack.stability_weights[y] = b.mu, b.stability_weights
+            stack.Sigma[y] = scale * b.Sigma
+        pops_query[q] = stack
+    return pops_query, pops_map
+
+
+def _slack(g: int) -> float:
+    return BOUND_SLACK * g ** 1.5
+
+
+def _all_pairs(pops_query, pops_map):
+    qids, mids = np.meshgrid(sorted(pops_query), sorted(pops_map), indexing="ij")
+    return qids.ravel(), mids.ravel()
+
+
+@st.composite
+def two_populations(draw):
+    g, d = draw(GRID), draw(CLASSES)
+    definite = draw(st.booleans())
+    return draw(population(g, d, definite)), draw(population(g, d, definite)), definite
+
+
+@given(two_populations(), st.booleans())
+def test_w2_nonnegative_zero_on_itself_symmetric(pops, use_stability):
+    """W2^2 >= 0; W2^2(A, A) = 0 and W2^2(A, B) = W2^2(B, A), within 1e-9 of
+    the pair's scale (mean term + Tr S_A + Tr S_B) when both covariances are
+    positive definite. A rank-deficient covariance puts exact zero
+    eigenvalues under the clamp at 0, whose rounding the root amplifies, so
+    there the tolerance is the rounding slack `w2_lower_bound` takes off."""
+    a, b, definite = pops
+    g = a.Sigma.shape[0]
+    tol = 1e-9 if definite else _slack(g)
+    ab, ba, aa = (w2_squared(x, y, use_stability) for x, y in [(a, b), (b, a), (a, a)])
+    scale = np.sum((a.mu - b.mu) ** 2) + np.trace(a.Sigma) + np.trace(b.Sigma)
+    assert ab >= 0.0 and ba >= 0.0
+    assert aa <= tol * 2.0 * np.trace(a.Sigma)
+    assert abs(ab - ba) <= tol * scale
+
+
+@given(table(), st.booleans())
+def test_bound_below_value_on_every_member(tab, use_stability):
+    """`w2_lower_bound` never exceeds the W2^2 `w2_squared` computes for the
+    same (pair, yaw) member."""
+    pops_query, pops_map = tab
+    qids, mids = _all_pairs(pops_query, pops_map)
+    args = (stack_populations([pops_query[q] for q in sorted(pops_query)]),
+            stack_populations([pops_map[m] for m in sorted(pops_map)]), use_stability,
+            (qids, mids))
+    bound, value = w2_lower_bound(*args), w2_squared(*args)
+    assert bound.shape == value.shape
+    assert np.all(bound <= value)
+
+
+@given(table(), st.booleans(), st.integers(1, 9))
+def test_pair_w2_equals_unpruned_minimum(tab, use_stability, chunk_pairs):
+    """`pair_w2` equals the min over yaws of every member's W2^2, bit for bit,
+    with the pairs split into chunks of `chunk_pairs`."""
+    pops_query, pops_map = tab
+    qids, mids = _all_pairs(pops_query, pops_map)
+    want = [np.min(w2_squared(pops_query[q], pops_map[m], use_stability))
+            for q, m in zip(qids.tolist(), mids.tolist())]
+    chunk_bytes = descriptors.W2_CHUNK_BYTES
+    descriptors.W2_CHUNK_BYTES = chunk_pairs * pops_query[0].Sigma.nbytes
+    try:
+        got = pair_w2(qids, mids, pops_query, pops_map, use_stability)
+    finally:
+        descriptors.W2_CHUNK_BYTES = chunk_bytes
+    assert np.array_equal(got, want)

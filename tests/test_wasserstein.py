@@ -2,14 +2,17 @@ import numpy as np
 import pytest
 
 from gsfloc.core import ValidationError
-from gsfloc.gsf import GpPopulation, stack_populations
+from gsfloc.gsf import GpPopulation, apply_stability_mask, stack_populations
 from gsfloc.wasserstein import (
+    BOUND_SLACK,
     SimilarityConfig,
     psd_sqrt,
     similarity_weight,
+    w2_lower_bound,
     w2_squared,
 )
 
+from conftest import planted_table
 
 
 def random_psd(rng, g):
@@ -203,3 +206,49 @@ class TestSimilarityWeight:
             SimilarityConfig(sigma_w=0.0, accept_threshold=1.0)
         with pytest.raises(ValidationError):
             SimilarityConfig(sigma_w=1.0, accept_threshold=-1.0)
+
+
+class TestLowerBound:
+    @pytest.mark.parametrize("rank", [None, 3, 0], ids=["full-rank", "rank-3", "zero"])
+    @pytest.mark.parametrize("use_stability", [False, True])
+    def test_below_value_on_every_member(self, rank, use_stability):
+        """The bound never exceeds the value `w2_squared` computes for the same
+        (pair, yaw) member, tight members included."""
+        a, b, pairs = planted_table(np.random.default_rng(21), rank=rank)
+        bound, value = (f(a, b, use_stability, pairs) for f in (w2_lower_bound, w2_squared))
+        assert bound.shape == value.shape == (12, 8)
+        assert np.all(bound <= value)
+
+    @pytest.mark.parametrize("c", [0.0, 0.25, 1.0, 4.0])
+    @pytest.mark.parametrize("use_stability", [False, True])
+    def test_tight_for_proportional_covariances(self, c, use_stability):
+        """With equal means and S_A = c S_B, W2^2 = (sqrt(c) - 1)^2 Tr S_B: the
+        bound plus its slack gives it back, within 1e-9 of the scale."""
+        rng = np.random.default_rng(22)
+        b = random_pop(rng, 25, 12)
+        a = GpPopulation(b.grid, b.mu, c * b.Sigma, b.stability_weights)
+        one = np.zeros(1, dtype=np.intp)
+        a_s, b_s = stack_populations([a]), stack_populations([b])
+        bound = w2_lower_bound(a_s, b_s, use_stability, (one, one))[0]
+        trace_b = np.trace(apply_stability_mask(b.Sigma, b.stability_weights)
+                           if use_stability else b.Sigma)
+        scale = (1.0 + c) * trace_b
+        slack = BOUND_SLACK * 25 ** 1.5 * scale
+        assert abs(bound + slack - (np.sqrt(c) - 1.0) ** 2 * trace_b) < 1e-9 * scale
+        assert abs(w2_squared(a, b, use_stability) - (bound + slack)) < 1e-9 * scale
+
+    def test_mean_term_counts(self):
+        """Equal covariances: the bound is the mean term, less the slack."""
+        a = make_pop([0.0, 1.0], np.eye(2))
+        b = make_pop([3.0, 1.0], np.eye(2))
+        one = np.zeros(1, dtype=np.intp)
+        bound = w2_lower_bound(stack_populations([a]), stack_populations([b]), False,
+                               (one, one))[0]
+        assert bound == pytest.approx(9.0 - BOUND_SLACK * 2 ** 1.5 * 13.0, rel=1e-15)
+
+    def test_shape_mismatch(self):
+        rng = np.random.default_rng(7)
+        one = np.zeros(1, dtype=np.intp)
+        with pytest.raises(ValidationError, match="shapes"):
+            w2_lower_bound(stack_populations([random_pop(rng, 3, 2)]),
+                           stack_populations([random_pop(rng, 4, 2)]), True, (one, one))
