@@ -25,6 +25,6 @@ from .gsf import (
 )
 from .pipeline import LocalizationResult, ReferenceMap, build_map, load_map, localize, save_map
 from .pose_solver import WeightedCorrespondenceSet, robust_irls, weighted_kabsch
-from .scene_graph import SceneGraph, build_scene_graph, cluster_instances
+from .scene_graph import SceneGraph, build_scene_graph, cluster_instances, fit_fields
 from .synth import EvalReport, SceneSpec, generate_scene, run_benchmark, simulate_scan
 from .wasserstein import psd_sqrt, similarity_weight, w2_squared

@@ -155,19 +155,25 @@ def _gram(X: np.ndarray, kappa: float) -> np.ndarray:
 def _factorize(K: np.ndarray) -> tuple[tuple, float]:
     """Cholesky with jitter escalation; returns (factor, jitter used).
 
-    K is symmetric, so its transpose is factored: a Fortran-ordered view,
-    which LAPACK copies without transposing. K itself stays intact for the
-    jittered retries.
+    K is exactly symmetric, so its transpose, a Fortran-ordered view, is
+    factored in place: LAPACK neither copies nor transposes it, and the factor
+    is K's own buffer. LAPACK writes only that view's lower triangle, so a
+    failed attempt leaves K's strictly lower triangle intact, and the jittered
+    retries rebuild K from it and the saved diagonal.
     """
+    diag = K.diagonal().copy()
     try:
-        return cho_factor(K.T, lower=True), 0.0
+        return cho_factor(K.T, lower=True, overwrite_a=True), 0.0
     except np.linalg.LinAlgError:
         pass
+    K = np.tril(K, -1)
+    K += K.T
+    K[np.diag_indices_from(K)] = diag
     jitter = JITTER_START
     eye = np.eye(K.shape[0])
     while jitter <= JITTER_MAX:
         try:
-            return cho_factor((K + jitter * eye).T, lower=True), jitter
+            return cho_factor((K + jitter * eye).T, lower=True, overwrite_a=True), jitter
         except np.linalg.LinAlgError:
             jitter *= 2.0
     raise FitError(f"kernel factorization failed up to jitter {jitter / 2.0:.3e}")
@@ -328,6 +334,12 @@ def _yaw_plan(grid: tuple, yaws: tuple[float, ...]) -> tuple[np.ndarray, ...]:
     return plan
 
 
+def stability_weights(mu: np.ndarray, taxonomy: LabelTaxonomy) -> np.ndarray:
+    """Each grid point's stability weight, that of the class its mean `mu`
+    (..., G, D) ranks first: (..., G)."""
+    return taxonomy.stability_vector()[np.argmax(mu, axis=-1)]
+
+
 def grid_probe(
     field: GaussianSemanticField,
     taxonomy: LabelTaxonomy,
@@ -349,7 +361,7 @@ def grid_probe(
                                       tuple(np.asarray(yaw, dtype=np.float64).tolist()))
     mu, Sigma = gsf_predict(field, points)
     Sigma = _clamp_psd(Sigma)
-    weights = taxonomy.stability_vector()[np.argmax(mu, axis=-1)]
+    weights = stability_weights(mu, taxonomy)
     if np.ndim(yaw) == 0:
         return GpPopulation(points, mu, Sigma, weights)
     rows = src[:, None]
@@ -361,6 +373,8 @@ def grid_probe(
 def apply_stability_mask(Sigma: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """diag(w)^(1/2) . Sigma . diag(w)^(1/2); preserves symmetry and PSD.
 
+    Each entry is scaled by one factor sqrt(w_i) sqrt(w_j), the same for
+    (i, j) and (j, i), so an exactly symmetric Sigma stays exactly symmetric.
     Broadcasts over leading axes: Sigma (..., G, G) with weights (..., G).
     """
     weights = np.atleast_1d(np.asarray(weights, dtype=np.float64))
@@ -371,7 +385,7 @@ def apply_stability_mask(Sigma: np.ndarray, weights: np.ndarray) -> np.ndarray:
             f"weights length {weights.shape[-1]} does not match Sigma size {Sigma.shape[-1]}"
         )
     sw = np.sqrt(weights)
-    return Sigma * sw[..., :, None] * sw[..., None, :]
+    return Sigma * (sw[..., :, None] * sw[..., None, :])
 
 
 def reconstruction_miou(field: GaussianSemanticField, heldout_points, heldout_labels) -> float:

@@ -1,10 +1,11 @@
 """End-to-end orchestration: offline map building, one-shot localization.
 
 `localize` runs one private function per entry of STAGES, each timed under
-its name: `_query_graph` (prepare, voxel, scene graph), `_query_probes` (one
-`grid_probe` per fitted instance at every yaw sample, run only with the GSF
-filter on; `grid_probe` itself probes only the yaws whose grid is not a
-reordering of an earlier one and gathers the rest), `_match`
+its name: `_query_graph` (prepare, voxel, the scene graph's object layer),
+`_query_probes` (each instance's field fitted and probed by `grid_probe` at
+every yaw sample, run only with the GSF filter on; `grid_probe` itself probes
+only the yaws whose grid is not a reordering of an earlier one and gathers the
+rest), `_match`
 (triangles; one `query_index` call for all of them, which gives the coarse
 candidates as one (triangle row, candidate id) array; one W2 table of every
 instance pair the GSF filter reads, from one batched `pair_w2` call into a
@@ -15,13 +16,14 @@ from that record by array operations, consistency graph, max clique) and
 `_solve` (robust IRLS).
 
 A map holds only what `localize` reads: each instance's centroid, the probed
-populations, the triangle index, the taxonomy and the config. `build_map`
-drops the map cloud and its fields once they are probed and triangulated.
+populations, the triangle index, the taxonomy and the config. Map and query
+share one fit-and-probe path, `_probe_fields`, which drops each field once it
+is probed; `build_map` drops the map cloud once it is triangulated.
 
-Map bundle directory layout, version 3:
+Map bundle directory layout, version 4:
     graph.json        instance ids and centroids
     index.gsfi        triangle descriptor index
-    populations.npz   per-instance probe populations
+    populations.npz   per-instance probed means and covariances
     config.json       RunConfig + taxonomy snapshot
     manifest.json     format, version, sha256 of each file above
 
@@ -31,8 +33,11 @@ to the map's by `localize` alone: it refuses one whose population settings
 differ. `load_map` refuses, with a FormatError naming the file, a JSON file
 that does not parse or lacks a part, a config.json whose config or taxonomy
 does not check, an npz file that does not read, lacks an array or holds a
-non-finite value, and an index or population of an instance that graph.json
-does not hold.
+non-finite value, a population whose mean is not (G, D) or whose covariance
+is not (G, G) for the config's G grid points and the taxonomy's D classes, and
+an index or population of an instance that graph.json does not hold. A
+population's grid and stability weights are not stored: `load_map` rebuilds
+them from the config and the taxonomy, as `grid_probe` made them.
 
 The returned pose maps query-frame (sensor) coordinates into the map frame.
 """
@@ -72,7 +77,7 @@ from .descriptors import (
     triangulate,
     vertex_array,
 )
-from .gsf import GpPopulation, grid_probe
+from .gsf import GpPopulation, grid_probe, probe_grid, stability_weights
 from .matching import (
     Correspondence,
     build_consistency_graph,
@@ -85,11 +90,17 @@ from .pose_solver import (
     WeightedCorrespondenceSet,
     robust_irls,
 )
-from .scene_graph import SceneGraph, build_scene_graph, load_scene_graph, save_scene_graph
+from .scene_graph import (
+    SceneGraph,
+    build_scene_graph,
+    fit_fields,
+    load_scene_graph,
+    save_scene_graph,
+)
 from .wasserstein import SimilarityConfig
 
 MAP_BUNDLE_FORMAT = "gsfloc-map-bundle"
-MAP_BUNDLE_VERSION = 3
+MAP_BUNDLE_VERSION = 4
 BUNDLE_FILES = ("graph.json", "index.gsfi", "populations.npz", "config.json")
 
 # localize's stages, in run order; each is one key of `timings_ms`
@@ -219,11 +230,7 @@ def build_map(
         raise BuildError(
             f"map has {graph.num_instances} instances; at least 3 are required"
         )
-    populations = {
-        inst.id: None if (field := graph.fields.get(inst.id)) is None
-        else grid_probe(field, taxonomy, config.gsf.grid)
-        for inst in graph.instances
-    }
+    populations = _probe_fields(graph, cloud, taxonomy, config, 0.0)
     index = build_index(triangulate(graph, config.index.k_neighbors), config.index.delta_d)
     centroids = {inst.id: inst.centroid for inst in graph.instances}
     return ReferenceMap(centroids, index, populations, taxonomy, config)
@@ -237,21 +244,24 @@ def _timed(timings: dict, stage: str, fn, *args):
     return out
 
 
-def _query_graph(query_cloud, taxonomy, config) -> SceneGraph:
-    """Stage "graph": prepare and voxel-downsample the scan, cluster and fit."""
+def _probe_fields(graph, cloud, taxonomy, config, yaw) -> dict[int, GpPopulation | None]:
+    """Each instance's field fitted, probed at `yaw` (a float or a sequence) and
+    dropped: its population by instance id, None where the fit failed."""
+    return {iid: None if field is None else grid_probe(field, taxonomy, config.gsf.grid, yaw)
+            for iid, field in fit_fields(graph, cloud, config)}
+
+
+def _query_graph(query_cloud, taxonomy, config) -> tuple[SemanticPointCloud, SceneGraph]:
+    """Stage "graph": prepare and voxel-downsample the scan, then cluster it.
+    Returns the voxelled scan and its scene graph."""
     cloud = voxel_downsample(_prepare_cloud(query_cloud, config), config.pipeline.query_voxel)
-    return build_scene_graph(cloud, taxonomy, config)
+    return cloud, build_scene_graph(cloud, taxonomy, config)
 
 
-def _query_probes(qgraph, taxonomy, config) -> dict[int, GpPopulation | None]:
-    """Stage "probe": every fitted instance's stacked population over the yaw samples."""
+def _query_probes(qgraph, cloud, taxonomy, config) -> dict[int, GpPopulation | None]:
+    """Stage "probe": every instance's stacked population over the yaw samples."""
     n = config.sim.yaw_samples
-    yaws = [2.0 * np.pi * k / n for k in range(n)]
-    return {
-        inst.id: None if (field := qgraph.fields.get(inst.id)) is None
-        else grid_probe(field, taxonomy, config.gsf.grid, yaws)
-        for inst in qgraph.instances
-    }
+    return _probe_fields(qgraph, cloud, taxonomy, config, [2.0 * np.pi * k / n for k in range(n)])
 
 
 def _w2_table(
@@ -349,9 +359,10 @@ def localize(
 ) -> LocalizationResult:
     """One-shot localization of a query scan against a prebuilt map.
 
-    Runs the STAGES in order; with the GSF filter off, "probe" is skipped, as
-    nothing reads its populations. Fewer than 3 clique members end the query
-    as "no-match", a failed pose solve as "degenerate"; stages not run time 0 ms.
+    Runs the STAGES in order; with the GSF filter off, "probe" is skipped and
+    no field is fitted, as nothing reads them. Fewer than 3 clique members end
+    the query as "no-match", a failed pose solve as "degenerate"; stages not
+    run time 0 ms.
     """
     config = config or ref_map.config
     want, got = _population_settings(ref_map.config), _population_settings(config)
@@ -366,9 +377,10 @@ def localize(
     res = LocalizationResult("no-match", None, 0, 0, 0, 0, [], timings,
                              config.pipeline.use_gsf_filter)
 
-    qgraph = _timed(timings, "graph", _query_graph, query_cloud, taxonomy, config)
-    pops_query = (_timed(timings, "probe", _query_probes, qgraph, taxonomy, config)
+    qcloud, qgraph = _timed(timings, "graph", _query_graph, query_cloud, taxonomy, config)
+    pops_query = (_timed(timings, "probe", _query_probes, qgraph, qcloud, taxonomy, config)
                   if config.pipeline.use_gsf_filter else {})
+    del qcloud  # only the fits read the voxelled scan
     res.triangles_queried, matches = _timed(
         timings, "match", _match, qgraph, pops_query, ref_map, config)
     res.candidates_after_filter = len(matches)
@@ -403,11 +415,8 @@ def save_map(ref_map: ReferenceMap, bundle_dir) -> None:
     ids = sorted(i for i, p in ref_map.populations.items() if p is not None)
     arrays["ids"] = np.array(ids, dtype=np.int64)
     for i in ids:
-        p = ref_map.populations[i]
-        arrays[f"pop{i}_grid"] = p.grid
-        arrays[f"pop{i}_mu"] = p.mu
-        arrays[f"pop{i}_Sigma"] = p.Sigma
-        arrays[f"pop{i}_w"] = p.stability_weights
+        arrays[f"pop{i}_mu"] = ref_map.populations[i].mu
+        arrays[f"pop{i}_Sigma"] = ref_map.populations[i].Sigma
     np.savez_compressed(d / "populations.npz", **arrays)
 
     (d / "config.json").write_text(
@@ -480,9 +489,16 @@ def load_map(bundle_dir) -> ReferenceMap:
                 f"map bundle {d}: {name} names instance {stray[0]}, "
                 f"which graph.json does not hold ({len(centroids)} instances)"
             )
+    grid = probe_grid(config.gsf.grid)
+    g, n_cls = len(grid), taxonomy.num_classes
     populations: dict[int, GpPopulation | None] = dict.fromkeys(centroids)
     for i in pop_ids:
-        populations[i] = GpPopulation(
-            buf[f"pop{i}_grid"], buf[f"pop{i}_mu"], buf[f"pop{i}_Sigma"], buf[f"pop{i}_w"],
-        )
+        mu, Sigma = buf[f"pop{i}_mu"], buf[f"pop{i}_Sigma"]
+        if mu.shape != (g, n_cls) or Sigma.shape != (g, g):
+            raise FormatError(
+                f"map bundle {d}: populations.npz holds pop{i}_mu of shape {mu.shape} and "
+                f"pop{i}_Sigma of shape {Sigma.shape}; the config's {g} grid points and the "
+                f"taxonomy's {n_cls} classes need ({g}, {n_cls}) and ({g}, {g})"
+            )
+        populations[i] = GpPopulation(grid, mu, Sigma, stability_weights(mu, taxonomy))
     return ReferenceMap(centroids, index, populations, taxonomy, config)

@@ -1,12 +1,14 @@
 """Scene graph construction: an object layer and a field layer.
 
-Object layer: per-class single-linkage Euclidean clustering of instantiable
-points (connected components of the distance-threshold graph). Field layer:
-one Gaussian semantic field per instance, fit on the radius-r neighborhood
-(all classes) in local coordinates centered at the instance centroid. The
-graph keeps no copy of the cloud it was built from. Every setting comes from
-the run's `RunConfig`: the `cluster` section, the GP settings of `gsf` and
-`pipeline.seed`.
+Object layer (`build_scene_graph`): per-class single-linkage Euclidean
+clustering of instantiable points (connected components of the
+distance-threshold graph). Field layer (`fit_fields`), read only by GSF-filtered
+matching: one Gaussian semantic field per instance, fit on the radius-r
+neighborhood (all classes) in local coordinates centered at the instance
+centroid, one at a time, so a caller can probe each and drop it before the next
+is fitted. The graph keeps no copy of the cloud it was built from. Every
+setting comes from the run's `RunConfig`: the `cluster` section, the GP
+settings of `gsf` and `pipeline.seed`.
 
 Serialization: a versioned JSON document of each instance's id and centroid,
 the part of the object layer a map bundle needs at query time. Fields are not
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import json
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -48,7 +51,6 @@ class Instance:
 @dataclass
 class SceneGraph:
     instances: list[Instance]
-    fields: dict[int, GaussianSemanticField | None]  # instance id -> field
 
     @property
     def num_instances(self) -> int:
@@ -108,27 +110,14 @@ def cluster_instances(
     ]
 
 
-def _neighborhoods(points: np.ndarray, centroids: list, radius: float) -> list:
-    """Ascending indices of the points within `radius` of each centroid, from
-    one batched ball query."""
-    if not centroids:
-        return []
-    return cKDTree(points, **_TREE).query_ball_point(np.stack(centroids), radius,
-                                                     return_sorted=True)
-
-
 def build_scene_graph(
     cloud: SemanticPointCloud,
     taxonomy: LabelTaxonomy,
     config: RunConfig,
 ) -> SceneGraph:
-    """Cluster instances and fit one field per instance on its neighborhood.
-
-    Reads `config.cluster`, the GP settings of `config.gsf` and
-    `config.pipeline.seed`. Fit failures are reported as warnings; the
-    instance is kept without a field and is skipped by GSF-based filtering
-    downstream. Each fit is seeded by the run seed and its instance id.
-    """
+    """The object layer: the instances `cluster_instances` finds under
+    `config.cluster`. The cloud must carry one logit column per taxonomy class,
+    which the field layer fits."""
     if cloud.logits is None:
         raise ValidationError("scene graph construction requires logits")
     if cloud.num_classes != taxonomy.num_classes:
@@ -136,17 +125,33 @@ def build_scene_graph(
             f"cloud has {cloud.num_classes} logit columns; "
             f"the taxonomy has {taxonomy.num_classes} classes"
         )
-    instances = cluster_instances(cloud, taxonomy, config.cluster)
+    return SceneGraph(cluster_instances(cloud, taxonomy, config.cluster))
+
+
+def fit_fields(
+    graph: SceneGraph, cloud: SemanticPointCloud, config: RunConfig
+) -> Iterator[tuple[int, GaussianSemanticField | None]]:
+    """The field layer: (instance id, field) for each instance of `graph`, in
+    order, each fitted only when it is asked for.
+
+    A field is fit on the points of `cloud`, the graph's own cloud, within
+    `config.cluster.neighborhood_radius` of the instance's centroid (one
+    batched ball query), with the GP settings of `config.gsf`. Each fit is
+    seeded by `config.pipeline.seed` and the instance id. A fit failure is
+    reported as a warning and gives None: the instance is skipped by GSF-based
+    filtering downstream.
+    """
+    if not graph.instances:
+        return
     hyper = GpHyperParams(config.gsf.kappa, config.gsf.sigma_y)
-    fields: dict[int, GaussianSemanticField | None] = {}
-    hoods = _neighborhoods(cloud.points, [inst.centroid for inst in instances],
-                           config.cluster.neighborhood_radius)
-    for inst, hood in zip(instances, hoods):
+    hoods = cKDTree(cloud.points, **_TREE).query_ball_point(
+        np.stack([inst.centroid for inst in graph.instances]),
+        config.cluster.neighborhood_radius, return_sorted=True)
+    for inst, hood in zip(graph.instances, hoods):
         idx = np.asarray(hood, dtype=np.int64)
-        local = cloud.points[idx] - inst.centroid
         try:
-            fields[inst.id] = fit_gsf(
-                local,
+            field = fit_gsf(
+                cloud.points[idx] - inst.centroid,
                 cloud.logits[idx],
                 cloud.labels[idx],
                 hyper,
@@ -155,8 +160,8 @@ def build_scene_graph(
             )
         except FitError as e:
             warnings.warn(f"field fit failed for instance {inst.id}: {e}")
-            fields[inst.id] = None
-    return SceneGraph(instances, fields)
+            field = None
+        yield inst.id, field
 
 
 def save_scene_graph(centroids: dict[int, np.ndarray], json_path) -> None:

@@ -157,11 +157,12 @@ BOUND_SLACK = 4.0 * np.sqrt(np.finfo(np.float64).eps)
 
 
 def _traces(pop: GpPopulation, use_stability: bool) -> np.ndarray:
-    """Tr of each member's (masked) covariance, from its diagonal alone."""
+    """Tr of each member's (masked) covariance, from its diagonal alone: the
+    diagonal `apply_stability_mask` gives, through the same product."""
     diag = np.diagonal(pop.Sigma, axis1=-2, axis2=-1)
     if use_stability:
         sw = np.sqrt(pop.stability_weights)
-        diag = diag * sw * sw
+        diag = diag * (sw * sw)
     return np.sum(diag, axis=-1)
 
 

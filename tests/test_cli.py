@@ -1,10 +1,15 @@
 import hashlib
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gsfloc
 from gsfloc.cli import main
 from gsfloc.core import default_taxonomy, save_cloud
 from gsfloc.synth import generate_scene, sample_query_poses, simulate_scan
@@ -174,21 +179,18 @@ class TestBuildMap:
     @pytest.mark.parametrize("how", ["set-ny-first", "config-file-nx-first"])
     def test_grid_at_cap_builds_and_localizes(self, scene_files, tmp_path, capsys, how):
         """A 64 x 4 grid (GRID_POINTS_MOST points) builds, whichever key comes
-        first, and `localize` reads the bundle's config back."""
+        first, and `localize` reads the bundle's config back. The small scene's
+        scan is both the map and the query, probed at one yaw, to keep the
+        256-point probes few."""
         (tmp_path / "grid.json").write_text(json.dumps({"gsf": {"grid": {"nx": 64, "ny": 4}}}))
         extra = {"set-ny-first": ["--set", "gsf.grid.ny=4", "--set", "gsf.grid.nx=64"],
                  "config-file-nx-first": ["--config", str(tmp_path / "grid.json")]}[how]
         bundle = tmp_path / "map"
-        assert main([
-            "build-map",
-            "--points", str(scene_files / "map.points"),
-            "--labels", str(scene_files / "map.labels"),
-            "--logits", str(scene_files / "map.logits"),
-            "--out", str(bundle),
-            *extra,
-        ]) == 0
+        cloud = [f"--{part}={scene_files / f'far.{part}'}"
+                 for part in ("points", "labels", "logits")]
+        assert main(["build-map", *cloud, "--out", str(bundle), *extra]) == 0
         capsys.readouterr()
-        rc = _localize_query(bundle, scene_files)
+        rc = main(["localize", "--map", str(bundle), *cloud, "--set", "sim.yaw_samples=1"])
         captured = capsys.readouterr()
         assert rc in (0, 4) and "Traceback" not in captured.err
         grid = json.loads(captured.out.strip().splitlines()[-1])["manifest"][
@@ -527,3 +529,17 @@ class TestSelftest:
         out = capsys.readouterr().out
         assert out.count("PASS") == 7 and "FAIL" not in out
         assert "PASS batched W2 table vs per-pair loop (20 pairs x 8 yaws, bit-equal)" in out
+
+
+class TestImport:
+    def test_cli_import_loads_no_test_tool(self):
+        """`import gsfloc.cli` in a fresh interpreter loads neither hypothesis
+        nor networkx: the CLI's start-up time must not carry test tools."""
+        src = str(Path(gsfloc.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        code = ("import sys, gsfloc.cli; print(sorted("
+                "{m.split('.')[0] for m in sys.modules} & {'hypothesis', 'networkx'}))")
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.strip() == "[]"

@@ -32,7 +32,7 @@ def graph_from_centroids(centroids, labels=None):
     centroids = np.asarray(centroids, dtype=float)
     labels = [7] * len(centroids) if labels is None else labels
     insts = [Instance(i, centroids[i], labels[i], np.zeros(0, int)) for i in range(len(centroids))]
-    return SceneGraph(insts, {i.id: None for i in insts})
+    return SceneGraph(insts)
 
 
 def brute_force_triangulate(centroids, labels, k):

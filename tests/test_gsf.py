@@ -181,6 +181,19 @@ class TestFit:
         assert np.array_equal(np.tril(fld.factor[0]), L)
         assert np.array_equal(fld.white_y, solve_triangular(L, fld.Y, lower=True))
 
+    def test_jittered_factor_of_the_cross_kernel(self):
+        """A kernel matrix that fails to factor after six columns, its first
+        attempt factored in place, is rebuilt exactly for the jittered retry:
+        the factor is bit-equal to that of matern32_matrix(X, X) + jitter I."""
+        rng = np.random.default_rng(24)
+        X = rng.normal(size=(12, 3)) * 2.0
+        X[7] = X[6]
+        fld = fit_gsf(X, rng.normal(size=(12, 2)), np.zeros(12, int), GpHyperParams(1.7, 0.0),
+                      12, 0)
+        assert fld.jitter > 0
+        K = matern32_matrix(fld.X, fld.X, 1.7) + fld.jitter * np.eye(12)
+        assert np.array_equal(np.tril(fld.factor[0]), np.tril(cho_factor(K, lower=True)[0]))
+
     def test_noise_shifts_eigenvalues(self):
         rng = np.random.default_rng(9)
         X = rng.normal(size=(10, 3))

@@ -25,7 +25,7 @@ from gsfloc.descriptors import (
     query_index,
     triangulate,
 )
-from gsfloc import descriptors, pipeline
+from gsfloc import descriptors, pipeline, scene_graph
 from gsfloc.pipeline import (
     BUNDLE_FILES,
     STAGES,
@@ -36,7 +36,7 @@ from gsfloc.pipeline import (
     save_map,
     voxel_downsample,
 )
-from gsfloc.gsf import stack_populations
+from gsfloc.gsf import fit_gsf, grid_probe, stack_populations
 from gsfloc.scene_graph import build_scene_graph
 from gsfloc.synth import (
     generate_mirrored_twin,
@@ -129,6 +129,16 @@ class TestBuildMap:
         (d / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(FormatError, match="unsupported version 1"):
             load_map(d)
+
+    def test_version_3_bundle_refused(self, ref_map, tmp_path):
+        """Version 3 also stored each population's grid and stability weights."""
+        save_map(ref_map, tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["version"] == 4
+        manifest["version"] = 3
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(FormatError, match="unsupported version 3"):
+            load_map(tmp_path)
 
     def test_config_stored_once(self, ref_map, tmp_path):
         save_map(ref_map, tmp_path)
@@ -228,6 +238,63 @@ class TestBundleArrays:
         with pytest.raises(FormatError, match=f"{name}: array '{key}' holds non-finite"):
             load_map(tmp_path)
 
+    def test_stores_only_means_and_covariances(self, ref_map, tmp_path):
+        """The grid and the stability weights are rebuilt on load, bit-equal to
+        the built map's; the bundle stores neither."""
+        save_map(ref_map, tmp_path)
+        with np.load(tmp_path / "populations.npz") as buf:
+            ids = buf["ids"].tolist()
+            assert sorted(buf.files) == sorted(
+                ["ids", *(f"pop{i}_{part}" for i in ids for part in ("mu", "Sigma"))])
+        again = load_map(tmp_path)
+        for iid, pop in ref_map.populations.items():
+            for part in ("grid", "mu", "Sigma", "stability_weights"):
+                assert np.array_equal(getattr(again.populations[iid], part), getattr(pop, part))
+
+    @pytest.mark.parametrize("which, part, value", [
+        ("first", "w", lambda pop: np.zeros(len(pop.mu))),
+        ("all", "w", lambda pop: np.full(len(pop.mu), 0.3)),
+        ("first", "grid", lambda pop: pop.grid[:3]),
+    ], ids=["first-weights-zero", "all-weights-0.3", "grid-three-rows"])
+    def test_arrays_it_rebuilds_are_not_read(self, scene, ref_map, tmp_path, which, part,
+                                             value):
+        """A bundle that also holds weights or a grid, wrong ones, loads the
+        rebuilt arrays and localizes as the built map does."""
+        def add(arrays, ids_key):
+            ids = arrays[ids_key].tolist()
+            for i in ids if which == "all" else ids[:1]:
+                arrays[f"pop{i}_{part}"] = value(ref_map.populations[i])
+
+        save_map(ref_map, tmp_path)
+        _edit_npz_array(tmp_path, "populations.npz", "ids", add)
+        again = load_map(tmp_path)
+        for iid, pop in ref_map.populations.items():
+            assert np.array_equal(again.populations[iid].grid, pop.grid)
+            assert np.array_equal(again.populations[iid].stability_weights,
+                                  pop.stability_weights)
+        pose = sample_query_poses(1, seed=7, half=15.0)[0]
+        scan = simulate_scan(scene[0], pose, 60.0, 0.3, 0.03, seed=42)
+        got = localize(scan, again).to_dict(include_timings=False)
+        assert got["status"] == "success"
+        assert got == localize(scan, ref_map).to_dict(include_timings=False)
+
+    @pytest.mark.parametrize("part, edit, shape", [
+        ("mu", lambda a: a[:, :11], "(25, 11)"),
+        ("mu", lambda a: a[:3], "(3, 12)"),
+        ("Sigma", lambda a: a[:, :24], "(25, 24)"),
+        ("Sigma", lambda a: a[0], "(25,)"),
+    ], ids=["mu-11-columns", "mu-3-rows", "Sigma-24-columns", "Sigma-one-row"])
+    def test_population_shape_mismatch_detected(self, ref_map, tmp_path, part, edit, shape):
+        def cut(arrays, key):
+            arrays[key] = edit(arrays[key])
+
+        save_map(ref_map, tmp_path)
+        key = _edit_npz_array(tmp_path, "populations.npz", f"_{part}", cut)
+        with pytest.raises(FormatError, match=r"populations\.npz holds pop\d+_mu of shape") as err:
+            load_map(tmp_path)
+        assert f"{key} of shape {shape}" in str(err.value)
+        assert "need (25, 12) and (25, 25)" in str(err.value)
+
 
 def _edit_json(d, name, edit):
     """Apply `edit(doc)` to the parsed JSON file `name`; a returned string
@@ -294,7 +361,7 @@ class TestBundleJson:
     def test_population_of_unknown_instance_detected(self, ref_map, tmp_path):
         def add_population(arrays, key):
             arrays[key] = np.append(arrays[key], 20)
-            for part in ("grid", "mu", "Sigma", "w"):
+            for part in ("mu", "Sigma"):
                 arrays[f"pop20_{part}"] = arrays[f"pop0_{part}"]
 
         save_map(ref_map, tmp_path)
@@ -412,10 +479,12 @@ class TestLocalize:
 
     def test_gsf_toggle_recorded_and_still_localizes(self, scene, ref_map, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("grid_probe called with the GSF filter off")
+            raise AssertionError("a field fitted or probed with the GSF filter off")
 
-        # nothing reads the query populations with the filter off: no probe stage
+        # nothing reads the query fields or populations with the filter off:
+        # no probe stage, and no field fitted
         monkeypatch.setattr(pipeline, "grid_probe", refuse)
+        monkeypatch.setattr(scene_graph, "fit_gsf", refuse)
         cloud, _ = scene
         pose = sample_query_poses(1, seed=10, half=15.0)[0]
         scan = simulate_scan(cloud, pose, 60.0, 0.3, 0.03, seed=6)
@@ -427,6 +496,23 @@ class TestLocalize:
         assert res.status == "success"
         te, _ = pose_error(res.pose, pose)
         assert te <= 0.5
+
+    def test_fields_fitted_and_probed_one_at_a_time(self, scene, ref_map, taxonomy_module,
+                                                   monkeypatch):
+        """Map and query probe each field right after fitting it, before the
+        next fit, so the fields are never held together."""
+        events = []
+        monkeypatch.setattr(scene_graph, "fit_gsf",
+                            lambda *a, **k: events.append("fit") or fit_gsf(*a, **k))
+        monkeypatch.setattr(pipeline, "grid_probe",
+                            lambda *a, **k: events.append("probe") or grid_probe(*a, **k))
+        cloud, _ = scene
+        build_map(cloud, taxonomy_module, RunConfig())
+        assert events == ["fit", "probe"] * 20
+        events.clear()
+        pose = sample_query_poses(1, seed=7, half=15.0)[0]
+        localize(simulate_scan(cloud, pose, 60.0, 0.3, 0.03, seed=42), ref_map)
+        assert len(events) > 10 and events == ["fit", "probe"] * (len(events) // 2)
 
     def test_success_inliers_pairwise_consistent(self, scene, ref_map):
         from gsfloc.matching import consistency_check
@@ -588,8 +674,8 @@ def _street_query(scene, ref_map, taxonomy):
     scan = simulate_scan(cloud, pose, range_max=60.0, dropout_rate=0.3,
                          noise_sigma=0.03, seed=42)
     cfg = ref_map.config
-    qgraph = pipeline._query_graph(scan, taxonomy, cfg)
-    pops_query = pipeline._query_probes(qgraph, taxonomy, cfg)
+    qcloud, qgraph = pipeline._query_graph(scan, taxonomy, cfg)
+    pops_query = pipeline._query_probes(qgraph, qcloud, taxonomy, cfg)
     cand_lists = [(d, query_index(ref_map.index, d))
                   for d in triangulate(qgraph, cfg.index.k_neighbors)]
     return pose, scan, qgraph, pops_query, cand_lists
@@ -615,8 +701,8 @@ def _twin_query(taxonomy, tmp_path):
     stacked populations, the map and its coarse candidates."""
     ref, scan = _twin_map_and_scan(taxonomy, 0, tmp_path)
     cfg = ref.config
-    qgraph = pipeline._query_graph(scan, taxonomy, cfg)
-    pops_query = pipeline._query_probes(qgraph, taxonomy, cfg)
+    qcloud, qgraph = pipeline._query_graph(scan, taxonomy, cfg)
+    pops_query = pipeline._query_probes(qgraph, qcloud, taxonomy, cfg)
     cand_lists = [(d, query_index(ref.index, d))
                   for d in triangulate(qgraph, cfg.index.k_neighbors)]
     return qgraph, pops_query, ref, cand_lists
@@ -670,8 +756,8 @@ def street_scans(scene, ref_map, taxonomy_module):
     for i, pose in enumerate(sample_query_poses(2, seed=17, half=20.0)):
         scan = simulate_scan(cloud, pose, range_max=60.0, dropout_rate=0.3, noise_sigma=0.03,
                              seed=[17, i])
-        qgraph = pipeline._query_graph(scan, taxonomy_module, cfg)
-        pops.append(pipeline._query_probes(qgraph, taxonomy_module, cfg))
+        qcloud, qgraph = pipeline._query_graph(scan, taxonomy_module, cfg)
+        pops.append(pipeline._query_probes(qgraph, qcloud, taxonomy_module, cfg))
     return pops, ref_map
 
 
@@ -681,8 +767,8 @@ def twin_scans(taxonomy_module, tmp_path_factory):
     out = []
     for s in (0, 1):
         ref, scan = _twin_map_and_scan(taxonomy_module, s, tmp_path_factory.mktemp("twin"))
-        qgraph = pipeline._query_graph(scan, taxonomy_module, ref.config)
-        out.append((pipeline._query_probes(qgraph, taxonomy_module, ref.config), ref))
+        qcloud, qgraph = pipeline._query_graph(scan, taxonomy_module, ref.config)
+        out.append((pipeline._query_probes(qgraph, qcloud, taxonomy_module, ref.config), ref))
     return out
 
 
@@ -721,8 +807,8 @@ class TestW2Cut:
         pose = sample_query_poses(1, seed=18, half=20.0)[0]
         scan = simulate_scan(cloud, pose, range_max=60.0, dropout_rate=0.3, noise_sigma=0.03,
                              seed=18)
-        qgraph = pipeline._query_graph(scan, taxonomy_module, cfg)
-        pops_query = pipeline._query_probes(qgraph, taxonomy_module, cfg)
+        qcloud, qgraph = pipeline._query_graph(scan, taxonomy_module, cfg)
+        pops_query = pipeline._query_probes(qgraph, qcloud, taxonomy_module, cfg)
         assert len(next(iter(pops_query.values())).mu) == yaws
         qids, mids = _all_pairs({q: pops_query[q] for q in sorted(pops_query)[:6]},
                                 ref.populations)

@@ -1,4 +1,5 @@
-"""Oracles as properties: W2 and the lower-bound cut of the W2 table.
+"""Oracles as properties: W2, its scale law and the lower-bound cut of the
+W2 table.
 
 Populations are drawn small (up to 5 grid points, 3 classes, 4 yaws) with
 covariances of every rank from 0 to full, means that may coincide, and yaw
@@ -94,6 +95,26 @@ def test_w2_nonnegative_zero_on_itself_symmetric(pops, use_stability):
     assert ab >= 0.0 and ba >= 0.0
     assert aa <= tol * 2.0 * np.trace(a.Sigma)
     assert abs(ab - ba) <= tol * scale
+
+
+@given(two_populations(), st.booleans(), st.floats(-6.0, 8.0))
+def test_w2_scales_with_the_square_of_the_scale(pops, use_stability, exponent):
+    """Means scaled by c and covariances by c^2 scale W2^2 by c^2, for c from
+    1e-6 to 1e8, within the rounding slack of `w2_lower_bound` at the scaled
+    pair's scale: its (weighted) mean term plus its (masked) traces. The
+    covariances are exactly symmetric, so no scale gets them refused as
+    asymmetric."""
+    a, b, _ = pops
+    c = 10.0 ** exponent
+    sa, sb = (GpPopulation(p.grid, c * p.mu, (c * c) * p.Sigma, p.stability_weights)
+              for p in (a, b))
+    assert np.array_equal(sa.Sigma, sa.Sigma.T) and np.array_equal(sb.Sigma, sb.Sigma.T)
+    want = (c * c) * w2_squared(a, b, use_stability)
+    got = w2_squared(sa, sb, use_stability)
+    w_a, w_b = (p.stability_weights if use_stability else 1.0 for p in (a, b))
+    scale = (np.sum(np.sum((sa.mu - sb.mu) ** 2, axis=-1) * np.sqrt(w_a * w_b))
+             + np.sum(np.diag(sa.Sigma) * w_a) + np.sum(np.diag(sb.Sigma) * w_b))
+    assert abs(got - want) <= _slack(a.Sigma.shape[0]) * scale
 
 
 @given(table(), st.booleans())

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.sparse import coo_matrix
@@ -6,10 +8,14 @@ from scipy.spatial import cKDTree
 
 from gsfloc.config import ClusterSection, RunConfig
 from gsfloc.core import SemanticPointCloud, ValidationError, one_hot_logits, transform_cloud
+from gsfloc import scene_graph
+from gsfloc.gsf import GpHyperParams, fit_gsf
 from gsfloc.scene_graph import (
-    _neighborhoods,
+    Instance,
+    SceneGraph,
     build_scene_graph,
     cluster_instances,
+    fit_fields,
     load_scene_graph,
     save_scene_graph,
 )
@@ -236,7 +242,9 @@ class TestBuildGraph:
         cfg = RunConfig(cluster=cluster_params(thresholds={"pole": 0.5}))
         graph = build_scene_graph(cloud, taxonomy, cfg)
         assert graph.num_instances == 5
-        assert all(graph.fields[i.id] is not None for i in graph.instances)
+        fields = list(fit_fields(graph, cloud, cfg))
+        assert [iid for iid, _ in fields] == [i.id for i in graph.instances]
+        assert all(fld is not None for _, fld in fields)
         got = sorted(tuple(np.round(i.centroid, 4)) for i in graph.instances)
         want = sorted(tuple(np.round(g.centroid, 4)) for g in gt)
         np.testing.assert_allclose(got, want, atol=1e-6)
@@ -248,7 +256,7 @@ class TestBuildGraph:
         cfg = RunConfig(cluster=cluster_params())
         graph = build_scene_graph(cloud, taxonomy, cfg)
         inst = graph.instances[0]
-        fld = graph.fields[inst.id]
+        fld = dict(fit_fields(graph, cloud, cfg))[inst.id]
         dist = np.linalg.norm(cloud.points - inst.centroid, axis=1)
         want = np.nonzero(dist <= cfg.cluster.neighborhood_radius)[0]
         # every training row, back in the map frame, is a cloud point of the neighborhood
@@ -260,23 +268,63 @@ class TestBuildGraph:
 
 
     def test_batched_neighborhoods_equal_single_queries(self, taxonomy):
-        """One batched query on the unbalanced tree returns, per centroid, what a
-        sorted single-centroid query on a default tree returns."""
+        """`fit_fields`, with its one batched ball query on the unbalanced tree,
+        equals byte for byte a written-out loop of sorted single-centroid
+        queries on a default tree, each followed by `fit_gsf`: X, Y, the
+        factor, the whitened targets and the jitter of every field. An instance
+        with an empty neighbourhood gets None and a warning."""
         from gsfloc.synth import generate_scene
 
         cloud, _ = generate_scene(small_scene_spec(seed=10), taxonomy)
         cfg = RunConfig()
-        centroids = [inst.centroid for inst in
-                     cluster_instances(cloud, taxonomy, cfg.cluster)]
-        centroids.append(np.array([500.0, 500.0, 0.0]))  # an empty neighbourhood
+        graph = build_scene_graph(cloud, taxonomy, cfg)
+        far = Instance(graph.num_instances, np.array([500.0, 500.0, 0.0]), 7, np.zeros(0, int))
+        graph.instances.append(far)  # an empty neighbourhood
         tree = cKDTree(cloud.points)
         for radius in (0.5, 3.0, cfg.cluster.neighborhood_radius):
-            got = _neighborhoods(cloud.points, centroids, radius)
-            assert len(got) == len(centroids)
-            for hood, c in zip(got, centroids):
-                want = np.sort(np.asarray(tree.query_ball_point(c, radius), dtype=np.int64))
-                assert np.array_equal(np.asarray(hood, dtype=np.int64), want)
-        assert _neighborhoods(cloud.points, [], 1.0) == []
+            cfg.cluster.neighborhood_radius = radius
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                got = list(fit_fields(graph, cloud, cfg))
+            assert any(f"instance {far.id}: cannot fit" in str(w.message) for w in caught)
+            assert [iid for iid, _ in got] == [i.id for i in graph.instances]
+            assert got[-1][1] is None
+            fitted = 0
+            for (_, fld), inst in zip(got[:-1], graph.instances):
+                idx = np.sort(np.asarray(tree.query_ball_point(inst.centroid, radius),
+                                         dtype=np.int64))
+                if not idx.size:
+                    assert fld is None
+                    continue
+                want = fit_gsf(cloud.points[idx] - inst.centroid, cloud.logits[idx],
+                               cloud.labels[idx], GpHyperParams(cfg.gsf.kappa, cfg.gsf.sigma_y),
+                               cfg.gsf.budget, seed=[cfg.pipeline.seed, inst.id])
+                fitted += 1
+                for a, b in [(fld.X, want.X), (fld.Y, want.Y), (fld.factor[0], want.factor[0]),
+                             (fld.white_y, want.white_y)]:
+                    assert a.tobytes() == b.tobytes()
+                assert (fld.factor[1], fld.jitter) == (want.factor[1], want.jitter)
+            assert fitted >= graph.num_instances // 2
+        assert list(fit_fields(SceneGraph([]), cloud, cfg)) == []
+
+    def test_fit_fields_is_lazy(self, taxonomy, monkeypatch):
+        """Each field is fitted only when it is asked for: none before the first
+        item is taken, exactly one after it."""
+        from gsfloc.synth import generate_scene
+
+        cloud, _ = generate_scene(small_scene_spec(seed=10), taxonomy)
+        cfg = RunConfig()
+        graph = build_scene_graph(cloud, taxonomy, cfg)
+        assert graph.num_instances > 2
+        calls = []
+        monkeypatch.setattr(scene_graph, "fit_gsf",
+                            lambda *a, **k: calls.append(k["seed"]) or fit_gsf(*a, **k))
+        fields = fit_fields(graph, cloud, cfg)
+        assert calls == []
+        assert next(fields)[0] == 0
+        assert calls == [[cfg.pipeline.seed, 0]]
+        assert next(fields)[0] == 1
+        assert len(calls) == 2
 
 
 class TestSerialization:

@@ -95,7 +95,7 @@ class TestMirroredTwin:
         from gsfloc.config import RunConfig
         from gsfloc.gsf import grid_probe
         from gsfloc.pipeline import build_map
-        from gsfloc.scene_graph import build_scene_graph
+        from gsfloc.scene_graph import build_scene_graph, fit_fields
         from gsfloc.wasserstein import w2_squared
 
         gaps = []
@@ -103,6 +103,7 @@ class TestMirroredTwin:
             cloud, gt, info = generate_mirrored_twin(twin_scene_spec(7, mag), taxonomy)
             ref = build_map(cloud, taxonomy, RunConfig())
             graph = build_scene_graph(cloud, taxonomy, ref.config)
+            fields = dict(fit_fields(graph, cloud, ref.config))
             left = [i for i in graph.instances if i.centroid[0] < 0]
             pair_gap = []
             for inst in left:
@@ -111,7 +112,7 @@ class TestMirroredTwin:
                     graph.instances,
                     key=lambda o: float(np.linalg.norm(o.centroid - target)),
                 )
-                fld, pb = graph.fields[inst.id], ref.populations[other.id]
+                fld, pb = fields[inst.id], ref.populations[other.id]
                 if fld is None or pb is None:
                     continue
                 # min-over-yaw comparison, as the matching stage performs it:

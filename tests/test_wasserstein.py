@@ -135,6 +135,22 @@ class TestW2:
         scaled = w2_squared(make_pop(mu, s**2 * S1), make_pop(mu, s**2 * S2))
         assert abs(scaled - s**2 * base) < 1e-8 * max(1.0, abs(base))
 
+    def test_stability_mask_exactly_symmetric_at_any_scale(self):
+        """The mask keeps an exactly symmetric covariance exactly symmetric, so a
+        25-point pair with covariance entries up to about 1e12 scores, at c^2
+        times its unscaled W2^2, and is not refused as asymmetric."""
+        rng = np.random.default_rng(10)
+        a, b = (random_pop(rng, 25, 12) for _ in range(2))
+        for p in (a, b):
+            p.Sigma = 0.5 * (p.Sigma + p.Sigma.T) / 25
+        base = w2_squared(a, b, use_stability=True)
+        for c2 in (1e4, 1e8, 1e12):
+            sa, sb = (make_pop(np.sqrt(c2) * p.mu, c2 * p.Sigma, p.stability_weights)
+                      for p in (a, b))
+            masked = apply_stability_mask(sa.Sigma, sa.stability_weights)
+            assert np.array_equal(masked, masked.T)
+            assert abs(w2_squared(sa, sb, use_stability=True) - c2 * base) <= 1e-9 * c2 * base
+
     def test_stack_equals_member_calls(self):
         """A stack of populations as A scores each member exactly as its own call."""
         rng = np.random.default_rng(9)
