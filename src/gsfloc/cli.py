@@ -24,6 +24,7 @@ from .core import (
     ValidationError,
     default_taxonomy,
     load_cloud,
+    read_json,
     save_cloud,
     sha256_file,
 )
@@ -87,7 +88,7 @@ def cmd_build_map(args) -> int:
         {
             "bundle": str(out),
             "instances": len(ref.centroids),
-            "descriptors": len(ref.index.descriptors),
+            "descriptors": len(ref.index.vertex_ids),
         }
     )
     return EXIT_OK
@@ -115,15 +116,8 @@ def cmd_localize(args) -> int:
     return EXIT_NOMATCH if result.status == "no-match" else EXIT_BUILD
 
 
-def _load_spec_file(path) -> dict:
-    try:
-        return json.loads(Path(path).read_text())
-    except json.JSONDecodeError as e:
-        raise ValidationError(f"spec file {path}: line {e.lineno}, column {e.colno}: {e.msg}")
-
-
 def cmd_synth(args) -> int:
-    doc = _load_spec_file(args.spec)
+    doc = read_json(args.spec, f"spec file {args.spec}", ValidationError)
     spec = SceneSpec.from_dict(doc)
     if args.seed is not None:
         spec.seed = args.seed
@@ -162,7 +156,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    doc = _load_spec_file(args.spec)
+    doc = checked(dict, read_json(args.spec, f"spec file {args.spec}", ValidationError),
+                  "benchmark spec")
     for key in doc:
         if key not in ("map", "queries", "config"):
             raise ValidationError(f"benchmark spec: unknown field {key!r}")

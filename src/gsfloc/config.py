@@ -20,10 +20,9 @@ import math
 import types
 import typing
 from dataclasses import dataclass, field, fields, is_dataclass
-from pathlib import Path
 from typing import Literal
 
-from .core import FormatError, ValidationError
+from .core import ValidationError, read_json
 
 
 @dataclass
@@ -119,10 +118,7 @@ class RunConfig:
 
     def update_from_file(self, path) -> None:
         """Set the keys of a JSON config file, as `update` does."""
-        try:
-            d = json.loads(Path(path).read_text())
-        except json.JSONDecodeError as e:
-            raise FormatError(f"config file {path}: line {e.lineno}: {e.msg}") from e
+        d = read_json(path, f"config file {path}")
         if not isinstance(d, dict):
             raise ValidationError(f"config file {path}: top level must be an object")
         self.update(d)

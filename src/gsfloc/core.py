@@ -11,9 +11,8 @@ logits  : 16-byte header (magic b"GSFL", u32 N, u32 D, u32 reserved) followed
 from __future__ import annotations
 
 import hashlib
+import json
 import struct
-import zipfile
-import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -48,9 +47,15 @@ class ClassInfo:
 
 
 class LabelTaxonomy:
-    """Mapping from class id to (name, instantiable flag, stability value)."""
+    """Mapping from class id to (name, instantiable flag, stability value); the
+    ids are 0..D-1, the logit columns of a cloud's class scores."""
 
     def __init__(self, classes: dict[int, ClassInfo]):
+        if sorted(classes) != list(range(len(classes))):
+            raise ValidationError(
+                f"taxonomy class ids must be 0..{len(classes) - 1}, one per logit column; "
+                f"got {sorted(classes)}"
+            )
         for cid, info in classes.items():
             if not (0.0 < info.stability <= 1.0):
                 raise ValidationError(
@@ -84,10 +89,7 @@ class LabelTaxonomy:
 
     def stability_vector(self) -> np.ndarray:
         """Stability value per class id, indexed 0..num_classes-1."""
-        w = np.zeros(max(self._classes) + 1)
-        for cid, info in self._classes.items():
-            w[cid] = info.stability
-        return w
+        return np.array([info.stability for info in self._classes.values()])
 
     def to_dict(self) -> dict:
         return {
@@ -228,6 +230,17 @@ def _read_exact(path, dtype, item_bytes, what):
     return np.frombuffer(raw, dtype=dtype)
 
 
+def read_json(path, what: str, error: type[GsflocError] = FormatError):
+    """The JSON document in a UTF-8 file. Text that is not UTF-8 or does not
+    parse is `error`, its message led by `what`, which names the file."""
+    try:
+        return json.loads(Path(path).read_bytes().decode("utf-8"))
+    except json.JSONDecodeError as e:
+        raise error(f"{what} line {e.lineno}: {e.msg} (column {e.colno})") from e
+    except (ValueError, RecursionError) as e:  # not UTF-8, too long an integer, too deep
+        raise error(f"{what}: not a JSON document ({e})") from e
+
+
 def sha256_file(path) -> str:
     """Hex sha256 of a file's bytes."""
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
@@ -247,13 +260,16 @@ class NpzArrays(dict):
 def load_npz(path) -> NpzArrays:
     """Every array of an .npz file, read at once.
 
-    A file that does not read as an npz archive, or a float array holding a
-    NaN or an infinity, is a FormatError naming the file.
+    A file that does not read as an npz archive, whatever numpy's reader
+    raises for it, or a float array holding a NaN or an infinity, is a
+    FormatError naming the file.
     """
     try:
         with np.load(path) as buf:
             arrays = {k: buf[k] for k in buf.files}
-    except (OSError, ValueError, EOFError, zipfile.BadZipFile, zlib.error) as e:
+    # a damaged archive raises many kinds: BadZipFile, zlib.error, NotImplementedError
+    # (compression method), TokenError and SyntaxError (array header), ...
+    except Exception as e:
         raise FormatError(f"npz file {path}: unreadable ({e})") from e
     for k, a in arrays.items():
         if a.dtype.kind == "f" and not np.all(np.isfinite(a)):

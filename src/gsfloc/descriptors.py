@@ -2,9 +2,10 @@
 
 Descriptors carry sorted side lengths (d12 <= d23 <= d31), vertex labels, and
 vertex ids permuted to match the sorted sides. The index is a KD-tree over the
-side triples plus three arrays, one row per descriptor: its label code (its
-sorted labels packed into one int64), its vertex ids (n, 3) and a mask (n, 6)
-of the vertex orders in `ORDERS` whose sides still ascend. A query returns
+side triples plus four arrays, one row per descriptor: its label code (its
+sorted labels packed into one int64), its vertex ids and labels (n, 3) and a
+mask (n, 6) of the vertex orders in `ORDERS` whose sides still ascend; it holds
+no descriptor objects. A query returns
 every stored triangle within delta_d per side (a Chebyshev ball, boundary
 included) whose label multiset matches. `query_index` takes one descriptor
 (its candidate ids) or a sequence of them: one tree query then answers all,
@@ -13,7 +14,9 @@ it once per query, `pair_w2` once per query for every instance pair the
 filter reads, and `gsf_filter` once per query on the candidate array;
 `gsf_filter` hands its survivors on as one `TriangleMatches` array record.
 An index refuses a label outside [0, 2**LABEL_BITS), the range a label code
-holds; `load_index` refuses such a file with a FormatError naming it.
+holds, and a side that is not finite; `load_index` refuses such a file with a
+FormatError naming it. A descriptor's id is its row; the file holds the rows
+as one array of `INDEX_RECORD`s.
 
 Index binary layout (little-endian), magic "GSFI":
     4s  magic        b"GSFI"
@@ -42,6 +45,8 @@ from .wasserstein import SimilarityConfig, similarity_weight, w2_lower_bound, w2
 
 INDEX_MAGIC = b"GSFI"
 INDEX_VERSION = 1
+INDEX_HEADER = struct.Struct("<4sIdI")  # magic, version, delta_d, count
+INDEX_RECORD = np.dtype([("vertex_ids", "<u4", 3), ("labels", "<u4", 3), ("sides", "<f8", 3)])
 DEGENERACY_SLACK = 1e-6
 EQUAL_SIDE_TOL = 1e-9
 
@@ -113,11 +118,11 @@ def triangulate(graph, k_neighbors: int) -> list[TriangleDescriptor]:
 
 @dataclass
 class DescriptorIndex:
-    descriptors: list[TriangleDescriptor]
     delta_d: float
     tree: cKDTree  # over the (n, 3) side triples, row i = descriptor i
     label_codes: np.ndarray  # (n,) int64, per descriptor `label_codes` of its labels
     vertex_ids: np.ndarray  # (n, 3) int64, per descriptor its vertex ids
+    labels: np.ndarray  # (n, 3) int64, per descriptor its vertex labels, same order
     order_mask: np.ndarray  # (n, 6) bool, the rows of ORDERS whose sides ascend
 
 
@@ -145,16 +150,28 @@ def build_index(descriptors: list[TriangleDescriptor], delta_d: float) -> Descri
     """KD-tree over the side triples, plus what `query_index` and `gsf_filter`
     read per descriptor: its label code, its vertex ids and every vertex order
     whose sides still ascend (lexicographic, so a tie keeps the first)."""
+    return _index_from_arrays(vertex_array(descriptors), [d.labels for d in descriptors],
+                              [d.sides for d in descriptors], delta_d)
+
+
+def _index_from_arrays(vertex_ids, labels, sides, delta_d) -> DescriptorIndex:
+    """The index of per-descriptor (n, 3) vertex ids, labels and sides."""
     if not (np.isfinite(delta_d) and delta_d > 0):
         raise ValidationError(f"delta_d must be a positive finite number, got {delta_d}")
-    codes = label_codes([d.labels for d in descriptors])
+    labels = np.asarray(labels, dtype=np.int64).reshape(-1, 3)
+    codes = label_codes(labels)
     if (codes < 0).any():
-        bad = descriptors[int(np.argmax(codes < 0))]
-        raise ValidationError(f"descriptor {bad.id}: labels {bad.labels} must lie in "
-                              f"[0, {1 << LABEL_BITS})")
-    sides = np.array([d.sides for d in descriptors], dtype=np.float64).reshape(-1, 3)
-    return DescriptorIndex(list(descriptors), delta_d, cKDTree(sides), codes,
-                           vertex_array(descriptors),
+        bad = int(np.argmax(codes < 0))
+        raise ValidationError(f"descriptor {bad}: labels {tuple(labels[bad].tolist())} must "
+                              f"lie in [0, {1 << LABEL_BITS})")
+    sides = np.asarray(sides, dtype=np.float64).reshape(-1, 3)
+    finite = np.isfinite(sides).all(axis=1)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise ValidationError(f"descriptor {bad}: sides {tuple(sides[bad].tolist())} must be "
+                              "finite")
+    return DescriptorIndex(delta_d, cKDTree(sides), codes,
+                           np.asarray(vertex_ids, dtype=np.int64).reshape(-1, 3), labels,
                            _ascending(sides[:, _SIDE[ORDERS, _NEXT]]))
 
 
@@ -179,42 +196,33 @@ def query_index(index: DescriptorIndex, descs):
 
 
 def save_index(index: DescriptorIndex, path) -> None:
-    parts = [
-        struct.pack(
-            "<4sIdI", INDEX_MAGIC, INDEX_VERSION, index.delta_d, len(index.descriptors)
-        )
-    ]
-    for d in index.descriptors:
-        parts.append(struct.pack("<3I3I3d", *d.vertex_ids, *d.labels, *d.sides))
-    Path(path).write_bytes(b"".join(parts))
+    rec = np.empty(len(index.vertex_ids), INDEX_RECORD)
+    rec["vertex_ids"], rec["labels"], rec["sides"] = index.vertex_ids, index.labels, index.tree.data
+    head = INDEX_HEADER.pack(INDEX_MAGIC, INDEX_VERSION, index.delta_d, len(rec))
+    Path(path).write_bytes(head + rec.tobytes())
 
 
 def load_index(path) -> DescriptorIndex:
     """The index `save_index` wrote. A file that is short, of another magic or
     version, or whose content `build_index` refuses (a delta_d that is not a
-    positive finite number, a label outside the code range) is a FormatError
-    naming the file."""
-    raw = Path(path).read_bytes()
-    head = struct.calcsize("<4sIdI")
+    positive finite number, a label outside the code range, a side that is not
+    finite) is a FormatError naming the file."""
+    raw, head = Path(path).read_bytes(), INDEX_HEADER.size
     if len(raw) < head:
         raise FormatError(f"index file {path}: expected at least {head} bytes, got {len(raw)}")
-    magic, version, delta_d, count = struct.unpack("<4sIdI", raw[:head])
+    magic, version, delta_d, count = INDEX_HEADER.unpack_from(raw)
     if magic != INDEX_MAGIC:
         raise FormatError(f"index file {path}: bad magic {magic!r}")
     if version != INDEX_VERSION:
         raise FormatError(f"index file {path}: unsupported version {version}")
-    rec = struct.calcsize("<3I3I3d")
-    expected = head + count * rec
+    expected = head + count * INDEX_RECORD.itemsize
     if len(raw) != expected:
         raise FormatError(
             f"index file {path}: expected {expected} bytes for {count} entries, got {len(raw)}"
         )
-    descs = []
-    for i in range(count):
-        vals = struct.unpack_from("<3I3I3d", raw, head + i * rec)
-        descs.append(TriangleDescriptor(i, tuple(vals[0:3]), tuple(vals[6:9]), tuple(vals[3:6])))
+    rec = np.frombuffer(raw, INDEX_RECORD, count, head)
     try:
-        return build_index(descs, delta_d)
+        return _index_from_arrays(rec["vertex_ids"], rec["labels"], rec["sides"], delta_d)
     except ValidationError as e:
         raise FormatError(f"index file {path}: {e}") from e
 

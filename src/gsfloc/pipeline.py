@@ -20,10 +20,12 @@ populations, the triangle index, the taxonomy and the config. Map and query
 share one fit-and-probe path, `_probe_fields`, which drops each field once it
 is probed; `build_map` drops the map cloud once it is triangulated.
 
-Map bundle directory layout, version 4:
+Map bundle directory layout, version 5:
     graph.json        instance ids and centroids
     index.gsfi        triangle descriptor index
-    populations.npz   per-instance probed means and covariances
+    populations.npz   three whole arrays: ids (P,), the instances that have a
+                      population, ascending; mu (P, G, D), their probed means;
+                      Sigma (P, G, G), their probed covariances
     config.json       RunConfig + taxonomy snapshot
     manifest.json     format, version, sha256 of each file above
 
@@ -31,13 +33,15 @@ config.json is the bundle's only copy of the config. A query config is held
 to the map's by `localize` alone: it refuses one whose population settings
 (the `gsf` section, `cluster.neighborhood_radius` and `index.delta_d`)
 differ. `load_map` refuses, with a FormatError naming the file, a JSON file
-that does not parse or lacks a part, a config.json whose config or taxonomy
-does not check, an npz file that does not read, lacks an array or holds a
-non-finite value, a population whose mean is not (G, D) or whose covariance
-is not (G, G) for the config's G grid points and the taxonomy's D classes, and
-an index or population of an instance that graph.json does not hold. A
-population's grid and stability weights are not stored: `load_map` rebuilds
-them from the config and the taxonomy, as `grid_probe` made them.
+that is not UTF-8, does not parse or lacks a part, a config.json whose config
+or taxonomy does not check or whose cluster thresholds name a class the
+taxonomy lacks, an index whose delta_d is not config.json's, an npz file that
+does not read, lacks an array or holds a non-finite value, ids that are not
+one strictly ascending row of integers, a mu other than (P, G, D) or a Sigma
+other than (P, G, G) for the config's G grid points and the taxonomy's D
+classes, and an index or population of an instance that graph.json does not
+hold. Each population is a view of its rows; its grid and stability weights
+are rebuilt from the config and the taxonomy, as `grid_probe` made them.
 
 The returned pose maps query-frame (sensor) coordinates into the map frame.
 """
@@ -61,6 +65,7 @@ from .core import (
     SemanticPointCloud,
     ValidationError,
     load_npz,
+    read_json,
     sha256_file,
 )
 from .descriptors import (
@@ -93,6 +98,7 @@ from .pose_solver import (
 from .scene_graph import (
     SceneGraph,
     build_scene_graph,
+    check_thresholds,
     fit_fields,
     load_scene_graph,
     save_scene_graph,
@@ -100,7 +106,7 @@ from .scene_graph import (
 from .wasserstein import SimilarityConfig
 
 MAP_BUNDLE_FORMAT = "gsfloc-map-bundle"
-MAP_BUNDLE_VERSION = 4
+MAP_BUNDLE_VERSION = 5
 BUNDLE_FILES = ("graph.json", "index.gsfi", "populations.npz", "config.json")
 
 # localize's stages, in run order; each is one key of `timings_ms`
@@ -292,7 +298,7 @@ def _w2_table(
             missing = [q for q in descs[r].vertex_ids if pops_query.get(q) is None]
             warnings.warn(f"query instances {missing} lack fields; candidates skipped")
         else:
-            missing = [m for m in index.descriptors[cid].vertex_ids if pops_map.get(m) is None]
+            missing = [m for m in index.vertex_ids[cid].tolist() if pops_map.get(m) is None]
             warnings.warn(f"map instances {missing} lack fields; candidate {cid} skipped")
     kept = cand[row_ok[cand[:, 0]] & cand_ok]
     kq, cids = qv[kept[:, 0]], kept[:, 1]
@@ -410,15 +416,12 @@ def save_map(ref_map: ReferenceMap, bundle_dir) -> None:
     d.mkdir(parents=True, exist_ok=True)
     save_scene_graph(ref_map.centroids, d / "graph.json")
     save_index(ref_map.index, d / "index.gsfi")
-
-    arrays: dict[str, np.ndarray] = {}
     ids = sorted(i for i, p in ref_map.populations.items() if p is not None)
-    arrays["ids"] = np.array(ids, dtype=np.int64)
-    for i in ids:
-        arrays[f"pop{i}_mu"] = ref_map.populations[i].mu
-        arrays[f"pop{i}_Sigma"] = ref_map.populations[i].Sigma
-    np.savez_compressed(d / "populations.npz", **arrays)
-
+    pops = [ref_map.populations[i] for i in ids]
+    g, n_cls = len(probe_grid(ref_map.config.gsf.grid)), ref_map.taxonomy.num_classes
+    np.savez_compressed(d / "populations.npz", ids=np.array(ids, dtype=np.int64),
+                        mu=np.array([p.mu for p in pops]).reshape(-1, g, n_cls),
+                        Sigma=np.array([p.Sigma for p in pops]).reshape(-1, g, g))
     (d / "config.json").write_text(
         json.dumps(
             {"config": ref_map.config.to_dict(), "taxonomy": ref_map.taxonomy.to_dict()},
@@ -440,10 +443,7 @@ def load_map(bundle_dir) -> ReferenceMap:
     mpath = d / "manifest.json"
     if not mpath.exists():
         raise FormatError(f"map bundle {d}: manifest.json not found")
-    try:
-        manifest = json.loads(mpath.read_text())
-    except json.JSONDecodeError as e:
-        raise FormatError(f"map bundle {d}: manifest.json line {e.lineno}: {e.msg}") from e
+    manifest = read_json(mpath, f"map bundle {d}: manifest.json")
     if not isinstance(manifest, dict) or manifest.get("format") != MAP_BUNDLE_FORMAT:
         raise FormatError(f"map bundle {d}: unrecognized manifest format")
     if manifest.get("version") != MAP_BUNDLE_VERSION:
@@ -466,39 +466,46 @@ def load_map(bundle_dir) -> ReferenceMap:
                 f"(manifest {str(files[name])[:12]}.., file {actual[:12]}..)"
             )
 
-    try:
-        meta = json.loads((d / "config.json").read_text())
-    except json.JSONDecodeError as e:
-        raise FormatError(f"map bundle {d}: config.json line {e.lineno}: {e.msg}") from e
+    meta = read_json(d / "config.json", f"map bundle {d}: config.json")
     if not isinstance(meta, dict) or not {"config", "taxonomy"} <= meta.keys():
         raise FormatError(f"map bundle {d}: config.json needs a config and a taxonomy section")
     try:
         config = RunConfig.from_dict(meta["config"])
         taxonomy = LabelTaxonomy.from_dict(meta["taxonomy"])
+        check_thresholds(config.cluster, taxonomy)
     except ValidationError as e:
         raise FormatError(f"map bundle {d}: config.json: {e}") from e
     centroids = load_scene_graph(d / "graph.json")
     index = load_index(d / "index.gsfi")
+    if index.delta_d != config.index.delta_d:
+        raise FormatError(
+            f"map bundle {d}: index.gsfi was built with delta_d {index.delta_d}; "
+            f"config.json's index.delta_d is {config.index.delta_d}"
+        )
     buf = load_npz(d / "populations.npz")
-    pop_ids = buf["ids"].tolist()
-    for name, ids in (("index.gsfi", {v for dsc in index.descriptors for v in dsc.vertex_ids}),
-                      ("populations.npz", pop_ids)):
-        stray = sorted(set(ids) - set(centroids))
-        if stray:
+    ids, mu, Sigma = buf["ids"], buf["mu"], buf["Sigma"]
+    if ids.ndim != 1 or ids.dtype.kind not in "iu" or np.any(ids[1:] <= ids[:-1]):
+        raise FormatError(
+            f"map bundle {d}: populations.npz ids must be one strictly ascending row of "
+            f"integers; it holds {ids.dtype} ids of shape {ids.shape}"
+        )
+    for name, named in (("index.gsfi", index.vertex_ids), ("populations.npz", ids)):
+        stray = np.setdiff1d(named, list(centroids))
+        if stray.size:
             raise FormatError(
                 f"map bundle {d}: {name} names instance {stray[0]}, "
                 f"which graph.json does not hold ({len(centroids)} instances)"
             )
     grid = probe_grid(config.gsf.grid)
-    g, n_cls = len(grid), taxonomy.num_classes
+    g, n_cls, p = len(grid), taxonomy.num_classes, len(ids)
+    if mu.shape != (p, g, n_cls) or Sigma.shape != (p, g, g):
+        raise FormatError(
+            f"map bundle {d}: populations.npz holds mu of shape {mu.shape} and Sigma of shape "
+            f"{Sigma.shape}; its {p} ids, the config's {g} grid points and the taxonomy's "
+            f"{n_cls} classes need ({p}, {g}, {n_cls}) and ({p}, {g}, {g})"
+        )
+    weights = stability_weights(mu, taxonomy)
     populations: dict[int, GpPopulation | None] = dict.fromkeys(centroids)
-    for i in pop_ids:
-        mu, Sigma = buf[f"pop{i}_mu"], buf[f"pop{i}_Sigma"]
-        if mu.shape != (g, n_cls) or Sigma.shape != (g, g):
-            raise FormatError(
-                f"map bundle {d}: populations.npz holds pop{i}_mu of shape {mu.shape} and "
-                f"pop{i}_Sigma of shape {Sigma.shape}; the config's {g} grid points and the "
-                f"taxonomy's {n_cls} classes need ({g}, {n_cls}) and ({g}, {g})"
-            )
-        populations[i] = GpPopulation(grid, mu, Sigma, stability_weights(mu, taxonomy))
+    for k, i in enumerate(ids.tolist()):
+        populations[i] = GpPopulation(grid, mu[k], Sigma[k], weights[k])
     return ReferenceMap(centroids, index, populations, taxonomy, config)

@@ -29,7 +29,7 @@ from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 from .config import ClusterSection, RunConfig
-from .core import FormatError, LabelTaxonomy, SemanticPointCloud, ValidationError
+from .core import FormatError, LabelTaxonomy, SemanticPointCloud, ValidationError, read_json
 from .gsf import FitError, GaussianSemanticField, GpHyperParams, fit_gsf
 
 # k-d trees built once and queried once: the median splits of a balanced tree
@@ -57,6 +57,13 @@ class SceneGraph:
         return len(self.instances)
 
 
+def check_thresholds(cluster: ClusterSection, taxonomy: LabelTaxonomy) -> None:
+    """A ValidationError if `cluster.thresholds` names a class the taxonomy lacks."""
+    unknown = sorted(set(cluster.thresholds) - {taxonomy.name(c) for c in taxonomy.ids()})
+    if unknown:
+        raise ValidationError(f"cluster threshold for unknown class {unknown[0]!r}")
+
+
 def cluster_instances(
     cloud: SemanticPointCloud, taxonomy: LabelTaxonomy, cluster: ClusterSection
 ) -> list[Instance]:
@@ -67,9 +74,7 @@ def cluster_instances(
     Output is deterministic: instances sorted by label id, then centroid
     lexicographically, with dense ids 0..K-1.
     """
-    unknown = sorted(set(cluster.thresholds) - {taxonomy.name(c) for c in taxonomy.ids()})
-    if unknown:
-        raise ValidationError(f"cluster threshold for unknown class {unknown[0]!r}")
+    check_thresholds(cluster, taxonomy)
     # every instantiable point, class by class, each class's indices ascending
     members, links = [], []
     start = 0
@@ -185,10 +190,7 @@ def load_scene_graph(json_path) -> dict[int, np.ndarray]:
     naming the file.
     """
     where = f"scene graph file {json_path}"
-    try:
-        doc = json.loads(Path(json_path).read_text())
-    except json.JSONDecodeError as e:
-        raise FormatError(f"{where}: {e}") from e
+    doc = read_json(json_path, where)
     if not isinstance(doc, dict) or doc.get("format") != GRAPH_FORMAT:
         raise FormatError(f"{where}: unrecognized format field")
     if doc.get("version") != GRAPH_VERSION:

@@ -1,9 +1,11 @@
 import hashlib
+import io
 import json
 import os
 import shutil
 import subprocess
 import sys
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +41,31 @@ def scene_files(tmp_path_factory):
                         0.1, 0.02, seed=5)
     save_cloud(far, tmp / "far.points", tmp / "far.labels", tmp / "far.logits")
     return tmp
+
+
+def _npz_edit(raw: bytes, ids=None, header_unclosed=None) -> bytes:
+    """An npz archive's bytes with `ids(array)` in place of its ids array, or
+    with the array header of `header_unclosed` left without its closing
+    brace, which numpy's header parse meets with a tokenize error."""
+    with np.load(io.BytesIO(raw)) as buf:
+        arrays = {k: buf[k] for k in buf.files}
+    if ids is not None:
+        arrays["ids"] = ids(arrays["ids"])
+    out = io.BytesIO()
+    with zipfile.ZipFile(out, "w", zipfile.ZIP_DEFLATED) as z:
+        for key, a in arrays.items():
+            npy = io.BytesIO()
+            np.lib.format.write_array(npy, a)
+            data = npy.getvalue()
+            z.writestr(f"{key}.npy", data.replace(b"}", b" ", 1) if key == header_unclosed
+                       else data)
+    return out.getvalue()
+
+
+def _not_utf8(path: Path) -> Path:
+    """A JSON config file with one 0xff byte, which no UTF-8 text holds."""
+    path.write_bytes(b'{"sim": {"yaw_samples": 4}, "note": "\xff"}')
+    return path
 
 
 @pytest.fixture(scope="module")
@@ -349,6 +376,34 @@ class TestLocalize:
         assert rc == 1
         assert "config.json: config key 'gsf.kappa'" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("name, tamper, says", [
+        ("index.gsfi", lambda raw: raw[:8] + np.float64(5.0).tobytes() + raw[16:],
+         "index.gsfi was built with delta_d 5.0"),
+        ("populations.npz", lambda raw: _npz_edit(raw, ids=lambda a: a[:, None]),
+         "populations.npz ids must be one strictly ascending row of integers"),
+        ("populations.npz", lambda raw: _npz_edit(raw, header_unclosed="ids"),
+         "populations.npz: unreadable (('EOF in multi-line statement'"),
+        ("config.json", lambda raw: raw.replace(b'"11"', b'"12"'),
+         "config.json: taxonomy class ids must be 0..11"),
+        ("config.json", lambda raw: raw[:100] + b"\xff" + raw[100:],
+         "config.json: not a JSON document ('utf-8' codec can't decode byte 0xff"),
+    ], ids=["delta-d", "ids-column", "npy-header", "class-id-gap", "not-utf8"])
+    def test_bundle_fault_exit_1(self, scene_files, bundle, tmp_path, capsys, name, tamper,
+                                 says):
+        """Each bundle fault, its manifest hash rewritten, exits 1 with a
+        message naming the file and no traceback."""
+        tampered = tmp_path / "tampered"
+        shutil.copytree(bundle, tampered)
+        raw = tamper((tampered / name).read_bytes())
+        (tampered / name).write_bytes(raw)
+        manifest = json.loads((tampered / "manifest.json").read_text())
+        manifest["files"][name] = hashlib.sha256(raw).hexdigest()
+        (tampered / "manifest.json").write_text(json.dumps(manifest))
+        rc = _localize_query(tampered, scene_files)
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert says in err and str(tampered) in err and "Traceback" not in err
+
     def test_near_collinear_scene_exit_3(self, tmp_path, capsys):
         cloud, scan = pole_line_scene(default_taxonomy())
         save_cloud(cloud, tmp_path / "m.points", tmp_path / "m.labels", tmp_path / "m.logits")
@@ -498,6 +553,14 @@ class TestEvaluate:
         assert "sim.bogus" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("text", ["5", "null", "[]"])
+    def test_spec_not_an_object_exit_2(self, tmp_path, capsys, text):
+        f = tmp_path / "bench.json"
+        f.write_text(text)
+        assert main(["evaluate", "--spec", str(f), "--out", str(tmp_path / "r")]) == 2
+        err = capsys.readouterr().err
+        assert "benchmark spec expects an object" in err and "Traceback" not in err
+
     def test_mistyped_query_field_exit_2(self, tmp_path, capsys):
         spec = {"map": small_scene_spec(seed=43).to_dict(), "queries": {"count": "ten"}}
         f = tmp_path / "bench.json"
@@ -521,6 +584,38 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert field in err and "Traceback" not in err
         assert not (tmp_path / "r").exists()
+
+
+class TestInputFileNotUtf8:
+    """A --config or --spec file that is not UTF-8 exits with its documented
+    code, naming the file, and without a traceback."""
+
+    @staticmethod
+    def _check(rc, capsys, path, code):
+        err = capsys.readouterr().err
+        assert rc == code
+        assert f"{path}: not a JSON document ('utf-8' codec can't decode byte 0xff" in err
+        assert "Traceback" not in err
+
+    def test_build_map_config_exit_1(self, scene_files, tmp_path, capsys):
+        f = _not_utf8(tmp_path / "cfg.json")
+        rc = main(["build-map", "--points", str(scene_files / "map.points"),
+                   "--labels", str(scene_files / "map.labels"),
+                   "--out", str(tmp_path / "map"), "--config", str(f)])
+        self._check(rc, capsys, f"config file {f}", 1)
+        assert not (tmp_path / "map").exists()
+
+    def test_localize_config_exit_1(self, scene_files, bundle, tmp_path, capsys):
+        f = _not_utf8(tmp_path / "cfg.json")
+        self._check(_localize_query(bundle, scene_files, "--config", str(f)), capsys,
+                    f"config file {f}", 1)
+
+    @pytest.mark.parametrize("command", ["synth", "evaluate"])
+    def test_spec_exit_2(self, tmp_path, capsys, command):
+        f = _not_utf8(tmp_path / "spec.json")
+        rc = main([command, "--spec", str(f), "--out", str(tmp_path / "out")])
+        self._check(rc, capsys, f"spec file {f}", 2)
+        assert not (tmp_path / "out").exists()
 
 
 class TestSelftest:

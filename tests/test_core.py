@@ -1,7 +1,12 @@
+import io
+import re
+import zipfile
+
 import numpy as np
 import pytest
 
 from gsfloc.core import (
+    ClassInfo,
     FormatError,
     LabelTaxonomy,
     RigidTransform,
@@ -9,8 +14,10 @@ from gsfloc.core import (
     ValidationError,
     default_taxonomy,
     load_cloud,
+    load_npz,
     one_hot_logits,
     pose_error,
+    read_json,
     rot_z,
     rotation_angle_deg,
     save_cloud,
@@ -180,8 +187,6 @@ class TestTaxonomy:
         assert not tax.is_instantiable(tax.id_of("road"))
 
     def test_stability_range_enforced(self):
-        from gsfloc.core import ClassInfo
-
         with pytest.raises(ValidationError):
             LabelTaxonomy({0: ClassInfo("x", True, 0.0)})
         LabelTaxonomy({0: ClassInfo("x", True, 0.37)})  # any (0,1] override is fine
@@ -190,3 +195,66 @@ class TestTaxonomy:
         tax = default_taxonomy()
         again = LabelTaxonomy.from_dict(tax.to_dict())
         assert again.to_dict() == tax.to_dict()
+
+    @pytest.mark.parametrize("ids", [[*range(11), 12], [1, 2, 3], [0, 2]],
+                             ids=["gap-at-11", "from-1", "gap-at-1"])
+    def test_class_ids_must_be_logit_columns(self, ids):
+        """Class ids are 0..D-1: a gap would leave a logit column without a
+        class, and the stability weight of a grid point that ranks it first 0."""
+        doc = {str(c): {"name": f"c{c}", "instantiable": True, "stability": 1.0} for c in ids}
+        with pytest.raises(ValidationError, match=r"taxonomy class ids must be 0\.\."):
+            LabelTaxonomy.from_dict(doc)
+        with pytest.raises(ValidationError, match=re.escape(f"got {ids}")):
+            LabelTaxonomy({c: ClassInfo(f"c{c}", True, 1.0) for c in ids})
+
+    def test_stability_vector_by_class_id(self):
+        tax = default_taxonomy()
+        assert tax.stability_vector().tolist() == [tax.stability(c) for c in range(12)]
+
+
+class TestReadJson:
+    def test_document(self, tmp_path):
+        f = tmp_path / "a.json"
+        f.write_text('{"k": [1, 2.5, "\u00e9"]}', encoding="utf-8")
+        assert read_json(f, "a") == {"k": [1, 2.5, "\u00e9"]}
+
+    @pytest.mark.parametrize("error", [FormatError, ValidationError])
+    def test_parse_error_gives_the_line(self, tmp_path, error):
+        f = tmp_path / "a.json"
+        f.write_text('{"k": 1,\n  "oops"\n}')
+        with pytest.raises(error, match=rf"config file {f} line 3: Expecting ':' delimiter "
+                                        r"\(column 1\)"):
+            read_json(f, f"config file {f}", error)
+
+    @pytest.mark.parametrize("raw, says", [
+        (b'{"k": "\xff"}', "'utf-8' codec can't decode byte 0xff in position 7"),
+        ('{"k": "é"}'.encode("latin-1"), "'utf-8' codec can't decode byte 0xe9"),
+        (b"[" * 100_000, "maximum recursion depth"),
+        (b"1" * 5000, "integer string conversion"),
+    ], ids=["0xff", "latin-1", "nested-too-deep", "integer-too-long"])
+    def test_not_a_json_document(self, tmp_path, raw, says):
+        """Input that json.loads does not refuse with a JSONDecodeError is still
+        the caller's error kind, naming the file."""
+        f = tmp_path / "a.json"
+        f.write_bytes(raw)
+        for error in (FormatError, ValidationError):
+            with pytest.raises(error, match=rf"spec file {f}: not a JSON document") as err:
+                read_json(f, f"spec file {f}", error)
+            assert says in str(err.value)
+
+    def test_missing_file_is_os_error(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            read_json(tmp_path / "none.json", "none")
+
+
+class TestLoadNpz:
+    def test_header_that_does_not_tokenize(self, tmp_path):
+        """An array header with an unclosed brace makes numpy's header parse
+        raise tokenize's TokenError; the file is a FormatError naming it."""
+        buf = io.BytesIO()
+        np.lib.format.write_array(buf, np.arange(3))
+        path = tmp_path / "a.npz"
+        with zipfile.ZipFile(path, "w") as z:
+            z.writestr("ids.npy", buf.getvalue().replace(b"}", b" ", 1))
+        with pytest.raises(FormatError, match=rf"npz file {path}: unreadable"):
+            load_npz(path)

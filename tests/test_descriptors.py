@@ -1,4 +1,5 @@
 import itertools
+import struct
 
 import numpy as np
 import pytest
@@ -300,7 +301,8 @@ class TestIndex:
 
     def test_label_outside_code_range_refused(self):
         d = TriangleDescriptor(4, (0, 1, 2), (3.0, 4.0, 5.0), (7, 7, 1 << LABEL_BITS))
-        with pytest.raises(ValidationError, match="descriptor 4: labels"):
+        # the index names a descriptor by its row, the id `query_index` returns
+        with pytest.raises(ValidationError, match="descriptor 0: labels"):
             build_index([d], 0.5)
         stored = build_index([TriangleDescriptor(0, (0, 1, 2), (3.0, 4.0, 5.0), (7, 7, 7))],
                              0.5)
@@ -361,10 +363,59 @@ class TestIndex:
         save_index(again, f2)
         assert f1.read_bytes() == f2.read_bytes()
         assert again.delta_d == 0.5
-        for a, b in zip(index.descriptors, again.descriptors):
-            assert a.vertex_ids == b.vertex_ids
-            assert a.sides == b.sides
-            assert a.labels == b.labels
+        assert again.vertex_ids.tolist() == [list(d.vertex_ids) for d in descs]
+        assert again.tree.data.tolist() == [list(d.sides) for d in descs]
+        assert again.labels.tolist() == [list(d.labels) for d in descs]
+
+
+    @pytest.mark.parametrize("count", [0, 1, 30])
+    def test_record_layout_equals_struct_loop(self, tmp_path, count):
+        """`save_index` writes, byte for byte, the file a written-out
+        `struct.pack` loop writes, and `load_index` reads back, array for
+        array, what a `struct.unpack_from` loop reads: empty, one descriptor,
+        and 30 with a label of 2**LABEL_BITS - 1 and a vertex id of 2**32 - 1."""
+        rng = np.random.default_rng(9)
+        descs = [random_descriptor(rng, i) for i in range(count)]
+        if count:
+            d = descs[-1]
+            descs[-1] = TriangleDescriptor(d.id, (d.vertex_ids[0], 2**32 - 1, d.vertex_ids[2]),
+                                           d.sides, (d.labels[0], (1 << LABEL_BITS) - 1, 7))
+        path = tmp_path / "i.gsfi"
+        save_index(build_index(descs, 0.75), path)
+        raw = path.read_bytes()
+        assert raw == struct.pack("<4sIdI", b"GSFI", 1, 0.75, count) + b"".join(
+            struct.pack("<3I3I3d", *d.vertex_ids, *d.labels, *d.sides) for d in descs)
+
+        head, rec = struct.calcsize("<4sIdI"), struct.calcsize("<3I3I3d")
+        rows = [struct.unpack_from("<3I3I3d", raw, head + i * rec) for i in range(count)]
+        again, want = load_index(path), build_index(descs, 0.75)
+        assert again.delta_d == struct.unpack_from("<4sIdI", raw)[2] == 0.75
+        for part, cols in (("vertex_ids", slice(0, 3)), ("labels", slice(3, 6))):
+            loop = np.array([r[cols] for r in rows], dtype=np.int64).reshape(-1, 3)
+            assert getattr(again, part).dtype == np.int64
+            assert np.array_equal(getattr(again, part), loop)
+        sides = np.array([r[6:9] for r in rows], dtype=np.float64).reshape(-1, 3)
+        assert np.array_equal(again.tree.data, sides)
+        for part in ("label_codes", "vertex_ids", "labels", "order_mask"):
+            assert np.array_equal(getattr(again, part), getattr(want, part))
+        assert np.array_equal(again.tree.data, want.tree.data)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_side_refused(self, tmp_path, value):
+        """A side that is not finite is a ValidationError in `build_index` and a
+        FormatError naming the file in `load_index`; the k-d tree would refuse
+        it with a bare ValueError."""
+        d = TriangleDescriptor(0, (0, 1, 2), (3.0, 4.0, value), (7, 7, 7))
+        with pytest.raises(ValidationError, match="descriptor 0: sides .* must be finite"):
+            build_index([d], 0.5)
+        path = tmp_path / "side.gsfi"
+        save_index(build_index([TriangleDescriptor(0, (0, 1, 2), (3.0, 4.0, 5.0), (7, 7, 7))],
+                               0.5), path)
+        raw = bytearray(path.read_bytes())
+        raw[-8:] = np.float64(value).tobytes()  # the last side
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match=rf"index file {path}: descriptor 0: sides"):
+            load_index(path)
 
 
 def field_with_offset(taxonomy, offset, seed=0):
@@ -486,7 +537,7 @@ class TestGsfFilter:
                                     d.labels) for k, d in enumerate(stored[:20])]
         cand = query_index(index, descs)
         got = plain_matches(descs, cand, index)
-        loop = [(r, c, list(zip(descs[r].vertex_ids, index.descriptors[c].vertex_ids)))
+        loop = [(r, c, list(zip(descs[r].vertex_ids, stored[c].vertex_ids)))
                 for r, c in cand.tolist()]
         assert len(got) == len(loop) > 20
         assert np.array_equal(got.rows, [r for r, _, _ in loop])

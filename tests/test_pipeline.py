@@ -74,7 +74,7 @@ class TestBuildMap:
         assert sum(p is not None for p in ref_map.populations.values()) == 20
         k = ref_map.config.index.k_neighbors
         bound = len(ref_map.centroids) * k * (k - 1) // 2
-        assert 0 < len(ref_map.index.descriptors) <= bound
+        assert 0 < len(ref_map.index.vertex_ids) <= bound
 
     def test_too_few_instances(self, taxonomy_module):
         rng = np.random.default_rng(0)
@@ -134,10 +134,19 @@ class TestBuildMap:
         """Version 3 also stored each population's grid and stability weights."""
         save_map(ref_map, tmp_path)
         manifest = json.loads((tmp_path / "manifest.json").read_text())
-        assert manifest["version"] == 4
+        assert manifest["version"] == 5
         manifest["version"] = 3
         (tmp_path / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(FormatError, match="unsupported version 3"):
+            load_map(tmp_path)
+
+    def test_version_4_bundle_refused(self, ref_map, tmp_path):
+        """Version 4 stored each population as its own pair of arrays."""
+        save_map(ref_map, tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        manifest["version"] = 4
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(FormatError, match="unsupported version 4"):
             load_map(tmp_path)
 
     def test_config_stored_once(self, ref_map, tmp_path):
@@ -193,11 +202,12 @@ def _rewrite_bundle_file(d, name, data: bytes):
 
 
 def _edit_npz_array(d, name, suffix, edit) -> str:
-    """Apply `edit(arrays, key)` to the first array of `name` whose key ends
-    with `suffix`, rewrite the file and its hash; returns the key."""
+    """Apply `edit(arrays, key)` to the first array of `name` whose key, led by
+    an underscore, ends with `suffix` ("_mu" picks "mu"), rewrite the file and
+    its hash; returns the key."""
     with np.load(d / name) as buf:
         arrays = {k: buf[k] for k in buf.files}
-    key = next(k for k in sorted(arrays) if k.endswith(suffix))
+    key = next(k for k in sorted(arrays) if f"_{k}".endswith(suffix))
     edit(arrays, key)
     np.savez_compressed(d / name, **arrays)
     _rewrite_bundle_file(d, name, (d / name).read_bytes())
@@ -243,13 +253,57 @@ class TestBundleArrays:
         the built map's; the bundle stores neither."""
         save_map(ref_map, tmp_path)
         with np.load(tmp_path / "populations.npz") as buf:
-            ids = buf["ids"].tolist()
-            assert sorted(buf.files) == sorted(
-                ["ids", *(f"pop{i}_{part}" for i in ids for part in ("mu", "Sigma"))])
+            assert sorted(buf.files) == ["Sigma", "ids", "mu"]
+            assert buf["ids"].tolist() == list(range(20))
+            assert buf["mu"].shape == (20, 25, 12) and buf["Sigma"].shape == (20, 25, 25)
         again = load_map(tmp_path)
         for iid, pop in ref_map.populations.items():
             for part in ("grid", "mu", "Sigma", "stability_weights"):
                 assert np.array_equal(getattr(again.populations[iid], part), getattr(pop, part))
+
+    @pytest.mark.parametrize("failed", [[6], list(range(20))], ids=["one-failed", "all-failed"])
+    def test_layout_round_trip(self, ref_map, tmp_path, failed):
+        """With fits failed, saved and loaded, each population equals the built
+        one array for array, and None stays where a fit failed; ids, mu and
+        Sigma hold the rest as whole arrays, P = 0 included."""
+        pops = {i: None if i in failed else p for i, p in ref_map.populations.items()}
+        built = dataclasses.replace(ref_map, populations=pops)
+        save_map(built, tmp_path)
+        kept = [i for i in range(20) if i not in failed]
+        with np.load(tmp_path / "populations.npz") as buf:
+            assert buf["ids"].dtype == np.int64 and buf["ids"].tolist() == kept
+            assert np.array_equal(buf["mu"], np.array([pops[i].mu for i in kept]).reshape(
+                -1, 25, 12))
+            assert np.array_equal(buf["Sigma"], np.array([pops[i].Sigma for i in kept]).reshape(
+                -1, 25, 25))
+        again = load_map(tmp_path)
+        assert sorted(again.populations) == list(range(20))
+        for iid, pop in pops.items():
+            other = again.populations[iid]
+            assert (other is None) == (pop is None)
+            for part in ("grid", "mu", "Sigma", "stability_weights") if pop else ():
+                assert np.array_equal(getattr(other, part), getattr(pop, part))
+
+    @pytest.mark.parametrize("edit, says", [
+        (lambda ids: ids[:, None], "int64 ids of shape (20, 1)"),
+        (lambda ids: ids.astype(np.float64), "float64 ids of shape (20,)"),
+        (lambda ids: ids[::-1].copy(), "int64 ids of shape (20,)"),
+        (lambda ids: np.sort(np.append(ids[:-1], 4)), "int64 ids of shape (20,)"),
+        (lambda ids: np.int64(0), "int64 ids of shape ()"),
+        (lambda ids: ids > 0, "bool ids of shape (20,)"),
+    ], ids=["column", "float", "descending", "duplicate", "scalar", "bool"])
+    def test_ids_not_one_ascending_row_refused(self, ref_map, tmp_path, edit, says):
+        """ids must be one strictly ascending row of integers; a column of
+        them once failed inside `load_map` with a bare TypeError."""
+        def change(arrays, key):
+            arrays[key] = edit(arrays[key])
+
+        save_map(ref_map, tmp_path)
+        _edit_npz_array(tmp_path, "populations.npz", "ids", change)
+        with pytest.raises(FormatError, match=r"populations\.npz ids must be one strictly "
+                                              r"ascending row of integers") as err:
+            load_map(tmp_path)
+        assert f"it holds {says}" in str(err.value)
 
     @pytest.mark.parametrize("which, part, value", [
         ("first", "w", lambda pop: np.zeros(len(pop.mu))),
@@ -279,21 +333,24 @@ class TestBundleArrays:
         assert got == localize(scan, ref_map).to_dict(include_timings=False)
 
     @pytest.mark.parametrize("part, edit, shape", [
-        ("mu", lambda a: a[:, :11], "(25, 11)"),
-        ("mu", lambda a: a[:3], "(3, 12)"),
-        ("Sigma", lambda a: a[:, :24], "(25, 24)"),
-        ("Sigma", lambda a: a[0], "(25,)"),
-    ], ids=["mu-11-columns", "mu-3-rows", "Sigma-24-columns", "Sigma-one-row"])
+        ("mu", lambda a: a[..., :11], "(20, 25, 11)"),
+        ("mu", lambda a: a[:, :3], "(20, 3, 12)"),
+        ("Sigma", lambda a: a[..., :24], "(20, 25, 24)"),
+        ("Sigma", lambda a: a[:, 0], "(20, 25)"),
+        ("mu", lambda a: a[:-1], "(19, 25, 12)"),
+        ("Sigma", lambda a: a[0], "(25, 25)"),
+    ], ids=["mu-11-columns", "mu-3-rows", "Sigma-24-columns", "Sigma-one-row",
+            "mu-row-short-of-ids", "Sigma-one-population"])
     def test_population_shape_mismatch_detected(self, ref_map, tmp_path, part, edit, shape):
         def cut(arrays, key):
             arrays[key] = edit(arrays[key])
 
         save_map(ref_map, tmp_path)
         key = _edit_npz_array(tmp_path, "populations.npz", f"_{part}", cut)
-        with pytest.raises(FormatError, match=r"populations\.npz holds pop\d+_mu of shape") as err:
+        with pytest.raises(FormatError, match=r"populations\.npz holds mu of shape") as err:
             load_map(tmp_path)
         assert f"{key} of shape {shape}" in str(err.value)
-        assert "need (25, 12) and (25, 25)" in str(err.value)
+        assert "need (20, 25, 12) and (20, 25, 25)" in str(err.value)
 
 
 def _edit_json(d, name, edit):
@@ -358,11 +415,39 @@ class TestBundleJson:
         with pytest.raises(FormatError, match=message):
             load_map(tmp_path)
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc["taxonomy"].update({"12": doc["taxonomy"].pop("11")}),
+         r"config.json: taxonomy class ids must be 0\.\.11"),
+        (lambda doc: doc["taxonomy"]["8"].update(name="sign"),
+         "config.json: cluster threshold for unknown class 'traffic-sign'"),
+        (lambda doc: doc["config"]["cluster"]["thresholds"].update(lamp=0.5),
+         "config.json: cluster threshold for unknown class 'lamp'"),
+    ], ids=["class-id-gap", "class-renamed", "threshold-unknown-class"])
+    def test_config_disagreeing_with_itself_detected(self, ref_map, tmp_path, edit, message):
+        """A config.json whose taxonomy skips a logit column, or whose cluster
+        thresholds name a class the taxonomy lacks, is refused on load, not at
+        the first query with a ValidationError (exit 2)."""
+        save_map(ref_map, tmp_path)
+        _edit_json(tmp_path, "config.json", edit)
+        with pytest.raises(FormatError, match=message):
+            load_map(tmp_path)
+
+    def test_index_delta_d_disagreeing_with_config_detected(self, ref_map, tmp_path):
+        """index.gsfi keeps the delta_d it was built with; one other than
+        config.json's index.delta_d is refused, not used for the lookup."""
+        save_map(ref_map, tmp_path)
+        raw = bytearray((tmp_path / "index.gsfi").read_bytes())
+        raw[8:16] = np.float64(5.0).tobytes()
+        _rewrite_bundle_file(tmp_path, "index.gsfi", bytes(raw))
+        with pytest.raises(FormatError, match="index.gsfi was built with delta_d 5.0; "
+                                              "config.json's index.delta_d is 0.5"):
+            load_map(tmp_path)
+
     def test_population_of_unknown_instance_detected(self, ref_map, tmp_path):
         def add_population(arrays, key):
             arrays[key] = np.append(arrays[key], 20)
             for part in ("mu", "Sigma"):
-                arrays[f"pop20_{part}"] = arrays[f"pop0_{part}"]
+                arrays[part] = np.concatenate([arrays[part], arrays[part][:1]])
 
         save_map(ref_map, tmp_path)
         _edit_npz_array(tmp_path, "populations.npz", "ids", add_population)
@@ -539,7 +624,7 @@ class TestLocalize:
                                                                    taxonomy_module)
         index, cfg = ref_map.index, ref_map.config
         touched = [m for _, cands in cand_lists for cid in cands
-                   for m in index.descriptors[cid].vertex_ids]
+                   for m in index.vertex_ids[cid].tolist()]
         gone = max(set(touched), key=touched.count)
         pops = {**ref_map.populations, gone: None}
         holed = dataclasses.replace(ref_map, populations=pops)
@@ -547,11 +632,11 @@ class TestLocalize:
         with pytest.warns(UserWarning, match=rf"map instances \[{gone}\] lack fields; candidate"):
             kept, w2, sim = _w2_table_lists(cand_lists, pops_query, holed, cfg)
         assert [cands for _, cands in kept] == [
-            [cid for cid in cands if gone not in index.descriptors[cid].vertex_ids]
+            [cid for cid in cands if gone not in index.vertex_ids[cid].tolist()]
             for _, cands in cand_lists]
         canonical = {(q, m) for d, cands in kept for cid in cands
-                     for q, m in zip(d.vertex_ids, index.descriptors[cid].vertex_ids)}
-        ordered = {(d.vertex_ids[k], index.descriptors[cid].vertex_ids[perm[k]])
+                     for q, m in zip(d.vertex_ids, index.vertex_ids[cid].tolist())}
+        ordered = {(d.vertex_ids[k], index.vertex_ids[cid].tolist()[perm[k]])
                    for d, cands in kept for cid in cands
                    for perm in _stored_orders(index, cid) for k in range(3)}
         assert set(w2) == canonical | ordered
@@ -896,7 +981,7 @@ class TestMatch:
         median = float(np.median([
             w2(q, m) for q, m in {(q, m) for d, cands in cand_lists for cid in cands
                                   for q, m in zip(d.vertex_ids,
-                                                  index.descriptors[cid].vertex_ids)}]))
+                                                  index.vertex_ids[cid].tolist())}]))
         sigma_w, accept = np.sqrt(median), 3.0 * median
         want = []
         for d, cands in cand_lists:
@@ -904,7 +989,7 @@ class TestMatch:
             for cid in cands:
                 best = None
                 for perm in _stored_orders(index, cid):
-                    pairs = [(d.vertex_ids[k], index.descriptors[cid].vertex_ids[perm[k]])
+                    pairs = [(d.vertex_ids[k], index.vertex_ids[cid].tolist()[perm[k]])
                              for k in range(3)]
                     scores = [w2(q, m) for q, m in pairs]
                     total = scores[0] + scores[1] + scores[2]

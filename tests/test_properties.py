@@ -1,20 +1,38 @@
 """Oracles as properties: W2, its scale law and the lower-bound cut of the
-W2 table.
+W2 table; and a damaged map bundle, refused or localizing.
 
 Populations are drawn small (up to 5 grid points, 3 classes, 4 yaws) with
 covariances of every rank from 0 to full, means that may coincide, and yaw
 members planted where the lower bound is tight: equal to a map population,
-or with a proportional covariance and the same means. The example sequence
-is fixed by the `gsfloc` settings profile in conftest.
+or with a proportional covariance and the same means. Bundles are those of a
+small 7-instance scene, with bits flipped in or the tail cut off one file.
+The example sequence is fixed by the `gsfloc` settings profile in conftest.
 """
 
+import functools
+import hashlib
+import json
+import tempfile
+import warnings
+from pathlib import Path
+
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from gsfloc import descriptors
+from gsfloc.core import FormatError, default_taxonomy
 from gsfloc.descriptors import pair_w2
 from gsfloc.gsf import GpPopulation, stack_populations
+from gsfloc.pipeline import BUNDLE_FILES, build_map, load_map, localize, save_map
+from gsfloc.synth import (
+    InstanceTemplate,
+    SceneSpec,
+    generate_scene,
+    sample_query_poses,
+    simulate_scan,
+)
 from gsfloc.wasserstein import BOUND_SLACK, w2_lower_bound, w2_squared
 
 GRID = st.integers(1, 5)
@@ -146,3 +164,77 @@ def test_pair_w2_equals_unpruned_minimum(tab, use_stability, chunk_pairs):
     finally:
         descriptors.W2_CHUNK_BYTES = chunk_bytes
     assert np.array_equal(got, want)
+
+
+@functools.lru_cache(maxsize=1)
+def _small_bundle() -> tuple[dict[str, bytes], object]:
+    """The files of the map bundle of a 7-instance scene (seed 999) by name, and
+    a scan of that scene that localizes on it."""
+    taxonomy = default_taxonomy()
+    spec = SceneSpec(extent=70, templates=[InstanceTemplate("pole", 3, 140),
+                                           InstanceTemplate("car", 2, 260),
+                                           InstanceTemplate("trunk", 2, 160)], seed=999)
+    cloud, _ = generate_scene(spec, taxonomy)
+    scan = simulate_scan(cloud, sample_query_poses(1, seed=4, half=10.0)[0], 40.0, 0.1, 0.02,
+                         seed=5)
+    with tempfile.TemporaryDirectory() as d:
+        save_map(build_map(cloud, taxonomy), d)
+        return {f.name: f.read_bytes() for f in Path(d).iterdir()}, scan
+
+
+def _load_changed(name: str, raw: bytes):
+    """`load_map` of the small bundle with file `name` replaced by `raw` and,
+    for any file but the manifest, its new hash in the manifest."""
+    files = dict(_small_bundle()[0])
+    files[name] = raw
+    if name != "manifest.json":
+        manifest = json.loads(files["manifest.json"])
+        manifest["files"][name] = hashlib.sha256(raw).hexdigest()
+        files["manifest.json"] = json.dumps(manifest).encode()
+    with tempfile.TemporaryDirectory() as d:
+        for n, data in files.items():
+            (Path(d) / n).write_bytes(data)
+        return load_map(d)
+
+
+@st.composite
+def damaged_file(draw):
+    """A bundle file's name and its bytes with 1 to 8 bits flipped, or cut short."""
+    name = draw(st.sampled_from(sorted([*BUNDLE_FILES, "manifest.json"])))
+    raw = bytearray(_small_bundle()[0][name])
+    at = st.integers(0, len(raw) - 1)
+    if draw(st.booleans()):
+        del raw[draw(at):]
+    else:
+        for _ in range(draw(st.integers(1, 8))):
+            raw[draw(at)] ^= 1 << draw(st.integers(0, 7))
+    return name, bytes(raw)
+
+
+def test_small_bundle_localizes():
+    files, scan = _small_bundle()
+    assert localize(scan, _load_changed("graph.json", files["graph.json"])).status == "success"
+
+
+@given(damaged_file())
+def test_damaged_bundle_refused_or_localizes(damage):
+    """A bundle with one file damaged and the manifest hash rewritten is refused
+    with a FormatError, or loads a map on which the scan ends in a documented
+    status. No other exception escapes."""
+    try:
+        ref = _load_changed(*damage)
+    except FormatError:
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # fewer than 3 instances, fields lacking
+        status = localize(_small_bundle()[1], ref).status
+    assert status in ("success", "no-match", "degenerate")
+
+
+@pytest.mark.parametrize("name", ["manifest.json", "graph.json", "config.json"])
+def test_bundle_json_not_utf8_refused(name):
+    """A 0xff byte, never UTF-8, in a bundle's JSON file is a FormatError naming it."""
+    raw = _small_bundle()[0][name]
+    half = len(raw) // 2
+    with pytest.raises(FormatError, match=rf"{name}: not a JSON document \('utf-8' codec"):
+        _load_changed(name, raw[:half] + b"\xff" + raw[half:])
