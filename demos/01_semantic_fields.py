@@ -46,7 +46,7 @@ print(f"neighborhood: {len(X)} points, classes "
 
 # --- class-proportional sparsification ---------------------------------------
 for budget in (64, 256):
-    _, kept_labels, _ = semantic_sparsify(X, labels, budget, seed=0)
+    kept_labels = labels[semantic_sparsify(labels, budget, seed=0)]
     counts = {tax.name(c): int(np.count_nonzero(kept_labels == c))
               for c in np.unique(kept_labels)}
     print(f"budget {budget}: kept {counts}")

@@ -212,7 +212,8 @@ def cmd_selftest(args) -> int:
     """Quick oracle-equivalence checks of the numerical core."""
     from scipy.linalg import inv
 
-    from .gsf import GpHyperParams, fit_gsf, gsf_predict, grid_probe, matern32_matrix
+    from .gsf import (GpHyperParams, fit_gsf, gsf_predict, grid_probe, matern32_matrix,
+                      semantic_sparsify)
     from .matching import ConsistencyGraph, Correspondence, brute_force_max_clique, max_clique
     from .pose_solver import WeightedCorrespondenceSet, weighted_kabsch
     from .core import RigidTransform, rotation_angle_deg, rot_z
@@ -228,15 +229,20 @@ def cmd_selftest(args) -> int:
         ok = ok and passed
         print(f"{'PASS' if passed else 'FAIL'} {name}")
 
-    # GP prediction vs explicit-inverse oracle, on one query set and on a stack
-    worst = 0.0
-    for _ in range(20):
+    # GP prediction vs explicit-inverse oracle, on one query set and on a stack;
+    # every other fit keeps all m points, the rest draw to a budget below m
+    worst, drawn, same_rows = 0.0, 0, True
+    for it in range(20):
         m, g, d = rng.integers(3, 12), rng.integers(1, 6), rng.integers(1, 4)
         X = rng.uniform(-3, 3, (m, 3))
         Y = rng.normal(size=(m, d))
         labels = rng.integers(0, 3, m)
         hyper = GpHyperParams(kappa=1.5, sigma_y=0.2)
-        fld = fit_gsf(X, Y, labels, hyper, budget=m, seed=0)
+        budget = m if it % 2 else int(rng.integers(2, m))
+        fld = fit_gsf(X, Y, labels, hyper, budget=budget, seed=0)
+        kept = semantic_sparsify(labels, budget, 0)
+        same_rows &= np.array_equal(fld.X, X[kept]) and np.array_equal(fld.Y, Y[kept])
+        drawn += fld.m < m
         K_inv = inv(matern32_matrix(fld.X, fld.X, 1.5) + 0.04 * np.eye(fld.m))
         Qs = rng.uniform(-3, 3, (int(rng.integers(1, 4)), g, 3))
         for Q, (mu, Sigma) in [(Qs[0], gsf_predict(fld, Qs[0])),
@@ -246,7 +252,8 @@ def cmd_selftest(args) -> int:
             S_o = matern32_matrix(Q, Q, 1.5) - kqx @ K_inv @ kqx.T
             worst = max(worst, np.abs(mu - mu_o).max(),
                         np.abs(Sigma - 0.5 * (S_o + S_o.T)).max())
-    report(f"gp-oracle (max abs dev {worst:.2e})", worst < 1e-9)
+    report(f"gp-oracle (max abs dev {worst:.2e}, {drawn} of 20 fits drawn below m)",
+           worst < 1e-9 and drawn > 0 and same_rows)
 
     # clique exactness on random graphs
     agree = True

@@ -22,7 +22,7 @@ import typing
 from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Literal
 
-from .core import ValidationError, read_json
+from .core import FormatError, ValidationError, read_json
 
 
 @dataclass
@@ -117,10 +117,12 @@ class RunConfig:
         _check_grid(self.gsf.grid)
 
     def update_from_file(self, path) -> None:
-        """Set the keys of a JSON config file, as `update` does."""
+        """Set the keys of a JSON config file, as `update` does. A file that
+        does not parse, or whose top level is not an object, is a FormatError
+        naming it."""
         d = read_json(path, f"config file {path}")
         if not isinstance(d, dict):
-            raise ValidationError(f"config file {path}: top level must be an object")
+            raise FormatError(f"config file {path}: top level must be an object")
         self.update(d)
 
     def apply_overrides(self, overrides: list[str]) -> None:

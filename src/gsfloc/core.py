@@ -177,6 +177,9 @@ class SemanticPointCloud:
                     f"logits shape {self.logits.shape} does not match point count "
                     f"{self.points.shape[0]}"
                 )
+            finite = np.isfinite(self.logits).all(axis=1)
+            if not finite.all():
+                raise ValidationError(f"point {int(np.argmin(finite))} has a non-finite logit")
             if self.n > 0:
                 pred = np.argmax(self.logits, axis=1)  # first max = lowest class id
                 bad = np.nonzero(pred != self.labels)[0]

@@ -9,9 +9,12 @@ downstream comparison; this module is the only reader of that grid.
 
 A fit factors K = L L^T once and caches the whitened targets L^-1 Y. A
 prediction then makes one triangular solve, W = L^-1 k(X,Q), and reads both
-moments from it: mu = W^T (L^-1 Y) and Sigma = k(Q,Q) - W^T W. The prior
-k(Q,Q) is memoised on the probe points' values and kappa, since every field
-is probed on the same grids.
+moments from it: mu = W^T (L^-1 Y) and Sigma = k(Q,Q) - W^T W. The factor and
+the solves are direct LAPACK calls (`dpotrf`, `dtrtrs`), the routines
+`cho_factor` and `solve_triangular` call, without their input checks: K's
+inputs are finite, as a cloud refuses non-finite points and logits and
+`fit_gsf` refuses non-finite logits. The prior k(Q,Q) is memoised on the probe
+points' values and kappa, since every field is probed on the same grids.
 
 Probing takes one yaw or several. Several yaws give a stacked population, every
 array with a leading yaw axis, each member equal to its own single-yaw probe.
@@ -28,7 +31,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, solve_triangular
+from scipy.linalg.lapack import dpotrf, dtrtrs
 from scipy.spatial.distance import cdist, pdist, squareform
 
 from .config import GridSection
@@ -61,7 +64,7 @@ class GaussianSemanticField:
     X: np.ndarray  # (M,3) local coordinates
     Y: np.ndarray  # (M,D) logits
     hyper: GpHyperParams
-    factor: tuple  # cached cho_factor (L, lower) of K = k(X,X) + sigma_y^2 I (+ jitter)
+    factor: tuple  # (L, True): K = k(X,X) + sigma_y^2 I (+ jitter) = L L^T, L Fortran-ordered
     white_y: np.ndarray  # (M,D) cached whitened targets L^-1 Y
     jitter: float = 0.0  # extra diagonal needed to factorize; 0 when clean
 
@@ -96,30 +99,31 @@ def stack_populations(pops) -> GpPopulation:
                                         for f in ("mu", "Sigma", "stability_weights")))
 
 
-def semantic_sparsify(X, labels, budget: int, seed) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Class-proportional downsampling to roughly `budget` points.
+def semantic_sparsify(labels, budget: int, seed) -> np.ndarray:
+    """Class-proportional downsampling of M labelled points to roughly `budget`.
 
-    Each class keeps round((n_c / M) * budget) points, drawn uniformly
-    without replacement. Returns (X', labels', original indices ascending).
+    Each class keeps round((n_c / M) * budget) of its points, drawn uniformly
+    without replacement, classes in ascending order, from
+    `np.random.default_rng(seed)`. Returns the kept indices, ascending. With
+    M <= budget every class keeps all its points, so nothing is drawn and the
+    indices are 0..M-1.
     """
-    X = np.asarray(X, dtype=np.float64).reshape(-1, 3)
     labels = np.asarray(labels).reshape(-1)
-    m = X.shape[0]
+    m = labels.shape[0]
     if budget < 1:
         raise ValidationError(f"budget must be >= 1, got {budget}")
     if m < 1:
         raise ValidationError("cannot sparsify an empty point set")
+    if m <= budget:
+        return np.arange(m)
     rng = np.random.default_rng(seed)
     keep: list[np.ndarray] = []
     for c in np.unique(labels):  # ascending class order: deterministic draws
-        idx = np.nonzero(labels == c)[0]
-        n_c = int(np.rint(idx.size / m * budget))
-        n_c = min(n_c, idx.size)
-        if n_c == 0:
-            continue
-        keep.append(rng.choice(idx, size=n_c, replace=False))
-    indices = np.sort(np.concatenate(keep)) if keep else np.zeros(0, dtype=np.int64)
-    return X[indices], labels[indices], indices
+        idx = np.flatnonzero(labels == c)
+        n_c = min(int(np.rint(idx.size / m * budget)), idx.size)
+        if n_c:
+            keep.append(rng.choice(idx, size=n_c, replace=False))
+    return np.sort(np.concatenate(keep)) if keep else np.zeros(0, dtype=np.int64)
 
 
 def matern32(a, b, kappa: float) -> float:
@@ -155,28 +159,38 @@ def _gram(X: np.ndarray, kappa: float) -> np.ndarray:
 def _factorize(K: np.ndarray) -> tuple[tuple, float]:
     """Cholesky with jitter escalation; returns (factor, jitter used).
 
-    K is exactly symmetric, so its transpose, a Fortran-ordered view, is
-    factored in place: LAPACK neither copies nor transposes it, and the factor
-    is K's own buffer. LAPACK writes only that view's lower triangle, so a
-    failed attempt leaves K's strictly lower triangle intact, and the jittered
-    retries rebuild K from it and the saved diagonal.
+    K is exactly symmetric, so LAPACK's `dpotrf` factors its transpose, a
+    Fortran-ordered view, in place, as `cho_factor(K, lower=True)` factors K:
+    LAPACK neither copies nor transposes it, and the factor is K's own buffer.
+    LAPACK writes only that view's lower triangle, so a failed attempt leaves
+    K's strictly lower triangle intact, and the jittered retries rebuild K from
+    it and the saved diagonal.
     """
     diag = K.diagonal().copy()
-    try:
-        return cho_factor(K.T, lower=True, overwrite_a=True), 0.0
-    except np.linalg.LinAlgError:
-        pass
+    L, info = dpotrf(K.T, lower=1, clean=0, overwrite_a=1)
+    if not info:  # info > 0: K is not positive definite
+        return (L, True), 0.0
     K = np.tril(K, -1)
     K += K.T
     K[np.diag_indices_from(K)] = diag
     jitter = JITTER_START
     eye = np.eye(K.shape[0])
     while jitter <= JITTER_MAX:
-        try:
-            return cho_factor((K + jitter * eye).T, lower=True, overwrite_a=True), jitter
-        except np.linalg.LinAlgError:
-            jitter *= 2.0
+        L, info = dpotrf((K + jitter * eye).T, lower=1, clean=0, overwrite_a=1)
+        if not info:
+            return (L, True), jitter
+        jitter *= 2.0
     raise FitError(f"kernel factorization failed up to jitter {jitter / 2.0:.3e}")
+
+
+def _solve_lower(L: np.ndarray, B: np.ndarray, overwrite_b: bool = False) -> np.ndarray:
+    """L^-1 B for the Fortran-ordered lower factor L, by LAPACK's `dtrtrs`, as
+    `solve_triangular(L, B, lower=True)` computes it. `overwrite_b` lets a
+    Fortran-ordered float64 B hold the result in place."""
+    x, info = dtrtrs(L, B, lower=1, overwrite_b=overwrite_b)
+    if info:  # a Cholesky factor's diagonal is positive: not reached
+        raise FitError(f"triangular solve failed at diagonal {info - 1}")
+    return x
 
 
 def fit_gsf(
@@ -189,36 +203,40 @@ def fit_gsf(
 ) -> GaussianSemanticField:
     """Sparsify to `budget` points, then fit an exact GP on what is kept:
     factorize K = k(X,X) + sigma_y^2 I = L L^T and cache the whitened targets
-    L^-1 Y, one triangular solve, from which `gsf_predict` reads the mean."""
+    L^-1 Y, one triangular solve, from which `gsf_predict` reads the mean.
+
+    Points already sparsified, at most `budget` of them, are fit as they are."""
     X_local = np.asarray(X_local, dtype=np.float64).reshape(-1, 3)
     Y_logits = np.asarray(Y_logits, dtype=np.float64)
+    labels = np.asarray(labels).reshape(-1)
     if Y_logits.ndim != 2 or Y_logits.shape[0] != X_local.shape[0]:
         raise ValidationError(
             f"logits shape {Y_logits.shape} does not match {X_local.shape[0]} points"
+        )
+    if labels.shape[0] != X_local.shape[0]:
+        raise ValidationError(
+            f"{labels.shape[0]} labels do not match {X_local.shape[0]} points"
         )
     if X_local.shape[0] < 1:
         raise FitError("cannot fit a field on an empty neighborhood")
     if not np.all(np.isfinite(Y_logits)):
         raise ValidationError("logits contain non-finite values")
 
-    X, _, idx = semantic_sparsify(X_local, labels, budget, seed)
+    idx = semantic_sparsify(labels, budget, seed)
     if idx.size == 0:
         raise FitError("sparsification produced 0 points (budget too small for class mix)")
-    Y = Y_logits[idx]
+    X, Y = X_local[idx], Y_logits[idx]
     K = _gram(X, hyper.kappa)
     K[np.diag_indices_from(K)] += hyper.sigma_y**2
     factor, jitter = _factorize(K)
-    L, lower = factor
-    white_y = solve_triangular(L, Y, lower=lower, check_finite=False)
-    return GaussianSemanticField(X, Y, hyper, factor, white_y, jitter)
+    return GaussianSemanticField(X, Y, hyper, factor, _solve_lower(factor[0], Y), jitter)
 
 
 def _whiten(field: GaussianSemanticField, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """W = L^-1 k(X, points) (M,N) and the posterior mean W^T L^-1 Y (N,D)
     at `points` (N,3)."""
     kqx = matern32_matrix(points, field.X, field.hyper.kappa)
-    L, lower = field.factor
-    W = solve_triangular(L, kqx.T, lower=lower, check_finite=False)
+    W = _solve_lower(field.factor[0], kqx.T, overwrite_b=True)  # in kqx's own buffer
     return W, W.T @ field.white_y
 
 
@@ -307,28 +325,30 @@ def probe_grid(grid: GridSection, yaw: float | np.ndarray = 0.0) -> np.ndarray:
 def _yaw_plan(grid: tuple, yaws: tuple[float, ...]) -> tuple[np.ndarray, ...]:
     """How `grid_probe` probes a yaw stack, for the GridSection field values
     `grid`: the points (P,G,3) of the P yaws it probes, and for every yaw k
-    the probed member src[k] and point order perm[k] (G,) it gathers from.
+    where it gathers from, as flat indices: at[k] (G,), its points among the
+    P*G probed ones, and cells[k] (G,G), its covariance entries among the
+    P*G*G of the probed members.
 
     A yaw is probed unless its grid points are an earlier probed yaw's
     reordered (within PERMUTATION_TOL). The arrays are shared by every call
     with the same key, so they are read-only.
     """
     grids = probe_grid(GridSection(*grid), np.array(yaws))
-    probed, src, perm = [], [], []
+    g = grids.shape[1]
+    probed, at = [], []
     for k, points in enumerate(grids):
         for j, done in enumerate(probed):
             dist = cdist(points, grids[done])
             order = np.argmin(dist, axis=1)
             close = dist[np.arange(order.size), order].max() <= PERMUTATION_TOL
             if close and np.unique(order).size == order.size:
-                src.append(j)
-                perm.append(order)
+                at.append(j * g + order)
                 break
         else:
-            src.append(len(probed))
-            perm.append(np.arange(len(points)))
+            at.append(len(probed) * g + np.arange(g))
             probed.append(k)
-    plan = (grids[probed], np.array(src), np.stack(perm))
+    at = np.stack(at)
+    plan = (grids[probed], at, at[:, :, None] * g + at[:, None, :] % g)
     for a in plan:
         a.flags.writeable = False
     return plan
@@ -357,17 +377,16 @@ def grid_probe(
         points = probe_grid(grid, yaw)
     else:
         # the plain field values: astuple would deep-copy them on every call
-        points, src, perm = _yaw_plan(tuple(vars(grid).values()),
+        points, at, cells = _yaw_plan(tuple(vars(grid).values()),
                                       tuple(np.asarray(yaw, dtype=np.float64).tolist()))
     mu, Sigma = gsf_predict(field, points)
     Sigma = _clamp_psd(Sigma)
     weights = stability_weights(mu, taxonomy)
     if np.ndim(yaw) == 0:
         return GpPopulation(points, mu, Sigma, weights)
-    rows = src[:, None]
-    return GpPopulation(points[rows, perm], mu[rows, perm],
-                        Sigma[rows[:, :, None], perm[:, :, None], perm[:, None, :]],
-                        weights[rows, perm])
+    return GpPopulation(points.reshape(-1, 3).take(at, axis=0),
+                        mu.reshape(-1, mu.shape[-1]).take(at, axis=0),
+                        Sigma.take(cells), weights.take(at))
 
 
 def apply_stability_mask(Sigma: np.ndarray, weights: np.ndarray) -> np.ndarray:

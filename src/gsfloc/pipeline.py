@@ -343,14 +343,15 @@ def _clique(matches, qcents, mcents, config) -> list[Correspondence]:
 
 def _solve(picked, qcents, mcents, config) -> tuple[RigidTransform, list] | None:
     """Stage "solve": truncated IRLS over the clique. Returns the sensor pose in the
-    map frame and the surviving pairs; None if degenerate or fewer than 3 survive."""
-    cset = WeightedCorrespondenceSet(
-        p=np.stack([qcents[c.query_id] for c in picked]),
-        q=np.stack([mcents[c.map_id] for c in picked]),
-        omega=np.array([c.omega for c in picked]),
-        tau0=config.solver.tau0,
-    )
+    map frame and the surviving pairs; None if degenerate or fewer than 3 survive.
+    Clique weights that underflow to 0 (a tiny `sim.sigma_w`) are degenerate too."""
     try:
+        cset = WeightedCorrespondenceSet(
+            p=np.stack([qcents[c.query_id] for c in picked]),
+            q=np.stack([mcents[c.map_id] for c in picked]),
+            omega=np.array([c.omega for c in picked]),
+            tau0=config.solver.tau0,
+        )
         T_qm, mask, _trace = robust_irls(cset, config.solver.max_iters, config.solver.rel_tol)
     except (DegenerateGeometryError, IrlsFailure, ValidationError):
         return None

@@ -6,7 +6,9 @@ distance-threshold graph). Field layer (`fit_fields`), read only by GSF-filtered
 matching: one Gaussian semantic field per instance, fit on the radius-r
 neighborhood (all classes) in local coordinates centered at the instance
 centroid, one at a time, so a caller can probe each and drop it before the next
-is fitted. The graph keeps no copy of the cloud it was built from. Every
+is fitted. Each neighborhood is one row of squared distances from the centroid
+to the cloud, sparsified from its labels before any coordinate or logit of it
+is gathered. The graph keeps no copy of the cloud it was built from. Every
 setting comes from the run's `RunConfig`: the `cluster` section, the GP
 settings of `gsf` and `pipeline.seed`.
 
@@ -27,10 +29,11 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
+from scipy.spatial.distance import cdist
 
 from .config import ClusterSection, RunConfig
 from .core import FormatError, LabelTaxonomy, SemanticPointCloud, ValidationError, read_json
-from .gsf import FitError, GaussianSemanticField, GpHyperParams, fit_gsf
+from .gsf import FitError, GaussianSemanticField, GpHyperParams, fit_gsf, semantic_sparsify
 
 # k-d trees built once and queried once: the median splits of a balanced tree
 # and the shrunk node boxes of a compact one cost more to build than they save
@@ -140,29 +143,28 @@ def fit_fields(
     order, each fitted only when it is asked for.
 
     A field is fit on the points of `cloud`, the graph's own cloud, within
-    `config.cluster.neighborhood_radius` of the instance's centroid (one
-    batched ball query), with the GP settings of `config.gsf`. Each fit is
-    seeded by `config.pipeline.seed` and the instance id. A fit failure is
-    reported as a warning and gives None: the instance is skipped by GSF-based
-    filtering downstream.
+    `config.cluster.neighborhood_radius` of the instance's centroid, with the
+    GP settings of `config.gsf`. Each neighborhood comes from one row of
+    squared distances to the cloud, and is sparsified by `semantic_sparsify`,
+    seeded by `config.pipeline.seed` and the instance id, from its labels alone:
+    only the kept points are gathered, and `fit_gsf` fits them as they are. A
+    fit failure is reported as a warning and gives None: the instance is
+    skipped by GSF-based filtering downstream.
     """
-    if not graph.instances:
-        return
     hyper = GpHyperParams(config.gsf.kappa, config.gsf.sigma_y)
-    hoods = cKDTree(cloud.points, **_TREE).query_ball_point(
-        np.stack([inst.centroid for inst in graph.instances]),
-        config.cluster.neighborhood_radius, return_sorted=True)
-    for inst, hood in zip(graph.instances, hoods):
-        idx = np.asarray(hood, dtype=np.int64)
+    r2 = config.cluster.neighborhood_radius ** 2
+    for inst in graph.instances:
+        seed = [config.pipeline.seed, inst.id]
+        hood = np.flatnonzero(cdist(inst.centroid[None], cloud.points, "sqeuclidean")[0] <= r2)
         try:
-            field = fit_gsf(
-                cloud.points[idx] - inst.centroid,
-                cloud.logits[idx],
-                cloud.labels[idx],
-                hyper,
-                config.gsf.budget,
-                seed=[config.pipeline.seed, inst.id],
-            )
+            if hood.size:  # an empty neighborhood is fit_gsf's to refuse
+                hood = hood[semantic_sparsify(cloud.labels[hood], config.gsf.budget, seed)]
+                if not hood.size:
+                    raise FitError("sparsification kept 0 points (budget too small for class mix)")
+            # the kept points, which may exceed the budget by rounding, are their
+            # own budget: fit_gsf draws no more
+            field = fit_gsf(cloud.points[hood] - inst.centroid, cloud.logits[hood],
+                            cloud.labels[hood], hyper, hood.size, seed=seed)
         except FitError as e:
             warnings.warn(f"field fit failed for instance {inst.id}: {e}")
             field = None

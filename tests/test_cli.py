@@ -3,6 +3,7 @@ import io
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
 import zipfile
@@ -278,6 +279,24 @@ class TestLocalize:
         assert rc == 2
         assert "non-finite" in capsys.readouterr().err
 
+    def test_non_finite_logit_exit_2(self, scene_files, bundle, tmp_path, capsys):
+        raw = bytearray((scene_files / "q.logits").read_bytes())
+        labels = np.frombuffer((scene_files / "q.labels").read_bytes(), dtype="<u4")
+        label = int(labels[4]) & 0xFFFF
+        d = struct.unpack("<I", raw[8:12])[0]
+        # a NaN in point 4's own label column, which the argmax check passes
+        at = 16 + 4 * (4 * d + label)
+        raw[at:at + 4] = np.float32(np.nan).tobytes()
+        (tmp_path / "nan.logits").write_bytes(bytes(raw))
+        rc = main([
+            "localize", "--map", str(bundle),
+            "--points", str(scene_files / "q.points"),
+            "--labels", str(scene_files / "q.labels"),
+            "--logits", str(tmp_path / "nan.logits"),
+        ])
+        assert rc == 2
+        assert "point 4 has a non-finite logit" in capsys.readouterr().err
+
     def test_emptied_manifest_exit_1(self, scene_files, bundle, tmp_path, capsys):
         tampered = tmp_path / "tampered"
         shutil.copytree(bundle, tampered)
@@ -419,6 +438,14 @@ class TestLocalize:
                    "--logits", str(tmp_path / "q.logits")])
         status = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert rc == 3
+        assert status["status"] == "degenerate" and status["pose"] is None
+
+    @pytest.mark.filterwarnings("ignore:divide by zero")  # sigma_w**2 underflows to 0
+    def test_underflowing_clique_weights_exit_3(self, scene_files, bundle, capsys):
+        rc = _localize_query(bundle, scene_files, "--set", "sim.sigma_w=1e-300")
+        captured = capsys.readouterr()
+        status = json.loads(captured.out.strip().splitlines()[-1])
+        assert rc == 3 and "Traceback" not in captured.err
         assert status["status"] == "degenerate" and status["pose"] is None
 
     @pytest.mark.parametrize("override", ["gsf.kappa=6.0", "index.delta_d=5.0",
@@ -616,6 +643,28 @@ class TestInputFileNotUtf8:
         rc = main([command, "--spec", str(f), "--out", str(tmp_path / "out")])
         self._check(rc, capsys, f"spec file {f}", 2)
         assert not (tmp_path / "out").exists()
+
+
+class TestConfigNotAnObject:
+    """A --config file that parses but whose top level is not an object exits
+    1, naming the file, as one that does not parse does."""
+
+    @pytest.mark.parametrize("text", ["[1]", "5", "null"])
+    def test_build_map_config_exit_1(self, scene_files, tmp_path, capsys, text):
+        f = tmp_path / "cfg.json"
+        f.write_text(text)
+        rc = main(["build-map", "--points", str(scene_files / "map.points"),
+                   "--labels", str(scene_files / "map.labels"),
+                   "--out", str(tmp_path / "map"), "--config", str(f)])
+        assert rc == 1
+        assert f"config file {f}: top level must be an object" in capsys.readouterr().err
+        assert not (tmp_path / "map").exists()
+
+    def test_localize_config_exit_1(self, scene_files, bundle, tmp_path, capsys):
+        f = tmp_path / "cfg.json"
+        f.write_text("[1]")
+        assert _localize_query(bundle, scene_files, "--config", str(f)) == 1
+        assert f"config file {f}: top level must be an object" in capsys.readouterr().err
 
 
 class TestSelftest:

@@ -84,6 +84,16 @@ class TestCloudIO:
         with pytest.raises(ValidationError, match="point 2"):
             SemanticPointCloud(pts, [0, 0, 0])
 
+    @pytest.mark.parametrize("column", [0, 1])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_logit_rejected(self, bad, column):
+        """A non-finite logit is refused, naming the point, also where the
+        argmax check would pass it: in the label's own column."""
+        logits = one_hot_logits([0, 0, 0], 2)
+        logits[2, column] = bad
+        with pytest.raises(ValidationError, match="point 2 has a non-finite logit"):
+            SemanticPointCloud(np.zeros((3, 3)), [0, 0, 0], logits)
+
     def test_round_trip_bit_identical(self, tmp_path):
         rng = np.random.default_rng(0)
         pts = rng.normal(size=(50, 3)).astype(np.float32).astype(np.float64)

@@ -26,25 +26,20 @@ from gsfloc.gsf import (
 
 class TestSparsify:
     def test_proportional_counts(self):
-        rng = np.random.default_rng(0)
-        X = rng.normal(size=(100, 3))
         labels = np.array([0] * 80 + [1] * 20)
-        _, labs, idx = semantic_sparsify(X, labels, budget=10, seed=1)
-        assert np.count_nonzero(labs == 0) == 8
-        assert np.count_nonzero(labs == 1) == 2
+        idx = semantic_sparsify(labels, budget=10, seed=1)
+        assert np.count_nonzero(labels[idx] == 0) == 8
+        assert np.count_nonzero(labels[idx] == 1) == 2
         assert idx.size == 10
 
     def test_budget_at_least_m_keeps_all(self):
-        rng = np.random.default_rng(1)
-        X = rng.normal(size=(37, 3))
-        labels = rng.integers(0, 4, 37)
-        _, _, idx = semantic_sparsify(X, labels, budget=37, seed=0)
-        assert np.array_equal(idx, np.arange(37))
+        labels = np.random.default_rng(1).integers(0, 4, 37)
+        for budget in (37, 38, 2048):
+            assert np.array_equal(semantic_sparsify(labels, budget, seed=0), np.arange(37))
 
     def test_single_class_exact(self):
-        X = np.random.default_rng(2).normal(size=(100, 3))
-        Xs, labs, idx = semantic_sparsify(X, np.full(100, 3), budget=5, seed=0)
-        assert idx.size == 5 and (labs == 3).all()
+        idx = semantic_sparsify(np.full(100, 3), budget=5, seed=0)
+        assert idx.size == 5 and np.unique(idx).size == 5
 
     def test_proportion_property(self):
         rng = np.random.default_rng(3)
@@ -52,7 +47,7 @@ class TestSparsify:
             m = int(rng.integers(20, 300))
             labels = rng.integers(0, 6, m)
             n = int(rng.integers(1, m + 10))
-            _, labs, _ = semantic_sparsify(rng.normal(size=(m, 3)), labels, n, seed=int(rng.integers(1e6)))
+            labs = labels[semantic_sparsify(labels, n, seed=int(rng.integers(1e6)))]
             for c in np.unique(labels):
                 n_c = np.count_nonzero(labs == c)
                 target = np.count_nonzero(labels == c) / m * n
@@ -61,20 +56,21 @@ class TestSparsify:
                 assert abs(min(target, np.count_nonzero(labels == c)) - n_c) <= 0.5 + 1e-9
 
     def test_determinism(self):
-        rng = np.random.default_rng(4)
-        X = rng.normal(size=(200, 3))
-        labels = rng.integers(0, 5, 200)
-        _, _, a = semantic_sparsify(X, labels, 64, seed=99)
-        _, _, b = semantic_sparsify(X, labels, 64, seed=99)
+        labels = np.random.default_rng(4).integers(0, 5, 200)
+        a = semantic_sparsify(labels, 64, seed=99)
+        b = semantic_sparsify(labels, 64, seed=99)
         assert np.array_equal(a, b)
 
     def test_indices_trace_back(self):
-        rng = np.random.default_rng(5)
-        X = rng.normal(size=(50, 3))
-        labels = rng.integers(0, 3, 50)
-        Xs, labs, idx = semantic_sparsify(X, labels, 20, seed=0)
-        np.testing.assert_array_equal(Xs, X[idx])
-        np.testing.assert_array_equal(labs, labels[idx])
+        """The kept indices are distinct rows of the input, ascending."""
+        labels = np.random.default_rng(5).integers(0, 3, 50)
+        idx = semantic_sparsify(labels, 20, seed=0)
+        assert np.all(np.diff(idx) > 0) and 0 <= idx[0] and idx[-1] < 50
+
+    @pytest.mark.parametrize("budget, m", [(0, 5), (3, 0)])
+    def test_bad_budget_or_empty_refused(self, budget, m):
+        with pytest.raises(ValidationError):
+            semantic_sparsify(np.zeros(m, int), budget, seed=0)
 
 
 class TestKernel:
@@ -194,6 +190,43 @@ class TestFit:
         K = matern32_matrix(fld.X, fld.X, 1.7) + fld.jitter * np.eye(12)
         assert np.array_equal(np.tril(fld.factor[0]), np.tril(cho_factor(K, lower=True)[0]))
 
+    @pytest.mark.parametrize("m", [1, 7, 127, 128, 256])
+    def test_factorize_equals_cho_factor(self, m):
+        """`_factorize`'s direct LAPACK factor is `cho_factor(K, lower=True)`
+        bit for bit, both triangles, at sizes on both sides of where LAPACK
+        starts to thread; and `_solve_lower` is `solve_triangular` bit for bit,
+        in its own buffer or in the right-hand side's."""
+        rng = np.random.default_rng(m)
+        X = rng.uniform(-8.0, 8.0, (m, 3))
+        K = matern32_matrix(X, X, 2.0)
+        K[np.diag_indices_from(K)] += 0.1**2
+        want = cho_factor(K, lower=True)[0]
+        (L, lower), jitter = gsf._factorize(K.copy())
+        assert np.array_equal(L, want) and lower and jitter == 0.0
+        B = rng.normal(size=(m, 12))
+        assert np.array_equal(gsf._solve_lower(L, B), solve_triangular(want, B, lower=True))
+        Bf = np.asfortranarray(rng.normal(size=(m, 50)))
+        expect = solve_triangular(want, Bf, lower=True)
+        got = gsf._solve_lower(L, Bf, overwrite_b=True)
+        assert np.array_equal(got, expect) and np.shares_memory(got, Bf)
+
+    @pytest.mark.parametrize("m", [12, 200])
+    def test_jittered_factorize_equals_cho_factor(self, m):
+        """A K that factors only with jitter: the retry's factor is that of
+        `cho_factor(K + jitter I, lower=True)` bit for bit, at the first jitter
+        of the escalation that `cho_factor` itself accepts."""
+        rng = np.random.default_rng(m)
+        X = rng.uniform(-4.0, 4.0, (m, 3))
+        X[m // 2:] = X[: m - m // 2]  # every point twice: K is singular
+        K = matern32_matrix(X, X, 1.7)
+        (L, _), jitter = gsf._factorize(K.copy())
+        assert jitter > 0
+        assert np.array_equal(L, cho_factor(K + jitter * np.eye(m), lower=True)[0])
+        for tried in [0.0] + [gsf.JITTER_START * 2.0**k for k in range(40)
+                              if gsf.JITTER_START * 2.0**k < jitter]:
+            with pytest.raises(np.linalg.LinAlgError):
+                cho_factor(K + tried * np.eye(m), lower=True)
+
     def test_noise_shifts_eigenvalues(self):
         rng = np.random.default_rng(9)
         X = rng.normal(size=(10, 3))
@@ -202,6 +235,13 @@ class TestFit:
         e0 = np.sort(np.linalg.eigvalsh(K0))
         e1 = np.sort(np.linalg.eigvalsh(K0 + sy2 * np.eye(10)))
         np.testing.assert_allclose(e1 - e0, sy2, atol=1e-10)
+
+    @pytest.mark.parametrize("n_labels", [2, 4])
+    def test_label_count_mismatch_refused(self, n_labels):
+        """The draw reads only the labels, so a label count other than the
+        point count is refused rather than drawing rows that are not there."""
+        with pytest.raises(ValidationError, match=f"{n_labels} labels do not match 3 points"):
+            fit_gsf(np.eye(3), np.ones((3, 1)), [0] * n_labels, GpHyperParams(), 1, seed=0)
 
     def test_empty_sparsification_raises(self):
         # 3 singleton classes, budget 1: every class rounds to 0

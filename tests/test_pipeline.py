@@ -717,6 +717,21 @@ class TestLocalize:
         assert res.clique_size == 6
         assert res.status == "degenerate" and res.pose is None
 
+    def test_underflowing_clique_weights_degenerate(self, scene, ref_map):
+        """A sigma_w so small that every clique weight underflows to 0 leaves
+        the pose solve nothing to weigh: the query ends "degenerate" without a
+        pose, as a failed solve does, not with a refusal naming no key."""
+        cloud, _ = scene
+        scan = simulate_scan(cloud, sample_query_poses(1, seed=7, half=15.0)[0],
+                             range_max=60.0, dropout_rate=0.3, noise_sigma=0.03, seed=42)
+        cfg = RunConfig()
+        cfg.sim.sigma_w = 1e-300
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # sigma_w**2 underflows in the similarity
+            res = localize(scan, ref_map, cfg)
+        assert res.clique_size >= 3
+        assert res.status == "degenerate" and res.pose is None
+
     def test_grid_geometry_mismatch_rejected(self, scene, ref_map):
         cloud, _ = scene
         cfg = RunConfig()

@@ -1,5 +1,6 @@
 """Oracles as properties: W2, its scale law and the lower-bound cut of the
-W2 table; and a damaged map bundle, refused or localizing.
+W2 table; the class-proportional draw of semantic sparsification; and a
+damaged map bundle, refused or localizing.
 
 Populations are drawn small (up to 5 grid points, 3 classes, 4 yaws) with
 covariances of every rank from 0 to full, means that may coincide, and yaw
@@ -24,7 +25,7 @@ from hypothesis import strategies as st
 from gsfloc import descriptors
 from gsfloc.core import FormatError, default_taxonomy
 from gsfloc.descriptors import pair_w2
-from gsfloc.gsf import GpPopulation, stack_populations
+from gsfloc.gsf import GpPopulation, semantic_sparsify, stack_populations
 from gsfloc.pipeline import BUNDLE_FILES, build_map, load_map, localize, save_map
 from gsfloc.synth import (
     InstanceTemplate,
@@ -195,6 +196,41 @@ def _load_changed(name: str, raw: bytes):
         for n, data in files.items():
             (Path(d) / n).write_bytes(data)
         return load_map(d)
+
+
+def _sparsify_loop(labels, budget, seed):
+    """Semantic sparsification's per-class draw, written out: every class, in
+    ascending order, draws round(n_c / m * budget) of its points, at most all,
+    from one generator; the kept indices ascending."""
+    m = len(labels)
+    rng = np.random.default_rng(seed)
+    keep = []
+    for c in np.unique(labels):
+        idx = np.nonzero(labels == c)[0]
+        n_c = min(int(np.rint(idx.size / m * budget)), idx.size)
+        if n_c == 0:
+            continue
+        keep.append(rng.choice(idx, size=n_c, replace=False))
+    return np.sort(np.concatenate(keep)) if keep else np.zeros(0, dtype=np.int64)
+
+
+@st.composite
+def labelled_points(draw):
+    """m labels from 1 to 12 distinct class ids at drawn frequencies."""
+    classes = draw(st.lists(st.integers(0, 40), min_size=1, max_size=12, unique=True))
+    weights = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=len(classes),
+                                     max_size=len(classes))))
+    m = draw(st.integers(1, 600))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return np.array(classes)[rng.choice(len(classes), size=m, p=weights / weights.sum())]
+
+
+@given(labelled_points(), st.integers(1, 600), st.integers(0, 2**31 - 1))
+def test_sparsify_equals_per_class_loop(labels, budget, seed):
+    """The kept indices are those of the written-out loop, index for index, with
+    a budget below, at or above the point count: above, nothing is drawn."""
+    got = semantic_sparsify(labels, budget, [seed, 7])
+    assert np.array_equal(got, _sparsify_loop(labels, budget, [seed, 7]))
 
 
 @st.composite

@@ -267,12 +267,62 @@ class TestBuildGraph:
         assert len(neighborhood_classes) > 1  # all classes included, not only instantiable
 
 
+    @pytest.mark.parametrize("centroid", [(0.0, 0.0, 0.0), (1.5, -2.25, 0.5)])
+    def test_neighborhood_boundary_as_ball_query(self, centroid):
+        """A point exactly `neighborhood_radius` from the centroid is in its
+        neighbourhood and one at the next float beyond is not, as with
+        `cKDTree.query_ball_point`."""
+        r = 10.0
+        c = np.array(centroid)
+        beyond = np.nextafter(r, np.inf)
+        offsets = np.array([[r, 0, 0], [0, -r, 0], [0, 0, r], [6, 8, 0], [0, 0, 0.5],
+                            [beyond, 0, 0], [0, -beyond, 0], [6, np.nextafter(8.0, 9.0), 0],
+                            [0, 0, beyond]])
+        cloud = make_cloud(c + offsets, [1] * len(offsets))
+        assert np.array_equal(np.linalg.norm(cloud.points - c, axis=1)[:5], [r] * 4 + [0.5])
+        cfg = RunConfig()
+        cfg.cluster.neighborhood_radius = r
+        (_, fld), = fit_fields(SceneGraph([Instance(0, c, 1, np.arange(5))]), cloud, cfg)
+        kept = cKDTree(cloud.points).query_ball_point(c, r, return_sorted=True)
+        assert kept == [0, 1, 2, 3, 4]
+        assert np.array_equal(fld.X + c, cloud.points[kept])
+
+    def test_budget_too_small_for_class_mix_warns(self):
+        """A neighbourhood whose class-proportional draw keeps no point, three
+        equal classes at budget 1, gets no field and a warning naming why."""
+        rng = np.random.default_rng(3)
+        cloud = make_cloud(rng.normal(size=(12, 3)), [0, 1, 2] * 4)
+        cfg = RunConfig()
+        cfg.gsf.budget = 1
+        with pytest.warns(UserWarning, match="instance 0: sparsification kept 0 points"):
+            (iid, fld), = fit_fields(SceneGraph([Instance(0, np.zeros(3), 1, np.arange(4))]),
+                                     cloud, cfg)
+        assert (iid, fld) == (0, None)
+
+    def test_kept_count_above_budget_drawn_once(self):
+        """Rounding can keep more points than the budget (classes of 1, 1 and 4
+        points at budget 4 keep 1, 1 and 3): the field is fit on those 5, drawn
+        once, as `fit_gsf` draws them from the whole neighbourhood; a second
+        draw at budget 4 would keep 1, 1 and 2."""
+        rng = np.random.default_rng(4)
+        cloud = make_cloud(rng.normal(size=(6, 3)), [0, 1, 2, 2, 2, 2])
+        cfg = RunConfig()
+        cfg.gsf.budget = 4
+        (_, fld), = fit_fields(SceneGraph([Instance(0, np.zeros(3), 1, np.arange(3))]),
+                               cloud, cfg)
+        want = fit_gsf(cloud.points, cloud.logits, cloud.labels,
+                       GpHyperParams(cfg.gsf.kappa, cfg.gsf.sigma_y), 4,
+                       seed=[cfg.pipeline.seed, 0])
+        assert fld.m == want.m == 5
+        assert fld.X.tobytes() == want.X.tobytes() and fld.Y.tobytes() == want.Y.tobytes()
+
     def test_batched_neighborhoods_equal_single_queries(self, taxonomy):
-        """`fit_fields`, with its one batched ball query on the unbalanced tree,
-        equals byte for byte a written-out loop of sorted single-centroid
-        queries on a default tree, each followed by `fit_gsf`: X, Y, the
-        factor, the whitened targets and the jitter of every field. An instance
-        with an empty neighbourhood gets None and a warning."""
+        """`fit_fields`, with one distance row and one draw from the labels per
+        instance, equals byte for byte a written-out loop of sorted
+        single-centroid ball queries, each followed by `fit_gsf` on the whole
+        neighbourhood: X, Y, the factor, the whitened targets and the jitter of
+        every field. An instance with an empty neighbourhood gets None and a
+        warning."""
         from gsfloc.synth import generate_scene
 
         cloud, _ = generate_scene(small_scene_spec(seed=10), taxonomy)
