@@ -212,13 +212,12 @@ def cmd_selftest(args) -> int:
     """Quick oracle-equivalence checks of the numerical core."""
     from scipy.linalg import inv
 
-    from .gsf import (GpHyperParams, fit_gsf, gsf_predict, grid_probe, matern32_matrix,
-                      semantic_sparsify)
+    from .gsf import (GpHyperParams, GpPopulation, fit_gsf, gsf_predict, grid_probe,
+                      matern32_matrix, semantic_sparsify)
     from .matching import ConsistencyGraph, Correspondence, brute_force_max_clique, max_clique
     from .pose_solver import WeightedCorrespondenceSet, weighted_kabsch
     from .core import RigidTransform, rotation_angle_deg, rot_z
     from .descriptors import TriangleDescriptor, build_index, pair_w2, query_index
-    from .gsf import GpPopulation
     from .wasserstein import w2_squared
 
     rng = np.random.default_rng(7)
@@ -333,14 +332,13 @@ def cmd_selftest(args) -> int:
     def population(*lead):
         g = 25
         a = rng.normal(size=(*lead, g, g))
-        return GpPopulation(np.zeros((*lead, g, 3)), rng.normal(size=(*lead, g, 12)),
+        return GpPopulation(np.zeros((g, 3)), rng.normal(size=(*lead, g, 12)),
                             a @ np.swapaxes(a, -1, -2) / g, rng.uniform(0.1, 1.0, (*lead, g)))
 
-    pops_q = {q: population(8) for q in range(4)}
-    pops_m = {m: population() for m in range(5)}
+    pops_q, pops_m = population(4, 8), population(5)
     for q, y, m, scale in [(0, 3, 2, 1.0), (0, 6, 2, 1.0), (1, 5, 4, 2.25)]:
-        pops_q[q].mu[y], pops_q[q].stability_weights[y] = pops_m[m].mu, pops_m[m].stability_weights
-        pops_q[q].Sigma[y] = scale * pops_m[m].Sigma
+        pops_q[q, y] = pops_m[m]
+        pops_q.Sigma[q, y] *= scale
     qids, mids = (np.ravel(v) for v in np.meshgrid(range(4), range(5), indexing="ij"))
     table = pair_w2(qids, mids, pops_q, pops_m, True)
     loop = [float(np.min(w2_squared(pops_q[q], pops_m[m], True)))

@@ -178,15 +178,19 @@ _POSITIVE_KEYS = {"sim.sigma_w", "sim.accept_threshold", "sim.yaw_samples",
 _NON_NEGATIVE_KEYS = {"cluster.neighborhood_radius", "cluster.default_threshold",
                       "cluster.min_cluster_size", "matching.epsilon", "solver.rel_tol",
                       "pipeline.query_voxel", "gsf.sigma_y"}
-# integer keys with their least value: grid sides, the GP budget, and the two
-# neighbours an anchor's triangles need
-_LEAST = {"gsf.grid.nx": 1, "gsf.grid.ny": 1, "gsf.budget": 1, "index.k_neighbors": 2}
-# integer keys with their greatest value, to bound a query's work: each GP fit
-# factors a budget x budget kernel matrix, and each query instance's probe
-# stack holds yaw_samples x (nx ny)^2 doubles (36 x 256^2 x 8 B = 19 MB at the
-# caps); the grid's point count nx x ny is held to GRID_POINTS_MOST by
-# `_check_grid`, after every key of an update is set
-_MOST = {"gsf.budget": 2048, "sim.yaw_samples": 36}
+# sim.sigma_w's range: the similarity divides by its square, which stays a
+# normal float64 inside it; one outside it overflows or underflows
+SIGMA_W_RANGE = (1e-100, 1e100)
+# keys with their least value: grid sides, the GP budget, the two neighbours
+# an anchor's triangles need, and sigma_w
+_LEAST = {"gsf.grid.nx": 1, "gsf.grid.ny": 1, "gsf.budget": 1, "index.k_neighbors": 2,
+          "sim.sigma_w": SIGMA_W_RANGE[0]}
+# keys with their greatest value: sigma_w, and integer keys that bound a
+# query's work: each GP fit factors a budget x budget kernel matrix, and each
+# query instance's probe stack holds yaw_samples x (nx ny)^2 doubles
+# (36 x 256^2 x 8 B = 19 MB at the caps); the grid's point count nx x ny is held
+# to GRID_POINTS_MOST by `_check_grid`, after every key of an update is set
+_MOST = {"gsf.budget": 2048, "sim.yaw_samples": 36, "sim.sigma_w": SIGMA_W_RANGE[1]}
 GRID_POINTS_MOST = 256
 # float keys where Infinity means "no limit"; every other float value must be finite
 _NO_LIMIT_KEYS = {"sim.accept_threshold", "pipeline.success_trans_m",
@@ -239,7 +243,9 @@ def _coerce(section, key: str, value, path: str):
                               f"{' or '.join(map(_describe, kinds))}, got {value!r}")
     if kind in (int, float, dict):
         value = kind(value)
-    if path in _POSITIVE_KEYS and value is not None and not value > 0:
+    if value is None:  # null: the self-tuned default of the two keys that take it
+        return value
+    if path in _POSITIVE_KEYS and not value > 0:
         raise ValidationError(f"config key {path!r} must be > 0, got {value}")
     if path in _NON_NEGATIVE_KEYS and not value >= 0:
         raise ValidationError(f"config key {path!r} must be >= 0, got {value}")

@@ -40,7 +40,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .core import FormatError, ValidationError
-from .gsf import GpPopulation, stack_populations
+from .gsf import GpPopulation
 from .wasserstein import SimilarityConfig, similarity_weight, w2_lower_bound, w2_squared
 
 INDEX_MAGIC = b"GSFI"
@@ -263,24 +263,24 @@ W2_CHUNK_BYTES = 2 << 20
 def pair_w2(
     qids: np.ndarray,
     mids: np.ndarray,
-    pops_query: dict[int, GpPopulation],
-    pops_map: dict[int, GpPopulation],
+    pops_query: GpPopulation,
+    pops_map: GpPopulation,
     use_stability: bool,
 ) -> np.ndarray:
     """Min-over-yaw squared W2 between query and map instance populations.
 
-    `pops_query` holds each query instance's stacked population over the yaw
-    samples; two equal-length id arrays give one value per (qids[p], mids[p])
-    pair. The pairs are scored in chunks whose (pairs x yaws x G x G)
-    covariance stack stays under W2_CHUNK_BYTES. Per chunk, every query and
-    map population is stacked once and `w2_lower_bound` bounds every
-    (pair, yaw) member; then two `w2_squared` calls score only the members
-    that can be a pair's minimum:
+    `pops_query` and `pops_map` are tables, row i instance i's, each query row
+    a stack over the yaw samples; two equal-length id arrays give one value
+    per (qids[p], mids[p]) pair. The pairs are scored in chunks whose
+    (pairs x yaws x G x G) covariance stack stays under W2_CHUNK_BYTES. Per
+    chunk, the query and map rows it names are gathered once and
+    `w2_lower_bound` bounds every (pair, yaw) member; then two `w2_squared`
+    calls score only the members that can be a pair's minimum:
 
     1. each pair's lowest-bound yaw, gathered first so that only those
        members are masked;
     2. every other member whose bound does not exceed its pair's value from
-       pass 1, against only the map populations these members touch.
+       pass 1, against only the map rows these members touch.
 
     Each pair takes the smaller of the two. The bound already has a rounding
     slack taken off, so a skipped member's computed W2^2 exceeds a scored
@@ -290,33 +290,25 @@ def pair_w2(
     qids, mids = np.asarray(qids, dtype=np.int64), np.asarray(mids, dtype=np.int64)
     out = np.empty(qids.size)
     if qids.size:
-        sigma = pops_query[int(qids[0])].Sigma
-        step = max(1, W2_CHUNK_BYTES // sigma.nbytes)
+        step = max(1, W2_CHUNK_BYTES // pops_query.Sigma[0].nbytes)
         for lo in range(0, qids.size, step):
             uq, ia = np.unique(qids[lo:lo + step], return_inverse=True)
             um, ib = np.unique(mids[lo:lo + step], return_inverse=True)
-            pop_q = stack_populations([pops_query[q] for q in uq.tolist()])
-            pop_m = stack_populations([pops_map[m] for m in um.tolist()])
+            pop_q, pop_m = pops_query[uq], pops_map[um]
             bound = w2_lower_bound(pop_q, pop_m, use_stability, (ia, ib))
             rows = np.arange(ia.size)
             yaw = np.argmin(bound, axis=1)
-            best = w2_squared(_members(pop_q, ia, yaw), pop_m, use_stability, (rows, ib))
+            best = w2_squared(pop_q[ia, yaw], pop_m, use_stability, (rows, ib))
             todo = ~(bound > best[:, None])  # a NaN bound or value is scored
             todo[rows, yaw] = False
             p, y = np.nonzero(todo)
             if p.size:
                 touched, jb = np.unique(ib[p], return_inverse=True)
-                more = w2_squared(_members(pop_q, ia[p], y), _members(pop_m, touched),
-                                  use_stability, (np.arange(p.size), jb))
+                more = w2_squared(pop_q[ia[p], y], pop_m[touched], use_stability,
+                                  (np.arange(p.size), jb))
                 np.minimum.at(best, p, more)
             out[lo:lo + step] = best
     return out
-
-
-def _members(pop: GpPopulation, *index) -> GpPopulation:
-    """The members of a stacked population at `index`, as one stack."""
-    return GpPopulation(pop.grid, pop.mu[index], pop.Sigma[index],
-                        pop.stability_weights[index])
 
 
 def gsf_filter(

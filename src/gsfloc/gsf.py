@@ -81,8 +81,9 @@ class GaussianSemanticField:
 class GpPopulation:
     """Multivariate Gaussian obtained by probing a field on a fixed grid.
 
-    A stacked population (one field probed at Y yaws) has a leading (Y,) axis
-    on every array.
+    A stacked population (Y yaws) has a leading (Y,) axis on every array; a
+    table of K instances puts a (K,) axis first, row i instance i's, on all
+    but its shared grid. `pop[index]` reads or writes members as one stack.
     """
 
     grid: np.ndarray  # (G,3) probe locations, local frame
@@ -90,13 +91,13 @@ class GpPopulation:
     Sigma: np.ndarray  # (G,G) predictive covariance, PSD (negatives clamped)
     stability_weights: np.ndarray  # (G,) in (0,1]
 
+    def __getitem__(self, index) -> "GpPopulation":
+        return GpPopulation(self.grid, self.mu[index], self.Sigma[index],
+                            self.stability_weights[index])
 
-def stack_populations(pops) -> GpPopulation:
-    """A sequence of populations as one stack for W2 scoring: mu, Sigma and
-    the weights gain a leading member axis. W2 does not read the grid, so it
-    is not copied: the stack keeps the first member's."""
-    return GpPopulation(pops[0].grid, *(np.stack([getattr(p, f) for p in pops])
-                                        for f in ("mu", "Sigma", "stability_weights")))
+    def __setitem__(self, index, pop: "GpPopulation") -> None:
+        self.mu[index], self.Sigma[index] = pop.mu, pop.Sigma
+        self.stability_weights[index] = pop.stability_weights
 
 
 def semantic_sparsify(labels, budget: int, seed) -> np.ndarray:

@@ -3,22 +3,23 @@
 `localize` runs one private function per entry of STAGES, each timed under
 its name: `_query_graph` (prepare, voxel, the scene graph's object layer),
 `_query_probes` (each instance's field fitted and probed by `grid_probe` at
-every yaw sample, run only with the GSF filter on; `grid_probe` itself probes
-only the yaws whose grid is not a reordering of an earlier one and gathers the
-rest), `_match`
-(triangles; one `query_index` call for all of them, which gives the coarse
-candidates as one (triangle row, candidate id) array; one W2 table of every
-instance pair the GSF filter reads, from one batched `pair_w2` call into a
+every yaw sample into one population table, run only with the GSF filter on;
+`grid_probe` itself probes only the yaws whose grid is not a reordering of an
+earlier one and gathers the rest), `_match` (triangles; one `query_index`
+call for all of them, which gives the coarse candidates as one (triangle row,
+candidate id) array; one W2 table of every instance pair the GSF filter
+reads, from one batched `pair_w2` call that gathers the rows it reads into a
 dense (query instance x map instance) array, with the similarity self-tuned
 from it; then one `gsf_filter` call over all candidates, whose survivors come
 back as one `TriangleMatches` array record), `_clique` (correspondences merged
 from that record by array operations, consistency graph, max clique) and
 `_solve` (robust IRLS).
 
-A map holds only what `localize` reads: each instance's centroid, the probed
-populations, the triangle index, the taxonomy and the config. Map and query
-share one fit-and-probe path, `_probe_fields`, which drops each field once it
-is probed; `build_map` drops the map cloud once it is triangulated.
+A map holds only what `localize` reads: each instance's centroid, one table
+of probed populations, row i instance i's, with a mask of the fitted rows,
+the triangle index, the taxonomy and the config. Map and query share one
+fit-and-probe path, `_probe_fields`, which fills a row and drops its field;
+`build_map` drops the map cloud once it is triangulated.
 
 Map bundle directory layout, version 5:
     graph.json        instance ids and centroids
@@ -40,8 +41,8 @@ does not read, lacks an array or holds a non-finite value, ids that are not
 one strictly ascending row of integers, a mu other than (P, G, D) or a Sigma
 other than (P, G, G) for the config's G grid points and the taxonomy's D
 classes, and an index or population of an instance that graph.json does not
-hold. Each population is a view of its rows; its grid and stability weights
-are rebuilt from the config and the taxonomy, as `grid_probe` made them.
+hold. The stored rows fill a NaN table; its grid and stability weights are
+rebuilt from the config and the taxonomy, as `grid_probe` made them.
 
 The returned pose maps query-frame (sensor) coordinates into the map frame.
 """
@@ -121,7 +122,8 @@ class BuildError(GsflocError):
 class ReferenceMap:
     centroids: dict[int, np.ndarray]  # instance id -> map-frame centroid
     index: DescriptorIndex
-    populations: dict[int, GpPopulation | None]  # instance id -> canonical population
+    populations: GpPopulation  # (K, G, ·) table, row i instance i's, NaN where a fit failed
+    fitted: np.ndarray  # (K,) bool, the rows of `populations` that hold a population
     taxonomy: LabelTaxonomy
     config: RunConfig
 
@@ -236,10 +238,10 @@ def build_map(
         raise BuildError(
             f"map has {graph.num_instances} instances; at least 3 are required"
         )
-    populations = _probe_fields(graph, cloud, taxonomy, config, 0.0)
+    fitted, populations = _probe_fields(graph, cloud, taxonomy, config, 0.0)
     index = build_index(triangulate(graph, config.index.k_neighbors), config.index.delta_d)
     centroids = {inst.id: inst.centroid for inst in graph.instances}
-    return ReferenceMap(centroids, index, populations, taxonomy, config)
+    return ReferenceMap(centroids, index, populations, fitted, taxonomy, config)
 
 
 def _timed(timings: dict, stage: str, fn, *args):
@@ -250,11 +252,24 @@ def _timed(timings: dict, stage: str, fn, *args):
     return out
 
 
-def _probe_fields(graph, cloud, taxonomy, config, yaw) -> dict[int, GpPopulation | None]:
+def _nan_table(grid: np.ndarray, k: int, n_cls: int) -> GpPopulation:
+    """A table of k populations on `grid` (G,3), or a yaw stack (Y,G,3), all NaN."""
+    lead, g = (k, *grid.shape[:-2]), grid.shape[-2]
+    return GpPopulation(grid, np.full((*lead, g, n_cls), np.nan),
+                        np.full((*lead, g, g), np.nan), np.full((*lead, g), np.nan))
+
+
+def _probe_fields(graph, cloud, taxonomy, config, yaw) -> tuple[np.ndarray, GpPopulation]:
     """Each instance's field fitted, probed at `yaw` (a float or a sequence) and
-    dropped: its population by instance id, None where the fit failed."""
-    return {iid: None if field is None else grid_probe(field, taxonomy, config.gsf.grid, yaw)
-            for iid, field in fit_fields(graph, cloud, config)}
+    dropped: the (K,) fitted mask and the table, row i instance i's, NaN where it failed."""
+    grid = probe_grid(config.gsf.grid, yaw)
+    fitted = np.zeros(graph.num_instances, dtype=bool)
+    table = _nan_table(grid, graph.num_instances, taxonomy.num_classes)
+    for iid, field in fit_fields(graph, cloud, config):
+        if field is not None:
+            table[iid] = grid_probe(field, taxonomy, config.gsf.grid, yaw)
+            fitted[iid] = True
+    return fitted, table
 
 
 def _query_graph(query_cloud, taxonomy, config) -> tuple[SemanticPointCloud, SceneGraph]:
@@ -264,41 +279,39 @@ def _query_graph(query_cloud, taxonomy, config) -> tuple[SemanticPointCloud, Sce
     return cloud, build_scene_graph(cloud, taxonomy, config)
 
 
-def _query_probes(qgraph, cloud, taxonomy, config) -> dict[int, GpPopulation | None]:
-    """Stage "probe": every instance's stacked population over the yaw samples."""
+def _query_probes(qgraph, cloud, taxonomy, config) -> tuple[np.ndarray, GpPopulation]:
+    """Stage "probe": the fitted mask and the (K, Y, G, ·) table at the yaw samples."""
     n = config.sim.yaw_samples
     return _probe_fields(qgraph, cloud, taxonomy, config, [2.0 * np.pi * k / n for k in range(n)])
 
 
 def _w2_table(
-    descs, cand, pops_query, ref_map, config
+    descs, cand, q_ok, pops_query, ref_map, config
 ) -> tuple[np.ndarray, np.ndarray, SimilarityConfig | None]:
     """Score each distinct (query, map) instance pair the fine filter reads, once,
     all in one `pair_w2` call.
 
     Skips, with a warning, a query triangle or a candidate that touches an
-    instance without a population. A kept candidate pairs its triangle's
-    vertices under every stored vertex order and canonically. Returns the kept
-    rows of `cand`, the W2^2 table as a dense (query instance x map instance)
-    array, NaN where no pair was scored, and the similarity scaled to the
-    median W2^2 over the canonical pairs (None if there is none).
+    instance `q_ok` or `ref_map.fitted` leaves out. A kept candidate pairs its
+    triangle's vertices under every stored vertex order and canonically.
+    Returns the kept rows of `cand`, the W2^2 table as a dense (query instance
+    x map instance) array, NaN where no pair was scored, and the similarity
+    scaled to the median W2^2 over the canonical pairs (None if there is none).
     """
-    index, pops_map = ref_map.index, ref_map.populations
+    index, pops_map, m_ok = ref_map.index, ref_map.populations, ref_map.fitted
     qv = vertex_array(descs)
     n_query = int(qv.max()) + 1 if qv.size else 0
     n_map = int(index.vertex_ids.max()) + 1 if index.vertex_ids.size else 0
-    q_ok = np.array([pops_query.get(q) is not None for q in range(n_query)], dtype=bool)
-    m_ok = np.array([pops_map.get(m) is not None for m in range(n_map)], dtype=bool)
     row_ok = q_ok[qv].all(axis=1)
     cand_ok = m_ok[index.vertex_ids[cand[:, 1]]].all(axis=1)
     lost = row_ok[cand[:, 0]] & ~cand_ok
     for r, cid in sorted([(r, -1) for r in np.flatnonzero(~row_ok).tolist()]
                          + cand[lost].tolist()):
         if cid < 0:
-            missing = [q for q in descs[r].vertex_ids if pops_query.get(q) is None]
+            missing = [q for q in descs[r].vertex_ids if not q_ok[q]]
             warnings.warn(f"query instances {missing} lack fields; candidates skipped")
         else:
-            missing = [m for m in index.vertex_ids[cid].tolist() if pops_map.get(m) is None]
+            missing = [m for m in index.vertex_ids[cid].tolist() if not m_ok[m]]
             warnings.warn(f"map instances {missing} lack fields; candidate {cid} skipped")
     kept = cand[row_ok[cand[:, 0]] & cand_ok]
     kq, cids = qv[kept[:, 0]], kept[:, 1]
@@ -318,15 +331,15 @@ def _w2_table(
     )
 
 
-def _match(qgraph, pops_query, ref_map, config) -> tuple[int, TriangleMatches]:
+def _match(qgraph, probes, ref_map, config) -> tuple[int, TriangleMatches]:
     """Stage "match": triangles, one coarse lookup for all of them, then one GSF
-    fine filter over one W2 table (canonical pairing with it off). Returns the
-    triangle count and the matches."""
+    fine filter over one W2 table of `probes` (canonical pairing with it off).
+    Returns the triangle count and the matches."""
     descs = triangulate(qgraph, config.index.k_neighbors)
     cand = query_index(ref_map.index, descs)
     if not config.pipeline.use_gsf_filter:
         return len(descs), plain_matches(descs, cand, ref_map.index)
-    kept, w2, simcfg = _w2_table(descs, cand, pops_query, ref_map, config)
+    kept, w2, simcfg = _w2_table(descs, cand, *probes, ref_map, config)
     if simcfg is None:
         return len(descs), TriangleMatches.empty()
     return len(descs), gsf_filter(descs, kept, ref_map.index, w2, simcfg)
@@ -385,11 +398,11 @@ def localize(
                              config.pipeline.use_gsf_filter)
 
     qcloud, qgraph = _timed(timings, "graph", _query_graph, query_cloud, taxonomy, config)
-    pops_query = (_timed(timings, "probe", _query_probes, qgraph, qcloud, taxonomy, config)
-                  if config.pipeline.use_gsf_filter else {})
+    probes = (_timed(timings, "probe", _query_probes, qgraph, qcloud, taxonomy, config)
+              if config.pipeline.use_gsf_filter else None)
     del qcloud  # only the fits read the voxelled scan
     res.triangles_queried, matches = _timed(
-        timings, "match", _match, qgraph, pops_query, ref_map, config)
+        timings, "match", _match, qgraph, probes, ref_map, config)
     res.candidates_after_filter = len(matches)
     qcents = {inst.id: inst.centroid for inst in qgraph.instances}
     mcents = ref_map.centroids
@@ -417,12 +430,9 @@ def save_map(ref_map: ReferenceMap, bundle_dir) -> None:
     d.mkdir(parents=True, exist_ok=True)
     save_scene_graph(ref_map.centroids, d / "graph.json")
     save_index(ref_map.index, d / "index.gsfi")
-    ids = sorted(i for i, p in ref_map.populations.items() if p is not None)
-    pops = [ref_map.populations[i] for i in ids]
-    g, n_cls = len(probe_grid(ref_map.config.gsf.grid)), ref_map.taxonomy.num_classes
-    np.savez_compressed(d / "populations.npz", ids=np.array(ids, dtype=np.int64),
-                        mu=np.array([p.mu for p in pops]).reshape(-1, g, n_cls),
-                        Sigma=np.array([p.Sigma for p in pops]).reshape(-1, g, g))
+    fitted, pops = ref_map.fitted, ref_map.populations
+    np.savez_compressed(d / "populations.npz", ids=np.flatnonzero(fitted),
+                        mu=pops.mu[fitted], Sigma=pops.Sigma[fitted])
     (d / "config.json").write_text(
         json.dumps(
             {"config": ref_map.config.to_dict(), "taxonomy": ref_map.taxonomy.to_dict()},
@@ -491,7 +501,7 @@ def load_map(bundle_dir) -> ReferenceMap:
             f"integers; it holds {ids.dtype} ids of shape {ids.shape}"
         )
     for name, named in (("index.gsfi", index.vertex_ids), ("populations.npz", ids)):
-        stray = np.setdiff1d(named, list(centroids))
+        stray = np.setdiff1d(named, list(centroids))  # a negative id would wrap below
         if stray.size:
             raise FormatError(
                 f"map bundle {d}: {name} names instance {stray[0]}, "
@@ -505,8 +515,7 @@ def load_map(bundle_dir) -> ReferenceMap:
             f"{Sigma.shape}; its {p} ids, the config's {g} grid points and the taxonomy's "
             f"{n_cls} classes need ({p}, {g}, {n_cls}) and ({p}, {g}, {g})"
         )
-    weights = stability_weights(mu, taxonomy)
-    populations: dict[int, GpPopulation | None] = dict.fromkeys(centroids)
-    for k, i in enumerate(ids.tolist()):
-        populations[i] = GpPopulation(grid, mu[k], Sigma[k], weights[k])
-    return ReferenceMap(centroids, index, populations, taxonomy, config)
+    fitted = np.isin(np.arange(len(centroids)), ids)
+    populations = _nan_table(grid, len(centroids), n_cls)
+    populations[ids] = GpPopulation(grid, mu, Sigma, stability_weights(mu, taxonomy))
+    return ReferenceMap(centroids, index, populations, fitted, taxonomy, config)

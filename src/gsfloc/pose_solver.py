@@ -41,7 +41,7 @@ class IrlsFailure(GsflocError):
 class WeightedCorrespondenceSet:
     p: np.ndarray  # (n,3) query centroids
     q: np.ndarray  # (n,3) map centroids
-    omega: np.ndarray  # (n,) weights in (0,1]
+    omega: np.ndarray  # (n,) finite weights > 0, in (0,1] from the similarity
     tau0: float = 1.0  # truncation base, meters^2
 
     def __post_init__(self):
@@ -53,8 +53,8 @@ class WeightedCorrespondenceSet:
                 f"mismatched correspondence arrays: {self.p.shape[0]} query, "
                 f"{self.q.shape[0]} map, {self.omega.shape[0]} weights"
             )
-        if np.any(self.omega <= 0):
-            raise ValidationError("weights must be positive")
+        if not np.all((self.omega > 0) & (self.omega < np.inf)):  # NaN fails both
+            raise ValidationError("weights must be finite and positive")
         if self.tau0 <= 0:
             raise ValidationError(f"tau0 must be > 0, got {self.tau0}")
 

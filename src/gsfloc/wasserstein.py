@@ -38,8 +38,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import SIGMA_W_RANGE
 from .core import ValidationError
-from .gsf import GpPopulation, apply_stability_mask, stack_populations
+from .gsf import GpPopulation, apply_stability_mask
 
 
 @dataclass(frozen=True)
@@ -48,8 +49,9 @@ class SimilarityConfig:
     accept_threshold: float  # per-vertex-pair w2^2 acceptance bound
 
     def __post_init__(self):
-        if self.sigma_w <= 0:
-            raise ValidationError(f"sigma_w must be > 0, got {self.sigma_w}")
+        lo, hi = SIGMA_W_RANGE
+        if not lo <= self.sigma_w <= hi:
+            raise ValidationError(f"sigma_w must lie in [{lo}, {hi}], got {self.sigma_w}")
         if self.accept_threshold <= 0:
             raise ValidationError(
                 f"accept_threshold must be > 0, got {self.accept_threshold}"
@@ -129,7 +131,7 @@ def w2_squared(
     one = pairs is None
     _check_shapes(pop_a, pop_b, 2 if one else 3)
     if one:
-        pop_a, pop_b = stack_populations([pop_a]), stack_populations([pop_b])
+        pop_a, pop_b = pop_a[None], pop_b[None]
         pairs = (np.zeros(1, dtype=np.intp), np.zeros(1, dtype=np.intp))
     ia, ib = (np.asarray(p, dtype=np.intp) for p in pairs)
     lift = _lift(pop_a)

@@ -81,11 +81,18 @@ def pole_line_scene(taxonomy):
             SemanticPointCloud(moved.apply(points), labels, logits))
 
 
+def as_table(pops) -> GpPopulation:
+    """Populations as one table, member i row i, each array stacked along a new
+    leading axis; the table shares the first member's grid."""
+    return GpPopulation(pops[0].grid, *(np.stack([getattr(p, f) for p in pops])
+                                        for f in ("mu", "Sigma", "stability_weights")))
+
+
 def planted_table(rng, g=25, d=12, yaws=8, rank=None):
     """Three query yaw stacks and four map populations (covariances of rank
     `rank`, full if None), with yaw members planted where the lower bound is
     tight: equal to a map population, and proportional to one with the same
-    means. Returns (A stack, B stack, pairs over every (query, map) pair)."""
+    means. Returns (A table, B table, pairs over every (query, map) pair)."""
     def cov(n):
         f = rng.normal(size=(n, g, g if rank is None else rank))
         S = f @ np.swapaxes(f, -1, -2) / g

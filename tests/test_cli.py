@@ -440,13 +440,22 @@ class TestLocalize:
         assert rc == 3
         assert status["status"] == "degenerate" and status["pose"] is None
 
-    @pytest.mark.filterwarnings("ignore:divide by zero")  # sigma_w**2 underflows to 0
     def test_underflowing_clique_weights_exit_3(self, scene_files, bundle, capsys):
-        rc = _localize_query(bundle, scene_files, "--set", "sim.sigma_w=1e-300")
+        rc = _localize_query(bundle, scene_files, "--set", "sim.sigma_w=1e-100")
         captured = capsys.readouterr()
         status = json.loads(captured.out.strip().splitlines()[-1])
         assert rc == 3 and "Traceback" not in captured.err
         assert status["status"] == "degenerate" and status["pose"] is None
+
+    @pytest.mark.parametrize("value, bound", [("1e200", "<= 1e+100"), ("1e-300", ">= 1e-100")],
+                             ids=["overflow", "underflow"])
+    def test_sigma_w_out_of_range_exit_2(self, scene_files, bundle, capsys, value, bound):
+        """A sigma_w whose square overflows or underflows is refused when it is
+        set, by name, before any query work."""
+        rc = _localize_query(bundle, scene_files, "--set", f"sim.sigma_w={value}")
+        err = capsys.readouterr().err
+        assert rc == 2 and "Traceback" not in err
+        assert f"'sim.sigma_w' must be {bound}" in err
 
     @pytest.mark.parametrize("override", ["gsf.kappa=6.0", "index.delta_d=5.0",
                                           "solver.max_iters=0"])

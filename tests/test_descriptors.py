@@ -22,7 +22,7 @@ from gsfloc.descriptors import (
     save_index,
     triangulate,
 )
-from gsfloc.gsf import GpHyperParams, GpPopulation, fit_gsf, grid_probe, stack_populations
+from gsfloc.gsf import GpHyperParams, GpPopulation, fit_gsf, grid_probe
 from gsfloc.scene_graph import Instance, SceneGraph
 from gsfloc.wasserstein import SimilarityConfig, w2_squared
 
@@ -452,7 +452,7 @@ class TestGsfFilter:
             2: field_with_offset(taxonomy, 0.2, seed=3),
             3: field_with_offset(taxonomy, 3.0, seed=4),  # wildly different
         }
-        pops_query = {i: stack_populations([pops_map[i]]) for i in range(3)}
+        pops_query = {i: pops_map[i][None] for i in range(3)}
         q = TriangleDescriptor(0, (0, 1, 2), (3.0, 4.0, 5.0), (4, 4, 4))
         same = TriangleDescriptor(0, (0, 1, 2), (3.0, 4.0, 5.0), (4, 4, 4))
         far = TriangleDescriptor(1, (0, 1, 3), (3.0, 4.0, 5.0), (4, 4, 4))
@@ -476,7 +476,7 @@ class TestGsfFilter:
     def test_tie_breaks_by_candidate_id(self, taxonomy):
         pop = field_with_offset(taxonomy, 0.0, seed=5)
         pm = {i: pop for i in range(6)}
-        pq = {i: stack_populations([pop]) for i in range(3)}
+        pq = {i: pop[None] for i in range(3)}
         q = TriangleDescriptor(0, (0, 1, 2), (3.0, 4.0, 5.0), (4, 4, 4))
         c1 = TriangleDescriptor(0, (0, 1, 2), (3.0, 4.0, 5.0), (4, 4, 4))
         c2 = TriangleDescriptor(1, (3, 4, 5), (3.0, 4.0, 5.0), (4, 4, 4))
@@ -496,12 +496,12 @@ class TestGsfFilter:
         cfg = SimilarityConfig(sigma_w=1.0, accept_threshold=100.0)
         # orders (0, 1, 2) and (1, 0, 2) score the same total: the first is kept
         pm = {10: a, 11: a, 12: c}
-        pq = {0: stack_populations([a]), 1: stack_populations([a]), 2: stack_populations([c])}
+        pq = {0: a[None], 1: a[None], 2: c[None]}
         m = gsf_filter([q], cands(0), index, w2_table(pq, pm), cfg)
         assert len(m) == 1 and m.pairs[0].tolist() == [[0, 10], [1, 11], [2, 12]]
         # a lower total under a later order wins
         pm = {10: a, 11: b, 12: c}
-        pq = {0: stack_populations([b]), 1: stack_populations([a]), 2: stack_populations([c])}
+        pq = {0: b[None], 1: a[None], 2: c[None]}
         table = w2_table(pq, pm)
         m = gsf_filter([q], cands(0), index, table, cfg)
         assert len(m) == 1 and m.pairs[0].tolist() == [[0, 11], [1, 10], [2, 12]]
@@ -552,7 +552,8 @@ class TestGsfFilter:
         """No pairs: an empty array back, and no `w2_squared` call."""
         monkeypatch.setattr(descriptors, "w2_squared", None)
         empty = np.zeros(0, dtype=np.int64)
-        out = pair_w2(empty, empty, {}, {}, True)
+        a, b, _ = planted_table(np.random.default_rng(30), g=4, d=2)
+        out = pair_w2(empty, empty, a[:0], b[:0], True)
         assert isinstance(out, np.ndarray) and out.shape == (0,)
 
     def test_plain_matches_unit_omega(self, taxonomy):
@@ -560,12 +561,6 @@ class TestGsfFilter:
         out = plain_matches([q], cands(0, 1), index)
         assert len(out) == 2
         assert out.omegas.tolist() == [[1.0, 1.0, 1.0]] * 2
-
-
-def split_stack(pop):
-    """A stacked population as a dict of its members, by position."""
-    return {i: GpPopulation(pop.grid, pop.mu[i], pop.Sigma[i], pop.stability_weights[i])
-            for i in range(len(pop.mu))}
 
 
 class TestPairW2Cut:
@@ -581,11 +576,10 @@ class TestPairW2Cut:
         with the same means (two of them tie), over full-rank, rank-3 and
         zero covariances."""
         a, b, (ia, ib) = planted_table(np.random.default_rng(31), rank=rank)
-        pops_query, pops_map = split_stack(a), split_stack(b)
         if chunk_pairs is not None:
             monkeypatch.setattr(descriptors, "W2_CHUNK_BYTES", chunk_pairs * a.Sigma[0].nbytes)
-        got = pair_w2(ia, ib, pops_query, pops_map, use_stability)
-        want = [np.min(w2_squared(pops_query[q], pops_map[m], use_stability))
+        got = pair_w2(ia, ib, a, b, use_stability)
+        want = [np.min(w2_squared(a[q], b[m], use_stability))
                 for q, m in zip(ia.tolist(), ib.tolist())]
         assert np.array_equal(got, want)
 
@@ -596,7 +590,6 @@ class TestPairW2Cut:
         a, b, (ia, ib) = planted_table(np.random.default_rng(33), g=9)
         a = GpPopulation(a.grid, *(np.repeat(v[:, :1], 8, axis=1) for v in
                                    (a.mu, a.Sigma, a.stability_weights)))
-        pops_query, pops_map = split_stack(a), split_stack(b)
         calls = []
 
         def counted(pop_a, pop_b, use_stability, pairs):
@@ -604,8 +597,8 @@ class TestPairW2Cut:
             return w2_squared(pop_a, pop_b, use_stability, pairs)
 
         monkeypatch.setattr(descriptors, "w2_squared", counted)
-        got = pair_w2(ia, ib, pops_query, pops_map, True)
+        got = pair_w2(ia, ib, a, b, True)
         assert calls == [(12, 4), (12 * 7, 4)]
-        want = [np.min(w2_squared(pops_query[q], pops_map[m], True))
+        want = [np.min(w2_squared(a[q], b[m], True))
                 for q, m in zip(ia.tolist(), ib.tolist())]
         assert np.array_equal(got, want)

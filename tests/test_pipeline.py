@@ -24,6 +24,7 @@ from gsfloc.descriptors import (
     build_index,
     query_index,
     triangulate,
+    vertex_array,
 )
 from gsfloc import descriptors, pipeline, scene_graph
 from gsfloc.pipeline import (
@@ -36,7 +37,7 @@ from gsfloc.pipeline import (
     save_map,
     voxel_downsample,
 )
-from gsfloc.gsf import fit_gsf, grid_probe, stack_populations
+from gsfloc.gsf import GpPopulation, fit_gsf, grid_probe
 from gsfloc.scene_graph import build_scene_graph
 from gsfloc.synth import (
     generate_mirrored_twin,
@@ -71,7 +72,8 @@ def ref_map(scene, taxonomy_module):
 class TestBuildMap:
     def test_counts(self, ref_map):
         assert len(ref_map.centroids) == 20
-        assert sum(p is not None for p in ref_map.populations.values()) == 20
+        assert ref_map.fitted.tolist() == [True] * 20
+        assert ref_map.populations.mu.shape == (20, 25, 12)
         k = ref_map.config.index.k_neighbors
         bound = len(ref_map.centroids) * k * (k - 1) // 2
         assert 0 < len(ref_map.index.vertex_ids) <= bound
@@ -92,11 +94,11 @@ class TestBuildMap:
         save_map(again, d2)
         assert (d1 / "index.gsfi").read_bytes() == (d2 / "index.gsfi").read_bytes()
         assert (d1 / "graph.json").read_text() == (d2 / "graph.json").read_text()
-        for iid, pop in ref_map.populations.items():
-            other = again.populations[iid]
-            np.testing.assert_allclose(pop.mu, other.mu, rtol=1e-7, atol=1e-12)
-            np.testing.assert_allclose(pop.Sigma, other.Sigma, rtol=1e-7, atol=1e-12)
-            np.testing.assert_array_equal(pop.stability_weights, other.stability_weights)
+        pop, other = ref_map.populations, again.populations
+        assert np.array_equal(again.fitted, ref_map.fitted)
+        np.testing.assert_allclose(pop.mu, other.mu, rtol=1e-7, atol=1e-12)
+        np.testing.assert_allclose(pop.Sigma, other.Sigma, rtol=1e-7, atol=1e-12)
+        np.testing.assert_array_equal(pop.stability_weights, other.stability_weights)
 
     @pytest.mark.parametrize("nx, ny", [(64, 4), (256, 1)])
     def test_bundle_with_grid_at_cap_round_trip(self, scene, taxonomy_module, tmp_path,
@@ -109,7 +111,8 @@ class TestBuildMap:
         save_map(built, tmp_path)
         again = load_map(tmp_path)
         assert again.config == cfg
-        assert all(p.grid.shape == (GRID_POINTS_MOST, 3) for p in again.populations.values())
+        assert again.populations.grid.shape == (GRID_POINTS_MOST, 3)
+        assert again.populations.Sigma.shape[1:] == (GRID_POINTS_MOST, GRID_POINTS_MOST)
 
     def test_bundle_hash_mismatch_detected(self, ref_map, tmp_path):
         d = tmp_path / "tampered"
@@ -257,17 +260,17 @@ class TestBundleArrays:
             assert buf["ids"].tolist() == list(range(20))
             assert buf["mu"].shape == (20, 25, 12) and buf["Sigma"].shape == (20, 25, 25)
         again = load_map(tmp_path)
-        for iid, pop in ref_map.populations.items():
-            for part in ("grid", "mu", "Sigma", "stability_weights"):
-                assert np.array_equal(getattr(again.populations[iid], part), getattr(pop, part))
+        for part in ("grid", "mu", "Sigma", "stability_weights"):
+            assert np.array_equal(getattr(again.populations, part),
+                                  getattr(ref_map.populations, part))
 
     @pytest.mark.parametrize("failed", [[6], list(range(20))], ids=["one-failed", "all-failed"])
     def test_layout_round_trip(self, ref_map, tmp_path, failed):
-        """With fits failed, saved and loaded, each population equals the built
-        one array for array, and None stays where a fit failed; ids, mu and
-        Sigma hold the rest as whole arrays, P = 0 included."""
-        pops = {i: None if i in failed else p for i, p in ref_map.populations.items()}
-        built = dataclasses.replace(ref_map, populations=pops)
+        """With fits failed, saved and loaded, the fitted mask and every array of
+        the table equal the built ones, NaN rows where a fit failed; ids, mu and
+        Sigma hold the fitted rows as whole arrays, P = 0 included."""
+        built = _fail(ref_map, failed)
+        pops = built.populations
         save_map(built, tmp_path)
         kept = [i for i in range(20) if i not in failed]
         with np.load(tmp_path / "populations.npz") as buf:
@@ -277,12 +280,13 @@ class TestBundleArrays:
             assert np.array_equal(buf["Sigma"], np.array([pops[i].Sigma for i in kept]).reshape(
                 -1, 25, 25))
         again = load_map(tmp_path)
-        assert sorted(again.populations) == list(range(20))
-        for iid, pop in pops.items():
-            other = again.populations[iid]
-            assert (other is None) == (pop is None)
-            for part in ("grid", "mu", "Sigma", "stability_weights") if pop else ():
-                assert np.array_equal(getattr(other, part), getattr(pop, part))
+        assert np.array_equal(again.fitted, built.fitted)
+        assert again.fitted.tolist() == [i not in failed for i in range(20)]
+        assert np.array_equal(again.populations.grid, pops.grid)
+        for part in ("mu", "Sigma", "stability_weights"):
+            assert np.array_equal(getattr(again.populations, part), getattr(pops, part),
+                                  equal_nan=True)
+            assert np.isnan(getattr(again.populations, part)[failed]).all()
 
     @pytest.mark.parametrize("edit, says", [
         (lambda ids: ids[:, None], "int64 ids of shape (20, 1)"),
@@ -322,10 +326,9 @@ class TestBundleArrays:
         save_map(ref_map, tmp_path)
         _edit_npz_array(tmp_path, "populations.npz", "ids", add)
         again = load_map(tmp_path)
-        for iid, pop in ref_map.populations.items():
-            assert np.array_equal(again.populations[iid].grid, pop.grid)
-            assert np.array_equal(again.populations[iid].stability_weights,
-                                  pop.stability_weights)
+        assert np.array_equal(again.populations.grid, ref_map.populations.grid)
+        assert np.array_equal(again.populations.stability_weights,
+                              ref_map.populations.stability_weights)
         pose = sample_query_poses(1, seed=7, half=15.0)[0]
         scan = simulate_scan(scene[0], pose, 60.0, 0.3, 0.03, seed=42)
         got = localize(scan, again).to_dict(include_timings=False)
@@ -528,7 +531,7 @@ class TestEmptyMatch:
         """No map instance has a population: the filter skips every candidate.
         With it off no population is read, so the same query still localizes."""
         scan = self._scan(scene)
-        ref = dataclasses.replace(ref_map, populations=dict.fromkeys(ref_map.populations))
+        ref = _fail(ref_map, list(range(20)))
         res = self._localize(scan, ref, use_gsf)
         assert res.triangles_queried > 0
         if use_gsf:
@@ -620,17 +623,15 @@ class TestLocalize:
         that `populations.npz` does not list: the match stage skips its
         candidates with a warning, its pairs stay out of the W2 table and the
         self-tuned median, and the query still localizes."""
-        pose, scan, qgraph, pops_query, cand_lists = _street_query(scene, ref_map,
-                                                                   taxonomy_module)
-        index, cfg = ref_map.index, ref_map.config
+        pose, scan, qgraph, probes, cand_lists = _street_query(scene, ref_map, taxonomy_module)
+        index, cfg, pops_query = ref_map.index, ref_map.config, probes[1]
         touched = [m for _, cands in cand_lists for cid in cands
                    for m in index.vertex_ids[cid].tolist()]
         gone = max(set(touched), key=touched.count)
-        pops = {**ref_map.populations, gone: None}
-        holed = dataclasses.replace(ref_map, populations=pops)
+        holed = _fail(ref_map, [gone])
 
         with pytest.warns(UserWarning, match=rf"map instances \[{gone}\] lack fields; candidate"):
-            kept, w2, sim = _w2_table_lists(cand_lists, pops_query, holed, cfg)
+            kept, w2, sim = _w2_table_lists(cand_lists, probes, holed, cfg)
         assert [cands for _, cands in kept] == [
             [cid for cid in cands if gone not in index.vertex_ids[cid].tolist()]
             for _, cands in cand_lists]
@@ -641,7 +642,7 @@ class TestLocalize:
                    for perm in _stored_orders(index, cid) for k in range(3)}
         assert set(w2) == canonical | ordered
         median = float(np.median([
-            np.min(w2_squared(pops_query[q], pops[m], cfg.sim.use_stability))
+            np.min(w2_squared(pops_query[q], holed.populations[m], cfg.sim.use_stability))
             for q, m in canonical]))
         assert sim.accept_threshold == 3.0 * median
 
@@ -652,16 +653,30 @@ class TestLocalize:
         te, re = pose_error(res.pose, pose)
         assert te <= 0.5 and re <= 2.0
 
-    def test_query_instance_without_field(self, scene, ref_map, taxonomy_module):
+    def test_query_instance_without_field(self, scene, ref_map, taxonomy_module, monkeypatch):
         """A query instance without a population, as a failed fit leaves it:
         the match stage skips every triangle on it with a warning and scores
-        the rest."""
-        _, _, qgraph, pops_query, cand_lists = _street_query(scene, ref_map,
-                                                             taxonomy_module)
+        the rest. Its NaN row never reaches `pair_w2`, and every value the
+        filter reads from the W2 table under a stored vertex order is finite."""
+        _, _, qgraph, probes, cand_lists = _street_query(scene, ref_map, taxonomy_module)
         touched = [q for d, cands in cand_lists if cands for q in d.vertex_ids]
         gone = max(set(touched), key=touched.count)
-        holed = {**pops_query, gone: None}
+        holed = _fail_rows(*probes, [gone])
+        assert np.isnan(holed[1].mu[gone]).all()
+        scored, tables = [], []
 
+        def spy(qids, mids, *args):
+            scored.extend(qids.tolist())
+            return descriptors.pair_w2(qids, mids, *args)
+
+        def read(descs, kept, index, w2, cfg):
+            qv = vertex_array(descs)[kept[:, 0]][:, None, :]
+            mv = index.vertex_ids[kept[:, 1]][:, ORDERS]
+            tables.append(w2[qv, mv][index.order_mask[kept[:, 1]]])
+            return descriptors.gsf_filter(descs, kept, index, w2, cfg)
+
+        monkeypatch.setattr(pipeline, "pair_w2", spy)
+        monkeypatch.setattr(pipeline, "gsf_filter", read)
         with pytest.warns(UserWarning, match=rf"query instances \[{gone}\] lack fields; "
                                              "candidates skipped"):
             kept, w2, _ = _w2_table_lists(cand_lists, holed, ref_map, ref_map.config)
@@ -671,6 +686,8 @@ class TestLocalize:
         with pytest.warns(UserWarning, match=rf"query instances \[{gone}\] lack fields"):
             _, matches = pipeline._match(qgraph, holed, ref_map, ref_map.config)
         assert len(matches) and gone not in matches.pairs[..., 0]
+        assert scored and gone not in scored
+        assert len(tables) == 1 and tables[0].size and np.isfinite(tables[0]).all()
 
     @pytest.mark.parametrize("case", ["success", "empty-scan", "disjoint", "degenerate"])
     def test_every_exit(self, scene, ref_map, taxonomy_module, monkeypatch, case):
@@ -725,12 +742,20 @@ class TestLocalize:
         scan = simulate_scan(cloud, sample_query_poses(1, seed=7, half=15.0)[0],
                              range_max=60.0, dropout_rate=0.3, noise_sigma=0.03, seed=42)
         cfg = RunConfig()
-        cfg.sim.sigma_w = 1e-300
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # sigma_w**2 underflows in the similarity
-            res = localize(scan, ref_map, cfg)
+        cfg.sim.sigma_w = 1e-100  # the least sigma_w taken
+        res = localize(scan, ref_map, cfg)
         assert res.clique_size >= 3
         assert res.status == "degenerate" and res.pose is None
+
+    @pytest.mark.parametrize("sigma_w", [1e-300, 1e200])
+    def test_sigma_w_out_of_range_refused(self, scene, ref_map, sigma_w):
+        """A sigma_w whose square underflows or overflows, set on the config
+        object, is refused by name, not scored with a numpy warning."""
+        cloud, _ = scene
+        cfg = RunConfig()
+        cfg.sim.sigma_w = sigma_w
+        with pytest.raises(ValidationError, match="sigma_w must lie in"):
+            localize(cloud, ref_map, cfg)
 
     def test_grid_geometry_mismatch_rejected(self, scene, ref_map):
         cloud, _ = scene
@@ -768,17 +793,18 @@ class TestLocalize:
 
 def _street_query(scene, ref_map, taxonomy):
     """A scan of the scene and its inputs to the match stage: the pose, the
-    scan, the query graph, its stacked populations and its coarse candidates."""
+    scan, the query graph, its probes (the fitted mask and the table of
+    stacked populations) and its coarse candidates."""
     cloud, _ = scene
     pose = sample_query_poses(1, seed=7, half=15.0)[0]
     scan = simulate_scan(cloud, pose, range_max=60.0, dropout_rate=0.3,
                          noise_sigma=0.03, seed=42)
     cfg = ref_map.config
     qcloud, qgraph = pipeline._query_graph(scan, taxonomy, cfg)
-    pops_query = pipeline._query_probes(qgraph, qcloud, taxonomy, cfg)
+    probes = pipeline._query_probes(qgraph, qcloud, taxonomy, cfg)
     cand_lists = [(d, query_index(ref_map.index, d))
                   for d in triangulate(qgraph, cfg.index.k_neighbors)]
-    return pose, scan, qgraph, pops_query, cand_lists
+    return pose, scan, qgraph, probes, cand_lists
 
 
 def _twin_map_and_scan(taxonomy, s, bundle):
@@ -798,14 +824,14 @@ def _twin_map_and_scan(taxonomy, s, bundle):
 
 def _twin_query(taxonomy, tmp_path):
     """The first twin scan's inputs to the match stage: its query graph, its
-    stacked populations, the map and its coarse candidates."""
+    probes, the map and its coarse candidates."""
     ref, scan = _twin_map_and_scan(taxonomy, 0, tmp_path)
     cfg = ref.config
     qcloud, qgraph = pipeline._query_graph(scan, taxonomy, cfg)
-    pops_query = pipeline._query_probes(qgraph, qcloud, taxonomy, cfg)
+    probes = pipeline._query_probes(qgraph, qcloud, taxonomy, cfg)
     cand_lists = [(d, query_index(ref.index, d))
                   for d in triangulate(qgraph, cfg.index.k_neighbors)]
-    return qgraph, pops_query, ref, cand_lists
+    return qgraph, probes, ref, cand_lists
 
 
 def _stored_orders(index, cid):
@@ -813,13 +839,30 @@ def _stored_orders(index, cid):
     return [tuple(p) for p in ORDERS[index.order_mask[cid]].tolist()]
 
 
-def _w2_table_lists(cand_lists, pops_query, ref_map, config):
-    """`pipeline._w2_table` over per-triangle candidate lists, its kept
-    candidates regrouped per triangle and its table as {(qid, mid): W2^2}."""
+def _fail_rows(fitted, pops, gone):
+    """A fitted mask and table with the fits of instances `gone` failed, as
+    `_probe_fields` leaves a failed fit: out of the mask, its rows NaN."""
+    fitted, pops = fitted.copy(), GpPopulation(pops.grid, pops.mu.copy(), pops.Sigma.copy(),
+                                               pops.stability_weights.copy())
+    fitted[gone] = False
+    pops.mu[gone] = pops.Sigma[gone] = pops.stability_weights[gone] = np.nan
+    return fitted, pops
+
+
+def _fail(ref_map, gone):
+    """`ref_map` with the fits of map instances `gone` failed."""
+    fitted, pops = _fail_rows(ref_map.fitted, ref_map.populations, gone)
+    return dataclasses.replace(ref_map, fitted=fitted, populations=pops)
+
+
+def _w2_table_lists(cand_lists, probes, ref_map, config):
+    """`pipeline._w2_table` over per-triangle candidate lists and the query's
+    probes, its kept candidates regrouped per triangle and its table as
+    {(qid, mid): W2^2}."""
     descs = [d for d, _ in cand_lists]
     cand = np.array([(r, cid) for r, (_, cids) in enumerate(cand_lists) for cid in cids],
                     dtype=np.int64).reshape(-1, 2)
-    kept, w2, sim = pipeline._w2_table(descs, cand, pops_query, ref_map, config)
+    kept, w2, sim = pipeline._w2_table(descs, cand, *probes, ref_map, config)
     per_triangle = [(d, kept[kept[:, 0] == r, 1].tolist()) for r, d in enumerate(descs)]
     scored = np.argwhere(~np.isnan(w2)).tolist()
     return per_triangle, {(q, m): float(w2[q, m]) for q, m in scored}, sim
@@ -832,24 +875,22 @@ def _unpruned(qids, mids, pops_query, pops_map, use_stability):
     for q in np.unique(qids).tolist():
         rows = np.flatnonzero(qids == q)
         um, ib = np.unique(mids[rows], return_inverse=True)
-        full = w2_squared(stack_populations([pops_query[q]]),
-                          stack_populations([pops_map[m] for m in um.tolist()]),
-                          use_stability, (np.zeros(len(rows), dtype=np.intp), ib))
+        full = w2_squared(pops_query[q][None], pops_map[um], use_stability,
+                          (np.zeros(len(rows), dtype=np.intp), ib))
         out[rows] = full.min(axis=1)
     return out
 
 
-def _all_pairs(pops_query, pops_map):
-    """Every (query instance, map instance) pair with two populations."""
-    qs = [q for q, p in sorted(pops_query.items()) if p is not None]
-    ms = [m for m, p in sorted(pops_map.items()) if p is not None]
-    qids, mids = np.meshgrid(qs, ms, indexing="ij")
+def _all_pairs(q_ok, m_ok):
+    """Every (query instance, map instance) pair with two populations, from the
+    two fitted masks."""
+    qids, mids = np.meshgrid(np.flatnonzero(q_ok), np.flatnonzero(m_ok), indexing="ij")
     return qids.ravel(), mids.ravel()
 
 
 @pytest.fixture(scope="module")
 def street_scans(scene, ref_map, taxonomy_module):
-    """Two 60 m street scans' stacked query populations, and the map."""
+    """Two 60 m street scans' query probes, and the map."""
     cloud, _ = scene
     cfg = ref_map.config
     pops = []
@@ -889,10 +930,10 @@ class TestW2Cut:
         else:
             scans = request.getfixturevalue("twin_scans")
         if chunk_pairs is not None:
-            one_pair = next(iter(scans[0][0].values())).Sigma.nbytes
+            one_pair = scans[0][0][1].Sigma[0].nbytes
             monkeypatch.setattr(descriptors, "W2_CHUNK_BYTES", chunk_pairs * one_pair)
-        for pops_query, ref in scans:
-            qids, mids = _all_pairs(pops_query, ref.populations)
+        for (q_ok, pops_query), ref in scans:
+            qids, mids = _all_pairs(q_ok, ref.fitted)
             got = pipeline.pair_w2(qids, mids, pops_query, ref.populations, use_stability)
             assert len(got) > 50
             assert np.array_equal(got, _unpruned(qids, mids, pops_query, ref.populations,
@@ -908,10 +949,9 @@ class TestW2Cut:
         scan = simulate_scan(cloud, pose, range_max=60.0, dropout_rate=0.3, noise_sigma=0.03,
                              seed=18)
         qcloud, qgraph = pipeline._query_graph(scan, taxonomy_module, cfg)
-        pops_query = pipeline._query_probes(qgraph, qcloud, taxonomy_module, cfg)
-        assert len(next(iter(pops_query.values())).mu) == yaws
-        qids, mids = _all_pairs({q: pops_query[q] for q in sorted(pops_query)[:6]},
-                                ref.populations)
+        q_ok, pops_query = pipeline._query_probes(qgraph, qcloud, taxonomy_module, cfg)
+        assert pops_query.mu.shape[1] == yaws
+        qids, mids = _all_pairs(q_ok & (np.arange(len(q_ok)) < 6), ref.fitted)
         got = pipeline.pair_w2(qids, mids, pops_query, ref.populations, True)
         assert np.array_equal(got, _unpruned(qids, mids, pops_query, ref.populations, True))
 
@@ -922,9 +962,8 @@ class TestMatch:
         `w2_squared` for every (candidate, vertex order, vertex) and takes the
         min over yaws: the same survivors in the same order, ties included,
         with scores and weights within 1e-9."""
-        _, _, qgraph, pops_query, cand_lists = _street_query(scene, ref_map,
-                                                             taxonomy_module)
-        self._check_against_loop(qgraph, pops_query, ref_map, cand_lists)
+        _, _, qgraph, probes, cand_lists = _street_query(scene, ref_map, taxonomy_module)
+        self._check_against_loop(qgraph, probes, ref_map, cand_lists)
 
     def test_table_equals_written_out_loop_on_twins(self, taxonomy_module, tmp_path):
         """The same check on a twins query, where W2 decides between the twins."""
@@ -938,19 +977,20 @@ class TestMatch:
         loop of one `w2_squared` call per pair, min over yaws: `np.array_equal`.
         On the defaults one chunk covers the query; a chunk size forced down to
         3 pairs or 1 pair splits it, with the same values."""
-        _, _, _, pops_query, cand_lists = _street_query(scene, ref_map, taxonomy_module)
-        self._check_table(pops_query, ref_map, cand_lists, monkeypatch, chunk_pairs)
+        _, _, _, probes, cand_lists = _street_query(scene, ref_map, taxonomy_module)
+        self._check_table(probes, ref_map, cand_lists, monkeypatch, chunk_pairs)
 
     @pytest.mark.parametrize("chunk_pairs", [None, 2], ids=["one-chunk", "chunks-of-2"])
     def test_batched_table_equals_per_pair_loop_on_twins(self, taxonomy_module, tmp_path,
                                                          monkeypatch, chunk_pairs):
-        _, pops_query, ref, cand_lists = _twin_query(taxonomy_module, tmp_path)
-        self._check_table(pops_query, ref, cand_lists, monkeypatch, chunk_pairs)
+        _, probes, ref, cand_lists = _twin_query(taxonomy_module, tmp_path)
+        self._check_table(probes, ref, cand_lists, monkeypatch, chunk_pairs)
 
     @staticmethod
-    def _check_table(pops_query, ref_map, cand_lists, monkeypatch, chunk_pairs):
+    def _check_table(probes, ref_map, cand_lists, monkeypatch, chunk_pairs):
+        pops_query = probes[1]
         if chunk_pairs is not None:
-            one_pair = next(iter(pops_query.values())).Sigma.nbytes
+            one_pair = pops_query.Sigma[0].nbytes
             monkeypatch.setattr(descriptors, "W2_CHUNK_BYTES", chunk_pairs * one_pair)
         calls = []
 
@@ -959,7 +999,7 @@ class TestMatch:
             return w2_squared(pop_a, pop_b, use_stability, pairs)
 
         monkeypatch.setattr(descriptors, "w2_squared", counted)
-        _, w2, _ = _w2_table_lists(cand_lists, pops_query, ref_map, ref_map.config)
+        _, w2, _ = _w2_table_lists(cand_lists, probes, ref_map, ref_map.config)
         scored = sorted(w2)
         full = [w2_squared(pops_query[q], ref_map.populations[m], use_stability=True)
                 for q, m in scored]
@@ -972,8 +1012,7 @@ class TestMatch:
             chunk, survivors, touched = scored[lo:lo + step], 0, set()
             for (q, m), values in zip(chunk, full[lo:lo + step]):
                 one = np.zeros(1, dtype=np.intp)
-                bound = w2_lower_bound(stack_populations([pops_query[q]]),
-                                       stack_populations([ref_map.populations[m]]),
+                bound = w2_lower_bound(pops_query[q][None], ref_map.populations[m][None],
                                        True, (one, one))[0]
                 more = int(np.sum(bound <= values[np.argmin(bound)])) - 1
                 survivors += more
@@ -985,10 +1024,11 @@ class TestMatch:
         assert sum(n for n, _ in calls) <= len(scored) * len(full[0]) / 4  # 3/4 skipped
 
     @staticmethod
-    def _check_against_loop(qgraph, pops_query, ref_map, cand_lists):
+    def _check_against_loop(qgraph, probes, ref_map, cand_lists):
         index, pops_map = ref_map.index, ref_map.populations
-        assert all(p is not None for p in [*pops_query.values(), *pops_map.values()])
-        _, got = pipeline._match(qgraph, pops_query, ref_map, ref_map.config)
+        q_ok, pops_query = probes
+        assert q_ok.all() and ref_map.fitted.all()
+        _, got = pipeline._match(qgraph, probes, ref_map, ref_map.config)
 
         def w2(q, m):
             return float(np.min(w2_squared(pops_query[q], pops_map[m], use_stability=True)))
@@ -1025,11 +1065,11 @@ class TestMatch:
         """An equilateral candidate pairs its vertices under all six orders:
         the table holds all nine pairs, and the similarity self-tunes to the
         median over the three canonical ones."""
-        pops_query = {q: stack_populations([ref_map.populations[q]]) for q in (0, 1, 2)}
+        probes = (np.ones(3, dtype=bool), ref_map.populations[:3, None])  # one yaw each
         q = TriangleDescriptor(0, (0, 1, 2), (4.0, 4.0, 4.0), (7, 7, 7))
         cand = TriangleDescriptor(0, (3, 4, 5), (4.0, 4.0, 4.0), (7, 7, 7))
         one = dataclasses.replace(ref_map, index=build_index([cand], 0.5))
-        kept, w2, sim = _w2_table_lists([(q, [0])], pops_query, one, ref_map.config)
+        kept, w2, sim = _w2_table_lists([(q, [0])], probes, one, ref_map.config)
         assert kept == [(q, [0])]
         assert sorted(w2) == [(a, b) for a in (0, 1, 2) for b in (3, 4, 5)]
         median = float(np.median([w2[(0, 3)], w2[(1, 4)], w2[(2, 5)]]))

@@ -128,6 +128,13 @@ class TestWeightedKabsch:
         with pytest.raises(ValidationError, match="positive"):
             cset(np.zeros((3, 3)), np.zeros((3, 3)), [1.0, 0.0, 1.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_refused(self, bad):
+        """A NaN weight fails no `<= 0` test, and an infinite one swamps the
+        solve: both are refused as a zero weight is."""
+        with pytest.raises(ValidationError, match="weights must be finite and positive"):
+            cset(np.zeros((3, 3)), np.zeros((3, 3)), [1.0, bad, 1.0])
+
 
 class TestRobustIrls:
     def test_noiseless_equals_kabsch(self):

@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 from gsfloc import descriptors
 from gsfloc.core import FormatError, default_taxonomy
 from gsfloc.descriptors import pair_w2
-from gsfloc.gsf import GpPopulation, semantic_sparsify, stack_populations
+from gsfloc.gsf import GpPopulation, semantic_sparsify
 from gsfloc.pipeline import BUNDLE_FILES, build_map, load_map, localize, save_map
 from gsfloc.synth import (
     InstanceTemplate,
@@ -35,6 +35,8 @@ from gsfloc.synth import (
     simulate_scan,
 )
 from gsfloc.wasserstein import BOUND_SLACK, w2_lower_bound, w2_squared
+
+from conftest import as_table
 
 GRID = st.integers(1, 5)
 CLASSES = st.integers(1, 3)
@@ -66,21 +68,21 @@ def population(draw, g, d, definite=False):
 @st.composite
 def table(draw):
     """Query yaw stacks and map populations on one grid, with tight members
-    planted: (pops_query, pops_map)."""
+    planted, as the two tables `pair_w2` reads: (pops_query, pops_map)."""
     g, d = draw(GRID), draw(CLASSES)
     yaws = draw(st.integers(1, 4))
-    pops_map = {m: draw(population(g, d)) for m in range(draw(st.integers(1, 3)))}
-    pops_query = {}
-    for q in range(draw(st.integers(1, 3))):
-        stack = stack_populations([draw(population(g, d)) for _ in range(yaws)])
+    pops_map = [draw(population(g, d)) for _ in range(draw(st.integers(1, 3)))]
+    pops_query = []
+    for _ in range(draw(st.integers(1, 3))):
+        stack = as_table([draw(population(g, d)) for _ in range(yaws)])
         for _ in range(draw(st.integers(0, 2))):
-            y, m = draw(st.integers(0, yaws - 1)), draw(st.sampled_from(sorted(pops_map)))
+            y, m = draw(st.integers(0, yaws - 1)), draw(st.sampled_from(list(range(len(pops_map)))))
             scale = draw(st.sampled_from([1.0, 0.0, 0.25, 4.0]))
             b = pops_map[m]
             stack.mu[y], stack.stability_weights[y] = b.mu, b.stability_weights
             stack.Sigma[y] = scale * b.Sigma
-        pops_query[q] = stack
-    return pops_query, pops_map
+        pops_query.append(stack)
+    return as_table(pops_query), as_table(pops_map)
 
 
 def _slack(g: int) -> float:
@@ -88,7 +90,7 @@ def _slack(g: int) -> float:
 
 
 def _all_pairs(pops_query, pops_map):
-    qids, mids = np.meshgrid(sorted(pops_query), sorted(pops_map), indexing="ij")
+    qids, mids = np.meshgrid(range(len(pops_query.mu)), range(len(pops_map.mu)), indexing="ij")
     return qids.ravel(), mids.ravel()
 
 
@@ -142,9 +144,7 @@ def test_bound_below_value_on_every_member(tab, use_stability):
     same (pair, yaw) member."""
     pops_query, pops_map = tab
     qids, mids = _all_pairs(pops_query, pops_map)
-    args = (stack_populations([pops_query[q] for q in sorted(pops_query)]),
-            stack_populations([pops_map[m] for m in sorted(pops_map)]), use_stability,
-            (qids, mids))
+    args = (pops_query, pops_map, use_stability, (qids, mids))
     bound, value = w2_lower_bound(*args), w2_squared(*args)
     assert bound.shape == value.shape
     assert np.all(bound <= value)

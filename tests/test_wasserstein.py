@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gsfloc.core import ValidationError
-from gsfloc.gsf import GpPopulation, apply_stability_mask, stack_populations
+from gsfloc.gsf import GpPopulation, apply_stability_mask
 from gsfloc.wasserstein import (
     BOUND_SLACK,
     SimilarityConfig,
@@ -12,7 +12,7 @@ from gsfloc.wasserstein import (
     w2_squared,
 )
 
-from conftest import planted_table
+from conftest import as_table, planted_table
 
 
 def random_psd(rng, g):
@@ -158,7 +158,7 @@ class TestW2:
             for g, d, y in [(25, 12, 8), (4, 2, 1), (9, 3, 5)]:
                 members = [random_pop(rng, g, d) for _ in range(y)]
                 b = random_pop(rng, g, d)
-                stack = stack_populations(members)
+                stack = as_table(members)
                 want = [w2_squared(m, b, use_stability) for m in members]
                 got = w2_squared(stack, b, use_stability)
                 assert isinstance(got, np.ndarray) and got.shape == (y,)
@@ -171,26 +171,23 @@ class TestW2:
         members repeated and unused, equals one call per pair, bit for bit."""
         rng = np.random.default_rng(11)
         g, d, y = 25, 12, 8
-        a_members = [stack_populations([random_pop(rng, g, d) for _ in range(y)])
-                     for _ in range(3)]
+        a_members = [as_table([random_pop(rng, g, d) for _ in range(y)]) for _ in range(3)]
         b_members = [random_pop(rng, g, d) for _ in range(5)]
         ia = np.array([0, 0, 1, 2, 2, 2, 1])
         ib = np.array([4, 1, 1, 0, 4, 3, 4])
-        got = w2_squared(stack_populations(a_members), stack_populations(b_members),
-                         use_stability, (ia, ib))
+        got = w2_squared(as_table(a_members), as_table(b_members), use_stability, (ia, ib))
         want = np.stack([w2_squared(a_members[i], b_members[j], use_stability)
                          for i, j in zip(ia, ib)])
         assert got.shape == (7, y) and np.array_equal(got, want)
         singles = [random_pop(rng, g, d) for _ in range(2)]  # A members without a yaw axis
-        got = w2_squared(stack_populations(singles), stack_populations(b_members), use_stability,
-                         (ia % 2, ib))
+        got = w2_squared(as_table(singles), as_table(b_members), use_stability, (ia % 2, ib))
         assert got.shape == (7,) and np.array_equal(
             got, [w2_squared(singles[i % 2], b_members[j], use_stability) for i, j in zip(ia, ib)])
 
     def test_zero_pairs(self):
         rng = np.random.default_rng(12)
-        a = stack_populations([stack_populations([random_pop(rng, 4, 2) for _ in range(3)])])
-        b = stack_populations([random_pop(rng, 4, 2)])
+        a = as_table([random_pop(rng, 4, 2) for _ in range(3)])[None]
+        b = random_pop(rng, 4, 2)[None]
         empty = np.zeros(0, dtype=np.intp)
         assert w2_squared(a, b, True, (empty, empty)).shape == (0, 3)
 
@@ -198,9 +195,28 @@ class TestW2:
         rng = np.random.default_rng(7)
         with pytest.raises(ValidationError, match="shapes"):
             w2_squared(random_pop(rng, 3, 2), random_pop(rng, 4, 2))
-        stack = stack_populations([random_pop(rng, 3, 2), random_pop(rng, 3, 2)])
+        stack = as_table([random_pop(rng, 3, 2), random_pop(rng, 3, 2)])
         with pytest.raises(ValidationError, match="shapes"):
             w2_squared(stack, random_pop(rng, 4, 2))
+
+    def test_gathers_equal_list_stacks(self):
+        """`pop[None]` is the stack of one member, and `pop[index]` of a table
+        the stack of the rows at `index`, array for array, the grid shared;
+        `pop[index] = other` writes other's members there."""
+        rng = np.random.default_rng(13)
+        members = [as_table([random_pop(rng, 4, 2) for _ in range(3)]) for _ in range(5)]
+        table = as_table(members)
+        rows, yaws = np.array([3, 0, 3, 1]), np.array([2, 0, 1, 2])
+        for pop, got, want in [
+                (members[2], members[2][None], [members[2]]),
+                (table, table[rows], [members[i] for i in rows]),
+                (table, table[rows, yaws], [members[i][y] for i, y in zip(rows, yaws)])]:
+            assert got.grid is pop.grid
+            for f in ("mu", "Sigma", "stability_weights"):
+                assert np.array_equal(getattr(got, f), np.stack([getattr(m, f) for m in want]))
+        table[[4, 1]] = table[[0, 2]]
+        for f in ("mu", "Sigma", "stability_weights"):
+            assert np.array_equal(getattr(table, f)[[4, 1]], getattr(table, f)[[0, 2]])
 
 
 class TestSimilarityWeight:
@@ -220,6 +236,12 @@ class TestSimilarityWeight:
     def test_config_validation(self):
         with pytest.raises(ValidationError):
             SimilarityConfig(sigma_w=0.0, accept_threshold=1.0)
+        # outside [1e-100, 1e100] sigma_w**2 underflows or overflows, and NaN fails any bound
+        for sigma_w in (1e-300, 9e-101, 1.1e100, 1e200, np.nan, np.inf):
+            with pytest.raises(ValidationError, match=r"sigma_w must lie in \[1e-100, 1e\+100\]"):
+                SimilarityConfig(sigma_w=sigma_w, accept_threshold=1.0)
+        for sigma_w in (1e-100, 1e100):
+            assert similarity_weight(1.0, SimilarityConfig(sigma_w, 1.0)) in (0.0, 1.0)
         with pytest.raises(ValidationError):
             SimilarityConfig(sigma_w=1.0, accept_threshold=-1.0)
 
@@ -244,7 +266,7 @@ class TestLowerBound:
         b = random_pop(rng, 25, 12)
         a = GpPopulation(b.grid, b.mu, c * b.Sigma, b.stability_weights)
         one = np.zeros(1, dtype=np.intp)
-        a_s, b_s = stack_populations([a]), stack_populations([b])
+        a_s, b_s = a[None], b[None]
         bound = w2_lower_bound(a_s, b_s, use_stability, (one, one))[0]
         trace_b = np.trace(apply_stability_mask(b.Sigma, b.stability_weights)
                            if use_stability else b.Sigma)
@@ -258,13 +280,12 @@ class TestLowerBound:
         a = make_pop([0.0, 1.0], np.eye(2))
         b = make_pop([3.0, 1.0], np.eye(2))
         one = np.zeros(1, dtype=np.intp)
-        bound = w2_lower_bound(stack_populations([a]), stack_populations([b]), False,
-                               (one, one))[0]
+        bound = w2_lower_bound(a[None], b[None], False, (one, one))[0]
         assert bound == pytest.approx(9.0 - BOUND_SLACK * 2 ** 1.5 * 13.0, rel=1e-15)
 
     def test_shape_mismatch(self):
         rng = np.random.default_rng(7)
         one = np.zeros(1, dtype=np.intp)
         with pytest.raises(ValidationError, match="shapes"):
-            w2_lower_bound(stack_populations([random_pop(rng, 3, 2)]),
-                           stack_populations([random_pop(rng, 4, 2)]), True, (one, one))
+            w2_lower_bound(random_pop(rng, 3, 2)[None], random_pop(rng, 4, 2)[None], True,
+                           (one, one))
