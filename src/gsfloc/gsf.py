@@ -16,6 +16,15 @@ inputs are finite, as a cloud refuses non-finite points and logits and
 `fit_gsf` refuses non-finite logits. The prior k(Q,Q) is memoised on the probe
 points' values and kappa, since every field is probed on the same grids.
 
+Both LAPACK calls run on one BLAS thread, whoever calls them, and so do the
+products of a prediction: while they run, every OpenBLAS loaded into the
+process is set to one thread, and the count in effect before is restored
+after them. OpenBLAS's own threads spin on these small matrices and save no
+wall time, and its threaded factor differs from the one-thread factor in the
+last bits, so a field would depend on the core count of the host that fitted
+it. The setting is process-wide while they run; where no OpenBLAS is found,
+nothing is set.
+
 Probing takes one yaw or several. Several yaws give a stacked population, every
 array with a leading yaw axis, each member equal to its own single-yaw probe.
 `grid_probe` owns the yaw reuse: it probes only the yaws whose grid is not a
@@ -26,7 +35,9 @@ is built once per grid and yaw stack and memoised on their values.
 
 from __future__ import annotations
 
+import ctypes
 import functools
+import threading
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -157,6 +168,73 @@ def _gram(X: np.ndarray, kappa: float) -> np.ndarray:
     return K
 
 
+# (get, set) thread-count symbols of OpenBLAS builds: scipy's copy, numpy's
+# copy with 64-bit integers, and a plain OpenBLAS with or without them
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@functools.cache
+def _loaded_openblas() -> tuple[tuple, ...]:
+    """The (get, set) thread-count functions of every OpenBLAS loaded into
+    this process, found once from /proc/self/maps; none without /proc."""
+    try:
+        with open("/proc/self/maps") as f:
+            paths = {line.split()[-1] for line in f}
+    except OSError:
+        return ()
+    found = []
+    for path in sorted(p for p in paths if p.startswith("/") and "openblas" in p.lower()):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:  # a mapped name that does not load as a library
+            continue
+        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+            get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                found.append((get, set_))
+                break
+    return tuple(found)
+
+
+class _OneBlasThread:
+    """Reentrant, thread-safe scope in which every loaded OpenBLAS runs one
+    thread; the counts in effect when the outermost scope opened are restored
+    when the last one closes, also when its body raises.
+
+    The thread count is process state, so there is one instance, and its
+    depth counts the scopes open in all Python threads together."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._saved: list = []  # (set, count before) per library
+
+    def __enter__(self):
+        with self._lock:
+            if not self._depth:
+                self._saved = [(set_, get()) for get, set_ in _loaded_openblas()]
+                for set_, _ in self._saved:
+                    set_(1)
+            self._depth += 1
+
+    def __exit__(self, *exc):
+        with self._lock:
+            self._depth -= 1
+            if not self._depth:
+                for set_, count in self._saved:
+                    set_(count)
+
+
+_one_blas_thread = _OneBlasThread()
+
+
 def _factorize(K: np.ndarray) -> tuple[tuple, float]:
     """Cholesky with jitter escalation; returns (factor, jitter used).
 
@@ -167,28 +245,30 @@ def _factorize(K: np.ndarray) -> tuple[tuple, float]:
     K's strictly lower triangle intact, and the jittered retries rebuild K from
     it and the saved diagonal.
     """
-    diag = K.diagonal().copy()
-    L, info = dpotrf(K.T, lower=1, clean=0, overwrite_a=1)
-    if not info:  # info > 0: K is not positive definite
-        return (L, True), 0.0
-    K = np.tril(K, -1)
-    K += K.T
-    K[np.diag_indices_from(K)] = diag
-    jitter = JITTER_START
-    eye = np.eye(K.shape[0])
-    while jitter <= JITTER_MAX:
-        L, info = dpotrf((K + jitter * eye).T, lower=1, clean=0, overwrite_a=1)
-        if not info:
-            return (L, True), jitter
-        jitter *= 2.0
-    raise FitError(f"kernel factorization failed up to jitter {jitter / 2.0:.3e}")
+    with _one_blas_thread:
+        diag = K.diagonal().copy()
+        L, info = dpotrf(K.T, lower=1, clean=0, overwrite_a=1)
+        if not info:  # info > 0: K is not positive definite
+            return (L, True), 0.0
+        K = np.tril(K, -1)
+        K += K.T
+        K[np.diag_indices_from(K)] = diag
+        jitter = JITTER_START
+        eye = np.eye(K.shape[0])
+        while jitter <= JITTER_MAX:
+            L, info = dpotrf((K + jitter * eye).T, lower=1, clean=0, overwrite_a=1)
+            if not info:
+                return (L, True), jitter
+            jitter *= 2.0
+        raise FitError(f"kernel factorization failed up to jitter {jitter / 2.0:.3e}")
 
 
 def _solve_lower(L: np.ndarray, B: np.ndarray, overwrite_b: bool = False) -> np.ndarray:
     """L^-1 B for the Fortran-ordered lower factor L, by LAPACK's `dtrtrs`, as
     `solve_triangular(L, B, lower=True)` computes it. `overwrite_b` lets a
     Fortran-ordered float64 B hold the result in place."""
-    x, info = dtrtrs(L, B, lower=1, overwrite_b=overwrite_b)
+    with _one_blas_thread:
+        x, info = dtrtrs(L, B, lower=1, overwrite_b=overwrite_b)
     if info:  # a Cholesky factor's diagonal is positive: not reached
         raise FitError(f"triangular solve failed at diagonal {info - 1}")
     return x
@@ -263,10 +343,11 @@ def gsf_predict(field: GaussianSemanticField, Q) -> tuple[np.ndarray, np.ndarray
     Q = np.atleast_2d(np.asarray(Q, dtype=np.float64))
     Qs = Q.reshape(-1, Q.shape[-2], 3)  # (Y,G,3); a single set is a stack of one
     n_y, g = Qs.shape[:2]
-    W, mu = _whiten(field, Qs.reshape(-1, 3))
-    mu = mu.reshape(n_y, g, -1)
-    W = W.reshape(field.m, n_y, g).transpose(1, 0, 2)  # (Y,M,G)
-    Sigma = _prior(Qs.tobytes(), Qs.shape, field.hyper.kappa) - np.swapaxes(W, 1, 2) @ W
+    with _one_blas_thread:  # the products too: OpenBLAS threads a large grid's
+        W, mu = _whiten(field, Qs.reshape(-1, 3))
+        mu = mu.reshape(n_y, g, -1)
+        W = W.reshape(field.m, n_y, g).transpose(1, 0, 2)  # (Y,M,G)
+        Sigma = _prior(Qs.tobytes(), Qs.shape, field.hyper.kappa) - np.swapaxes(W, 1, 2) @ W
     Sigma = 0.5 * (Sigma + np.swapaxes(Sigma, 1, 2))
     if Q.ndim == 2:
         return mu[0], Sigma[0]

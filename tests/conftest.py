@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from gsfloc import gsf
 from gsfloc.core import RigidTransform, SemanticPointCloud, default_taxonomy, one_hot_logits, rot_z
 from gsfloc.gsf import GpPopulation
 from gsfloc.synth import InstanceTemplate, SceneSpec
@@ -12,6 +13,22 @@ from gsfloc.synth import InstanceTemplate, SceneSpec
 settings.register_profile("gsfloc", derandomize=True, max_examples=40, deadline=None,
                           database=None)
 settings.load_profile("gsfloc")
+
+
+@pytest.fixture
+def blas_threads():
+    """Every loaded OpenBLAS set to two threads for the test, so that a scope
+    setting one shows; yields a function that reads their counts. The counts
+    in effect before are restored after. Skips where no OpenBLAS is loaded."""
+    libs = gsf._loaded_openblas()
+    if not libs:
+        pytest.skip("no OpenBLAS is loaded")
+    before = [get() for get, _ in libs]
+    for _, set_ in libs:
+        set_(2)
+    yield lambda: [get() for get, _ in libs]
+    for (_, set_), count in zip(libs, before):
+        set_(count)
 
 
 def random_rotation(rng) -> np.ndarray:

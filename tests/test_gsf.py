@@ -1,4 +1,11 @@
+import hashlib
+import os
+import subprocess
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,8 +13,8 @@ from scipy.linalg import cho_factor, inv, solve_triangular
 from scipy.spatial.distance import cdist
 
 from gsfloc import gsf
-from gsfloc.config import GridSection
-from gsfloc.core import ValidationError, one_hot_logits
+from gsfloc.config import GridSection, RunConfig
+from gsfloc.core import ValidationError, default_taxonomy, one_hot_logits
 from gsfloc.gsf import (
     FitError,
     GpHyperParams,
@@ -195,18 +202,20 @@ class TestFit:
         """`_factorize`'s direct LAPACK factor is `cho_factor(K, lower=True)`
         bit for bit, both triangles, at sizes on both sides of where LAPACK
         starts to thread; and `_solve_lower` is `solve_triangular` bit for bit,
-        in its own buffer or in the right-hand side's."""
+        in its own buffer or in the right-hand side's. The references run on
+        one BLAS thread, as the wrappers do."""
         rng = np.random.default_rng(m)
         X = rng.uniform(-8.0, 8.0, (m, 3))
         K = matern32_matrix(X, X, 2.0)
         K[np.diag_indices_from(K)] += 0.1**2
-        want = cho_factor(K, lower=True)[0]
+        B = rng.normal(size=(m, 12))
+        Bf = np.asfortranarray(rng.normal(size=(m, 50)))
+        with gsf._one_blas_thread:
+            want = cho_factor(K, lower=True)[0]
+            want_b, expect = (solve_triangular(want, b, lower=True) for b in (B, Bf))
         (L, lower), jitter = gsf._factorize(K.copy())
         assert np.array_equal(L, want) and lower and jitter == 0.0
-        B = rng.normal(size=(m, 12))
-        assert np.array_equal(gsf._solve_lower(L, B), solve_triangular(want, B, lower=True))
-        Bf = np.asfortranarray(rng.normal(size=(m, 50)))
-        expect = solve_triangular(want, Bf, lower=True)
+        assert np.array_equal(gsf._solve_lower(L, B), want_b)
         got = gsf._solve_lower(L, Bf, overwrite_b=True)
         assert np.array_equal(got, expect) and np.shares_memory(got, Bf)
 
@@ -214,18 +223,20 @@ class TestFit:
     def test_jittered_factorize_equals_cho_factor(self, m):
         """A K that factors only with jitter: the retry's factor is that of
         `cho_factor(K + jitter I, lower=True)` bit for bit, at the first jitter
-        of the escalation that `cho_factor` itself accepts."""
+        of the escalation that `cho_factor` itself accepts, on one BLAS thread
+        as `_factorize` runs."""
         rng = np.random.default_rng(m)
         X = rng.uniform(-4.0, 4.0, (m, 3))
         X[m // 2:] = X[: m - m // 2]  # every point twice: K is singular
         K = matern32_matrix(X, X, 1.7)
         (L, _), jitter = gsf._factorize(K.copy())
         assert jitter > 0
-        assert np.array_equal(L, cho_factor(K + jitter * np.eye(m), lower=True)[0])
-        for tried in [0.0] + [gsf.JITTER_START * 2.0**k for k in range(40)
-                              if gsf.JITTER_START * 2.0**k < jitter]:
-            with pytest.raises(np.linalg.LinAlgError):
-                cho_factor(K + tried * np.eye(m), lower=True)
+        with gsf._one_blas_thread:
+            assert np.array_equal(L, cho_factor(K + jitter * np.eye(m), lower=True)[0])
+            for tried in [0.0] + [gsf.JITTER_START * 2.0**k for k in range(40)
+                                  if gsf.JITTER_START * 2.0**k < jitter]:
+                with pytest.raises(np.linalg.LinAlgError):
+                    cho_factor(K + tried * np.eye(m), lower=True)
 
     def test_noise_shifts_eigenvalues(self):
         rng = np.random.default_rng(9)
@@ -248,6 +259,148 @@ class TestFit:
         X = np.eye(3)
         with pytest.raises(FitError):
             fit_gsf(X, np.ones((3, 1)), [0, 1, 2], GpHyperParams(), budget=1, seed=0)
+
+
+def _recording(calls: list, name: str, counts, fn):
+    """`fn`, appending (name, the BLAS thread counts) to `calls` at each call."""
+    def call(*args, **kwargs):
+        calls.append((name, counts()))
+        return fn(*args, **kwargs)
+    return call
+
+
+def _field_digests() -> dict[str, str]:
+    """sha256 of the factor, mu and Sigma of a fixed, seeded 256-point
+    neighbourhood's field, probed at 8 yaws on the default grid."""
+    taxonomy = default_taxonomy()
+    rng = np.random.default_rng(5)
+    X = rng.uniform(-4.0, 4.0, (256, 3))
+    labels = rng.integers(0, taxonomy.num_classes, 256)
+    Y = rng.normal(size=(256, taxonomy.num_classes))
+    fld = fit_gsf(X, Y, labels, GpHyperParams(), budget=256, seed=0)
+    pop = grid_probe(fld, taxonomy, RunConfig().gsf.grid,
+                     np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False))
+    return {name: hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+            for name, a in [("factor", fld.factor[0]), ("mu", pop.mu), ("Sigma", pop.Sigma)]}
+
+
+class TestOneBlasThread:
+    """`gsf._one_blas_thread`: every loaded OpenBLAS on one thread inside it,
+    the count in effect before restored after it."""
+
+    def test_finds_numpy_openblas(self):
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+        if "openblas" not in blas.lower() or not os.path.exists("/proc/self/maps"):
+            pytest.skip(f"numpy's BLAS is {blas}, or there is no /proc")
+        assert gsf._loaded_openblas()
+
+    def test_one_thread_inside_earlier_count_after(self, blas_threads):
+        with gsf._one_blas_thread:
+            assert set(blas_threads()) == {1}
+        assert set(blas_threads()) == {2}
+
+    def test_every_lapack_call_on_one_thread(self, blas_threads, taxonomy, monkeypatch):
+        """Each `dpotrf` and `dtrtrs` of a fit, a stacked probe and an mIoU
+        runs on one thread, and the count is back at two after each."""
+        calls = []
+        for name in ("dpotrf", "dtrtrs"):
+            monkeypatch.setattr(gsf, name, _recording(calls, name, blas_threads,
+                                                      getattr(gsf, name)))
+        rng = np.random.default_rng(3)
+        X = rng.uniform(-3.0, 3.0, (40, 3))
+        fld = fit_gsf(X, rng.normal(size=(40, 12)), rng.integers(0, 12, 40), GpHyperParams(),
+                      40, 0)
+        assert set(blas_threads()) == {2}
+        grid_probe(fld, taxonomy, GridSection(), [0.0, 0.5, 1.0])
+        assert set(blas_threads()) == {2}
+        reconstruction_miou(fld, X, rng.integers(0, 12, 40))
+        assert set(blas_threads()) == {2}
+        assert [name for name, _ in calls] == ["dpotrf"] + ["dtrtrs"] * 3
+        assert all(set(counts) == {1} for _, counts in calls)
+
+    def test_restored_when_body_raises(self, blas_threads, monkeypatch):
+        """A K that no jitter up to JITTER_MAX makes positive definite: every
+        attempt runs on one thread, and the FitError leaves the count at two."""
+        calls = []
+        monkeypatch.setattr(gsf, "dpotrf", _recording(calls, "dpotrf", blas_threads, gsf.dpotrf))
+        with pytest.raises(FitError):
+            gsf._factorize(-np.eye(4))
+        assert len(calls) > 1 and all(set(counts) == {1} for _, counts in calls)
+        assert set(blas_threads()) == {2}
+
+    def test_nested_scopes(self, blas_threads):
+        with gsf._one_blas_thread:
+            with gsf._one_blas_thread:
+                assert set(blas_threads()) == {1}
+            assert set(blas_threads()) == {1}
+        assert set(blas_threads()) == {2}
+
+    @pytest.mark.parametrize("first_out", [0, 1])
+    def test_two_threads_interleaved(self, blas_threads, first_out):
+        """Thread 0 enters, then thread 1; either leaves first. The count
+        stays one while either is inside and is two once both have left."""
+        entered = [threading.Event(), threading.Event()]
+        release = [threading.Event(), threading.Event()]
+
+        def hold(k):
+            with gsf._one_blas_thread:
+                entered[k].set()
+                return release[k].wait(5.0)
+
+        with ThreadPoolExecutor(2) as pool:
+            futures = []
+            for k in (0, 1):
+                futures.append(pool.submit(hold, k))
+                assert entered[k].wait(5.0)
+            assert set(blas_threads()) == {1}
+            release[first_out].set()
+            assert futures[first_out].result(timeout=5.0)
+            assert set(blas_threads()) == {1}
+            release[1 - first_out].set()
+            assert futures[1 - first_out].result(timeout=5.0)
+        assert set(blas_threads()) == {2}
+
+    def test_many_threads_stress(self, blas_threads):
+        """More Python threads than cores enter and leave many times with a
+        short switch interval: inside, the count is always one; after, the
+        depth is zero and the count two, which a lost update would break."""
+        def churn():
+            seen = set()
+            for _ in range(200):
+                with gsf._one_blas_thread:
+                    seen.update(blas_threads())
+            return seen
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(6) as pool:
+                seen = [f.result(timeout=30.0) for f in [pool.submit(churn) for _ in range(6)]]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(s == {1} for s in seen)
+        assert gsf._one_blas_thread._depth == 0
+        assert set(blas_threads()) == {2}
+
+    def test_no_op_without_openblas(self, blas_threads, monkeypatch):
+        monkeypatch.setattr(gsf, "_loaded_openblas", lambda: ())
+        with gsf._one_blas_thread:
+            assert set(blas_threads()) == {2}
+        assert set(blas_threads()) == {2}
+
+    def test_fields_independent_of_blas_threads(self, blas_threads):
+        """A field's factor, mu and Sigma have the same bytes in this process,
+        its BLAS at two threads, as in one started with one BLAS thread."""
+        here = _field_digests()
+        tests = Path(__file__).resolve().parent
+        src = str(Path(gsf.__file__).resolve().parents[1])
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, str(tests),
+                                                           os.environ.get("PYTHONPATH")]))}
+        code = "import test_gsf; print(test_gsf._field_digests())"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.strip() == str(here)
 
 
 class TestPredict:

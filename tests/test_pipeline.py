@@ -4,6 +4,7 @@ import hashlib
 import json
 import typing
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -1119,6 +1120,44 @@ class TestQueryPin:
             res = localize(scan, ref)
             got.append(_result_hash(res.status, res.pose)[:16])
         assert got == self.TWINS_PINNED
+
+
+class TestBlasThreads:
+    """The field layer's one-thread BLAS scope, seen from the pipeline."""
+
+    def test_build_and_localize_leave_thread_counts(self, scene, taxonomy_module,
+                                                    blas_threads):
+        cloud, _ = scene
+        ref = build_map(cloud, taxonomy_module, RunConfig())
+        assert set(blas_threads()) == {2}
+        pose = sample_query_poses(1, seed=7, half=15.0)[0]
+        scan = simulate_scan(cloud, pose, range_max=60.0, dropout_rate=0.3,
+                             noise_sigma=0.03, seed=42)
+        assert localize(scan, ref).status == "success"
+        assert set(blas_threads()) == {2}
+
+    def test_two_threads_localize_as_serial_calls(self, scene, ref_map, blas_threads):
+        """Two Python threads, each localizing three scans against one shared
+        map, end in the statuses and poses of serial calls, bit for bit."""
+        cloud, _ = scene
+        scans = [simulate_scan(cloud, pose, range_max=60.0, dropout_rate=0.3,
+                               noise_sigma=0.03, seed=[31, i])
+                 for i, pose in enumerate(sample_query_poses(6, seed=[31, 2], half=20.0))]
+
+        def run(batch):
+            return [(r.status, None if r.pose is None else r.pose.matrix_3x4())
+                    for r in (localize(scan, ref_map) for scan in batch)]
+
+        serial = run(scans)
+        with ThreadPoolExecutor(2) as pool:
+            halves = [pool.submit(run, scans[k::2]) for k in (0, 1)]
+            got = [f.result(timeout=120.0) for f in halves]
+        threaded = [got[i % 2][i // 2] for i in range(len(scans))]
+        assert [s for s, _ in threaded] == [s for s, _ in serial]
+        assert "success" in [s for s, _ in serial]
+        for (_, a), (_, b) in zip(threaded, serial):
+            assert (a is None and b is None) or np.array_equal(a, b)
+        assert set(blas_threads()) == {2}
 
 
 class TestVoxelDownsample:
