@@ -38,6 +38,7 @@ from pathlib import Path
 
 import numpy as np
 from scipy.spatial import cKDTree
+from scipy.spatial.distance import pdist, squareform
 
 from .core import FormatError, ValidationError
 from .gsf import GpPopulation
@@ -71,7 +72,8 @@ def _ascending(sides: np.ndarray) -> np.ndarray:
 
 
 def triangulate(graph, k_neighbors: int) -> list[TriangleDescriptor]:
-    """All C(K,2) triangles per anchor with its K nearest instances, deduplicated.
+    """All C(K,2) triangles per anchor with its K nearest instances, deduplicated,
+    over a scene graph's centroid and label rows.
 
     Neighbours tie by instance id; descriptor ids follow first sight over the
     anchors in id order. Each triangle takes the lexicographically smallest
@@ -79,16 +81,11 @@ def triangulate(graph, k_neighbors: int) -> list[TriangleDescriptor]:
     """
     if k_neighbors < 2:
         raise ValidationError(f"neighbor count must be >= 2, got {k_neighbors}")
-    insts = graph.instances
-    n = len(insts)
+    n = len(graph)
     if n < 3:
         warnings.warn(f"triangulation needs >= 3 instances, got {n}")
         return []
-    if any(inst.id != i for i, inst in enumerate(insts)):
-        raise ValidationError("instance ids must be 0..K-1 in list order")
-    cents = np.stack([np.asarray(inst.centroid, dtype=np.float64) for inst in insts])
-    labels = np.array([inst.label for inst in insts])
-    dist = np.linalg.norm(cents[:, None, :] - cents[None, :, :], axis=-1)
+    dist = squareform(pdist(graph.centroids))
 
     away = dist.copy()
     np.fill_diagonal(away, np.inf)  # the anchor sorts last among its own row
@@ -112,7 +109,7 @@ def triangulate(graph, k_neighbors: int) -> list[TriangleDescriptor]:
     return [
         TriangleDescriptor(i, tuple(v), tuple(s), tuple(lab))
         for i, (v, s, lab) in enumerate(zip(
-            verts[keep].tolist(), sides[keep].tolist(), labels[verts[keep]].tolist()))
+            verts[keep].tolist(), sides[keep].tolist(), graph.labels[verts[keep]].tolist()))
     ]
 
 

@@ -75,7 +75,7 @@ class GaussianSemanticField:
     X: np.ndarray  # (M,3) local coordinates
     Y: np.ndarray  # (M,D) logits
     hyper: GpHyperParams
-    factor: tuple  # (L, True): K = k(X,X) + sigma_y^2 I (+ jitter) = L L^T, L Fortran-ordered
+    factor: np.ndarray  # L, Fortran-ordered: K = k(X,X) + sigma_y^2 I (+ jitter) = L L^T
     white_y: np.ndarray  # (M,D) cached whitened targets L^-1 Y
     jitter: float = 0.0  # extra diagonal needed to factorize; 0 when clean
 
@@ -235,8 +235,8 @@ class _OneBlasThread:
 _one_blas_thread = _OneBlasThread()
 
 
-def _factorize(K: np.ndarray) -> tuple[tuple, float]:
-    """Cholesky with jitter escalation; returns (factor, jitter used).
+def _factorize(K: np.ndarray) -> tuple[np.ndarray, float]:
+    """Cholesky with jitter escalation; returns (lower factor L, jitter used).
 
     K is exactly symmetric, so LAPACK's `dpotrf` factors its transpose, a
     Fortran-ordered view, in place, as `cho_factor(K, lower=True)` factors K:
@@ -249,7 +249,7 @@ def _factorize(K: np.ndarray) -> tuple[tuple, float]:
         diag = K.diagonal().copy()
         L, info = dpotrf(K.T, lower=1, clean=0, overwrite_a=1)
         if not info:  # info > 0: K is not positive definite
-            return (L, True), 0.0
+            return L, 0.0
         K = np.tril(K, -1)
         K += K.T
         K[np.diag_indices_from(K)] = diag
@@ -258,7 +258,7 @@ def _factorize(K: np.ndarray) -> tuple[tuple, float]:
         while jitter <= JITTER_MAX:
             L, info = dpotrf((K + jitter * eye).T, lower=1, clean=0, overwrite_a=1)
             if not info:
-                return (L, True), jitter
+                return L, jitter
             jitter *= 2.0
         raise FitError(f"kernel factorization failed up to jitter {jitter / 2.0:.3e}")
 
@@ -310,14 +310,14 @@ def fit_gsf(
     K = _gram(X, hyper.kappa)
     K[np.diag_indices_from(K)] += hyper.sigma_y**2
     factor, jitter = _factorize(K)
-    return GaussianSemanticField(X, Y, hyper, factor, _solve_lower(factor[0], Y), jitter)
+    return GaussianSemanticField(X, Y, hyper, factor, _solve_lower(factor, Y), jitter)
 
 
 def _whiten(field: GaussianSemanticField, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """W = L^-1 k(X, points) (M,N) and the posterior mean W^T L^-1 Y (N,D)
     at `points` (N,3)."""
     kqx = matern32_matrix(points, field.X, field.hyper.kappa)
-    W = _solve_lower(field.factor[0], kqx.T, overwrite_b=True)  # in kqx's own buffer
+    W = _solve_lower(field.factor, kqx.T, overwrite_b=True)  # in kqx's own buffer
     return W, W.T @ field.white_y
 
 

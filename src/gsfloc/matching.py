@@ -7,9 +7,12 @@ confidence the largest weight among them.
 
 Two correspondences are consistent when the centroid distance on the query
 side agrees with the map side within epsilon, and they share neither a query
-nor a map instance (one-to-one enforcement). The inlier set is the maximum
-clique of the consistency graph; ties on size are broken by largest summed
-confidence, then by lexicographically smallest sorted node-id sequence.
+nor a map instance (one-to-one enforcement). Each side's distances come from
+`pdist` over the correspondences' rows of its (K, 3) centroid table. The
+inlier set is the maximum clique of the consistency graph; ties on size are
+broken by largest summed confidence, then by lexicographically smallest
+sorted node-id sequence. The clique search holds each adjacency row as one
+int, packed from the row's bits by `np.packbits`.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial.distance import pdist, squareform
 
 from .core import ValidationError
 from .descriptors import TriangleMatches
@@ -63,8 +67,8 @@ def collect_correspondences(matches: TriangleMatches) -> list[Correspondence]:
 def consistency_check(
     ci: Correspondence,
     cj: Correspondence,
-    query_centroids: dict[int, np.ndarray],
-    map_centroids: dict[int, np.ndarray],
+    query_centroids: np.ndarray,
+    map_centroids: np.ndarray,
     epsilon: float,
 ) -> bool:
     """| |a_i - a_j| - |b_i - b_j| | <= epsilon, plus one-to-one enforcement."""
@@ -77,24 +81,20 @@ def consistency_check(
 
 def build_consistency_graph(
     corrs: list[Correspondence],
-    query_centroids: dict[int, np.ndarray],
-    map_centroids: dict[int, np.ndarray],
+    query_centroids: np.ndarray,
+    map_centroids: np.ndarray,
     epsilon: float,
 ) -> ConsistencyGraph:
     """Every pair `consistency_check` passes, from the query and map centroid
-    distance matrices: |D_q - D_m| <= epsilon, query ids distinct, map ids distinct."""
+    distance matrices of the correspondences' rows of the (K, 3) centroid
+    tables: |D_q - D_m| <= epsilon, query ids distinct, map ids distinct."""
     if not corrs:
         raise ValidationError("cannot build a consistency graph with no correspondences")
     qids = np.array([c.query_id for c in corrs])
     mids = np.array([c.map_id for c in corrs])
-
-    def distances(cents, ids):
-        x = np.stack([cents[i] for i in ids])
-        diff = x[:, None, :] - x
-        return np.sqrt(np.sum(diff * diff, axis=-1))
-
-    adj = ((np.abs(distances(query_centroids, qids) - distances(map_centroids, mids)) <= epsilon)
-           & (qids[:, None] != qids) & (mids[:, None] != mids))
+    gap = squareform(pdist(query_centroids[qids]))
+    gap -= squareform(pdist(map_centroids[mids]))
+    adj = (np.abs(gap, out=gap) <= epsilon) & (qids[:, None] != qids) & (mids[:, None] != mids)
     return ConsistencyGraph(list(corrs), adj, epsilon)
 
 
@@ -108,14 +108,9 @@ def _better(a, b) -> bool:
 
 
 def _adj_masks(graph: ConsistencyGraph) -> list[int]:
-    n = len(graph.nodes)
-    masks = [0] * n
-    for i in range(n):
-        row = 0
-        for j in np.nonzero(graph.adjacency[i])[0]:
-            row |= 1 << int(j)
-        masks[i] = row
-    return masks
+    """Row i of the adjacency as an int whose bit j is set where it holds an edge."""
+    packed = np.packbits(graph.adjacency, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
 def _bits(mask: int):

@@ -13,13 +13,14 @@ dense (query instance x map instance) array, with the similarity self-tuned
 from it; then one `gsf_filter` call over all candidates, whose survivors come
 back as one `TriangleMatches` array record), `_clique` (correspondences merged
 from that record by array operations, consistency graph, max clique) and
-`_solve` (robust IRLS).
+`_solve` (robust IRLS over the clique's rows of the two centroid tables).
 
-A map holds only what `localize` reads: each instance's centroid, one table
-of probed populations, row i instance i's, with a mask of the fitted rows,
-the triangle index, the taxonomy and the config. Map and query share one
-fit-and-probe path, `_probe_fields`, which fills a row and drops its field;
-`build_map` drops the map cloud once it is triangulated.
+A map holds only what `localize` reads: one (K, 3) table of instance
+centroids and one table of probed populations, row i instance i's in each,
+with a mask of the fitted rows, the triangle index, the taxonomy and the
+config. Map and query share one fit-and-probe path, `_probe_fields`, which
+fills a row and drops its field; `build_map` drops the map cloud once it is
+triangulated.
 
 Map bundle directory layout, version 5:
     graph.json        instance ids and centroids
@@ -120,7 +121,7 @@ class BuildError(GsflocError):
 
 @dataclass
 class ReferenceMap:
-    centroids: dict[int, np.ndarray]  # instance id -> map-frame centroid
+    centroids: np.ndarray  # (K, 3) map-frame centroids, row i instance i's
     index: DescriptorIndex
     populations: GpPopulation  # (K, G, ·) table, row i instance i's, NaN where a fit failed
     fitted: np.ndarray  # (K,) bool, the rows of `populations` that hold a population
@@ -230,18 +231,15 @@ def build_map(
     config: RunConfig | None = None,
 ) -> ReferenceMap:
     """Instance centroids + canonical populations + descriptor index over the
-    map cloud; the scene graph itself is not kept."""
+    map cloud; of the scene graph, only the centroid table is kept."""
     config = config or RunConfig()
     cloud = _prepare_cloud(map_cloud, config)
     graph = build_scene_graph(cloud, taxonomy, config)
-    if graph.num_instances < 3:
-        raise BuildError(
-            f"map has {graph.num_instances} instances; at least 3 are required"
-        )
+    if len(graph) < 3:
+        raise BuildError(f"map has {len(graph)} instances; at least 3 are required")
     fitted, populations = _probe_fields(graph, cloud, taxonomy, config, 0.0)
     index = build_index(triangulate(graph, config.index.k_neighbors), config.index.delta_d)
-    centroids = {inst.id: inst.centroid for inst in graph.instances}
-    return ReferenceMap(centroids, index, populations, fitted, taxonomy, config)
+    return ReferenceMap(graph.centroids, index, populations, fitted, taxonomy, config)
 
 
 def _timed(timings: dict, stage: str, fn, *args):
@@ -263,8 +261,8 @@ def _probe_fields(graph, cloud, taxonomy, config, yaw) -> tuple[np.ndarray, GpPo
     """Each instance's field fitted, probed at `yaw` (a float or a sequence) and
     dropped: the (K,) fitted mask and the table, row i instance i's, NaN where it failed."""
     grid = probe_grid(config.gsf.grid, yaw)
-    fitted = np.zeros(graph.num_instances, dtype=bool)
-    table = _nan_table(grid, graph.num_instances, taxonomy.num_classes)
+    fitted = np.zeros(len(graph), dtype=bool)
+    table = _nan_table(grid, len(graph), taxonomy.num_classes)
     for iid, field in fit_fields(graph, cloud, config):
         if field is not None:
             table[iid] = grid_probe(field, taxonomy, config.gsf.grid, yaw)
@@ -360,8 +358,8 @@ def _solve(picked, qcents, mcents, config) -> tuple[RigidTransform, list] | None
     Clique weights that underflow to 0 (a tiny `sim.sigma_w`) are degenerate too."""
     try:
         cset = WeightedCorrespondenceSet(
-            p=np.stack([qcents[c.query_id] for c in picked]),
-            q=np.stack([mcents[c.map_id] for c in picked]),
+            p=qcents[[c.query_id for c in picked]],
+            q=mcents[[c.map_id for c in picked]],
             omega=np.array([c.omega for c in picked]),
             tau0=config.solver.tau0,
         )
@@ -404,8 +402,7 @@ def localize(
     res.triangles_queried, matches = _timed(
         timings, "match", _match, qgraph, probes, ref_map, config)
     res.candidates_after_filter = len(matches)
-    qcents = {inst.id: inst.centroid for inst in qgraph.instances}
-    mcents = ref_map.centroids
+    qcents, mcents = qgraph.centroids, ref_map.centroids
     picked = _timed(timings, "clique", _clique, matches, qcents, mcents, config)
     res.clique_size = len(picked)
     if len(picked) < 3:
@@ -501,7 +498,7 @@ def load_map(bundle_dir) -> ReferenceMap:
             f"integers; it holds {ids.dtype} ids of shape {ids.shape}"
         )
     for name, named in (("index.gsfi", index.vertex_ids), ("populations.npz", ids)):
-        stray = np.setdiff1d(named, list(centroids))  # a negative id would wrap below
+        stray = np.setdiff1d(named, np.arange(len(centroids)))  # a negative id would wrap below
         if stray.size:
             raise FormatError(
                 f"map bundle {d}: {name} names instance {stray[0]}, "

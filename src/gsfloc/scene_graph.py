@@ -2,19 +2,22 @@
 
 Object layer (`build_scene_graph`): per-class single-linkage Euclidean
 clustering of instantiable points (connected components of the
-distance-threshold graph). Field layer (`fit_fields`), read only by GSF-filtered
-matching: one Gaussian semantic field per instance, fit on the radius-r
-neighborhood (all classes) in local coordinates centered at the instance
-centroid, one at a time, so a caller can probe each and drop it before the next
-is fitted. Each neighborhood is one row of squared distances from the centroid
-to the cloud, sparsified from its labels before any coordinate or logit of it
-is gathered. The graph keeps no copy of the cloud it was built from. Every
-setting comes from the run's `RunConfig`: the `cluster` section, the GP
-settings of `gsf` and `pipeline.seed`.
+distance-threshold graph), held as one instance table: (K, 3) centroids, (K,)
+labels and K member index arrays, row i instance i. Field layer
+(`fit_fields`), read only by GSF-filtered matching: one Gaussian semantic
+field per instance, fit on the radius-r neighborhood (all classes) in local
+coordinates centered at the instance centroid, one at a time, so a caller can
+probe each and drop it before the next is fitted. Each neighborhood is one
+row of squared distances from the centroid to the cloud, sparsified from its
+labels before any coordinate or logit of it is gathered. The graph keeps no
+copy of the cloud it was built from. Every setting comes from the run's
+`RunConfig`: the `cluster` section, the GP settings of `gsf` and
+`pipeline.seed`.
 
 Serialization: a versioned JSON document of each instance's id and centroid,
-the part of the object layer a map bundle needs at query time. Fields are not
-stored; a map bundle keeps their probed populations instead.
+the part of the object layer a map bundle needs at query time, read back as
+the (K, 3) centroid table. Fields are not stored; a map bundle keeps their
+probed populations instead.
 """
 
 from __future__ import annotations
@@ -44,20 +47,15 @@ GRAPH_VERSION = 3
 
 
 @dataclass
-class Instance:
-    id: int
-    centroid: np.ndarray  # (3,) mean of member points
-    label: int
-    point_indices: np.ndarray  # indices into the source cloud
-
-
-@dataclass
 class SceneGraph:
-    instances: list[Instance]
+    """The object layer as one instance table: row i is instance i."""
 
-    @property
-    def num_instances(self) -> int:
-        return len(self.instances)
+    centroids: np.ndarray  # (K, 3) mean of each instance's member points
+    labels: np.ndarray  # (K,) int64 class id of each instance
+    members: list[np.ndarray]  # K ascending index arrays into the source cloud
+
+    def __len__(self) -> int:
+        return len(self.labels)
 
 
 def check_thresholds(cluster: ClusterSection, taxonomy: LabelTaxonomy) -> None:
@@ -69,13 +67,13 @@ def check_thresholds(cluster: ClusterSection, taxonomy: LabelTaxonomy) -> None:
 
 def cluster_instances(
     cloud: SemanticPointCloud, taxonomy: LabelTaxonomy, cluster: ClusterSection
-) -> list[Instance]:
+) -> SceneGraph:
     """Connected components of instantiable points under the per-class
     distance-threshold relation (`cluster.thresholds` by class name, else
     `cluster.default_threshold`); components below min_cluster_size dropped.
 
     Output is deterministic: instances sorted by label id, then centroid
-    lexicographically, with dense ids 0..K-1.
+    lexicographically, instance i in row i.
     """
     check_thresholds(cluster, taxonomy)
     # every instantiable point, class by class, each class's indices ascending
@@ -94,7 +92,7 @@ def cluster_instances(
         links.append(pairs)
         start += idx.size
     if not start:
-        return []
+        return SceneGraph(np.zeros((0, 3)), np.zeros(0, dtype=np.int64), [])
     members, pairs = np.concatenate(members), np.concatenate(links)
     links.clear()  # the per-class pairs go before the sparse graph is built
     graph = coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(start, start))
@@ -105,17 +103,11 @@ def cluster_instances(
     ends = np.cumsum(sizes)
     big = sizes >= cluster.min_cluster_size
     by_comp = members[np.argsort(comp, kind="stable")]  # each component's members ascending
-
-    keyed = []
-    for lo, hi in zip((ends - sizes)[big].tolist(), ends[big].tolist()):
-        idx = by_comp[lo:hi]
-        centroid = cloud.points[idx].mean(axis=0)
-        keyed.append((int(cloud.labels[idx[0]]), tuple(centroid), centroid, idx))
-    keyed.sort(key=lambda k: (k[0], k[1]))
-    return [
-        Instance(i, centroid, label, np.sort(idx))
-        for i, (label, _, centroid, idx) in enumerate(keyed)
-    ]
+    kept = [by_comp[lo:hi] for lo, hi in zip((ends - sizes)[big].tolist(), ends[big].tolist())]
+    centroids = np.array([cloud.points[idx].mean(axis=0) for idx in kept]).reshape(-1, 3)
+    labels = cloud.labels[[idx[0] for idx in kept]].astype(np.int64)
+    order = np.lexsort((*centroids.T[::-1], labels))  # label, then x, y, z
+    return SceneGraph(centroids[order], labels[order], [kept[i] for i in order.tolist()])
 
 
 def build_scene_graph(
@@ -133,7 +125,7 @@ def build_scene_graph(
             f"cloud has {cloud.num_classes} logit columns; "
             f"the taxonomy has {taxonomy.num_classes} classes"
         )
-    return SceneGraph(cluster_instances(cloud, taxonomy, config.cluster))
+    return cluster_instances(cloud, taxonomy, config.cluster)
 
 
 def fit_fields(
@@ -153,9 +145,9 @@ def fit_fields(
     """
     hyper = GpHyperParams(config.gsf.kappa, config.gsf.sigma_y)
     r2 = config.cluster.neighborhood_radius ** 2
-    for inst in graph.instances:
-        seed = [config.pipeline.seed, inst.id]
-        hood = np.flatnonzero(cdist(inst.centroid[None], cloud.points, "sqeuclidean")[0] <= r2)
+    for iid, centroid in enumerate(graph.centroids):
+        seed = [config.pipeline.seed, iid]
+        hood = np.flatnonzero(cdist(centroid[None], cloud.points, "sqeuclidean")[0] <= r2)
         try:
             if hood.size:  # an empty neighborhood is fit_gsf's to refuse
                 hood = hood[semantic_sparsify(cloud.labels[hood], config.gsf.budget, seed)]
@@ -163,29 +155,28 @@ def fit_fields(
                     raise FitError("sparsification kept 0 points (budget too small for class mix)")
             # the kept points, which may exceed the budget by rounding, are their
             # own budget: fit_gsf draws no more
-            field = fit_gsf(cloud.points[hood] - inst.centroid, cloud.logits[hood],
+            field = fit_gsf(cloud.points[hood] - centroid, cloud.logits[hood],
                             cloud.labels[hood], hyper, hood.size, seed=seed)
         except FitError as e:
-            warnings.warn(f"field fit failed for instance {inst.id}: {e}")
+            warnings.warn(f"field fit failed for instance {iid}: {e}")
             field = None
-        yield inst.id, field
+        yield iid, field
 
 
-def save_scene_graph(centroids: dict[int, np.ndarray], json_path) -> None:
-    """Write each instance's id and centroid, in id order."""
+def save_scene_graph(centroids: np.ndarray, json_path) -> None:
+    """Write each instance's id and centroid, row i of `centroids` (K, 3) as id i."""
     doc = {
         "format": GRAPH_FORMAT,
         "version": GRAPH_VERSION,
         "instances": [
-            {"id": iid, "centroid": [float(v) for v in c]}
-            for iid, c in sorted(centroids.items())
+            {"id": iid, "centroid": c} for iid, c in enumerate(centroids.tolist())
         ],
     }
     Path(json_path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def load_scene_graph(json_path) -> dict[int, np.ndarray]:
-    """The centroids saved by `save_scene_graph`, by instance id.
+def load_scene_graph(json_path) -> np.ndarray:
+    """The (K, 3) centroids saved by `save_scene_graph`, row i instance i's.
 
     A document that does not parse, or whose instances are not ids 0..K-1 in
     list order each with three finite centroid coordinates, is a FormatError
@@ -200,7 +191,7 @@ def load_scene_graph(json_path) -> dict[int, np.ndarray]:
     records = doc.get("instances")
     if not isinstance(records, list):
         raise FormatError(f"{where}: no instances list")
-    centroids: dict[int, np.ndarray] = {}
+    centroids = np.zeros((len(records), 3))
     for k, rec in enumerate(records):
         if not isinstance(rec, dict) or "id" not in rec or "centroid" not in rec:
             raise FormatError(f"{where}: instance record {k} lacks id or centroid")

@@ -23,7 +23,7 @@ from gsfloc.descriptors import (
     triangulate,
 )
 from gsfloc.gsf import GpHyperParams, GpPopulation, fit_gsf, grid_probe
-from gsfloc.scene_graph import Instance, SceneGraph
+from gsfloc.scene_graph import SceneGraph
 from gsfloc.wasserstein import SimilarityConfig, w2_squared
 
 from conftest import planted_table, random_transform
@@ -32,8 +32,8 @@ from conftest import planted_table, random_transform
 def graph_from_centroids(centroids, labels=None):
     centroids = np.asarray(centroids, dtype=float)
     labels = [7] * len(centroids) if labels is None else labels
-    insts = [Instance(i, centroids[i], labels[i], np.zeros(0, int)) for i in range(len(centroids))]
-    return SceneGraph(insts)
+    return SceneGraph(centroids, np.asarray(labels, dtype=np.int64),
+                      [np.zeros(0, int)] * len(centroids))
 
 
 def brute_force_triangulate(centroids, labels, k):
@@ -99,7 +99,7 @@ class TestTriangulate:
         d = triangulate(g, 2)[0]
         assert d.sides[0] <= d.sides[1] <= d.sides[2]
         # v1-v2 is the shortest side, v3-v1 the longest
-        c = {i.id: i.centroid for i in g.instances}
+        c = g.centroids
         v1, v2, v3 = d.vertex_ids
         assert abs(np.linalg.norm(c[v1] - c[v2]) - d.sides[0]) < 1e-12
         assert abs(np.linalg.norm(c[v2] - c[v3]) - d.sides[1]) < 1e-12
@@ -161,12 +161,6 @@ class TestTriangulate:
             got.add((d.sides, d.labels))
         # the 3-4-5 sides fix the vertex order: (3,0,0), (0,0,0), (0,4,0)
         assert got == {((3.0, 4.0, 5.0), (8, 7, 9))}
-
-    def test_ids_must_be_dense_in_list_order(self):
-        g = graph_from_centroids([[0, 0, 0], [3, 0, 0], [0, 4, 0]])
-        g.instances.reverse()
-        with pytest.raises(ValidationError, match="0..K-1"):
-            triangulate(g, 2)
 
 
 def random_descriptor(rng, desc_id, label_pool=(6, 7, 8, 9)):

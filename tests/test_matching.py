@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from gsfloc.matching import (
     ConsistencyGraph,
     Correspondence,
     brute_force_max_clique,
+    _adj_masks,
     build_consistency_graph,
     collect_correspondences,
     consistency_check,
@@ -36,6 +39,14 @@ def graph_from_adjacency(adj, omegas=None):
     omegas = [1.0] * n if omegas is None else omegas
     nodes = [Correspondence(i, i, omegas[i], 1) for i in range(n)]
     return ConsistencyGraph(nodes, adj.astype(bool), 1.0)
+
+
+def table(cents):
+    """The (K, 3) centroid table of an id -> centroid dict, with NaN rows for
+    the ids it does not name."""
+    rows = np.full((max(cents) + 1, 3), np.nan)
+    rows[list(cents)] = list(cents.values())
+    return rows
 
 
 def random_graph(rng, n, density):
@@ -147,7 +158,7 @@ class TestConsistency:
                 Correspondence(int(rng.integers(0, n)), int(rng.integers(10, 10 + n)), 1.0, 1)
                 for _ in range(n)
             ]
-            g = build_consistency_graph(corrs, q, m, epsilon=3.0)
+            g = build_consistency_graph(corrs, table(q), table(m), epsilon=3.0)
             for i in range(n):
                 assert not g.adjacency[i, i]
                 for j in range(n):
@@ -170,9 +181,45 @@ class TestConsistency:
         ]
         T = random_transform(rng)
         q_moved = {k: T.apply(v.reshape(1, 3))[0] for k, v in q.items()}
-        a = build_consistency_graph(corrs, q, m, epsilon=2.0)
-        b = build_consistency_graph(corrs, q_moved, m, epsilon=2.0)
+        a = build_consistency_graph(corrs, table(q), table(m), epsilon=2.0)
+        b = build_consistency_graph(corrs, table(q_moved), table(m), epsilon=2.0)
         assert (a.adjacency == b.adjacency).all()
+
+    def test_memory_bounded(self):
+        """600 correspondences over 64 instances per side: the build's traced
+        peak stays under 5 n^2 doubles. A build that holds each side's (n, n, 3)
+        difference array peaks at 8 n^2."""
+        rng = np.random.default_rng(6)
+        n, k = 600, 64
+        codes = rng.choice(k * k, n, replace=False)
+        corrs = [Correspondence(int(q), int(m), 1.0, 1) for q, m in zip(*np.divmod(codes, k))]
+        q, m = rng.uniform(-30, 30, (k, 3)), rng.uniform(-30, 30, (k, 3))
+        tracemalloc.start()
+        try:
+            g = build_consistency_graph(corrs, q, m, epsilon=1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.adjacency.shape == (n, n) and g.adjacency.any()
+        assert peak < 5 * n * n * 8, f"peak {peak / 1e6:.1f} MB"
+
+
+class TestAdjMasks:
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 64, 65])
+    def test_equals_bit_loop(self, n):
+        """Each row's int has bit j set exactly where the adjacency holds (i, j),
+        at sizes around and on a byte boundary."""
+        g = graph_from_adjacency(random_graph(np.random.default_rng(n), n, 0.5))
+        want = []
+        for i in range(n):
+            row = 0
+            for j in range(n):
+                if g.adjacency[i, j]:
+                    row |= 1 << j
+            want.append(row)
+        got = _adj_masks(g)
+        assert got == want and all(type(v) is int for v in got)
+        assert max(want) < 1 << n and (n < 2 or any(want))
 
 
 class TestMaxClique:

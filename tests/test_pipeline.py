@@ -614,10 +614,10 @@ class TestLocalize:
         assert res.status == "success"
         qcloud = voxel_downsample(scan, cfg.pipeline.query_voxel)
         qgraph = build_scene_graph(qcloud, ref_map.taxonomy, cfg)
-        qc = {i.id: i.centroid for i in qgraph.instances}
         for i, a in enumerate(res.inliers):
             for b in res.inliers[i + 1:]:
-                assert consistency_check(a, b, qc, ref_map.centroids, cfg.matching.epsilon)
+                assert consistency_check(a, b, qgraph.centroids, ref_map.centroids,
+                                         cfg.matching.epsilon)
 
     def test_map_instance_without_field(self, scene, ref_map, taxonomy_module):
         """A map instance without a population, as `load_map` gives for an id
@@ -1158,6 +1158,57 @@ class TestBlasThreads:
         for (_, a), (_, b) in zip(threaded, serial):
             assert (a is None and b is None) or np.array_equal(a, b)
         assert set(blas_threads()) == {2}
+
+
+def _load_bench(name: str):
+    """A module of the benchmark, loaded from its file as the benchmark uses it."""
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parent.parent / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _recorder(fn, out: list):
+    """`fn`, appending each result to `out`."""
+    def call(*args, **kwargs):
+        out.append(fn(*args, **kwargs))
+        return out[-1]
+    return call
+
+
+class TestTracedCounts:
+    def test_counts_are_instances_and_edges(self, scene, taxonomy_module):
+        """The benchmark tracer's counts, taken as `len` of a traced function's
+        result, are the numbers they name: the set-up clustering's instances
+        are the map's centroid rows, the query's are its scene graph's rows, and
+        the consistency graph's edges are its adjacency's upper triangle."""
+        cloud, _ = scene
+        pose = sample_query_poses(1, seed=7, half=15.0)[0]
+        scan = simulate_scan(cloud, pose, range_max=60.0, dropout_rate=0.3,
+                             noise_sigma=0.03, seed=42)
+        graphs, cgraphs = [], []
+        # the recorders wrap the tracer's wrappers, and are taken off before them
+        with _load_bench("tracer").Tracer() as tracer, pytest.MonkeyPatch.context() as mp:
+            for name, out in [("build_scene_graph", graphs), ("build_consistency_graph", cgraphs)]:
+                mp.setattr(pipeline, name, _recorder(getattr(pipeline, name), out))
+            tracer.context = -1
+            ref = build_map(cloud, taxonomy_module, RunConfig())
+            tracer.context = 0
+            res = localize(scan, ref)
+        assert res.status == "success"
+        counts = {(rec[0], rec[4]): rec[5] for rec in tracer.spans}
+        set_up = counts["scene_graph.cluster_instances", -1]["instances"]
+        assert set_up == len(ref.centroids) == len(graphs[0]) >= 20
+        qgraph = graphs[1]
+        assert counts["scene_graph.cluster_instances", 0]["instances"] == len(qgraph.centroids)
+        assert len(qgraph) == len(qgraph.centroids) >= 3
+        (cgraph,) = cgraphs
+        edges = int(np.triu(cgraph.adjacency, 1).sum())
+        assert counts["matching.build_consistency_graph", 0]["edges"] == edges > 0
 
 
 class TestVoxelDownsample:

@@ -11,7 +11,6 @@ from gsfloc.core import SemanticPointCloud, ValidationError, one_hot_logits, tra
 from gsfloc import scene_graph
 from gsfloc.gsf import GpHyperParams, fit_gsf
 from gsfloc.scene_graph import (
-    Instance,
     SceneGraph,
     build_scene_graph,
     cluster_instances,
@@ -31,6 +30,17 @@ def make_cloud(points, labels, num_classes=12):
 def cluster_params(thresholds=None, min_cluster_size=10):
     """A cluster section with no per-class thresholds unless given (1.0 m for all)."""
     return ClusterSection(thresholds=thresholds or {}, min_cluster_size=min_cluster_size)
+
+
+def rows(graph):
+    """(label, centroid, members) of each instance of a scene graph, in id order."""
+    return list(zip(graph.labels.tolist(), graph.centroids, graph.members, strict=True))
+
+
+def graph_of(centroids, labels, members):
+    """A scene graph of the given rows."""
+    return SceneGraph(np.asarray(centroids, dtype=float).reshape(-1, 3),
+                      np.asarray(labels, dtype=np.int64), list(members))
 
 
 def blob(rng, center, n=15, scale=0.1):
@@ -113,12 +123,13 @@ class TestClustering:
         params = cluster_params(thresholds={taxonomy.name(classes[0]): 0.5}, min_cluster_size=5)
         got = cluster_instances(cloud, taxonomy, params)
         want = per_class_clusters(cloud, taxonomy, params)
-        assert [i.id for i in got] == list(range(len(want)))
+        assert len(got) == len(want)
         assert 5 in {len(idx) for _, _, idx in want} and len(want) >= 3
-        for inst, (label, centroid, idx) in zip(got, want, strict=True):
-            assert inst.label == label
-            assert np.array_equal(inst.centroid, centroid)
-            assert np.array_equal(inst.point_indices, idx)
+        for (got_label, got_centroid, got_idx), (label, centroid, idx) in zip(rows(got), want,
+                                                                              strict=True):
+            assert got_label == label
+            assert np.array_equal(got_centroid, centroid)
+            assert np.array_equal(got_idx, idx)
 
     def test_one_pass_equals_per_class_reference_on_a_scene(self, taxonomy):
         from gsfloc.synth import generate_scene
@@ -128,10 +139,10 @@ class TestClustering:
         got = cluster_instances(cloud, taxonomy, params)
         want = per_class_clusters(cloud, taxonomy, params)
         assert len(got) == len(want) >= 20
-        for inst, (label, centroid, idx) in zip(got, want):
-            assert inst.label == label
-            assert np.array_equal(inst.centroid, centroid)
-            assert np.array_equal(inst.point_indices, idx)
+        for (got_label, got_centroid, got_idx), (label, centroid, idx) in zip(rows(got), want):
+            assert got_label == label
+            assert np.array_equal(got_centroid, centroid)
+            assert np.array_equal(got_idx, idx)
 
     def test_two_separated_blobs(self, taxonomy):
         rng = np.random.default_rng(0)
@@ -145,13 +156,13 @@ class TestClustering:
         rng = np.random.default_rng(1)
         road = taxonomy.id_of("road")
         cloud = make_cloud(blob(rng, [0, 0, 0], n=40), np.full(40, road))
-        assert cluster_instances(cloud, taxonomy, cluster_params()) == []
+        assert len(cluster_instances(cloud, taxonomy, cluster_params())) == 0
 
     def test_min_cluster_size(self, taxonomy):
         rng = np.random.default_rng(2)
         pole = taxonomy.id_of("pole")
         cloud = make_cloud(blob(rng, [0, 0, 0], n=9), np.full(9, pole))
-        assert cluster_instances(cloud, taxonomy, cluster_params(min_cluster_size=10)) == []
+        assert len(cluster_instances(cloud, taxonomy, cluster_params(min_cluster_size=10))) == 0
 
     def test_unknown_threshold_class_rejected(self, taxonomy):
         cloud = make_cloud(np.zeros((1, 3)), [taxonomy.id_of("pole")])
@@ -173,8 +184,8 @@ class TestClustering:
             cloud = make_cloud(pts, labels)
             params = cluster_params(min_cluster_size=3)
             got = {
-                (inst.label, frozenset(int(i) for i in inst.point_indices))
-                for inst in cluster_instances(cloud, taxonomy, params)
+                (label, frozenset(int(i) for i in idx))
+                for label, _, idx in rows(cluster_instances(cloud, taxonomy, params))
             }
             want = brute_force_clusters(pts, labels, taxonomy, params)
             assert got == want, f"trial {trial}"
@@ -189,8 +200,7 @@ class TestClustering:
         b = cluster_instances(make_cloud(pts[perm], labels[perm]), taxonomy,
                               cluster_params(min_cluster_size=5))
         assert len(a) == len(b)
-        for ia, ib in zip(a, b):
-            np.testing.assert_allclose(ia.centroid, ib.centroid, atol=1e-12)
+        np.testing.assert_allclose(a.centroids, b.centroids, atol=1e-12)
 
     def test_rigid_equivariance(self, taxonomy):
         rng = np.random.default_rng(5)
@@ -201,8 +211,8 @@ class TestClustering:
         a = cluster_instances(cloud, taxonomy, cluster_params(min_cluster_size=5))
         b = cluster_instances(transform_cloud(cloud, T), taxonomy,
                               cluster_params(min_cluster_size=5))
-        got = sorted(tuple(np.round(T.apply(i.centroid), 6)) for i in a)
-        want = sorted(tuple(np.round(i.centroid, 6)) for i in b)
+        got = sorted(tuple(np.round(T.apply(c), 6)) for c in a.centroids)
+        want = sorted(tuple(np.round(c, 6)) for c in b.centroids)
         np.testing.assert_allclose(got, want, atol=1e-9)
 
     def test_centroid_invariant_and_no_duplicates(self, taxonomy):
@@ -212,17 +222,17 @@ class TestClustering:
         insts = cluster_instances(cloud, taxonomy, cluster_params(
             thresholds={"pole": 0.5, "trunk": 0.5, "traffic-sign": 0.5}))
         seen = set()
-        for inst in insts:
-            np.testing.assert_allclose(
-                inst.centroid, cloud.points[inst.point_indices].mean(axis=0), atol=1e-9
-            )
-            assert (cloud.labels[inst.point_indices] == inst.label).all()
-            members = set(int(i) for i in inst.point_indices)
+        for label, centroid, idx in rows(insts):
+            np.testing.assert_allclose(centroid, cloud.points[idx].mean(axis=0), atol=1e-9)
+            assert (cloud.labels[idx] == label).all()
+            members = set(int(i) for i in idx)
             assert not (members & seen)
             seen |= members
-        # ids dense 0..K-1, sorted by (label, centroid)
-        assert [i.id for i in insts] == list(range(len(insts)))
-        keys = [(i.label, tuple(i.centroid)) for i in insts]
+        # one row per instance in every column, sorted by (label, centroid)
+        k = len(insts)
+        assert insts.centroids.shape == (k, 3) and insts.labels.shape == (k,)
+        assert len(insts.members) == k
+        keys = [(label, tuple(centroid)) for label, centroid, _ in rows(insts)]
         assert keys == sorted(keys)
 
 
@@ -232,7 +242,7 @@ class TestBuildGraph:
         road = taxonomy.id_of("road")
         cloud = make_cloud(blob(rng, [0, 0, 0], n=50), np.full(50, road))
         graph = build_scene_graph(cloud, taxonomy, RunConfig(cluster=cluster_params()))
-        assert graph.num_instances == 0
+        assert len(graph) == 0 and graph.centroids.shape == (0, 3)
 
     def test_planted_poles_get_fields(self, taxonomy):
         from gsfloc.synth import InstanceTemplate, SceneSpec, generate_scene
@@ -241,11 +251,11 @@ class TestBuildGraph:
         cloud, gt = generate_scene(spec, taxonomy)
         cfg = RunConfig(cluster=cluster_params(thresholds={"pole": 0.5}))
         graph = build_scene_graph(cloud, taxonomy, cfg)
-        assert graph.num_instances == 5
+        assert len(graph) == 5
         fields = list(fit_fields(graph, cloud, cfg))
-        assert [iid for iid, _ in fields] == [i.id for i in graph.instances]
+        assert [iid for iid, _ in fields] == list(range(len(graph)))
         assert all(fld is not None for _, fld in fields)
-        got = sorted(tuple(np.round(i.centroid, 4)) for i in graph.instances)
+        got = sorted(tuple(np.round(c, 4)) for c in graph.centroids)
         want = sorted(tuple(np.round(g.centroid, 4)) for g in gt)
         np.testing.assert_allclose(got, want, atol=1e-6)
 
@@ -255,12 +265,12 @@ class TestBuildGraph:
         cloud, _ = generate_scene(small_scene_spec(seed=10), taxonomy)
         cfg = RunConfig(cluster=cluster_params())
         graph = build_scene_graph(cloud, taxonomy, cfg)
-        inst = graph.instances[0]
-        fld = dict(fit_fields(graph, cloud, cfg))[inst.id]
-        dist = np.linalg.norm(cloud.points - inst.centroid, axis=1)
+        centroid = graph.centroids[0]
+        fld = dict(fit_fields(graph, cloud, cfg))[0]
+        dist = np.linalg.norm(cloud.points - centroid, axis=1)
         want = np.nonzero(dist <= cfg.cluster.neighborhood_radius)[0]
         # every training row, back in the map frame, is a cloud point of the neighborhood
-        gap, nearest = cKDTree(cloud.points).query(fld.X + inst.centroid)
+        gap, nearest = cKDTree(cloud.points).query(fld.X + centroid)
         assert gap.max() < 1e-9
         assert np.all(dist[nearest] <= cfg.cluster.neighborhood_radius)
         neighborhood_classes = set(int(c) for c in cloud.labels[want])
@@ -282,7 +292,7 @@ class TestBuildGraph:
         assert np.array_equal(np.linalg.norm(cloud.points - c, axis=1)[:5], [r] * 4 + [0.5])
         cfg = RunConfig()
         cfg.cluster.neighborhood_radius = r
-        (_, fld), = fit_fields(SceneGraph([Instance(0, c, 1, np.arange(5))]), cloud, cfg)
+        (_, fld), = fit_fields(graph_of([c], [1], [np.arange(5)]), cloud, cfg)
         kept = cKDTree(cloud.points).query_ball_point(c, r, return_sorted=True)
         assert kept == [0, 1, 2, 3, 4]
         assert np.array_equal(fld.X + c, cloud.points[kept])
@@ -295,8 +305,7 @@ class TestBuildGraph:
         cfg = RunConfig()
         cfg.gsf.budget = 1
         with pytest.warns(UserWarning, match="instance 0: sparsification kept 0 points"):
-            (iid, fld), = fit_fields(SceneGraph([Instance(0, np.zeros(3), 1, np.arange(4))]),
-                                     cloud, cfg)
+            (iid, fld), = fit_fields(graph_of([np.zeros(3)], [1], [np.arange(4)]), cloud, cfg)
         assert (iid, fld) == (0, None)
 
     def test_kept_count_above_budget_drawn_once(self):
@@ -308,8 +317,7 @@ class TestBuildGraph:
         cloud = make_cloud(rng.normal(size=(6, 3)), [0, 1, 2, 2, 2, 2])
         cfg = RunConfig()
         cfg.gsf.budget = 4
-        (_, fld), = fit_fields(SceneGraph([Instance(0, np.zeros(3), 1, np.arange(3))]),
-                               cloud, cfg)
+        (_, fld), = fit_fields(graph_of([np.zeros(3)], [1], [np.arange(3)]), cloud, cfg)
         want = fit_gsf(cloud.points, cloud.logits, cloud.labels,
                        GpHyperParams(cfg.gsf.kappa, cfg.gsf.sigma_y), 4,
                        seed=[cfg.pipeline.seed, 0])
@@ -328,34 +336,35 @@ class TestBuildGraph:
         cloud, _ = generate_scene(small_scene_spec(seed=10), taxonomy)
         cfg = RunConfig()
         graph = build_scene_graph(cloud, taxonomy, cfg)
-        far = Instance(graph.num_instances, np.array([500.0, 500.0, 0.0]), 7, np.zeros(0, int))
-        graph.instances.append(far)  # an empty neighbourhood
+        far = len(graph)  # an instance with an empty neighbourhood
+        graph = graph_of(np.vstack([graph.centroids, [500.0, 500.0, 0.0]]),
+                         np.append(graph.labels, 7), graph.members + [np.zeros(0, int)])
         tree = cKDTree(cloud.points)
         for radius in (0.5, 3.0, cfg.cluster.neighborhood_radius):
             cfg.cluster.neighborhood_radius = radius
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 got = list(fit_fields(graph, cloud, cfg))
-            assert any(f"instance {far.id}: cannot fit" in str(w.message) for w in caught)
-            assert [iid for iid, _ in got] == [i.id for i in graph.instances]
+            assert any(f"instance {far}: cannot fit" in str(w.message) for w in caught)
+            assert [iid for iid, _ in got] == list(range(len(graph)))
             assert got[-1][1] is None
             fitted = 0
-            for (_, fld), inst in zip(got[:-1], graph.instances):
-                idx = np.sort(np.asarray(tree.query_ball_point(inst.centroid, radius),
+            for (iid, fld), centroid in zip(got[:-1], graph.centroids):
+                idx = np.sort(np.asarray(tree.query_ball_point(centroid, radius),
                                          dtype=np.int64))
                 if not idx.size:
                     assert fld is None
                     continue
-                want = fit_gsf(cloud.points[idx] - inst.centroid, cloud.logits[idx],
+                want = fit_gsf(cloud.points[idx] - centroid, cloud.logits[idx],
                                cloud.labels[idx], GpHyperParams(cfg.gsf.kappa, cfg.gsf.sigma_y),
-                               cfg.gsf.budget, seed=[cfg.pipeline.seed, inst.id])
+                               cfg.gsf.budget, seed=[cfg.pipeline.seed, iid])
                 fitted += 1
-                for a, b in [(fld.X, want.X), (fld.Y, want.Y), (fld.factor[0], want.factor[0]),
+                for a, b in [(fld.X, want.X), (fld.Y, want.Y), (fld.factor, want.factor),
                              (fld.white_y, want.white_y)]:
                     assert a.tobytes() == b.tobytes()
-                assert (fld.factor[1], fld.jitter) == (want.factor[1], want.jitter)
-            assert fitted >= graph.num_instances // 2
-        assert list(fit_fields(SceneGraph([]), cloud, cfg)) == []
+                assert fld.jitter == want.jitter
+            assert fitted >= len(graph) // 2
+        assert list(fit_fields(graph_of([], [], []), cloud, cfg)) == []
 
     def test_fit_fields_is_lazy(self, taxonomy, monkeypatch):
         """Each field is fitted only when it is asked for: none before the first
@@ -365,7 +374,7 @@ class TestBuildGraph:
         cloud, _ = generate_scene(small_scene_spec(seed=10), taxonomy)
         cfg = RunConfig()
         graph = build_scene_graph(cloud, taxonomy, cfg)
-        assert graph.num_instances > 2
+        assert len(graph) > 2
         calls = []
         monkeypatch.setattr(scene_graph, "fit_gsf",
                             lambda *a, **k: calls.append(k["seed"]) or fit_gsf(*a, **k))
@@ -384,9 +393,7 @@ class TestSerialization:
         cloud, _ = generate_scene(small_scene_spec(seed=13), taxonomy)
         cfg = RunConfig(cluster=cluster_params())
         graph = build_scene_graph(cloud, taxonomy, cfg)
-        centroids = {inst.id: inst.centroid for inst in graph.instances}
-        save_scene_graph(centroids, tmp_path / "g.json")
+        save_scene_graph(graph.centroids, tmp_path / "g.json")
         again = load_scene_graph(tmp_path / "g.json")
-        assert list(again) == list(range(graph.num_instances))
-        for iid, c in centroids.items():
-            np.testing.assert_array_equal(again[iid], c)
+        assert again.shape == (len(graph), 3)
+        np.testing.assert_array_equal(again, graph.centroids)

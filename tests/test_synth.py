@@ -35,7 +35,7 @@ class TestGenerateScene:
         params = ClusterSection(thresholds={"pole": 0.5})
         insts = cluster_instances(cloud, taxonomy, params)
         assert len(insts) == 5
-        got = sorted(tuple(np.round(i.centroid, 4)) for i in insts)
+        got = sorted(tuple(np.round(c, 4)) for c in insts.centroids)
         want = sorted(tuple(np.round(g.centroid, 4)) for g in gt)
         np.testing.assert_allclose(got, want, atol=1e-6)
 
@@ -104,15 +104,12 @@ class TestMirroredTwin:
             ref = build_map(cloud, taxonomy, RunConfig())
             graph = build_scene_graph(cloud, taxonomy, ref.config)
             fields = dict(fit_fields(graph, cloud, ref.config))
-            left = [i for i in graph.instances if i.centroid[0] < 0]
+            left = np.flatnonzero(graph.centroids[:, 0] < 0)
             pair_gap = []
-            for inst in left:
-                target = info.isometry.apply(inst.centroid.reshape(1, 3))[0]
-                other = min(
-                    graph.instances,
-                    key=lambda o: float(np.linalg.norm(o.centroid - target)),
-                )
-                fld, pb = fields[inst.id], ref.populations[other.id]
+            for iid in left.tolist():
+                target = info.isometry.apply(graph.centroids[iid].reshape(1, 3))[0]
+                other = int(np.argmin(np.linalg.norm(graph.centroids - target, axis=1)))
+                fld, pb = fields[iid], ref.populations[other]
                 if fld is None or pb is None:
                     continue
                 # min-over-yaw comparison, as the matching stage performs it:
