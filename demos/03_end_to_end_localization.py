@@ -36,7 +36,7 @@ print(f"scene: {scene.n} points, {len(gt)} planted instances")
 cfg = RunConfig()
 ref = build_map(scene, tax, cfg)
 print(f"map: {len(ref.centroids)} instances, "
-      f"{len(ref.index.vertex_ids)} triangle descriptors\n")
+      f"{len(ref.index.table)} triangle descriptors\n")
 
 print(f"{'query':>5} {'status':>9} {'clique':>6} {'inliers':>7} "
       f"{'trans err':>10} {'rot err':>9}")

@@ -10,6 +10,7 @@ configuration and sha256 hashes of its inputs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -88,7 +89,7 @@ def cmd_build_map(args) -> int:
         {
             "bundle": str(out),
             "instances": len(ref.centroids),
-            "descriptors": len(ref.index.vertex_ids),
+            "descriptors": len(ref.index.table),
         }
     )
     return EXIT_OK
@@ -119,8 +120,8 @@ def cmd_localize(args) -> int:
 def cmd_synth(args) -> int:
     doc = read_json(args.spec, f"spec file {args.spec}", ValidationError)
     spec = SceneSpec.from_dict(doc)
-    if args.seed is not None:
-        spec.seed = args.seed
+    if args.seed is not None:  # replace checks the spec again
+        spec = dataclasses.replace(spec, seed=args.seed)
     taxonomy = default_taxonomy()
     cloud, gt = generate_scene(spec, taxonomy)
     out = Path(args.out)
@@ -165,15 +166,13 @@ def cmd_evaluate(args) -> int:
         raise ValidationError("benchmark spec: 'map' field is required")
     map_spec = SceneSpec.from_dict(doc["map"])
     if args.seed is not None:
-        map_spec.seed = args.seed
+        map_spec = dataclasses.replace(map_spec, seed=args.seed)
     q = checked(dict, doc.get("queries", {}), "benchmark spec: queries")
     for key in q:
         if key not in ("count", "range_max", "dropout", "noise_sigma", "region_half", "z"):
             raise ValidationError(f"benchmark spec: queries: unknown field {key!r}")
 
-    cfg = _effective_config(args)
-    if "config" in doc:
-        cfg.update(doc["config"])
+    cfg = _effective_config(args, RunConfig.from_dict(doc.get("config", {})))
 
     def query_field(key, kind, default):
         return checked(kind, q.get(key, default), f"benchmark spec: queries.{key}")

@@ -174,10 +174,10 @@ def _check_grid(grid: GridSection) -> None:
 _POSITIVE_KEYS = {"sim.sigma_w", "sim.accept_threshold", "sim.yaw_samples",
                   "solver.tau0", "solver.max_iters", "gsf.grid.dx", "gsf.grid.dy",
                   "gsf.kappa", "index.delta_d"}
-# keys whose value must be >= 0: radii, tolerances, sizes
+# keys whose value must be >= 0: radii, tolerances, sizes, the seed
 _NON_NEGATIVE_KEYS = {"cluster.neighborhood_radius", "cluster.default_threshold",
                       "cluster.min_cluster_size", "matching.epsilon", "solver.rel_tol",
-                      "pipeline.query_voxel", "gsf.sigma_y"}
+                      "pipeline.query_voxel", "gsf.sigma_y", "pipeline.seed"}
 # sim.sigma_w's range: the similarity divides by its square, which stays a
 # normal float64 inside it; one outside it overflows or underflows
 SIGMA_W_RANGE = (1e-100, 1e100)

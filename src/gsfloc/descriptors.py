@@ -1,31 +1,21 @@
 """Triangle descriptors over scene-graph instances and their KD-tree index.
 
-Descriptors carry sorted side lengths (d12 <= d23 <= d31), vertex labels, and
-vertex ids permuted to match the sorted sides. The index is a KD-tree over the
-side triples plus four arrays, one row per descriptor: its label code (its
-sorted labels packed into one int64), its vertex ids and labels (n, 3) and a
-mask (n, 6) of the vertex orders in `ORDERS` whose sides still ascend; it holds
-no descriptor objects. A query returns
-every stored triangle within delta_d per side (a Chebyshev ball, boundary
-included) whose label multiset matches. `query_index` takes one descriptor
-(its candidate ids) or a sequence of them: one tree query then answers all,
-as an (n_cand, 2) array of (query row, candidate id). The match stage calls
-it once per query, `pair_w2` once per query for every instance pair the
-filter reads, and `gsf_filter` once per query on the candidate array;
-`gsf_filter` hands its survivors on as one `TriangleMatches` array record.
-An index refuses a label outside [0, 2**LABEL_BITS), the range a label code
-holds, and a side that is not finite; `load_index` refuses such a file with a
-FormatError naming it. A descriptor's id is its row; the file holds the rows
-as one array of `INDEX_RECORD`s.
-
-Index binary layout (little-endian), magic "GSFI":
-    4s  magic        b"GSFI"
-    u32 version      1
-    f64 delta_d
-    u32 count
-    per descriptor (48 bytes):
-        3*u32 vertex ids, 3*u32 vertex labels, 3*f64 sides
-Descriptor ids are implicit (0..count-1, file order).
+`triangulate` gives a scan's or a map's descriptors as one `TriangleTable`,
+row i descriptor i: vertex ids (n, 3), ordered so that the sides (n, 3)
+ascend as (d12, d23, d31), and vertex labels (n, 3) in the same order;
+`triangle_table` stacks one `TriangleDescriptor` or a list of them. The
+index holds the map's table, a KD-tree over its sides, each row's label
+code (its sorted labels packed into one int64) and a mask (n, 6) of the
+vertex orders in `ORDERS` whose sides still ascend. A query returns every
+stored row within delta_d per side (a Chebyshev ball, boundary included)
+whose label multiset matches: one descriptor's candidate ids, or, from one
+tree query, a table's (query row, candidate id) array, which `gsf_filter`
+scores into one `TriangleMatches` record. `build_index`, the index's one
+constructor, refuses a label outside [0, 2**LABEL_BITS), the range of a
+label code, and a side that is not finite; `load_index` refuses such a file
+with a FormatError naming it. The file (little-endian) is `INDEX_HEADER`:
+magic b"GSFI", version 1, delta_d and count, then the table as `count`
+`INDEX_RECORD`s of 48 bytes, row i descriptor i.
 """
 
 from __future__ import annotations
@@ -60,6 +50,28 @@ class TriangleDescriptor:
     labels: tuple[int, int, int]  # per vertex, same order
 
 
+@dataclass(frozen=True)
+class TriangleTable:
+    """Triangle descriptors as arrays, row i descriptor i; columns as in `TriangleDescriptor`."""
+
+    vertex_ids: np.ndarray  # (n, 3) int64
+    labels: np.ndarray  # (n, 3) int64
+    sides: np.ndarray  # (n, 3) float64
+
+    def __len__(self) -> int:
+        return len(self.sides)
+
+
+def triangle_table(descs) -> TriangleTable:
+    """A table as it is; one descriptor, or a sequence of them, stacked into one."""
+    if isinstance(descs, TriangleTable):
+        return descs
+    stack = [descs] if isinstance(descs, TriangleDescriptor) else descs
+    return TriangleTable(np.array([d.vertex_ids for d in stack], dtype=np.int64).reshape(-1, 3),
+                         np.array([d.labels for d in stack], dtype=np.int64).reshape(-1, 3),
+                         np.array([d.sides for d in stack], dtype=np.float64).reshape(-1, 3))
+
+
 # the six vertex orders of a triangle, lexicographic, and each vertex's successor
 ORDERS = np.array(list(itertools.permutations(range(3))))
 _NEXT = np.roll(ORDERS, -1, axis=1)
@@ -71,20 +83,20 @@ def _ascending(sides: np.ndarray) -> np.ndarray:
         sides[..., 1] <= sides[..., 2] + EQUAL_SIDE_TOL)
 
 
-def triangulate(graph, k_neighbors: int) -> list[TriangleDescriptor]:
+def triangulate(graph, k_neighbors: int) -> TriangleTable:
     """All C(K,2) triangles per anchor with its K nearest instances, deduplicated,
-    over a scene graph's centroid and label rows.
+    over a scene graph's centroid and label rows, as one table.
 
-    Neighbours tie by instance id; descriptor ids follow first sight over the
-    anchors in id order. Each triangle takes the lexicographically smallest
-    id order with sorted sides; collinear or coincident triangles are dropped.
+    Neighbours tie by instance id; rows follow first sight over the anchors in
+    id order. Each triangle takes the lexicographically smallest id order with
+    sorted sides; collinear or coincident triangles are dropped.
     """
     if k_neighbors < 2:
         raise ValidationError(f"neighbor count must be >= 2, got {k_neighbors}")
     n = len(graph)
     if n < 3:
         warnings.warn(f"triangulation needs >= 3 instances, got {n}")
-        return []
+        return triangle_table([])
     dist = squareform(pdist(graph.centroids))
 
     away = dist.copy()
@@ -106,20 +118,15 @@ def triangulate(graph, k_neighbors: int) -> list[TriangleDescriptor]:
     verts, sides = verts[rows, pick], sides[rows, pick]
     # reject collinear: the longest side within slack of the other two's sum
     keep = fits[rows, pick] & (sides[:, 0] + sides[:, 1] - sides[:, 2] > DEGENERACY_SLACK)
-    return [
-        TriangleDescriptor(i, tuple(v), tuple(s), tuple(lab))
-        for i, (v, s, lab) in enumerate(zip(
-            verts[keep].tolist(), sides[keep].tolist(), graph.labels[verts[keep]].tolist()))
-    ]
+    return TriangleTable(verts[keep], graph.labels[verts[keep]], sides[keep])
 
 
 @dataclass
 class DescriptorIndex:
     delta_d: float
-    tree: cKDTree  # over the (n, 3) side triples, row i = descriptor i
+    table: TriangleTable  # the map's descriptors, row i = descriptor i
+    tree: cKDTree  # over the table's sides
     label_codes: np.ndarray  # (n,) int64, per descriptor `label_codes` of its labels
-    vertex_ids: np.ndarray  # (n, 3) int64, per descriptor its vertex ids
-    labels: np.ndarray  # (n, 3) int64, per descriptor its vertex labels, same order
     order_mask: np.ndarray  # (n, 6) bool, the rows of ORDERS whose sides ascend
 
 
@@ -138,63 +145,51 @@ def label_codes(labels) -> np.ndarray:
     return np.where(((lab >= 0) & (lab < 1 << LABEL_BITS)).all(axis=1), codes, -1)
 
 
-def vertex_array(descs: list[TriangleDescriptor]) -> np.ndarray:
-    """The (n, 3) int64 vertex ids of a descriptor list."""
-    return np.array([d.vertex_ids for d in descs], dtype=np.int64).reshape(-1, 3)
-
-
-def build_index(descriptors: list[TriangleDescriptor], delta_d: float) -> DescriptorIndex:
-    """KD-tree over the side triples, plus what `query_index` and `gsf_filter`
-    read per descriptor: its label code, its vertex ids and every vertex order
-    whose sides still ascend (lexicographic, so a tie keeps the first)."""
-    return _index_from_arrays(vertex_array(descriptors), [d.labels for d in descriptors],
-                              [d.sides for d in descriptors], delta_d)
-
-
-def _index_from_arrays(vertex_ids, labels, sides, delta_d) -> DescriptorIndex:
-    """The index of per-descriptor (n, 3) vertex ids, labels and sides."""
+def build_index(descriptors, delta_d: float) -> DescriptorIndex:
+    """KD-tree over the sides of a triangle table (or of descriptors, stacked by
+    `triangle_table`), plus what `query_index` and `gsf_filter` read per row:
+    its label code and every vertex order whose sides still ascend
+    (lexicographic, so a tie keeps the first)."""
     if not (np.isfinite(delta_d) and delta_d > 0):
         raise ValidationError(f"delta_d must be a positive finite number, got {delta_d}")
-    labels = np.asarray(labels, dtype=np.int64).reshape(-1, 3)
-    codes = label_codes(labels)
+    table = triangle_table(descriptors)
+    codes = label_codes(table.labels)
     if (codes < 0).any():
         bad = int(np.argmax(codes < 0))
-        raise ValidationError(f"descriptor {bad}: labels {tuple(labels[bad].tolist())} must "
-                              f"lie in [0, {1 << LABEL_BITS})")
-    sides = np.asarray(sides, dtype=np.float64).reshape(-1, 3)
-    finite = np.isfinite(sides).all(axis=1)
+        raise ValidationError(f"descriptor {bad}: labels {tuple(table.labels[bad].tolist())} "
+                              f"must lie in [0, {1 << LABEL_BITS})")
+    finite = np.isfinite(table.sides).all(axis=1)
     if not finite.all():
         bad = int(np.argmin(finite))
-        raise ValidationError(f"descriptor {bad}: sides {tuple(sides[bad].tolist())} must be "
-                              "finite")
-    return DescriptorIndex(delta_d, cKDTree(sides), codes,
-                           np.asarray(vertex_ids, dtype=np.int64).reshape(-1, 3), labels,
-                           _ascending(sides[:, _SIDE[ORDERS, _NEXT]]))
+        raise ValidationError(f"descriptor {bad}: sides {tuple(table.sides[bad].tolist())} must "
+                              "be finite")
+    return DescriptorIndex(delta_d, table, cKDTree(table.sides), codes,
+                           _ascending(table.sides[:, _SIDE[ORDERS, _NEXT]]))
 
 
 def query_index(index: DescriptorIndex, descs):
     """Coarse candidates: the stored descriptors whose sides match within
     delta_d per side (inclusive) and whose label multiset equals the query's.
 
-    One descriptor gives its candidate ids, ascending. A sequence gives, from
-    one tree query, an (n_cand, 2) int64 array of (position in the sequence,
-    candidate id), sorted by position, then id.
+    One descriptor gives its candidate ids, ascending. A table or a sequence
+    gives, from one tree query, an (n_cand, 2) int64 array of (row, candidate
+    id), sorted by row, then id.
     """
-    one = isinstance(descs, TriangleDescriptor)
-    stack = [descs] if one else descs
-    sides = np.array([d.sides for d in stack], dtype=np.float64).reshape(-1, 3)
-    near = index.tree.query_ball_point(sides, index.delta_d, p=np.inf, return_sorted=True)
-    sizes = np.fromiter(map(len, near), np.int64, len(stack))
+    table = triangle_table(descs)
+    near = index.tree.query_ball_point(table.sides, index.delta_d, p=np.inf,
+                                       return_sorted=True)
+    sizes = np.fromiter(map(len, near), np.int64, len(table))
     ids = np.fromiter(itertools.chain.from_iterable(near), np.int64, int(sizes.sum()))
-    rows = np.repeat(np.arange(len(stack), dtype=np.int64), sizes)
-    keep = index.label_codes[ids] == label_codes([d.labels for d in stack])[rows]
+    rows = np.repeat(np.arange(len(table), dtype=np.int64), sizes)
+    keep = index.label_codes[ids] == label_codes(table.labels)[rows]
     cand = np.column_stack([rows[keep], ids[keep]])
-    return cand[:, 1].tolist() if one else cand
+    return cand[:, 1].tolist() if isinstance(descs, TriangleDescriptor) else cand
 
 
 def save_index(index: DescriptorIndex, path) -> None:
-    rec = np.empty(len(index.vertex_ids), INDEX_RECORD)
-    rec["vertex_ids"], rec["labels"], rec["sides"] = index.vertex_ids, index.labels, index.tree.data
+    table = index.table
+    rec = np.empty(len(table), INDEX_RECORD)
+    rec["vertex_ids"], rec["labels"], rec["sides"] = table.vertex_ids, table.labels, table.sides
     head = INDEX_HEADER.pack(INDEX_MAGIC, INDEX_VERSION, index.delta_d, len(rec))
     Path(path).write_bytes(head + rec.tobytes())
 
@@ -218,8 +213,10 @@ def load_index(path) -> DescriptorIndex:
             f"index file {path}: expected {expected} bytes for {count} entries, got {len(raw)}"
         )
     rec = np.frombuffer(raw, INDEX_RECORD, count, head)
+    table = TriangleTable(rec["vertex_ids"].astype(np.int64), rec["labels"].astype(np.int64),
+                          rec["sides"].copy())
     try:
-        return _index_from_arrays(rec["vertex_ids"], rec["labels"], rec["sides"], delta_d)
+        return build_index(table, delta_d)
     except ValidationError as e:
         raise FormatError(f"index file {path}: {e}") from e
 
@@ -231,10 +228,10 @@ def load_index(path) -> DescriptorIndex:
 
 @dataclass(frozen=True)
 class TriangleMatches:
-    """Triangle matches as arrays, one row per match: its query triangle's row
-    (position in the query's descriptor list), its candidate (map descriptor)
-    id, the three (query instance, map instance) vertex pairs, their
-    confidence weights and the summed W2^2 of its vertex order."""
+    """Triangle matches as arrays, one row per match: its row in the query's
+    triangle table, its candidate (map descriptor) id, the three (query
+    instance, map instance) vertex pairs, their confidence weights and the
+    summed W2^2 of its vertex order."""
 
     rows: np.ndarray  # (n,) int64
     candidate_ids: np.ndarray  # (n,) int64
@@ -309,7 +306,7 @@ def pair_w2(
 
 
 def gsf_filter(
-    descs: list[TriangleDescriptor],
+    table: TriangleTable,
     candidate_ids: np.ndarray,
     index: DescriptorIndex,
     w2: np.ndarray,
@@ -318,15 +315,15 @@ def gsf_filter(
     """Score coarse candidates by summed per-vertex W2^2 and keep the survivors.
 
     `candidate_ids` holds `query_index`'s (query row, candidate id) rows over
-    `descs`. `w2[qid, mid]` is `pair_w2` of query instance qid and map instance
+    `table`. `w2[qid, mid]` is `pair_w2` of query instance qid and map instance
     mid, for every pair a candidate makes under its stored vertex orders. Each
     candidate takes its lowest-sum order (the first on a tie); those above 3x
     the acceptance threshold are dropped; survivors come back by query row,
     then ascending by score, then by candidate id.
     """
     rows, cids = candidate_ids[:, 0], candidate_ids[:, 1]
-    qv = vertex_array(descs)[rows]  # (k, 3)
-    mv = index.vertex_ids[cids][:, ORDERS]  # (k, 6, 3): every order's map vertices
+    qv = table.vertex_ids[rows]  # (k, 3)
+    mv = index.table.vertex_ids[cids][:, ORDERS]  # (k, 6, 3): every order's map vertices
     scores = w2[qv[:, None, :], mv]  # (k, 6, 3)
     totals = scores[..., 0] + scores[..., 1] + scores[..., 2]
     totals[~index.order_mask[cids]] = np.inf
@@ -340,10 +337,10 @@ def gsf_filter(
 
 
 def plain_matches(
-    descs: list[TriangleDescriptor], candidate_ids: np.ndarray, index: DescriptorIndex
+    table: TriangleTable, candidate_ids: np.ndarray, index: DescriptorIndex
 ) -> TriangleMatches:
     """GSF-disabled counterpart: canonical pairing, unit confidence, in
     `candidate_ids` order."""
     rows, cids = candidate_ids[:, 0], candidate_ids[:, 1]
-    pairs = np.stack([vertex_array(descs)[rows], index.vertex_ids[cids]], axis=-1)
+    pairs = np.stack([table.vertex_ids[rows], index.table.vertex_ids[cids]], axis=-1)
     return TriangleMatches(rows, cids, pairs, np.ones((len(rows), 3)), np.zeros(len(rows)))

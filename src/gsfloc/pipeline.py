@@ -5,22 +5,22 @@ its name: `_query_graph` (prepare, voxel, the scene graph's object layer),
 `_query_probes` (each instance's field fitted and probed by `grid_probe` at
 every yaw sample into one population table, run only with the GSF filter on;
 `grid_probe` itself probes only the yaws whose grid is not a reordering of an
-earlier one and gathers the rest), `_match` (triangles; one `query_index`
-call for all of them, which gives the coarse candidates as one (triangle row,
-candidate id) array; one W2 table of every instance pair the GSF filter
-reads, from one batched `pair_w2` call that gathers the rows it reads into a
-dense (query instance x map instance) array, with the similarity self-tuned
-from it; then one `gsf_filter` call over all candidates, whose survivors come
-back as one `TriangleMatches` array record), `_clique` (correspondences merged
-from that record by array operations, consistency graph, max clique) and
-`_solve` (robust IRLS over the clique's rows of the two centroid tables).
+earlier one and gathers the rest), `_match` (the query's triangle table; one
+`query_index` call on it, which gives the coarse candidates as one (triangle
+row, candidate id) array; one W2 table, a dense (query instance x map
+instance) array, of every instance pair the GSF filter reads, all scored by
+one `pair_w2` call, with the similarity self-tuned from it; then one
+`gsf_filter` call over all candidates, whose survivors come back as one
+`TriangleMatches` array record), `_clique` (correspondences merged from that
+record by array operations, consistency graph, max clique) and `_solve`
+(robust IRLS over the clique's rows of the two centroid tables).
 
 A map holds only what `localize` reads: one (K, 3) table of instance
 centroids and one table of probed populations, row i instance i's in each,
-with a mask of the fitted rows, the triangle index, the taxonomy and the
-config. Map and query share one fit-and-probe path, `_probe_fields`, which
-fills a row and drops its field; `build_map` drops the map cloud once it is
-triangulated.
+with a mask of the fitted rows, the triangle index over the map's triangle
+table, the taxonomy and the config. Map and query share one fit-and-probe
+path, `_probe_fields`, which fills a row and drops its field; `build_map`
+drops the map cloud once it is triangulated.
 
 Map bundle directory layout, version 5:
     graph.json        instance ids and centroids
@@ -82,7 +82,6 @@ from .descriptors import (
     query_index,
     save_index,
     triangulate,
-    vertex_array,
 )
 from .gsf import GpPopulation, grid_probe, probe_grid, stability_weights
 from .matching import (
@@ -284,7 +283,7 @@ def _query_probes(qgraph, cloud, taxonomy, config) -> tuple[np.ndarray, GpPopula
 
 
 def _w2_table(
-    descs, cand, q_ok, pops_query, ref_map, config
+    table, cand, q_ok, pops_query, ref_map, config
 ) -> tuple[np.ndarray, np.ndarray, SimilarityConfig | None]:
     """Score each distinct (query, map) instance pair the fine filter reads, once,
     all in one `pair_w2` call.
@@ -296,26 +295,26 @@ def _w2_table(
     x map instance) array, NaN where no pair was scored, and the similarity
     scaled to the median W2^2 over the canonical pairs (None if there is none).
     """
-    index, pops_map, m_ok = ref_map.index, ref_map.populations, ref_map.fitted
-    qv = vertex_array(descs)
+    pops_map, m_ok = ref_map.populations, ref_map.fitted
+    qv, mv = table.vertex_ids, ref_map.index.table.vertex_ids
     n_query = int(qv.max()) + 1 if qv.size else 0
-    n_map = int(index.vertex_ids.max()) + 1 if index.vertex_ids.size else 0
+    n_map = int(mv.max()) + 1 if mv.size else 0
     row_ok = q_ok[qv].all(axis=1)
-    cand_ok = m_ok[index.vertex_ids[cand[:, 1]]].all(axis=1)
+    cand_ok = m_ok[mv[cand[:, 1]]].all(axis=1)
     lost = row_ok[cand[:, 0]] & ~cand_ok
     for r, cid in sorted([(r, -1) for r in np.flatnonzero(~row_ok).tolist()]
                          + cand[lost].tolist()):
         if cid < 0:
-            missing = [q for q in descs[r].vertex_ids if not q_ok[q]]
+            missing = [q for q in qv[r].tolist() if not q_ok[q]]
             warnings.warn(f"query instances {missing} lack fields; candidates skipped")
         else:
-            missing = [m for m in index.vertex_ids[cid].tolist() if not m_ok[m]]
+            missing = [m for m in mv[cid].tolist() if not m_ok[m]]
             warnings.warn(f"map instances {missing} lack fields; candidate {cid} skipped")
     kept = cand[row_ok[cand[:, 0]] & cand_ok]
     kq, cids = qv[kept[:, 0]], kept[:, 1]
-    canonical = np.unique(kq * n_map + index.vertex_ids[cids])
-    ordered = kq[:, None, :] * n_map + index.vertex_ids[cids][:, ORDERS]
-    codes = np.union1d(canonical, ordered[index.order_mask[cids]])
+    canonical = np.unique(kq * n_map + mv[cids])
+    ordered = kq[:, None, :] * n_map + mv[cids][:, ORDERS]
+    codes = np.union1d(canonical, ordered[ref_map.index.order_mask[cids]])
     w2 = np.full((n_query, n_map), np.nan)
     qids, mids = np.divmod(codes, n_map)
     w2.flat[codes] = pair_w2(qids, mids, pops_query, pops_map, config.sim.use_stability)
@@ -333,14 +332,14 @@ def _match(qgraph, probes, ref_map, config) -> tuple[int, TriangleMatches]:
     """Stage "match": triangles, one coarse lookup for all of them, then one GSF
     fine filter over one W2 table of `probes` (canonical pairing with it off).
     Returns the triangle count and the matches."""
-    descs = triangulate(qgraph, config.index.k_neighbors)
-    cand = query_index(ref_map.index, descs)
+    table = triangulate(qgraph, config.index.k_neighbors)
+    cand = query_index(ref_map.index, table)
     if not config.pipeline.use_gsf_filter:
-        return len(descs), plain_matches(descs, cand, ref_map.index)
-    kept, w2, simcfg = _w2_table(descs, cand, *probes, ref_map, config)
+        return len(table), plain_matches(table, cand, ref_map.index)
+    kept, w2, simcfg = _w2_table(table, cand, *probes, ref_map, config)
     if simcfg is None:
-        return len(descs), TriangleMatches.empty()
-    return len(descs), gsf_filter(descs, kept, ref_map.index, w2, simcfg)
+        return len(table), TriangleMatches.empty()
+    return len(table), gsf_filter(table, kept, ref_map.index, w2, simcfg)
 
 
 def _clique(matches, qcents, mcents, config) -> list[Correspondence]:
@@ -497,7 +496,7 @@ def load_map(bundle_dir) -> ReferenceMap:
             f"map bundle {d}: populations.npz ids must be one strictly ascending row of "
             f"integers; it holds {ids.dtype} ids of shape {ids.shape}"
         )
-    for name, named in (("index.gsfi", index.vertex_ids), ("populations.npz", ids)):
+    for name, named in (("index.gsfi", index.table.vertex_ids), ("populations.npz", ids)):
         stray = np.setdiff1d(named, np.arange(len(centroids)))  # a negative id would wrap below
         if stray.size:
             raise FormatError(

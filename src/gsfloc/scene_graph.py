@@ -178,9 +178,9 @@ def save_scene_graph(centroids: np.ndarray, json_path) -> None:
 def load_scene_graph(json_path) -> np.ndarray:
     """The (K, 3) centroids saved by `save_scene_graph`, row i instance i's.
 
-    A document that does not parse, or whose instances are not ids 0..K-1 in
-    list order each with three finite centroid coordinates, is a FormatError
-    naming the file.
+    A document that does not parse, or whose instances are not the integer ids
+    0..K-1 in list order each with three finite centroid coordinates, is a
+    FormatError naming the file.
     """
     where = f"scene graph file {json_path}"
     doc = read_json(json_path, where)
@@ -195,7 +195,7 @@ def load_scene_graph(json_path) -> np.ndarray:
     for k, rec in enumerate(records):
         if not isinstance(rec, dict) or "id" not in rec or "centroid" not in rec:
             raise FormatError(f"{where}: instance record {k} lacks id or centroid")
-        if rec["id"] != k:
+        if type(rec["id"]) is not int or rec["id"] != k:  # not false for 0, nor 2.0 for 2
             raise FormatError(
                 f"{where}: instance ids must be 0..K-1 in list order; "
                 f"record {k} has id {rec['id']!r}"

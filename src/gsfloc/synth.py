@@ -73,6 +73,8 @@ class SceneSpec:
             raise ValidationError(f"unknown symmetry directive {self.symmetry!r}")
         if self.twin_perturbation < 0:
             raise ValidationError("twin_perturbation must be >= 0")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         for t in self.templates:
             if t.class_name not in _FOOTPRINT_RADIUS:
                 raise ValidationError(f"instances: unknown class {t.class_name!r}; "

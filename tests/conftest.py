@@ -4,6 +4,7 @@ from hypothesis import settings
 
 from gsfloc import gsf
 from gsfloc.core import RigidTransform, SemanticPointCloud, default_taxonomy, one_hot_logits, rot_z
+from gsfloc.descriptors import TriangleDescriptor, TriangleTable
 from gsfloc.gsf import GpPopulation
 from gsfloc.synth import InstanceTemplate, SceneSpec
 
@@ -103,6 +104,14 @@ def as_table(pops) -> GpPopulation:
     leading axis; the table shares the first member's grid."""
     return GpPopulation(pops[0].grid, *(np.stack([getattr(p, f) for p in pops])
                                         for f in ("mu", "Sigma", "stability_weights")))
+
+
+def rows(table: TriangleTable) -> list[TriangleDescriptor]:
+    """A triangle table's rows as descriptors, id i row i."""
+    assert isinstance(table, TriangleTable)
+    return [TriangleDescriptor(i, tuple(v), tuple(s), tuple(lab)) for i, (v, s, lab) in
+            enumerate(zip(table.vertex_ids.tolist(), table.sides.tolist(),
+                          table.labels.tolist()))]
 
 
 def planted_table(rng, g=25, d=12, yaws=8, rank=None):

@@ -380,6 +380,25 @@ class TestLocalize:
         assert rc == 1
         assert f"index file {tampered / 'index.gsfi'}: {says}" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("k, bad", [(0, False), (1, True), (2, 2.0)],
+                             ids=["false", "true", "float"])
+    def test_graph_id_not_a_json_integer_exit_1(self, scene_files, bundle, tmp_path, capsys,
+                                                k, bad):
+        tampered = tmp_path / "tampered"
+        shutil.copytree(bundle, tampered)
+        doc = json.loads((tampered / "graph.json").read_text())
+        doc["instances"][k]["id"] = bad
+        raw = json.dumps(doc).encode()
+        (tampered / "graph.json").write_bytes(raw)
+        manifest = json.loads((tampered / "manifest.json").read_text())
+        manifest["files"]["graph.json"] = hashlib.sha256(raw).hexdigest()
+        (tampered / "manifest.json").write_text(json.dumps(manifest))
+        rc = _localize_query(tampered, scene_files)
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert f"graph.json: instance ids must be 0..K-1 in list order; record {k} has id " \
+               f"{bad!r}" in err and "Traceback" not in err
+
     def test_mistyped_bundle_config_exit_1(self, scene_files, bundle, tmp_path, capsys):
         tampered = tmp_path / "tampered"
         shutil.copytree(bundle, tampered)
@@ -620,6 +639,62 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert field in err and "Traceback" not in err
         assert not (tmp_path / "r").exists()
+
+
+    def test_command_line_beats_spec_config(self, tmp_path, capsys):
+        """The spec's config sits on the defaults, the --config file on the
+        spec's and each --set on both, as `effective_config` records."""
+        spec = {"map": small_scene_spec(seed=43).to_dict(), "queries": {"count": 1},
+                "config": {"sim": {"yaw_samples": 4, "use_stability": False},
+                           "matching": {"epsilon": 0.5}}}
+        f, cfg = tmp_path / "bench.json", tmp_path / "cfg.json"
+        f.write_text(json.dumps(spec))
+        cfg.write_text(json.dumps({"sim": {"yaw_samples": 3}, "matching": {"epsilon": 0.55}}))
+        rc = main(["evaluate", "--spec", str(f), "--out", str(tmp_path / "r"), "--config",
+                   str(cfg), "--set", "sim.yaw_samples=2"])
+        assert rc == 0
+        got = json.loads((tmp_path / "r" / "manifest.json").read_text())["effective_config"]
+        assert got["sim"]["yaw_samples"] == 2
+        assert got["matching"]["epsilon"] == 0.55
+        assert got["sim"]["use_stability"] is False
+        assert got["solver"]["tau0"] == 1.0  # a default no layer sets
+
+
+class TestNegativeSeed:
+    """A negative seed, which `np.random.default_rng` refuses, is refused
+    where it is set, naming the key, exit 2 without a traceback."""
+
+    @staticmethod
+    def _check(rc, capsys, says, out):
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert says in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_build_map_pipeline_seed(self, scene_files, tmp_path, capsys):
+        rc = main(["build-map", "--points", str(scene_files / "map.points"),
+                   "--labels", str(scene_files / "map.labels"),
+                   "--out", str(tmp_path / "map"), "--set", "pipeline.seed=-1"])
+        self._check(rc, capsys, "config key 'pipeline.seed' must be >= 0, got -1",
+                    tmp_path / "map")
+
+    def test_synth_seed_flag(self, tmp_path, capsys):
+        f = tmp_path / "spec.json"
+        f.write_text(json.dumps(small_scene_spec(seed=42).to_dict()))
+        rc = main(["synth", "--spec", str(f), "--out", str(tmp_path / "x"), "--seed", "-1"])
+        self._check(rc, capsys, "seed must be >= 0, got -1", tmp_path / "x")
+
+    def test_synth_spec_seed(self, tmp_path, capsys):
+        f = tmp_path / "spec.json"
+        f.write_text(json.dumps({**small_scene_spec(seed=42).to_dict(), "seed": -5}))
+        rc = main(["synth", "--spec", str(f), "--out", str(tmp_path / "x")])
+        self._check(rc, capsys, "seed must be >= 0, got -5", tmp_path / "x")
+
+    def test_evaluate_seed_flag(self, tmp_path, capsys):
+        f = tmp_path / "bench.json"
+        f.write_text(json.dumps({"map": small_scene_spec(seed=43).to_dict()}))
+        rc = main(["evaluate", "--spec", str(f), "--out", str(tmp_path / "r"), "--seed", "-1"])
+        self._check(rc, capsys, "seed must be >= 0, got -1", tmp_path / "r")
 
 
 class TestInputFileNotUtf8:

@@ -1,5 +1,6 @@
 import itertools
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from gsfloc.descriptors import (
     LABEL_BITS,
     ORDERS,
     TriangleDescriptor,
+    TriangleTable,
     build_index,
     gsf_filter,
     label_codes,
@@ -20,13 +22,14 @@ from gsfloc.descriptors import (
     plain_matches,
     query_index,
     save_index,
+    triangle_table,
     triangulate,
 )
 from gsfloc.gsf import GpHyperParams, GpPopulation, fit_gsf, grid_probe
 from gsfloc.scene_graph import SceneGraph
 from gsfloc.wasserstein import SimilarityConfig, w2_squared
 
-from conftest import planted_table, random_transform
+from conftest import planted_table, random_transform, rows
 
 
 def graph_from_centroids(centroids, labels=None):
@@ -90,13 +93,13 @@ def loop_triangulate(centroids, labels, k):
 class TestTriangulate:
     def test_three_instances_one_descriptor(self):
         g = graph_from_centroids([[0, 0, 0], [3, 0, 0], [0, 4, 0]])
-        descs = triangulate(g, k_neighbors=2)
+        descs = rows(triangulate(g, k_neighbors=2))
         assert len(descs) == 1
         np.testing.assert_allclose(descs[0].sides, (3.0, 4.0, 5.0))
 
     def test_sorted_sides_and_vertex_pairing(self):
         g = graph_from_centroids([[0, 4, 0], [0, 0, 0], [3, 0, 0]])
-        d = triangulate(g, 2)[0]
+        d = rows(triangulate(g, 2))[0]
         assert d.sides[0] <= d.sides[1] <= d.sides[2]
         # v1-v2 is the shortest side, v3-v1 the longest
         c = g.centroids
@@ -105,14 +108,33 @@ class TestTriangulate:
         assert abs(np.linalg.norm(c[v2] - c[v3]) - d.sides[1]) < 1e-12
         assert abs(np.linalg.norm(c[v3] - c[v1]) - d.sides[2]) < 1e-12
 
+    @pytest.mark.parametrize("n", [2, 3, 9])
+    def test_one_table_of_typed_columns(self, n):
+        """`triangulate` returns one table, its columns (len, 3) int64, int64
+        and float64, also when it warns and returns none; `triangle_table`
+        gives a table back as it is and stacks descriptors into the same."""
+        g = graph_from_centroids(np.random.default_rng(n).uniform(-9, 9, (n, 3)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            table = triangulate(g, 4)
+        assert isinstance(table, TriangleTable) and (len(table) > 0) == (n >= 3)
+        for col, kind in [(table.vertex_ids, np.int64), (table.labels, np.int64),
+                          (table.sides, np.float64)]:
+            assert col.dtype == kind and col.shape == (len(table), 3)
+        assert triangle_table(table) is table
+        again = triangle_table(rows(table))
+        for part in ("vertex_ids", "labels", "sides"):
+            assert getattr(again, part).dtype == getattr(table, part).dtype
+            assert np.array_equal(getattr(again, part), getattr(table, part))
+
     def test_too_few_instances_warns(self):
         g = graph_from_centroids([[0, 0, 0], [1, 0, 0]])
         with pytest.warns(UserWarning, match="3 instances"):
-            assert triangulate(g, 2) == []
+            assert rows(triangulate(g, 2)) == []
 
     def test_collinear_rejected(self):
         g = graph_from_centroids([[0, 0, 0], [1, 0, 0], [2, 0, 0]])
-        assert triangulate(g, 2) == []
+        assert rows(triangulate(g, 2)) == []
 
     def test_brute_force_enumeration_oracle(self):
         rng = np.random.default_rng(0)
@@ -121,7 +143,7 @@ class TestTriangulate:
             cents = rng.uniform(-20, 20, (n, 3))
             labels = rng.integers(6, 11, n).tolist()
             k = int(rng.integers(2, min(n, 8)))
-            descs = triangulate(graph_from_centroids(cents, labels), k)
+            descs = rows(triangulate(graph_from_centroids(cents, labels), k))
             got = {(frozenset(d.vertex_ids), tuple(np.round(d.sides, 9))) for d in descs}
             assert got == brute_force_triangulate(cents, labels, k)
 
@@ -134,7 +156,7 @@ class TestTriangulate:
                      else rng.uniform(-20, 20, (n, 3)))
             labels = rng.integers(6, 11, n).tolist()
             k = int(rng.integers(2, 12))
-            descs = triangulate(graph_from_centroids(cents, labels), k)
+            descs = rows(triangulate(graph_from_centroids(cents, labels), k))
             want = loop_triangulate(cents, labels, k)
             assert [d.id for d in descs] == list(range(len(want)))
             assert [(d.vertex_ids, d.labels) for d in descs] == [(v, lab) for v, _, lab in want]
@@ -145,8 +167,8 @@ class TestTriangulate:
         rng = np.random.default_rng(1)
         cents = rng.uniform(-10, 10, (8, 3))
         T = random_transform(rng)
-        a = triangulate(graph_from_centroids(cents), 4)
-        b = triangulate(graph_from_centroids(T.apply(cents)), 4)
+        a = rows(triangulate(graph_from_centroids(cents), 4))
+        b = rows(triangulate(graph_from_centroids(T.apply(cents)), 4))
         sa = sorted((frozenset(d.vertex_ids), tuple(np.round(d.sides, 6))) for d in a)
         sb = sorted((frozenset(d.vertex_ids), tuple(np.round(d.sides, 6))) for d in b)
         assert sa == sb
@@ -157,7 +179,8 @@ class TestTriangulate:
         got = set()
         for perm in itertools.permutations(range(3)):
             perm = list(perm)
-            (d,) = triangulate(graph_from_centroids(cents[perm], [labels[i] for i in perm]), 2)
+            (d,) = rows(triangulate(graph_from_centroids(cents[perm],
+                                                         [labels[i] for i in perm]), 2))
             got.add((d.sides, d.labels))
         # the 3-4-5 sides fix the vertex order: (3,0,0), (0,0,0), (0,4,0)
         assert got == {((3.0, 4.0, 5.0), (8, 7, 9))}
@@ -357,9 +380,9 @@ class TestIndex:
         save_index(again, f2)
         assert f1.read_bytes() == f2.read_bytes()
         assert again.delta_d == 0.5
-        assert again.vertex_ids.tolist() == [list(d.vertex_ids) for d in descs]
-        assert again.tree.data.tolist() == [list(d.sides) for d in descs]
-        assert again.labels.tolist() == [list(d.labels) for d in descs]
+        assert again.table.vertex_ids.tolist() == [list(d.vertex_ids) for d in descs]
+        assert again.table.sides.tolist() == [list(d.sides) for d in descs]
+        assert again.table.labels.tolist() == [list(d.labels) for d in descs]
 
 
     @pytest.mark.parametrize("count", [0, 1, 30])
@@ -381,17 +404,19 @@ class TestIndex:
             struct.pack("<3I3I3d", *d.vertex_ids, *d.labels, *d.sides) for d in descs)
 
         head, rec = struct.calcsize("<4sIdI"), struct.calcsize("<3I3I3d")
-        rows = [struct.unpack_from("<3I3I3d", raw, head + i * rec) for i in range(count)]
+        recs = [struct.unpack_from("<3I3I3d", raw, head + i * rec) for i in range(count)]
         again, want = load_index(path), build_index(descs, 0.75)
         assert again.delta_d == struct.unpack_from("<4sIdI", raw)[2] == 0.75
         for part, cols in (("vertex_ids", slice(0, 3)), ("labels", slice(3, 6))):
-            loop = np.array([r[cols] for r in rows], dtype=np.int64).reshape(-1, 3)
-            assert getattr(again, part).dtype == np.int64
-            assert np.array_equal(getattr(again, part), loop)
-        sides = np.array([r[6:9] for r in rows], dtype=np.float64).reshape(-1, 3)
-        assert np.array_equal(again.tree.data, sides)
-        for part in ("label_codes", "vertex_ids", "labels", "order_mask"):
+            loop = np.array([r[cols] for r in recs], dtype=np.int64).reshape(-1, 3)
+            assert getattr(again.table, part).dtype == np.int64
+            assert np.array_equal(getattr(again.table, part), loop)
+        sides = np.array([r[6:9] for r in recs], dtype=np.float64).reshape(-1, 3)
+        assert np.array_equal(again.table.sides, sides)
+        for part in ("label_codes", "order_mask"):
             assert np.array_equal(getattr(again, part), getattr(want, part))
+        for part in ("vertex_ids", "labels", "sides"):
+            assert np.array_equal(getattr(again.table, part), getattr(want.table, part))
         assert np.array_equal(again.tree.data, want.tree.data)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -456,7 +481,7 @@ class TestGsfFilter:
     def test_identical_candidate_scores_zero_and_ranks_first(self, taxonomy):
         q, index, pq, pm = self._setup(taxonomy)
         cfg = SimilarityConfig(sigma_w=1.0, accept_threshold=10.0)
-        out = gsf_filter([q], cands(0, 1), index, w2_table(pq, pm), cfg)
+        out = gsf_filter(triangle_table([q]), cands(0, 1), index, w2_table(pq, pm), cfg)
         assert out.candidate_ids[0] == 0
         assert out.totals[0] < 1e-8
         assert all(abs(w - 1.0) < 1e-6 for w in out.omegas[0])
@@ -464,7 +489,7 @@ class TestGsfFilter:
     def test_planted_outlier_filtered(self, taxonomy):
         q, index, pq, pm = self._setup(taxonomy)
         cfg = SimilarityConfig(sigma_w=1.0, accept_threshold=0.05)
-        out = gsf_filter([q], cands(0, 1), index, w2_table(pq, pm), cfg)
+        out = gsf_filter(triangle_table([q]), cands(0, 1), index, w2_table(pq, pm), cfg)
         assert out.candidate_ids.tolist() == [0]
 
     def test_tie_breaks_by_candidate_id(self, taxonomy):
@@ -475,7 +500,7 @@ class TestGsfFilter:
         c1 = TriangleDescriptor(0, (0, 1, 2), (3.0, 4.0, 5.0), (4, 4, 4))
         c2 = TriangleDescriptor(1, (3, 4, 5), (3.0, 4.0, 5.0), (4, 4, 4))
         index = build_index([c1, c2], 0.5)
-        out = gsf_filter([q], cands(0, 1), index, w2_table(pq, pm),
+        out = gsf_filter(triangle_table([q]), cands(0, 1), index, w2_table(pq, pm),
                          SimilarityConfig(sigma_w=1.0, accept_threshold=10.0))
         assert out.candidate_ids.tolist() == [0, 1]  # equal scores: id order
 
@@ -491,13 +516,13 @@ class TestGsfFilter:
         # orders (0, 1, 2) and (1, 0, 2) score the same total: the first is kept
         pm = {10: a, 11: a, 12: c}
         pq = {0: a[None], 1: a[None], 2: c[None]}
-        m = gsf_filter([q], cands(0), index, w2_table(pq, pm), cfg)
+        m = gsf_filter(triangle_table([q]), cands(0), index, w2_table(pq, pm), cfg)
         assert len(m) == 1 and m.pairs[0].tolist() == [[0, 10], [1, 11], [2, 12]]
         # a lower total under a later order wins
         pm = {10: a, 11: b, 12: c}
         pq = {0: b[None], 1: a[None], 2: c[None]}
         table = w2_table(pq, pm)
-        m = gsf_filter([q], cands(0), index, table, cfg)
+        m = gsf_filter(triangle_table([q]), cands(0), index, table, cfg)
         assert len(m) == 1 and m.pairs[0].tolist() == [[0, 11], [1, 10], [2, 12]]
         # the weights are those of the pairs taken, not of the first order
         assert m.omegas[0].tolist() == np.exp(-table[[0, 1, 2], [11, 10, 12]] / 2.0).tolist()
@@ -516,7 +541,7 @@ class TestGsfFilter:
         totals = {sum(table[k, 10 + p[k]] for k in range(3)) for p in ORDERS.tolist()}
         assert totals == {f.sum() + g.sum()}
         cfg = SimilarityConfig(sigma_w=1.0, accept_threshold=100.0)
-        m = gsf_filter([q], cands(0), index, table, cfg)
+        m = gsf_filter(triangle_table([q]), cands(0), index, table, cfg)
         assert len(m) == 1 and m.pairs[0].tolist() == [[0, 10], [1, 11], [2, 12]]
         assert m.totals[0] == f.sum() + g.sum()
         assert m.omegas[0].tolist() == np.exp(-(f + g) / 2.0).tolist()
@@ -530,7 +555,7 @@ class TestGsfFilter:
         descs = [TriangleDescriptor(k, tuple(int(v) for v in rng.integers(0, 9, 3)), d.sides,
                                     d.labels) for k, d in enumerate(stored[:20])]
         cand = query_index(index, descs)
-        got = plain_matches(descs, cand, index)
+        got = plain_matches(triangle_table(descs), cand, index)
         loop = [(r, c, list(zip(descs[r].vertex_ids, stored[c].vertex_ids)))
                 for r, c in cand.tolist()]
         assert len(got) == len(loop) > 20
@@ -539,7 +564,7 @@ class TestGsfFilter:
         assert np.array_equal(got.pairs, np.array([p for _, _, p in loop], dtype=np.int64))
         assert np.array_equal(got.omegas, np.ones((len(loop), 3)))
         assert np.array_equal(got.totals, np.zeros(len(loop)))
-        none = plain_matches(descs, cand[:0], index)
+        none = plain_matches(triangle_table(descs), cand[:0], index)
         assert len(none) == 0 and none.pairs.shape == (0, 3, 2)
 
     def test_pair_w2_zero_pairs(self, monkeypatch):
@@ -552,7 +577,7 @@ class TestGsfFilter:
 
     def test_plain_matches_unit_omega(self, taxonomy):
         q, index, _, _ = self._setup(taxonomy)
-        out = plain_matches([q], cands(0, 1), index)
+        out = plain_matches(triangle_table([q]), cands(0, 1), index)
         assert len(out) == 2
         assert out.omegas.tolist() == [[1.0, 1.0, 1.0]] * 2
 

@@ -24,8 +24,8 @@ from gsfloc.descriptors import (
     TriangleDescriptor,
     build_index,
     query_index,
+    triangle_table,
     triangulate,
-    vertex_array,
 )
 from gsfloc import descriptors, pipeline, scene_graph
 from gsfloc.pipeline import (
@@ -49,7 +49,7 @@ from gsfloc.synth import (
 )
 from gsfloc.wasserstein import w2_lower_bound, w2_squared
 
-from conftest import pole_line_scene, small_scene_spec, twin_scene_spec
+from conftest import pole_line_scene, rows, small_scene_spec, twin_scene_spec
 
 
 @pytest.fixture(scope="module")
@@ -77,7 +77,7 @@ class TestBuildMap:
         assert ref_map.populations.mu.shape == (20, 25, 12)
         k = ref_map.config.index.k_neighbors
         bound = len(ref_map.centroids) * k * (k - 1) // 2
-        assert 0 < len(ref_map.index.vertex_ids) <= bound
+        assert 0 < len(ref_map.index.table) <= bound
 
     def test_too_few_instances(self, taxonomy_module):
         rng = np.random.default_rng(0)
@@ -541,6 +541,41 @@ class TestEmptyMatch:
             assert res.status == "success"
 
 
+class TestTriangleTable:
+    def test_pipeline_builds_no_descriptor_object(self, scene, taxonomy_module, tmp_path,
+                                                   monkeypatch):
+        """Map building, the bundle and both match paths run on triangle
+        tables alone: with `TriangleDescriptor` unconstructible, a map is built,
+        saved and loaded, and a query localizes with the GSF filter on and off,
+        to the pose of the unpatched code."""
+        cloud, _ = scene
+        pose = sample_query_poses(1, seed=7, half=15.0)[0]
+        scan = simulate_scan(cloud, pose, range_max=60.0, dropout_rate=0.3,
+                             noise_sigma=0.03, seed=42)
+        want = [localize(scan, build_map(cloud, taxonomy_module, RunConfig()), cfg)
+                for cfg in (_gsf(True), _gsf(False))]
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("a TriangleDescriptor was constructed")
+
+        monkeypatch.setattr(TriangleDescriptor, "__init__", refuse)
+        with pytest.raises(AssertionError, match="constructed"):
+            TriangleDescriptor(0, (0, 1, 2), (3.0, 4.0, 5.0), (7, 7, 7))
+        save_map(build_map(cloud, taxonomy_module, RunConfig()), tmp_path / "bundle")
+        ref = load_map(tmp_path / "bundle")
+        for cfg, before in zip((_gsf(True), _gsf(False)), want):
+            res = localize(scan, ref, cfg)
+            assert res.status == before.status == "success"
+            assert res.to_dict(include_timings=False) == before.to_dict(include_timings=False)
+
+
+def _gsf(on: bool) -> RunConfig:
+    """The default config with the GSF filter on or off."""
+    cfg = RunConfig()
+    cfg.pipeline.use_gsf_filter = on
+    return cfg
+
+
 class TestLocalize:
     def test_transformed_window_success(self, scene, ref_map):
         cloud, _ = scene
@@ -627,18 +662,18 @@ class TestLocalize:
         pose, scan, qgraph, probes, cand_lists = _street_query(scene, ref_map, taxonomy_module)
         index, cfg, pops_query = ref_map.index, ref_map.config, probes[1]
         touched = [m for _, cands in cand_lists for cid in cands
-                   for m in index.vertex_ids[cid].tolist()]
+                   for m in index.table.vertex_ids[cid].tolist()]
         gone = max(set(touched), key=touched.count)
         holed = _fail(ref_map, [gone])
 
         with pytest.warns(UserWarning, match=rf"map instances \[{gone}\] lack fields; candidate"):
             kept, w2, sim = _w2_table_lists(cand_lists, probes, holed, cfg)
         assert [cands for _, cands in kept] == [
-            [cid for cid in cands if gone not in index.vertex_ids[cid].tolist()]
+            [cid for cid in cands if gone not in index.table.vertex_ids[cid].tolist()]
             for _, cands in cand_lists]
         canonical = {(q, m) for d, cands in kept for cid in cands
-                     for q, m in zip(d.vertex_ids, index.vertex_ids[cid].tolist())}
-        ordered = {(d.vertex_ids[k], index.vertex_ids[cid].tolist()[perm[k]])
+                     for q, m in zip(d.vertex_ids, index.table.vertex_ids[cid].tolist())}
+        ordered = {(d.vertex_ids[k], index.table.vertex_ids[cid].tolist()[perm[k]])
                    for d, cands in kept for cid in cands
                    for perm in _stored_orders(index, cid) for k in range(3)}
         assert set(w2) == canonical | ordered
@@ -670,11 +705,11 @@ class TestLocalize:
             scored.extend(qids.tolist())
             return descriptors.pair_w2(qids, mids, *args)
 
-        def read(descs, kept, index, w2, cfg):
-            qv = vertex_array(descs)[kept[:, 0]][:, None, :]
-            mv = index.vertex_ids[kept[:, 1]][:, ORDERS]
+        def read(table, kept, index, w2, cfg):
+            qv = table.vertex_ids[kept[:, 0]][:, None, :]
+            mv = index.table.vertex_ids[kept[:, 1]][:, ORDERS]
             tables.append(w2[qv, mv][index.order_mask[kept[:, 1]]])
-            return descriptors.gsf_filter(descs, kept, index, w2, cfg)
+            return descriptors.gsf_filter(table, kept, index, w2, cfg)
 
         monkeypatch.setattr(pipeline, "pair_w2", spy)
         monkeypatch.setattr(pipeline, "gsf_filter", read)
@@ -804,7 +839,7 @@ def _street_query(scene, ref_map, taxonomy):
     qcloud, qgraph = pipeline._query_graph(scan, taxonomy, cfg)
     probes = pipeline._query_probes(qgraph, qcloud, taxonomy, cfg)
     cand_lists = [(d, query_index(ref_map.index, d))
-                  for d in triangulate(qgraph, cfg.index.k_neighbors)]
+                  for d in rows(triangulate(qgraph, cfg.index.k_neighbors))]
     return pose, scan, qgraph, probes, cand_lists
 
 
@@ -831,7 +866,7 @@ def _twin_query(taxonomy, tmp_path):
     qcloud, qgraph = pipeline._query_graph(scan, taxonomy, cfg)
     probes = pipeline._query_probes(qgraph, qcloud, taxonomy, cfg)
     cand_lists = [(d, query_index(ref.index, d))
-                  for d in triangulate(qgraph, cfg.index.k_neighbors)]
+                  for d in rows(triangulate(qgraph, cfg.index.k_neighbors))]
     return qgraph, probes, ref, cand_lists
 
 
@@ -863,7 +898,7 @@ def _w2_table_lists(cand_lists, probes, ref_map, config):
     descs = [d for d, _ in cand_lists]
     cand = np.array([(r, cid) for r, (_, cids) in enumerate(cand_lists) for cid in cids],
                     dtype=np.int64).reshape(-1, 2)
-    kept, w2, sim = pipeline._w2_table(descs, cand, *probes, ref_map, config)
+    kept, w2, sim = pipeline._w2_table(triangle_table(descs), cand, *probes, ref_map, config)
     per_triangle = [(d, kept[kept[:, 0] == r, 1].tolist()) for r, d in enumerate(descs)]
     scored = np.argwhere(~np.isnan(w2)).tolist()
     return per_triangle, {(q, m): float(w2[q, m]) for q, m in scored}, sim
@@ -1037,7 +1072,7 @@ class TestMatch:
         median = float(np.median([
             w2(q, m) for q, m in {(q, m) for d, cands in cand_lists for cid in cands
                                   for q, m in zip(d.vertex_ids,
-                                                  index.vertex_ids[cid].tolist())}]))
+                                                  index.table.vertex_ids[cid].tolist())}]))
         sigma_w, accept = np.sqrt(median), 3.0 * median
         want = []
         for d, cands in cand_lists:
@@ -1045,7 +1080,7 @@ class TestMatch:
             for cid in cands:
                 best = None
                 for perm in _stored_orders(index, cid):
-                    pairs = [(d.vertex_ids[k], index.vertex_ids[cid].tolist()[perm[k]])
+                    pairs = [(d.vertex_ids[k], index.table.vertex_ids[cid].tolist()[perm[k]])
                              for k in range(3)]
                     scores = [w2(q, m) for q, m in pairs]
                     total = scores[0] + scores[1] + scores[2]
@@ -1172,11 +1207,12 @@ def _load_bench(name: str):
     return module
 
 
-def _recorder(fn, out: list):
-    """`fn`, appending each result to `out`."""
+def _recorder(fn, out: list, arg: int | None = None):
+    """`fn`, appending each result, or its positional argument `arg`, to `out`."""
     def call(*args, **kwargs):
-        out.append(fn(*args, **kwargs))
-        return out[-1]
+        result = fn(*args, **kwargs)
+        out.append(result if arg is None else args[arg])
+        return result
     return call
 
 
@@ -1184,17 +1220,23 @@ class TestTracedCounts:
     def test_counts_are_instances_and_edges(self, scene, taxonomy_module):
         """The benchmark tracer's counts, taken as `len` of a traced function's
         result, are the numbers they name: the set-up clustering's instances
-        are the map's centroid rows, the query's are its scene graph's rows, and
-        the consistency graph's edges are its adjacency's upper triangle."""
+        are the map's centroid rows, the query's are its scene graph's rows,
+        the set-up and query triangles are the rows of the map's and the
+        query's triangle tables, the coarse and filtered candidates are the
+        rows of the candidate arrays, and the consistency graph's edges are its
+        adjacency's upper triangle."""
         cloud, _ = scene
         pose = sample_query_poses(1, seed=7, half=15.0)[0]
         scan = simulate_scan(cloud, pose, range_max=60.0, dropout_rate=0.3,
                              noise_sigma=0.03, seed=42)
-        graphs, cgraphs = [], []
+        graphs, cgraphs, tables, cands, kept = [], [], [], [], []
         # the recorders wrap the tracer's wrappers, and are taken off before them
         with _load_bench("tracer").Tracer() as tracer, pytest.MonkeyPatch.context() as mp:
-            for name, out in [("build_scene_graph", graphs), ("build_consistency_graph", cgraphs)]:
-                mp.setattr(pipeline, name, _recorder(getattr(pipeline, name), out))
+            for name, out, arg in [("build_scene_graph", graphs, None),
+                                   ("build_consistency_graph", cgraphs, None),
+                                   ("triangulate", tables, None), ("query_index", cands, None),
+                                   ("gsf_filter", kept, 1)]:
+                mp.setattr(pipeline, name, _recorder(getattr(pipeline, name), out, arg))
             tracer.context = -1
             ref = build_map(cloud, taxonomy_module, RunConfig())
             tracer.context = 0
@@ -1209,6 +1251,16 @@ class TestTracedCounts:
         (cgraph,) = cgraphs
         edges = int(np.triu(cgraph.adjacency, 1).sum())
         assert counts["matching.build_consistency_graph", 0]["edges"] == edges > 0
+        map_table, query_table = tables
+        assert map_table is ref.index.table
+        for context, table in [(-1, map_table), (0, query_table)]:
+            n = counts["descriptors.triangulate", context]["triangles"]
+            assert n == table.vertex_ids.shape[0] == table.labels.shape[0] > 3
+            assert table.vertex_ids.shape == table.labels.shape == table.sides.shape == (n, 3)
+        (cand,), (filtered,) = cands, kept
+        assert counts["descriptors.query_index", 0]["candidates"] == cand.shape[0] > 0
+        assert counts["descriptors.gsf_filter", 0]["candidates"] == filtered.shape[0] > 0
+        assert cand.shape[1] == filtered.shape[1] == 2
 
 
 class TestVoxelDownsample:
@@ -1284,6 +1336,7 @@ class TestConfig:
         ("matching.epsilon", -0.1, 0.0),
         ("solver.rel_tol", -1e-6, 0.0),
         ("pipeline.query_voxel", -0.2, 0.0),
+        ("pipeline.seed", -1, 0),
         ("gsf.grid.dx", 0.0, 1e-3),
         ("gsf.grid.dy", -2.5, 1e-3),
         ("gsf.grid.nx", 0, 1),

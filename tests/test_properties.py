@@ -1,6 +1,7 @@
 """Oracles as properties: W2, its scale law and the lower-bound cut of the
-W2 table; the class-proportional draw of semantic sparsification; and a
-damaged map bundle, refused or localizing.
+W2 table; the class-proportional draw of semantic sparsification; the exact
+max clique against brute force and networkx; and a damaged map bundle,
+refused or localizing.
 
 Populations are drawn small (up to 5 grid points, 3 classes, 4 yaws) with
 covariances of every rank from 0 to full, means that may coincide, and yaw
@@ -26,6 +27,7 @@ from gsfloc import descriptors
 from gsfloc.core import FormatError, default_taxonomy
 from gsfloc.descriptors import pair_w2
 from gsfloc.gsf import GpPopulation, semantic_sparsify
+from gsfloc.matching import ConsistencyGraph, Correspondence, brute_force_max_clique, max_clique
 from gsfloc.pipeline import BUNDLE_FILES, build_map, load_map, localize, save_map
 from gsfloc.synth import (
     InstanceTemplate,
@@ -165,6 +167,41 @@ def test_pair_w2_equals_unpruned_minimum(tab, use_stability, chunk_pairs):
     finally:
         descriptors.W2_CHUNK_BYTES = chunk_bytes
     assert np.array_equal(got, want)
+
+
+@st.composite
+def consistency_graph(draw, most: int, densest: float, weights=(1.0,)):
+    """A graph of 1 to `most` nodes, each edge present with a drawn probability
+    of at most `densest`, and node weights drawn from `weights`."""
+    # sampled, not drawn as numbers, so that sizes and densities spread evenly
+    n = draw(st.sampled_from(range(1, most + 1)))
+    density = draw(st.sampled_from(np.linspace(0.0, densest, 9).tolist()))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    adj = np.triu(rng.random((n, n)) < density, 1)
+    omegas = draw(st.lists(st.sampled_from(weights), min_size=n, max_size=n))
+    nodes = [Correspondence(i, i, w, 1) for i, w in enumerate(omegas)]
+    return ConsistencyGraph(nodes, adj | adj.T, 1.0)
+
+
+@given(consistency_graph(25, 0.8, weights=(0.25, 0.5, 1.0)))
+def test_max_clique_equals_brute_force(graph):
+    """`max_clique` picks the clique the exhaustive oracle picks, on up to 25
+    nodes. Dyadic weights from three values make size ties common and sum
+    ties exact, so the sum and the lexicographic tie-breaks both decide."""
+    assert max_clique(graph) == brute_force_max_clique(graph)
+
+
+@given(consistency_graph(60, 0.7))
+def test_max_clique_size_equals_networkx(graph):
+    """The clique's size is networkx's maximum clique size, on up to 60 nodes
+    at a density of at most 0.7, and it is a clique."""
+    import networkx as nx
+
+    got = max_clique(graph)
+    g = nx.from_numpy_array(graph.adjacency.astype(np.int64))
+    clique, size = nx.max_weight_clique(g, weight=None)
+    assert len(got) == size == len(clique)
+    assert all(graph.adjacency[a, b] for a in got for b in got if a != b)
 
 
 @functools.lru_cache(maxsize=1)

@@ -1,3 +1,4 @@
+import json
 import warnings
 
 import numpy as np
@@ -7,7 +8,8 @@ from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 from gsfloc.config import ClusterSection, RunConfig
-from gsfloc.core import SemanticPointCloud, ValidationError, one_hot_logits, transform_cloud
+from gsfloc.core import (FormatError, SemanticPointCloud, ValidationError, one_hot_logits,
+                         transform_cloud)
 from gsfloc import scene_graph
 from gsfloc.gsf import GpHyperParams, fit_gsf
 from gsfloc.scene_graph import (
@@ -397,3 +399,17 @@ class TestSerialization:
         again = load_scene_graph(tmp_path / "g.json")
         assert again.shape == (len(graph), 3)
         np.testing.assert_array_equal(again, graph.centroids)
+
+    @pytest.mark.parametrize("k, bad", [(0, False), (1, True), (2, 2.0)],
+                             ids=["false", "true", "float"])
+    def test_id_not_a_json_integer_refused(self, tmp_path, k, bad):
+        """An id equal to its row as a value but not a JSON integer (false for
+        0, true for 1, 2.0 for 2) is a FormatError naming the record."""
+        path = tmp_path / "g.json"
+        save_scene_graph(np.arange(9.0).reshape(3, 3), path)
+        doc = json.loads(path.read_text())
+        doc["instances"][k]["id"] = bad
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match=rf"{path}: instance ids must be 0\.\.K-1 in "
+                                              rf"list order; record {k} has id {bad!r}"):
+            load_scene_graph(path)
