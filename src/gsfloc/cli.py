@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import RunConfig, checked
+from .config import RunConfig
 from .core import (
     FormatError,
     GsflocError,
@@ -30,7 +30,8 @@ from .core import (
     sha256_file,
 )
 from .pipeline import build_map, load_map, localize, save_map
-from .synth import SceneSpec, generate_scene, run_benchmark, sample_query_poses
+from .synth import (BenchmarkSpec, SceneSpec, generate_scene, run_benchmark,
+                    sample_query_poses)
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -157,45 +158,18 @@ def cmd_synth(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    doc = checked(dict, read_json(args.spec, f"spec file {args.spec}", ValidationError),
-                  "benchmark spec")
-    for key in doc:
-        if key not in ("map", "queries", "config"):
-            raise ValidationError(f"benchmark spec: unknown field {key!r}")
-    if "map" not in doc:
-        raise ValidationError("benchmark spec: 'map' field is required")
-    map_spec = SceneSpec.from_dict(doc["map"])
+    spec = BenchmarkSpec.from_dict(
+        read_json(args.spec, f"spec file {args.spec}", ValidationError))
+    map_spec, q = spec.map, spec.queries
     if args.seed is not None:
         map_spec = dataclasses.replace(map_spec, seed=args.seed)
-    q = checked(dict, doc.get("queries", {}), "benchmark spec: queries")
-    for key in q:
-        if key not in ("count", "range_max", "dropout", "noise_sigma", "region_half", "z"):
-            raise ValidationError(f"benchmark spec: queries: unknown field {key!r}")
-
-    cfg = _effective_config(args, RunConfig.from_dict(doc.get("config", {})))
-
-    def query_field(key, kind, default):
-        return checked(kind, q.get(key, default), f"benchmark spec: queries.{key}")
-
-    count = query_field("count", int, 20)
-    if count < 1:
-        raise ValidationError(f"benchmark spec: queries.count must be >= 1, got {count}")
-    range_max = query_field("range_max", float, 60.0)
-    if not range_max > 0:
-        raise ValidationError(f"benchmark spec: queries.range_max must be > 0, got {range_max}")
+    cfg = _effective_config(args, spec.config)
     poses = sample_query_poses(
-        count, seed=[map_spec.seed, 1],
-        half=query_field("region_half", float, map_spec.extent / 4.0),
-        z=query_field("z", float, 1.8),
+        q.count, seed=[map_spec.seed, 1],
+        half=map_spec.extent / 4.0 if q.region_half is None else q.region_half, z=q.z,
     )
-    report = run_benchmark(
-        map_spec,
-        poses,
-        cfg,
-        range_max=range_max,
-        dropout_rate=query_field("dropout", float, 0.3),
-        noise_sigma=query_field("noise_sigma", float, 0.03),
-    )
+    report = run_benchmark(map_spec, poses, cfg, range_max=q.range_max,
+                           dropout_rate=q.dropout, noise_sigma=q.noise_sigma)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     report.write_csv(out / "report.csv", include_timings=not args.no_timings)

@@ -1,15 +1,17 @@
-"""Run configuration: every tunable of the pipeline with its default.
+"""Run configuration, and the one reader of every settings document.
 
 `RunConfig` is the one configuration type: the scene graph, map building and
 localization all read their settings from it, and a map bundle stores it once,
 in config.json. Configs load from JSON files and accept dotted-key overrides
-(e.g. "sim.sigma_w=1.5"). Unknown keys, values of the wrong type, values
-out of range and non-finite numbers are rejected when they are set; only the
-keys in `_NO_LIMIT_KEYS` take Infinity, as "no limit". The keys that size a
-query's work have upper limits (`_MOST`, and `GRID_POINTS_MOST` for the probe
-grid's nx x ny, checked once a whole dict, file or override list is set, so the
-order of the two keys does not matter).
-The full effective configuration is echoed into every run manifest.
+(e.g. "sim.sigma_w=1.5"); the effective config is echoed into every manifest.
+
+`read` builds a dataclass from a JSON object, `as_dict` writes one back, and
+`check_fields` checks one built in code; they serve the config and the scene
+and benchmark specs of `synth`. Each field declares its type, and a number's
+range as a `Bound` in its annotation. Unknown keys, missing fields, values of
+the wrong type or out of bound and non-finite numbers (Infinity only where a
+bound has `no_limit`) are refused, naming the key. The probe grid's nx x ny is
+held to `GRID_POINTS_MOST` once a whole dict, file or override list is set.
 """
 
 from __future__ import annotations
@@ -19,75 +21,113 @@ import json
 import math
 import types
 import typing
-from dataclasses import dataclass, field, fields, is_dataclass
-from typing import Literal
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from typing import Annotated, Literal
 
 from .core import FormatError, ValidationError, read_json
 
 
+@dataclass(frozen=True)
+class Bound:
+    """A number's range, declared in its field's annotation: > above, >= least,
+    <= most and < below, each where given. A float must also be finite, unless
+    `no_limit`, which takes Infinity."""
+
+    above: float | None = None
+    least: float | None = None
+    most: float | None = None
+    below: float | None = None
+    no_limit: bool = False
+
+
+Positive = Annotated[float, Bound(above=0)]
+NonNegative = Annotated[float, Bound(least=0)]
+PositiveInt = Annotated[int, Bound(above=0)]
+NonNegativeInt = Annotated[int, Bound(least=0)]
+NoLimit = Annotated[float, Bound(no_limit=True)]  # any finite number, or Infinity
+
+# sim.sigma_w's range: the similarity divides by its square, which stays a
+# normal float64 inside it; one outside it overflows or underflows
+SIGMA_W_RANGE = (1e-100, 1e100)
+# the query's work is bounded: each GP fit factors a budget x budget kernel
+# matrix, and each query instance's probe stack holds yaw_samples x (nx ny)^2
+# doubles (36 x 256^2 x 8 B = 19 MB at the caps); the grid's point count nx x ny
+# is held to GRID_POINTS_MOST by `_check_grid`, after every key of an update is set
+GRID_POINTS_MOST = 256
+
+
 @dataclass
 class GridSection:
-    nx: int = 5
-    ny: int = 5
+    nx: Annotated[int, Bound(least=1)] = 5
+    ny: Annotated[int, Bound(least=1)] = 5
     # a fixed 2.5 m, a quarter of the default cluster.neighborhood_radius; it
     # does not follow that radius when the radius is set
-    dx: float = 2.5
-    dy: float = 2.5
+    dx: Positive = 2.5
+    dy: Positive = 2.5
     z_mode: Literal["local-zero"] | float = "local-zero"
 
 
 @dataclass
 class GsfSection:
-    kappa: float = 2.0
-    sigma_y: float = 0.1
-    budget: int = 256
+    kappa: Positive = 2.0
+    sigma_y: NonNegative = 0.1
+    budget: Annotated[int, Bound(least=1, most=2048)] = 256
     softmax_targets: bool = False
     grid: GridSection = field(default_factory=GridSection)
 
 
 @dataclass
 class SimSection:
-    sigma_w: float | None = None  # None: self-tuned from the candidate median
-    accept_threshold: float | None = None  # None: 3x the candidate median
-    yaw_samples: int = 8  # query populations probed at this many yaw rotations
+    # None: self-tuned from the candidate median
+    sigma_w: Annotated[float, Bound(above=0, least=SIGMA_W_RANGE[0],
+                                    most=SIGMA_W_RANGE[1])] | None = None
+    # None: 3x the candidate median
+    accept_threshold: Annotated[float, Bound(above=0, no_limit=True)] | None = None
+    # query populations probed at this many yaw rotations
+    yaw_samples: Annotated[int, Bound(above=0, most=36)] = 8
     use_stability: bool = True
 
 
 @dataclass
 class SolverSection:
-    tau0: float = 1.0
-    max_iters: int = 20
-    rel_tol: float = 1e-6
+    tau0: Positive = 1.0
+    max_iters: PositiveInt = 20
+    rel_tol: NonNegative = 1e-6
 
 
 @dataclass
 class IndexSection:
-    delta_d: float = 0.5
-    k_neighbors: int = 10
+    delta_d: Positive = 0.5
+    # the two neighbours an anchor's triangles need
+    k_neighbors: Annotated[int, Bound(least=2)] = 10
 
 
 @dataclass
 class MatchingSection:
-    epsilon: float = 0.6
+    epsilon: NonNegative = 0.6
 
 
 @dataclass
 class ClusterSection:
-    min_cluster_size: int = 10
-    default_threshold: float = 1.0
-    thresholds: dict = field(  # class name -> meters; each value a number > 0
+    min_cluster_size: NonNegativeInt = 10
+    default_threshold: NonNegative = 1.0
+    thresholds: dict[str, Positive] = field(  # class name -> meters
         default_factory=lambda: {"pole": 0.5, "trunk": 0.5, "traffic-sign": 0.5, "car": 1.0}
     )
-    neighborhood_radius: float = 10.0
+    neighborhood_radius: NonNegative = 10.0
 
 
 @dataclass
 class PipelineSection:
-    success_trans_m: float = 5.0
-    success_rot_deg: float = 10.0
-    query_voxel: float = 0.2  # 0 disables query downsampling
+    success_trans_m: NoLimit = 5.0
+    success_rot_deg: NoLimit = 10.0
+    query_voxel: NonNegative = 0.2  # 0 disables query downsampling
     use_gsf_filter: bool = True
-    seed: int = 0
+    seed: NonNegativeInt = 0
+
+
+def _config_key(path: str) -> str:
+    return f"config key {path!r}" if path else "config"
 
 
 @dataclass
@@ -101,7 +141,7 @@ class RunConfig:
     pipeline: PipelineSection = field(default_factory=PipelineSection)
 
     def to_dict(self) -> dict:
-        return _as_dict(self)
+        return as_dict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
@@ -111,9 +151,7 @@ class RunConfig:
 
     def update(self, d: dict) -> None:
         """Set the keys of a (nested, partial) config dict; unknown keys are refused."""
-        if not isinstance(d, dict):
-            raise ValidationError("config must be an object")
-        _apply_dict(self, d, prefix="")
+        read(RunConfig, d, _config_key, base=self)
         _check_grid(self.gsf.grid)
 
     def update_from_file(self, path) -> None:
@@ -137,31 +175,8 @@ class RunConfig:
                 value = raw
             for part in reversed(key.strip().split(".")):
                 value = {part: value}
-            _apply_dict(self, value, prefix="")
+            read(RunConfig, value, _config_key, base=self)
         _check_grid(self.gsf.grid)
-
-
-def _as_dict(obj):
-    if is_dataclass(obj):
-        return {f.name: _as_dict(getattr(obj, f.name)) for f in fields(obj)}
-    if isinstance(obj, dict):
-        return {k: _as_dict(v) for k, v in obj.items()}
-    return obj
-
-
-def _apply_dict(obj, d: dict, prefix: str) -> None:
-    names = {f.name: f for f in fields(obj)}
-    for key, value in d.items():
-        path = f"{prefix}{key}"
-        if key not in names:
-            raise ValidationError(f"unknown config key {path!r}")
-        current = getattr(obj, key)
-        if is_dataclass(current):
-            if not isinstance(value, dict):
-                raise ValidationError(f"config key {path!r} expects an object")
-            _apply_dict(current, value, prefix=f"{path}.")
-        else:
-            setattr(obj, key, _coerce(obj, key, value, path))
 
 
 def _check_grid(grid: GridSection) -> None:
@@ -170,33 +185,69 @@ def _check_grid(grid: GridSection) -> None:
                               f"{GRID_POINTS_MOST}, got {grid.nx} x {grid.ny}")
 
 
-# keys whose value, unless null, must be > 0
-_POSITIVE_KEYS = {"sim.sigma_w", "sim.accept_threshold", "sim.yaw_samples",
-                  "solver.tau0", "solver.max_iters", "gsf.grid.dx", "gsf.grid.dy",
-                  "gsf.kappa", "index.delta_d"}
-# keys whose value must be >= 0: radii, tolerances, sizes, the seed
-_NON_NEGATIVE_KEYS = {"cluster.neighborhood_radius", "cluster.default_threshold",
-                      "cluster.min_cluster_size", "matching.epsilon", "solver.rel_tol",
-                      "pipeline.query_voxel", "gsf.sigma_y", "pipeline.seed"}
-# sim.sigma_w's range: the similarity divides by its square, which stays a
-# normal float64 inside it; one outside it overflows or underflows
-SIGMA_W_RANGE = (1e-100, 1e100)
-# keys with their least value: grid sides, the GP budget, the two neighbours
-# an anchor's triangles need, and sigma_w
-_LEAST = {"gsf.grid.nx": 1, "gsf.grid.ny": 1, "gsf.budget": 1, "index.k_neighbors": 2,
-          "sim.sigma_w": SIGMA_W_RANGE[0]}
-# keys with their greatest value: sigma_w, and integer keys that bound a
-# query's work: each GP fit factors a budget x budget kernel matrix, and each
-# query instance's probe stack holds yaw_samples x (nx ny)^2 doubles
-# (36 x 256^2 x 8 B = 19 MB at the caps); the grid's point count nx x ny is held
-# to GRID_POINTS_MOST by `_check_grid`, after every key of an update is set
-_MOST = {"gsf.budget": 2048, "sim.yaw_samples": 36, "sim.sigma_w": SIGMA_W_RANGE[1]}
-GRID_POINTS_MOST = 256
-# float keys where Infinity means "no limit"; every other float value must be finite
-_NO_LIMIT_KEYS = {"sim.accept_threshold", "pipeline.success_trans_m",
-                  "pipeline.success_rot_deg"}
+def field_of(document: str):
+    """`name(path)` for a spec document's keys, as in "scene spec field
+    background.road_points"; the whole document is `document`."""
+    return lambda path: f"{document} field {path}" if path else document
+
+
+def as_dict(obj):
+    """A document as JSON values: each dataclass an object under its fields' keys."""
+    if is_dataclass(obj):
+        return {f.metadata.get("key", f.name): as_dict(getattr(obj, f.name))
+                for f in fields(obj)}
+    if isinstance(obj, dict):
+        return {k: as_dict(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [as_dict(v) for v in obj]
+    return obj
+
+
+def read(cls, d, name, path: str = "", base=None):
+    """A `cls` read from the JSON object `d`, or, given `base`, `base` with the
+    keys of `d` set on it (nested objects onto its own). A field's key is its
+    name, or its `metadata["key"]`. An unknown key, a missing required field
+    or a value the field's declared type and bound do not take is refused
+    with a ValidationError naming the key as `name(path)`."""
+    if not isinstance(d, dict):
+        raise ValidationError(f"{name(path)} expects an object, got {d!r}")
+    by_key = {f.metadata.get("key", f.name): f for f in fields(cls)}
+    for key in d:
+        if key not in by_key:
+            raise ValidationError(f"unknown {name(_join(path, key))}")
+    for key, f in by_key.items():
+        if base is None and key not in d and f.default is MISSING is f.default_factory:
+            raise ValidationError(f"{name(_join(path, key))} is required")
+    values = {f.name: _coerce(_hints(cls)[f.name], d[key], name, _join(path, key),
+                              getattr(base, f.name, None))
+              for key, f in by_key.items() if key in d}
+    if base is None:
+        return cls(**values)
+    for attr, value in values.items():
+        setattr(base, attr, value)
+    return base
+
+
+def check_fields(obj, name, path: str = "") -> None:
+    """Refuse, as `read` would, a dataclass built in code with a field value,
+    its own or a nested dataclass's, that its declared type and bound do not
+    take; nothing is converted."""
+    for f in fields(obj):
+        _coerce(_hints(type(obj))[f.name], getattr(obj, f.name), name,
+                _join(path, f.metadata.get("key", f.name)))
+
+
+def _join(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
+
+
+@functools.cache
+def _hints(cls) -> dict:
+    return typing.get_type_hints(cls, include_extras=True)
+
+
 _KIND_NAMES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string",
-               dict: "an object", type(None): "null"}
+               dict: "an object", list: "a list", type(None): "null"}
 
 
 def _accepts(kind, value) -> bool:
@@ -210,55 +261,50 @@ def _accepts(kind, value) -> bool:
         return isinstance(value, (int, float))
     if typing.get_origin(kind) is Literal:
         return value in typing.get_args(kind)
-    return isinstance(value, kind)
+    return isinstance(value, typing.get_origin(kind) or kind)
 
 
 def _describe(kind) -> str:
     if typing.get_origin(kind) is Literal:
         return " or ".join(json.dumps(v) for v in typing.get_args(kind))
-    return _KIND_NAMES[kind]
+    return _KIND_NAMES[typing.get_origin(kind) or kind]
 
 
-def checked(kind, value, name: str):
-    """`value` as `kind` (bool, int, float or str, as JSON gives them); a value
-    of another type is refused with a ValidationError naming `name`."""
-    if not _accepts(kind, value):
-        raise ValidationError(f"{name} expects {_describe(kind)}, got {value!r}")
-    return kind(value)
+def _split(kind) -> tuple:
+    """A field type as (the bare type, its Bound or None)."""
+    if typing.get_origin(kind) is Annotated:
+        return typing.get_args(kind)[0], kind.__metadata__[0]
+    return kind, None
 
 
-@functools.cache
-def _field_types(section_cls) -> dict:
-    return typing.get_type_hints(section_cls)
-
-
-def _coerce(section, key: str, value, path: str):
-    """`value` checked against the declared type of `section.key`, as stored."""
-    hint = _field_types(type(section))[key]
-    union = typing.get_origin(hint) in (typing.Union, types.UnionType)
-    kinds = typing.get_args(hint) if union else (hint,)
-    kind = next((k for k in kinds if _accepts(k, value)), None)
-    if kind is None:
-        raise ValidationError(f"config key {path!r} expects "
-                              f"{' or '.join(map(_describe, kinds))}, got {value!r}")
-    if kind in (int, float, dict):
-        value = kind(value)
-    if value is None:  # null: the self-tuned default of the two keys that take it
+def _coerce(hint, value, name, path: str, base=None):
+    """`value` checked against the type hint `hint` of the field at `path`, as
+    stored; an object is read onto `base`, the field's value, when given."""
+    if is_dataclass(hint):
+        if not isinstance(value, hint):
+            return read(hint, value, name, path, base)
+        check_fields(value, name, path)
         return value
-    if path in _POSITIVE_KEYS and not value > 0:
-        raise ValidationError(f"config key {path!r} must be > 0, got {value}")
-    if path in _NON_NEGATIVE_KEYS and not value >= 0:
-        raise ValidationError(f"config key {path!r} must be >= 0, got {value}")
-    if path in _LEAST and value < _LEAST[path]:
-        raise ValidationError(f"config key {path!r} must be >= {_LEAST[path]}, got {value}")
-    if path in _MOST and value > _MOST[path]:
-        raise ValidationError(f"config key {path!r} must be <= {_MOST[path]}, got {value}")
-    if kind is float and not (math.isfinite(value) or path in _NO_LIMIT_KEYS and value > 0):
-        bound = "finite or Infinity" if path in _NO_LIMIT_KEYS else "finite"
-        raise ValidationError(f"config key {path!r} must be {bound}, got {value}")
-    if path == "cluster.thresholds":
-        for name, v in value.items():
-            if not (_accepts(float, v) and 0 < v < math.inf):
-                raise ValidationError(f"config key {path!r} wants a number > 0 per class, "
-                                      f"each finite, got {v!r} for {name!r}")
+    union = typing.get_origin(hint) in (typing.Union, types.UnionType)
+    bounds = dict(map(_split, typing.get_args(hint) if union else (hint,)))
+    kind = next((k for k in bounds if _accepts(k, value)), None)
+    if kind is None:
+        raise ValidationError(f"{name(path)} expects "
+                              f"{' or '.join(map(_describe, bounds))}, got {value!r}")
+    origin, args = typing.get_origin(kind), typing.get_args(kind)
+    if origin is list:
+        return [_coerce(args[0], v, name, f"{path}[{i}]") for i, v in enumerate(value)]
+    if origin is dict:
+        return {k: _coerce(args[1], v, name, f"{path}.{k}") for k, v in value.items()}
+    if kind in (int, float):
+        value = kind(value)
+    b = bounds[kind] or Bound()
+    for ok, says in ((b.above is None or value > b.above, f"> {b.above}"),
+                     (b.least is None or value >= b.least, f">= {b.least}"),
+                     (b.most is None or value <= b.most, f"<= {b.most}"),
+                     (b.below is None or value < b.below, f"< {b.below}"),
+                     (kind is not float or math.isfinite(value) or b.no_limit and value > 0,
+                      "finite or Infinity" if b.no_limit else "finite")):
+        if not ok:
+            raise ValidationError(f"{name(path)} must be {says}, got {value}")
     return value

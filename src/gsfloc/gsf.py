@@ -62,9 +62,9 @@ class GpHyperParams:
     sigma_y: float = 0.1  # observation noise std
 
     def __post_init__(self):
-        if self.kappa <= 0:
+        if not self.kappa > 0:
             raise ValidationError(f"kappa must be > 0, got {self.kappa}")
-        if self.sigma_y < 0:
+        if not self.sigma_y >= 0:
             raise ValidationError(f"sigma_y must be >= 0, got {self.sigma_y}")
 
 
@@ -140,7 +140,7 @@ def semantic_sparsify(labels, budget: int, seed) -> np.ndarray:
 
 def matern32(a, b, kappa: float) -> float:
     """Matern 3/2 kernel: (1 + s) exp(-s) with s = sqrt(3)*|a-b|/kappa."""
-    if kappa <= 0:
+    if not kappa > 0:
         raise ValidationError(f"kappa must be > 0, got {kappa}")
     s = np.sqrt(3.0) * np.linalg.norm(np.asarray(a, dtype=np.float64) - b) / kappa
     return float((1.0 + s) * np.exp(-s))

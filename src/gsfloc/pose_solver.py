@@ -55,7 +55,7 @@ class WeightedCorrespondenceSet:
             )
         if not np.all((self.omega > 0) & (self.omega < np.inf)):  # NaN fails both
             raise ValidationError("weights must be finite and positive")
-        if self.tau0 <= 0:
+        if not self.tau0 > 0:
             raise ValidationError(f"tau0 must be > 0, got {self.tau0}")
 
     @property

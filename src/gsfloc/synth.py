@@ -6,7 +6,8 @@ is unambiguous, on top of a road plane and vegetation blobs whose class
 scores vary smoothly with position. The mirrored-twin mode creates two
 congruent sub-areas (related by a 180-degree yaw isometry) whose instantiable
 layout is identical and whose background logits differ by a configurable
-perturbation magnitude.
+perturbation magnitude. `SceneSpec` and `BenchmarkSpec`, the `synth` and
+`evaluate` spec files, declare each field's type and bound for `config.read`.
 """
 
 from __future__ import annotations
@@ -16,10 +17,21 @@ import io
 import time
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
+from typing import Annotated, Literal
 
 import numpy as np
 
-from .config import checked
+from .config import (
+    Bound,
+    NonNegative,
+    NonNegativeInt,
+    PositiveInt,
+    RunConfig,
+    as_dict,
+    check_fields,
+    field_of,
+    read,
+)
 from .core import (
     GsflocError,
     LabelTaxonomy,
@@ -39,119 +51,92 @@ class GenerationError(GsflocError):
     """Instance placement could not satisfy the separation constraint."""
 
 
+_scene_field = field_of("scene spec")
+
+
+# footprint xy radius per class, used to derive separation distances
+_FOOTPRINT_RADIUS = {
+    "pole": 0.2,
+    "trunk": 0.4,
+    "traffic-sign": 0.5,
+    "car": 2.4,
+    "truck": 3.9,
+}
+
+
+# lengths and heights in meters are held to this size: far beyond any street
+# scene, and small enough that the generator's squared distances stay finite
+FAR = 1e6
+
+
 @dataclass
 class InstanceTemplate:
-    class_name: str
-    count: int
-    points_per_instance: int
+    class_name: Literal[tuple(_FOOTPRINT_RADIUS)] = dc_field(metadata={"key": "class"})
+    count: NonNegativeInt
+    points_per_instance: PositiveInt = dc_field(default=150, metadata={"key": "points"})
 
 
 @dataclass
 class BackgroundSpec:
-    road_points: int = 4000
-    vegetation_blobs: int = 12
-    vegetation_points_per_blob: int = 350
-    field_scale: float = 6.0  # length scale of the smooth class-score field
-    score_amplitude: float = 0.25  # logit modulation on the nature channels
+    road_points: NonNegativeInt = 4000
+    vegetation_blobs: NonNegativeInt = 12
+    vegetation_points_per_blob: NonNegativeInt = 350
+    # length scale of the smooth class-score field; at 1e-308 its square, the
+    # exponent's divisor, underflows to 0
+    field_scale: Annotated[float, Bound(least=1e-3, most=FAR)] = 6.0
+    # logit modulation on the nature channels
+    score_amplitude: Annotated[float, Bound(least=0, most=FAR)] = 0.25
 
 
 @dataclass
 class SceneSpec:
-    extent: float = 80.0  # square scene, [-extent/2, extent/2]^2
-    templates: list[InstanceTemplate] = dc_field(default_factory=list)
+    extent: Annotated[float, Bound(above=0, most=FAR)] = 80.0  # square, [-extent/2, extent/2]^2
+    seed: NonNegativeInt = 0
+    symmetry: Literal["none", "mirrored-twin"] = "none"
+    # mean |class-score deviation| between twins
+    twin_perturbation: Annotated[float, Bound(least=0, most=FAR)] = 0.0
+    # one_hot_logits' range for the 12 classes of the default taxonomy
+    confidence: Annotated[float, Bound(above=1 / 12, most=1)] = 0.9
+    min_separation: NonNegative | None = None  # centroid spacing; derived when None
+    templates: list[InstanceTemplate] = dc_field(default_factory=list,
+                                                 metadata={"key": "instances"})
     background: BackgroundSpec = dc_field(default_factory=BackgroundSpec)
-    symmetry: str = "none"  # "none" | "mirrored-twin"
-    twin_perturbation: float = 0.0  # mean |class-score deviation| between twins
-    seed: int = 0
-    confidence: float = 0.9
-    min_separation: float | None = None  # centroid spacing; derived when None
 
     def __post_init__(self):
-        if self.extent <= 0:
-            raise ValidationError(f"extent must be > 0, got {self.extent}")
-        if self.symmetry not in ("none", "mirrored-twin"):
-            raise ValidationError(f"unknown symmetry directive {self.symmetry!r}")
-        if self.twin_perturbation < 0:
-            raise ValidationError("twin_perturbation must be >= 0")
-        if self.seed < 0:
-            raise ValidationError(f"seed must be >= 0, got {self.seed}")
-        for t in self.templates:
-            if t.class_name not in _FOOTPRINT_RADIUS:
-                raise ValidationError(f"instances: unknown class {t.class_name!r}; "
-                                      f"one of {', '.join(_FOOTPRINT_RADIUS)}")
-            if t.count < 0 or t.points_per_instance <= 0:
-                raise ValidationError(
-                    f"template {t.class_name}: counts must be >= 0 and points > 0"
-                )
+        check_fields(self, _scene_field)
 
     def to_dict(self) -> dict:
-        return {
-            "extent": self.extent,
-            "seed": self.seed,
-            "symmetry": self.symmetry,
-            "twin_perturbation": self.twin_perturbation,
-            "confidence": self.confidence,
-            "min_separation": self.min_separation,
-            "instances": [
-                {"class": t.class_name, "count": t.count, "points": t.points_per_instance}
-                for t in self.templates
-            ],
-            "background": {
-                "road_points": self.background.road_points,
-                "vegetation_blobs": self.background.vegetation_blobs,
-                "vegetation_points_per_blob": self.background.vegetation_points_per_blob,
-                "field_scale": self.background.field_scale,
-                "score_amplitude": self.background.score_amplitude,
-            },
-        }
+        return as_dict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "SceneSpec":
-        known = {
-            "extent",
-            "seed",
-            "symmetry",
-            "twin_perturbation",
-            "confidence",
-            "min_separation",
-            "instances",
-            "background",
-        }
-        checked(dict, d, "scene spec")
-        for k in d:
-            if k not in known:
-                raise ValidationError(f"unknown scene spec field {k!r}")
-        templates = []
-        for i, rec in enumerate(d.get("instances", [])):
-            for k in checked(dict, rec, f"instances[{i}]"):
-                if k not in ("class", "count", "points"):
-                    raise ValidationError(f"instances[{i}]: unknown field {k!r}")
-            if "class" not in rec or "count" not in rec:
-                raise ValidationError(f"instances[{i}]: 'class' and 'count' are required")
-            templates.append(InstanceTemplate(
-                checked(str, rec["class"], f"instances[{i}].class"),
-                checked(int, rec["count"], f"instances[{i}].count"),
-                checked(int, rec.get("points", 150), f"instances[{i}].points"),
-            ))
-        bg = BackgroundSpec()
-        for k, v in checked(dict, d.get("background", {}), "background").items():
-            if not hasattr(bg, k):
-                raise ValidationError(f"background: unknown field {k!r}")
-            setattr(bg, k, checked(type(getattr(bg, k)), v, f"background.{k}"))
-        return cls(
-            extent=checked(float, d.get("extent", 80.0), "extent"),
-            templates=templates,
-            background=bg,
-            symmetry=checked(str, d.get("symmetry", "none"), "symmetry"),
-            twin_perturbation=checked(float, d.get("twin_perturbation", 0.0),
-                                      "twin_perturbation"),
-            seed=checked(int, d.get("seed", 0), "seed"),
-            confidence=checked(float, d.get("confidence", 0.9), "confidence"),
-            min_separation=(
-                None if d.get("min_separation") is None
-                else checked(float, d["min_separation"], "min_separation")
-            ),
-        )
+        return read(cls, d, _scene_field)
+
+
+@dataclass
+class QuerySpec:
+    """The query scans of a benchmark spec: where they are taken and how."""
+
+    count: Annotated[int, Bound(least=1)] = 20
+    range_max: Annotated[float, Bound(above=0, no_limit=True)] = 60.0
+    dropout: Annotated[float, Bound(least=0, below=1)] = 0.3
+    noise_sigma: Annotated[float, Bound(least=0, most=FAR)] = 0.03
+    # half-size of the square the poses are drawn in; None: a quarter of the extent
+    region_half: Annotated[float, Bound(least=0, most=FAR)] | None = None
+    z: Annotated[float, Bound(least=-FAR, most=FAR)] = 1.8
+
+
+@dataclass
+class BenchmarkSpec:
+    """An `evaluate` spec: the map scene, its query scans and the config."""
+
+    map: SceneSpec
+    queries: QuerySpec = dc_field(default_factory=QuerySpec)
+    config: RunConfig = dc_field(default_factory=RunConfig)
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "BenchmarkSpec":
+        return read(cls, d, field_of("benchmark spec"))
 
 
 @dataclass
@@ -168,16 +153,6 @@ class TwinInfo:
     center_2: np.ndarray
     half: float  # half-size of each twin's square region
     measured_deviation: float  # mean |class-score change| over twin-2 background
-
-
-# footprint xy radius per class, used to derive separation distances
-_FOOTPRINT_RADIUS = {
-    "pole": 0.2,
-    "trunk": 0.4,
-    "traffic-sign": 0.5,
-    "car": 2.4,
-    "truck": 3.9,
-}
 
 
 def _sample_box_surface(rng, n, lx, ly, lz):
@@ -247,6 +222,9 @@ def _place_instances(rng, spec: SceneSpec, taxonomy, center, half):
     for tpl in spec.templates:
         cid = taxonomy.id_of(tpl.class_name)
         fr = _FOOTPRINT_RADIUS[tpl.class_name]
+        if tpl.count and half < fr:
+            raise GenerationError(f"a {tpl.class_name} does not fit in the region; "
+                                  f"enlarge the extent")
         for _ in range(tpl.count):
             ok = False
             for _attempt in range(500):
@@ -407,7 +385,7 @@ def simulate_scan(
     """Range-limited omnidirectional scan expressed in the sensor frame."""
     if not (0.0 <= dropout_rate < 1.0):
         raise ValidationError(f"dropout_rate must be in [0,1), got {dropout_rate}")
-    if noise_sigma < 0:
+    if not noise_sigma >= 0:
         raise ValidationError(f"noise_sigma must be >= 0, got {noise_sigma}")
     rng = np.random.default_rng(seed)
     dist = np.linalg.norm(scene.points - sensor_pose.t, axis=1)

@@ -52,7 +52,7 @@ class SimilarityConfig:
         lo, hi = SIGMA_W_RANGE
         if not lo <= self.sigma_w <= hi:
             raise ValidationError(f"sigma_w must lie in [{lo}, {hi}], got {self.sigma_w}")
-        if self.accept_threshold <= 0:
+        if not self.accept_threshold > 0:
             raise ValidationError(
                 f"accept_threshold must be > 0, got {self.accept_threshold}"
             )

@@ -565,7 +565,8 @@ class TestSynth:
         (lambda spec: spec["background"].update(road_points="x"),
          "background.road_points expects an integer"),
         (lambda spec: spec["instances"][1].update({"class": "lamp"}),
-         "unknown class 'lamp'"),
+         "instances[1].class expects \"pole\" or \"trunk\" or \"traffic-sign\" or \"car\" "
+         "or \"truck\", got 'lamp'"),
     ], ids=["extent", "count", "road-points", "class"])
     def test_mistyped_field_exit_2(self, tmp_path, capsys, edit, field):
         spec = small_scene_spec(seed=42).to_dict()
@@ -658,6 +659,55 @@ class TestEvaluate:
         assert got["matching"]["epsilon"] == 0.55
         assert got["sim"]["use_stability"] is False
         assert got["solver"]["tau0"] == 1.0  # a default no layer sets
+
+
+class TestRefusedSpecValue:
+    """A spec value that cannot give a meaningful scene or query set is refused
+    when the spec is read, exit 2, naming the field, without a traceback and
+    before an output directory is made: unchecked, an infinite or NaN extent,
+    a negative size or region die in numpy, and the other values are taken
+    (a NaN perturbation as none, a zero field scale dividing by zero, a NaN
+    query height failing every query)."""
+
+    @staticmethod
+    def _check(rc, capsys, says, out):
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert says in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("edit, says", [
+        (lambda s: s.update(extent=float("inf")), "extent must be <= 1000000.0, got inf"),
+        (lambda s: s.update(extent=float("nan")), "extent must be > 0, got nan"),
+        (lambda s: s["background"].update(vegetation_points_per_blob=-1),
+         "background.vegetation_points_per_blob must be >= 0, got -1"),
+        (lambda s: s.update(min_separation=-5), "min_separation must be >= 0, got -5.0"),
+        (lambda s: s.update(twin_perturbation=float("nan")),
+         "twin_perturbation must be >= 0, got nan"),
+        (lambda s: s["background"].update(road_points=-5),
+         "background.road_points must be >= 0, got -5"),
+        (lambda s: s["background"].update(field_scale=0),
+         "background.field_scale must be >= 0.001, got 0.0"),
+    ], ids=["extent-infinity", "extent-nan", "blob-points-negative", "separation-negative",
+            "perturbation-nan", "road-points-negative", "field-scale-zero"])
+    def test_synth(self, tmp_path, capsys, edit, says):
+        spec = small_scene_spec(seed=42).to_dict()
+        edit(spec)
+        f = tmp_path / "spec.json"
+        f.write_text(json.dumps(spec))
+        rc = main(["synth", "--spec", str(f), "--out", str(tmp_path / "x")])
+        self._check(rc, capsys, f"scene spec field {says}", tmp_path / "x")
+
+    @pytest.mark.parametrize("queries, says", [
+        ({"region_half": -5}, "queries.region_half must be >= 0, got -5.0"),
+        ({"z": float("nan")}, "queries.z must be >= -1000000.0, got nan"),
+    ], ids=["region-half-negative", "z-nan"])
+    def test_evaluate(self, tmp_path, capsys, queries, says):
+        f = tmp_path / "bench.json"
+        f.write_text(json.dumps({"map": small_scene_spec(seed=43).to_dict(),
+                                 "queries": {"count": 2, **queries}}))
+        rc = main(["evaluate", "--spec", str(f), "--out", str(tmp_path / "r")])
+        self._check(rc, capsys, f"benchmark spec field {says}", tmp_path / "r")
 
 
 class TestNegativeSeed:

@@ -95,6 +95,18 @@ class TestKernel:
         vals = [matern32(a, [d, 0, 0], kappa=1.5) for d in np.linspace(0, 10, 200)]
         assert all(x > y for x, y in zip(vals, vals[1:]))
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan])
+    def test_length_scale_and_noise_refused(self, bad):
+        """A kappa that is not > 0 and a sigma_y that is not >= 0 are refused,
+        NaN too, which fails no `<= 0` test."""
+        with pytest.raises(ValidationError, match="kappa must be > 0"):
+            matern32(np.zeros(3), np.ones(3), bad)
+        with pytest.raises(ValidationError, match="kappa must be > 0"):
+            GpHyperParams(kappa=bad)
+        if bad != 0.0:
+            with pytest.raises(ValidationError, match="sigma_y must be >= 0"):
+                GpHyperParams(sigma_y=bad)
+
     def test_matrix_matches_double_loop(self):
         rng = np.random.default_rng(6)
         A = rng.normal(size=(7, 3))

@@ -1426,12 +1426,14 @@ class TestConfig:
 
     @staticmethod
     def _float_keys(section, prefix=""):
-        """Every dotted key whose declared type admits a float."""
+        """Every dotted key whose declared type admits a float; the per-class
+        `cluster.thresholds`, each a number > 0, is not one key."""
         for name, hint in typing.get_type_hints(type(section)).items():
             value = getattr(section, name)
             if dataclasses.is_dataclass(value):
                 yield from TestConfig._float_keys(value, f"{prefix}{name}.")
-            elif hint is float or float in typing.get_args(hint):
+            elif typing.get_origin(hint) is not dict and (hint is float
+                                                         or float in typing.get_args(hint)):
                 yield f"{prefix}{name}"
 
     @pytest.mark.parametrize("bad", ["Infinity", "-Infinity", "NaN"])
@@ -1467,7 +1469,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("bad", ["Infinity", "NaN"])
     def test_cluster_threshold_must_be_finite(self, bad):
-        with pytest.raises(ValidationError, match="wants a number > 0 per class, each finite"):
+        with pytest.raises(ValidationError, match="'cluster.thresholds.pole' must be"):
             RunConfig().apply_overrides([f'cluster.thresholds={{"pole": {bad}}}'])
 
     def test_no_limit_keys_still_localize_and_evaluate(self, scene, ref_map):
@@ -1542,9 +1544,9 @@ class TestConfig:
             ("pipeline.seed=true", "'pipeline.seed' expects an integer"),
             ("solver.max_iters=0", "'solver.max_iters' must be > 0"),
             ("solver.tau0=-1", "'solver.tau0' must be > 0"),
-            ('cluster.thresholds={"pole": "x"}', "'cluster.thresholds' wants a number > 0"),
-            ('cluster.thresholds={"car": true}', "'cluster.thresholds' wants a number > 0"),
-            ('cluster.thresholds={"pole": 0}', "'cluster.thresholds' wants a number > 0"),
+            ('cluster.thresholds={"pole": "x"}', "'cluster.thresholds.pole' expects a number"),
+            ('cluster.thresholds={"car": true}', "'cluster.thresholds.car' expects a number"),
+            ('cluster.thresholds={"pole": 0}', "'cluster.thresholds.pole' must be > 0"),
         ]:
             with pytest.raises(ValidationError, match=message):
                 RunConfig().apply_overrides([override])

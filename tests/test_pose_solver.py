@@ -136,6 +136,12 @@ class TestWeightedKabsch:
             cset(np.zeros((3, 3)), np.zeros((3, 3)), [1.0, bad, 1.0])
 
 
+    @pytest.mark.parametrize("tau0", [0.0, -1.0, np.nan])
+    def test_tau0_validation(self, tau0):
+        with pytest.raises(ValidationError, match="tau0 must be > 0"):
+            cset(np.zeros((3, 3)), np.zeros((3, 3)), np.ones(3), tau0=tau0)
+
+
 class TestRobustIrls:
     def test_noiseless_equals_kabsch(self):
         rng = np.random.default_rng(7)

@@ -11,10 +11,12 @@ small 7-instance scene, with bits flipped in or the tail cut off one file.
 The example sequence is fixed by the `gsfloc` settings profile in conftest.
 """
 
+import dataclasses
 import functools
 import hashlib
 import json
 import tempfile
+import typing
 import warnings
 from pathlib import Path
 
@@ -24,13 +26,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gsfloc import descriptors
-from gsfloc.core import FormatError, default_taxonomy
+from gsfloc.core import FormatError, ValidationError, default_taxonomy
 from gsfloc.descriptors import pair_w2
 from gsfloc.gsf import GpPopulation, semantic_sparsify
 from gsfloc.matching import ConsistencyGraph, Correspondence, brute_force_max_clique, max_clique
 from gsfloc.pipeline import BUNDLE_FILES, build_map, load_map, localize, save_map
 from gsfloc.synth import (
+    BackgroundSpec,
+    BenchmarkSpec,
+    GenerationError,
     InstanceTemplate,
+    QuerySpec,
     SceneSpec,
     generate_scene,
     sample_query_poses,
@@ -311,3 +317,61 @@ def test_bundle_json_not_utf8_refused(name):
     half = len(raw) // 2
     with pytest.raises(FormatError, match=rf"{name}: not a JSON document \('utf-8' codec"):
         _load_changed(name, raw[:half] + b"\xff" + raw[half:])
+
+
+# a small scene, plain and as mirrored twins, with queries over all of it
+_SPECS = [SceneSpec(extent=40.0, seed=3, templates=[InstanceTemplate("pole", 2, 30),
+                                                    InstanceTemplate("car", 1, 60)],
+                    background=BackgroundSpec(road_points=150, vegetation_blobs=2,
+                                              vegetation_points_per_blob=20))]
+_SPECS.append(dataclasses.replace(_SPECS[0], symmetry="mirrored-twin", twin_perturbation=0.3))
+_ANY = ["x", True, None, 2.5]
+_EDGES = {float: [float("nan"), float("inf"), -float("inf"), 0.0, -1.0, 1e308, 1e-308, *_ANY],
+          int: [-1, 0, *_ANY], str: _ANY}
+
+
+def _spec_fields():
+    """Every field of a scene spec, of its background and of its first instance,
+    and of the queries object: (its path in a benchmark spec, its name as the
+    reader gives it, and float, int or str for a choice of names)."""
+    for cls, at, prefix in [(SceneSpec, ["map"], "map"),
+                            (BackgroundSpec, ["map", "background"], "map.background"),
+                            (InstanceTemplate, ["map", "instances", 0], "map.instances[0]"),
+                            (QuerySpec, ["queries"], "queries")]:
+        hints = typing.get_type_hints(cls)
+        for f in dataclasses.fields(cls):
+            hint, key = hints[f.name], f.metadata.get("key", f.name)
+            if not (dataclasses.is_dataclass(hint) or typing.get_origin(hint) is list):
+                kind = float if hint is float or float in typing.get_args(hint) else hint
+                yield at + [key], f"{prefix}.{key}", kind if kind in (float, int) else str
+
+
+@pytest.mark.parametrize("path, name, kind", list(_spec_fields()),
+                         ids=[name for _, name, _ in _spec_fields()])
+@given(st.data())
+def test_spec_field_refused_or_generates(path, name, kind, data):
+    """A spec field set to NaN, an infinity, 0, -1, the largest or the smallest
+    double, a string, a boolean, null or 2.5 (floats), or to -1 or 0 (integers),
+    is refused by the reader with a ValidationError naming it; or the scene
+    generates, or raises GenerationError, and every query pose gives a scan.
+    Nothing else is raised, and no RuntimeWarning appears."""
+    doc = {"map": data.draw(st.sampled_from(_SPECS)).to_dict(), "queries": {"count": 2}}
+    functools.reduce(lambda d, k: d[k], path[:-1], doc)[path[-1]] = data.draw(
+        st.sampled_from(_EDGES[kind]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            spec = BenchmarkSpec.from_dict(doc)
+        except ValidationError as e:
+            assert f"benchmark spec field {name} " in str(e)
+            return
+        try:
+            scene, _ = generate_scene(spec.map)
+        except GenerationError:
+            assert path[0] == "map"
+            return
+        q = spec.queries
+        half = spec.map.extent / 4.0 if q.region_half is None else q.region_half
+        for i, pose in enumerate(sample_query_poses(q.count, [spec.map.seed, 1], half=half,
+                                                    z=q.z)):
+            simulate_scan(scene, pose, q.range_max, q.dropout, q.noise_sigma, seed=i)

@@ -56,6 +56,12 @@ class TestGenerateScene:
             SceneSpec(extent=-1)
         with pytest.raises(ValidationError):
             SceneSpec(symmetry="diagonal")
+        # a spec built in code is held to its fields' bounds, its instances' too
+        for bad in (float("inf"), float("nan"), 2e6):
+            with pytest.raises(ValidationError, match="scene spec field extent must be"):
+                SceneSpec(extent=bad)
+        with pytest.raises(ValidationError, match=r"instances\[1\]\.count must be >= 0"):
+            SceneSpec(templates=[InstanceTemplate("pole", 1), InstanceTemplate("car", -1)])
         with pytest.raises(ValidationError):
             SceneSpec.from_dict({"bogus_key": 1})
         with pytest.raises(ValidationError, match="instances\\[0\\]"):
@@ -170,8 +176,9 @@ class TestSimulateScan:
         cloud, _ = generate_scene(small_scene_spec(seed=13), taxonomy)
         with pytest.raises(ValidationError):
             simulate_scan(cloud, RigidTransform.identity(), 10.0, dropout_rate=1.0)
-        with pytest.raises(ValidationError):
-            simulate_scan(cloud, RigidTransform.identity(), 10.0, noise_sigma=-1.0)
+        for noise in (-1.0, np.nan):
+            with pytest.raises(ValidationError, match="noise_sigma must be >= 0"):
+                simulate_scan(cloud, RigidTransform.identity(), 10.0, noise_sigma=noise)
 
 
 class TestEvalReport:

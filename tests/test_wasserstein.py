@@ -242,8 +242,9 @@ class TestSimilarityWeight:
                 SimilarityConfig(sigma_w=sigma_w, accept_threshold=1.0)
         for sigma_w in (1e-100, 1e100):
             assert similarity_weight(1.0, SimilarityConfig(sigma_w, 1.0)) in (0.0, 1.0)
-        with pytest.raises(ValidationError):
-            SimilarityConfig(sigma_w=1.0, accept_threshold=-1.0)
+        for threshold in (-1.0, 0.0, np.nan):
+            with pytest.raises(ValidationError, match="accept_threshold must be > 0"):
+                SimilarityConfig(sigma_w=1.0, accept_threshold=threshold)
 
 
 class TestLowerBound:
