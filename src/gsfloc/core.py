@@ -1,4 +1,5 @@
-"""Core geometric/semantic types, binary point-cloud IO, and pose-error metrics.
+"""Core geometric/semantic types, binary point-cloud IO, pose-error metrics,
+and `read`, the one reader of the config, the specs and the taxonomy.
 
 File formats
 ------------
@@ -10,11 +11,16 @@ logits  : 16-byte header (magic b"GSFL", u32 N, u32 D, u32 reserved) followed
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
+import math
 import struct
-from dataclasses import dataclass
+import types
+import typing
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from pathlib import Path
+from typing import Annotated, Literal
 
 import numpy as np
 
@@ -35,6 +41,168 @@ class ValidationError(GsflocError):
 
 
 # ---------------------------------------------------------------------------
+# Settings documents
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Bound:
+    """A number's range, declared in its field's annotation: > above, >= least,
+    <= most and < below, each where given. A float must also be finite, unless
+    `no_limit`, which takes Infinity."""
+
+    above: float | None = None
+    least: float | None = None
+    most: float | None = None
+    below: float | None = None
+    no_limit: bool = False
+
+
+# lengths and heights in meters, and other sizes, are held to this: far beyond
+# any street scene, and small enough that their squares stay finite
+FAR = 1e6
+
+Positive = Annotated[float, Bound(above=0)]
+NonNegative = Annotated[float, Bound(least=0)]
+PositiveInt = Annotated[int, Bound(above=0)]
+NonNegativeInt = Annotated[int, Bound(least=0)]
+NoLimit = Annotated[float, Bound(no_limit=True)]  # any finite number, or Infinity
+Size = Annotated[float, Bound(least=0, most=FAR)]
+
+
+def field_of(document: str):
+    """`name(path)` for a document's keys, as in "scene spec field
+    background.road_points"; the whole document is `document`."""
+    return lambda path: f"{document} field {path}" if path else document
+
+
+def as_dict(obj):
+    """A document as JSON values: each dataclass an object under its fields' keys."""
+    if is_dataclass(obj):
+        return {f.metadata.get("key", f.name): as_dict(getattr(obj, f.name))
+                for f in fields(obj)}
+    if isinstance(obj, dict):
+        return {k: as_dict(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [as_dict(v) for v in obj]
+    return obj
+
+
+def read(kind, value, name, path: str = "", base=None):
+    """`value`, JSON, checked against the declared type `kind` of the document
+    at `path`, as stored; a ValidationError names the refused key as
+    `name(path)`. Unknown keys, missing required fields, values of the wrong
+    type or out of bound and non-finite numbers (Infinity only where the bound
+    has `no_limit`) are refused. A dataclass is read from an object, a field's
+    key its name or its `metadata["key"]`, and its `cross_check(name, path)`,
+    a rule across its fields, runs once it is built. Given `base`, the keys are
+    set on `base` instead (nested objects onto its own), and the rules are left
+    to a later `check_fields`. A dataclass already built is `check_fields`ed."""
+    if is_dataclass(kind):
+        if isinstance(value, kind):
+            check_fields(value, name, path)
+            return value
+        return _read_object(kind, value, name, path, base)
+    union = typing.get_origin(kind) in (typing.Union, types.UnionType)
+    bounds = dict(map(_split, typing.get_args(kind) if union else (kind,)))
+    kind = next((k for k in bounds if _accepts(k, value)), None)
+    if kind is None:
+        raise ValidationError(f"{name(path)} expects "
+                              f"{' or '.join(map(_describe, bounds))}, got {value!r}")
+    origin, args = typing.get_origin(kind), typing.get_args(kind)
+    if origin is list:
+        return [read(args[0], v, name, f"{path}[{i}]") for i, v in enumerate(value)]
+    if origin is dict:
+        return {k: read(args[1], v, name, _join(path, k)) for k, v in value.items()}
+    if kind in (int, float):
+        value = kind(value)
+    b = bounds[kind] or Bound()
+    for ok, says in ((b.above is None or value > b.above, f"> {b.above}"),
+                     (b.least is None or value >= b.least, f">= {b.least}"),
+                     (b.most is None or value <= b.most, f"<= {b.most}"),
+                     (b.below is None or value < b.below, f"< {b.below}"),
+                     (kind is not float or math.isfinite(value) or b.no_limit and value > 0,
+                      "finite or Infinity" if b.no_limit else "finite")):
+        if not ok:
+            raise ValidationError(f"{name(path)} must be {says}, got {value}")
+    return value
+
+
+def check_fields(obj, name, path: str = "") -> None:
+    """Refuse, as `read` would, a dataclass built in code with a field value,
+    its own or a nested dataclass's, that its declared type and bound do not
+    take, or whose `cross_check` fails; nothing is converted."""
+    for f in fields(obj):
+        read(_hints(type(obj))[f.name], getattr(obj, f.name), name,
+             _join(path, f.metadata.get("key", f.name)))
+    if hasattr(obj, "cross_check"):
+        obj.cross_check(name, path)
+
+
+def _read_object(cls, d, name, path, base):
+    if not isinstance(d, dict):
+        raise ValidationError(f"{name(path)} expects an object, got {d!r}")
+    by_key = {f.metadata.get("key", f.name): f for f in fields(cls)}
+    for key in d:
+        if key not in by_key:
+            raise ValidationError(f"unknown {name(_join(path, key))}")
+    for key, f in by_key.items():
+        if base is None and key not in d and f.default is MISSING is f.default_factory:
+            raise ValidationError(f"{name(_join(path, key))} is required")
+    values = {f.name: read(_hints(cls)[f.name], d[key], name, _join(path, key),
+                           getattr(base, f.name, None))
+              for key, f in by_key.items() if key in d}
+    if base is None:
+        obj = cls(**values)
+        if hasattr(obj, "cross_check"):
+            obj.cross_check(name, path)
+        return obj
+    for attr, value in values.items():
+        setattr(base, attr, value)
+    return base
+
+
+def _join(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
+
+
+@functools.cache
+def _hints(cls) -> dict:
+    return typing.get_type_hints(cls, include_extras=True)
+
+
+_KIND_NAMES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string",
+               dict: "an object", list: "a list", type(None): "null"}
+
+
+def _accepts(kind, value) -> bool:
+    if kind is bool or kind is type(None):
+        return type(value) is kind
+    if isinstance(value, bool):
+        return False
+    if kind is int:
+        return isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    if kind is float:
+        return isinstance(value, (int, float))
+    if typing.get_origin(kind) is Literal:
+        return value in typing.get_args(kind)
+    return isinstance(value, typing.get_origin(kind) or kind)
+
+
+def _describe(kind) -> str:
+    if typing.get_origin(kind) is Literal:
+        return " or ".join(json.dumps(v) for v in typing.get_args(kind))
+    return _KIND_NAMES[typing.get_origin(kind) or kind]
+
+
+def _split(kind) -> tuple:
+    """A field type as (the bare type, its Bound or None)."""
+    if typing.get_origin(kind) is Annotated:
+        return typing.get_args(kind)[0], kind.__metadata__[0]
+    return kind, None
+
+
+# ---------------------------------------------------------------------------
 # Taxonomy
 # ---------------------------------------------------------------------------
 
@@ -43,12 +211,17 @@ class ValidationError(GsflocError):
 class ClassInfo:
     name: str
     instantiable: bool
-    stability: float  # in (0, 1]; 0.1 volatile, 0.5 short-term, 1.0 long-term
+    # 0.1 volatile, 0.5 short-term, 1.0 long-term
+    stability: Annotated[float, Bound(above=0, most=1)]
+
+    def __post_init__(self):
+        check_fields(self, lambda path: f"class {self.name!r} {path}")
 
 
 class LabelTaxonomy:
     """Mapping from class id to (name, instantiable flag, stability value); the
-    ids are 0..D-1, the logit columns of a cloud's class scores."""
+    ids are 0..D-1, the logit columns of a cloud's class scores, and each
+    class has its own name."""
 
     def __init__(self, classes: dict[int, ClassInfo]):
         if sorted(classes) != list(range(len(classes))):
@@ -56,14 +229,12 @@ class LabelTaxonomy:
                 f"taxonomy class ids must be 0..{len(classes) - 1}, one per logit column; "
                 f"got {sorted(classes)}"
             )
-        for cid, info in classes.items():
-            if not (0.0 < info.stability <= 1.0):
-                raise ValidationError(
-                    f"stability for class {cid} ({info.name}) must be in (0,1], "
-                    f"got {info.stability}"
-                )
         self._classes = dict(sorted(classes.items()))
         self._by_name = {info.name: cid for cid, info in self._classes.items()}
+        if len(self._by_name) < len(self._classes):
+            names = [info.name for info in self._classes.values()]
+            twice = next(n for n in names if names.count(n) > 1)
+            raise ValidationError(f"taxonomy class name {twice!r} is used twice")
 
     @property
     def num_classes(self) -> int:
@@ -92,32 +263,19 @@ class LabelTaxonomy:
         return np.array([info.stability for info in self._classes.values()])
 
     def to_dict(self) -> dict:
-        return {
-            str(cid): {
-                "name": i.name,
-                "instantiable": i.instantiable,
-                "stability": i.stability,
-            }
-            for cid, i in self._classes.items()
-        }
+        return {str(cid): as_dict(info) for cid, info in self._classes.items()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "LabelTaxonomy":
-        """The inverse of `to_dict`; anything else is refused with ValidationError."""
+        """The inverse of `to_dict`: each class record under its id, the keys
+        "0" to "D-1"; anything else is refused with ValidationError."""
         if not isinstance(d, dict) or not d:
             raise ValidationError("taxonomy must be a non-empty object of class records")
-        classes = {}
-        for cid, v in d.items():
-            rec = v if isinstance(v, dict) else {}
-            if not (str(cid).isdecimal() and isinstance(rec.get("name"), str)
-                    and isinstance(rec.get("instantiable"), bool)
-                    and type(rec.get("stability")) in (int, float)):
-                raise ValidationError(
-                    f"taxonomy class {cid!r} needs an integer id, a name, "
-                    "an instantiable flag and a numeric stability"
-                )
-            classes[int(cid)] = ClassInfo(rec["name"], rec["instantiable"], float(rec["stability"]))
-        return cls(classes)
+        records = read(dict[str, ClassInfo], d, field_of("taxonomy"))
+        if set(records) != {str(c) for c in range(len(records))}:
+            raise ValidationError(f"taxonomy class ids must be 0..{len(records) - 1}, one per "
+                                  f"logit column, each key its id in decimal; got {list(records)}")
+        return cls({int(cid): info for cid, info in records.items()})
 
 
 def default_taxonomy() -> LabelTaxonomy:

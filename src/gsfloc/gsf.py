@@ -45,8 +45,8 @@ import numpy as np
 from scipy.linalg.lapack import dpotrf, dtrtrs
 from scipy.spatial.distance import cdist, pdist, squareform
 
-from .config import GridSection
-from .core import GsflocError, LabelTaxonomy, ValidationError, rot_z
+from .config import GridSection, LengthScale
+from .core import GsflocError, LabelTaxonomy, Size, ValidationError, check_fields, rot_z
 
 JITTER_START = 1e-8
 JITTER_MAX = 1e-2
@@ -58,14 +58,11 @@ class FitError(GsflocError):
 
 @dataclass(frozen=True)
 class GpHyperParams:
-    kappa: float = 2.0  # length scale, meters
-    sigma_y: float = 0.1  # observation noise std
+    kappa: LengthScale = 2.0  # meters
+    sigma_y: Size = 0.1  # observation noise std
 
     def __post_init__(self):
-        if not self.kappa > 0:
-            raise ValidationError(f"kappa must be > 0, got {self.kappa}")
-        if not self.sigma_y >= 0:
-            raise ValidationError(f"sigma_y must be >= 0, got {self.sigma_y}")
+        check_fields(self, lambda path: path)
 
 
 @dataclass

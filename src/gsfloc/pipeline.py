@@ -58,7 +58,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig
+from .config import RunConfig, config_key
 from .core import (
     FormatError,
     GsflocError,
@@ -66,6 +66,7 @@ from .core import (
     RigidTransform,
     SemanticPointCloud,
     ValidationError,
+    check_fields,
     load_npz,
     read_json,
     sha256_file,
@@ -172,19 +173,20 @@ def voxel_downsample(cloud: SemanticPointCloud, voxel: float) -> SemanticPointCl
     """
     if voxel <= 0 or cloud.n == 0:
         return cloud
-    cells = np.floor(cloud.points / voxel)
+    with np.errstate(over="ignore"):  # an infinite index is refused below
+        cells = np.floor(cloud.points / voxel)
     if not np.all((cells >= -(2.0**63)) & (cells < 2.0**63)):
         raise ValidationError(
-            f"voxel indices at voxel size {voxel} do not fit in int64; the cloud reaches "
-            f"{np.abs(cloud.points).max():.3g} m from the origin"
+            f"voxel indices at pipeline.query_voxel {voxel} do not fit in int64; the cloud "
+            f"reaches {np.abs(cloud.points).max():.3g} m from the origin"
         )
     cells = cells.astype(np.int64)
     low = cells.min(axis=0)
     spans = [int(hi) - int(lo) + 1 for lo, hi in zip(low, cells.max(axis=0))]
     if spans[0] * spans[1] * spans[2] > 2**63:
         raise ValidationError(
-            f"the cloud spans {spans[0]} x {spans[1]} x {spans[2]} voxels of size {voxel}; "
-            "that many do not fit in int64"
+            f"the cloud spans {spans[0]} x {spans[1]} x {spans[2]} voxels at "
+            f"pipeline.query_voxel {voxel}; that many do not fit in int64"
         )
     cells -= low
     key = (cells[:, 0] * spans[1] + cells[:, 1]) * spans[2] + cells[:, 2]
@@ -230,8 +232,10 @@ def build_map(
     config: RunConfig | None = None,
 ) -> ReferenceMap:
     """Instance centroids + canonical populations + descriptor index over the
-    map cloud; of the scene graph, only the centroid table is kept."""
+    map cloud; of the scene graph, only the centroid table is kept. The
+    config is checked as one read from a file would be."""
     config = config or RunConfig()
+    check_fields(config, config_key)
     cloud = _prepare_cloud(map_cloud, config)
     graph = build_scene_graph(cloud, taxonomy, config)
     if len(graph) < 3:
@@ -379,9 +383,10 @@ def localize(
     Runs the STAGES in order; with the GSF filter off, "probe" is skipped and
     no field is fitted, as nothing reads them. Fewer than 3 clique members end
     the query as "no-match", a failed pose solve as "degenerate"; stages not
-    run time 0 ms.
+    run time 0 ms. The config is checked as one read from a file would be.
     """
     config = config or ref_map.config
+    check_fields(config, config_key)
     want, got = _population_settings(ref_map.config), _population_settings(config)
     differ = [k for k in want if got[k] != want[k]]
     if differ:

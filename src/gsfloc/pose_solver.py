@@ -116,7 +116,8 @@ def robust_irls(
     """
     if max_iters < 1:
         raise ValidationError(f"max_iters must be >= 1, got {max_iters}")
-    tau = cset.tau0 / cset.omega
+    with np.errstate(over="ignore"):  # a tiny weight never truncates its pair
+        tau = cset.tau0 / cset.omega
     T = weighted_kabsch(cset)
     trace = [truncated_objective(cset, T)]
     mask = _residual_sq(cset, T) <= tau

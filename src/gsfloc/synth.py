@@ -7,7 +7,8 @@ scores vary smoothly with position. The mirrored-twin mode creates two
 congruent sub-areas (related by a 180-degree yaw isometry) whose instantiable
 layout is identical and whose background logits differ by a configurable
 perturbation magnitude. `SceneSpec` and `BenchmarkSpec`, the `synth` and
-`evaluate` spec files, declare each field's type and bound for `config.read`.
+`evaluate` spec files, declare each field's type and bound for `core.read`;
+`simulate_scan` and `sample_query_poses` hold their numbers to `QuerySpec`'s.
 """
 
 from __future__ import annotations
@@ -21,28 +22,12 @@ from typing import Annotated, Literal
 
 import numpy as np
 
-from .config import (
-    Bound,
-    NonNegative,
-    NonNegativeInt,
-    PositiveInt,
-    RunConfig,
-    as_dict,
-    check_fields,
-    field_of,
-    read,
-)
-from .core import (
-    GsflocError,
-    LabelTaxonomy,
-    RigidTransform,
-    SemanticPointCloud,
-    ValidationError,
-    default_taxonomy,
-    one_hot_logits,
-    rot_z,
-)
-from .pipeline import STAGES
+from .config import RunConfig
+from .core import (FAR, Bound, GsflocError, LabelTaxonomy, NonNegative, NonNegativeInt,
+                   PositiveInt, RigidTransform, SemanticPointCloud, Size, ValidationError,
+                   as_dict, check_fields, default_taxonomy, field_of, one_hot_logits,
+                   pose_error, read, rot_z)
+from .pipeline import STAGES, build_map, localize
 
 TIMING_KEYS = (*STAGES, "total")
 
@@ -64,11 +49,6 @@ _FOOTPRINT_RADIUS = {
 }
 
 
-# lengths and heights in meters are held to this size: far beyond any street
-# scene, and small enough that the generator's squared distances stay finite
-FAR = 1e6
-
-
 @dataclass
 class InstanceTemplate:
     class_name: Literal[tuple(_FOOTPRINT_RADIUS)] = dc_field(metadata={"key": "class"})
@@ -85,7 +65,7 @@ class BackgroundSpec:
     # exponent's divisor, underflows to 0
     field_scale: Annotated[float, Bound(least=1e-3, most=FAR)] = 6.0
     # logit modulation on the nature channels
-    score_amplitude: Annotated[float, Bound(least=0, most=FAR)] = 0.25
+    score_amplitude: Size = 0.25
 
 
 @dataclass
@@ -94,7 +74,7 @@ class SceneSpec:
     seed: NonNegativeInt = 0
     symmetry: Literal["none", "mirrored-twin"] = "none"
     # mean |class-score deviation| between twins
-    twin_perturbation: Annotated[float, Bound(least=0, most=FAR)] = 0.0
+    twin_perturbation: Size = 0.0
     # one_hot_logits' range for the 12 classes of the default taxonomy
     confidence: Annotated[float, Bound(above=1 / 12, most=1)] = 0.9
     min_separation: NonNegative | None = None  # centroid spacing; derived when None
@@ -115,15 +95,18 @@ class SceneSpec:
 
 @dataclass
 class QuerySpec:
-    """The query scans of a benchmark spec: where they are taken and how."""
+    """The query scans of a benchmark spec; the scan helpers meet its bounds too."""
 
     count: Annotated[int, Bound(least=1)] = 20
     range_max: Annotated[float, Bound(above=0, no_limit=True)] = 60.0
     dropout: Annotated[float, Bound(least=0, below=1)] = 0.3
-    noise_sigma: Annotated[float, Bound(least=0, most=FAR)] = 0.03
+    noise_sigma: Size = 0.03
     # half-size of the square the poses are drawn in; None: a quarter of the extent
-    region_half: Annotated[float, Bound(least=0, most=FAR)] | None = None
+    region_half: Size | None = None
     z: Annotated[float, Bound(least=-FAR, most=FAR)] = 1.8
+
+    def __post_init__(self):
+        check_fields(self, field_of("query spec"))
 
 
 @dataclass
@@ -383,10 +366,7 @@ def simulate_scan(
     seed=0,
 ) -> SemanticPointCloud:
     """Range-limited omnidirectional scan expressed in the sensor frame."""
-    if not (0.0 <= dropout_rate < 1.0):
-        raise ValidationError(f"dropout_rate must be in [0,1), got {dropout_rate}")
-    if not noise_sigma >= 0:
-        raise ValidationError(f"noise_sigma must be >= 0, got {noise_sigma}")
+    QuerySpec(range_max=range_max, dropout=dropout_rate, noise_sigma=noise_sigma)  # checks them
     rng = np.random.default_rng(seed)
     dist = np.linalg.norm(scene.points - sensor_pose.t, axis=1)
     keep = np.nonzero(dist <= range_max)[0]
@@ -402,6 +382,7 @@ def simulate_scan(
 
 def sample_query_poses(count: int, seed, center=(0.0, 0.0), half: float = 20.0, z: float = 1.8):
     """Random sensor poses (position + yaw) inside a square region."""
+    QuerySpec(count=count, region_half=half, z=z)  # checks them
     rng = np.random.default_rng(seed)
     poses = []
     for _ in range(count):
@@ -513,9 +494,6 @@ def run_benchmark(
     noise_sigma: float = 0.03,
 ) -> EvalReport:
     """Build the map once, localize one simulated scan per pose."""
-    from .core import pose_error
-    from .pipeline import build_map, localize
-
     taxonomy = taxonomy or default_taxonomy()
     scene, _ = generate_scene(map_spec, taxonomy)
     ref = build_map(scene, taxonomy, config)

@@ -38,24 +38,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import SIGMA_W_RANGE
-from .core import ValidationError
+from .config import SigmaW, Threshold
+from .core import ValidationError, check_fields
 from .gsf import GpPopulation, apply_stability_mask
 
 
 @dataclass(frozen=True)
 class SimilarityConfig:
-    sigma_w: float  # scale of the w2^2 -> weight mapping
-    accept_threshold: float  # per-vertex-pair w2^2 acceptance bound
+    sigma_w: SigmaW  # scale of the w2^2 -> weight mapping
+    accept_threshold: Threshold  # per-vertex-pair w2^2 acceptance bound
 
     def __post_init__(self):
-        lo, hi = SIGMA_W_RANGE
-        if not lo <= self.sigma_w <= hi:
-            raise ValidationError(f"sigma_w must lie in [{lo}, {hi}], got {self.sigma_w}")
-        if not self.accept_threshold > 0:
-            raise ValidationError(
-                f"accept_threshold must be > 0, got {self.accept_threshold}"
-            )
+        check_fields(self, lambda path: path)
 
 
 def psd_sqrt(S: np.ndarray, sym_tol: float = 1e-8) -> np.ndarray:

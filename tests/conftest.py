@@ -1,3 +1,6 @@
+import dataclasses
+import typing
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -97,6 +100,20 @@ def pole_line_scene(taxonomy):
     moved = RigidTransform(rot_z(0.7), np.array([3.0, -2.0, 0.0]))
     return (SemanticPointCloud(points, labels, logits),
             SemanticPointCloud(moved.apply(points), labels, logits))
+
+
+def dotted_fields(cls, prefix: str = ""):
+    """Every leaf key of a document type, dotted, with its type (bounds left
+    out); a list's items as `key[]`."""
+    hints = typing.get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        key, hint = prefix + f.metadata.get("key", f.name), hints[f.name]
+        if typing.get_origin(hint) is list:
+            hint, key = typing.get_args(hint)[0], key + "[]"
+        if dataclasses.is_dataclass(hint):
+            yield from dotted_fields(hint, key + ".")
+        else:
+            yield key, hint
 
 
 def as_table(pops) -> GpPopulation:

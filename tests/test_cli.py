@@ -175,7 +175,8 @@ class TestBuildMap:
         ])
         err = capsys.readouterr().err
         assert rc == 2
-        assert "'gsf.grid.z_mode' must be finite" in err and "Traceback" not in err
+        assert "'gsf.grid.z_mode' must be >= -1000000.0, got nan" in err
+        assert "Traceback" not in err
         assert not (tmp_path / "x").exists()
 
     def test_infinite_voxel_exit_2(self, scene_files, tmp_path, capsys):
@@ -423,9 +424,17 @@ class TestLocalize:
          "populations.npz: unreadable (('EOF in multi-line statement'"),
         ("config.json", lambda raw: raw.replace(b'"11"', b'"12"'),
          "config.json: taxonomy class ids must be 0..11"),
+        ("config.json", lambda raw: raw.replace(b'"3": {', b'"03": {'),
+         "config.json: taxonomy class ids must be 0..11"),
+        ("config.json", lambda raw: raw.replace(b'"name": "sidewalk"', b'"name": "road"'),
+         "config.json: taxonomy class name 'road' is used twice"),
+        ("config.json", lambda raw: raw.replace(b'"name": "pole"',
+                                                b'"name": "pole", "colour": "grey"'),
+         "config.json: unknown taxonomy field 7.colour"),
         ("config.json", lambda raw: raw[:100] + b"\xff" + raw[100:],
          "config.json: not a JSON document ('utf-8' codec can't decode byte 0xff"),
-    ], ids=["delta-d", "ids-column", "npy-header", "class-id-gap", "not-utf8"])
+    ], ids=["delta-d", "ids-column", "npy-header", "class-id-gap", "class-id-leading-zero",
+            "class-name-twice", "class-record-unknown-key", "not-utf8"])
     def test_bundle_fault_exit_1(self, scene_files, bundle, tmp_path, capsys, name, tamper,
                                  says):
         """Each bundle fault, its manifest hash rewritten, exits 1 with a

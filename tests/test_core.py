@@ -217,6 +217,32 @@ class TestTaxonomy:
         with pytest.raises(ValidationError, match=re.escape(f"got {ids}")):
             LabelTaxonomy({c: ClassInfo(f"c{c}", True, 1.0) for c in ids})
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d["1"].update(name="road"), "taxonomy class name 'road' is used twice"),
+        (lambda d: d["1"].update(colour="grey"), "unknown taxonomy field 1.colour"),
+        (lambda d: d.update({"03": d.pop("3")}),
+         r"taxonomy class ids must be 0\.\.11, one per logit column, each key its id"),
+        (lambda d: d["4"].update(stability=1.5), r"taxonomy field 4.stability must be <= 1"),
+        (lambda d: d["4"].update(stability=True), "taxonomy field 4.stability expects a number"),
+    ], ids=["duplicate-name", "unknown-key", "id-leading-zero", "stability-above-1",
+            "stability-boolean"])
+    def test_record_refused(self, edit, message):
+        """A record the reader does not take, an id key other than its id in
+        decimal, or a class name used twice, for which `id_of` would name only
+        the later class, is refused."""
+        doc = default_taxonomy().to_dict()
+        edit(doc)
+        with pytest.raises(ValidationError, match=message):
+            LabelTaxonomy.from_dict(doc)
+
+    def test_built_in_code_checked(self):
+        with pytest.raises(ValidationError, match="taxonomy class name 'pole' is used twice"):
+            LabelTaxonomy({0: ClassInfo("pole", True, 1.0), 1: ClassInfo("pole", True, 0.5)})
+        with pytest.raises(ValidationError, match="class 'x' stability must be <= 1, got 2.0"):
+            ClassInfo("x", True, 2.0)
+        with pytest.raises(ValidationError, match="class 3 name expects a string"):
+            ClassInfo(3, True, 1.0)
+
     def test_stability_vector_by_class_id(self):
         tax = default_taxonomy()
         assert tax.stability_vector().tolist() == [tax.stability(c) for c in range(12)]

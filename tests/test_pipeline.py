@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import re
 import typing
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -41,6 +42,7 @@ from gsfloc.pipeline import (
 from gsfloc.gsf import GpPopulation, fit_gsf, grid_probe
 from gsfloc.scene_graph import build_scene_graph
 from gsfloc.synth import (
+    BenchmarkSpec,
     generate_mirrored_twin,
     generate_scene,
     run_benchmark,
@@ -397,7 +399,7 @@ class TestBundleJson:
         ("config.json", lambda doc: doc.update(taxonomy={}),
          "config.json: taxonomy must be a non-empty object"),
         ("config.json", lambda doc: doc["taxonomy"]["7"].pop("stability"),
-         "config.json: taxonomy class '7' needs an integer id, a name"),
+         "config.json: taxonomy field 7.stability is required"),
     ], ids=["config-not-json", "config-no-taxonomy", "graph-no-instances", "record-no-id",
             "record-no-centroid", "config-value-mistyped", "taxonomy-list", "taxonomy-empty",
             "class-no-stability"])
@@ -790,7 +792,7 @@ class TestLocalize:
         cloud, _ = scene
         cfg = RunConfig()
         cfg.sim.sigma_w = sigma_w
-        with pytest.raises(ValidationError, match="sigma_w must lie in"):
+        with pytest.raises(ValidationError, match="config key 'sim.sigma_w' must be [<>]= 1e"):
             localize(cloud, ref_map, cfg)
 
     def test_grid_geometry_mismatch_rejected(self, scene, ref_map):
@@ -799,6 +801,30 @@ class TestLocalize:
         cfg.gsf.grid.nx = 3
         with pytest.raises(ValidationError, match="gsf.grid.nx"):
             localize(cloud, ref_map, cfg)
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("matching.epsilon", -1.0, "config key 'matching.epsilon' must be >= 0, got -1.0"),
+        ("solver.max_iters", 2.5, "config key 'solver.max_iters' expects an integer, got 2.5"),
+        ("sim.yaw_samples", 37, "config key 'sim.yaw_samples' must be <= 36, got 37"),
+    ])
+    def test_config_edited_in_code_checked_on_entry(self, scene, ref_map, key, value,
+                                                    message):
+        """`localize` holds a config set in code to the bounds a file's is held
+        to, before any stage runs."""
+        cloud, _ = scene
+        cfg = RunConfig()
+        *section, name = key.split(".")
+        setattr(functools.reduce(getattr, section, cfg), name, value)
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            localize(cloud, ref_map, cfg)
+
+    def test_build_map_checks_grid_on_entry(self, scene, taxonomy_module):
+        """A grid over the cap set in code is refused before any field is fitted."""
+        cfg = RunConfig()
+        cfg.gsf.grid.nx = 52
+        with pytest.raises(ValidationError, match=r"config key 'gsf.grid.nx' x 'gsf.grid.ny' "
+                                                  r"must be <= 256, got 52 x 5"):
+            build_map(scene[0], taxonomy_module, cfg)
 
     @pytest.mark.parametrize("key, value", [
         ("gsf.kappa", 3.0),
@@ -1412,6 +1438,35 @@ class TestConfig:
         with pytest.raises(ValidationError, match=r"'gsf.grid.nx' x 'gsf.grid.ny' must be "
                                                   r"<= 256, got (16 x 17|52 x 5|5 x 52)"):
             apply()
+
+    def test_benchmark_spec_grid_above_cap_refused(self):
+        """The grid rule holds in a config read inside a benchmark spec."""
+        with pytest.raises(ValidationError, match=r"benchmark spec field config.gsf.grid.nx x "
+                                                  r"'config.gsf.grid.ny' must be <= 256, "
+                                                  r"got 300 x 5"):
+            BenchmarkSpec.from_dict({"map": {}, "config": {"gsf": {"grid": {"nx": 300}}}})
+
+    @pytest.mark.parametrize("apply", [
+        lambda cfg, path: cfg.update({"gsf": {"kappa": 3.0}, "sim": {"yaw_samples": 0}}),
+        lambda cfg, path: cfg.update({"gsf": {"kappa": 3.0, "grid": {"nx": 300}}}),
+        lambda cfg, path: cfg.apply_overrides(["gsf.kappa=3.0", "sim.yaw_samples=0"]),
+        lambda cfg, path: cfg.apply_overrides(["gsf.kappa=3.0", "gsf.grid.nx=300"]),
+        lambda cfg, path: cfg.apply_overrides(["gsf.kappa=3.0", "no-equals-sign"]),
+        lambda cfg, path: cfg.update_from_file(path),
+    ], ids=["update", "update-grid", "overrides", "overrides-grid", "overrides-malformed",
+            "file"])
+    def test_refused_update_changes_nothing(self, apply, tmp_path):
+        """A refused dict, override list or file leaves the config exactly as it
+        was: none of its earlier keys is set, the grid's included."""
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"gsf": {"kappa": 3.0}, "sim": {"yaw_samples": 0}}))
+        cfg = RunConfig()
+        cfg.apply_overrides(["sim.sigma_w=1.5"])
+        grid = cfg.gsf.grid
+        with pytest.raises(ValidationError):
+            apply(cfg, path)
+        assert cfg == RunConfig.from_dict({"sim": {"sigma_w": 1.5}})
+        assert cfg.gsf.grid is grid
 
     @pytest.mark.parametrize("key, bad", [
         ("gsf.grid.z_mode", "NaN"),

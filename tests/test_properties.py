@@ -1,7 +1,8 @@
 """Oracles as properties: W2, its scale law and the lower-bound cut of the
 W2 table; the class-proportional draw of semantic sparsification; the exact
-max clique against brute force and networkx; and a damaged map bundle,
-refused or localizing.
+max clique against brute force and networkx; a yaw stack against its
+single-yaw probes; a damaged map bundle, refused or localizing; and an edge
+value in each spec field and config key, refused by name or run.
 
 Populations are drawn small (up to 5 grid points, 3 classes, 4 yaws) with
 covariances of every rank from 0 to full, means that may coincide, and yaw
@@ -26,9 +27,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gsfloc import descriptors
+from gsfloc.config import GridSection, RunConfig
 from gsfloc.core import FormatError, ValidationError, default_taxonomy
 from gsfloc.descriptors import pair_w2
-from gsfloc.gsf import GpPopulation, semantic_sparsify
+from gsfloc.gsf import GpHyperParams, GpPopulation, fit_gsf, grid_probe, semantic_sparsify
 from gsfloc.matching import ConsistencyGraph, Correspondence, brute_force_max_clique, max_clique
 from gsfloc.pipeline import BUNDLE_FILES, build_map, load_map, localize, save_map
 from gsfloc.synth import (
@@ -44,7 +46,7 @@ from gsfloc.synth import (
 )
 from gsfloc.wasserstein import BOUND_SLACK, w2_lower_bound, w2_squared
 
-from conftest import as_table
+from conftest import as_table, dotted_fields, small_scene_spec
 
 GRID = st.integers(1, 5)
 CLASSES = st.integers(1, 3)
@@ -330,6 +332,12 @@ _EDGES = {float: [float("nan"), float("inf"), -float("inf"), 0.0, -1.0, 1e308, 1
           int: [-1, 0, *_ANY], str: _ANY}
 
 
+def _kind(hint):
+    """float, int or str: which of `_EDGES` a field of this type is set to."""
+    kind = float if hint is float or float in typing.get_args(hint) else hint
+    return kind if kind in (float, int) else str
+
+
 def _spec_fields():
     """Every field of a scene spec, of its background and of its first instance,
     and of the queries object: (its path in a benchmark spec, its name as the
@@ -342,8 +350,7 @@ def _spec_fields():
         for f in dataclasses.fields(cls):
             hint, key = hints[f.name], f.metadata.get("key", f.name)
             if not (dataclasses.is_dataclass(hint) or typing.get_origin(hint) is list):
-                kind = float if hint is float or float in typing.get_args(hint) else hint
-                yield at + [key], f"{prefix}.{key}", kind if kind in (float, int) else str
+                yield at + [key], f"{prefix}.{key}", _kind(hint)
 
 
 @pytest.mark.parametrize("path, name, kind", list(_spec_fields()),
@@ -375,3 +382,108 @@ def test_spec_field_refused_or_generates(path, name, kind, data):
         for i, pose in enumerate(sample_query_poses(q.count, [spec.map.seed, 1], half=half,
                                                     z=q.z)):
             simulate_scan(scene, pose, q.range_max, q.dropout, q.noise_sigma, seed=i)
+
+
+# a grid just over the cap: 52 x 5 = 260 points against the default other side
+_OVER_CAP = {"gsf.grid.nx": [52], "gsf.grid.ny": [52]}
+
+
+@functools.lru_cache(maxsize=1)
+def _seed31_scene():
+    """The small seed-31 scene and one 30 m scan of it, which localizes with an
+    8-member clique under the defaults."""
+    scene, _ = generate_scene(small_scene_spec(seed=31))
+    pose = sample_query_poses(1, seed=7, half=15.0)[0]
+    return scene, simulate_scan(scene, pose, 30.0, 0.3, 0.03, seed=42)
+
+
+_maps, _runs = {}, {}
+
+
+def _build_and_localize(cfg):
+    """Build the seed-31 map under `cfg` and localize the scan on it; the map is
+    shared by configs that differ only in query keys, the run by equal configs."""
+    doc = cfg.to_dict()
+    run_key = json.dumps(doc, sort_keys=True)
+    if run_key not in _runs:
+        scene, scan = _seed31_scene()
+        map_key = json.dumps([doc["gsf"], doc["cluster"], doc["index"], doc["pipeline"]["seed"]],
+                             sort_keys=True)
+        if map_key not in _maps:
+            _maps[map_key] = build_map(scene, default_taxonomy(), cfg)
+        ref = _maps[map_key]
+        fitted = ref.populations[ref.fitted]
+        assert all(np.isfinite(a).all() for a in (fitted.mu, fitted.Sigma,
+                                                   fitted.stability_weights))
+        res = localize(scan, ref, cfg)
+        assert res.status in ("success", "no-match", "degenerate")
+        assert res.pose is None or np.isfinite(res.pose.matrix_3x4()).all()
+        _runs[run_key] = res.status
+    return _runs[run_key]
+
+
+@pytest.mark.parametrize("key, kind", [(k, _kind(h)) for k, h in dotted_fields(RunConfig)],
+                         ids=[k for k, _ in dotted_fields(RunConfig)])
+@given(st.data())
+def test_config_key_refused_or_localizes(key, kind, data):
+    """A config key set to NaN, an infinity, 0, -1, the largest or the smallest
+    double, a string, a boolean, null or 2.5 (floats), or to -1 or 0 (integers),
+    and nx or ny to 52 (over the grid cap against the other's 5), by `--set` or
+    on the object, is refused with a ValidationError naming it: by the reader,
+    or by `build_map` or `localize` on entry. Otherwise the small seed-31 scene
+    builds with finite populations and weights and the scan localizes to a
+    documented status. Nothing else is raised, and no RuntimeWarning appears."""
+    value = data.draw(st.sampled_from(_EDGES[kind] + _OVER_CAP.get(key, [])))
+    cfg = RunConfig()
+    *section, name = key.split(".")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        warnings.simplefilter("ignore", UserWarning)  # failed fits, too few triangles
+        try:
+            if data.draw(st.booleans(), label="by --set"):
+                cfg.apply_overrides([f"{key}={json.dumps(value)}"])
+            else:
+                setattr(functools.reduce(getattr, section, cfg), name, value)
+            _build_and_localize(cfg)
+        except ValidationError as e:
+            assert key in str(e)
+
+
+@functools.lru_cache(maxsize=1)
+def _random_field():
+    rng = np.random.default_rng(19)
+    return fit_gsf(rng.uniform(-6, 6, (60, 3)), rng.normal(size=(60, 12)),
+                   rng.integers(0, 12, 60), GpHyperParams(), 60, 0)
+
+
+@st.composite
+def probe_grid_section(draw):
+    """A grid of at most the cap's 256 points."""
+    nx = draw(st.integers(1, 256))
+    return GridSection(nx, draw(st.integers(1, 256 // nx)),
+                       draw(st.sampled_from([0.3, 2.5, 7.0])),
+                       draw(st.sampled_from([0.3, 2.5, 7.0])),
+                       draw(st.sampled_from(["local-zero", -1.5, 0.4])))
+
+
+@st.composite
+def yaw_set(draw):
+    """1 to 8 yaws drawn from up to 4, so that some repeat; right angles,
+    multiples of pi/2 from -2 pi to 2 pi, are drawn as often as other yaws."""
+    right_angles = st.sampled_from([k * np.pi / 2 for k in range(-4, 5)])
+    pool = draw(st.lists(st.one_of(right_angles, st.floats(-2 * np.pi, 2 * np.pi)),
+                         min_size=1, max_size=4))
+    return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8))
+
+
+@given(probe_grid_section(), yaw_set())
+def test_stacked_probe_equals_single_probes(grid, yaws):
+    """A yaw stack's members equal the single-yaw probes of their yaws within
+    1e-12, as in TestYawReuse, for a grid under the cap."""
+    field, taxonomy = _random_field(), default_taxonomy()
+    stack = grid_probe(field, taxonomy, grid, yaws)
+    singles = {yaw: grid_probe(field, taxonomy, grid, yaw) for yaw in set(yaws)}
+    for k, yaw in enumerate(yaws):
+        one = singles[yaw]
+        for name in ("grid", "mu", "Sigma", "stability_weights"):
+            assert np.abs(getattr(stack, name)[k] - getattr(one, name)).max() < 1e-12

@@ -1,14 +1,15 @@
-"""The README's configuration and spec tables name every key the code
-declares and no other, and its benchmark-spec example reads."""
+"""The README's configuration, spec and taxonomy tables name every key the
+code declares and no other, and its benchmark-spec example reads."""
 
-import dataclasses
 import json
 import re
-import typing
 from pathlib import Path
 
 from gsfloc.config import RunConfig
+from gsfloc.core import ClassInfo
 from gsfloc.synth import BenchmarkSpec, QuerySpec, SceneSpec
+
+from conftest import dotted_fields
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
@@ -26,26 +27,21 @@ def _table_keys(heading: str) -> set[str]:
     return keys
 
 
-def _dotted(cls, prefix: str = ""):
-    """Every leaf key of a document type, dotted; a list's items as `key[]`."""
-    hints = typing.get_type_hints(cls)
-    for f in dataclasses.fields(cls):
-        key, hint = prefix + f.metadata.get("key", f.name), hints[f.name]
-        if typing.get_origin(hint) is list:
-            hint, key = typing.get_args(hint)[0], key + "[]"
-        if dataclasses.is_dataclass(hint):
-            yield from _dotted(hint, key + ".")
-        else:
-            yield key
+def _dotted(cls, prefix: str = "") -> set[str]:
+    return {key for key, _ in dotted_fields(cls, prefix)}
 
 
 def test_config_table_names_every_key():
-    assert _table_keys("Configuration keys") == set(_dotted(RunConfig))
+    assert _table_keys("Configuration keys") == _dotted(RunConfig)
 
 
 def test_spec_table_names_every_field():
-    want = {*_dotted(SceneSpec), *_dotted(QuerySpec, "queries.")}
+    want = _dotted(SceneSpec) | _dotted(QuerySpec, "queries.")
     assert _table_keys("Spec files") == want
+
+
+def test_taxonomy_table_names_every_field():
+    assert _table_keys("Taxonomy records") == _dotted(ClassInfo)
 
 
 def test_benchmark_spec_example_reads():

@@ -180,6 +180,29 @@ class TestSimulateScan:
             with pytest.raises(ValidationError, match="noise_sigma must be >= 0"):
                 simulate_scan(cloud, RigidTransform.identity(), 10.0, noise_sigma=noise)
 
+    @pytest.mark.parametrize("range_max", [np.nan, -1.0, 0.0])
+    def test_range_max_refused(self, taxonomy, range_max):
+        """A range that is not > 0 is refused by QuerySpec's bound, not scanned
+        into an empty cloud."""
+        cloud, _ = generate_scene(small_scene_spec(seed=13), taxonomy)
+        with pytest.raises(ValidationError, match="query spec field range_max must be > 0"):
+            simulate_scan(cloud, RigidTransform.identity(), range_max)
+        assert simulate_scan(cloud, RigidTransform.identity(), np.inf).n == cloud.n
+
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"z": np.nan}, "z"),
+        ({"z": 2e6}, "z"),
+        ({"half": np.nan}, "region_half"),
+        ({"half": np.inf}, "region_half"),
+        ({"half": -1.0}, "region_half"),
+        ({"count": 0}, "count"),
+    ], ids=["z-nan", "z-far", "half-nan", "half-inf", "half-negative", "count-zero"])
+    def test_sample_poses_refused(self, kwargs, field):
+        """The pose numbers are held to QuerySpec's bounds: a NaN height gave
+        NaN poses, and a NaN or infinite half-size an OverflowError."""
+        with pytest.raises(ValidationError, match=f"query spec field {field} must be"):
+            sample_query_poses(**{"count": 2, "seed": 0, **kwargs})
+
 
 class TestEvalReport:
     def _rows(self):

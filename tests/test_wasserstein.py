@@ -238,7 +238,7 @@ class TestSimilarityWeight:
             SimilarityConfig(sigma_w=0.0, accept_threshold=1.0)
         # outside [1e-100, 1e100] sigma_w**2 underflows or overflows, and NaN fails any bound
         for sigma_w in (1e-300, 9e-101, 1.1e100, 1e200, np.nan, np.inf):
-            with pytest.raises(ValidationError, match=r"sigma_w must lie in \[1e-100, 1e\+100\]"):
+            with pytest.raises(ValidationError, match=r"^sigma_w must be (> 0|>= 1e-100|<= 1e\+100),"):
                 SimilarityConfig(sigma_w=sigma_w, accept_threshold=1.0)
         for sigma_w in (1e-100, 1e100):
             assert similarity_weight(1.0, SimilarityConfig(sigma_w, 1.0)) in (0.0, 1.0)
