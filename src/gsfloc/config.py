@@ -20,8 +20,9 @@ import json
 from dataclasses import dataclass, field
 from typing import Annotated, Literal
 
-from .core import (FAR, Bound, FormatError, NoLimit, NonNegative, NonNegativeInt, Positive,
-                   PositiveInt, Size, ValidationError, as_dict, check_fields, read, read_json)
+from .core import (FAR, Bound, Coordinate, FormatError, NoLimit, NonNegative, NonNegativeInt,
+                   Positive, PositiveInt, Size, ValidationError, as_dict, check_fields, read,
+                   read_json)
 
 # a GP length scale (m): the kernel divides distances by it, and the quotient
 # stays finite above 1e-100 for any distance the grid and FAR allow
@@ -44,7 +45,7 @@ class GridSection:
     # does not follow that radius when the radius is set
     dx: Annotated[float, Bound(above=0, most=FAR)] = 2.5
     dy: Annotated[float, Bound(above=0, most=FAR)] = 2.5
-    z_mode: Literal["local-zero"] | Annotated[float, Bound(least=-FAR, most=FAR)] = "local-zero"
+    z_mode: Literal["local-zero"] | Coordinate = "local-zero"
 
     def cross_check(self, name, path: str = "") -> None:
         """nx x ny is held to GRID_POINTS_MOST."""

@@ -68,6 +68,7 @@ PositiveInt = Annotated[int, Bound(above=0)]
 NonNegativeInt = Annotated[int, Bound(least=0)]
 NoLimit = Annotated[float, Bound(no_limit=True)]  # any finite number, or Infinity
 Size = Annotated[float, Bound(least=0, most=FAR)]
+Coordinate = Annotated[float, Bound(least=-FAR, most=FAR)]
 
 
 def field_of(document: str):
@@ -93,11 +94,12 @@ def read(kind, value, name, path: str = "", base=None):
     at `path`, as stored; a ValidationError names the refused key as
     `name(path)`. Unknown keys, missing required fields, values of the wrong
     type or out of bound and non-finite numbers (Infinity only where the bound
-    has `no_limit`) are refused. A dataclass is read from an object, a field's
-    key its name or its `metadata["key"]`, and its `cross_check(name, path)`,
-    a rule across its fields, runs once it is built. Given `base`, the keys are
-    set on `base` instead (nested objects onto its own), and the rules are left
-    to a later `check_fields`. A dataclass already built is `check_fields`ed."""
+    has `no_limit`) are refused, NaN as not finite before any bound. A
+    dataclass is read from an object, a field's key its name or its
+    `metadata["key"]`, and its `cross_check(name, path)`, a rule across its
+    fields, runs once it is built. Given `base`, the keys are set on `base`
+    instead (nested objects onto its own), and the rules are left to a later
+    `check_fields`. A dataclass already built is `check_fields`ed."""
     if is_dataclass(kind):
         if isinstance(value, kind):
             check_fields(value, name, path)
@@ -117,12 +119,14 @@ def read(kind, value, name, path: str = "", base=None):
     if kind in (int, float):
         value = kind(value)
     b = bounds[kind] or Bound()
-    for ok, says in ((b.above is None or value > b.above, f"> {b.above}"),
+    finite = "finite or Infinity" if b.no_limit else "finite"
+    for ok, says in ((kind is not float or not math.isnan(value), finite),  # NaN fails every bound
+                     (b.above is None or value > b.above, f"> {b.above}"),
                      (b.least is None or value >= b.least, f">= {b.least}"),
                      (b.most is None or value <= b.most, f"<= {b.most}"),
                      (b.below is None or value < b.below, f"< {b.below}"),
                      (kind is not float or math.isfinite(value) or b.no_limit and value > 0,
-                      "finite or Infinity" if b.no_limit else "finite")):
+                      finite)):
         if not ok:
             raise ValidationError(f"{name(path)} must be {says}, got {value}")
     return value

@@ -1,18 +1,19 @@
 """Instance correspondences, pairwise consistency, and exact maximum clique.
 
-The correspondences come from the fine filter's `TriangleMatches` record in
-one pass of array operations: each (query, map) vertex pair is one
-correspondence, its support the number of matches that name it and its
-confidence the largest weight among them.
+The correspondences are one `CorrespondenceTable` (`Correspondence` is one
+row), made from the fine filter's `TriangleMatches` record in one pass of
+array operations: each (query, map) vertex pair is one correspondence, its
+support the number of matches that name it and its confidence the largest
+weight among them.
 
 Two correspondences are consistent when the centroid distance on the query
 side agrees with the map side within epsilon, and they share neither a query
 nor a map instance (one-to-one enforcement). Each side's distances come from
-`pdist` over the correspondences' rows of its (K, 3) centroid table. The
-inlier set is the maximum clique of the consistency graph; ties on size are
-broken by largest summed confidence, then by lexicographically smallest
-sorted node-id sequence. The clique search holds each adjacency row as one
-int, packed from the row's bits by `np.packbits`.
+`pdist` over the table's rows of its (K, 3) centroid table. The inlier set is
+the maximum clique of the consistency graph; ties on size are broken by
+largest summed confidence, then by lexicographically smallest sorted node-id
+sequence. The clique search holds each adjacency row as one int, packed from
+the row's bits by `np.packbits`.
 """
 
 from __future__ import annotations
@@ -36,14 +37,45 @@ class Correspondence:
     support: int  # number of triangle matches voting for this pair
 
 
+@dataclass(frozen=True)
+class CorrespondenceTable:
+    """Correspondences as arrays, row i correspondence i; columns as in `Correspondence`."""
+
+    query_ids: np.ndarray  # (n,) int64
+    map_ids: np.ndarray  # (n,) int64
+    omegas: np.ndarray  # (n,) float64
+    supports: np.ndarray  # (n,) int64
+
+    def __len__(self) -> int:
+        return len(self.omegas)
+
+    def __getitem__(self, rows) -> "CorrespondenceTable":
+        """The rows an index list, index array or mask picks, as a table."""
+        return CorrespondenceTable(self.query_ids[rows], self.map_ids[rows],
+                                   self.omegas[rows], self.supports[rows])
+
+
+def correspondence_table(corrs) -> CorrespondenceTable:
+    """A table as it is; a sequence of correspondences stacked into one."""
+    if isinstance(corrs, CorrespondenceTable):
+        return corrs
+    return CorrespondenceTable(np.array([c.query_id for c in corrs], dtype=np.int64),
+                               np.array([c.map_id for c in corrs], dtype=np.int64),
+                               np.array([c.omega for c in corrs], dtype=np.float64),
+                               np.array([c.support for c in corrs], dtype=np.int64))
+
+
 @dataclass
 class ConsistencyGraph:
-    nodes: list[Correspondence]
+    nodes: CorrespondenceTable  # a sequence of correspondences is stacked into one
     adjacency: np.ndarray  # (n,n) bool, symmetric, no self-loops
     epsilon: float
 
+    def __post_init__(self):
+        self.nodes = correspondence_table(self.nodes)
 
-def collect_correspondences(matches: TriangleMatches) -> list[Correspondence]:
+
+def collect_correspondences(matches: TriangleMatches) -> CorrespondenceTable:
     """Aggregate vertex pairs across triangle matches.
 
     Duplicate (query, map) pairs merge: support counts them, omega keeps the
@@ -53,24 +85,18 @@ def collect_correspondences(matches: TriangleMatches) -> list[Correspondence]:
     """
     pairs = matches.pairs.reshape(-1, 2)
     if not len(pairs):
-        return []
+        return correspondence_table([])
     n_map = int(pairs[:, 1].max()) + 1
     codes, inverse = np.unique(pairs[:, 0] * n_map + pairs[:, 1], return_inverse=True)
     support = np.bincount(inverse, minlength=len(codes))
     omega = np.full(len(codes), -np.inf)
     np.maximum.at(omega, inverse, matches.omegas.ravel())
     qids, mids = np.divmod(codes, n_map)
-    return [Correspondence(*c) for c in zip(qids.tolist(), mids.tolist(), omega.tolist(),
-                                            support.tolist())]
+    return CorrespondenceTable(qids, mids, omega, support)
 
 
-def consistency_check(
-    ci: Correspondence,
-    cj: Correspondence,
-    query_centroids: np.ndarray,
-    map_centroids: np.ndarray,
-    epsilon: float,
-) -> bool:
+def consistency_check(ci: Correspondence, cj: Correspondence, query_centroids: np.ndarray,
+                      map_centroids: np.ndarray, epsilon: float) -> bool:
     """| |a_i - a_j| - |b_i - b_j| | <= epsilon, plus one-to-one enforcement."""
     if ci.query_id == cj.query_id or ci.map_id == cj.map_id:
         return False
@@ -79,32 +105,25 @@ def consistency_check(
     return bool(abs(da - db) <= epsilon)
 
 
-def build_consistency_graph(
-    corrs: list[Correspondence],
-    query_centroids: np.ndarray,
-    map_centroids: np.ndarray,
-    epsilon: float,
-) -> ConsistencyGraph:
+def build_consistency_graph(corrs: CorrespondenceTable, query_centroids: np.ndarray,
+                            map_centroids: np.ndarray, epsilon: float) -> ConsistencyGraph:
     """Every pair `consistency_check` passes, from the query and map centroid
     distance matrices of the correspondences' rows of the (K, 3) centroid
-    tables: |D_q - D_m| <= epsilon, query ids distinct, map ids distinct."""
+    tables: |D_q - D_m| <= epsilon, query ids distinct, map ids distinct. A
+    sequence of correspondences is stacked into a table first."""
+    corrs = correspondence_table(corrs)
     if not corrs:
         raise ValidationError("cannot build a consistency graph with no correspondences")
-    qids = np.array([c.query_id for c in corrs])
-    mids = np.array([c.map_id for c in corrs])
+    qids, mids = corrs.query_ids, corrs.map_ids
     gap = squareform(pdist(query_centroids[qids]))
     gap -= squareform(pdist(map_centroids[mids]))
     adj = (np.abs(gap, out=gap) <= epsilon) & (qids[:, None] != qids) & (mids[:, None] != mids)
-    return ConsistencyGraph(list(corrs), adj, epsilon)
+    return ConsistencyGraph(corrs, adj, epsilon)
 
 
 def _better(a, b) -> bool:
     """Clique preference: larger size, then larger sum omega, then lex-smaller ids."""
-    if a[0] != b[0]:
-        return a[0] > b[0]
-    if a[1] != b[1]:
-        return a[1] > b[1]
-    return a[2] < b[2]
+    return a[:2] > b[:2] if a[:2] != b[:2] else a[2] < b[2]
 
 
 def _adj_masks(graph: ConsistencyGraph) -> list[int]:
@@ -127,10 +146,8 @@ def max_clique(graph: ConsistencyGraph) -> list[int]:
     the documented tie-breaks are applied exactly.
     """
     n = len(graph.nodes)
-    if n == 0:
-        return []
     adj = _adj_masks(graph)
-    omega = [c.omega for c in graph.nodes]
+    omega = graph.nodes.omegas.tolist()
     best = [(0, 0.0, ())]
 
     def consider(ids: tuple):
@@ -175,10 +192,8 @@ def brute_force_max_clique(graph: ConsistencyGraph) -> list[int]:
         raise ValidationError(
             f"brute force guarded to {BRUTE_FORCE_MAX_NODES} nodes, got {n}"
         )
-    if n == 0:
-        return []
     adj = _adj_masks(graph)
-    omega = [c.omega for c in graph.nodes]
+    omega = graph.nodes.omegas.tolist()
     best = [(0, 0.0, ())]
 
     def rec(ids: tuple, allowed: int):

@@ -11,9 +11,10 @@ row, candidate id) array; one W2 table, a dense (query instance x map
 instance) array, of every instance pair the GSF filter reads, all scored by
 one `pair_w2` call, with the similarity self-tuned from it; then one
 `gsf_filter` call over all candidates, whose survivors come back as one
-`TriangleMatches` array record), `_clique` (correspondences merged from that
-record by array operations, consistency graph, max clique) and `_solve`
-(robust IRLS over the clique's rows of the two centroid tables).
+`TriangleMatches` array record), `_clique` (one `CorrespondenceTable` merged
+from that record by array operations, its consistency graph and its max
+clique's rows) and `_solve` (robust IRLS over those rows of the two centroid
+tables; the result's inliers are the rows it keeps).
 
 A map holds only what `localize` reads: one (K, 3) table of instance
 centroids and one table of probed populations, row i instance i's in each,
@@ -85,12 +86,8 @@ from .descriptors import (
     triangulate,
 )
 from .gsf import GpPopulation, grid_probe, probe_grid, stability_weights
-from .matching import (
-    Correspondence,
-    build_consistency_graph,
-    collect_correspondences,
-    max_clique,
-)
+from .matching import (CorrespondenceTable, build_consistency_graph, collect_correspondences,
+                       correspondence_table, max_clique)
 from .pose_solver import (
     DegenerateGeometryError,
     IrlsFailure,
@@ -137,25 +134,23 @@ class LocalizationResult:
     clique_size: int
     triangles_queried: int
     candidates_after_filter: int
-    inliers: list  # surviving Correspondence objects
+    inliers: CorrespondenceTable  # the clique's rows that survive the solve
     timings_ms: dict[str, float]
     gsf_filter_used: bool
 
     def to_dict(self, include_timings: bool = True) -> dict:
+        ins = self.inliers
         d = {
             "status": self.status,
-            "pose": (
-                [float(v) for v in self.pose.matrix_3x4().ravel()]
-                if self.pose is not None
-                else None
-            ),
+            "pose": None if self.pose is None else self.pose.matrix_3x4().ravel().tolist(),
             "inlier_count": self.inlier_count,
             "clique_size": self.clique_size,
             "triangles_queried": self.triangles_queried,
             "candidates_after_filter": self.candidates_after_filter,
             "inliers": [
-                {"query": c.query_id, "map": c.map_id, "omega": c.omega, "support": c.support}
-                for c in self.inliers
+                {"query": q, "map": m, "omega": o, "support": s}
+                for q, m, o, s in zip(ins.query_ids.tolist(), ins.map_ids.tolist(),
+                                      ins.omegas.tolist(), ins.supports.tolist())
             ],
             "gsf_filter": self.gsf_filter_used,
         }
@@ -292,9 +287,10 @@ def _w2_table(
     """Score each distinct (query, map) instance pair the fine filter reads, once,
     all in one `pair_w2` call.
 
-    Skips, with a warning, a query triangle or a candidate that touches an
-    instance `q_ok` or `ref_map.fitted` leaves out. A kept candidate pairs its
-    triangle's vertices under every stored vertex order and canonically.
+    Skips, with one warning per side that names the sorted instances without
+    fields and the count skipped, a query triangle or a candidate that touches
+    an instance `q_ok` or `ref_map.fitted` leaves out. A kept candidate pairs
+    its triangle's vertices under every stored vertex order and canonically.
     Returns the kept rows of `cand`, the W2^2 table as a dense (query instance
     x map instance) array, NaN where no pair was scored, and the similarity
     scaled to the median W2^2 over the canonical pairs (None if there is none).
@@ -306,14 +302,14 @@ def _w2_table(
     row_ok = q_ok[qv].all(axis=1)
     cand_ok = m_ok[mv[cand[:, 1]]].all(axis=1)
     lost = row_ok[cand[:, 0]] & ~cand_ok
-    for r, cid in sorted([(r, -1) for r in np.flatnonzero(~row_ok).tolist()]
-                         + cand[lost].tolist()):
-        if cid < 0:
-            missing = [q for q in qv[r].tolist() if not q_ok[q]]
-            warnings.warn(f"query instances {missing} lack fields; candidates skipped")
-        else:
-            missing = [m for m in mv[cid].tolist() if not m_ok[m]]
-            warnings.warn(f"map instances {missing} lack fields; candidate {cid} skipped")
+    if not row_ok.all():
+        rows = qv[~row_ok]
+        warnings.warn(f"query instances {np.unique(rows[~q_ok[rows]]).tolist()} lack fields; "
+                      f"candidates skipped on {len(rows)} triangles")
+    if lost.any():
+        rows = mv[cand[lost, 1]]
+        warnings.warn(f"map instances {np.unique(rows[~m_ok[rows]]).tolist()} lack fields; "
+                      f"candidates skipped: {len(rows)}")
     kept = cand[row_ok[cand[:, 0]] & cand_ok]
     kq, cids = qv[kept[:, 0]], kept[:, 1]
     canonical = np.unique(kq * n_map + mv[cids])
@@ -346,30 +342,26 @@ def _match(qgraph, probes, ref_map, config) -> tuple[int, TriangleMatches]:
     return len(table), gsf_filter(table, kept, ref_map.index, w2, simcfg)
 
 
-def _clique(matches, qcents, mcents, config) -> list[Correspondence]:
-    """Stage "clique": the correspondences of the maximum consistent clique."""
+def _clique(matches, qcents, mcents, config) -> CorrespondenceTable:
+    """Stage "clique": the correspondence table's rows of the maximum consistent clique."""
     corrs = collect_correspondences(matches)
     if not corrs:
-        return []
+        return corrs
     cgraph = build_consistency_graph(corrs, qcents, mcents, config.matching.epsilon)
-    return [corrs[i] for i in max_clique(cgraph)]
+    return corrs[max_clique(cgraph)]
 
 
-def _solve(picked, qcents, mcents, config) -> tuple[RigidTransform, list] | None:
+def _solve(picked, qcents, mcents, config) -> tuple[RigidTransform, CorrespondenceTable] | None:
     """Stage "solve": truncated IRLS over the clique. Returns the sensor pose in the
-    map frame and the surviving pairs; None if degenerate or fewer than 3 survive.
-    Clique weights that underflow to 0 (a tiny `sim.sigma_w`) are degenerate too."""
+    map frame and the clique's surviving rows; None if degenerate or fewer than 3
+    survive. Clique weights that underflow to 0 (a tiny `sim.sigma_w`) are degenerate too."""
     try:
-        cset = WeightedCorrespondenceSet(
-            p=qcents[[c.query_id for c in picked]],
-            q=mcents[[c.map_id for c in picked]],
-            omega=np.array([c.omega for c in picked]),
-            tau0=config.solver.tau0,
-        )
+        cset = WeightedCorrespondenceSet(qcents[picked.query_ids], mcents[picked.map_ids],
+                                         picked.omegas, config.solver.tau0)
         T_qm, mask, _trace = robust_irls(cset, config.solver.max_iters, config.solver.rel_tol)
     except (DegenerateGeometryError, IrlsFailure, ValidationError):
         return None
-    inliers = [c for c, keep in zip(picked, mask) if keep]
+    inliers = picked[mask]
     return (T_qm.inverse(), inliers) if len(inliers) >= 3 else None
 
 
@@ -396,7 +388,7 @@ def localize(
         )
     taxonomy = ref_map.taxonomy
     timings = dict.fromkeys(STAGES, 0.0)
-    res = LocalizationResult("no-match", None, 0, 0, 0, 0, [], timings,
+    res = LocalizationResult("no-match", None, 0, 0, 0, 0, correspondence_table([]), timings,
                              config.pipeline.use_gsf_filter)
 
     qcloud, qgraph = _timed(timings, "graph", _query_graph, query_cloud, taxonomy, config)

@@ -23,10 +23,10 @@ from typing import Annotated, Literal
 import numpy as np
 
 from .config import RunConfig
-from .core import (FAR, Bound, GsflocError, LabelTaxonomy, NonNegative, NonNegativeInt,
-                   PositiveInt, RigidTransform, SemanticPointCloud, Size, ValidationError,
-                   as_dict, check_fields, default_taxonomy, field_of, one_hot_logits,
-                   pose_error, read, rot_z)
+from .core import (FAR, Bound, Coordinate, GsflocError, LabelTaxonomy, NonNegative,
+                   NonNegativeInt, PositiveInt, RigidTransform, SemanticPointCloud, Size,
+                   ValidationError, as_dict, check_fields, default_taxonomy, field_of,
+                   one_hot_logits, pose_error, read, rot_z)
 from .pipeline import STAGES, build_map, localize
 
 TIMING_KEYS = (*STAGES, "total")
@@ -103,7 +103,7 @@ class QuerySpec:
     noise_sigma: Size = 0.03
     # half-size of the square the poses are drawn in; None: a quarter of the extent
     region_half: Size | None = None
-    z: Annotated[float, Bound(least=-FAR, most=FAR)] = 1.8
+    z: Coordinate = 1.8
 
     def __post_init__(self):
         check_fields(self, field_of("query spec"))
@@ -139,60 +139,49 @@ class TwinInfo:
 
 
 def _sample_box_surface(rng, n, lx, ly, lz):
+    """n points on the faces of an lx x ly x lz box centred on the origin, each
+    face drawn in proportion to its area."""
+    dims = np.array([lx, ly, lz])
     areas = np.array([ly * lz, ly * lz, lx * lz, lx * lz, lx * ly, lx * ly])
     face = rng.choice(6, size=n, p=areas / areas.sum())
     u = rng.uniform(-0.5, 0.5, size=(n, 2))
+    axis, row = face // 2, np.arange(n)
+    others = np.array([[1, 2], [0, 2], [0, 1]])[axis]  # the two axes spanning each face
     pts = np.zeros((n, 3))
-    for f in range(6):
-        m = face == f
-        if not m.any():
-            continue
-        axis = f // 2
-        sign = 1.0 if f % 2 == 0 else -1.0
-        others = [a for a in range(3) if a != axis]
-        dims = np.array([lx, ly, lz])
-        pts[m, axis] = sign * dims[axis] / 2.0
-        pts[m, others[0]] = u[m, 0] * dims[others[0]]
-        pts[m, others[1]] = u[m, 1] * dims[others[1]]
+    pts[row, axis] = np.where(face % 2 == 0, 1.0, -1.0) * dims[axis] / 2.0
+    pts[row[:, None], others] = u * dims[others]
     return pts
+
+
+# upright solid cylinders (radius, height) and box shells (length, width,
+# height, ground clearance), in meters
+_CYLINDERS = {"pole": (0.15, 4.0), "trunk": (0.3, 3.0)}
+_BOXES = {"car": (4.2, 1.8, 1.5, 0.3), "truck": (7.0, 2.5, 3.0, 0.4)}
+
+
+def _cylinder(rng, n, radius, height):
+    """n points filling an upright cylinder that stands on z=0 at the origin."""
+    ang = rng.uniform(0, 2 * np.pi, n)
+    rad = radius * np.sqrt(rng.uniform(0, 1, n))
+    return np.column_stack([rad * np.cos(ang), rad * np.sin(ang), rng.uniform(0, height, n)])
 
 
 def _instance_points(rng, class_name: str, n: int) -> np.ndarray:
     """Points of one instance in its own frame, standing on z=0."""
-    if class_name == "pole":
-        ang = rng.uniform(0, 2 * np.pi, n)
-        rad = 0.15 * np.sqrt(rng.uniform(0, 1, n))
-        z = rng.uniform(0, 4.0, n)
-        return np.column_stack([rad * np.cos(ang), rad * np.sin(ang), z])
-    if class_name == "trunk":
-        ang = rng.uniform(0, 2 * np.pi, n)
-        rad = 0.3 * np.sqrt(rng.uniform(0, 1, n))
-        z = rng.uniform(0, 3.0, n)
-        return np.column_stack([rad * np.cos(ang), rad * np.sin(ang), z])
+    if class_name in _CYLINDERS:
+        return _cylinder(rng, n, *_CYLINDERS[class_name])
     if class_name == "traffic-sign":
         n_pole = max(1, int(0.4 * n))
-        ang = rng.uniform(0, 2 * np.pi, n_pole)
-        rad = 0.06 * np.sqrt(rng.uniform(0, 1, n_pole))
-        zp = rng.uniform(0, 2.3, n_pole)
-        pole = np.column_stack([rad * np.cos(ang), rad * np.sin(ang), zp])
+        pole = _cylinder(rng, n_pole, 0.06, 2.3)
         n_plate = n - n_pole
-        plate = np.column_stack(
-            [
-                rng.uniform(-0.35, 0.35, n_plate),
-                rng.uniform(-0.01, 0.01, n_plate),
-                rng.uniform(2.3, 2.8, n_plate),
-            ]
-        )
-        pts = np.vstack([pole, plate])
-        yaw = rng.uniform(0, 2 * np.pi)
-        return pts @ rot_z(yaw).T
-    if class_name == "car":
-        pts = _sample_box_surface(rng, n, 4.2, 1.8, 1.5)
-        pts[:, 2] += 0.3 + 1.5 / 2.0
-        return pts @ rot_z(rng.uniform(0, 2 * np.pi)).T
-    if class_name == "truck":
-        pts = _sample_box_surface(rng, n, 7.0, 2.5, 3.0)
-        pts[:, 2] += 0.4 + 3.0 / 2.0
+        plate = np.column_stack([rng.uniform(-0.35, 0.35, n_plate),
+                                 rng.uniform(-0.01, 0.01, n_plate),
+                                 rng.uniform(2.3, 2.8, n_plate)])
+        return np.vstack([pole, plate]) @ rot_z(rng.uniform(0, 2 * np.pi)).T
+    if class_name in _BOXES:
+        length, width, height, lift = _BOXES[class_name]
+        pts = _sample_box_surface(rng, n, length, width, height)
+        pts[:, 2] += lift + height / 2.0
         return pts @ rot_z(rng.uniform(0, 2 * np.pi)).T
     raise ValidationError(f"no footprint generator for class {class_name!r}")
 
@@ -208,20 +197,16 @@ def _place_instances(rng, spec: SceneSpec, taxonomy, center, half):
         if tpl.count and half < fr:
             raise GenerationError(f"a {tpl.class_name} does not fit in the region; "
                                   f"enlarge the extent")
+        if spec.min_separation is not None:
+            required = lambda other_fr: spec.min_separation
+        else:
+            required = lambda other_fr: fr + other_fr + 2.0 * max_thresh + 0.5
         for _ in range(tpl.count):
-            ok = False
             for _attempt in range(500):
                 xy = center + rng.uniform(-half + fr, half - fr, size=2)
-                if spec.min_separation is not None:
-                    required = lambda other_fr: spec.min_separation
-                else:
-                    required = lambda other_fr: fr + other_fr + 2.0 * max_thresh + 0.5
-                if all(
-                    np.linalg.norm(xy - pxy) >= required(pfr) for pxy, pfr in placed
-                ):
-                    ok = True
+                if all(np.linalg.norm(xy - pxy) >= required(pfr) for pxy, pfr in placed):
                     break
-            if not ok:
+            else:
                 raise GenerationError(
                     f"could not place {tpl.class_name} after 500 attempts; "
                     f"reduce counts or enlarge the extent"
@@ -251,14 +236,12 @@ def _generate_region(rng, spec: SceneSpec, taxonomy, center, half):
     d = taxonomy.num_classes
 
     chunks, labels, gt = [], [], []
-    bg_mask_parts = []
 
     for cid, xy, cname, n_pts in _place_instances(rng, spec, taxonomy, center, half):
         pts = _instance_points(rng, cname, n_pts)
         pts[:, :2] += xy
         chunks.append(pts)
         labels.append(np.full(n_pts, cid))
-        bg_mask_parts.append(np.zeros(n_pts, dtype=bool))
         gt.append(GroundTruthInstance(cid, pts.mean(axis=0), n_pts))
 
     bg = spec.background
@@ -272,7 +255,6 @@ def _generate_region(rng, spec: SceneSpec, taxonomy, center, half):
         )
         chunks.append(road)
         labels.append(np.full(bg.road_points, road_id))
-        bg_mask_parts.append(np.ones(bg.road_points, dtype=bool))
 
     for _ in range(bg.vegetation_blobs):
         c = center + rng.uniform(-half, half, size=2)
@@ -281,13 +263,10 @@ def _generate_region(rng, spec: SceneSpec, taxonomy, center, half):
         z = np.clip(np.abs(rng.normal(0, 1.0, n)), 0, 2.5)
         chunks.append(np.column_stack([xy, z]))
         labels.append(np.full(n, veg_id))
-        bg_mask_parts.append(np.ones(n, dtype=bool))
 
     points = np.vstack(chunks) if chunks else np.zeros((0, 3))
     labels = np.concatenate(labels).astype(np.int64) if labels else np.zeros(0, np.int64)
-    bg_mask = (
-        np.concatenate(bg_mask_parts) if bg_mask_parts else np.zeros(0, dtype=bool)
-    )
+    bg_mask = np.isin(labels, (road_id, veg_id))  # no instance class is a background one
 
     logits = one_hot_logits(labels, d, spec.confidence) if points.shape[0] else np.zeros((0, d))
     if points.shape[0] and bg.score_amplitude > 0:
@@ -381,8 +360,17 @@ def simulate_scan(
 
 
 def sample_query_poses(count: int, seed, center=(0.0, 0.0), half: float = 20.0, z: float = 1.8):
-    """Random sensor poses (position + yaw) inside a square region."""
+    """Random sensor poses (position + yaw) inside a square region of half-size
+    `half` around `center`, two numbers within FAR. `half` must be a number:
+    a spec's None, a quarter of the extent, is resolved by the caller."""
     QuerySpec(count=count, region_half=half, z=z)  # checks them
+    if half is None:
+        raise ValidationError("half must be a number, got None; a spec's None means a quarter "
+                              "of the scene extent, which the caller resolves")
+    center = read(list[Coordinate], np.asarray(center, dtype=object).tolist(),
+                  lambda path: f"center{path}")
+    if len(center) != 2:
+        raise ValidationError(f"center must be two numbers, got {center}")
     rng = np.random.default_rng(seed)
     poses = []
     for _ in range(count):

@@ -1,22 +1,32 @@
 import io
 import re
+import typing
 import zipfile
 
 import numpy as np
 import pytest
 
 from gsfloc.core import (
+    FAR,
+    Bound,
     ClassInfo,
+    Coordinate,
     FormatError,
     LabelTaxonomy,
     RigidTransform,
     SemanticPointCloud,
     ValidationError,
+    NoLimit,
+    NonNegative,
+    Positive,
+    Size,
     default_taxonomy,
+    field_of,
     load_cloud,
     load_npz,
     one_hot_logits,
     pose_error,
+    read,
     read_json,
     rot_z,
     rotation_angle_deg,
@@ -246,6 +256,32 @@ class TestTaxonomy:
     def test_stability_vector_by_class_id(self):
         tax = default_taxonomy()
         assert tax.stability_vector().tolist() == [tax.stability(c) for c in range(12)]
+
+
+class TestRead:
+    @pytest.mark.parametrize("kind, says", [
+        (Positive, "finite"), (NonNegative, "finite"), (Size, "finite"), (Coordinate, "finite"),
+        (float, "finite"), (typing.Annotated[float, Bound(above=0, most=FAR)], "finite"),
+        (NoLimit, "finite or Infinity"),
+        (typing.Annotated[float, Bound(above=0, no_limit=True)], "finite or Infinity"),
+    ])
+    def test_nan_reported_as_not_finite(self, kind, says):
+        """NaN fails every bound, so it is reported as what it is before any
+        bound is tested: "finite", or "finite or Infinity" where Infinity is taken."""
+        with pytest.raises(ValidationError, match=rf"^x must be {says}, got nan$"):
+            read(kind, float("nan"), field_of("x"))
+
+    @pytest.mark.parametrize("kind, value, says", [
+        (Positive, -1.0, "> 0, got -1.0"),
+        (NonNegative, -np.inf, ">= 0, got -inf"),
+        (Size, np.inf, "<= 1000000.0, got inf"),
+        (Coordinate, -2e6, ">= -1000000.0, got -2000000.0"),
+        (float, np.inf, "finite, got inf"),
+        (NoLimit, -np.inf, "finite or Infinity, got -inf"),
+    ])
+    def test_other_values_name_the_first_bound_failed(self, kind, value, says):
+        with pytest.raises(ValidationError, match=rf"^x must be {re.escape(says)}$"):
+            read(kind, value, field_of("x"))
 
 
 class TestReadJson:

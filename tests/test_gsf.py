@@ -98,13 +98,16 @@ class TestKernel:
     @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan])
     def test_length_scale_and_noise_refused(self, bad):
         """A kappa that is not > 0 and a sigma_y that is not >= 0 are refused,
-        NaN too, which fails no `<= 0` test."""
+        NaN too, which fails no `<= 0` test and which the reader reports as
+        not finite."""
         with pytest.raises(ValidationError, match="kappa must be > 0"):
             matern32(np.zeros(3), np.ones(3), bad)
-        with pytest.raises(ValidationError, match="kappa must be > 0"):
+        nan = np.isnan(bad)
+        with pytest.raises(ValidationError, match="kappa must be " + ("finite" if nan else "> 0")):
             GpHyperParams(kappa=bad)
         if bad != 0.0:
-            with pytest.raises(ValidationError, match="sigma_y must be >= 0"):
+            with pytest.raises(ValidationError,
+                               match="sigma_y must be " + ("finite" if nan else ">= 0")):
                 GpHyperParams(sigma_y=bad)
 
     def test_matrix_matches_double_loop(self):

@@ -8,11 +8,13 @@ from gsfloc.descriptors import TriangleMatches
 from gsfloc.matching import (
     ConsistencyGraph,
     Correspondence,
+    CorrespondenceTable,
     brute_force_max_clique,
     _adj_masks,
     build_consistency_graph,
     collect_correspondences,
     consistency_check,
+    correspondence_table,
     max_clique,
 )
 
@@ -41,6 +43,12 @@ def graph_from_adjacency(adj, omegas=None):
     return ConsistencyGraph(nodes, adj.astype(bool), 1.0)
 
 
+def rows(corrs):
+    """A correspondence table's rows as (query, map, omega, support) tuples."""
+    return list(zip(corrs.query_ids.tolist(), corrs.map_ids.tolist(), corrs.omegas.tolist(),
+                    corrs.supports.tolist()))
+
+
 def table(cents):
     """The (K, 3) centroid table of an id -> centroid dict, with NaN rows for
     the ids it does not name."""
@@ -54,10 +62,29 @@ def random_graph(rng, n, density):
     return adj | adj.T
 
 
+class TestTable:
+    def test_stacks_and_gathers_rows(self):
+        """A list of correspondences stacks into int64 and float64 columns, once:
+        a table passes as it is, and `ConsistencyGraph` stacks the list it is
+        given. A gather by index list, mask or no rows is a table."""
+        corrs = [Correspondence(0, 10, 0.5, 2), Correspondence(1, 11, 0.25, 1),
+                 Correspondence(2, 12, 1.0, 3)]
+        t = correspondence_table(corrs)
+        assert rows(t) == [(0, 10, 0.5, 2), (1, 11, 0.25, 1), (2, 12, 1.0, 3)]
+        assert t.query_ids.dtype == t.map_ids.dtype == t.supports.dtype == np.int64
+        assert correspondence_table(t) is t and len(t) == 3
+        assert rows(t[[2, 0]]) == [(2, 12, 1.0, 3), (0, 10, 0.5, 2)]
+        assert rows(t[np.array([True, False, True])]) == [(0, 10, 0.5, 2), (2, 12, 1.0, 3)]
+        assert len(t[[]]) == 0 and t[[]].query_ids.dtype == np.int64
+        assert len(correspondence_table([])) == 0
+        g = ConsistencyGraph(corrs, np.zeros((3, 3), dtype=bool), 1.0)
+        assert isinstance(g.nodes, CorrespondenceTable) and rows(g.nodes) == rows(t)
+
+
 class TestCollect:
     def test_single_triangle(self):
         out = collect_correspondences(matches_of([match([(0, 10), (1, 11), (2, 12)])]))
-        assert [(c.query_id, c.map_id, c.support) for c in out] == [
+        assert [(q, m, s) for q, m, _, s in rows(out)] == [
             (0, 10, 1), (1, 11, 1), (2, 12, 1)
         ]
 
@@ -66,9 +93,9 @@ class TestCollect:
             match([(0, 10), (1, 11), (2, 12)], (0.5, 0.6, 0.7)),
             match([(0, 10), (3, 13), (4, 14)], (0.9, 0.6, 0.7)),
         ]))
-        c = {(c.query_id, c.map_id): c for c in out}
-        assert c[(0, 10)].support == 2
-        assert c[(0, 10)].omega == 0.9  # max observed
+        c = {(q, m): (o, s) for q, m, o, s in rows(out)}
+        assert c[(0, 10)][1] == 2
+        assert c[(0, 10)][0] == 0.9  # max observed
 
     def test_double_loop_oracle(self):
         rng = np.random.default_rng(0)
@@ -88,13 +115,13 @@ class TestCollect:
                  sum(1 for q, m, _ in flat if (q, m) == k))
                 for k in keys
             ]
-            assert [(c.query_id, c.map_id, c.omega, c.support) for c in got] == want
+            assert rows(got) == want
 
     @pytest.mark.parametrize("seed", range(3))
     def test_equals_dict_merge(self, seed):
         """The array merge against a written-out dict merge of every vertex
         pair, over records with many duplicate pairs under different weights:
-        the same pairs, order, supports and omegas, as Python ints and floats."""
+        the same pairs, order, supports and omegas, in int64 and float64 columns."""
         rng = np.random.default_rng(seed)
         n = int(rng.integers(50, 400))
         pairs = np.stack([rng.integers(0, 8, (n, 3)), rng.integers(0, 30, (n, 3))], axis=-1)
@@ -109,16 +136,17 @@ class TestCollect:
                 merged[q, m] = (omega, 1)
         want = [(q, m, *merged[q, m]) for q, m in sorted(merged)]
         assert max(s for _, _, _, s in want) > 1
-        assert [(c.query_id, c.map_id, c.omega, c.support) for c in got] == want
-        assert all(type(c.query_id) is type(c.map_id) is type(c.support) is int
-                   and type(c.omega) is float for c in got)
+        assert rows(got) == want
+        assert got.query_ids.dtype == got.map_ids.dtype == got.supports.dtype == np.int64
+        assert got.omegas.dtype == np.float64
 
     def test_no_matches(self):
-        assert collect_correspondences(TriangleMatches.empty()) == []
+        out = collect_correspondences(TriangleMatches.empty())
+        assert len(out) == 0 and rows(out) == []
 
     def test_ordering_deterministic(self):
         out = collect_correspondences(matches_of([match([(2, 12), (0, 10), (1, 11)])]))
-        assert [(c.query_id, c.map_id) for c in out] == [(0, 10), (1, 11), (2, 12)]
+        assert [(q, m) for q, m, _, _ in rows(out)] == [(0, 10), (1, 11), (2, 12)]
 
 
 class TestConsistency:

@@ -28,7 +28,7 @@ from gsfloc.descriptors import (
     triangle_table,
     triangulate,
 )
-from gsfloc import descriptors, pipeline, scene_graph
+from gsfloc import descriptors, matching, pipeline, scene_graph
 from gsfloc.pipeline import (
     BUNDLE_FILES,
     STAGES,
@@ -507,7 +507,7 @@ class TestEmptyMatch:
     def _assert_no_match(res):
         assert res.status == "no-match" and res.pose is None
         assert res.candidates_after_filter == res.clique_size == res.inlier_count == 0
-        assert res.inliers == [] and res.timings_ms["solve"] == 0.0
+        assert len(res.inliers) == 0 and res.timings_ms["solve"] == 0.0
 
     @pytest.mark.parametrize("use_gsf", [True, False], ids=["gsf", "plain"])
     def test_zero_query_triangles(self, scene, ref_map, taxonomy_module, use_gsf):
@@ -641,7 +641,7 @@ class TestLocalize:
         assert len(events) > 10 and events == ["fit", "probe"] * (len(events) // 2)
 
     def test_success_inliers_pairwise_consistent(self, scene, ref_map):
-        from gsfloc.matching import consistency_check
+        from gsfloc.matching import Correspondence, consistency_check
 
         cloud, _ = scene
         pose = sample_query_poses(1, seed=11, half=15.0)[0]
@@ -651,8 +651,11 @@ class TestLocalize:
         assert res.status == "success"
         qcloud = voxel_downsample(scan, cfg.pipeline.query_voxel)
         qgraph = build_scene_graph(qcloud, ref_map.taxonomy, cfg)
-        for i, a in enumerate(res.inliers):
-            for b in res.inliers[i + 1:]:
+        ins = res.inliers
+        pairs = [Correspondence(*r) for r in zip(ins.query_ids.tolist(), ins.map_ids.tolist(),
+                                                 ins.omegas.tolist(), ins.supports.tolist())]
+        for i, a in enumerate(pairs):
+            for b in pairs[i + 1:]:
                 assert consistency_check(a, b, qgraph.centroids, ref_map.centroids,
                                          cfg.matching.epsilon)
 
@@ -687,7 +690,7 @@ class TestLocalize:
         with pytest.warns(UserWarning, match=rf"map instances \[{gone}\] lack fields"):
             res = localize(scan, holed)
         assert res.status == "success"
-        assert all(c.map_id != gone for c in res.inliers)
+        assert gone not in res.inliers.map_ids
         te, re = pose_error(res.pose, pose)
         assert te <= 0.5 and re <= 2.0
 
@@ -727,6 +730,56 @@ class TestLocalize:
         assert scored and gone not in scored
         assert len(tables) == 1 and tables[0].size and np.isfinite(tables[0]).all()
 
+    def test_one_skip_warning_per_side(self, scene, ref_map, taxonomy_module):
+        """One query and one map instance without a field: the match stage warns
+        once per side, naming the instance and the number of triangles or
+        candidates it skips, not once per skipped triangle or candidate."""
+        _, _, qgraph, probes, cand_lists = _street_query(scene, ref_map, taxonomy_module)
+        vertex_ids = ref_map.index.table.vertex_ids
+        touched = [q for d, cands in cand_lists if cands for q in d.vertex_ids]
+        gone_q = max(set(touched), key=touched.count)
+        rest = [cands for d, cands in cand_lists if gone_q not in d.vertex_ids]
+        touched = [m for cands in rest for cid in cands for m in vertex_ids[cid].tolist()]
+        gone_m = max(set(touched), key=touched.count)
+        triangles = sum(gone_q in d.vertex_ids for d, _ in cand_lists)
+        candidates = sum(gone_m in vertex_ids[cid] for cands in rest for cid in cands)
+        assert triangles > 1 and candidates > 1
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            pipeline._match(qgraph, _fail_rows(*probes, [gone_q]), _fail(ref_map, [gone_m]),
+                            ref_map.config)
+        assert [str(w.message) for w in caught] == [
+            f"query instances [{gone_q}] lack fields; candidates skipped on {triangles} "
+            "triangles",
+            f"map instances [{gone_m}] lack fields; candidates skipped: {candidates}",
+        ]
+
+    def test_localizes_without_correspondence_objects(self, scene, ref_map, monkeypatch):
+        """From the match record to the result the stages read one correspondence
+        table: a street query localizes with `Correspondence` refusing to be built."""
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("a Correspondence was built")
+
+        monkeypatch.setattr(matching.Correspondence, "__init__", refuse)
+        cloud, _ = scene
+        pose = sample_query_poses(1, seed=11, half=15.0)[0]
+        res = localize(simulate_scan(cloud, pose, 60.0, 0.3, 0.03, seed=7), ref_map)
+        assert res.status == "success" and len(res.inliers) == res.inlier_count >= 3
+        assert isinstance(res.inliers, matching.CorrespondenceTable)
+
+    def test_inlier_rows_are_json_values(self, scene, ref_map):
+        """`to_dict` writes each inlier row as Python ints and a float, not the
+        table's numpy scalars, and `json.dumps` takes the record."""
+        cloud, _ = scene
+        pose = sample_query_poses(1, seed=11, half=15.0)[0]
+        res = localize(simulate_scan(cloud, pose, 60.0, 0.3, 0.03, seed=7), ref_map)
+        rows = res.to_dict()["inliers"]
+        assert len(rows) == res.inlier_count >= 3
+        assert all([type(r[k]) for k in ("query", "map", "omega", "support")]
+                   == [int, int, float, int] for r in rows)
+        assert [r["map"] for r in rows] == res.inliers.map_ids.tolist()
+        json.dumps(res.to_dict())
+
     @pytest.mark.parametrize("case", ["success", "empty-scan", "disjoint", "degenerate"])
     def test_every_exit(self, scene, ref_map, taxonomy_module, monkeypatch, case):
         from gsfloc.pose_solver import DegenerateGeometryError
@@ -754,7 +807,7 @@ class TestLocalize:
             assert res.pose is not None
             assert 3 <= res.inlier_count == len(res.inliers) <= res.clique_size
         else:
-            assert res.pose is None and res.inlier_count == 0 and res.inliers == []
+            assert res.pose is None and res.inlier_count == 0 and len(res.inliers) == 0
         if case == "empty-scan":
             assert res.triangles_queried == 0 and res.candidates_after_filter == 0
         else:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -176,8 +178,8 @@ class TestSimulateScan:
         cloud, _ = generate_scene(small_scene_spec(seed=13), taxonomy)
         with pytest.raises(ValidationError):
             simulate_scan(cloud, RigidTransform.identity(), 10.0, dropout_rate=1.0)
-        for noise in (-1.0, np.nan):
-            with pytest.raises(ValidationError, match="noise_sigma must be >= 0"):
+        for noise, says in ((-1.0, ">= 0"), (np.nan, "finite")):
+            with pytest.raises(ValidationError, match=f"noise_sigma must be {says}"):
                 simulate_scan(cloud, RigidTransform.identity(), 10.0, noise_sigma=noise)
 
     @pytest.mark.parametrize("range_max", [np.nan, -1.0, 0.0])
@@ -185,7 +187,8 @@ class TestSimulateScan:
         """A range that is not > 0 is refused by QuerySpec's bound, not scanned
         into an empty cloud."""
         cloud, _ = generate_scene(small_scene_spec(seed=13), taxonomy)
-        with pytest.raises(ValidationError, match="query spec field range_max must be > 0"):
+        says = "finite or Infinity" if np.isnan(range_max) else "> 0"
+        with pytest.raises(ValidationError, match=f"query spec field range_max must be {says}"):
             simulate_scan(cloud, RigidTransform.identity(), range_max)
         assert simulate_scan(cloud, RigidTransform.identity(), np.inf).n == cloud.n
 
@@ -202,6 +205,30 @@ class TestSimulateScan:
         NaN poses, and a NaN or infinite half-size an OverflowError."""
         with pytest.raises(ValidationError, match=f"query spec field {field} must be"):
             sample_query_poses(**{"count": 2, "seed": 0, **kwargs})
+
+    @pytest.mark.parametrize("kwargs, says", [
+        ({"center": (np.nan, 0.0)}, "center[0] must be finite, got nan"),
+        ({"center": np.array([0.0, np.inf])}, "center[1] must be <= 1000000.0, got inf"),
+        ({"center": (0.0, -2e6)}, "center[1] must be >= -1000000.0, got -2000000.0"),
+        ({"center": (0.0, 0.0, 0.0)}, "center must be two numbers, got [0.0, 0.0, 0.0]"),
+        ({"center": 5.0}, "center expects a list, got 5.0"),
+        ({"half": None}, "half must be a number, got None"),
+    ], ids=["center-nan", "center-inf", "center-far", "center-three", "center-scalar",
+            "half-none"])
+    def test_sample_poses_argument_refused(self, kwargs, says):
+        """A center that is not two finite numbers within FAR, and a half-size
+        of None, which only a spec resolves against its extent, are refused
+        naming the argument: a NaN center gave NaN poses, None a TypeError."""
+        with pytest.raises(ValidationError, match="^" + re.escape(says)):
+            sample_query_poses(**{"count": 2, "seed": 0, **kwargs})
+
+    def test_sample_poses_center_shifts_poses(self):
+        """A center given as a list, a tuple or an array shifts the same draws."""
+        at_origin = sample_query_poses(3, seed=4)
+        for center in ([10, -5], (10.0, -5.0), np.array([10.0, -5.0])):
+            moved = sample_query_poses(3, seed=4, center=center)
+            assert all(np.array_equal(b.t, a.t + [10.0, -5.0, 0.0]) and np.array_equal(b.R, a.R)
+                       for a, b in zip(at_origin, moved))
 
 
 class TestEvalReport:

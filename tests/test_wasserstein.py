@@ -236,14 +236,16 @@ class TestSimilarityWeight:
     def test_config_validation(self):
         with pytest.raises(ValidationError):
             SimilarityConfig(sigma_w=0.0, accept_threshold=1.0)
-        # outside [1e-100, 1e100] sigma_w**2 underflows or overflows, and NaN fails any bound
-        for sigma_w in (1e-300, 9e-101, 1.1e100, 1e200, np.nan, np.inf):
+        # outside [1e-100, 1e100] sigma_w**2 underflows or overflows; NaN is reported as such
+        for sigma_w in (1e-300, 9e-101, 1.1e100, 1e200, np.inf):
             with pytest.raises(ValidationError, match=r"^sigma_w must be (> 0|>= 1e-100|<= 1e\+100),"):
                 SimilarityConfig(sigma_w=sigma_w, accept_threshold=1.0)
+        with pytest.raises(ValidationError, match=r"^sigma_w must be finite, got nan$"):
+            SimilarityConfig(sigma_w=np.nan, accept_threshold=1.0)
         for sigma_w in (1e-100, 1e100):
             assert similarity_weight(1.0, SimilarityConfig(sigma_w, 1.0)) in (0.0, 1.0)
-        for threshold in (-1.0, 0.0, np.nan):
-            with pytest.raises(ValidationError, match="accept_threshold must be > 0"):
+        for threshold, says in ((-1.0, "> 0"), (0.0, "> 0"), (np.nan, "finite")):
+            with pytest.raises(ValidationError, match=f"accept_threshold must be {says}"):
                 SimilarityConfig(sigma_w=1.0, accept_threshold=threshold)
 
 
