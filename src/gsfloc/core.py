@@ -329,9 +329,9 @@ class SemanticPointCloud:
                 f"labels count {self.labels.shape[0]} does not match point count "
                 f"{self.points.shape[0]}"
             )
-        finite = np.isfinite(self.points).all(axis=1)
-        if not finite.all():
-            raise ValidationError(f"point {int(np.argmin(finite))} has a non-finite coordinate")
+        if not np.isfinite(self.points).all():  # the bad row is sought only when there is one
+            bad = int(np.argmin(np.isfinite(self.points).all(axis=1)))
+            raise ValidationError(f"point {bad} has a non-finite coordinate")
         if self.logits is not None:
             self.logits = np.asarray(self.logits, dtype=np.float64)
             if self.logits.ndim != 2 or self.logits.shape[0] != self.points.shape[0]:
@@ -339,9 +339,9 @@ class SemanticPointCloud:
                     f"logits shape {self.logits.shape} does not match point count "
                     f"{self.points.shape[0]}"
                 )
-            finite = np.isfinite(self.logits).all(axis=1)
-            if not finite.all():
-                raise ValidationError(f"point {int(np.argmin(finite))} has a non-finite logit")
+            if not np.isfinite(self.logits).all():
+                bad = int(np.argmin(np.isfinite(self.logits).all(axis=1)))
+                raise ValidationError(f"point {bad} has a non-finite logit")
             if self.n > 0:
                 pred = np.argmax(self.logits, axis=1)  # first max = lowest class id
                 bad = np.nonzero(pred != self.labels)[0]

@@ -9,13 +9,14 @@ code (its sorted labels packed into one int64) and a mask (n, 6) of the
 vertex orders in `ORDERS` whose sides still ascend. A query returns every
 stored row within delta_d per side (a Chebyshev ball, boundary included)
 whose label multiset matches: one descriptor's candidate ids, or, from one
-tree query, a table's (query row, candidate id) array, which `gsf_filter`
-scores into one `TriangleMatches` record. `build_index`, the index's one
-constructor, refuses a label outside [0, 2**LABEL_BITS), the range of a
-label code, and a side that is not finite; `load_index` refuses such a file
-with a FormatError naming it. The file (little-endian) is `INDEX_HEADER`:
-magic b"GSFI", version 1, delta_d and count, then the table as `count`
-`INDEX_RECORD`s of 48 bytes, row i descriptor i.
+query between a tree over its sides and the index's, a table's (query row,
+candidate id) array, which `gsf_filter` scores into one `TriangleMatches`
+record. `build_index`, the index's one constructor, refuses a label outside
+[0, 2**LABEL_BITS), the range of a label code, and a side that is not finite;
+`load_index` refuses such a file with a FormatError naming it. The file
+(little-endian) is `INDEX_HEADER`: magic b"GSFI", version 1, delta_d and
+count, then the table as `count` `INDEX_RECORD`s of 48 bytes, row i
+descriptor i.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ class TriangleDescriptor:
     labels: tuple[int, int, int]  # per vertex, same order
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TriangleTable:
     """Triangle descriptors as arrays, row i descriptor i; columns as in `TriangleDescriptor`."""
 
@@ -107,7 +108,8 @@ def triangulate(graph, k_neighbors: int) -> TriangleTable:
     tris = np.column_stack([np.repeat(np.arange(n), b.size), nearest[:, b].ravel(),
                             nearest[:, c].ravel()])
     tris = np.sort(tris, axis=1)
-    _, first = np.unique(tris, axis=0, return_index=True)
+    # one int64 per sorted row, ordered as the rows are (ids < n, n**3 < 2**63)
+    _, first = np.unique((tris[:, 0] * n + tris[:, 1]) * n + tris[:, 2], return_index=True)
     tris = tris[np.sort(first)]
 
     verts = tris[:, ORDERS]  # (m, 6, 3): every vertex order of every triangle
@@ -158,9 +160,8 @@ def build_index(descriptors, delta_d: float) -> DescriptorIndex:
         bad = int(np.argmax(codes < 0))
         raise ValidationError(f"descriptor {bad}: labels {tuple(table.labels[bad].tolist())} "
                               f"must lie in [0, {1 << LABEL_BITS})")
-    finite = np.isfinite(table.sides).all(axis=1)
-    if not finite.all():
-        bad = int(np.argmin(finite))
+    if not np.isfinite(table.sides).all():
+        bad = int(np.argmin(np.isfinite(table.sides).all(axis=1)))
         raise ValidationError(f"descriptor {bad}: sides {tuple(table.sides[bad].tolist())} must "
                               "be finite")
     return DescriptorIndex(delta_d, table, cKDTree(table.sides), codes,
@@ -172,15 +173,15 @@ def query_index(index: DescriptorIndex, descs):
     delta_d per side (inclusive) and whose label multiset equals the query's.
 
     One descriptor gives its candidate ids, ascending. A table or a sequence
-    gives, from one tree query, an (n_cand, 2) int64 array of (row, candidate
-    id), sorted by row, then id.
+    gives, from one query of a tree over its sides against the index's, an
+    (n_cand, 2) int64 array of (row, candidate id), sorted by row, then id.
     """
     table = triangle_table(descs)
-    near = index.tree.query_ball_point(table.sides, index.delta_d, p=np.inf,
-                                       return_sorted=True)
-    sizes = np.fromiter(map(len, near), np.int64, len(table))
-    ids = np.fromiter(itertools.chain.from_iterable(near), np.int64, int(sizes.sum()))
-    rows = np.repeat(np.arange(len(table), dtype=np.int64), sizes)
+    near = cKDTree(table.sides).sparse_distance_matrix(index.tree, index.delta_d, p=np.inf,
+                                                      output_type="ndarray")
+    rows, ids = near["i"], near["j"]
+    order = np.argsort(rows * len(index.table) + ids)
+    rows, ids = rows[order], ids[order]
     keep = index.label_codes[ids] == label_codes(table.labels)[rows]
     cand = np.column_stack([rows[keep], ids[keep]])
     return cand[:, 1].tolist() if isinstance(descs, TriangleDescriptor) else cand
@@ -226,7 +227,7 @@ def load_index(path) -> DescriptorIndex:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TriangleMatches:
     """Triangle matches as arrays, one row per match: its row in the query's
     triangle table, its candidate (map descriptor) id, the three (query

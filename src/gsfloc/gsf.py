@@ -13,8 +13,11 @@ moments from it: mu = W^T (L^-1 Y) and Sigma = k(Q,Q) - W^T W. The factor and
 the solves are direct LAPACK calls (`dpotrf`, `dtrtrs`), the routines
 `cho_factor` and `solve_triangular` call, without their input checks: K's
 inputs are finite, as a cloud refuses non-finite points and logits and
-`fit_gsf` refuses non-finite logits. The prior k(Q,Q) is memoised on the probe
-points' values and kappa, since every field is probed on the same grids.
+`fit_gsf` refuses non-finite logits. A fit evaluates each pair's kernel once,
+in `pdist` order, and writes only the triangle of K that `dpotrf` reads; a
+jittered retry writes that triangle again from the same condensed values. The
+prior k(Q,Q) is memoised on the probe points' values and kappa, since every
+field is probed on the same grids.
 
 Both LAPACK calls run on one BLAS thread, whoever calls them, and so do the
 products of a prediction: while they run, every OpenBLAS loaded into the
@@ -37,16 +40,25 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import math
 import threading
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dtrtrs
-from scipy.spatial.distance import cdist, pdist, squareform
+from scipy.spatial.distance import cdist, pdist
 
 from .config import GridSection, LengthScale
-from .core import GsflocError, LabelTaxonomy, Size, ValidationError, check_fields, rot_z
+from .core import (
+    GsflocError,
+    LabelTaxonomy,
+    Size,
+    ValidationError,
+    check_fields,
+    read,
+    rot_z,
+)
 
 JITTER_START = 1e-8
 JITTER_MAX = 1e-2
@@ -72,7 +84,8 @@ class GaussianSemanticField:
     X: np.ndarray  # (M,3) local coordinates
     Y: np.ndarray  # (M,D) logits
     hyper: GpHyperParams
-    factor: np.ndarray  # L, Fortran-ordered: K = k(X,X) + sigma_y^2 I (+ jitter) = L L^T
+    # L, Fortran-ordered, zero above its diagonal: K = k(X,X) + sigma_y^2 I (+ jitter) = L L^T
+    factor: np.ndarray
     white_y: np.ndarray  # (M,D) cached whitened targets L^-1 Y
     jitter: float = 0.0  # extra diagonal needed to factorize; 0 when clean
 
@@ -136,9 +149,9 @@ def semantic_sparsify(labels, budget: int, seed) -> np.ndarray:
 
 
 def matern32(a, b, kappa: float) -> float:
-    """Matern 3/2 kernel: (1 + s) exp(-s) with s = sqrt(3)*|a-b|/kappa."""
-    if not kappa > 0:
-        raise ValidationError(f"kappa must be > 0, got {kappa}")
+    """Matern 3/2 kernel: (1 + s) exp(-s) with s = sqrt(3)*|a-b|/kappa; kappa
+    is checked as `GpHyperParams.kappa` is."""
+    kappa = read(LengthScale, kappa, lambda path: "kappa")
     s = np.sqrt(3.0) * np.linalg.norm(np.asarray(a, dtype=np.float64) - b) / kappa
     return float((1.0 + s) * np.exp(-s))
 
@@ -158,10 +171,36 @@ def matern32_matrix(A: np.ndarray, B: np.ndarray, kappa: float) -> np.ndarray:
 
 
 def _gram(X: np.ndarray, kappa: float) -> np.ndarray:
-    """`matern32_matrix(X, X, kappa)`, bit for bit, from each distance and
-    kernel value of a pair computed once."""
-    K = squareform(_matern32_in_place(pdist(X), kappa))
-    np.fill_diagonal(K, 1.0)
+    """The entries of `matern32_matrix(X, X, kappa)` above its diagonal, bit for
+    bit, condensed in `pdist` order: each pair's distance and kernel value
+    computed once."""
+    return _matern32_in_place(pdist(X), kappa)
+
+
+_UPPER = np.zeros((0, 0), dtype=bool)  # replaced by a larger one as fits grow
+
+
+def _upper(m: int) -> np.ndarray:
+    """(m, m) mask of the entries above the diagonal, whose C order is the
+    `pdist` order of pairs: the leading block of one module-wide mask, which
+    is read-only, as every block of it is the same for every caller."""
+    global _UPPER
+    mask = _UPPER
+    if mask.shape[0] < m:
+        mask = np.triu(np.ones((m, m), dtype=bool), 1)
+        mask.flags.writeable = False
+        _UPPER = mask
+    return mask[:m, :m]
+
+
+def _kernel_triangle(kernel: np.ndarray, diag: float) -> np.ndarray:
+    """The C-ordered (m, m) matrix with the condensed `kernel` above its
+    diagonal, `diag` on it, and zeros below it: the one triangle `dpotrf`
+    reads of its transpose."""
+    m = (1 + math.isqrt(1 + 8 * kernel.size)) // 2
+    K = np.zeros((m, m))
+    K[_upper(m)] = kernel
+    np.fill_diagonal(K, diag)
     return K
 
 
@@ -232,32 +271,29 @@ class _OneBlasThread:
 _one_blas_thread = _OneBlasThread()
 
 
-def _factorize(K: np.ndarray) -> tuple[np.ndarray, float]:
-    """Cholesky with jitter escalation; returns (lower factor L, jitter used).
+def _factorize(kernel: np.ndarray, diag: float) -> tuple[np.ndarray, float]:
+    """Cholesky with jitter escalation of the symmetric K whose entries above
+    the diagonal are the condensed `kernel` and whose diagonal is `diag`;
+    returns (lower factor L, jitter used).
 
-    K is exactly symmetric, so LAPACK's `dpotrf` factors its transpose, a
-    Fortran-ordered view, in place, as `cho_factor(K, lower=True)` factors K:
-    LAPACK neither copies nor transposes it, and the factor is K's own buffer.
-    LAPACK writes only that view's lower triangle, so a failed attempt leaves
-    K's strictly lower triangle intact, and the jittered retries rebuild K from
-    it and the saved diagonal.
+    K is written in one triangle (`_kernel_triangle`), and LAPACK's `dpotrf`
+    factors its transpose, a Fortran-ordered view, in place, as
+    `cho_factor(K, lower=True)` factors the full K: LAPACK neither copies nor
+    transposes it, and the factor is K's own buffer, with zeros above its
+    diagonal. A failed attempt has overwritten part of that triangle, so each
+    jittered retry writes it again from `kernel`, with `diag + jitter` on the
+    diagonal.
     """
     with _one_blas_thread:
-        diag = K.diagonal().copy()
-        L, info = dpotrf(K.T, lower=1, clean=0, overwrite_a=1)
-        if not info:  # info > 0: K is not positive definite
-            return L, 0.0
-        K = np.tril(K, -1)
-        K += K.T
-        K[np.diag_indices_from(K)] = diag
-        jitter = JITTER_START
-        eye = np.eye(K.shape[0])
-        while jitter <= JITTER_MAX:
-            L, info = dpotrf((K + jitter * eye).T, lower=1, clean=0, overwrite_a=1)
-            if not info:
+        jitter = 0.0
+        while True:
+            K = _kernel_triangle(kernel, diag + jitter)
+            L, info = dpotrf(K.T, lower=1, clean=0, overwrite_a=1)
+            if not info:  # info > 0: K is not positive definite
                 return L, jitter
-            jitter *= 2.0
-        raise FitError(f"kernel factorization failed up to jitter {jitter / 2.0:.3e}")
+            jitter = 2.0 * jitter if jitter else JITTER_START
+            if jitter > JITTER_MAX:
+                raise FitError(f"kernel factorization failed up to jitter {jitter / 2.0:.3e}")
 
 
 def _solve_lower(L: np.ndarray, B: np.ndarray, overwrite_b: bool = False) -> np.ndarray:
@@ -304,9 +340,7 @@ def fit_gsf(
     if idx.size == 0:
         raise FitError("sparsification produced 0 points (budget too small for class mix)")
     X, Y = X_local[idx], Y_logits[idx]
-    K = _gram(X, hyper.kappa)
-    K[np.diag_indices_from(K)] += hyper.sigma_y**2
-    factor, jitter = _factorize(K)
+    factor, jitter = _factorize(_gram(X, hyper.kappa), 1.0 + hyper.sigma_y**2)
     return GaussianSemanticField(X, Y, hyper, factor, _solve_lower(factor, Y), jitter)
 
 
@@ -324,7 +358,7 @@ def _prior(points: bytes, shape: tuple, kappa: float) -> np.ndarray:
     whose bytes are `points`; memoised on those values and kappa, as every
     field is probed on the same grids, and so read-only."""
     Qs = np.frombuffer(points).reshape(shape)
-    kqq = np.stack([_gram(q, kappa) for q in Qs])
+    kqq = np.stack([matern32_matrix(q, q, kappa) for q in Qs])
     kqq.flags.writeable = False
     return kqq
 

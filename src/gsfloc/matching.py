@@ -37,7 +37,7 @@ class Correspondence:
     support: int  # number of triangle matches voting for this pair
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CorrespondenceTable:
     """Correspondences as arrays, row i correspondence i; columns as in `Correspondence`."""
 

@@ -163,29 +163,35 @@ def voxel_downsample(cloud: SemanticPointCloud, voxel: float) -> SemanticPointCl
     """Keep the lowest-index point per voxel; deterministic.
 
     Each voxel gets one int64 key, its row-major index in the cloud's voxel
-    bounding box. A cloud whose voxel indices, or that box's voxel count, do
-    not fit in int64 is refused with a ValidationError.
+    bounding box, whose bounds are taken per axis from one row of voxel
+    indices each. The keys are sorted once, in no stable order, and each
+    voxel keeps the smallest point index of its run. A cloud whose voxel
+    indices, or that box's voxel count, do not fit in int64 is refused with a
+    ValidationError.
     """
     if voxel <= 0 or cloud.n == 0:
         return cloud
     with np.errstate(over="ignore"):  # an infinite index is refused below
-        cells = np.floor(cloud.points / voxel)
-    if not np.all((cells >= -(2.0**63)) & (cells < 2.0**63)):
+        cells = np.floor(np.ascontiguousarray(cloud.points.T) / voxel)  # (3, N)
+    low, high = cells.min(axis=1), cells.max(axis=1)
+    if not np.all((low >= -(2.0**63)) & (high < 2.0**63)):
         raise ValidationError(
             f"voxel indices at pipeline.query_voxel {voxel} do not fit in int64; the cloud "
             f"reaches {np.abs(cloud.points).max():.3g} m from the origin"
         )
-    cells = cells.astype(np.int64)
-    low = cells.min(axis=0)
-    spans = [int(hi) - int(lo) + 1 for lo, hi in zip(low, cells.max(axis=0))]
+    cells, low = cells.astype(np.int64), low.astype(np.int64)
+    spans = [int(hi) - int(lo) + 1 for lo, hi in zip(low, high)]
     if spans[0] * spans[1] * spans[2] > 2**63:
         raise ValidationError(
             f"the cloud spans {spans[0]} x {spans[1]} x {spans[2]} voxels at "
             f"pipeline.query_voxel {voxel}; that many do not fit in int64"
         )
-    cells -= low
-    key = (cells[:, 0] * spans[1] + cells[:, 1]) * spans[2] + cells[:, 2]
-    _, first = np.unique(key, return_index=True)  # each voxel's lowest index
+    cells -= low[:, None]
+    key = (cells[0] * spans[1] + cells[1]) * spans[2] + cells[2]
+    order = np.argsort(key)
+    key = key[order]
+    runs = np.flatnonzero(key[1:] != key[:-1]) + 1
+    first = np.minimum.reduceat(order, np.concatenate(([0], runs)))  # each voxel's lowest index
     keep = np.sort(first)
     logits = None if cloud.logits is None else cloud.logits[keep]
     return SemanticPointCloud(cloud.points[keep], cloud.labels[keep], logits)

@@ -100,9 +100,9 @@ class TestKernel:
         """A kappa that is not > 0 and a sigma_y that is not >= 0 are refused,
         NaN too, which fails no `<= 0` test and which the reader reports as
         not finite."""
-        with pytest.raises(ValidationError, match="kappa must be > 0"):
-            matern32(np.zeros(3), np.ones(3), bad)
         nan = np.isnan(bad)
+        with pytest.raises(ValidationError, match="kappa must be " + ("finite" if nan else "> 0")):
+            matern32(np.zeros(3), np.ones(3), bad)
         with pytest.raises(ValidationError, match="kappa must be " + ("finite" if nan else "> 0")):
             GpHyperParams(kappa=bad)
         if bad != 0.0:
@@ -121,14 +121,15 @@ class TestKernel:
 
     @pytest.mark.parametrize("m", [1, 2, 7, 60, 256])
     def test_gram_equals_cross_kernel(self, m):
-        """The fit's Gram matrix, half its pairs evaluated and mirrored, is
-        bit-equal to the cross kernel of X with itself."""
+        """The fit's kernel matrix, each pair evaluated once and written in one
+        triangle, is bit-equal to the cross kernel of X with itself on and
+        above the diagonal, and zero below it."""
         rng = np.random.default_rng(m)
         X = rng.normal(size=(m, 3)) * rng.uniform(0.1, 5.0)
         kappa = rng.uniform(0.5, 4.0)
-        K = gsf._gram(X, kappa)
-        assert np.array_equal(K, matern32_matrix(X, X, kappa))
-        assert np.array_equal(K, K.T) and np.all(np.diag(K) == 1.0)
+        K = gsf._kernel_triangle(gsf._gram(X, kappa), 1.0)
+        assert np.array_equal(K, np.triu(matern32_matrix(X, X, kappa)))
+        assert np.all(np.diag(K) == 1.0)
 
     def test_cross_kernel_equals_its_formula(self):
         """Evaluated in place, the cross kernel is bit-equal to (1 + s) exp(-s)
@@ -148,9 +149,9 @@ class TestKernel:
             X = rng.normal(size=(m, 3)) * rng.uniform(0.1, 5.0)
             kappa = rng.uniform(0.5, 4.0)
             loop = np.array([[matern32(a, b, kappa) for b in X] for a in X])
-            K = gsf._gram(X, kappa)
+            K = gsf._kernel_triangle(gsf._gram(X, kappa), 1.0)
             assert np.array_equal(np.diag(K), np.diag(loop))
-            assert np.abs(K - loop).max() <= 4 * np.finfo(np.float64).eps
+            assert np.abs(K - np.triu(loop)).max() <= 4 * np.finfo(np.float64).eps
 
     def test_kernel_matrix_psd(self):
         rng = np.random.default_rng(7)
@@ -214,9 +215,9 @@ class TestFit:
 
     @pytest.mark.parametrize("m", [1, 7, 127, 128, 256])
     def test_factorize_equals_cho_factor(self, m):
-        """`_factorize`'s direct LAPACK factor is `cho_factor(K, lower=True)`
-        bit for bit, both triangles, at sizes on both sides of where LAPACK
-        starts to thread; and `_solve_lower` is `solve_triangular` bit for bit,
+        """`_factorize`'s direct LAPACK factor is `cho_factor(K, lower=True)`'s
+        lower triangle bit for bit, with zeros above it, at sizes on both
+        sides of where LAPACK starts to thread; and `_solve_lower` is `solve_triangular` bit for bit,
         in its own buffer or in the right-hand side's. The references run on
         one BLAS thread, as the wrappers do."""
         rng = np.random.default_rng(m)
@@ -228,8 +229,8 @@ class TestFit:
         with gsf._one_blas_thread:
             want = cho_factor(K, lower=True)[0]
             want_b, expect = (solve_triangular(want, b, lower=True) for b in (B, Bf))
-        L, jitter = gsf._factorize(K.copy())
-        assert np.array_equal(L, want) and L.flags.f_contiguous and jitter == 0.0
+        L, jitter = gsf._factorize(gsf._gram(X, 2.0), 1.0 + 0.1**2)
+        assert np.array_equal(L, np.tril(want)) and L.flags.f_contiguous and jitter == 0.0
         assert np.array_equal(gsf._solve_lower(L, B), want_b)
         got = gsf._solve_lower(L, Bf, overwrite_b=True)
         assert np.array_equal(got, expect) and np.shares_memory(got, Bf)
@@ -244,10 +245,10 @@ class TestFit:
         X = rng.uniform(-4.0, 4.0, (m, 3))
         X[m // 2:] = X[: m - m // 2]  # every point twice: K is singular
         K = matern32_matrix(X, X, 1.7)
-        L, jitter = gsf._factorize(K.copy())
+        L, jitter = gsf._factorize(gsf._gram(X, 1.7), 1.0)
         assert jitter > 0
         with gsf._one_blas_thread:
-            assert np.array_equal(L, cho_factor(K + jitter * np.eye(m), lower=True)[0])
+            assert np.array_equal(L, np.tril(cho_factor(K + jitter * np.eye(m), lower=True)[0]))
             for tried in [0.0] + [gsf.JITTER_START * 2.0**k for k in range(40)
                                   if gsf.JITTER_START * 2.0**k < jitter]:
                 with pytest.raises(np.linalg.LinAlgError):
@@ -339,7 +340,7 @@ class TestOneBlasThread:
         calls = []
         monkeypatch.setattr(gsf, "dpotrf", _recording(calls, "dpotrf", blas_threads, gsf.dpotrf))
         with pytest.raises(FitError):
-            gsf._factorize(-np.eye(4))
+            gsf._factorize(np.zeros(6), -1.0)  # K = -I, 4 x 4
         assert len(calls) > 1 and all(set(counts) == {1} for _, counts in calls)
         assert set(blas_threads()) == {2}
 

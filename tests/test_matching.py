@@ -1,10 +1,11 @@
+import copy
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from gsfloc.core import ValidationError
-from gsfloc.descriptors import TriangleMatches
+from gsfloc.descriptors import TriangleMatches, TriangleTable
 from gsfloc.matching import (
     ConsistencyGraph,
     Correspondence,
@@ -79,6 +80,20 @@ class TestTable:
         assert len(correspondence_table([])) == 0
         g = ConsistencyGraph(corrs, np.zeros((3, 3), dtype=bool), 1.0)
         assert isinstance(g.nodes, CorrespondenceTable) and rows(g.nodes) == rows(t)
+
+    def test_tables_compare_by_identity(self):
+        """A table of several rows compares by identity, against a copy of
+        itself, an empty table or a list, and raises no ambiguous-truth error."""
+        t = correspondence_table([Correspondence(0, 10, 0.5, 2), Correspondence(1, 11, 0.25, 1)])
+        ids = np.arange(6, dtype=np.int64).reshape(2, 3)
+        tables = [t, TriangleTable(ids, ids, ids.astype(float)),
+                  TriangleMatches(ids[0, :2], ids[0, :2], np.zeros((2, 3, 2), dtype=np.int64),
+                                  np.ones((2, 3)), np.ones(2))]
+        for table in tables:
+            assert table == table and not table != table
+            assert table != copy.copy(table) and not table == copy.copy(table)
+            assert table != [] and not table == []
+        assert correspondence_table([]) != []  # a result's `inliers` when it fails
 
 
 class TestCollect:

@@ -1,8 +1,11 @@
 """Oracles as properties: W2, its scale law and the lower-bound cut of the
 W2 table; the class-proportional draw of semantic sparsification; the exact
 max clique against brute force and networkx; a yaw stack against its
-single-yaw probes; a damaged map bundle, refused or localizing; and an edge
-value in each spec field and config key, refused by name or run.
+single-yaw probes; a damaged map bundle, refused or localizing; an edge
+value in each spec field and config key, refused by name or run; and the
+query path's array idioms against the numpy forms they replaced: the voxel
+dedup, the triangle dedup, the coarse lookup, a fit below its budget and the
+first non-finite row of a cloud or a triangle table.
 
 Populations are drawn small (up to 5 grid points, 3 classes, 4 yaws) with
 covariances of every rank from 0 to full, means that may coincide, and yaw
@@ -23,16 +26,33 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from scipy.linalg import cho_factor
+from scipy.spatial.distance import pdist, squareform
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from gsfloc import descriptors
+from gsfloc import descriptors, gsf
 from gsfloc.config import GridSection, RunConfig
-from gsfloc.core import FormatError, ValidationError, default_taxonomy
+from gsfloc.core import FormatError, SemanticPointCloud, ValidationError, default_taxonomy
 from gsfloc.descriptors import pair_w2
-from gsfloc.gsf import GpHyperParams, GpPopulation, fit_gsf, grid_probe, semantic_sparsify
+from gsfloc.gsf import (
+    GpHyperParams,
+    GpPopulation,
+    fit_gsf,
+    grid_probe,
+    matern32_matrix,
+    semantic_sparsify,
+)
 from gsfloc.matching import ConsistencyGraph, Correspondence, brute_force_max_clique, max_clique
-from gsfloc.pipeline import BUNDLE_FILES, build_map, load_map, localize, save_map
+from gsfloc.pipeline import (
+    BUNDLE_FILES,
+    build_map,
+    load_map,
+    localize,
+    save_map,
+    voxel_downsample,
+)
+from gsfloc.scene_graph import SceneGraph
 from gsfloc.synth import (
     BackgroundSpec,
     BenchmarkSpec,
@@ -487,3 +507,172 @@ def test_stacked_probe_equals_single_probes(grid, yaws):
         one = singles[yaw]
         for name in ("grid", "mu", "Sigma", "stability_weights"):
             assert np.abs(getattr(stack, name)[k] - getattr(one, name)).max() < 1e-12
+
+
+# The query path's array idioms against the numpy forms they replaced, each
+# written out here as the reference.
+
+
+@st.composite
+def voxel_cloud(draw):
+    """1 to 60 points drawn from up to 8 sites on both sides of the origin, so
+    that many share a voxel, some a site, and each point's label is its index;
+    with the voxel side."""
+    sites = draw(st.lists(st.tuples(*[st.floats(-40.0, 40.0)] * 3), min_size=1, max_size=8))
+    n = draw(st.integers(1, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spread = draw(st.sampled_from([0.0, 0.1, 1.0]))
+    points = np.array(sites)[rng.integers(0, len(sites), n)] + rng.uniform(-spread, spread,
+                                                                          (n, 3))
+    return SemanticPointCloud(points, np.arange(n)), draw(st.sampled_from([0.2, 0.5, 3.0]))
+
+
+@given(voxel_cloud())
+@example((SemanticPointCloud(np.array([[-3.7, -0.1, -12.0]]), [0]), 0.5))
+def test_voxel_keeps_lowest_index_per_voxel(case):
+    """`voxel_downsample` keeps, in index order, each voxel's lowest index, as
+    `np.unique`'s stable sort of the voxel keys gives it: duplicate voxels,
+    negative coordinates and a single point included."""
+    cloud, voxel = case
+    cells = np.floor(cloud.points / voxel).astype(np.int64)
+    cells -= cells.min(axis=0)
+    spans = cells.max(axis=0) + 1
+    key = (cells[:, 0] * spans[1] + cells[:, 1]) * spans[2] + cells[:, 2]
+    want = np.sort(np.unique(key, return_index=True)[1])
+    got = voxel_downsample(cloud, voxel)
+    assert np.array_equal(got.labels, want) and np.array_equal(got.points, cloud.points[want])
+
+
+def _triangulate_axis0(graph, k_neighbors):
+    """`descriptors.triangulate` with its rows deduplicated by `np.unique(axis=0)`."""
+    dist = squareform(pdist(graph.centroids))
+    away = dist.copy()
+    np.fill_diagonal(away, np.inf)
+    n, k = len(graph), min(k_neighbors, len(graph) - 1)
+    nearest = np.argsort(away, axis=1, kind="stable")[:, :k]
+    b, c = np.triu_indices(k, 1)
+    tris = np.sort(np.column_stack([np.repeat(np.arange(n), b.size), nearest[:, b].ravel(),
+                                    nearest[:, c].ravel()]), axis=1)
+    tris = tris[np.sort(np.unique(tris, axis=0, return_index=True)[1])]
+    verts = tris[:, descriptors.ORDERS]
+    sides = dist[verts, tris[:, descriptors._NEXT]]
+    fits = descriptors._ascending(sides)
+    rows, pick = np.arange(len(tris)), np.argmax(fits, axis=1)
+    verts, sides = verts[rows, pick], sides[rows, pick]
+    keep = fits[rows, pick] & (sides[:, 0] + sides[:, 1] - sides[:, 2]
+                               > descriptors.DEGENERACY_SLACK)
+    return verts[keep], graph.labels[verts[keep]], sides[keep]
+
+
+@st.composite
+def lattice_graph(draw):
+    """3 to 14 instances on a small integer lattice, so that centroids
+    coincide and distances tie, with up to 3 labels; and a neighbour count."""
+    n = draw(st.integers(3, 14))
+    cells = draw(st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2), st.integers(0, 1)),
+                          min_size=n, max_size=n))
+    labels = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    graph = SceneGraph(np.array(cells, dtype=np.float64), np.array(labels, dtype=np.int64),
+                       [np.zeros(0, dtype=np.int64)] * n)
+    return graph, draw(st.integers(2, 8))
+
+
+@given(lattice_graph())
+def test_triangle_rows_equal_axis0_dedup(case):
+    """`triangulate`'s one-int64-key dedup gives the table that deduplicating
+    the sorted rows with `np.unique(axis=0)` gives, row for row, with
+    coincident centroids and tied distances."""
+    graph, k = case
+    table = descriptors.triangulate(graph, k)
+    for got, want in zip((table.vertex_ids, table.labels, table.sides),
+                         _triangulate_axis0(graph, k)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@st.composite
+def quarter_metre_tables(draw):
+    """A map and a query triangle table, each of 0 to 30 rows, with sides on a
+    quarter-metre lattice, so that many sides lie exactly delta_d apart, and
+    labels from 0 to 2; with delta_d."""
+    def table(rows):
+        sides = draw(st.lists(st.tuples(*[st.integers(0, 12)] * 3), min_size=rows,
+                              max_size=rows))
+        labels = draw(st.lists(st.tuples(*[st.integers(0, 2)] * 3), min_size=rows,
+                               max_size=rows))
+        return descriptors.TriangleTable(np.zeros((rows, 3), dtype=np.int64),
+                                         np.array(labels, dtype=np.int64).reshape(-1, 3),
+                                         0.25 * np.array(sides, dtype=np.float64).reshape(-1, 3))
+    n_map, n_query = draw(st.integers(0, 30)), draw(st.integers(0, 30))
+    return table(n_map), table(n_query), draw(st.sampled_from([0.25, 0.5, 1.0]))
+
+
+@given(quarter_metre_tables())
+def test_query_index_equals_chebyshev_scan(case):
+    """The coarse lookup's (row, candidate id) array is the linear scan's: every
+    pair within delta_d on each side, the boundary included, whose label
+    multisets are equal, sorted by row, then id; empty tables included."""
+    mtab, qtab, delta_d = case
+    index = descriptors.build_index(mtab, delta_d)
+    within = (np.abs(qtab.sides[:, None] - mtab.sides[None]) <= delta_d).all(axis=2)
+    same = (np.sort(qtab.labels, axis=1)[:, None] == np.sort(mtab.labels, axis=1)[None]).all(2)
+    want = np.argwhere(within & same)
+    got = descriptors.query_index(index, qtab)
+    assert got.dtype == np.int64 and got.shape == (len(want), 2)
+    assert np.array_equal(got, want)
+
+
+@given(st.integers(1, 40), st.sampled_from([0.0, 0.1]), st.booleans(),
+       st.integers(0, 2**32 - 1))
+def test_fit_below_budget_factor_equals_cho_factor(m, sigma_y, twice, seed):
+    """A fit that keeps fewer than `budget` points, its kernel written through a
+    block of the module's larger mask, has the factor of `cho_factor` of the
+    full K = k(X, X) + (sigma_y^2 + jitter) I in its lower triangle and zeros
+    above it; duplicated points with sigma_y 0 need the jitter."""
+    gsf._upper(64)  # the shared mask is larger than any fit drawn here
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-3.0, 3.0, (m, 3))
+    if twice:
+        X[m // 2:] = X[: m - m // 2]
+    hyper = GpHyperParams(1.7, sigma_y)
+    fld = fit_gsf(X, rng.normal(size=(m, 3)), rng.integers(0, 3, m), hyper, 64, 0)
+    K = matern32_matrix(fld.X, fld.X, 1.7)
+    K[np.diag_indices_from(K)] += sigma_y**2 + fld.jitter
+    with gsf._one_blas_thread:
+        want = np.tril(cho_factor(K, lower=True)[0])
+    assert fld.m == m and np.array_equal(fld.factor, want)
+
+
+@st.composite
+def non_finite_rows(draw):
+    """1 to 40 rows of width 1 to 4 with a non-finite entry in row k and in
+    some later rows; returns (array, k)."""
+    n, width = draw(st.integers(1, 40)), draw(st.integers(1, 4))
+    k = draw(st.integers(0, n - 1))
+    a = np.array(draw(st.lists(VALUE, min_size=n * width, max_size=n * width))).reshape(n, width)
+    bad = st.sampled_from([np.nan, np.inf, -np.inf])
+    a[k, draw(st.integers(0, width - 1))] = draw(bad)
+    for row in draw(st.lists(st.integers(k, n - 1), max_size=3)):
+        a[row, draw(st.integers(0, width - 1))] = draw(bad)
+    return a, k
+
+
+@given(non_finite_rows())
+def test_first_non_finite_row_named(case):
+    """A non-finite value in row k, and perhaps in later rows, is reported at
+    row k: as a point's coordinate, as its logit, and as a descriptor's side."""
+    a, k = case
+    n = len(a)
+    points = np.zeros((n, 3))
+    points[:, :min(3, a.shape[1])] = a[:, :3]
+    if not np.isfinite(points[k]).all():
+        with pytest.raises(ValidationError, match=f"^point {k} has a non-finite coordinate$"):
+            SemanticPointCloud(points, np.zeros(n))
+    with pytest.raises(ValidationError, match=f"^point {k} has a non-finite logit$"):
+        SemanticPointCloud(np.zeros((n, 3)), np.zeros(n), a)
+    sides = np.ones((n, 3))
+    sides[:, :min(3, a.shape[1])] = a[:, :3]
+    if not np.isfinite(sides[k]).all():
+        table = descriptors.TriangleTable(np.zeros((n, 3), dtype=np.int64),
+                                          np.zeros((n, 3), dtype=np.int64), sides)
+        with pytest.raises(ValidationError, match=f"^descriptor {k}: sides .* must be finite$"):
+            descriptors.build_index(table, 0.5)
