@@ -60,7 +60,6 @@ class GsfSection:
     kappa: LengthScale = 2.0
     sigma_y: Size = 0.1
     budget: Annotated[int, Bound(least=1, most=2048)] = 256
-    softmax_targets: bool = False
     grid: GridSection = field(default_factory=GridSection)
 
 

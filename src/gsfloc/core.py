@@ -310,6 +310,15 @@ def default_taxonomy() -> LabelTaxonomy:
 # ---------------------------------------------------------------------------
 
 
+def check_finite(a: np.ndarray, says: str) -> None:
+    """A ValidationError, `says.format(row=i, values=...)`, for the first row i
+    of `a` (N, ...) that holds a NaN or an infinity; the whole array is tested
+    first, and the row sought only when there is one."""
+    if not np.isfinite(a).all():
+        bad = int(np.argmin(np.isfinite(a).reshape(len(a), -1).all(axis=1)))
+        raise ValidationError(says.format(row=bad, values=tuple(a[bad].ravel().tolist())))
+
+
 @dataclass
 class SemanticPointCloud:
     """Points with per-point class labels and optional class-score logits.
@@ -329,9 +338,7 @@ class SemanticPointCloud:
                 f"labels count {self.labels.shape[0]} does not match point count "
                 f"{self.points.shape[0]}"
             )
-        if not np.isfinite(self.points).all():  # the bad row is sought only when there is one
-            bad = int(np.argmin(np.isfinite(self.points).all(axis=1)))
-            raise ValidationError(f"point {bad} has a non-finite coordinate")
+        check_finite(self.points, "point {row} has a non-finite coordinate")
         if self.logits is not None:
             self.logits = np.asarray(self.logits, dtype=np.float64)
             if self.logits.ndim != 2 or self.logits.shape[0] != self.points.shape[0]:
@@ -339,9 +346,7 @@ class SemanticPointCloud:
                     f"logits shape {self.logits.shape} does not match point count "
                     f"{self.points.shape[0]}"
                 )
-            if not np.isfinite(self.logits).all():
-                bad = int(np.argmin(np.isfinite(self.logits).all(axis=1)))
-                raise ValidationError(f"point {bad} has a non-finite logit")
+            check_finite(self.logits, "point {row} has a non-finite logit")
             if self.n > 0:
                 pred = np.argmax(self.logits, axis=1)  # first max = lowest class id
                 bad = np.nonzero(pred != self.labels)[0]
@@ -426,8 +431,8 @@ def load_npz(path) -> NpzArrays:
     """Every array of an .npz file, read at once.
 
     A file that does not read as an npz archive, whatever numpy's reader
-    raises for it, or a float array holding a NaN or an infinity, is a
-    FormatError naming the file.
+    raises for it, a member that is not an array, or a float array holding a
+    NaN or an infinity, is a FormatError naming the file.
     """
     try:
         with np.load(path) as buf:
@@ -437,9 +442,18 @@ def load_npz(path) -> NpzArrays:
     except Exception as e:
         raise FormatError(f"npz file {path}: unreadable ({e})") from e
     for k, a in arrays.items():
+        if not isinstance(a, np.ndarray):  # numpy reads a member without the npy magic as bytes
+            raise FormatError(f"npz file {path}: member {k!r} is not an npy array")
         if a.dtype.kind == "f" and not np.all(np.isfinite(a)):
             raise FormatError(f"npz file {path}: array {k!r} holds non-finite values")
     return NpzArrays(path, arrays)
+
+
+def describe_array(a: np.ndarray, name: str) -> str:
+    """How a refusal names an archive's array: its dtype, shape and, for
+    integers, its range."""
+    span = f" from {a.min()} to {a.max()}" if a.dtype.kind in "iu" and a.size else ""
+    return f"it holds {a.dtype} {name} of shape {a.shape}{span}"
 
 
 def load_cloud(
@@ -520,7 +534,7 @@ def save_cloud(cloud: SemanticPointCloud, points_path, labels_path, logits_path=
 
 @dataclass
 class RigidTransform:
-    """Rotation + translation; R must be a proper rotation to 1e-9."""
+    """Rotation + translation, both finite; R must be a proper rotation to 1e-9."""
 
     R: np.ndarray  # (3,3)
     t: np.ndarray  # (3,)
@@ -528,6 +542,9 @@ class RigidTransform:
     def __post_init__(self):
         self.R = np.asarray(self.R, dtype=np.float64).reshape(3, 3)
         self.t = np.asarray(self.t, dtype=np.float64).reshape(3)
+        for name, part in (("R", self.R), ("t", self.t)):
+            if not np.isfinite(part).all():  # NaN would pass both tests below
+                raise ValidationError(f"{name} must be finite, got {part.tolist()}")
         err = np.linalg.norm(self.R.T @ self.R - np.eye(3))
         if err > 1e-9:
             raise ValidationError(f"R is not orthonormal: |R^T R - I|_F = {err:.3e}")

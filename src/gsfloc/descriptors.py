@@ -12,33 +12,28 @@ whose label multiset matches: one descriptor's candidate ids, or, from one
 query between a tree over its sides and the index's, a table's (query row,
 candidate id) array, which `gsf_filter` scores into one `TriangleMatches`
 record. `build_index`, the index's one constructor, refuses a label outside
-[0, 2**LABEL_BITS), the range of a label code, and a side that is not finite;
-`load_index` refuses such a file with a FormatError naming it. The file
-(little-endian) is `INDEX_HEADER`: magic b"GSFI", version 1, delta_d and
-count, then the table as `count` `INDEX_RECORD`s of 48 bytes, row i
-descriptor i.
+[0, 2**LABEL_BITS), the range of a label code, and a side that is not finite.
+
+A map archive keeps only the index's vertex ids (`save_index`); `load_index`
+derives each row's labels and sides from the instance table, the sides by
+`triangle_sides`, the rule `triangulate` gathers them by, so they are the
+built index's bit for bit.
 """
 
 from __future__ import annotations
 
 import itertools
-import struct
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import pdist, squareform
 
-from .core import FormatError, ValidationError
+from .core import ValidationError, check_finite, describe_array
 from .gsf import GpPopulation
 from .wasserstein import SimilarityConfig, similarity_weight, w2_lower_bound, w2_squared
 
-INDEX_MAGIC = b"GSFI"
-INDEX_VERSION = 1
-INDEX_HEADER = struct.Struct("<4sIdI")  # magic, version, delta_d, count
-INDEX_RECORD = np.dtype([("vertex_ids", "<u4", 3), ("labels", "<u4", 3), ("sides", "<f8", 3)])
 DEGENERACY_SLACK = 1e-6
 EQUAL_SIDE_TOL = 1e-9
 
@@ -84,6 +79,12 @@ def _ascending(sides: np.ndarray) -> np.ndarray:
         sides[..., 1] <= sides[..., 2] + EQUAL_SIDE_TOL)
 
 
+def triangle_sides(dist: np.ndarray, verts: np.ndarray) -> np.ndarray:
+    """(d12, d23, d31) on the last axis of each vertex order `verts` (..., 3),
+    gathered from the instances' distance matrix `dist`."""
+    return dist[verts, verts[..., [1, 2, 0]]]
+
+
 def triangulate(graph, k_neighbors: int) -> TriangleTable:
     """All C(K,2) triangles per anchor with its K nearest instances, deduplicated,
     over a scene graph's centroid and label rows, as one table.
@@ -113,7 +114,7 @@ def triangulate(graph, k_neighbors: int) -> TriangleTable:
     tris = tris[np.sort(first)]
 
     verts = tris[:, ORDERS]  # (m, 6, 3): every vertex order of every triangle
-    sides = dist[verts, tris[:, _NEXT]]  # (d12, d23, d31) per order
+    sides = triangle_sides(dist, verts)
     fits = _ascending(sides)
     pick = np.argmax(fits, axis=1)
     rows = np.arange(len(tris))
@@ -160,10 +161,7 @@ def build_index(descriptors, delta_d: float) -> DescriptorIndex:
         bad = int(np.argmax(codes < 0))
         raise ValidationError(f"descriptor {bad}: labels {tuple(table.labels[bad].tolist())} "
                               f"must lie in [0, {1 << LABEL_BITS})")
-    if not np.isfinite(table.sides).all():
-        bad = int(np.argmin(np.isfinite(table.sides).all(axis=1)))
-        raise ValidationError(f"descriptor {bad}: sides {tuple(table.sides[bad].tolist())} must "
-                              "be finite")
+    check_finite(table.sides, "descriptor {row}: sides {values} must be finite")
     return DescriptorIndex(delta_d, table, cKDTree(table.sides), codes,
                            _ascending(table.sides[:, _SIDE[ORDERS, _NEXT]]))
 
@@ -187,39 +185,27 @@ def query_index(index: DescriptorIndex, descs):
     return cand[:, 1].tolist() if isinstance(descs, TriangleDescriptor) else cand
 
 
-def save_index(index: DescriptorIndex, path) -> None:
-    table = index.table
-    rec = np.empty(len(table), INDEX_RECORD)
-    rec["vertex_ids"], rec["labels"], rec["sides"] = table.vertex_ids, table.labels, table.sides
-    head = INDEX_HEADER.pack(INDEX_MAGIC, INDEX_VERSION, index.delta_d, len(rec))
-    Path(path).write_bytes(head + rec.tobytes())
+def save_index(index: DescriptorIndex) -> dict[str, np.ndarray]:
+    """The index's part of a map archive: its (n, 3) vertex ids, row i descriptor i."""
+    return {"vertex_ids": index.table.vertex_ids}
 
 
-def load_index(path) -> DescriptorIndex:
-    """The index `save_index` wrote. A file that is short, of another magic or
-    version, or whose content `build_index` refuses (a delta_d that is not a
-    positive finite number, a label outside the code range, a side that is not
-    finite) is a FormatError naming the file."""
-    raw, head = Path(path).read_bytes(), INDEX_HEADER.size
-    if len(raw) < head:
-        raise FormatError(f"index file {path}: expected at least {head} bytes, got {len(raw)}")
-    magic, version, delta_d, count = INDEX_HEADER.unpack_from(raw)
-    if magic != INDEX_MAGIC:
-        raise FormatError(f"index file {path}: bad magic {magic!r}")
-    if version != INDEX_VERSION:
-        raise FormatError(f"index file {path}: unsupported version {version}")
-    expected = head + count * INDEX_RECORD.itemsize
-    if len(raw) != expected:
-        raise FormatError(
-            f"index file {path}: expected {expected} bytes for {count} entries, got {len(raw)}"
-        )
-    rec = np.frombuffer(raw, INDEX_RECORD, count, head)
-    table = TriangleTable(rec["vertex_ids"].astype(np.int64), rec["labels"].astype(np.int64),
-                          rec["sides"].copy())
-    try:
-        return build_index(table, delta_d)
-    except ValidationError as e:
-        raise FormatError(f"index file {path}: {e}") from e
+def load_index(vertex_ids: np.ndarray, centroids: np.ndarray, labels: np.ndarray,
+               delta_d: float) -> DescriptorIndex:
+    """The index over the stored triangle rows `vertex_ids`, in the vertex order
+    `triangulate` gave them, of the instances with `centroids` (K, 3) and
+    `labels` (K,): each row's labels are `labels[vertex_ids]`, and its sides
+    are gathered from the centroids' distances by `triangle_sides`. Vertex ids
+    that are not an (n, 3) integer array in [0, K) are a ValidationError
+    naming them."""
+    k = len(centroids)
+    if not (vertex_ids.ndim == 2 and vertex_ids.shape[1] == 3 and vertex_ids.dtype.kind in "iu"
+            and np.all((vertex_ids >= 0) & (vertex_ids < k))):
+        raise ValidationError(f"vertex_ids must be an (n, 3) integer array in [0, {k}); "
+                              f"{describe_array(vertex_ids, 'vertex_ids')}")
+    verts = vertex_ids.astype(np.int64)
+    sides = triangle_sides(squareform(pdist(centroids)), verts)
+    return build_index(TriangleTable(verts, labels[verts], sides), delta_d)
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,10 @@ A fit factors K = L L^T once and caches the whitened targets L^-1 Y. A
 prediction then makes one triangular solve, W = L^-1 k(X,Q), and reads both
 moments from it: mu = W^T (L^-1 Y) and Sigma = k(Q,Q) - W^T W. The factor and
 the solves are direct LAPACK calls (`dpotrf`, `dtrtrs`), the routines
-`cho_factor` and `solve_triangular` call, without their input checks: K's
-inputs are finite, as a cloud refuses non-finite points and logits and
-`fit_gsf` refuses non-finite logits. A fit evaluates each pair's kernel once,
+`cho_factor` and `solve_triangular` call, without their input checks: their
+inputs are finite, as `fit_gsf` refuses a non-finite coordinate or logit,
+and `gsf_predict` and `reconstruction_miou` a non-finite point, each naming
+its first bad row. A fit evaluates each pair's kernel once,
 in `pdist` order, and writes only the triangle of K that `dpotrf` reads; a
 jittered retry writes that triangle again from the same condensed values. The
 prior k(Q,Q) is memoised on the probe points' values and kappa, since every
@@ -56,6 +57,7 @@ from .core import (
     Size,
     ValidationError,
     check_fields,
+    check_finite,
     read,
     rot_z,
 )
@@ -319,7 +321,8 @@ def fit_gsf(
     factorize K = k(X,X) + sigma_y^2 I = L L^T and cache the whitened targets
     L^-1 Y, one triangular solve, from which `gsf_predict` reads the mean.
 
-    Points already sparsified, at most `budget` of them, are fit as they are."""
+    Points already sparsified, at most `budget` of them, are fit as they are.
+    A non-finite coordinate or logit is a ValidationError naming its row."""
     X_local = np.asarray(X_local, dtype=np.float64).reshape(-1, 3)
     Y_logits = np.asarray(Y_logits, dtype=np.float64)
     labels = np.asarray(labels).reshape(-1)
@@ -333,8 +336,8 @@ def fit_gsf(
         )
     if X_local.shape[0] < 1:
         raise FitError("cannot fit a field on an empty neighborhood")
-    if not np.all(np.isfinite(Y_logits)):
-        raise ValidationError("logits contain non-finite values")
+    check_finite(X_local, "point {row} has a non-finite coordinate")
+    check_finite(Y_logits, "point {row} has a non-finite logit")
 
     idx = semantic_sparsify(labels, budget, seed)
     if idx.size == 0:
@@ -369,10 +372,12 @@ def gsf_predict(field: GaussianSemanticField, Q) -> tuple[np.ndarray, np.ndarray
     Q (G,3) gives mu (G,D) and Sigma (G,G); a stack Q (Y,G,3) gives mu (Y,G,D)
     and Sigma (Y,G,G), member y predicted at Q[y]. All points share one kernel
     matrix against X and one triangular solve W = L^-1 k(X,Q), which gives
-    mu = W^T L^-1 Y and Sigma = k(Q,Q) - W^T W.
+    mu = W^T L^-1 Y and Sigma = k(Q,Q) - W^T W. A non-finite point is a
+    ValidationError naming its row of Q, flattened to (Y*G, 3).
     """
     Q = np.atleast_2d(np.asarray(Q, dtype=np.float64))
     Qs = Q.reshape(-1, Q.shape[-2], 3)  # (Y,G,3); a single set is a stack of one
+    check_finite(Q.reshape(-1, 3), "probe point {row} has a non-finite coordinate")
     n_y, g = Qs.shape[:2]
     with _one_blas_thread:  # the products too: OpenBLAS threads a large grid's
         W, mu = _whiten(field, Qs.reshape(-1, 3))
@@ -521,11 +526,13 @@ def apply_stability_mask(Sigma: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 
 def reconstruction_miou(field: GaussianSemanticField, heldout_points, heldout_labels) -> float:
-    """Mean IoU of argmax-mean predictions over classes present in pred or truth."""
+    """Mean IoU of argmax-mean predictions over classes present in pred or truth.
+    A non-finite held-out point is a ValidationError naming its row."""
     pts = np.asarray(heldout_points, dtype=np.float64).reshape(-1, 3)
     truth = np.asarray(heldout_labels).reshape(-1)
     if pts.shape[0] == 0:
         raise ValidationError("heldout set is empty")
+    check_finite(pts, "held-out point {row} has a non-finite coordinate")
     _, mean = _whiten(field, pts)  # gsf_predict's mean, without the covariance
     pred = np.argmax(mean, axis=1)
     classes = np.union1d(np.unique(pred), np.unique(truth))

@@ -17,34 +17,41 @@ clique's rows) and `_solve` (robust IRLS over those rows of the two centroid
 tables; the result's inliers are the rows it keeps).
 
 A map holds only what `localize` reads: one (K, 3) table of instance
-centroids and one table of probed populations, row i instance i's in each,
-with a mask of the fitted rows, the triangle index over the map's triangle
-table, the taxonomy and the config. Map and query share one fit-and-probe
-path, `_probe_fields`, which fills a row and drops its field; `build_map`
-drops the map cloud once it is triangulated.
+centroids with their (K,) labels and one table of probed populations, row i
+instance i's in each, with a mask of the fitted rows, the triangle index over
+the map's triangle table, the taxonomy and the config. Map and query share
+one fit-and-probe path, `_probe_fields`, which fills a row and drops its
+field; `build_map` drops the map cloud once it is triangulated.
 
-Map bundle directory layout, version 5:
-    graph.json        instance ids and centroids
-    index.gsfi        triangle descriptor index
-    populations.npz   three whole arrays: ids (P,), the instances that have a
-                      population, ascending; mu (P, G, D), their probed means;
-                      Sigma (P, G, G), their probed covariances
-    config.json       RunConfig + taxonomy snapshot
-    manifest.json     format, version, sha256 of each file above
+Map bundle directory layout, version 6:
+    map.npz        six whole arrays, written once and read once: centroids
+                   (K, 3) and labels (K,), the instance table; vertex_ids
+                   (n, 3), the index's triangle rows; ids (P,), the instances
+                   that have a population, ascending; mu (P, G, D), their
+                   probed means; Sigma (P, G, G), their probed covariances
+    config.json    RunConfig + taxonomy snapshot
+    manifest.json  format, version, sha256 of each file above
 
-config.json is the bundle's only copy of the config. A query config is held
-to the map's by `localize` alone: it refuses one whose population settings
-(the `gsf` section, `cluster.neighborhood_radius` and `index.delta_d`)
-differ. `load_map` refuses, with a FormatError naming the file, a JSON file
-that is not UTF-8, does not parse or lacks a part, a config.json whose config
-or taxonomy does not check or whose cluster thresholds name a class the
-taxonomy lacks, an index whose delta_d is not config.json's, an npz file that
-does not read, lacks an array or holds a non-finite value, ids that are not
-one strictly ascending row of integers, a mu other than (P, G, D) or a Sigma
-other than (P, G, G) for the config's G grid points and the taxonomy's D
-classes, and an index or population of an instance that graph.json does not
-hold. The stored rows fill a NaN table; its grid and stability weights are
-rebuilt from the config and the taxonomy, as `grid_probe` made them.
+config.json is the bundle's only copy of the config, delta_d included. A
+query config is held to the map's by `localize` alone: it refuses one whose
+population settings (the `gsf` section, `cluster.neighborhood_radius` and
+`index.delta_d`) differ. The archive's parts are read by their codecs,
+`load_scene_graph`, `load_index` and `_load_populations`: the triangles'
+labels are `labels[vertex_ids]` and their sides are gathered from the
+centroid distances as `triangulate` gathered them, and the populations' grid
+and stability weights are rebuilt from the config and the taxonomy, as
+`grid_probe` made them; the stored rows fill a NaN table. `load_map`
+refuses, with a FormatError naming the file, a JSON file that is not UTF-8,
+does not parse or lacks a part, a config.json whose config or taxonomy does
+not check or whose cluster thresholds name a class the taxonomy lacks, and a
+map.npz that does not read, lacks an array or holds a non-finite value; and,
+naming the array too, centroids that are not (K, 3) floats, labels that are
+not a (K,) row of integers in [0, D), vertex ids that are not an (n, 3)
+integer array in [0, K), ids that are not one strictly ascending row of
+integers in [0, K), a mu other than (P, G, D) or a Sigma other than
+(P, G, G) floats, for the config's G grid points and the taxonomy's D
+classes, a mu or Sigma entry beyond +-POPULATION_MOST, and a Sigma that
+is not exactly symmetric.
 
 The returned pose maps query-frame (sensor) coordinates into the map frame.
 """
@@ -68,6 +75,7 @@ from .core import (
     SemanticPointCloud,
     ValidationError,
     check_fields,
+    describe_array,
     load_npz,
     read_json,
     sha256_file,
@@ -105,8 +113,11 @@ from .scene_graph import (
 from .wasserstein import SimilarityConfig
 
 MAP_BUNDLE_FORMAT = "gsfloc-map-bundle"
-MAP_BUNDLE_VERSION = 5
-BUNDLE_FILES = ("graph.json", "index.gsfi", "populations.npz", "config.json")
+MAP_BUNDLE_VERSION = 6
+BUNDLE_FILES = ("map.npz", "config.json")
+# the magnitude a stored mean or covariance entry is held to: W2 squares and
+# multiplies them, and the results stay finite within it
+POPULATION_MOST = 1e100
 
 # localize's stages, in run order; each is one key of `timings_ms`
 STAGES = ("graph", "probe", "match", "clique", "solve")
@@ -119,6 +130,7 @@ class BuildError(GsflocError):
 @dataclass
 class ReferenceMap:
     centroids: np.ndarray  # (K, 3) map-frame centroids, row i instance i's
+    labels: np.ndarray  # (K,) int64 class ids, row i instance i's
     index: DescriptorIndex
     populations: GpPopulation  # (K, G, ·) table, row i instance i's, NaN where a fit failed
     fitted: np.ndarray  # (K,) bool, the rows of `populations` that hold a population
@@ -197,18 +209,6 @@ def voxel_downsample(cloud: SemanticPointCloud, voxel: float) -> SemanticPointCl
     return SemanticPointCloud(cloud.points[keep], cloud.labels[keep], logits)
 
 
-def _softmax(x: np.ndarray) -> np.ndarray:
-    z = x - x.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
-
-
-def _prepare_cloud(cloud: SemanticPointCloud, config: RunConfig) -> SemanticPointCloud:
-    if config.gsf.softmax_targets and cloud.logits is not None:
-        return SemanticPointCloud(cloud.points, cloud.labels, _softmax(cloud.logits))
-    return cloud
-
-
 def _flatten(d: dict, prefix: str = ""):
     for k, v in d.items():
         if isinstance(v, dict):
@@ -233,17 +233,17 @@ def build_map(
     config: RunConfig | None = None,
 ) -> ReferenceMap:
     """Instance centroids + canonical populations + descriptor index over the
-    map cloud; of the scene graph, only the centroid table is kept. The
-    config is checked as one read from a file would be."""
+    map cloud; of the scene graph, only the centroid and label table is kept.
+    The config is checked as one read from a file would be."""
     config = config or RunConfig()
     check_fields(config, config_key)
-    cloud = _prepare_cloud(map_cloud, config)
-    graph = build_scene_graph(cloud, taxonomy, config)
+    graph = build_scene_graph(map_cloud, taxonomy, config)
     if len(graph) < 3:
         raise BuildError(f"map has {len(graph)} instances; at least 3 are required")
-    fitted, populations = _probe_fields(graph, cloud, taxonomy, config, 0.0)
+    fitted, populations = _probe_fields(graph, map_cloud, taxonomy, config, 0.0)
     index = build_index(triangulate(graph, config.index.k_neighbors), config.index.delta_d)
-    return ReferenceMap(graph.centroids, index, populations, fitted, taxonomy, config)
+    return ReferenceMap(graph.centroids, graph.labels, index, populations, fitted, taxonomy,
+                        config)
 
 
 def _timed(timings: dict, stage: str, fn, *args):
@@ -275,9 +275,9 @@ def _probe_fields(graph, cloud, taxonomy, config, yaw) -> tuple[np.ndarray, GpPo
 
 
 def _query_graph(query_cloud, taxonomy, config) -> tuple[SemanticPointCloud, SceneGraph]:
-    """Stage "graph": prepare and voxel-downsample the scan, then cluster it.
-    Returns the voxelled scan and its scene graph."""
-    cloud = voxel_downsample(_prepare_cloud(query_cloud, config), config.pipeline.query_voxel)
+    """Stage "graph": voxel-downsample the scan, then cluster it. Returns the
+    voxelled scan and its scene graph."""
+    cloud = voxel_downsample(query_cloud, config.pipeline.query_voxel)
     return cloud, build_scene_graph(cloud, taxonomy, config)
 
 
@@ -427,10 +427,9 @@ def localize(
 def save_map(ref_map: ReferenceMap, bundle_dir) -> None:
     d = Path(bundle_dir)
     d.mkdir(parents=True, exist_ok=True)
-    save_scene_graph(ref_map.centroids, d / "graph.json")
-    save_index(ref_map.index, d / "index.gsfi")
     fitted, pops = ref_map.fitted, ref_map.populations
-    np.savez_compressed(d / "populations.npz", ids=np.flatnonzero(fitted),
+    np.savez_compressed(d / "map.npz", **save_scene_graph(ref_map.centroids, ref_map.labels),
+                        **save_index(ref_map.index), ids=np.flatnonzero(fitted),
                         mu=pops.mu[fitted], Sigma=pops.Sigma[fitted])
     (d / "config.json").write_text(
         json.dumps(
@@ -446,6 +445,37 @@ def save_map(ref_map: ReferenceMap, bundle_dir) -> None:
         "files": {f: sha256_file(d / f) for f in BUNDLE_FILES},
     }
     (d / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+
+
+def _load_populations(ids, mu, Sigma, k, config, taxonomy) -> tuple[np.ndarray, GpPopulation]:
+    """The (k,) fitted mask and the population table of a map archive's ids,
+    mu and Sigma; a ValidationError names the array that does not fit."""
+    if not (ids.ndim == 1 and ids.dtype.kind in "iu" and np.all(ids[1:] > ids[:-1])
+            and np.all((ids >= 0) & (ids < k))):
+        raise ValidationError(f"ids must be one strictly ascending row of integers in [0, {k}); "
+                              f"{describe_array(ids, 'ids')}")
+    grid = probe_grid(config.gsf.grid)
+    g, n_cls, p = len(grid), taxonomy.num_classes, len(ids)
+    if (mu.shape, Sigma.shape) != ((p, g, n_cls), (p, g, g)) or \
+            {mu.dtype.kind, Sigma.dtype.kind} != {"f"}:
+        raise ValidationError(
+            f"holds {mu.dtype} mu of shape {mu.shape} and {Sigma.dtype} Sigma of shape "
+            f"{Sigma.shape}; its {p} ids, the config's {g} grid points and the taxonomy's "
+            f"{n_cls} classes need floats of shapes ({p}, {g}, {n_cls}) and ({p}, {g}, {g})"
+        )
+    for name, a in (("mu", mu), ("Sigma", Sigma)):
+        if a.size and np.abs(a).max() > POPULATION_MOST:
+            raise ValidationError(f"{name} must lie within +-{POPULATION_MOST:g}; it reaches "
+                                  f"{np.abs(a).max():g}")
+    asym = np.flatnonzero((Sigma != np.swapaxes(Sigma, 1, 2)).any(axis=(1, 2)))
+    if asym.size:  # `grid_probe` stores exactly symmetric ones; W2 would refuse this one
+        raise ValidationError(f"Sigma must hold symmetric covariances; row {asym[0]}, "
+                              f"instance {ids[asym[0]]}'s, does not")
+    fitted = np.zeros(k, dtype=bool)
+    fitted[ids] = True
+    populations = _nan_table(grid, k, n_cls)
+    populations[ids] = GpPopulation(grid, mu, Sigma, stability_weights(mu, taxonomy))
+    return fitted, populations
 
 
 def load_map(bundle_dir) -> ReferenceMap:
@@ -485,36 +515,13 @@ def load_map(bundle_dir) -> ReferenceMap:
         check_thresholds(config.cluster, taxonomy)
     except ValidationError as e:
         raise FormatError(f"map bundle {d}: config.json: {e}") from e
-    centroids = load_scene_graph(d / "graph.json")
-    index = load_index(d / "index.gsfi")
-    if index.delta_d != config.index.delta_d:
-        raise FormatError(
-            f"map bundle {d}: index.gsfi was built with delta_d {index.delta_d}; "
-            f"config.json's index.delta_d is {config.index.delta_d}"
-        )
-    buf = load_npz(d / "populations.npz")
-    ids, mu, Sigma = buf["ids"], buf["mu"], buf["Sigma"]
-    if ids.ndim != 1 or ids.dtype.kind not in "iu" or np.any(ids[1:] <= ids[:-1]):
-        raise FormatError(
-            f"map bundle {d}: populations.npz ids must be one strictly ascending row of "
-            f"integers; it holds {ids.dtype} ids of shape {ids.shape}"
-        )
-    for name, named in (("index.gsfi", index.table.vertex_ids), ("populations.npz", ids)):
-        stray = np.setdiff1d(named, np.arange(len(centroids)))  # a negative id would wrap below
-        if stray.size:
-            raise FormatError(
-                f"map bundle {d}: {name} names instance {stray[0]}, "
-                f"which graph.json does not hold ({len(centroids)} instances)"
-            )
-    grid = probe_grid(config.gsf.grid)
-    g, n_cls, p = len(grid), taxonomy.num_classes, len(ids)
-    if mu.shape != (p, g, n_cls) or Sigma.shape != (p, g, g):
-        raise FormatError(
-            f"map bundle {d}: populations.npz holds mu of shape {mu.shape} and Sigma of shape "
-            f"{Sigma.shape}; its {p} ids, the config's {g} grid points and the taxonomy's "
-            f"{n_cls} classes need ({p}, {g}, {n_cls}) and ({p}, {g}, {g})"
-        )
-    fitted = np.isin(np.arange(len(centroids)), ids)
-    populations = _nan_table(grid, len(centroids), n_cls)
-    populations[ids] = GpPopulation(grid, mu, Sigma, stability_weights(mu, taxonomy))
-    return ReferenceMap(centroids, index, populations, fitted, taxonomy, config)
+    arrays = load_npz(d / "map.npz")
+    try:
+        centroids, labels = load_scene_graph(arrays["centroids"], arrays["labels"],
+                                             taxonomy.num_classes)
+        index = load_index(arrays["vertex_ids"], centroids, labels, config.index.delta_d)
+        fitted, populations = _load_populations(arrays["ids"], arrays["mu"], arrays["Sigma"],
+                                                len(centroids), config, taxonomy)
+    except ValidationError as e:
+        raise FormatError(f"map bundle {d}: map.npz: {e}") from e
+    return ReferenceMap(centroids, labels, index, populations, fitted, taxonomy, config)

@@ -14,19 +14,17 @@ copy of the cloud it was built from. Every setting comes from the run's
 `RunConfig`: the `cluster` section, the GP settings of `gsf` and
 `pipeline.seed`.
 
-Serialization: a versioned JSON document of each instance's id and centroid,
-the part of the object layer a map bundle needs at query time, read back as
-the (K, 3) centroid table. Fields are not stored; a map bundle keeps their
-probed populations instead.
+Serialization: the instance table's centroids and labels, the part of the
+object layer a map archive needs, as two whole arrays, row i instance i.
+Members and fields are not stored; a map archive keeps the fields' probed
+populations instead.
 """
 
 from __future__ import annotations
 
-import json
 import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -35,15 +33,12 @@ from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 from .config import ClusterSection, RunConfig
-from .core import FormatError, LabelTaxonomy, SemanticPointCloud, ValidationError, read_json
+from .core import LabelTaxonomy, SemanticPointCloud, ValidationError, describe_array
 from .gsf import FitError, GaussianSemanticField, GpHyperParams, fit_gsf, semantic_sparsify
 
 # k-d trees built once and queried once: the median splits of a balanced tree
 # and the shrunk node boxes of a compact one cost more to build than they save
 _TREE = {"balanced_tree": False, "compact_nodes": False}
-
-GRAPH_FORMAT = "gsfloc-scene-graph"
-GRAPH_VERSION = 3
 
 
 @dataclass
@@ -163,48 +158,23 @@ def fit_fields(
         yield iid, field
 
 
-def save_scene_graph(centroids: np.ndarray, json_path) -> None:
-    """Write each instance's id and centroid, row i of `centroids` (K, 3) as id i."""
-    doc = {
-        "format": GRAPH_FORMAT,
-        "version": GRAPH_VERSION,
-        "instances": [
-            {"id": iid, "centroid": c} for iid, c in enumerate(centroids.tolist())
-        ],
-    }
-    Path(json_path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+def save_scene_graph(centroids: np.ndarray, labels: np.ndarray) -> dict[str, np.ndarray]:
+    """The instance table's part of a map archive: centroids (K, 3) and labels (K,)."""
+    return {"centroids": centroids, "labels": labels}
 
 
-def load_scene_graph(json_path) -> np.ndarray:
-    """The (K, 3) centroids saved by `save_scene_graph`, row i instance i's.
-
-    A document that does not parse, or whose instances are not the integer ids
-    0..K-1 in list order each with three finite centroid coordinates, is a
-    FormatError naming the file.
-    """
-    where = f"scene graph file {json_path}"
-    doc = read_json(json_path, where)
-    if not isinstance(doc, dict) or doc.get("format") != GRAPH_FORMAT:
-        raise FormatError(f"{where}: unrecognized format field")
-    if doc.get("version") != GRAPH_VERSION:
-        raise FormatError(f"{where}: unsupported version {doc.get('version')}")
-    records = doc.get("instances")
-    if not isinstance(records, list):
-        raise FormatError(f"{where}: no instances list")
-    centroids = np.zeros((len(records), 3))
-    for k, rec in enumerate(records):
-        if not isinstance(rec, dict) or "id" not in rec or "centroid" not in rec:
-            raise FormatError(f"{where}: instance record {k} lacks id or centroid")
-        if type(rec["id"]) is not int or rec["id"] != k:  # not false for 0, nor 2.0 for 2
-            raise FormatError(
-                f"{where}: instance ids must be 0..K-1 in list order; "
-                f"record {k} has id {rec['id']!r}"
-            )
-        try:
-            c = np.asarray(rec["centroid"], dtype=np.float64)
-        except (TypeError, ValueError):
-            c = np.full(0, np.nan)
-        if c.shape != (3,) or not np.all(np.isfinite(c)):
-            raise FormatError(f"{where}: instance {k} centroid is not three finite numbers")
-        centroids[k] = c
-    return centroids
+def load_scene_graph(centroids: np.ndarray, labels: np.ndarray,
+                     num_classes: int) -> tuple[np.ndarray, np.ndarray]:
+    """The instance table `save_scene_graph` stored, as float64 centroids and
+    int64 labels. Centroids that are not (K, 3) floats, or labels that are not
+    one (K,) row of integers in [0, num_classes), are a ValidationError
+    naming the array."""
+    if not (centroids.ndim == 2 and centroids.shape[1] == 3 and centroids.dtype.kind == "f"):
+        raise ValidationError(f"centroids must be (K, 3) floats; "
+                              f"{describe_array(centroids, 'centroids')}")
+    k = len(centroids)
+    if not (labels.shape == (k,) and labels.dtype.kind in "iu"
+            and np.all((labels >= 0) & (labels < num_classes))):
+        raise ValidationError(f"labels must be one ({k},) row of integers in [0, {num_classes}); "
+                              f"{describe_array(labels, 'labels')}")
+    return centroids.astype(np.float64), labels.astype(np.int64)

@@ -44,14 +44,18 @@ def scene_files(tmp_path_factory):
     return tmp
 
 
-def _npz_edit(raw: bytes, ids=None, header_unclosed=None) -> bytes:
-    """An npz archive's bytes with `ids(array)` in place of its ids array, or
-    with the array header of `header_unclosed` left without its closing
-    brace, which numpy's header parse meets with a tokenize error."""
+def _npz_edit(raw: bytes, header_unclosed=None, **edits) -> bytes:
+    """An npz archive's bytes with `edits[key](array)` in place of each array
+    it names, or without the array where that is None; or with the array
+    header of `header_unclosed` left without its closing brace, which numpy's
+    header parse meets with a tokenize error."""
     with np.load(io.BytesIO(raw)) as buf:
         arrays = {k: buf[k] for k in buf.files}
-    if ids is not None:
-        arrays["ids"] = ids(arrays["ids"])
+    for key, edit in edits.items():
+        if edit is None:
+            del arrays[key]
+        else:
+            arrays[key] = edit(arrays[key])
     out = io.BytesIO()
     with zipfile.ZipFile(out, "w", zipfile.ZIP_DEFLATED) as z:
         for key, a in arrays.items():
@@ -96,7 +100,7 @@ def _localize_query(bundle, scene_files, *extra):
 class TestBuildMap:
     def test_bundle_written(self, bundle, capsys):
         assert (bundle / "manifest.json").exists()
-        assert (bundle / "index.gsfi").exists()
+        assert (bundle / "map.npz").exists()
         assert (bundle / "run_manifest.json").exists()
         manifest = json.loads((bundle / "run_manifest.json").read_text())
         assert "effective_config" in manifest and "inputs" in manifest
@@ -317,15 +321,15 @@ class TestLocalize:
     def test_truncated_populations_exit_1(self, scene_files, bundle, tmp_path, capsys):
         tampered = tmp_path / "tampered"
         shutil.copytree(bundle, tampered)
-        raw = (tampered / "populations.npz").read_bytes()[:1000]
-        (tampered / "populations.npz").write_bytes(raw)
+        raw = (tampered / "map.npz").read_bytes()[:1000]
+        (tampered / "map.npz").write_bytes(raw)
         manifest = json.loads((tampered / "manifest.json").read_text())
-        manifest["files"]["populations.npz"] = hashlib.sha256(raw).hexdigest()
+        manifest["files"]["map.npz"] = hashlib.sha256(raw).hexdigest()
         (tampered / "manifest.json").write_text(json.dumps(manifest))
         rc = _localize_query(tampered, scene_files)
         err = capsys.readouterr().err
         assert rc == 1
-        assert "populations.npz: unreadable" in err and "Traceback" not in err
+        assert "map.npz: unreadable" in err and "Traceback" not in err
 
     def test_version_1_bundle_exit_1(self, scene_files, bundle, tmp_path, capsys):
         old = tmp_path / "old"
@@ -347,58 +351,29 @@ class TestLocalize:
         assert rc == 1
         assert "unsupported version 2" in capsys.readouterr().err
 
+    def test_version_5_bundle_exit_1(self, scene_files, bundle, tmp_path, capsys):
+        old = tmp_path / "old"
+        shutil.copytree(bundle, old)
+        manifest = json.loads((old / "manifest.json").read_text())
+        manifest["version"] = 5
+        (old / "manifest.json").write_text(json.dumps(manifest))
+        rc = _localize_query(old, scene_files)
+        assert rc == 1
+        assert "unsupported version 5" in capsys.readouterr().err
+
     def test_graph_without_instances_exit_1(self, scene_files, bundle, tmp_path, capsys):
+        """A map.npz without its instance centroids exits 1, naming the array."""
         tampered = tmp_path / "tampered"
         shutil.copytree(bundle, tampered)
-        doc = json.loads((tampered / "graph.json").read_text())
-        del doc["instances"]
-        raw = json.dumps(doc).encode()
-        (tampered / "graph.json").write_bytes(raw)
+        raw = _npz_edit((tampered / "map.npz").read_bytes(), centroids=None)
+        (tampered / "map.npz").write_bytes(raw)
         manifest = json.loads((tampered / "manifest.json").read_text())
-        manifest["files"]["graph.json"] = hashlib.sha256(raw).hexdigest()
+        manifest["files"]["map.npz"] = hashlib.sha256(raw).hexdigest()
         (tampered / "manifest.json").write_text(json.dumps(manifest))
         rc = _localize_query(tampered, scene_files)
         err = capsys.readouterr().err
         assert rc == 1
-        assert "graph.json: no instances list" in err and "Traceback" not in err
-
-    @pytest.mark.parametrize("offset, value, says", [
-        (8, np.float64(np.nan), "delta_d"),
-        (32, np.uint32(1 << 21), "descriptor 0: labels"),  # the first stored label
-    ], ids=["nan-delta", "label-2**21"])
-    def test_index_content_build_index_refuses_exit_1(self, scene_files, bundle, tmp_path,
-                                                       capsys, offset, value, says):
-        tampered = tmp_path / "tampered"
-        shutil.copytree(bundle, tampered)
-        raw = bytearray((tampered / "index.gsfi").read_bytes())
-        raw[offset:offset + value.nbytes] = value.tobytes()
-        (tampered / "index.gsfi").write_bytes(bytes(raw))
-        manifest = json.loads((tampered / "manifest.json").read_text())
-        manifest["files"]["index.gsfi"] = hashlib.sha256(raw).hexdigest()
-        (tampered / "manifest.json").write_text(json.dumps(manifest))
-        rc = _localize_query(tampered, scene_files)
-        err = capsys.readouterr().err
-        assert rc == 1
-        assert f"index file {tampered / 'index.gsfi'}: {says}" in err and "Traceback" not in err
-
-    @pytest.mark.parametrize("k, bad", [(0, False), (1, True), (2, 2.0)],
-                             ids=["false", "true", "float"])
-    def test_graph_id_not_a_json_integer_exit_1(self, scene_files, bundle, tmp_path, capsys,
-                                                k, bad):
-        tampered = tmp_path / "tampered"
-        shutil.copytree(bundle, tampered)
-        doc = json.loads((tampered / "graph.json").read_text())
-        doc["instances"][k]["id"] = bad
-        raw = json.dumps(doc).encode()
-        (tampered / "graph.json").write_bytes(raw)
-        manifest = json.loads((tampered / "manifest.json").read_text())
-        manifest["files"]["graph.json"] = hashlib.sha256(raw).hexdigest()
-        (tampered / "manifest.json").write_text(json.dumps(manifest))
-        rc = _localize_query(tampered, scene_files)
-        err = capsys.readouterr().err
-        assert rc == 1
-        assert f"graph.json: instance ids must be 0..K-1 in list order; record {k} has id " \
-               f"{bad!r}" in err and "Traceback" not in err
+        assert "map.npz: array 'centroids' missing" in err and "Traceback" not in err
 
     def test_mistyped_bundle_config_exit_1(self, scene_files, bundle, tmp_path, capsys):
         tampered = tmp_path / "tampered"
@@ -416,12 +391,16 @@ class TestLocalize:
         assert "config.json: config key 'gsf.kappa'" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("name, tamper, says", [
-        ("index.gsfi", lambda raw: raw[:8] + np.float64(5.0).tobytes() + raw[16:],
-         "index.gsfi was built with delta_d 5.0"),
-        ("populations.npz", lambda raw: _npz_edit(raw, ids=lambda a: a[:, None]),
-         "populations.npz ids must be one strictly ascending row of integers"),
-        ("populations.npz", lambda raw: _npz_edit(raw, header_unclosed="ids"),
-         "populations.npz: unreadable (('EOF in multi-line statement'"),
+        ("config.json", lambda raw: raw.replace(b'"delta_d": 0.5', b'"delta_d": 0'),
+         "config.json: config key 'index.delta_d' must be > 0, got 0"),
+        ("map.npz", lambda raw: _npz_edit(raw, ids=lambda a: a[:, None]),
+         "map.npz: ids must be one strictly ascending row of integers"),
+        ("map.npz", lambda raw: _npz_edit(raw, header_unclosed="ids"),
+         "map.npz: unreadable (('EOF in multi-line statement'"),
+        ("map.npz", lambda raw: _npz_edit(raw, labels=lambda a: a + 12),
+         "map.npz: labels must be one (20,) row of integers in [0, 12)"),
+        ("map.npz", lambda raw: _npz_edit(raw, vertex_ids=lambda a: a[:, :2]),
+         "map.npz: vertex_ids must be an (n, 3) integer array in [0, 20)"),
         ("config.json", lambda raw: raw.replace(b'"11"', b'"12"'),
          "config.json: taxonomy class ids must be 0..11"),
         ("config.json", lambda raw: raw.replace(b'"3": {', b'"03": {'),
@@ -433,8 +412,9 @@ class TestLocalize:
          "config.json: unknown taxonomy field 7.colour"),
         ("config.json", lambda raw: raw[:100] + b"\xff" + raw[100:],
          "config.json: not a JSON document ('utf-8' codec can't decode byte 0xff"),
-    ], ids=["delta-d", "ids-column", "npy-header", "class-id-gap", "class-id-leading-zero",
-            "class-name-twice", "class-record-unknown-key", "not-utf8"])
+    ], ids=["delta-d", "ids-column", "npy-header", "labels-past-taxonomy", "vertex-ids-2-columns",
+            "class-id-gap", "class-id-leading-zero", "class-name-twice",
+            "class-record-unknown-key", "not-utf8"])
     def test_bundle_fault_exit_1(self, scene_files, bundle, tmp_path, capsys, name, tamper,
                                  says):
         """Each bundle fault, its manifest hash rewritten, exits 1 with a

@@ -154,6 +154,16 @@ class TestTransforms:
         with pytest.raises(ValidationError, match="det"):
             RigidTransform(np.diag([1.0, 1.0, -1.0]), np.zeros(3))
 
+    @pytest.mark.parametrize("part", ["R", "t"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_rejected(self, part, value):
+        """A NaN fails neither orthonormality test, and `det` of it warns: a
+        non-finite R or t is refused before either test."""
+        R, t = np.eye(3), np.zeros(3)
+        (R if part == "R" else t).flat[1] = value
+        with pytest.raises(ValidationError, match=f"{part} must be finite"):
+            RigidTransform(R, t)
+
     def test_inverse_round_trip(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
@@ -329,4 +339,17 @@ class TestLoadNpz:
         with zipfile.ZipFile(path, "w") as z:
             z.writestr("ids.npy", buf.getvalue().replace(b"}", b" ", 1))
         with pytest.raises(FormatError, match=rf"npz file {path}: unreadable"):
+            load_npz(path)
+
+    @pytest.mark.parametrize("member, data, key", [
+        ("ids.npy", b"\x94NUMPY", "ids"), ("notes", b"not an array", "notes"),
+    ], ids=["bad-magic", "not-npy"])
+    def test_member_not_an_array(self, tmp_path, member, data, key):
+        """numpy reads a member without the npy magic as bytes; that once
+        escaped as an AttributeError."""
+        path = tmp_path / "a.npz"
+        with zipfile.ZipFile(path, "w") as z:
+            z.writestr(member, data)
+        with pytest.raises(FormatError, match=rf"npz file {path}: member '{key}' is not an npy "
+                                              "array"):
             load_npz(path)

@@ -1,5 +1,4 @@
 import itertools
-import struct
 import warnings
 
 import numpy as np
@@ -7,7 +6,7 @@ import pytest
 
 from gsfloc import descriptors
 from gsfloc.config import GridSection
-from gsfloc.core import FormatError, ValidationError, one_hot_logits
+from gsfloc.core import ValidationError, one_hot_logits
 from gsfloc.descriptors import (
     EQUAL_SIDE_TOL,
     LABEL_BITS,
@@ -335,106 +334,69 @@ class TestIndex:
         with pytest.raises(ValidationError, match="delta_d"):
             build_index(descs, delta)
 
-    def test_nan_delta_in_file_rejected(self, tmp_path):
-        path = tmp_path / "nan.gsfi"
-        save_index(build_index([], 0.5), path)
-        raw = bytearray(path.read_bytes())
-        raw[8:16] = np.float64(np.nan).tobytes()
-        path.write_bytes(bytes(raw))
-        with pytest.raises(FormatError, match=rf"index file {path}: delta_d"):
-            load_index(path)
-
-    @pytest.mark.parametrize("delta", [float("inf"), 0.0, -0.5], ids=["inf", "zero", "negative"])
-    def test_bad_delta_in_file_rejected(self, tmp_path, delta):
-        path = tmp_path / "bad.gsfi"
-        save_index(build_index([random_descriptor(np.random.default_rng(1), 0)], 0.5), path)
-        raw = bytearray(path.read_bytes())
-        raw[8:16] = np.float64(delta).tobytes()
-        path.write_bytes(bytes(raw))
-        with pytest.raises(FormatError, match=rf"index file {path}: delta_d"):
-            load_index(path)
-
-    def test_label_outside_code_range_in_file_rejected(self, tmp_path):
-        """A stored label of 2**LABEL_BITS fits the file's u32 but not a label
-        code: loading it is a FormatError naming the file."""
-        path = tmp_path / "label.gsfi"
-        d = TriangleDescriptor(0, (0, 1, 2), (3.0, 4.0, 5.0), (7, 7, 7))
-        save_index(build_index([d], 0.5), path)
-        raw = bytearray(path.read_bytes())
-        raw[32:36] = np.uint32(1 << LABEL_BITS).tobytes()  # the first label
-        path.write_bytes(bytes(raw))
-        with pytest.raises(FormatError, match=rf"index file {path}: descriptor 0: labels"):
-            load_index(path)
+    def test_label_outside_code_range_in_file_rejected(self):
+        """A stored instance label of 2**LABEL_BITS does not fit a label code:
+        `load_index` refuses the triangle it labels with a ValidationError."""
+        centroids = np.array([[0.0, 0.0, 0.0], [3.0, 0.0, 0.0], [0.0, 4.0, 0.0]])
+        index = build_index(triangulate(graph_from_centroids(centroids), 2), 0.5)
+        labels = np.array([7, 1 << LABEL_BITS, 7])
+        with pytest.raises(ValidationError, match="descriptor 0: labels"):
+            load_index(save_index(index)["vertex_ids"], centroids, labels, 0.5)
 
     def test_empty_index_returns_nothing(self):
         q = TriangleDescriptor(0, (0, 1, 2), (3.0, 4.0, 5.0), (7, 7, 7))
         assert query_index(build_index([], 0.5), q) == []
 
-    def test_round_trip_bytes(self, tmp_path):
+    def test_round_trip_bytes(self):
+        """An index saved, loaded and saved again keeps its vertex ids byte for
+        byte, and the loaded index equals the built one: labels and sides
+        derived from the instance table, label codes, orders and tree."""
         rng = np.random.default_rng(4)
-        descs = [random_descriptor(rng, i) for i in range(30)]
-        index = build_index(descs, 0.5)
-        f1, f2 = tmp_path / "a.gsfi", tmp_path / "b.gsfi"
-        save_index(index, f1)
-        again = load_index(f1)
-        save_index(again, f2)
-        assert f1.read_bytes() == f2.read_bytes()
+        centroids = rng.uniform(-30, 30, (12, 3))
+        labels = rng.choice([6, 7, 8, 9], 12)
+        index = build_index(triangulate(graph_from_centroids(centroids, labels), 4), 0.5)
+        saved = save_index(index)
+        assert sorted(saved) == ["vertex_ids"] and len(index.table) > 0
+        again = load_index(saved["vertex_ids"], centroids, labels, 0.5)
+        assert save_index(again)["vertex_ids"].tobytes() == saved["vertex_ids"].tobytes()
         assert again.delta_d == 0.5
-        assert again.table.vertex_ids.tolist() == [list(d.vertex_ids) for d in descs]
-        assert again.table.sides.tolist() == [list(d.sides) for d in descs]
-        assert again.table.labels.tolist() == [list(d.labels) for d in descs]
-
-
-    @pytest.mark.parametrize("count", [0, 1, 30])
-    def test_record_layout_equals_struct_loop(self, tmp_path, count):
-        """`save_index` writes, byte for byte, the file a written-out
-        `struct.pack` loop writes, and `load_index` reads back, array for
-        array, what a `struct.unpack_from` loop reads: empty, one descriptor,
-        and 30 with a label of 2**LABEL_BITS - 1 and a vertex id of 2**32 - 1."""
-        rng = np.random.default_rng(9)
-        descs = [random_descriptor(rng, i) for i in range(count)]
-        if count:
-            d = descs[-1]
-            descs[-1] = TriangleDescriptor(d.id, (d.vertex_ids[0], 2**32 - 1, d.vertex_ids[2]),
-                                           d.sides, (d.labels[0], (1 << LABEL_BITS) - 1, 7))
-        path = tmp_path / "i.gsfi"
-        save_index(build_index(descs, 0.75), path)
-        raw = path.read_bytes()
-        assert raw == struct.pack("<4sIdI", b"GSFI", 1, 0.75, count) + b"".join(
-            struct.pack("<3I3I3d", *d.vertex_ids, *d.labels, *d.sides) for d in descs)
-
-        head, rec = struct.calcsize("<4sIdI"), struct.calcsize("<3I3I3d")
-        recs = [struct.unpack_from("<3I3I3d", raw, head + i * rec) for i in range(count)]
-        again, want = load_index(path), build_index(descs, 0.75)
-        assert again.delta_d == struct.unpack_from("<4sIdI", raw)[2] == 0.75
-        for part, cols in (("vertex_ids", slice(0, 3)), ("labels", slice(3, 6))):
-            loop = np.array([r[cols] for r in recs], dtype=np.int64).reshape(-1, 3)
-            assert getattr(again.table, part).dtype == np.int64
-            assert np.array_equal(getattr(again.table, part), loop)
-        sides = np.array([r[6:9] for r in recs], dtype=np.float64).reshape(-1, 3)
-        assert np.array_equal(again.table.sides, sides)
-        for part in ("label_codes", "order_mask"):
-            assert np.array_equal(getattr(again, part), getattr(want, part))
         for part in ("vertex_ids", "labels", "sides"):
-            assert np.array_equal(getattr(again.table, part), getattr(want.table, part))
-        assert np.array_equal(again.tree.data, want.tree.data)
+            got, want = getattr(again.table, part), getattr(index.table, part)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        for part in ("label_codes", "order_mask"):
+            assert np.array_equal(getattr(again, part), getattr(index, part))
+        assert np.array_equal(again.tree.data, index.tree.data)
+
+    @pytest.mark.parametrize("vertex_ids, says", [
+        (np.array([[0, 1, 3]]), "int64 vertex_ids of shape (1, 3) from 0 to 3"),
+        (np.array([[0, -1, 2]]), "int64 vertex_ids of shape (1, 3) from -1 to 2"),
+        (np.array([0, 1, 2]), "int64 vertex_ids of shape (3,)"),
+        (np.array([[0.0, 1.0, 2.0]]), "float64 vertex_ids of shape (1, 3)"),
+        (np.array([[False, True, True]]), "bool vertex_ids of shape (1, 3)"),
+    ], ids=["past-k", "negative", "one-row", "float", "bool"])
+    def test_vertex_ids_not_rows_of_instances_refused(self, vertex_ids, says):
+        """Stored vertex ids that are not an (n, 3) integer array in [0, K)
+        are a ValidationError naming them."""
+        centroids = np.array([[0.0, 0.0, 0.0], [3.0, 0.0, 0.0], [0.0, 4.0, 0.0]])
+        with pytest.raises(ValidationError, match=r"vertex_ids must be an \(n, 3\) integer "
+                                                  r"array in \[0, 3\)") as err:
+            load_index(vertex_ids, centroids, np.full(3, 7), 0.5)
+        assert f"it holds {says}" in str(err.value)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-    def test_non_finite_side_refused(self, tmp_path, value):
-        """A side that is not finite is a ValidationError in `build_index` and a
-        FormatError naming the file in `load_index`; the k-d tree would refuse
-        it with a bare ValueError."""
+    def test_non_finite_side_refused(self, value):
+        """A side that is not finite is a ValidationError in `build_index`, also
+        when `load_index` derives it from a centroid that is not finite; the
+        k-d tree would refuse it with a bare ValueError."""
         d = TriangleDescriptor(0, (0, 1, 2), (3.0, 4.0, value), (7, 7, 7))
         with pytest.raises(ValidationError, match="descriptor 0: sides .* must be finite"):
             build_index([d], 0.5)
-        path = tmp_path / "side.gsfi"
-        save_index(build_index([TriangleDescriptor(0, (0, 1, 2), (3.0, 4.0, 5.0), (7, 7, 7))],
-                               0.5), path)
-        raw = bytearray(path.read_bytes())
-        raw[-8:] = np.float64(value).tobytes()  # the last side
-        path.write_bytes(bytes(raw))
-        with pytest.raises(FormatError, match=rf"index file {path}: descriptor 0: sides"):
-            load_index(path)
+        centroids = np.array([[0.0, 0.0, 0.0], [3.0, 0.0, 0.0], [0.0, 4.0, 0.0]])
+        vertex_ids = save_index(build_index(triangulate(graph_from_centroids(centroids), 2),
+                                            0.5))["vertex_ids"]
+        centroids[2, 1] = value
+        with pytest.raises(ValidationError, match="descriptor 0: sides .* must be finite"):
+            load_index(vertex_ids, centroids, np.full(3, 7), 0.5)
 
 
 def field_with_offset(taxonomy, offset, seed=0):

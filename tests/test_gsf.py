@@ -720,6 +720,55 @@ class TestStabilityMask:
             apply_stability_mask(S, w[:, :5])
 
 
+NON_FINITE = pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf],
+                                     ids=["nan", "inf", "-inf"])
+
+
+class TestNonFinite:
+    """The field layer refuses a non-finite input before any kernel is built,
+    naming its first bad row; a NaN once gave a field or a mean of NaN, and
+    an infinity a RuntimeWarning in the kernel."""
+
+    @staticmethod
+    def _field():
+        rng = np.random.default_rng(31)
+        return fit_gsf(rng.uniform(-3, 3, (10, 3)), rng.normal(size=(10, 2)),
+                       rng.integers(0, 2, 10), GpHyperParams(), 10, 0)
+
+    @NON_FINITE
+    def test_fit_coordinate_refused(self, value):
+        X = np.random.default_rng(1).normal(size=(8, 3))
+        X[5, 2] = X[6, 0] = value
+        with pytest.raises(ValidationError, match="point 5 has a non-finite coordinate"):
+            fit_gsf(X, np.ones((8, 2)), np.zeros(8), GpHyperParams(), 8, 0)
+
+    @NON_FINITE
+    def test_fit_logit_refused(self, value):
+        Y = np.ones((8, 2))
+        Y[3, 1] = value
+        with pytest.raises(ValidationError, match="point 3 has a non-finite logit"):
+            fit_gsf(np.random.default_rng(1).normal(size=(8, 3)), Y, np.zeros(8),
+                    GpHyperParams(), 8, 0)
+
+    @NON_FINITE
+    def test_predict_point_refused(self, value):
+        """A stack's rows are counted over its flattened (Y*G, 3) points."""
+        Q = np.zeros((2, 4, 3))
+        Q[1, 2, 0] = value
+        with pytest.raises(ValidationError, match="probe point 6 has a non-finite coordinate"):
+            gsf_predict(self._field(), Q)
+        with pytest.raises(ValidationError, match="probe point 2 has a non-finite coordinate"):
+            gsf_predict(self._field(), Q[1])
+
+    @NON_FINITE
+    def test_miou_point_refused(self, value):
+        pts = np.zeros((5, 3))
+        pts[4, 1] = value
+        with pytest.raises(ValidationError,
+                           match="held-out point 4 has a non-finite coordinate"):
+            reconstruction_miou(self._field(), pts, np.zeros(5, int))
+
+
 class TestMiou:
     def _field_predicting(self, targets):
         # well-separated points + sigma_y=0: prediction at the points = targets

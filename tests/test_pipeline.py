@@ -95,8 +95,10 @@ class TestBuildMap:
         save_map(ref_map, d1)
         again = load_map(d1)
         save_map(again, d2)
-        assert (d1 / "index.gsfi").read_bytes() == (d2 / "index.gsfi").read_bytes()
-        assert (d1 / "graph.json").read_text() == (d2 / "graph.json").read_text()
+        for name in ("map.npz", "config.json", "manifest.json"):
+            assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+        assert np.array_equal(again.centroids, ref_map.centroids)
+        assert np.array_equal(again.labels, ref_map.labels)
         pop, other = ref_map.populations, again.populations
         assert np.array_equal(again.fitted, ref_map.fitted)
         np.testing.assert_allclose(pop.mu, other.mu, rtol=1e-7, atol=1e-12)
@@ -120,10 +122,10 @@ class TestBuildMap:
     def test_bundle_hash_mismatch_detected(self, ref_map, tmp_path):
         d = tmp_path / "tampered"
         save_map(ref_map, d)
-        raw = bytearray((d / "index.gsfi").read_bytes())
+        raw = bytearray((d / "map.npz").read_bytes())
         raw[-1] ^= 0xFF
-        (d / "index.gsfi").write_bytes(bytes(raw))
-        with pytest.raises(FormatError, match="hash mismatch"):
+        (d / "map.npz").write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="hash mismatch for map.npz"):
             load_map(d)
 
     def test_bundle_version_mismatch_detected(self, ref_map, tmp_path):
@@ -140,7 +142,7 @@ class TestBuildMap:
         """Version 3 also stored each population's grid and stability weights."""
         save_map(ref_map, tmp_path)
         manifest = json.loads((tmp_path / "manifest.json").read_text())
-        assert manifest["version"] == 5
+        assert manifest["version"] == 6
         manifest["version"] = 3
         (tmp_path / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(FormatError, match="unsupported version 3"):
@@ -155,9 +157,19 @@ class TestBuildMap:
         with pytest.raises(FormatError, match="unsupported version 4"):
             load_map(tmp_path)
 
+    def test_version_5_bundle_refused(self, ref_map, tmp_path):
+        """Version 5 kept graph.json, index.gsfi and populations.npz."""
+        save_map(ref_map, tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        manifest["version"] = 5
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(FormatError, match="unsupported version 5"):
+            load_map(tmp_path)
+
     def test_config_stored_once(self, ref_map, tmp_path):
         save_map(ref_map, tmp_path)
-        assert "config" not in json.loads((tmp_path / "graph.json").read_text())
+        with np.load(tmp_path / "map.npz") as buf:
+            assert not {"config", "delta_d"} & set(buf.files)
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert sorted(manifest) == ["files", "format", "version"]
         meta = json.loads((tmp_path / "config.json").read_text())
@@ -173,25 +185,25 @@ class TestBuildMap:
                       taxonomy_module, RunConfig())
 
     @pytest.mark.parametrize("defect, message", [
-        ("emptied-files", "must list exactly graph.json, index.gsfi, populations.npz"),
+        ("emptied-files", "must list exactly map.npz, config.json; it lists none"),
         ("no-files", "manifest.json has no files map"),
         ("not-json", "manifest.json line 1"),
-        ("missing-file", "populations.npz not found"),
+        ("missing-file", "map.npz not found"),
     ])
     def test_bundle_manifest_defects_detected(self, ref_map, tmp_path, defect, message):
         d = tmp_path / defect
         save_map(ref_map, d)
         manifest = json.loads((d / "manifest.json").read_text())
         if defect == "emptied-files":
-            # with the index unchecked, a tampered index would otherwise load
+            # with the archive unchecked, a tampered one would otherwise load
             manifest["files"] = {}
-            raw = bytearray((d / "index.gsfi").read_bytes())
+            raw = bytearray((d / "map.npz").read_bytes())
             raw[-1] ^= 0xFF
-            (d / "index.gsfi").write_bytes(bytes(raw))
+            (d / "map.npz").write_bytes(bytes(raw))
         elif defect == "no-files":
             del manifest["files"]
         elif defect == "missing-file":
-            (d / "populations.npz").unlink()
+            (d / "map.npz").unlink()
         text = json.dumps(manifest) if defect != "not-json" else "{not json"
         (d / "manifest.json").write_text(text)
         with pytest.raises(FormatError, match=message):
@@ -230,9 +242,9 @@ def _poison(arrays, key):
 
 
 class TestBundleArrays:
-    """A bundle whose npz files break with the manifest still consistent."""
+    """A bundle whose map.npz breaks with the manifest still consistent."""
 
-    @pytest.mark.parametrize("name", ["populations.npz"])
+    @pytest.mark.parametrize("name", ["map.npz"])
     def test_truncated_npz_detected(self, ref_map, tmp_path, name):
         save_map(ref_map, tmp_path)
         raw = (tmp_path / name).read_bytes()
@@ -240,14 +252,19 @@ class TestBundleArrays:
         with pytest.raises(FormatError, match=f"{name}: unreadable"):
             load_map(tmp_path)
 
-    @pytest.mark.parametrize("name, suffix", [("populations.npz", "_mu")])
+    @pytest.mark.parametrize("name, suffix", [("map.npz", "_mu"), ("map.npz", "_Sigma"),
+                                              ("map.npz", "_ids"), ("map.npz", "_centroids"),
+                                              ("map.npz", "_labels"),
+                                              ("map.npz", "_vertex_ids")])
     def test_missing_array_detected(self, ref_map, tmp_path, name, suffix):
         save_map(ref_map, tmp_path)
         key = _edit_npz_array(tmp_path, name, suffix, _drop)
+        assert f"_{key}" == suffix
         with pytest.raises(FormatError, match=f"{name}: array '{key}' missing"):
             load_map(tmp_path)
 
-    @pytest.mark.parametrize("name, suffix", [("populations.npz", "_mu")])
+    @pytest.mark.parametrize("name, suffix", [("map.npz", "_mu"), ("map.npz", "_Sigma"),
+                                              ("map.npz", "_centroids")])
     def test_non_finite_array_detected(self, ref_map, tmp_path, name, suffix):
         save_map(ref_map, tmp_path)
         key = _edit_npz_array(tmp_path, name, suffix, _poison)
@@ -255,17 +272,26 @@ class TestBundleArrays:
             load_map(tmp_path)
 
     def test_stores_only_means_and_covariances(self, ref_map, tmp_path):
-        """The grid and the stability weights are rebuilt on load, bit-equal to
-        the built map's; the bundle stores neither."""
+        """Of the populations, the archive stores the means and covariances;
+        the grid and the stability weights are rebuilt on load, bit-equal to
+        the built map's. Of the index, it stores the vertex ids; the triangle
+        labels and sides are derived on load, bit-equal to the built index's."""
         save_map(ref_map, tmp_path)
-        with np.load(tmp_path / "populations.npz") as buf:
-            assert sorted(buf.files) == ["Sigma", "ids", "mu"]
+        with np.load(tmp_path / "map.npz") as buf:
+            assert buf.files == ["centroids", "labels", "vertex_ids", "ids", "mu", "Sigma"]
             assert buf["ids"].tolist() == list(range(20))
             assert buf["mu"].shape == (20, 25, 12) and buf["Sigma"].shape == (20, 25, 25)
+            assert buf["centroids"].shape == (20, 3) and buf["labels"].shape == (20,)
+            assert np.array_equal(buf["vertex_ids"], ref_map.index.table.vertex_ids)
         again = load_map(tmp_path)
         for part in ("grid", "mu", "Sigma", "stability_weights"):
             assert np.array_equal(getattr(again.populations, part),
                                   getattr(ref_map.populations, part))
+        for part in ("vertex_ids", "labels", "sides"):
+            got, want = getattr(again.index.table, part), getattr(ref_map.index.table, part)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        for part in ("label_codes", "order_mask"):
+            assert np.array_equal(getattr(again.index, part), getattr(ref_map.index, part))
 
     @pytest.mark.parametrize("failed", [[6], list(range(20))], ids=["one-failed", "all-failed"])
     def test_layout_round_trip(self, ref_map, tmp_path, failed):
@@ -276,7 +302,7 @@ class TestBundleArrays:
         pops = built.populations
         save_map(built, tmp_path)
         kept = [i for i in range(20) if i not in failed]
-        with np.load(tmp_path / "populations.npz") as buf:
+        with np.load(tmp_path / "map.npz") as buf:
             assert buf["ids"].dtype == np.int64 and buf["ids"].tolist() == kept
             assert np.array_equal(buf["mu"], np.array([pops[i].mu for i in kept]).reshape(
                 -1, 25, 12))
@@ -306,9 +332,9 @@ class TestBundleArrays:
             arrays[key] = edit(arrays[key])
 
         save_map(ref_map, tmp_path)
-        _edit_npz_array(tmp_path, "populations.npz", "ids", change)
-        with pytest.raises(FormatError, match=r"populations\.npz ids must be one strictly "
-                                              r"ascending row of integers") as err:
+        _edit_npz_array(tmp_path, "map.npz", "_ids", change)
+        with pytest.raises(FormatError, match=r"map\.npz: ids must be one strictly ascending "
+                                              r"row of integers in \[0, 20\)") as err:
             load_map(tmp_path)
         assert f"it holds {says}" in str(err.value)
 
@@ -316,22 +342,30 @@ class TestBundleArrays:
         ("first", "w", lambda pop: np.zeros(len(pop.mu))),
         ("all", "w", lambda pop: np.full(len(pop.mu), 0.3)),
         ("first", "grid", lambda pop: pop.grid[:3]),
-    ], ids=["first-weights-zero", "all-weights-0.3", "grid-three-rows"])
+        ("index", "sides", lambda table: np.zeros_like(table.sides)),
+        ("index", "labels", lambda table: np.zeros_like(table.labels)),
+    ], ids=["first-weights-zero", "all-weights-0.3", "grid-three-rows", "triangle-sides-zero",
+            "triangle-labels-zero"])
     def test_arrays_it_rebuilds_are_not_read(self, scene, ref_map, tmp_path, which, part,
                                              value):
-        """A bundle that also holds weights or a grid, wrong ones, loads the
-        rebuilt arrays and localizes as the built map does."""
+        """A bundle that also holds weights, a grid or triangle sides or labels,
+        wrong ones, loads the rebuilt arrays and localizes as the built map does."""
         def add(arrays, ids_key):
+            if which == "index":
+                arrays[f"triangle_{part}"] = value(ref_map.index.table)
+                return
             ids = arrays[ids_key].tolist()
             for i in ids if which == "all" else ids[:1]:
                 arrays[f"pop{i}_{part}"] = value(ref_map.populations[i])
 
         save_map(ref_map, tmp_path)
-        _edit_npz_array(tmp_path, "populations.npz", "ids", add)
+        _edit_npz_array(tmp_path, "map.npz", "_ids", add)
         again = load_map(tmp_path)
         assert np.array_equal(again.populations.grid, ref_map.populations.grid)
         assert np.array_equal(again.populations.stability_weights,
                               ref_map.populations.stability_weights)
+        assert np.array_equal(again.index.table.sides, ref_map.index.table.sides)
+        assert np.array_equal(again.index.table.labels, ref_map.index.table.labels)
         pose = sample_query_poses(1, seed=7, half=15.0)[0]
         scan = simulate_scan(scene[0], pose, 60.0, 0.3, 0.03, seed=42)
         got = localize(scan, again).to_dict(include_timings=False)
@@ -339,24 +373,79 @@ class TestBundleArrays:
         assert got == localize(scan, ref_map).to_dict(include_timings=False)
 
     @pytest.mark.parametrize("part, edit, shape", [
-        ("mu", lambda a: a[..., :11], "(20, 25, 11)"),
-        ("mu", lambda a: a[:, :3], "(20, 3, 12)"),
-        ("Sigma", lambda a: a[..., :24], "(20, 25, 24)"),
-        ("Sigma", lambda a: a[:, 0], "(20, 25)"),
-        ("mu", lambda a: a[:-1], "(19, 25, 12)"),
-        ("Sigma", lambda a: a[0], "(25, 25)"),
+        ("mu", lambda a: a[..., :11], "float64 mu of shape (20, 25, 11)"),
+        ("mu", lambda a: a[:, :3], "float64 mu of shape (20, 3, 12)"),
+        ("Sigma", lambda a: a[..., :24], "float64 Sigma of shape (20, 25, 24)"),
+        ("Sigma", lambda a: a[:, 0], "float64 Sigma of shape (20, 25)"),
+        ("mu", lambda a: a[:-1], "float64 mu of shape (19, 25, 12)"),
+        ("Sigma", lambda a: a[0], "float64 Sigma of shape (25, 25)"),
+        ("mu", lambda a: a.astype(np.int64), "int64 mu of shape (20, 25, 12)"),
+        ("Sigma", lambda a: a.astype(bool), "bool Sigma of shape (20, 25, 25)"),
     ], ids=["mu-11-columns", "mu-3-rows", "Sigma-24-columns", "Sigma-one-row",
-            "mu-row-short-of-ids", "Sigma-one-population"])
+            "mu-row-short-of-ids", "Sigma-one-population", "mu-int", "Sigma-bool"])
     def test_population_shape_mismatch_detected(self, ref_map, tmp_path, part, edit, shape):
         def cut(arrays, key):
             arrays[key] = edit(arrays[key])
 
         save_map(ref_map, tmp_path)
-        key = _edit_npz_array(tmp_path, "populations.npz", f"_{part}", cut)
-        with pytest.raises(FormatError, match=r"populations\.npz holds mu of shape") as err:
+        _edit_npz_array(tmp_path, "map.npz", f"_{part}", cut)
+        with pytest.raises(FormatError, match=r"map\.npz: holds \w+ mu of shape") as err:
             load_map(tmp_path)
-        assert f"{key} of shape {shape}" in str(err.value)
-        assert "need (20, 25, 12) and (20, 25, 25)" in str(err.value)
+        assert shape in str(err.value)
+        assert "need floats of shapes (20, 25, 12) and (20, 25, 25)" in str(err.value)
+
+    @pytest.mark.parametrize("part, at, value, says", [
+        ("Sigma", (3, 0, 1), 1e-3, "Sigma must hold symmetric covariances; row 3, instance "
+                                   "3's, does not"),
+        ("mu", (0, 0, 0), 1e200, "mu must lie within +-1e+100; it reaches 1e+200"),
+        ("Sigma", (2, 4, 4), -1e101, "Sigma must lie within +-1e+100; it reaches 1e+101"),
+    ], ids=["Sigma-asymmetric", "mu-huge", "Sigma-huge"])
+    def test_population_values_w2_refuses_detected(self, ref_map, tmp_path, part, at, value,
+                                                    says):
+        """A covariance that is not exactly symmetric, or an entry whose square
+        overflows, loaded once and then failed each query inside W2, with a
+        ValidationError (exit 2) or a RuntimeWarning."""
+        def change(arrays, key):
+            arrays[key] = arrays[key].copy()
+            arrays[key][at] += value
+
+        save_map(ref_map, tmp_path)
+        _edit_npz_array(tmp_path, "map.npz", f"_{part}", change)
+        with pytest.raises(FormatError, match="map.npz: ") as err:
+            load_map(tmp_path)
+        assert says in str(err.value)
+
+    @pytest.mark.parametrize("part, edit, says", [
+        ("centroids", lambda a: a[:, :2], "centroids must be (K, 3) floats; it holds float64 "
+                                          "centroids of shape (20, 2)"),
+        ("centroids", lambda a: a.astype(np.int64), "centroids must be (K, 3) floats; it holds "
+                                                    "int64 centroids of shape (20, 3)"),
+        ("labels", lambda a: a[:-1], "labels must be one (20,) row of integers in [0, 12); it "
+                                     "holds int64 labels of shape (19,)"),
+        ("labels", lambda a: a + 12, "labels must be one (20,) row of integers in [0, 12); it "
+                                     "holds int64 labels of shape (20,) from 18 to 22"),
+        ("labels", lambda a: a.astype(np.float64), "it holds float64 labels of shape (20,)"),
+        ("vertex_ids", lambda a: a + 20, "vertex_ids must be an (n, 3) integer array in "
+                                         "[0, 20); it holds int64 vertex_ids of shape"),
+        ("vertex_ids", lambda a: a - 1, "vertex_ids must be an (n, 3) integer array in "
+                                        "[0, 20); it holds int64 vertex_ids of shape"),
+        ("vertex_ids", lambda a: a[:, :2], "vertex_ids must be an (n, 3) integer array in "
+                                           "[0, 20); it holds int64 vertex_ids of shape"),
+        ("vertex_ids", lambda a: a.astype(np.float64), "float64 vertex_ids of shape"),
+    ], ids=["centroids-2-columns", "centroids-int", "labels-short", "labels-past-taxonomy",
+            "labels-float", "vertex-ids-past-k", "vertex-ids-negative", "vertex-ids-2-columns",
+            "vertex-ids-float"])
+    def test_instance_and_triangle_arrays_refused(self, ref_map, tmp_path, part, edit, says):
+        """The instance table and the triangle rows are checked as the archive's
+        other arrays are: a FormatError that names map.npz and the array."""
+        def change(arrays, key):
+            arrays[key] = edit(arrays[key])
+
+        save_map(ref_map, tmp_path)
+        _edit_npz_array(tmp_path, "map.npz", f"_{part}", change)
+        with pytest.raises(FormatError, match=rf"map\.npz: {part} must be") as err:
+            load_map(tmp_path)
+        assert says in str(err.value)
 
 
 def _edit_json(d, name, edit):
@@ -367,31 +456,23 @@ def _edit_json(d, name, edit):
     _rewrite_bundle_file(d, name, (text if isinstance(text, str) else json.dumps(doc)).encode())
 
 
-def _drop_last_three(doc):
-    del doc["instances"][-3:]
+def _drop_last_three(arrays, key):
+    arrays["centroids"], arrays["labels"] = arrays["centroids"][:-3], arrays["labels"][:-3]
 
 
-def _swap_first_two(doc):
-    doc["instances"][:2] = doc["instances"][1::-1]
-
-
-def _nan_centroid(doc):
-    doc["instances"][4]["centroid"][1] = float("nan")
+def _nan_centroid(arrays, key):
+    arrays["centroids"] = arrays["centroids"].copy()
+    arrays["centroids"][4, 1] = np.nan
 
 
 class TestBundleJson:
-    """A bundle whose JSON files break, or disagree with the other files, with
-    the manifest still consistent."""
+    """A bundle whose JSON files break, or whose files and parts disagree,
+    with the manifest still consistent."""
 
     @pytest.mark.parametrize("name, edit, message", [
         ("config.json", lambda doc: "{not json", "config.json line 1: Expecting"),
         ("config.json", lambda doc: doc.pop("taxonomy"),
          "config.json needs a config and a taxonomy section"),
-        ("graph.json", lambda doc: doc.pop("instances"), "graph.json: no instances list"),
-        ("graph.json", lambda doc: doc["instances"][2].pop("id"),
-         "graph.json: instance record 2 lacks id or centroid"),
-        ("graph.json", lambda doc: doc["instances"][2].pop("centroid"),
-         "graph.json: instance record 2 lacks id or centroid"),
         ("config.json", lambda doc: doc["config"]["gsf"].update(kappa="big"),
          "config.json: config key 'gsf.kappa' expects a number"),
         ("config.json", lambda doc: doc.update(taxonomy=list(doc["taxonomy"].values())),
@@ -400,9 +481,8 @@ class TestBundleJson:
          "config.json: taxonomy must be a non-empty object"),
         ("config.json", lambda doc: doc["taxonomy"]["7"].pop("stability"),
          "config.json: taxonomy field 7.stability is required"),
-    ], ids=["config-not-json", "config-no-taxonomy", "graph-no-instances", "record-no-id",
-            "record-no-centroid", "config-value-mistyped", "taxonomy-list", "taxonomy-empty",
-            "class-no-stability"])
+    ], ids=["config-not-json", "config-no-taxonomy", "config-value-mistyped", "taxonomy-list",
+            "taxonomy-empty", "class-no-stability"])
     def test_malformed_json_detected(self, ref_map, tmp_path, name, edit, message):
         save_map(ref_map, tmp_path)
         _edit_json(tmp_path, name, edit)
@@ -410,14 +490,13 @@ class TestBundleJson:
             load_map(tmp_path)
 
     @pytest.mark.parametrize("edit, message", [
-        (_swap_first_two, "graph.json: instance ids must be 0..K-1 in list order; "
-                          "record 0 has id 1"),
-        (_drop_last_three, "index.gsfi names instance 17, which graph.json does not hold"),
-        (_nan_centroid, "graph.json: instance 4 centroid is not three finite numbers"),
-    ], ids=["ids-out-of-order", "instances-dropped", "nan-centroid"])
+        (_drop_last_three, r"map\.npz: vertex_ids must be an \(n, 3\) integer array in "
+                           r"\[0, 17\); it holds int64 vertex_ids of shape \(\d+, 3\) from 0 to 19"),
+        (_nan_centroid, r"map\.npz: array 'centroids' holds non-finite values"),
+    ], ids=["instances-dropped", "nan-centroid"])
     def test_graph_disagreeing_with_bundle_detected(self, ref_map, tmp_path, edit, message):
         save_map(ref_map, tmp_path)
-        _edit_json(tmp_path, "graph.json", edit)
+        _edit_npz_array(tmp_path, "map.npz", "_centroids", edit)
         with pytest.raises(FormatError, match=message):
             load_map(tmp_path)
 
@@ -438,16 +517,27 @@ class TestBundleJson:
         with pytest.raises(FormatError, match=message):
             load_map(tmp_path)
 
-    def test_index_delta_d_disagreeing_with_config_detected(self, ref_map, tmp_path):
-        """index.gsfi keeps the delta_d it was built with; one other than
-        config.json's index.delta_d is refused, not used for the lookup."""
+    def test_taxonomy_without_a_stored_label_detected(self, ref_map, tmp_path):
+        """A config.json whose taxonomy lacks the classes of stored instance
+        labels is refused: the labels leave [0, D)."""
+        def drop_last_classes(doc):
+            for cid in range(8, 12):
+                del doc["taxonomy"][str(cid)]
+            doc["config"]["cluster"]["thresholds"] = {"pole": 0.5, "trunk": 0.5}
+
         save_map(ref_map, tmp_path)
-        raw = bytearray((tmp_path / "index.gsfi").read_bytes())
-        raw[8:16] = np.float64(5.0).tobytes()
-        _rewrite_bundle_file(tmp_path, "index.gsfi", bytes(raw))
-        with pytest.raises(FormatError, match="index.gsfi was built with delta_d 5.0; "
-                                              "config.json's index.delta_d is 0.5"):
+        _edit_json(tmp_path, "config.json", drop_last_classes)
+        with pytest.raises(FormatError, match=r"map\.npz: labels must be one \(20,\) row of "
+                                              r"integers in \[0, 8\)"):
             load_map(tmp_path)
+
+    def test_delta_d_read_from_config_alone(self, ref_map, tmp_path):
+        """The archive holds no delta_d: the loaded index takes config.json's."""
+        save_map(ref_map, tmp_path)
+        _edit_json(tmp_path, "config.json", lambda doc: doc["config"]["index"].update(
+            delta_d=0.75))
+        again = load_map(tmp_path)
+        assert again.index.delta_d == again.config.index.delta_d == 0.75
 
     def test_population_of_unknown_instance_detected(self, ref_map, tmp_path):
         def add_population(arrays, key):
@@ -456,18 +546,18 @@ class TestBundleJson:
                 arrays[part] = np.concatenate([arrays[part], arrays[part][:1]])
 
         save_map(ref_map, tmp_path)
-        _edit_npz_array(tmp_path, "populations.npz", "ids", add_population)
-        with pytest.raises(FormatError,
-                           match="populations.npz names instance 20, which graph.json does not"):
+        _edit_npz_array(tmp_path, "map.npz", "_ids", add_population)
+        with pytest.raises(FormatError, match=r"map\.npz: ids must be one strictly ascending "
+                                              r"row of integers in \[0, 20\); it holds int64 "
+                                              r"ids of shape \(21,\) from 0 to 20"):
             load_map(tmp_path)
 
     def test_bundle_files(self, ref_map, tmp_path):
         save_map(ref_map, tmp_path)
         assert sorted(f.name for f in tmp_path.iterdir()) == sorted(
-            [*BUNDLE_FILES, "manifest.json"])
-        doc = json.loads((tmp_path / "graph.json").read_text())
-        assert doc["version"] == 3
-        assert all(sorted(rec) == ["centroid", "id"] for rec in doc["instances"])
+            [*BUNDLE_FILES, "manifest.json"]) == ["config.json", "manifest.json", "map.npz"]
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["version"] == 6 and sorted(manifest["files"]) == sorted(BUNDLE_FILES)
 
 
 def _disjoint_scan(taxonomy):
@@ -883,7 +973,6 @@ class TestLocalize:
         ("gsf.kappa", 3.0),
         ("gsf.sigma_y", 0.2),
         ("gsf.budget", 128),
-        ("gsf.softmax_targets", True),
         ("gsf.grid.ny", 3),
         ("gsf.grid.dx", 2.0),
         ("gsf.grid.dy", 2.0),

@@ -1,7 +1,8 @@
 """Oracles as properties: W2, its scale law and the lower-bound cut of the
 W2 table; the class-proportional draw of semantic sparsification; the exact
 max clique against brute force and networkx; a yaw stack against its
-single-yaw probes; a damaged map bundle, refused or localizing; an edge
+single-yaw probes; a damaged map bundle, refused or localizing; clouds
+from empty to non-finite through `build_map` and `localize`; an edge
 value in each spec field and config key, refused by name or run; and the
 query path's array idioms against the numpy forms they replaced: the voxel
 dedup, the triangle dedup, the coarse lookup, a fit below its budget and the
@@ -18,10 +19,12 @@ The example sequence is fixed by the `gsfloc` settings profile in conftest.
 import dataclasses
 import functools
 import hashlib
+import io
 import json
 import tempfile
 import typing
 import warnings
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +36,8 @@ from hypothesis import strategies as st
 
 from gsfloc import descriptors, gsf
 from gsfloc.config import GridSection, RunConfig
-from gsfloc.core import FormatError, SemanticPointCloud, ValidationError, default_taxonomy
+from gsfloc.core import (FormatError, SemanticPointCloud, ValidationError, default_taxonomy,
+                         one_hot_logits)
 from gsfloc.descriptors import pair_w2
 from gsfloc.gsf import (
     GpHyperParams,
@@ -46,6 +50,7 @@ from gsfloc.gsf import (
 from gsfloc.matching import ConsistencyGraph, Correspondence, brute_force_max_clique, max_clique
 from gsfloc.pipeline import (
     BUNDLE_FILES,
+    BuildError,
     build_map,
     load_map,
     localize,
@@ -233,18 +238,24 @@ def test_max_clique_size_equals_networkx(graph):
 
 
 @functools.lru_cache(maxsize=1)
-def _small_bundle() -> tuple[dict[str, bytes], object]:
-    """The files of the map bundle of a 7-instance scene (seed 999) by name, and
-    a scan of that scene that localizes on it."""
-    taxonomy = default_taxonomy()
+def _small_scene():
+    """A 7-instance scene (seed 999) and its map under the defaults."""
     spec = SceneSpec(extent=70, templates=[InstanceTemplate("pole", 3, 140),
                                            InstanceTemplate("car", 2, 260),
                                            InstanceTemplate("trunk", 2, 160)], seed=999)
-    cloud, _ = generate_scene(spec, taxonomy)
+    cloud, _ = generate_scene(spec, default_taxonomy())
+    return cloud, build_map(cloud, default_taxonomy())
+
+
+@functools.lru_cache(maxsize=1)
+def _small_bundle() -> tuple[dict[str, bytes], object]:
+    """The files of the small scene's map bundle by name, and a scan of that
+    scene that localizes on it."""
+    cloud, ref = _small_scene()
     scan = simulate_scan(cloud, sample_query_poses(1, seed=4, half=10.0)[0], 40.0, 0.1, 0.02,
                          seed=5)
     with tempfile.TemporaryDirectory() as d:
-        save_map(build_map(cloud, taxonomy), d)
+        save_map(ref, d)
         return {f.name: f.read_bytes() for f in Path(d).iterdir()}, scan
 
 
@@ -298,23 +309,39 @@ def test_sparsify_equals_per_class_loop(labels, budget, seed):
     assert np.array_equal(got, _sparsify_loop(labels, budget, [seed, 7]))
 
 
+def _flipped(draw, raw: bytes) -> bytes:
+    """`raw` with 1 to 8 bits flipped."""
+    raw = bytearray(raw)
+    for _ in range(draw(st.integers(1, 8))):
+        raw[draw(st.integers(0, len(raw) - 1))] ^= 1 << draw(st.integers(0, 7))
+    return bytes(raw)
+
+
 @st.composite
 def damaged_file(draw):
-    """A bundle file's name and its bytes with 1 to 8 bits flipped, or cut short."""
+    """A bundle file's name and its bytes with 1 to 8 bits flipped, or cut
+    short; or map.npz zipped again with bits flipped in one of its members,
+    which passes the zip's checksums and reaches the arrays' own checks."""
     name = draw(st.sampled_from(sorted([*BUNDLE_FILES, "manifest.json"])))
-    raw = bytearray(_small_bundle()[0][name])
-    at = st.integers(0, len(raw) - 1)
+    raw = _small_bundle()[0][name]
+    if name == "map.npz" and draw(st.booleans()):
+        with zipfile.ZipFile(io.BytesIO(raw)) as z:
+            members = {n: z.read(n) for n in z.namelist()}
+        member = draw(st.sampled_from(sorted(members)))
+        members[member] = _flipped(draw, members[member])
+        out = io.BytesIO()
+        with zipfile.ZipFile(out, "w", zipfile.ZIP_DEFLATED) as z:
+            for n, data in members.items():
+                z.writestr(n, data)
+        return name, out.getvalue()
     if draw(st.booleans()):
-        del raw[draw(at):]
-    else:
-        for _ in range(draw(st.integers(1, 8))):
-            raw[draw(at)] ^= 1 << draw(st.integers(0, 7))
-    return name, bytes(raw)
+        return name, raw[:draw(st.integers(0, len(raw) - 1))]
+    return name, _flipped(draw, raw)
 
 
 def test_small_bundle_localizes():
     files, scan = _small_bundle()
-    assert localize(scan, _load_changed("graph.json", files["graph.json"])).status == "success"
+    assert localize(scan, _load_changed("map.npz", files["map.npz"])).status == "success"
 
 
 @given(damaged_file())
@@ -332,13 +359,101 @@ def test_damaged_bundle_refused_or_localizes(damage):
     assert status in ("success", "no-match", "degenerate")
 
 
-@pytest.mark.parametrize("name", ["manifest.json", "graph.json", "config.json"])
+@pytest.mark.parametrize("name", ["manifest.json", "config.json"])
 def test_bundle_json_not_utf8_refused(name):
     """A 0xff byte, never UTF-8, in a bundle's JSON file is a FormatError naming it."""
     raw = _small_bundle()[0][name]
     half = len(raw) // 2
     with pytest.raises(FormatError, match=rf"{name}: not a JSON document \('utf-8' codec"):
         _load_changed(name, raw[:half] + b"\xff" + raw[half:])
+
+
+def _rows(cloud, keep) -> SemanticPointCloud:
+    return SemanticPointCloud(cloud.points[keep], cloud.labels[keep], cloud.logits[keep])
+
+
+def _poles_on_a_line(_) -> SemanticPointCloud:
+    """Seven poles of one shape, mirrored in y, on the x axis over a road: their
+    centroids share y and z bit for bit, so every triangle of them is collinear."""
+    taxonomy, rng = default_taxonomy(), np.random.default_rng(5)
+    ang, rad = rng.uniform(0, np.pi, 70), 0.15 * np.sqrt(rng.uniform(0, 1, 70))
+    shape = np.column_stack([rad * np.cos(ang), rad * np.sin(ang), rng.uniform(0, 4, 70)])
+    shape = np.vstack([shape, shape * [1, -1, 1]])
+    road = np.column_stack([rng.uniform(-10, 55, 500), rng.uniform(-10, 10, 500), np.zeros(500)])
+    points = np.vstack([shape + [x, 0, 0] for x in (0, 6, 13, 21, 28, 36, 45)] + [road])
+    labels = np.repeat([taxonomy.id_of("pole"), taxonomy.id_of("road")], [7 * 140, 500])
+    return SemanticPointCloud(points, labels, one_hot_logits(labels, taxonomy.num_classes))
+
+
+def _non_finite(cloud, part: str, value: float) -> SemanticPointCloud:
+    points, logits = cloud.points.copy(), cloud.logits.copy()
+    (points if part == "points" else logits)[17, 1] = value
+    return SemanticPointCloud(points, cloud.labels, logits)
+
+
+def _first_pole(cloud) -> int:
+    return int(np.flatnonzero(cloud.labels == default_taxonomy().id_of("pole"))[0])
+
+
+# each cloud, made from the small scene's, and what `build_map` and `localize`
+# make of it today: the build (a refusal or the map's triangle count), then
+# the status of the cloud as a query against the small scene's map and
+# against its own map, if it built
+_CLOUDS = {
+    "empty": (lambda c: _rows(c, []), ["BuildError: map has 0 instances", "no-match"]),
+    "single-point": (lambda c: _rows(c, [_first_pole(c)]),
+                     ["BuildError: map has 0 instances", "no-match"]),
+    "one-location": (lambda c: _rows(c, np.full(300, _first_pole(c))),
+                     ["BuildError: map has 1 instances", "no-match"]),
+    "background-only": (lambda c: _rows(c, ~np.isin(c.labels,
+                                                   default_taxonomy().instantiable_ids())),
+                        ["BuildError: map has 0 instances", "no-match"]),
+    "duplicated-points": (lambda c: _rows(c, np.repeat(np.arange(c.n), 2)),
+                          ["35 triangles", "success", "success"]),
+    "collinear-poles": (_poles_on_a_line, ["0 triangles", "no-match", "no-match"]),
+    "shifted-9e5": (lambda c: SemanticPointCloud(c.points + [9e5, -9e5, 0], c.labels, c.logits),
+                    ["35 triangles", "success", "success"]),
+    "nan-coordinate": (lambda c: _non_finite(c, "points", np.nan),
+                       ["ValidationError: point 17 has a non-finite coordinate"]),
+    "inf-logit": (lambda c: _non_finite(c, "logits", np.inf),
+                  ["ValidationError: point 17 has a non-finite logit"]),
+}
+
+
+@pytest.mark.parametrize("use_gsf", [True, False], ids=["gsf", "plain"])
+@pytest.mark.parametrize("case", list(_CLOUDS))
+def test_cloud_builds_or_ends_documented(case, use_gsf):
+    """An empty cloud, one point, one location, background classes only,
+    duplicated points, collinear poles, a cloud 9e5 m from the origin and a
+    non-finite coordinate or logit: each cloud is refused with a
+    ValidationError, or `build_map` raises BuildError or builds a map, and as a
+    query it ends in a documented status, against the small scene's map and
+    against its own. Nothing else is raised, and no RuntimeWarning appears.
+    The outcomes are pinned as they are today."""
+    make, want = _CLOUDS[case]
+    cfg = RunConfig()
+    cfg.pipeline.use_gsf_filter = use_gsf
+    got = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        warnings.simplefilter("ignore", UserWarning)  # fewer than 3 instances, failed fits
+        try:
+            cloud = make(_small_scene()[0])
+        except ValidationError as e:
+            got.append(f"ValidationError: {e}")
+        else:
+            try:
+                ref = build_map(cloud, default_taxonomy(), cfg)
+                got.append(f"{len(ref.index.table)} triangles")
+            except BuildError as e:
+                ref = None
+                got.append(f"BuildError: {str(e).split(';')[0]}")
+            for on in (_small_scene()[1], ref):
+                if on is not None:
+                    res = localize(cloud, on, cfg)
+                    assert res.status in ("success", "no-match", "degenerate")
+                    got.append(res.status)
+    assert got == want
 
 
 # a small scene, plain and as mirrored twins, with queries over all of it

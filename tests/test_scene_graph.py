@@ -1,4 +1,3 @@
-import json
 import warnings
 
 import numpy as np
@@ -8,8 +7,7 @@ from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 from gsfloc.config import ClusterSection, RunConfig
-from gsfloc.core import (FormatError, SemanticPointCloud, ValidationError, one_hot_logits,
-                         transform_cloud)
+from gsfloc.core import SemanticPointCloud, ValidationError, one_hot_logits, transform_cloud
 from gsfloc import scene_graph
 from gsfloc.gsf import GpHyperParams, fit_gsf
 from gsfloc.scene_graph import (
@@ -389,27 +387,41 @@ class TestBuildGraph:
 
 
 class TestSerialization:
-    def test_round_trip(self, taxonomy, tmp_path):
+    def test_round_trip(self, taxonomy):
         from gsfloc.synth import generate_scene
 
         cloud, _ = generate_scene(small_scene_spec(seed=13), taxonomy)
         cfg = RunConfig(cluster=cluster_params())
         graph = build_scene_graph(cloud, taxonomy, cfg)
-        save_scene_graph(graph.centroids, tmp_path / "g.json")
-        again = load_scene_graph(tmp_path / "g.json")
-        assert again.shape == (len(graph), 3)
-        np.testing.assert_array_equal(again, graph.centroids)
+        saved = save_scene_graph(graph.centroids, graph.labels)
+        assert sorted(saved) == ["centroids", "labels"]
+        centroids, labels = load_scene_graph(**saved, num_classes=taxonomy.num_classes)
+        assert centroids.shape == (len(graph), 3)
+        assert centroids.dtype == np.float64 and labels.dtype == np.int64
+        np.testing.assert_array_equal(centroids, graph.centroids)
+        np.testing.assert_array_equal(labels, graph.labels)
 
-    @pytest.mark.parametrize("k, bad", [(0, False), (1, True), (2, 2.0)],
-                             ids=["false", "true", "float"])
-    def test_id_not_a_json_integer_refused(self, tmp_path, k, bad):
-        """An id equal to its row as a value but not a JSON integer (false for
-        0, true for 1, 2.0 for 2) is a FormatError naming the record."""
-        path = tmp_path / "g.json"
-        save_scene_graph(np.arange(9.0).reshape(3, 3), path)
-        doc = json.loads(path.read_text())
-        doc["instances"][k]["id"] = bad
-        path.write_text(json.dumps(doc))
-        with pytest.raises(FormatError, match=rf"{path}: instance ids must be 0\.\.K-1 in "
-                                              rf"list order; record {k} has id {bad!r}"):
-            load_scene_graph(path)
+    @pytest.mark.parametrize("centroids, labels, says", [
+        (np.zeros((3, 2)), np.zeros(3, int), "centroids must be (K, 3) floats; it holds "
+                                              "float64 centroids of shape (3, 2)"),
+        (np.zeros(3), np.zeros(3, int), "centroids must be (K, 3) floats; it holds "
+                                        "float64 centroids of shape (3,)"),
+        (np.zeros((3, 3), int), np.zeros(3, int), "centroids must be (K, 3) floats; it holds "
+                                                  "int64 centroids of shape (3, 3) from 0 to 0"),
+        (np.zeros((3, 3)), np.zeros(2, int), "labels must be one (3,) row of integers in "
+                                             "[0, 12); it holds int64 labels of shape (2,)"),
+        (np.zeros((3, 3)), np.array([0, 12, 1]), "labels must be one (3,) row of integers in "
+                                                 "[0, 12); it holds int64 labels of shape (3,) "
+                                                 "from 0 to 12"),
+        (np.zeros((3, 3)), np.array([0, -1, 1]), "it holds int64 labels of shape (3,) "
+                                                 "from -1 to 1"),
+        (np.zeros((3, 3)), np.zeros(3), "it holds float64 labels of shape (3,)"),
+        (np.zeros((3, 3)), np.zeros(3, bool), "it holds bool labels of shape (3,)"),
+    ], ids=["centroids-2-columns", "centroids-one-row", "centroids-int", "labels-short",
+            "label-past-taxonomy", "label-negative", "labels-float", "labels-bool"])
+    def test_instance_table_refused(self, centroids, labels, says):
+        """Centroids that are not (K, 3) floats, or labels that are not one (K,)
+        row of integers in [0, D), are a ValidationError naming the array."""
+        with pytest.raises(ValidationError) as err:
+            load_scene_graph(centroids, labels, 12)
+        assert says in str(err.value)
