@@ -99,18 +99,20 @@ def read(kind, value, name, path: str = "", base=None):
     `metadata["key"]`, and its `cross_check(name, path)`, a rule across its
     fields, runs once it is built. Given `base`, the keys are set on `base`
     instead (nested objects onto its own), and the rules are left to a later
-    `check_fields`. A dataclass already built is `check_fields`ed."""
+    `check_fields`. A dataclass already built is `check_fields`ed. Each
+    declared type's alternatives are worked out once (`_alternatives`), and a
+    refusal's text is formatted only when a value is refused."""
     if is_dataclass(kind):
         if isinstance(value, kind):
             check_fields(value, name, path)
             return value
         return _read_object(kind, value, name, path, base)
-    union = typing.get_origin(kind) in (typing.Union, types.UnionType)
-    bounds = dict(map(_split, typing.get_args(kind) if union else (kind,)))
-    kind = next((k for k in bounds if _accepts(k, value)), None)
+    alternatives = _alternatives(kind)
+    kind, b = next(((k, b) for k, b in alternatives if _accepts(k, value)), (None, None))
     if kind is None:
         raise ValidationError(f"{name(path)} expects "
-                              f"{' or '.join(map(_describe, bounds))}, got {value!r}")
+                              f"{' or '.join(_describe(k) for k, _ in alternatives)}, "
+                              f"got {value!r}")
     origin, args = typing.get_origin(kind), typing.get_args(kind)
     if origin is list:
         return [read(args[0], v, name, f"{path}[{i}]") for i, v in enumerate(value)]
@@ -118,17 +120,17 @@ def read(kind, value, name, path: str = "", base=None):
         return {k: read(args[1], v, name, _join(path, k)) for k, v in value.items()}
     if kind in (int, float):
         value = kind(value)
-    b = bounds[kind] or Bound()
-    finite = "finite or Infinity" if b.no_limit else "finite"
-    for ok, says in ((kind is not float or not math.isnan(value), finite),  # NaN fails every bound
-                     (b.above is None or value > b.above, f"> {b.above}"),
-                     (b.least is None or value >= b.least, f">= {b.least}"),
-                     (b.most is None or value <= b.most, f"<= {b.most}"),
-                     (b.below is None or value < b.below, f"< {b.below}"),
-                     (kind is not float or math.isfinite(value) or b.no_limit and value > 0,
-                      finite)):
-        if not ok:
-            raise ValidationError(f"{name(path)} must be {says}, got {value}")
+    b = b or _NO_BOUND
+    ok = (kind is not float or not math.isnan(value),  # NaN fails every bound
+          b.above is None or value > b.above,
+          b.least is None or value >= b.least,
+          b.most is None or value <= b.most,
+          b.below is None or value < b.below,
+          kind is not float or math.isfinite(value) or b.no_limit and value > 0)
+    if not all(ok):  # the refusal names the first test that fails
+        finite = "finite or Infinity" if b.no_limit else "finite"
+        says = (finite, f"> {b.above}", f">= {b.least}", f"<= {b.most}", f"< {b.below}", finite)
+        raise ValidationError(f"{name(path)} must be {says[ok.index(False)]}, got {value}")
     return value
 
 
@@ -204,6 +206,18 @@ def _split(kind) -> tuple:
     if typing.get_origin(kind) is Annotated:
         return typing.get_args(kind)[0], kind.__metadata__[0]
     return kind, None
+
+
+_NO_BOUND = Bound()
+
+
+@functools.cache
+def _alternatives(kind) -> tuple:
+    """A declared type's alternatives as (bare type, its Bound or None) pairs:
+    one for a plain type, one per member of a union. Memoised per type, as
+    every record of a kind is read against the same types."""
+    union = typing.get_origin(kind) in (typing.Union, types.UnionType)
+    return tuple(map(_split, typing.get_args(kind) if union else (kind,)))
 
 
 # ---------------------------------------------------------------------------
@@ -310,20 +324,36 @@ def default_taxonomy() -> LabelTaxonomy:
 # ---------------------------------------------------------------------------
 
 
-def check_finite(a: np.ndarray, says: str) -> None:
+def check_finite(a: np.ndarray, says: str, most: float | None = None,
+                 beyond: str = "") -> None:
     """A ValidationError, `says.format(row=i, values=...)`, for the first row i
-    of `a` (N, ...) that holds a NaN or an infinity; the whole array is tested
-    first, and the row sought only when there is one."""
-    if not np.isfinite(a).all():
-        bad = int(np.argmin(np.isfinite(a).reshape(len(a), -1).all(axis=1)))
-        raise ValidationError(says.format(row=bad, values=tuple(a[bad].ravel().tolist())))
+    of `a` (N, ...) that holds a NaN or an infinity; given `most`, also for the
+    first that holds a value beyond +-most, `beyond` formatted the same way
+    when the row is finite. The whole array is tested first, in one pass, and
+    the row sought only when there is one."""
+    within = np.isfinite(a) if most is None else np.abs(a) <= most  # NaN is not <= most
+    if not within.all():
+        bad = int(np.argmin(within.reshape(len(a), -1).all(axis=1)))
+        row = a[bad]
+        says = says if most is None or not np.isfinite(row).all() else beyond
+        raise ValidationError(says.format(row=bad, values=tuple(row.ravel().tolist())))
+
+
+# the magnitude a cloud's logits are held to. The fields interpolate them, and
+# W2 squares and sums the differences of their means over the grid points and
+# classes; within this bound those sums, and the `sim.sigma_w` self-tuned from
+# their median, stay far inside float64 and inside that key's own bound
+LOGIT_MOST = FAR
 
 
 @dataclass
 class SemanticPointCloud:
     """Points with per-point class labels and optional class-score logits.
 
-    Treated as immutable after construction; all operations return new clouds.
+    A cloud refuses a non-finite coordinate, a non-finite logit or one beyond
+    +-LOGIT_MOST, each naming the point, and a label that is not its point's
+    logit argmax. Treated as immutable after construction; all operations
+    return new clouds.
     """
 
     points: np.ndarray  # (N,3) float64, meters
@@ -346,7 +376,8 @@ class SemanticPointCloud:
                     f"logits shape {self.logits.shape} does not match point count "
                     f"{self.points.shape[0]}"
                 )
-            check_finite(self.logits, "point {row} has a non-finite logit")
+            check_finite(self.logits, "point {row} has a non-finite logit", LOGIT_MOST,
+                         f"point {{row}} has a logit beyond +-{LOGIT_MOST:g}")
             if self.n > 0:
                 pred = np.argmax(self.logits, axis=1)  # first max = lowest class id
                 bad = np.nonzero(pred != self.labels)[0]
@@ -356,6 +387,15 @@ class SemanticPointCloud:
                         f"label/logit argmax mismatch at index {i}: label "
                         f"{int(self.labels[i])}, argmax {int(pred[i])}"
                     )
+
+    def rows(self, index) -> "SemanticPointCloud":
+        """The cloud of the points at `index` (integer indices or a boolean mask),
+        with their labels and logits. Rows of a checked cloud pass every check
+        the constructor makes, so none is run again."""
+        out = object.__new__(SemanticPointCloud)
+        out.points, out.labels = self.points[index], self.labels[index]
+        out.logits = None if self.logits is None else self.logits[index]
+        return out
 
     @property
     def n(self) -> int:

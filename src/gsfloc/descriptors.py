@@ -32,7 +32,8 @@ from scipy.spatial.distance import pdist, squareform
 
 from .core import ValidationError, check_finite, describe_array
 from .gsf import GpPopulation
-from .wasserstein import SimilarityConfig, similarity_weight, w2_lower_bound, w2_squared
+from .wasserstein import (SimilarityConfig, covariance_roots, similarity_weight, w2_lower_bound,
+                          w2_squared)
 
 DEGENERACY_SLACK = 1e-6
 EQUAL_SIDE_TOL = 1e-9
@@ -254,14 +255,16 @@ def pair_w2(
     a stack over the yaw samples; two equal-length id arrays give one value
     per (qids[p], mids[p]) pair. The pairs are scored in chunks whose
     (pairs x yaws x G x G) covariance stack stays under W2_CHUNK_BYTES. Per
-    chunk, the query and map rows it names are gathered once and
+    chunk, the query and map rows it names are gathered once, the map rows
+    are masked and rooted once (`covariance_roots`, one batched `eigh`), and
     `w2_lower_bound` bounds every (pair, yaw) member; then two `w2_squared`
-    calls score only the members that can be a pair's minimum:
+    calls, both given those roots, score only the members that can be a
+    pair's minimum:
 
     1. each pair's lowest-bound yaw, gathered first so that only those
        members are masked;
     2. every other member whose bound does not exceed its pair's value from
-       pass 1, against only the map rows these members touch.
+       pass 1, against only the map rows these members touch and their roots.
 
     Each pair takes the smaller of the two. The bound already has a rounding
     slack taken off, so a skipped member's computed W2^2 exceeds a scored
@@ -276,17 +279,18 @@ def pair_w2(
             uq, ia = np.unique(qids[lo:lo + step], return_inverse=True)
             um, ib = np.unique(mids[lo:lo + step], return_inverse=True)
             pop_q, pop_m = pops_query[uq], pops_map[um]
+            roots = covariance_roots(pop_m, use_stability)
             bound = w2_lower_bound(pop_q, pop_m, use_stability, (ia, ib))
             rows = np.arange(ia.size)
             yaw = np.argmin(bound, axis=1)
-            best = w2_squared(pop_q[ia, yaw], pop_m, use_stability, (rows, ib))
+            best = w2_squared(pop_q[ia, yaw], pop_m, use_stability, (rows, ib), roots)
             todo = ~(bound > best[:, None])  # a NaN bound or value is scored
             todo[rows, yaw] = False
             p, y = np.nonzero(todo)
             if p.size:
                 touched, jb = np.unique(ib[p], return_inverse=True)
                 more = w2_squared(pop_q[ia[p], y], pop_m[touched], use_stability,
-                                  (np.arange(p.size), jb))
+                                  (np.arange(p.size), jb), roots[touched])
                 np.minimum.at(best, p, more)
             out[lo:lo + step] = best
     return out

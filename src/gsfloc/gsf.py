@@ -33,8 +33,9 @@ Probing takes one yaw or several. Several yaws give a stacked population, every
 array with a leading yaw axis, each member equal to its own single-yaw probe.
 `grid_probe` owns the yaw reuse: it probes only the yaws whose grid is not a
 reordering of an earlier yaw's, in one kernel matrix, one triangular solve
-and one batched PSD check, then gathers every yaw's member. The reuse plan
-is built once per grid and yaw stack and memoised on their values.
+and one batched PSD check, then gathers every yaw's member. The reuse plan,
+and the (Y, G, 3) grid stack a query's population table holds (`yaw_grids`),
+are built once per grid and yaw stack and memoised on their values.
 """
 
 from __future__ import annotations
@@ -142,8 +143,12 @@ def semantic_sparsify(labels, budget: int, seed) -> np.ndarray:
         return np.arange(m)
     rng = np.random.default_rng(seed)
     keep: list[np.ndarray] = []
-    for c in np.unique(labels):  # ascending class order: deterministic draws
-        idx = np.flatnonzero(labels == c)
+    # one stable sort splits the points by class, classes ascending (so the
+    # draws are deterministic), each class's indices ascending as `flatnonzero`
+    # gives them
+    order = np.argsort(labels, kind="stable")
+    ordered = labels[order]
+    for idx in np.split(order, np.flatnonzero(ordered[1:] != ordered[:-1]) + 1):
         n_c = min(int(np.rint(idx.size / m * budget)), idx.size)
         if n_c:
             keep.append(rng.choice(idx, size=n_c, replace=False))
@@ -439,6 +444,27 @@ def probe_grid(grid: GridSection, yaw: float | np.ndarray = 0.0) -> np.ndarray:
     return grids if yaws.ndim else grids[0]
 
 
+def _memo_key(grid: GridSection, yaws: Sequence[float]) -> tuple:
+    """The key a grid and a yaw list are memoised on: the grid's plain field
+    values (astuple would deep-copy them on every call) and the yaws as floats."""
+    return tuple(vars(grid).values()), tuple(np.asarray(yaws, dtype=np.float64).tolist())
+
+
+@functools.lru_cache(maxsize=16)
+def _yaw_grids(grid: tuple, yaws: tuple[float, ...]) -> np.ndarray:
+    """`probe_grid` of the GridSection field values `grid` at the yaws: the
+    (Y, G, 3) stack, shared by every call with the same key, so read-only."""
+    grids = probe_grid(GridSection(*grid), np.array(yaws))
+    grids.flags.writeable = False
+    return grids
+
+
+def yaw_grids(grid: GridSection, yaws: Sequence[float]) -> np.ndarray:
+    """`probe_grid(grid, yaws)` for a yaw sequence, the (Y, G, 3) stack, built
+    once per grid and yaw list and memoised on their values: read-only."""
+    return _yaw_grids(*_memo_key(grid, yaws))
+
+
 @functools.lru_cache(maxsize=16)
 def _yaw_plan(grid: tuple, yaws: tuple[float, ...]) -> tuple[np.ndarray, ...]:
     """How `grid_probe` probes a yaw stack, for the GridSection field values
@@ -451,7 +477,7 @@ def _yaw_plan(grid: tuple, yaws: tuple[float, ...]) -> tuple[np.ndarray, ...]:
     reordered (within PERMUTATION_TOL). The arrays are shared by every call
     with the same key, so they are read-only.
     """
-    grids = probe_grid(GridSection(*grid), np.array(yaws))
+    grids = _yaw_grids(grid, yaws)
     g = grids.shape[1]
     probed, at = [], []
     for k, points in enumerate(grids):
@@ -494,9 +520,7 @@ def grid_probe(
     if np.ndim(yaw) == 0:
         points = probe_grid(grid, yaw)
     else:
-        # the plain field values: astuple would deep-copy them on every call
-        points, at, cells = _yaw_plan(tuple(vars(grid).values()),
-                                      tuple(np.asarray(yaw, dtype=np.float64).tolist()))
+        points, at, cells = _yaw_plan(*_memo_key(grid, yaw))
     mu, Sigma = gsf_predict(field, points)
     Sigma = _clamp_psd(Sigma)
     weights = stability_weights(mu, taxonomy)

@@ -93,7 +93,7 @@ from .descriptors import (
     save_index,
     triangulate,
 )
-from .gsf import GpPopulation, grid_probe, probe_grid, stability_weights
+from .gsf import GpPopulation, grid_probe, probe_grid, stability_weights, yaw_grids
 from .matching import (CorrespondenceTable, build_consistency_graph, collect_correspondences,
                        correspondence_table, max_clique)
 from .pose_solver import (
@@ -124,7 +124,8 @@ STAGES = ("graph", "probe", "match", "clique", "solve")
 
 
 class BuildError(GsflocError):
-    """The map cloud cannot support localization (too few instances)."""
+    """The map cloud cannot support localization (fewer than 3 instances, or
+    no non-degenerate triangle among them)."""
 
 
 @dataclass
@@ -179,7 +180,8 @@ def voxel_downsample(cloud: SemanticPointCloud, voxel: float) -> SemanticPointCl
     indices each. The keys are sorted once, in no stable order, and each
     voxel keeps the smallest point index of its run. A cloud whose voxel
     indices, or that box's voxel count, do not fit in int64 is refused with a
-    ValidationError.
+    ValidationError. The kept points come back as `cloud.rows`, so the checks
+    the cloud passed are not run again on them.
     """
     if voxel <= 0 or cloud.n == 0:
         return cloud
@@ -204,9 +206,7 @@ def voxel_downsample(cloud: SemanticPointCloud, voxel: float) -> SemanticPointCl
     key = key[order]
     runs = np.flatnonzero(key[1:] != key[:-1]) + 1
     first = np.minimum.reduceat(order, np.concatenate(([0], runs)))  # each voxel's lowest index
-    keep = np.sort(first)
-    logits = None if cloud.logits is None else cloud.logits[keep]
-    return SemanticPointCloud(cloud.points[keep], cloud.labels[keep], logits)
+    return cloud.rows(np.sort(first))
 
 
 def _flatten(d: dict, prefix: str = ""):
@@ -234,14 +234,20 @@ def build_map(
 ) -> ReferenceMap:
     """Instance centroids + canonical populations + descriptor index over the
     map cloud; of the scene graph, only the centroid and label table is kept.
-    The config is checked as one read from a file would be."""
+    The config is checked as one read from a file would be. A cloud with
+    fewer than 3 instances, or none of whose triangles is non-degenerate, is
+    a BuildError."""
     config = config or RunConfig()
     check_fields(config, config_key)
     graph = build_scene_graph(map_cloud, taxonomy, config)
     if len(graph) < 3:
         raise BuildError(f"map has {len(graph)} instances; at least 3 are required")
+    triangles = triangulate(graph, config.index.k_neighbors)
+    if not len(triangles):  # every query on such a map would end as no-match
+        raise BuildError(f"map has no non-degenerate triangle; its {len(graph)} instances "
+                         "are collinear or coincident")
     fitted, populations = _probe_fields(graph, map_cloud, taxonomy, config, 0.0)
-    index = build_index(triangulate(graph, config.index.k_neighbors), config.index.delta_d)
+    index = build_index(triangles, config.index.delta_d)
     return ReferenceMap(graph.centroids, graph.labels, index, populations, fitted, taxonomy,
                         config)
 
@@ -263,8 +269,10 @@ def _nan_table(grid: np.ndarray, k: int, n_cls: int) -> GpPopulation:
 
 def _probe_fields(graph, cloud, taxonomy, config, yaw) -> tuple[np.ndarray, GpPopulation]:
     """Each instance's field fitted, probed at `yaw` (a float or a sequence) and
-    dropped: the (K,) fitted mask and the table, row i instance i's, NaN where it failed."""
-    grid = probe_grid(config.gsf.grid, yaw)
+    dropped: the (K,) fitted mask and the table, row i instance i's, NaN where it failed.
+    A yaw sequence's grid stack is the memoised, read-only one of `yaw_grids`."""
+    grid = probe_grid(config.gsf.grid, yaw) if np.ndim(yaw) == 0 else \
+        yaw_grids(config.gsf.grid, yaw)
     fitted = np.zeros(len(graph), dtype=bool)
     table = _nan_table(grid, len(graph), taxonomy.num_classes)
     for iid, field in fit_fields(graph, cloud, config):

@@ -10,8 +10,9 @@ the geometric mean of the two populations' weights.
 query instance at every yaw sample, say), or a whole table of pairs: a stack
 of A members, a stack of B members and two index arrays naming each pair.
 Each member's covariance is masked once and each B member rooted once, in one
-batched `eigh` (`psd_sqrt` takes a stack); one batched product and one
-batched `eigvalsh` then cover every (pair, yaw) member. Every value equals
+batched `eigh` (`covariance_roots`; `psd_sqrt` takes a stack), or the caller
+passes B's roots in; one batched product and one batched `eigvalsh` then
+cover every (pair, yaw) member. Every value equals
 its own single-pair call bit for bit: the batched LAPACK and BLAS calls
 work matrix by matrix, and every sum runs over the same axis as there.
 
@@ -76,6 +77,13 @@ def _covariance(pop: GpPopulation, use_stability: bool) -> np.ndarray:
     return pop.Sigma
 
 
+def covariance_roots(pop: GpPopulation, use_stability: bool) -> np.ndarray:
+    """`psd_sqrt` of each member's covariance, stability-masked if
+    `use_stability`, in one batched call: the `roots` `w2_squared` takes for
+    `pop` as its B side."""
+    return psd_sqrt(_covariance(pop, use_stability))
+
+
 def _check_shapes(pop_a: GpPopulation, pop_b: GpPopulation, b_ndim: int) -> None:
     if (pop_b.mu.ndim != b_ndim or pop_a.mu.shape[-2:] != pop_b.mu.shape[-2:]
             or pop_a.Sigma.shape[-2:] != pop_b.Sigma.shape[-2:]):
@@ -107,6 +115,7 @@ def w2_squared(
     pop_b: GpPopulation,
     use_stability: bool = False,
     pairs: tuple[np.ndarray, np.ndarray] | None = None,
+    roots: np.ndarray | None = None,
 ) -> float | np.ndarray:
     """Squared 2-Wasserstein distance between populations on matching grids.
 
@@ -121,20 +130,27 @@ def w2_squared(
 
     The trace term is symmetric in A and B, so only B's covariances are
     rooted, each once: Tr((S_B^1/2 S_A S_B^1/2)^1/2), eigenvalues clamped at 0.
+    A caller that scores the same B members more than once roots them once
+    with `covariance_roots` and passes the roots, one per member of `pop_b`,
+    as `roots`; B's covariances are then neither masked nor rooted here, and
+    every value is the one computed without them, bit for bit.
     """
     one = pairs is None
     _check_shapes(pop_a, pop_b, 2 if one else 3)
     if one:
         pop_a, pop_b = pop_a[None], pop_b[None]
+        roots = None if roots is None else roots[None]
         pairs = (np.zeros(1, dtype=np.intp), np.zeros(1, dtype=np.intp))
     ia, ib = (np.asarray(p, dtype=np.intp) for p in pairs)
     lift = _lift(pop_a)
-    s_a, s_b = _covariance(pop_a, use_stability), _covariance(pop_b, use_stability)
-    trace_a, trace_b = (np.trace(s, axis1=-2, axis2=-1) for s in (s_a, s_b))
+    s_a = _covariance(pop_a, use_stability)
+    trace_a, trace_b = np.trace(s_a, axis1=-2, axis2=-1), _traces(pop_b, use_stability)
     # per pair, as floats: the product below is written into this buffer, and
     # dropping the per-member stack first lowers the peak memory
     s_a = np.asarray(s_a, dtype=np.float64)[ia]
-    sqrt_b = psd_sqrt(s_b)[ib][lift]
+    if roots is None:
+        roots = covariance_roots(pop_b, use_stability)
+    sqrt_b = roots[ib][lift]
     inner = np.matmul(sqrt_b @ s_a, sqrt_b, out=s_a)
     inner += np.swapaxes(inner, -1, -2)  # in place: numpy buffers the overlapping operand
     inner *= 0.5

@@ -133,6 +133,28 @@ class TestBuildMap:
         ])
         assert rc == 3
 
+    def test_collinear_instances_exit_3(self, tmp_path, capsys):
+        """Four poles of one shape on the x axis share their centroids' y and z
+        bit for bit, so no triangle of them is non-degenerate: exit 3."""
+        tax = default_taxonomy()
+        from gsfloc.core import SemanticPointCloud, one_hot_logits
+
+        rng = np.random.default_rng(5)
+        shape = np.column_stack([rng.uniform(-0.1, 0.1, (140, 2)), rng.uniform(0, 4, 140)])
+        points = np.vstack([shape + [x, 0, 0] for x in (0, 6, 13, 21)])
+        labels = np.full(len(points), tax.id_of("pole"))
+        cloud = SemanticPointCloud(points, labels, one_hot_logits(labels, 12))
+        save_cloud(cloud, tmp_path / "p.points", tmp_path / "p.labels", tmp_path / "p.logits")
+        rc = main([
+            "build-map",
+            "--points", str(tmp_path / "p.points"),
+            "--labels", str(tmp_path / "p.labels"),
+            "--logits", str(tmp_path / "p.logits"),
+            "--out", str(tmp_path / "bundle"),
+        ])
+        assert rc == 3
+        assert "map has no non-degenerate triangle; its 4 instances" in capsys.readouterr().err
+
     def test_bad_config_value_exit_2(self, scene_files, tmp_path, capsys):
         rc = main([
             "build-map",

@@ -12,6 +12,7 @@ from gsfloc.core import (
     ClassInfo,
     Coordinate,
     FormatError,
+    LOGIT_MOST,
     LabelTaxonomy,
     RigidTransform,
     SemanticPointCloud,
@@ -103,6 +104,43 @@ class TestCloudIO:
         logits[2, column] = bad
         with pytest.raises(ValidationError, match="point 2 has a non-finite logit"):
             SemanticPointCloud(np.zeros((3, 3)), [0, 0, 0], logits)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_logit_beyond_bound_rejected(self, sign):
+        """A finite logit beyond +-LOGIT_MOST is refused, naming the point;
+        one at the bound is taken."""
+        logits = one_hot_logits([0, 0, 0, 0], 2)
+        logits[1, 1] = sign * LOGIT_MOST
+        logits[:, 0] = LOGIT_MOST  # keeps every label the argmax
+        SemanticPointCloud(np.zeros((4, 3)), [0] * 4, logits)
+        logits[3, 1] = sign * np.nextafter(LOGIT_MOST, np.inf)
+        with pytest.raises(ValidationError, match=r"point 3 has a logit beyond \+-1e\+06"):
+            SemanticPointCloud(np.zeros((4, 3)), [0] * 4, logits)
+
+    def test_first_bad_logit_row_named_with_its_reason(self):
+        """The first row out of bound is named, as non-finite if it is."""
+        logits = one_hot_logits([0, 0, 0], 2)
+        logits[1, 1], logits[2, 1] = np.nan, 1e7
+        with pytest.raises(ValidationError, match="point 1 has a non-finite logit"):
+            SemanticPointCloud(np.zeros((3, 3)), [0] * 3, logits)
+        logits[1, 1], logits[2, 1] = -1e7, np.inf
+        with pytest.raises(ValidationError, match="point 1 has a logit beyond"):
+            SemanticPointCloud(np.zeros((3, 3)), [0] * 3, logits)
+
+    def test_rows_equal_a_checked_cloud(self):
+        """`rows` by indices or by a mask gives the cloud the constructor gives
+        for the same rows, dtypes included."""
+        rng = np.random.default_rng(2)
+        labels = rng.integers(0, 4, 30)
+        cloud = SemanticPointCloud(rng.normal(size=(30, 3)), labels, one_hot_logits(labels, 4))
+        for index in (np.array([3, 0, 29, 3]), labels == 2, np.arange(0)):
+            got = cloud.rows(index)
+            want = SemanticPointCloud(cloud.points[index], cloud.labels[index],
+                                      cloud.logits[index])
+            for name in ("points", "labels", "logits"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+        assert SemanticPointCloud(np.zeros((2, 3)), [0, 1]).rows([1]).logits is None
 
     def test_round_trip_bit_identical(self, tmp_path):
         rng = np.random.default_rng(0)

@@ -573,9 +573,9 @@ class TestPairW2Cut:
                                    (a.mu, a.Sigma, a.stability_weights)))
         calls = []
 
-        def counted(pop_a, pop_b, use_stability, pairs):
+        def counted(pop_a, pop_b, use_stability, pairs, roots=None):
             calls.append((len(pairs[0]), len(pop_b.mu)))
-            return w2_squared(pop_a, pop_b, use_stability, pairs)
+            return w2_squared(pop_a, pop_b, use_stability, pairs, roots)
 
         monkeypatch.setattr(descriptors, "w2_squared", counted)
         got = pair_w2(ia, ib, a, b, True)

@@ -28,7 +28,7 @@ from gsfloc.descriptors import (
     triangle_table,
     triangulate,
 )
-from gsfloc import descriptors, matching, pipeline, scene_graph
+from gsfloc import descriptors, matching, pipeline, scene_graph, wasserstein
 from gsfloc.pipeline import (
     BUNDLE_FILES,
     STAGES,
@@ -1190,6 +1190,38 @@ class TestMatch:
         _, probes, ref, cand_lists = _twin_query(taxonomy_module, tmp_path)
         self._check_table(probes, ref, cand_lists, monkeypatch, chunk_pairs)
 
+    @pytest.mark.parametrize("chunk_pairs", [None, 3], ids=["one-chunk", "chunks-of-3"])
+    def test_map_rows_rooted_once_per_chunk(self, scene, ref_map, taxonomy_module, monkeypatch,
+                                            chunk_pairs):
+        """A street query roots each distinct map row of a chunk once, in one
+        `psd_sqrt` stack per chunk, which both passes read."""
+        _, _, _, probes, cand_lists = _street_query(scene, ref_map, taxonomy_module)
+        self._check_roots(probes, ref_map, cand_lists, monkeypatch, chunk_pairs)
+
+    @pytest.mark.parametrize("chunk_pairs", [None, 2], ids=["one-chunk", "chunks-of-2"])
+    def test_map_rows_rooted_once_per_chunk_on_twins(self, taxonomy_module, tmp_path,
+                                                     monkeypatch, chunk_pairs):
+        _, probes, ref, cand_lists = _twin_query(taxonomy_module, tmp_path)
+        self._check_roots(probes, ref, cand_lists, monkeypatch, chunk_pairs)
+
+    @staticmethod
+    def _check_roots(probes, ref_map, cand_lists, monkeypatch, chunk_pairs):
+        if chunk_pairs is not None:
+            one_pair = probes[1].Sigma[0].nbytes
+            monkeypatch.setattr(descriptors, "W2_CHUNK_BYTES", chunk_pairs * one_pair)
+        members = []
+        psd_sqrt = wasserstein.psd_sqrt
+
+        def counted(S, *args):
+            members.append(len(S))
+            return psd_sqrt(S, *args)
+
+        monkeypatch.setattr(wasserstein, "psd_sqrt", counted)
+        _, w2, _ = _w2_table_lists(cand_lists, probes, ref_map, ref_map.config)
+        scored, step = sorted(w2), chunk_pairs or len(w2)
+        want = [len({m for _, m in scored[lo:lo + step]}) for lo in range(0, len(scored), step)]
+        assert members == want and len(want) > (chunk_pairs is not None)
+
     @staticmethod
     def _check_table(probes, ref_map, cand_lists, monkeypatch, chunk_pairs):
         pops_query = probes[1]
@@ -1198,9 +1230,9 @@ class TestMatch:
             monkeypatch.setattr(descriptors, "W2_CHUNK_BYTES", chunk_pairs * one_pair)
         calls = []
 
-        def counted(pop_a, pop_b, use_stability, pairs):
+        def counted(pop_a, pop_b, use_stability, pairs, roots=None):
             calls.append((len(pairs[0]), len(pop_b.mu)))
-            return w2_squared(pop_a, pop_b, use_stability, pairs)
+            return w2_squared(pop_a, pop_b, use_stability, pairs, roots)
 
         monkeypatch.setattr(descriptors, "w2_squared", counted)
         _, w2, _ = _w2_table_lists(cand_lists, probes, ref_map, ref_map.config)
@@ -1442,6 +1474,24 @@ class TestVoxelDownsample:
     def test_zero_voxel_passthrough(self):
         cloud = SemanticPointCloud(np.zeros((3, 3)), [0, 0, 0])
         assert voxel_downsample(cloud, 0.0) is cloud
+
+    def test_output_not_checked_again(self, monkeypatch):
+        """The kept rows of a checked cloud come back without the constructor's
+        checks running on them, and equal the rows a checked cloud holds."""
+        rng = np.random.default_rng(4)
+        pts, labels = rng.uniform(-5, 5, (400, 3)), rng.integers(0, 12, 400)
+        cloud = SemanticPointCloud(pts, labels, one_hot_logits(labels, 12))
+        calls = []
+        monkeypatch.setattr(SemanticPointCloud, "__post_init__",
+                            lambda self: calls.append(self))
+        out = voxel_downsample(cloud, 1.0)
+        assert calls == [] and 0 < out.n < cloud.n
+        monkeypatch.undo()
+        keep = self._lexsort_keep(pts, 1.0)
+        want = SemanticPointCloud(pts[keep], labels[keep], cloud.logits[keep])
+        for name in ("points", "labels", "logits"):
+            got, ref = getattr(out, name), getattr(want, name)
+            assert got.dtype == ref.dtype and np.array_equal(got, ref)
 
     def test_matches_unique_reference(self):
         """The lowest index of every occupied voxel, as np.unique over the rows finds it."""

@@ -410,13 +410,20 @@ _CLOUDS = {
                         ["BuildError: map has 0 instances", "no-match"]),
     "duplicated-points": (lambda c: _rows(c, np.repeat(np.arange(c.n), 2)),
                           ["35 triangles", "success", "success"]),
-    "collinear-poles": (_poles_on_a_line, ["0 triangles", "no-match", "no-match"]),
+    "collinear-poles": (_poles_on_a_line,
+                        ["BuildError: map has no non-degenerate triangle", "no-match"]),
     "shifted-9e5": (lambda c: SemanticPointCloud(c.points + [9e5, -9e5, 0], c.labels, c.logits),
                     ["35 triangles", "success", "success"]),
     "nan-coordinate": (lambda c: _non_finite(c, "points", np.nan),
                        ["ValidationError: point 17 has a non-finite coordinate"]),
     "inf-logit": (lambda c: _non_finite(c, "logits", np.inf),
                   ["ValidationError: point 17 has a non-finite logit"]),
+    # finite logits, argmax unchanged, whose W2 table would pass sim.sigma_w's
+    # bound (x 1e100) or overflow (x 1e160)
+    "logits-x1e100": (lambda c: SemanticPointCloud(c.points, c.labels, c.logits * 1e100),
+                      ["ValidationError: point 0 has a logit beyond +-1e+06"]),
+    "logits-x1e160": (lambda c: SemanticPointCloud(c.points, c.labels, c.logits * 1e160),
+                      ["ValidationError: point 0 has a logit beyond +-1e+06"]),
 }
 
 
@@ -424,8 +431,9 @@ _CLOUDS = {
 @pytest.mark.parametrize("case", list(_CLOUDS))
 def test_cloud_builds_or_ends_documented(case, use_gsf):
     """An empty cloud, one point, one location, background classes only,
-    duplicated points, collinear poles, a cloud 9e5 m from the origin and a
-    non-finite coordinate or logit: each cloud is refused with a
+    duplicated points, collinear poles, a cloud 9e5 m from the origin, a
+    non-finite coordinate or logit and logits scaled past their bound: each
+    cloud is refused with a
     ValidationError, or `build_map` raises BuildError or builds a map, and as a
     query it ends in a documented status, against the small scene's map and
     against its own. Nothing else is raised, and no RuntimeWarning appears.

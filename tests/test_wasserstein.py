@@ -6,6 +6,7 @@ from gsfloc.gsf import GpPopulation, apply_stability_mask
 from gsfloc.wasserstein import (
     BOUND_SLACK,
     SimilarityConfig,
+    covariance_roots,
     psd_sqrt,
     similarity_weight,
     w2_lower_bound,
@@ -179,10 +180,33 @@ class TestW2:
         want = np.stack([w2_squared(a_members[i], b_members[j], use_stability)
                          for i, j in zip(ia, ib)])
         assert got.shape == (7, y) and np.array_equal(got, want)
+        roots = covariance_roots(as_table(b_members), use_stability)  # B rooted by the caller
+        assert np.array_equal(
+            w2_squared(as_table(a_members), as_table(b_members), use_stability, (ia, ib), roots),
+            want)
         singles = [random_pop(rng, g, d) for _ in range(2)]  # A members without a yaw axis
         got = w2_squared(as_table(singles), as_table(b_members), use_stability, (ia % 2, ib))
         assert got.shape == (7,) and np.array_equal(
             got, [w2_squared(singles[i % 2], b_members[j], use_stability) for i, j in zip(ia, ib)])
+
+    @pytest.mark.parametrize("use_stability", [False, True])
+    def test_equals_formula_written_out(self, use_stability):
+        """One pair's value equals the formula written out from the masked
+        covariances, their traces, B's `psd_sqrt` and `eigvalsh`, bit for bit."""
+        rng = np.random.default_rng(13)
+        for g, d in [(25, 12), (4, 2), (1, 3)]:
+            a, b = random_pop(rng, g, d), random_pop(rng, g, d)
+            s_a, s_b = (apply_stability_mask(p.Sigma, p.stability_weights) if use_stability
+                        else p.Sigma for p in (a, b))
+            root = psd_sqrt(s_b)
+            inner = root @ s_a @ root
+            inner = 0.5 * (inner + inner.T)
+            cross = np.sum(np.sqrt(np.maximum(np.linalg.eigvalsh(inner), 0.0)))
+            diff = np.sum((a.mu - b.mu) ** 2, axis=-1)
+            if use_stability:
+                diff = diff * np.sqrt(a.stability_weights * b.stability_weights)
+            want = max(np.sum(diff) + (np.trace(s_a) + np.trace(s_b) - 2.0 * cross), 0.0)
+            assert w2_squared(a, b, use_stability) == want
 
     def test_zero_pairs(self):
         rng = np.random.default_rng(12)
